@@ -438,8 +438,8 @@ let recovery_time_cmd =
 (* The storage-half throughput suite (Storage_bench): per-engine
    committed-txns/sec under the 2PL scheduler, the polling-vs-wakeup
    scheduler head-to-head, recovery wall vs log length, and buffer-pool
-   / journal microbenchmarks.  bench/main folds the same numbers into
-   BENCH_5.json; this command prints them interactively. *)
+   / journal microbenchmarks.  Prints the same report bench/main does
+   and exits 1 on any failed equivalence gate. *)
 let storage_bench_cmd =
   let open Cmdliner in
   let scale_arg =
@@ -507,116 +507,12 @@ let storage_bench_cmd =
       Dbm_storage.Storage_bench.run ~scale ~jobs ~allow_oversubscribe ~log_formats
         ~read_fracs ~shard_counts ~cross_fracs ~now:Unix.gettimeofday ()
     in
-    let open Dbm_storage.Storage_bench in
-    Printf.printf "Contended scheduler (%d scripts, hot page behind private locks):\n" b.sched_txns;
-    Printf.printf "  polling (pre-overhaul)  %8.2f ms\n" b.sched_naive_ms;
-    Printf.printf "  wakeup parking          %8.2f ms   (%.1fx, reports %s)\n\n" b.sched_opt_ms
-      b.sched_speedup
-      (if b.sched_equivalent then "identical" else "DIVERGED");
-    Printf.printf "Committed txns/sec under 2PL (low contention | high contention + restarts):\n";
-    List.iter
-      (fun e ->
-        Printf.printf "  %-22s %12.0f | %12.0f  (%d restarts)\n" e.engine e.low_tps e.high_tps
-          e.high_restarts)
-      b.engines;
-    Printf.printf "\nLogging-engine restart recovery vs durable log length:\n";
-    Printf.printf "  %6d txns  %7d records  %8.2f ms\n" b.recovery_txns_l b.recovery_records_l
-      b.recovery_wall_l_ms;
-    Printf.printf "  %6d txns  %7d records  %8.2f ms   (ratio %.2f, linear ~2)\n\n"
-      (2 * b.recovery_txns_l) b.recovery_records_2l b.recovery_wall_2l_ms b.recovery_wall_ratio;
-    Printf.printf "Page-partitioned parallel recovery (%d records, best of five):\n"
-      b.recovery_records_l;
-    List.iter
-      (fun p ->
-        Printf.printf "  %2d job%s%s  %8.2f ms   (%s)\n" p.rj_jobs
-          (if p.rj_jobs > 1 then "s" else " ")
-          (if p.rj_oversubscribed then " [oversubscribed]" else "")
-          p.rj_wall_ms
-          (if p.rj_equivalent then "state identical to serial reference" else "STATE DIVERGED"))
-      b.recovery_jobs;
-    Printf.printf "  best parallel speedup: %.2fx\n\n" b.recovery_parallel_speedup;
-    Printf.printf "Fuzzy-checkpointed recovery (serial replay, same committed work):\n";
-    List.iter
-      (fun p ->
-        Printf.printf "  checkpoint after %3.0f%%  %7d records  %8.2f ms   (%s)\n"
-          (100. *. p.ck_fraction) p.ck_records p.ck_wall_ms
-          (if p.ck_equivalent then "state identical to full replay" else "STATE DIVERGED"))
-      b.recovery_ckpt;
-    Printf.printf "  newest checkpoint vs full replay: %.2fx cheaper\n\n" b.recovery_ckpt_speedup;
-    Printf.printf "Log formats (same committed workload):\n";
-    List.iter
-      (fun p ->
-        Printf.printf
-          "  %-9s %7d records %10d bytes  %8.1f B/txn  append %6.0f ns/rec  replay %7.2f \
-           ms  (%s)\n"
-          p.lf_format p.lf_records p.lf_log_bytes p.lf_bytes_per_txn p.lf_append_ns_per_record
-          p.lf_replay_wall_ms
-          (if p.lf_equivalent then "state identical to physical reference"
-           else "STATE DIVERGED"))
-      b.log_formats;
-    Printf.printf "  log volume reduction over physical: delta %.1fx, oplog %.1fx\n\n"
-      b.log_delta_reduction b.log_oplog_reduction;
-    Printf.printf "MVCC snapshot reads (eager commits, Zipfian pages, simulated time):\n";
-    List.iter
-      (fun e ->
-        Printf.printf "  %s:\n" e.re_engine;
-        List.iter
-          (fun p ->
-            Printf.printf "    read fraction %.2f%s:\n" p.rf_read_frac
-              (if p.rf_heavy_tail then " [Pareto sizes]" else "");
-            List.iter
-              (fun m ->
-                Printf.printf
-                  "      %-8s %9.0f tps  %6d locks  %3d restarts (%d ro)  ro p99 %9.1f us  \
-                   rw p99 %9.1f us\n"
-                  m.rm_mode m.rm_sustained_tps m.rm_lock_acquires m.rm_restarts
-                  m.rm_ro_restarts m.rm_ro_p99_us m.rm_rw_p99_us)
-              p.rf_modes;
-            Printf.printf "      snapshot over xlock: %.2fx, recovered scans %s\n"
-              p.rf_snapshot_speedup
-              (if p.rf_equivalent then "identical across modes" else "DIVERGED"))
-          e.re_points)
-      b.read_heavy;
-    Printf.printf
-      "  worst snapshot/xlock speedup near read fraction 0.9: %.2fx (%d ro restarts on \
-       the snapshot path)\n\n"
-      b.read_speedup b.read_ro_restarts;
-    Printf.printf "Sharded execution (domain per shard, grouped commits, simulated time):\n";
-    List.iter
-      (fun p ->
-        Printf.printf
-          "  %d shard%s%s  %10.0f tps  makespan %9.0f us  p99 %9.1f us  %3d restarts  \
-           %d in doubt  (scan %s%s)\n"
-          p.sh_shards
-          (if p.sh_shards > 1 then "s" else " ")
-          (if p.sh_oversubscribed then " [oversubscribed]" else "")
-          p.sh_sustained_tps p.sh_makespan_us p.sh_p99_us p.sh_restarts p.sh_in_doubt
-          (if p.sh_scan_equal then "identical" else "DIVERGED")
-          (if p.sh_shards = 1 then
-             if p.sh_serial_identical then ", bit-identical to Server.run"
-             else ", SERIAL DRIFT"
-           else ""))
-      b.shard.sb_points;
-    Printf.printf "  scaling at the top shard count: %.2fx over 1 shard\n" b.shard.sb_scaling;
-    List.iter
-      (fun c ->
-        Printf.printf
-          "  cross %.2f: %4d cross txns  %10.0f tps  cross p99 %9.1f us  %d in doubt  \
-           (scan %s)\n"
-          c.cf_cross_frac c.cf_cross_txns c.cf_sustained_tps c.cf_p99_cross_us c.cf_in_doubt
-          (if c.cf_scan_equal then "identical" else "DIVERGED"))
-      b.shard.sb_cross;
-    Printf.printf "\n";
-    Printf.printf "Buffer pool get: %.0f ns hit, %.0f ns miss\n" b.pool_hit_ns b.pool_miss_ns;
-    Printf.printf "Journal: %.2fM appends/sec, %.2fM appends/sec with sync every 64\n"
-      (b.journal_append_per_sec /. 1e6)
-      (b.journal_append_sync_per_sec /. 1e6);
-    if not b.sched_equivalent then exit 1;
-    if not b.recovery_equivalent then exit 1;
-    if not b.log_format_equivalent then exit 1;
-    if not b.read_equivalent then exit 1;
-    if b.read_ro_restarts <> 0 then exit 1;
-    if not b.shard.sb_equivalent then exit 1
+    Dbm_storage.Storage_bench.print b;
+    match Dbm_storage.Storage_bench.equivalence_failures b with
+    | [] -> ()
+    | failures ->
+      List.iter (fun m -> prerr_endline ("FAIL: " ^ m)) failures;
+      exit 1
   in
   Cmd.v
     (Cmd.info "storage-bench"

@@ -154,7 +154,7 @@ let in_doubt (raws : string array array) : (int * int) list =
              match Wal.decode s with
              | Wal.Prepare { txn; gid; _ } -> Hashtbl.replace prepared txn gid
              | _ -> ())
-           | 'c' | 'a' | 'C' | 'A' -> (
+           | 'c' | 'a' -> (
              match Wal.peek_txn s with
              | Some txn -> Hashtbl.replace decided txn ()
              | None -> ())

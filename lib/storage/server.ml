@@ -34,16 +34,24 @@ module Make (E : ENGINE) = struct
   module Sch = Scheduler.Make (E)
   module Pipe = Commit_pipeline.Make (E)
 
-  let run ?(mpl = 64) ?(op_cost_us = 1.0) ?(sync_cost_us = 100.0) ?snapshot ?read_mode
-      ?read_only ?ro_hist ?rw_hist ~mode ~arrivals_us ~scripts engine =
+  type participant = {
+    votes : int -> bool;
+    vote : now:float -> id:int -> E.txn -> unit;
+    admit : int -> bool;
+    decided : unit -> (int * E.txn * float) option;
+    await : unit -> bool;
+  }
+
+  let drive ?(mpl = 64) ?(op_cost_us = 1.0) ?(sync_cost_us = 100.0) ?snapshot ?read_mode
+      ?read_only ?ro_hist ?rw_hist ?participant ~mode ~arrivals_us ~ids ~scripts engine =
     if mpl < 1 then invalid_arg "Server.run: mpl must be >= 1";
     if not (op_cost_us >= 0.0 && Float.is_finite op_cost_us) then
       invalid_arg "Server.run: op_cost_us must be non-negative and finite";
-    let n = Array.length arrivals_us in
+    let n = Array.length ids in
     if Array.length scripts <> n then
       invalid_arg "Server.run: arrivals and scripts must have equal length";
     (match read_only with
-    | Some ro when Array.length ro <> n ->
+    | Some ro when Array.length ro <> Array.length arrivals_us ->
       invalid_arg "Server.run: read_only and scripts must have equal length"
     | _ -> ());
     Array.iteri
@@ -69,15 +77,29 @@ module Make (E : ENGINE) = struct
           incr acked)
         mode engine
     in
+    let submit ~id txn = now := Pipe.submit pipe ~now:!now ~id txn in
     (* The commit sink: every finishing task commits through the shared
-       pipeline, on the server clock.  Snapshot-path read-only tasks
-       never reach it — they have no transaction and nothing needing
-       durability; their ack is their final step (below). *)
+       pipeline, on the server clock — except a participant's voting
+       transactions, whose commit is a durable vote charged one force,
+       their locks held until the decision is applied (below).
+       Snapshot-path read-only tasks never reach the sink — they have no
+       transaction and nothing needing durability; their ack is their
+       final step (below). *)
     let ex =
-      Sch.Exec.create
-        ~commit:(fun ~id txn -> now := Pipe.submit pipe ~now:!now ~id txn)
-        ?snapshot ?read_mode engine
+      match participant with
+      | None -> Sch.Exec.create ~commit:submit ?snapshot ?read_mode engine
+      | Some p ->
+        Sch.Exec.create
+          ~commit:(fun ~id txn ->
+            if p.votes id then begin
+              now := !now +. sync_cost_us;
+              p.vote ~now:!now ~id txn
+            end
+            else submit ~id txn)
+          ~hold:(fun ~id -> p.votes id)
+          ?snapshot ?read_mode engine
     in
+    (* [waitq] holds positions into [ids]/[scripts]. *)
     let waitq : int Queue.t = Queue.create () in
     let runq : (Sch.Exec.task * int) Queue.t = Queue.create () in
     let ro_tasks : Sch.Exec.task list ref = ref [] in
@@ -89,33 +111,58 @@ module Make (E : ENGINE) = struct
     (* Admission control: a transaction is in flight from admission
        until its durable ack; at most [mpl] may be in flight, and the
        overflow waits in an unbounded FIFO — arrivals are delayed, never
-       dropped. *)
+       dropped.  A participant's gate may also hold the FIFO's head. *)
     let in_flight () = !spawned - !acked in
     let pump_arrivals () =
-      while !next < n && arrivals_us.(!next) <= !now do
+      while !next < n && arrivals_us.(ids.(!next)) <= !now do
         Queue.push !next waitq;
         incr next;
         if Queue.length waitq > !max_queued then max_queued := Queue.length waitq
       done
     in
+    let may_admit id = match participant with Some p -> p.admit id | None -> true in
     let admit () =
-      while (not (Queue.is_empty waitq)) && in_flight () < mpl do
-        let id = Queue.pop waitq in
-        let task =
-          Sch.Exec.spawn ex ~read_only:(is_ro id) ~index:(!spawned mod mpl) ~id scripts.(id)
-        in
-        if is_ro id then ro_tasks := task :: !ro_tasks;
-        Queue.push (task, id) runq;
-        incr spawned;
-        if in_flight () > !max_inflight then max_inflight := in_flight ()
+      let stalled = ref false in
+      while (not !stalled) && (not (Queue.is_empty waitq)) && in_flight () < mpl do
+        let j = Queue.peek waitq in
+        let id = ids.(j) in
+        if not (may_admit id) then stalled := true
+        else begin
+          ignore (Queue.pop waitq);
+          let task =
+            Sch.Exec.spawn ex ~read_only:(is_ro id) ~index:(!spawned mod mpl) ~id scripts.(j)
+          in
+          if is_ro id then ro_tasks := task :: !ro_tasks;
+          Queue.push (task, id) runq;
+          incr spawned;
+          if in_flight () > !max_inflight then max_inflight := in_flight ()
+        end
       done
     in
+    (* Apply a participant's landed decision: the local decision record
+       (unforced — the decision's own durable record is what recovery
+       resolves from), lock release, ack at the decision instant. *)
+    let apply_decision () =
+      match participant with
+      | None -> false
+      | Some p -> (
+        match p.decided () with
+        | None -> false
+        | Some (id, txn, decided_us) ->
+          E.commit_group txn;
+          Sch.Exec.release_locks ex ~id;
+          now := Float.max !now decided_us +. op_cost_us;
+          incr acked;
+          true)
+    in
+    let await_decision () = match participant with Some p -> p.await () | None -> false in
     (* A snapshot-path read-only commit is its ack: no transaction, no
        pipeline, latency is arrival to final step. *)
     let snapshot_path = snapshot <> None in
     while !acked < n do
       pump_arrivals ();
       now := Pipe.poll pipe ~now:!now;
+      if apply_decision () then idle_passes := 0;
       admit ();
       (* One round-robin pass.  A turn that did work (an operation, a
          restart's rollback, a commit append) costs [op_cost_us]; the
@@ -140,18 +187,19 @@ module Make (E : ENGINE) = struct
       if !progressed then idle_passes := 0
       else begin
         (* Nothing ran.  Jump the clock to the next event — the pending
-           batch's timeout or the next arrival — and only if there is
-           none, spin the backoff/wake machinery under a livelock
-           guard. *)
+           batch's timeout or the next arrival; with none due, block on
+           a participant's pending decision; and only if there is none,
+           spin the backoff/wake machinery under a livelock guard. *)
         let next_event =
           let d = match Pipe.deadline pipe with Some d -> d | None -> Float.infinity in
-          let a = if !next < n then arrivals_us.(!next) else Float.infinity in
+          let a = if !next < n then arrivals_us.(ids.(!next)) else Float.infinity in
           Float.min d a
         in
         if next_event > !now && Float.is_finite next_event then begin
           now := next_event;
           idle_passes := 0
         end
+        else if await_decision () then idle_passes := 0
         else begin
           incr idle_passes;
           if !idle_passes > idle_pass_limit then
@@ -174,4 +222,11 @@ module Make (E : ENGINE) = struct
       ro_latency_us = ro_hist;
       rw_latency_us = rw_hist;
     }
+
+  let run ?mpl ?op_cost_us ?sync_cost_us ?snapshot ?read_mode ?read_only ?ro_hist ?rw_hist ~mode
+      ~arrivals_us ~scripts engine =
+    drive ?mpl ?op_cost_us ?sync_cost_us ?snapshot ?read_mode ?read_only ?ro_hist ?rw_hist ~mode
+      ~arrivals_us
+      ~ids:(Array.init (Array.length arrivals_us) Fun.id)
+      ~scripts engine
 end

@@ -12,10 +12,13 @@
 
     Decomposition: {!Scheduler.Make.Exec} executes operations under
     strict 2PL (admission-independent core); this module owns the
-    clock, the arrival queue and the admission bound; the pipeline owns
-    durability.  Costs are simulated — [op_cost_us] per executed
-    operation (or rollback, or commit append), [sync_cost_us] per log
-    force — so runs are deterministic and machine-independent.
+    clock, the arrival queue and the admission bound — the library's
+    one open-loop driver loop, {!Make.drive}, which {!Shard} also runs
+    once per shard with a two-phase-commit {!Make.participant} hook;
+    the pipeline owns durability.  Costs are simulated — [op_cost_us]
+    per executed operation (or rollback, or commit append),
+    [sync_cost_us] per log force — so runs are deterministic and
+    machine-independent.
 
     Backpressure never drops work: an arrival that finds [mpl]
     transactions in flight waits in an unbounded FIFO, and a
@@ -94,4 +97,54 @@ module Make (E : ENGINE) : sig
       @raise Invalid_argument on bad parameters.
       @raise Failure on livelock (no progress for a bounded number of
       scheduler passes). *)
+
+  type participant = {
+    votes : int -> bool;
+        (** the transactions whose commit is a two-phase-commit vote:
+            the driver charges one [sync_cost_us] force, calls [vote],
+            and keeps the transaction's locks held until its decision *)
+    vote : now:float -> id:int -> E.txn -> unit;
+        (** make transaction [id]'s vote durable; [now] is the clock
+            after the vote's force *)
+    admit : int -> bool;
+        (** admission gate, asked about the transaction at the head of
+            the FIFO: [false] stalls admission until a later pass *)
+    decided : unit -> (int * E.txn * float) option;
+        (** a voted transaction whose decision has landed, with the
+            decision instant.  Between passes the driver applies it: an
+            unforced [commit_group], lock release, the clock moved to at
+            least that instant plus [op_cost_us], and the ack. *)
+    await : unit -> bool;
+        (** nothing can run and no event is due: block until a pending
+            decision lands and return [true], or return [false] at once
+            when no vote is pending *)
+  }
+  (** How {!Shard} plays a two-phase-commit participant inside the
+      driver loop. *)
+
+  val drive :
+    ?mpl:int ->
+    ?op_cost_us:float ->
+    ?sync_cost_us:float ->
+    ?snapshot:(unit -> Scheduler.view) ->
+    ?read_mode:Lock_mgr.mode ->
+    ?read_only:bool array ->
+    ?ro_hist:Dbm_util.Stats.Histogram.t ->
+    ?rw_hist:Dbm_util.Stats.Histogram.t ->
+    ?participant:participant ->
+    mode:Commit_pipeline.mode ->
+    arrivals_us:float array ->
+    ids:int array ->
+    scripts:Scheduler.script array ->
+    E.t ->
+    result
+  (** The driver loop: serve transaction [ids.(j)] — script
+      [scripts.(j)], arriving at [arrivals_us.(ids.(j))] — for every
+      [j], with [ids] in arrival order.  [arrivals_us] and [read_only]
+      are indexed by transaction id and validated whole.  {!run} is
+      [drive] over [ids = [|0; ...; n-1|]] with no participant.  A
+      voted transaction is acknowledged at its decision and enters no
+      latency histogram.
+      @raise Invalid_argument on bad parameters.
+      @raise Failure on livelock. *)
 end

@@ -23,10 +23,7 @@ type result = {
   latency_us : Histogram.t;
   single_latency_us : Histogram.t;
   cross_latency_us : Histogram.t;
-  serial : Server.result option;
 }
-
-let idle_pass_limit = 1_000_000
 
 (* Shared 2PC state across the shard domains.  Everything mutable in
    here is touched only under [m]; [c] is broadcast on every decision
@@ -34,7 +31,7 @@ let idle_pass_limit = 1_000_000
 type cross_state = {
   m : Mutex.t;
   c : Condition.t;
-  nparts : int array;  (* participant count per gid; 0 for single-shard *)
+  nparts : int array;  (* participant count per gid; 1 for single-shard *)
   prepared : int array;  (* prepares registered so far *)
   prep_time : float array;  (* max participant prepare sim-time *)
   decided : float array;  (* decision sim-time; nan = undecided *)
@@ -42,26 +39,12 @@ type cross_state = {
 }
 
 module Make (E : ENGINE) = struct
-  module Sch = Scheduler.Make (E)
-  module Pipe = Commit_pipeline.Make (E)
-  module Serial = Server.Make (E)
+  module Srv = Server.Make (E)
 
-  type shard_stats = {
-    s_final_us : float;
-    s_restarts : int;
-    s_forces : int;
-    s_lock_acquires : int;
-    s_hist : Histogram.t;  (* single-shard transaction latencies *)
-  }
-
-  (* One shard's server loop: the open-loop Server.run structure
-     (admission FIFO, commit pipeline, round-robin passes, clock jumps
-     to the next event when idle) extended with the 2PC participant
-     role.  A cross-shard slice's "commit" is a durable [E.prepare];
-     the slice's locks are held (Exec's [hold] predicate) until the
-     coordinator's decision, which this loop applies between passes:
-     local unforced decision record ([commit_group]), lock release,
-     clock bumped to the decision time.
+  (* One shard's 2PC participant role in the open-loop driver.  A
+     cross-shard slice's "commit" is a durable [E.prepare]; the driver
+     holds the slice's locks until the coordinator's decision, which it
+     applies between passes once [decided] reports it.
 
      Admission is strictly FIFO with at most one cross-shard slice in
      flight per shard.  Because every shard admits its cross slices in
@@ -71,22 +54,9 @@ module Make (E : ENGINE) = struct
      participants have no earlier cross work pending — so that gid
      decides, releases, and induction gives global progress: the 2PC
      wait graph never cycles. *)
-  let shard_loop ~mpl ~op_cost_us ~sync_cost_us ~mode ~arrivals_us ~coordinator
-      ~(cross : cross_state) ~is_cross ~(work : (int * Scheduler.script) array) engine =
-    let total = Array.length work in
-    let now = ref 0.0 in
-    let hist = Histogram.create () in
-    let acked = ref 0 in
-    let prepares = ref 0 in
-    let pipe =
-      Pipe.create ~sync_cost_us
-        ~on_ack:(fun ~id ~now ->
-          Histogram.add hist (Float.max 0.0 (now -. arrivals_us.(id)));
-          incr acked)
-        mode engine
-    in
+  let participant ~sync_cost_us ~coordinator ~(cross : cross_state) ~is_cross =
     (* The prepared-but-undecided slice, at most one (admission gate). *)
-    let slot : (int * E.txn) option ref = ref None in
+    let slot = ref None in
     (* A cross slice is in flight from admission (it may be executing,
        restarting, or sitting prepared in [slot]) until its decision is
        applied.  The admission gate keys off this, not [slot]: two
@@ -108,118 +78,53 @@ module Make (E : ENGINE) = struct
       end;
       Mutex.unlock cross.m
     in
-    let ex =
-      Sch.Exec.create
-        ~commit:(fun ~id txn ->
-          if is_cross id then begin
-            (* The durable vote: one charged force covers the update
-               disks + Prepare record (engine-side it may force more
-               than one journal; the simulated cost model charges one
-               round, as eager commit does). *)
-            now := !now +. sync_cost_us;
-            E.prepare txn ~gid:id;
-            incr prepares;
-            slot := Some (id, txn);
-            register_prepare id !now
-          end
-          else now := Pipe.submit pipe ~now:!now ~id txn)
-        ~hold:(fun ~id -> is_cross id)
-        engine
-    in
-    let waitq : int Queue.t = Queue.create () in
-    let runq : (Sch.Exec.task * int) Queue.t = Queue.create () in
-    let next = ref 0 in
-    let spawned = ref 0 in
-    let idle_passes = ref 0 in
-    let in_flight () = !spawned - !acked in
-    let pump_arrivals () =
-      while !next < total && arrivals_us.(fst work.(!next)) <= !now do
-        Queue.push !next waitq;
-        incr next
-      done
-    in
-    let admit () =
-      let stop = ref false in
-      while (not !stop) && (not (Queue.is_empty waitq)) && in_flight () < mpl do
-        let w = Queue.peek waitq in
-        let gid = fst work.(w) in
-        if is_cross gid && !cross_inflight then
-          (* One cross slice in flight at a time: FIFO admission stalls
-             here (and everything behind it waits) until the decision
-             lands — the gid-order gate the progress argument needs. *)
-          stop := true
-        else begin
-          ignore (Queue.pop waitq);
-          if is_cross gid then cross_inflight := true;
-          let task = Sch.Exec.spawn ex ~index:(!spawned mod mpl) ~id:gid (snd work.(w)) in
-          Queue.push (task, gid) runq;
-          incr spawned
-        end
-      done
-    in
+    let peer_failed () = failwith "Shard.run: a peer shard failed" in
     let decided_time gid =
       Mutex.lock cross.m;
       let d = cross.decided.(gid) in
       let failed = cross.failed in
       Mutex.unlock cross.m;
-      if failed then failwith "Shard.run: a peer shard failed";
+      if failed then peer_failed ();
       d
     in
-    (* Apply a landed decision: local decision record (unforced — the
-       coordinator record is the durable truth, recovery resolves from
-       it), release the slice's locks, ack at the decision instant. *)
-    let apply_decision () =
-      match !slot with
-      | Some (gid, txn) ->
-        let dt = decided_time gid in
-        if Float.is_nan dt then false
-        else begin
-          E.commit_group txn;
-          Sch.Exec.release_locks ex ~id:gid;
-          slot := None;
-          cross_inflight := false;
-          now := Float.max !now dt +. op_cost_us;
-          incr acked;
-          true
-        end
-      | None -> false
-    in
-    let wait_for_decision gid =
-      Mutex.lock cross.m;
-      while Float.is_nan cross.decided.(gid) && not cross.failed do
-        Condition.wait cross.c cross.m
-      done;
-      let failed = cross.failed in
-      Mutex.unlock cross.m;
-      if failed then failwith "Shard.run: a peer shard failed"
-    in
-    while !acked < total do
-      pump_arrivals ();
-      now := Pipe.poll pipe ~now:!now;
-      if apply_decision () then idle_passes := 0;
-      admit ();
-      let progressed = ref false in
-      for _ = 1 to Queue.length runq do
-        let task, gid = Queue.pop runq in
-        (match Sch.Exec.step ex task with
-        | Sch.Exec.Committed | Sch.Exec.Advanced | Sch.Exec.Restarted ->
-          now := !now +. op_cost_us;
-          progressed := true
-        | Sch.Exec.Blocked | Sch.Exec.Skipped -> ());
-        if not (Sch.Exec.finished task) then Queue.push (task, gid) runq
-      done;
-      if !progressed then idle_passes := 0
-      else begin
-        let next_event =
-          let d = match Pipe.deadline pipe with Some d -> d | None -> Float.infinity in
-          let a = if !next < total then arrivals_us.(fst work.(!next)) else Float.infinity in
-          Float.min d a
-        in
-        if next_event > !now && Float.is_finite next_event then begin
-          now := next_event;
-          idle_passes := 0
-        end
-        else
+    {
+      Srv.votes = is_cross;
+      vote =
+        (fun ~now ~id txn ->
+          (* The driver charged one force for the vote: it covers the
+             update disks + Prepare record (engine-side it may force
+             more than one journal; the simulated cost model charges
+             one round, as eager commit does). *)
+          E.prepare txn ~gid:id;
+          slot := Some (id, txn);
+          register_prepare id now);
+      admit =
+        (fun gid ->
+          if not (is_cross gid) then true
+          else if !cross_inflight then
+            (* One cross slice in flight at a time: FIFO admission
+               stalls here (and everything behind it waits) until the
+               decision lands — the gid-order gate the progress
+               argument needs. *)
+            false
+          else begin
+            cross_inflight := true;
+            true
+          end);
+      decided =
+        (fun () ->
+          match !slot with
+          | Some (gid, txn) ->
+            let dt = decided_time gid in
+            if Float.is_nan dt then None
+            else begin
+              slot := None;
+              cross_inflight := false;
+              Some (gid, txn, dt)
+            end
+          | None -> None);
+      await =
+        (fun () ->
           match !slot with
           | Some (gid, _) ->
             (* Everything local is blocked behind the prepared slice:
@@ -227,150 +132,118 @@ module Make (E : ENGINE) = struct
                blocking (condition variable), not spinning — on an
                oversubscribed host the OS reschedules a runnable
                shard. *)
-            wait_for_decision gid;
-            idle_passes := 0
-          | None ->
-            incr idle_passes;
-            if !idle_passes > idle_pass_limit then
-              failwith "Shard.run: no progress (livelock or undetected deadlock)"
-      end
-    done;
-    {
-      s_final_us = !now;
-      s_restarts = Sch.Exec.restarts ex;
-      s_forces = Pipe.forces pipe + !prepares;
-      s_lock_acquires = Sch.Exec.lock_acquires ex;
-      s_hist = hist;
+            Mutex.lock cross.m;
+            while Float.is_nan cross.decided.(gid) && not cross.failed do
+              Condition.wait cross.c cross.m
+            done;
+            let failed = cross.failed in
+            Mutex.unlock cross.m;
+            if failed then peer_failed ();
+            true
+          | None -> false);
     }
 
-  let run ?(mpl = 64) ?(op_cost_us = 1.0) ?(sync_cost_us = 100.0) ~mode ~arrivals_us ~scripts
-      ~coordinator (engines : E.t array) =
+  let run ?mpl ?op_cost_us ?(sync_cost_us = 100.0) ~mode ~arrivals_us ~scripts ~coordinator
+      (engines : E.t array) =
     let shards = Array.length engines in
     if shards < 1 then invalid_arg "Shard.run: need at least one shard engine";
     let n = Array.length arrivals_us in
     if Array.length scripts <> n then
       invalid_arg "Shard.run: arrivals and scripts must have equal length";
-    if shards = 1 then begin
-      (* One shard IS the PR 9 server: delegate verbatim, so the serial
-         point of every sweep is bit-identical to Server.run. *)
-      let r = Serial.run ~mpl ~op_cost_us ~sync_cost_us ~mode ~arrivals_us ~scripts engines.(0) in
+    let keys_per_page = E.keys_per_page engines.(0) in
+    (* Route every transaction: per-shard slices, participant counts.
+       An empty script has no keys to route; it runs (and commits
+       empty) on shard 0. *)
+    let per_shard = Array.make shards [] in
+    let nparts = Array.make n 0 in
+    for gid = 0 to n - 1 do
+      let slices =
+        match Shard_router.split ~shards ~keys_per_page scripts.(gid) with
+        | [] -> [ (0, []) ]
+        | sl -> sl
+      in
+      nparts.(gid) <- List.length slices;
+      List.iter (fun (s, slice) -> per_shard.(s) <- (gid, slice) :: per_shard.(s)) slices
+    done;
+    (* gids ascend = arrival order, the FIFO each shard admits in *)
+    let work = Array.map (fun l -> Array.of_list (List.rev l)) per_shard in
+    let is_cross gid = nparts.(gid) > 1 in
+    let cross =
       {
-        completed = r.Server.completed;
-        makespan_us = r.Server.makespan_us;
-        sustained_tps = r.Server.sustained_tps;
-        restarts = r.Server.restarts;
-        forces = r.Server.forces;
-        lock_acquires = r.Server.lock_acquires;
-        cross_committed = 0;
-        oversubscribed = false;
-        latency_us = r.Server.latency_us;
-        single_latency_us = r.Server.latency_us;
-        cross_latency_us = Histogram.create ();
-        serial = Some r;
+        m = Mutex.create ();
+        c = Condition.create ();
+        nparts;
+        prepared = Array.make n 0;
+        prep_time = Array.make n neg_infinity;
+        decided = Array.make n Float.nan;
+        failed = false;
       }
-    end
-    else begin
-      Array.iteri
-        (fun i a ->
-          if not (Float.is_finite a && a >= 0.0 && (i = 0 || a >= arrivals_us.(i - 1))) then
-            invalid_arg "Shard.run: arrival times must be finite, non-negative, non-decreasing")
-        arrivals_us;
-      let keys_per_page = E.keys_per_page engines.(0) in
-      (* Route every transaction: per-shard slices, participant counts.
-         An empty script has no keys to route; it runs (and commits
-         empty) on shard 0. *)
-      let per_shard : (int * Scheduler.script) list ref array = Array.make shards (ref []) in
-      for s = 0 to shards - 1 do
-        per_shard.(s) <- ref []
-      done;
-      let nparts = Array.make n 0 in
-      let is_cross_gid = Array.make n false in
-      for gid = 0 to n - 1 do
-        let slices =
-          match Shard_router.split ~shards ~keys_per_page scripts.(gid) with
-          | [] -> [ (0, []) ]
-          | sl -> sl
-        in
-        nparts.(gid) <- List.length slices;
-        is_cross_gid.(gid) <- nparts.(gid) > 1;
-        List.iter (fun (s, slice) -> per_shard.(s) := (gid, slice) :: !(per_shard.(s))) slices
-      done;
-      let work =
-        Array.map (fun l -> Array.of_list (List.rev !l)) per_shard
-        (* gids ascend = arrival order, the FIFO each shard admits in *)
-      in
-      let cross =
-        {
-          m = Mutex.create ();
-          c = Condition.create ();
-          nparts;
-          prepared = Array.make n 0;
-          prep_time = Array.make n neg_infinity;
-          decided = Array.make n Float.nan;
-          failed = false;
-        }
-      in
-      let is_cross gid = is_cross_gid.(gid) in
-      let oversubscribed = shards > Pool.default_jobs () in
-      (* One domain per shard: weighted map hands items out one at a
-         time, so each shard loop owns a worker for its whole run —
-         chunking could strand two blocking loops on one domain.
-         [allow_oversubscribe] keeps that guarantee on small hosts; the
-         clock is simulated, so oversubscription costs wall time, not
-         measured time. *)
-      let stats =
-        Pool.with_pool ~jobs:shards ~allow_oversubscribe:true (fun pool ->
-            Pool.map_ordered_weighted pool
-              (List.init shards Fun.id)
-              ~weight:(fun s -> float_of_int (Array.length work.(s)))
-              ~f:(fun s ->
-                try
-                  shard_loop ~mpl ~op_cost_us ~sync_cost_us ~mode ~arrivals_us ~coordinator
-                    ~cross ~is_cross ~work:work.(s) engines.(s)
-                with e ->
-                  Mutex.lock cross.m;
-                  cross.failed <- true;
-                  Condition.broadcast cross.c;
-                  Mutex.unlock cross.m;
-                  raise e))
-      in
-      let cross_hist = Histogram.create () in
-      let cross_committed = ref 0 in
-      let max_decided = ref 0.0 in
-      for gid = 0 to n - 1 do
-        if is_cross_gid.(gid) then begin
-          incr cross_committed;
-          let dt = cross.decided.(gid) in
-          (* Every cross transaction decided before the loops exited. *)
-          assert (not (Float.is_nan dt));
-          if dt > !max_decided then max_decided := dt;
-          Histogram.add cross_hist (Float.max 0.0 (dt -. arrivals_us.(gid)))
-        end
-      done;
-      let single_hist =
-        List.fold_left
-          (fun acc st -> Histogram.merge acc st.s_hist)
-          (Histogram.create ()) stats
-      in
-      let makespan_us =
-        List.fold_left (fun acc st -> Float.max acc st.s_final_us) !max_decided stats
-      in
-      {
-        completed = n;
-        makespan_us;
-        sustained_tps =
-          (if makespan_us > 0.0 then float_of_int n /. makespan_us *. 1e6 else Float.infinity);
-        restarts = List.fold_left (fun acc st -> acc + st.s_restarts) 0 stats;
-        forces =
-          List.fold_left (fun acc st -> acc + st.s_forces) 0 stats
-          + Coordinator_log.log_syncs coordinator;
-        lock_acquires = List.fold_left (fun acc st -> acc + st.s_lock_acquires) 0 stats;
-        cross_committed = !cross_committed;
-        oversubscribed;
-        latency_us = Histogram.merge single_hist cross_hist;
-        single_latency_us = single_hist;
-        cross_latency_us = cross_hist;
-        serial = None;
-      }
-    end
+    in
+    let oversubscribed = shards > Pool.default_jobs () in
+    (* One domain per shard: weighted map hands items out one at a
+       time, so each shard loop owns a worker for its whole run —
+       chunking could strand two blocking loops on one domain.
+       [allow_oversubscribe] keeps that guarantee on small hosts; the
+       clock is simulated, so oversubscription costs wall time, not
+       measured time.  One shard runs on the calling domain. *)
+    let results =
+      Pool.with_pool ~jobs:shards ~allow_oversubscribe:true (fun pool ->
+          Pool.map_ordered_weighted pool
+            (List.init shards Fun.id)
+            ~weight:(fun s -> float_of_int (Array.length work.(s)))
+            ~f:(fun s ->
+              try
+                Srv.drive ?mpl ?op_cost_us ~sync_cost_us
+                  ~participant:(participant ~sync_cost_us ~coordinator ~cross ~is_cross)
+                  ~mode ~arrivals_us ~ids:(Array.map fst work.(s))
+                  ~scripts:(Array.map snd work.(s))
+                  engines.(s)
+              with e ->
+                Mutex.lock cross.m;
+                cross.failed <- true;
+                Condition.broadcast cross.c;
+                Mutex.unlock cross.m;
+                raise e))
+    in
+    let cross_hist = Histogram.create () in
+    let cross_committed = ref 0 in
+    let prepares = ref 0 in
+    let max_decided = ref 0.0 in
+    for gid = 0 to n - 1 do
+      if is_cross gid then begin
+        incr cross_committed;
+        prepares := !prepares + cross.prepared.(gid);
+        let dt = cross.decided.(gid) in
+        (* Every cross transaction decided before the loops exited. *)
+        assert (not (Float.is_nan dt));
+        if dt > !max_decided then max_decided := dt;
+        Histogram.add cross_hist (Float.max 0.0 (dt -. arrivals_us.(gid)))
+      end
+    done;
+    let sum f = List.fold_left (fun acc r -> acc + f r) 0 results in
+    (* A shard's own latencies are its single-shard transactions: the
+       driver acks a voted slice at its decision without recording it. *)
+    let single_hist =
+      List.fold_left
+        (fun acc r -> Histogram.merge acc r.Server.latency_us)
+        (Histogram.create ()) results
+    in
+    let makespan_us =
+      List.fold_left (fun acc r -> Float.max acc r.Server.makespan_us) !max_decided results
+    in
+    {
+      completed = n;
+      makespan_us;
+      sustained_tps =
+        (if makespan_us > 0.0 then float_of_int n /. makespan_us *. 1e6 else Float.infinity);
+      restarts = sum (fun r -> r.Server.restarts);
+      forces =
+        sum (fun r -> r.Server.forces) + !prepares + Coordinator_log.log_syncs coordinator;
+      lock_acquires = sum (fun r -> r.Server.lock_acquires);
+      cross_committed = !cross_committed;
+      oversubscribed;
+      latency_us = Histogram.merge single_hist cross_hist;
+      single_latency_us = single_hist;
+      cross_latency_us = cross_hist;
+    }
 end

@@ -3,11 +3,12 @@
 
     The open-loop {!Server} runs one scheduler, one commit pipeline and
     one engine on one domain.  This layer partitions the key space
-    page-wise across [N] engine shards ({!Shard_router}) and runs one
-    full server loop — scheduler core, group-commit pipeline, simulated
-    clock — per shard on its own domain, so single-shard transactions
-    (the common case under a well-partitioned workload) execute fully
-    in parallel with no coordination beyond their own shard's log.
+    page-wise across [N] engine shards ({!Shard_router}) and runs the
+    server's driver loop ({!Server.Make.drive}: scheduler core,
+    group-commit pipeline, simulated clock) once per shard on its own
+    domain, so single-shard transactions (the common case under a
+    well-partitioned workload) execute fully in parallel with no
+    coordination beyond their own shard's log.
 
     A transaction whose script touches pages of several shards is split
     into per-shard slices and committed with lightweight two-phase
@@ -38,9 +39,11 @@
     never have earlier cross-shard work pending, so that transaction
     always reaches its decision — the 2PC wait graph cannot cycle.
 
-    With one shard, {!Make.run} delegates verbatim to {!Server.Make}:
-    the serial point of every sweep is bit-identical to the PR 9
-    server. *)
+    That participant role — the prepare vote, the admission gate, the
+    decision apply and the blocking wait for a decision — is all a
+    shard adds to the driver ({!Server.Make.participant}).  With one
+    shard no transaction votes, so a 1-shard run is the plain
+    {!Server.Make.run}, field for field. *)
 
 module type ENGINE = sig
   include Server.ENGINE
@@ -73,9 +76,6 @@ type result = {
       (** single-shard transactions only *)
   cross_latency_us : Dbm_util.Stats.Histogram.t;
       (** cross-shard transactions only: arrival to decision force *)
-  serial : Server.result option;
-      (** the delegated {!Server.Make.run} result when [shards = 1]
-          (the bit-identity hook for the bench); [None] otherwise *)
 }
 
 module Make (E : ENGINE) : sig
@@ -105,6 +105,8 @@ module Make (E : ENGINE) : sig
       final engine states and the set of committed transactions are
       deterministic, but simulated latencies may vary across runs with
       the OS interleaving of decision waits.
-      @raise Invalid_argument on bad parameters.
+      @raise Invalid_argument on bad parameters — {!Server.Make.drive}'s checks
+      ([mpl], [op_cost_us], arrival times) included, at every shard
+      count.
       @raise Failure on livelock, or when a peer shard's loop fails. *)
 end

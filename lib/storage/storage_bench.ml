@@ -93,8 +93,9 @@ type shard_point = {
   sh_p99_us : float;
   sh_restarts : int;
   sh_serial_identical : bool;
-      (* shards = 1 only: the Shard layer's result is field-for-field
-         the plain Server.run result (vacuously true elsewhere) *)
+      (* shards = 1 only: every Shard.result field and the engine
+         fingerprint equal the plain Server.run's (vacuously true
+         elsewhere) *)
   sh_scan_equal : bool;  (* crash-recovered scan equals the serial reference *)
   sh_in_doubt : int;  (* prepared-but-unresolved txns after recovery: must be 0 *)
 }
@@ -1022,9 +1023,10 @@ let shard_mode = Commit_pipeline.Grouped { batch = 32; timeout_us = 1000.0 }
 
 (* One sharded point: fresh engines and coordinator, serve the whole
    workload, then crash everything and run coordinator-resolved restart
-   recovery on every shard.  Returns the result, the recovered scan
-   digest, and the number of transactions still in doubt (must be 0:
-   resolution records are forced during recovery). *)
+   recovery on every shard.  Returns the result, shard 0's engine
+   fingerprint before the crash, the recovered scan digest, and the
+   number of transactions still in doubt (must be 0: resolution records
+   are forced during recovery). *)
 let shard_run ~shards ~arrivals_us ~scripts =
   let engines =
     Array.init shards (fun _ -> Engine_log.create_with ~n_keys:shard_n_keys ~n_log_disks:2 ())
@@ -1034,6 +1036,7 @@ let shard_run ~shards ~arrivals_us ~scripts =
     Sharded_log.run ~mpl:64 ~op_cost_us:1.0 ~sync_cost_us:100.0 ~mode:shard_mode ~arrivals_us
       ~scripts ~coordinator engines
   in
+  let fingerprint = Engine_log.state_fingerprint engines.(0) in
   Coordinator_log.crash_and_recover coordinator;
   Array.iter
     (Engine_log.crash_and_recover_resolved ~resolve:(fun ~gid ->
@@ -1042,33 +1045,43 @@ let shard_run ~shards ~arrivals_us ~scripts =
   let in_doubt =
     Array.fold_left (fun acc e -> acc + List.length (Engine_log.in_doubt e)) 0 engines
   in
-  (r, shard_scan_digest ~shards engines, in_doubt)
+  (r, fingerprint, shard_scan_digest ~shards engines, in_doubt)
 
-(* The serial reference for a workload: the PR 9 server on one engine,
-   plain restart recovery, same scan digest. *)
+(* The serial reference for a workload: the plain server on one engine,
+   its engine fingerprint before the crash, then plain restart recovery
+   and the same scan digest. *)
 let shard_serial_reference ~arrivals_us ~scripts =
   let e = Engine_log.create_with ~n_keys:shard_n_keys ~n_log_disks:2 () in
   let r =
     Serial_log.run ~mpl:64 ~op_cost_us:1.0 ~sync_cost_us:100.0 ~mode:shard_mode ~arrivals_us
       ~scripts e
   in
+  let fingerprint = Engine_log.state_fingerprint e in
   Engine_log.crash_and_recover e;
-  (r, shard_scan_digest ~shards:1 [| e |])
+  (r, fingerprint, shard_scan_digest ~shards:1 [| e |])
 
-let shard_serial_identical (r : Shard.result) (direct : Server.result) =
-  match r.Shard.serial with
-  | None -> false
-  | Some s ->
-    s.Server.completed = direct.Server.completed
-    && s.Server.makespan_us = direct.Server.makespan_us
-    && s.Server.restarts = direct.Server.restarts
-    && s.Server.forces = direct.Server.forces
-    && s.Server.max_inflight = direct.Server.max_inflight
-    && s.Server.max_queued = direct.Server.max_queued
-    && s.Server.lock_acquires = direct.Server.lock_acquires
-    && Hist.count s.Server.latency_us = Hist.count direct.Server.latency_us
-    && Hist.total s.Server.latency_us = Hist.total direct.Server.latency_us
-    && Hist.max s.Server.latency_us = Hist.max direct.Server.latency_us
+(* One shard runs the plain server's driver with no transaction voting:
+   every Shard.result field — latency histograms included — and the
+   engine state must equal Server.run's. *)
+let shard_serial_identical (r : Shard.result) fingerprint (direct : Server.result)
+    direct_fingerprint =
+  let same_hist a b =
+    Hist.count a = Hist.count b
+    && Hist.total a = Hist.total b
+    && Hist.max a = Hist.max b
+    && Hist.p99 a = Hist.p99 b
+  in
+  r.Shard.completed = direct.Server.completed
+  && r.Shard.makespan_us = direct.Server.makespan_us
+  && r.Shard.sustained_tps = direct.Server.sustained_tps
+  && r.Shard.restarts = direct.Server.restarts
+  && r.Shard.forces = direct.Server.forces
+  && r.Shard.lock_acquires = direct.Server.lock_acquires
+  && r.Shard.cross_committed = 0
+  && same_hist r.Shard.latency_us direct.Server.latency_us
+  && same_hist r.Shard.single_latency_us direct.Server.latency_us
+  && Hist.count r.Shard.cross_latency_us = 0
+  && String.equal fingerprint direct_fingerprint
 
 let shard_section ~scale ~shard_counts ~cross_fracs =
   let n = 600 * scale and seed = 31_850 in
@@ -1077,11 +1090,13 @@ let shard_section ~scale ~shard_counts ~cross_fracs =
   let arrivals_us = shard_arrivals ~n ~seed in
   (* tps vs shard count on the zero-cross workload *)
   let scripts0 = shard_scripts ~n ~seed ~cross_frac:0.0 ~top in
-  let direct, reference = shard_serial_reference ~arrivals_us ~scripts:scripts0 in
+  let direct, direct_fingerprint, reference =
+    shard_serial_reference ~arrivals_us ~scripts:scripts0
+  in
   let points =
     List.map
       (fun shards ->
-        let r, digest, in_doubt = shard_run ~shards ~arrivals_us ~scripts:scripts0 in
+        let r, fingerprint, digest, in_doubt = shard_run ~shards ~arrivals_us ~scripts:scripts0 in
         {
           sh_shards = shards;
           sh_oversubscribed = r.Shard.oversubscribed;
@@ -1089,7 +1104,8 @@ let shard_section ~scale ~shard_counts ~cross_fracs =
           sh_makespan_us = r.Shard.makespan_us;
           sh_p99_us = Hist.p99 r.Shard.latency_us;
           sh_restarts = r.Shard.restarts;
-          sh_serial_identical = (shards <> 1 || shard_serial_identical r direct);
+          sh_serial_identical =
+            shards <> 1 || shard_serial_identical r fingerprint direct direct_fingerprint;
           sh_scan_equal = String.equal digest reference;
           sh_in_doubt = in_doubt;
         })
@@ -1105,8 +1121,8 @@ let shard_section ~scale ~shard_counts ~cross_fracs =
     List.map
       (fun cf ->
         let scripts = shard_scripts ~n ~seed ~cross_frac:cf ~top in
-        let _, reference = shard_serial_reference ~arrivals_us ~scripts in
-        let r, digest, in_doubt = shard_run ~shards:top ~arrivals_us ~scripts in
+        let _, _, reference = shard_serial_reference ~arrivals_us ~scripts in
+        let r, _, digest, in_doubt = shard_run ~shards:top ~arrivals_us ~scripts in
         {
           cf_cross_frac = cf;
           cf_cross_txns = r.Shard.cross_committed;
@@ -1218,3 +1234,139 @@ let run ?(scale = 1) ?(jobs = [ 1; 2; 4 ]) ?(allow_oversubscribe = false)
     journal_append_per_sec;
     journal_append_sync_per_sec;
   }
+
+(* --- the report --------------------------------------------------- *)
+
+let print (b : t) =
+  Printf.printf "contended scheduler (%d scripts): polling %.2f ms -> wakeup %.2f ms (%.1fx, reports %s)\n"
+    b.sched_txns b.sched_naive_ms b.sched_opt_ms b.sched_speedup
+    (if b.sched_equivalent then "identical" else "DIVERGED");
+  Printf.printf "committed txns/sec (low | high contention):\n";
+  List.iter
+    (fun e ->
+      Printf.printf "  %-22s %10.0f | %10.0f  (%d restarts)\n" e.engine e.low_tps e.high_tps
+        e.high_restarts)
+    b.engines;
+  Printf.printf "recovery: %d records %.2f ms; %d records %.2f ms (ratio %.2f)\n"
+    b.recovery_records_l b.recovery_wall_l_ms b.recovery_records_2l b.recovery_wall_2l_ms
+    b.recovery_wall_ratio;
+  Printf.printf "parallel recovery (%d records):\n" b.recovery_records_l;
+  List.iter
+    (fun p ->
+      Printf.printf "  %d job%s%s %8.2f ms  (%s)\n" p.rj_jobs
+        (if p.rj_jobs > 1 then "s" else " ")
+        (if p.rj_oversubscribed then " [oversubscribed]" else "")
+        p.rj_wall_ms
+        (if p.rj_equivalent then "state identical to serial reference" else "STATE DIVERGED"))
+    b.recovery_jobs;
+  Printf.printf "  best parallel speedup over serial: %.2fx\n" b.recovery_parallel_speedup;
+  Printf.printf "fuzzy-checkpointed recovery (serial replay, same committed work):\n";
+  List.iter
+    (fun p ->
+      Printf.printf "  checkpoint after %3.0f%% of commits: %7d records %8.2f ms  (%s)\n"
+        (100. *. p.ck_fraction) p.ck_records p.ck_wall_ms
+        (if p.ck_equivalent then "state identical to full replay" else "STATE DIVERGED"))
+    b.recovery_ckpt;
+  Printf.printf "  newest checkpoint vs full replay: %.2fx cheaper\n" b.recovery_ckpt_speedup;
+  Printf.printf "log formats (same committed workload; %d txns):\n"
+    (match b.log_formats with p :: _ -> p.lf_committed_txns | [] -> 0);
+  List.iter
+    (fun p ->
+      Printf.printf
+        "  %-9s %8d records %10d bytes  %8.1f B/txn  append %7.0f ns/rec  replay %7.2f ms \
+         serial, %7.2f ms parallel  (%s)\n"
+        p.lf_format p.lf_records p.lf_log_bytes p.lf_bytes_per_txn p.lf_append_ns_per_record
+        p.lf_replay_wall_ms p.lf_replay_parallel_ms
+        (if p.lf_equivalent then "state identical to physical reference" else "STATE DIVERGED"))
+    b.log_formats;
+  Printf.printf "  log volume reduction over physical: delta %.1fx, oplog %.1fx\n"
+    b.log_delta_reduction b.log_oplog_reduction;
+  Printf.printf "open-loop server (simulated time, group commit, mpl 64):\n";
+  List.iter
+    (fun s ->
+      Printf.printf "  %s:\n" s.sv_engine;
+      List.iter
+        (fun p ->
+          Printf.printf
+            "    offered %8.0f tps -> sustained %8.0f tps  p50 %8.1f us  p99 %9.1f us  \
+             p999 %9.1f us  (%d forces, %d restarts, queue peak %d)\n"
+            p.sv_offered_tps p.sv_sustained_tps p.sv_p50_us p.sv_p99_us p.sv_p999_us
+            p.sv_forces p.sv_restarts p.sv_max_queued)
+        s.sv_sweep;
+      Printf.printf
+        "    top load head-to-head: eager %8.0f tps (p99 %9.1f us) -> grouped %8.0f tps \
+         (p99 %9.1f us)  %.1fx, recovery %s\n"
+        s.sv_eager_tps s.sv_eager_p99_us s.sv_grouped_tps s.sv_grouped_p99_us s.sv_speedup
+        (if s.sv_equivalent then "equivalent" else "DIVERGED"))
+    b.server;
+  Printf.printf "  worst grouped/eager speedup across engines: %.2fx\n" b.server_speedup;
+  Printf.printf "read-heavy snapshot sweep (eager commits, Zipfian pages, simulated time):\n";
+  List.iter
+    (fun e ->
+      Printf.printf "  %s:\n" e.re_engine;
+      List.iter
+        (fun p ->
+          Printf.printf "    read fraction %.2f%s:\n" p.rf_read_frac
+            (if p.rf_heavy_tail then " [Pareto sizes]" else "");
+          List.iter
+            (fun m ->
+              Printf.printf
+                "      %-8s %8.0f tps  %6d locks  %3d restarts (%d ro)  ro p50/p99 %8.1f/%9.1f us  \
+                 rw p50/p99 %8.1f/%9.1f us\n"
+                m.rm_mode m.rm_sustained_tps m.rm_lock_acquires m.rm_restarts m.rm_ro_restarts
+                m.rm_ro_p50_us m.rm_ro_p99_us m.rm_rw_p50_us m.rm_rw_p99_us)
+            p.rf_modes;
+          Printf.printf "      snapshot over xlock: %.2fx, recovered scans %s\n"
+            p.rf_snapshot_speedup
+            (if p.rf_equivalent then "identical across modes" else "DIVERGED"))
+        e.re_points)
+    b.read_heavy;
+  Printf.printf
+    "  worst snapshot/xlock speedup near read fraction 0.9: %.2fx (%d ro restarts on the \
+     snapshot path)\n"
+    b.read_speedup b.read_ro_restarts;
+  Printf.printf "sharded execution (zero-cross workload, group commit, simulated time):\n";
+  List.iter
+    (fun p ->
+      Printf.printf
+        "  %d shard%s%s %8.0f tps  makespan %10.0f us  p99 %9.1f us  (%d restarts, %d in \
+         doubt, scan %s%s)\n"
+        p.sh_shards
+        (if p.sh_shards > 1 then "s" else " ")
+        (if p.sh_oversubscribed then " [oversubscribed]" else "")
+        p.sh_sustained_tps p.sh_makespan_us p.sh_p99_us p.sh_restarts p.sh_in_doubt
+        (if p.sh_scan_equal then "identical" else "DIVERGED")
+        (if p.sh_shards = 1 then
+           if p.sh_serial_identical then ", bit-identical to Server.run" else ", SERIAL DRIFT"
+         else ""))
+    b.shard.sb_points;
+  Printf.printf "  scaling at the top shard count: %.2fx over 1 shard\n" b.shard.sb_scaling;
+  Printf.printf "cross-shard fraction sweep (two-phase commit at the top shard count):\n";
+  List.iter
+    (fun c ->
+      Printf.printf
+        "  cross %.2f: %4d cross txns  %8.0f tps  cross p99 %9.1f us  (%d in doubt, scan %s)\n"
+        c.cf_cross_frac c.cf_cross_txns c.cf_sustained_tps c.cf_p99_cross_us c.cf_in_doubt
+        (if c.cf_scan_equal then "identical" else "DIVERGED"))
+    b.shard.sb_cross;
+  Printf.printf "buffer pool get: %.0f ns hit, %.0f ns miss\n" b.pool_hit_ns b.pool_miss_ns;
+  Printf.printf "journal: %.2fM appends/s, %.2fM appends/s with sync every 64\n"
+    (b.journal_append_per_sec /. 1e6)
+    (b.journal_append_sync_per_sec /. 1e6)
+
+let equivalence_failures b =
+  List.filter_map
+    (fun (held, failure) -> if held then None else Some failure)
+    [
+      (b.sched_equivalent, "wakeup scheduler report diverged from the polling reference");
+      ( b.recovery_equivalent,
+        "parallel/checkpointed recovery state diverged from the serial reference" );
+      (b.server_equivalent, "grouped-commit recovered state diverged from the eager reference");
+      ( b.log_format_equivalent,
+        "a log format recovered to different state than the physical reference" );
+      (b.read_equivalent, "a read-lock regime recovered to different data than its peers");
+      ( b.read_ro_restarts = 0,
+        Printf.sprintf "%d read-only restarts on the snapshot path (must be 0)"
+          b.read_ro_restarts );
+      (b.shard.sb_equivalent, "a sharded run diverged from the serial reference after recovery");
+    ]

@@ -128,9 +128,9 @@ type shard_point = {
   sh_p99_us : float;
   sh_restarts : int;
   sh_serial_identical : bool;
-      (** shards = 1 only: the {!Shard} layer's result was
-          field-for-field the plain {!Server.Make.run} result,
-          histograms included (vacuously true at other counts) *)
+      (** shards = 1 only: every {!Shard.result} field, the latency
+          histograms and the engine fingerprint matched the plain
+          {!Server.Make.run} (vacuously true at other counts) *)
   sh_scan_equal : bool;
       (** crash-recovered full-scan digest equals the serial server's *)
   sh_in_doubt : int;
@@ -287,3 +287,16 @@ val run :
     @raise Invalid_argument if [scale <= 0], any job count is [< 1], a
     log format name is unknown, a read or cross fraction is outside
     [0,1], or a shard count is [< 1]. *)
+
+val print : t -> unit
+(** Print the report on stdout — the one rendering both [dbmsim
+    storage-bench] and bench/main show, every equivalence check spelled
+    out beside its numbers. *)
+
+val equivalence_failures : t -> string list
+(** One message per failed equivalence gate: scheduler reports,
+    recovery fingerprints, grouped-vs-eager recovery, log formats,
+    read-lock regimes, snapshot-path read-only restarts, and the
+    sharded sweep (scan digests, 1-shard identity, nothing in doubt).
+    Empty when every gate held; the front ends exit non-zero
+    otherwise. *)

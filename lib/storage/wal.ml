@@ -37,20 +37,6 @@ let txn_of = function
 
 (* --- delta computation / application ------------------------------- *)
 
-(* Common-prefix/suffix diff: the smallest single [off, off+len) range
-   outside which [before] and [after] agree.  [None] when identical. *)
-let diff_range ~before ~after =
-  let n = Bytes.length before in
-  if Bytes.length after <> n then invalid_arg "Wal.diff_range: length mismatch";
-  let p = ref 0 in
-  while !p < n && Bytes.unsafe_get before !p = Bytes.unsafe_get after !p do incr p done;
-  if !p = n then None
-  else begin
-    let q = ref (n - 1) in
-    while Bytes.unsafe_get before !q = Bytes.unsafe_get after !q do decr q done;
-    Some (!p, !q + 1 - !p)
-  end
-
 (* The page's 8-byte LSN header (Page.header_bytes) changes on every
    update, so a whole-page diff would always start at byte 0 and span to
    the changed record — position-dependent and near-useless for keys
@@ -99,14 +85,11 @@ let apply_slice image ~off slice =
 
 (* --- binary encoding ------------------------------------------------ *)
 
-(* v2 framing (Wal_codec): tag byte, then the fixed 8-byte LSN — and,
-   for the transaction-bearing shapes, the fixed 8-byte txn id — so the
-   unchecked peeks below keep their O(1) offsets; everything after the
-   fixed header is varint-framed; word-at-a-time FNV checksum trailer.
-
-   v2 tags are lowercase.  The uppercase tags of the pre-codec format
-   (fixed 8-byte fields throughout, 31-polynomial checksum) remain
-   decodable below, so journals holding old encodings still replay. *)
+(* The framing (Wal_codec): a lowercase tag byte, then the fixed 8-byte
+   LSN — and, for the transaction-bearing shapes, the fixed 8-byte txn
+   id — so the unchecked peeks below keep their O(1) offsets;
+   everything after the fixed header is varint-framed; word-at-a-time
+   FNV checksum trailer. *)
 
 let encode_with enc r =
   let open Wal_codec.Enc in
@@ -179,11 +162,10 @@ let encode r = encode_with (Wal_codec.Enc.create ()) r
 (* --- unchecked peeks ------------------------------------------------ *)
 
 (* Every record shape places its LSN at bytes 1-8 (after the tag) and —
-   for the transaction-bearing shapes — its txn id at bytes 9-16, in
-   both the legacy and v2 framings, so both read with two loads and no
-   checksum pass.  Safe only on records the engine itself appended (the
-   in-memory journals hold exactly what [encode] produced); [decode]
-   remains the checked path. *)
+   for the transaction-bearing shapes — its txn id at bytes 9-16, so
+   both read with two loads and no checksum pass.  Safe only on records
+   the engine itself appended (the in-memory journals hold exactly what
+   [encode] produced); [decode] remains the checked path. *)
 
 let peek_lsn s =
   if String.length s < 17 then raise (Corrupt "record too short");
@@ -192,17 +174,16 @@ let peek_lsn s =
 let peek_txn s =
   if String.length s < 17 then raise (Corrupt "record too short");
   match s.[0] with
-  | 'U' | 'C' | 'A' | 'u' | 'd' | 'o' | 'c' | 'a' | 'p' ->
+  | 'u' | 'd' | 'o' | 'c' | 'a' | 'p' ->
     if String.length s < 25 then raise (Corrupt "record too short");
     Some (Int64.to_int (String.get_int64_le s 9))
   | _ -> None
 
-let peek_is_fuzzy_checkpoint s =
-  String.length s > 0 && (s.[0] = 'f' || s.[0] = 'F')
+let peek_is_fuzzy_checkpoint s = String.length s > 0 && s.[0] = 'f'
 
-(* --- v2 decode ------------------------------------------------------ *)
+(* --- checked decode ------------------------------------------------- *)
 
-let decode_v2 s =
+let decode s =
   let open Wal_codec.Dec in
   let c = start s in
   let r =
@@ -273,138 +254,6 @@ let decode_v2 s =
   in
   if not (finished c) then raise (Corrupt "trailing bytes");
   r
-
-(* --- legacy decode -------------------------------------------------- *)
-
-(* The pre-codec format: uppercase tags, every integer a fixed 8-byte
-   field, 31-polynomial checksum.  Kept so journals written before the
-   codec change (persisted fixtures, mixed-version tests) still
-   decode; [encode] never emits it. *)
-
-let legacy_checksum s stop =
-  let h = ref 0 in
-  for i = 0 to stop - 1 do
-    h := ((!h * 31) + Char.code (String.unsafe_get s i)) land 0x3FFFFFFF
-  done;
-  !h
-
-type legacy_cursor = { ls : string; mutable lpos : int; llimit : int }
-
-let take_int c =
-  if c.lpos + 8 > c.llimit then raise (Corrupt "truncated integer");
-  let v = Int64.to_int (String.get_int64_le c.ls c.lpos) in
-  c.lpos <- c.lpos + 8;
-  v
-
-let take_bytes c =
-  let len = take_int c in
-  if len < 0 || c.lpos + len > c.llimit then raise (Corrupt "truncated payload");
-  (* Single copy (the old path went String.sub then Bytes.of_string). *)
-  let b = Bytes.create len in
-  Bytes.blit_string c.ls c.lpos b 0 len;
-  c.lpos <- c.lpos + len;
-  b
-
-let decode_legacy s =
-  if String.length s < 9 then raise (Corrupt "record too short");
-  let body = String.length s - 8 in
-  let stored = Int64.to_int (String.get_int64_le s body) in
-  if legacy_checksum s body <> stored then raise (Corrupt "checksum mismatch");
-  let c = { ls = s; lpos = 1; llimit = body } in
-  match s.[0] with
-  | 'U' ->
-    let lsn = take_int c in
-    let txn = take_int c in
-    let page = take_int c in
-    let before = take_bytes c in
-    let after = take_bytes c in
-    Update { lsn; txn; page; before; after }
-  | 'C' ->
-    let lsn = take_int c in
-    let txn = take_int c in
-    Commit { lsn; txn }
-  | 'A' ->
-    let lsn = take_int c in
-    let txn = take_int c in
-    Abort { lsn; txn }
-  | 'K' ->
-    let lsn = take_int c in
-    let n = take_int c in
-    if n < 0 then raise (Corrupt "negative active count");
-    let active = List.init n (fun _ -> take_int c) in
-    Checkpoint { lsn; active }
-  | 'F' ->
-    let lsn = take_int c in
-    let start_lsn = take_int c in
-    let n = take_int c in
-    if n < 0 then raise (Corrupt "negative active count");
-    let active = List.init n (fun _ -> take_int c) in
-    let d = take_int c in
-    if d < 0 then raise (Corrupt "negative dirty count");
-    let dirty =
-      List.init d (fun _ ->
-          let page = take_int c in
-          let rec_lsn = take_int c in
-          (page, rec_lsn))
-    in
-    Fuzzy_checkpoint { lsn; start_lsn; active; dirty }
-  | tag -> raise (Corrupt (Printf.sprintf "unknown tag %C" tag))
-
-let encode_legacy r =
-  let buf = Buffer.create 64 in
-  let add_int v =
-    let b = Bytes.create 8 in
-    Bytes.set_int64_le b 0 (Int64.of_int v);
-    Buffer.add_bytes buf b
-  in
-  let add_bytes s =
-    add_int (Bytes.length s);
-    Buffer.add_bytes buf s
-  in
-  (match r with
-  | Update { lsn; txn; page; before; after } ->
-    Buffer.add_char buf 'U';
-    add_int lsn;
-    add_int txn;
-    add_int page;
-    add_bytes before;
-    add_bytes after
-  | Commit { lsn; txn } ->
-    Buffer.add_char buf 'C';
-    add_int lsn;
-    add_int txn
-  | Abort { lsn; txn } ->
-    Buffer.add_char buf 'A';
-    add_int lsn;
-    add_int txn
-  | Checkpoint { lsn; active } ->
-    Buffer.add_char buf 'K';
-    add_int lsn;
-    add_int (List.length active);
-    List.iter add_int active
-  | Fuzzy_checkpoint { lsn; start_lsn; active; dirty } ->
-    Buffer.add_char buf 'F';
-    add_int lsn;
-    add_int start_lsn;
-    add_int (List.length active);
-    List.iter add_int active;
-    add_int (List.length dirty);
-    List.iter
-      (fun (page, rec_lsn) ->
-        add_int page;
-        add_int rec_lsn)
-      dirty
-  | Delta _ | Op _ | Prepare _ -> invalid_arg "Wal.encode_legacy: no legacy framing for this shape");
-  let body = Buffer.contents buf in
-  let tail = Bytes.create 8 in
-  Bytes.set_int64_le tail 0 (Int64.of_int (legacy_checksum body (String.length body)));
-  body ^ Bytes.to_string tail
-
-let decode s =
-  if String.length s = 0 then raise (Corrupt "empty record");
-  match s.[0] with
-  | 'U' | 'C' | 'A' | 'K' | 'F' -> decode_legacy s
-  | _ -> decode_v2 s
 
 let pp ppf = function
   | Update { lsn; txn; page; _ } -> Format.fprintf ppf "Update(lsn=%d txn=%d page=%d)" lsn txn page

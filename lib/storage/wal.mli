@@ -80,11 +80,6 @@ val txn_of : record -> int option
 
     The diff that decides between {!Delta} and a full {!Update}. *)
 
-val diff_range : before:bytes -> after:bytes -> (int * int) option
-(** The smallest single [(off, len)] range outside which the two
-    images agree (common-prefix/suffix diff); [None] when identical.
-    @raise Invalid_argument on images of different length. *)
-
 val delta_update :
   threshold:int -> lsn:int -> txn:int -> page:int -> before:bytes -> after:bytes -> record
 (** A {!Delta} when the changed {e body} range is small enough that
@@ -115,24 +110,17 @@ val encode_with : Wal_codec.Enc.t -> record -> string
     (the journal's copy of the record). *)
 
 val decode : string -> record
-(** Checked decode, one payload copy.  Dispatches on the tag byte:
-    lowercase tags are the {!Wal_codec} framing, uppercase tags the
-    pre-codec legacy format (fixed-width fields, 31-polynomial
-    checksum), so journals written before the codec change still
-    decode.
+(** Checked decode, one payload copy.  Every tag is a lowercase
+    {!Wal_codec} tag; anything else is [Corrupt].
     @raise Corrupt on a damaged or truncated encoding (checksum
     mismatch, bad tag, short buffer, trailing bytes). *)
-
-val encode_legacy : record -> string
-(** The pre-codec encoding, kept for mixed-version round-trip tests.
-    @raise Invalid_argument on {!Delta}/{!Op}, which postdate it. *)
 
 (** {2 Unchecked peeks}
 
     Every record shape stores its LSN at a fixed offset right after the
     tag byte, and the transaction-bearing shapes store their txn id just
-    past it — in the legacy and codec framings both — so both read in
-    O(1) without the checksum pass [decode] pays.  These trust the
+    past it, so both read in O(1) without the checksum pass [decode]
+    pays.  These trust the
     framing: they are only safe on records the engine itself appended
     (the in-memory journals hold exactly what [encode] produced).
     Recovery uses them to locate the replay suffix and rebuild indexes

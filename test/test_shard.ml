@@ -1,7 +1,8 @@
 (* Tests for the sharded execution layer: the page-aligned router, the
    two-phase-commit engine hooks and their crash-recovery resolution
    against a serial reference, and the Shard server itself (state
-   equivalence across shard counts; shards = 1 delegation). *)
+   equivalence across shard counts; shards = 1 identity with the plain
+   server; argument validation at every shard count). *)
 
 module Scheduler = Dbm_storage.Scheduler
 module Server = Dbm_storage.Server
@@ -12,6 +13,7 @@ module Commit_pipeline = Dbm_storage.Commit_pipeline
 module Engine_log = Dbm_storage.Engine_log
 module Engine_oplog = Dbm_storage.Engine_oplog
 module Prng = Dbm_util.Prng
+module Histogram = Dbm_util.Stats.Histogram
 
 let check = Alcotest.check
 
@@ -260,8 +262,7 @@ let fresh_engine () = Engine_log.create_with ~n_keys ~n_log_disks:2 ()
 (* Scripts whose final state is commit-order independent: every put
    writes a constant function of the key, so any serializable execution
    of the same transaction set ends in the same store. *)
-let mk_workload ~n ~rng ~cross_frac ~shards =
-  let keys_per_page = 4 in
+let mk_workload ~n ~rng ~cross_frac =
   let arrivals = Array.init n (fun i -> float_of_int i *. 40.0) in
   let scripts =
     Array.init n (fun i ->
@@ -276,8 +277,6 @@ let mk_workload ~n ~rng ~cross_frac ~shards =
             if Prng.bool rng ~p:0.5 then Scheduler.Put (k, Printf.sprintf "k%d" k)
             else Scheduler.Get k))
   in
-  ignore shards;
-  ignore keys_per_page;
   (arrivals, scripts)
 
 let scan_digest ~shards engines =
@@ -299,7 +298,7 @@ let scan_digest ~shards engines =
 
 let run_sharded ~shards ~cross_frac =
   let rng = Prng.create 7 in
-  let arrivals_us, scripts = mk_workload ~n:60 ~rng ~cross_frac ~shards in
+  let arrivals_us, scripts = mk_workload ~n:60 ~rng ~cross_frac in
   let serial_engine = fresh_engine () in
   let sr =
     Serial.run ~mode:(Commit_pipeline.Grouped { batch = 4; timeout_us = 300.0 })
@@ -341,9 +340,12 @@ let test_sharded_cross_counted () =
     "cross latencies recorded" true
     (Dbm_util.Stats.Histogram.count r.Shard.cross_latency_us = r.Shard.cross_committed)
 
+(* One shard runs the plain server's driver with no transaction voting,
+   so every result field, both latency histograms and the engine state
+   must match Server.run exactly. *)
 let test_single_shard_delegates () =
   let rng = Prng.create 11 in
-  let arrivals_us, scripts = mk_workload ~n:40 ~rng ~cross_frac:0.2 ~shards:1 in
+  let arrivals_us, scripts = mk_workload ~n:40 ~rng ~cross_frac:0.2 in
   let mode = Commit_pipeline.Grouped { batch = 4; timeout_us = 300.0 } in
   let e1 = fresh_engine () in
   let direct = Serial.run ~mode ~arrivals_us ~scripts e1 in
@@ -351,19 +353,42 @@ let test_single_shard_delegates () =
   let via =
     Sharded.run ~mode ~arrivals_us ~scripts ~coordinator:(Coordinator_log.create ()) [| e2 |]
   in
+  let exact = Alcotest.float 0.0 in
+  let same_hist name a b =
+    check Alcotest.int (name ^ " count") (Histogram.count a) (Histogram.count b);
+    check exact (name ^ " total") (Histogram.total a) (Histogram.total b);
+    check exact (name ^ " max") (Histogram.max a) (Histogram.max b);
+    check exact (name ^ " p50") (Histogram.p50 a) (Histogram.p50 b);
+    check exact (name ^ " p99") (Histogram.p99 a) (Histogram.p99 b)
+  in
   check Alcotest.int "completed" direct.Server.completed via.Shard.completed;
-  check (Alcotest.float 0.0) "makespan" direct.Server.makespan_us via.Shard.makespan_us;
-  check Alcotest.int "forces" direct.Server.forces via.Shard.forces;
+  check exact "makespan" direct.Server.makespan_us via.Shard.makespan_us;
+  check exact "sustained tps" direct.Server.sustained_tps via.Shard.sustained_tps;
   check Alcotest.int "restarts" direct.Server.restarts via.Shard.restarts;
+  check Alcotest.int "forces" direct.Server.forces via.Shard.forces;
   check Alcotest.int "lock acquires" direct.Server.lock_acquires via.Shard.lock_acquires;
   check Alcotest.int "cross" 0 via.Shard.cross_committed;
-  (match via.Shard.serial with
-  | Some s ->
-    check Alcotest.int "max_inflight" direct.Server.max_inflight s.Server.max_inflight;
-    check Alcotest.int "max_queued" direct.Server.max_queued s.Server.max_queued
-  | None -> Alcotest.fail "shards = 1 must expose the delegated Server result");
+  check Alcotest.bool "not oversubscribed" false via.Shard.oversubscribed;
+  same_hist "latency" direct.Server.latency_us via.Shard.latency_us;
+  same_hist "single-shard latency" direct.Server.latency_us via.Shard.single_latency_us;
+  check Alcotest.int "no cross latencies" 0 (Histogram.count via.Shard.cross_latency_us);
   check Alcotest.string "engine states identical"
     (Engine_log.state_fingerprint e1) (Engine_log.state_fingerprint e2)
+
+(* Server.Make.drive's argument checks hold at every shard count: on two
+   engines a zero mpl must be rejected up front, not spin each shard
+   into the livelock guard. *)
+let test_sharded_validation () =
+  let raises f = match f () with exception Invalid_argument _ -> true | _ -> false in
+  let run ?mpl ?op_cost_us () =
+    Sharded.run ?mpl ?op_cost_us ~mode:Commit_pipeline.Eager ~arrivals_us:[| 0.0 |]
+      ~scripts:[| [ Scheduler.Put (0, "v") ] |]
+      ~coordinator:(Coordinator_log.create ())
+      [| fresh_engine (); fresh_engine () |]
+  in
+  check Alcotest.bool "mpl >= 1" true (raises (fun () -> run ~mpl:0 ()));
+  check Alcotest.bool "finite op cost" true (raises (fun () -> run ~op_cost_us:Float.infinity ()));
+  check Alcotest.bool "non-negative op cost" true (raises (fun () -> run ~op_cost_us:(-1.0) ()))
 
 let () =
   Alcotest.run "dbm_storage sharded execution"
@@ -386,5 +411,6 @@ let () =
             test_sharded_cross_counted;
           Alcotest.test_case "one shard delegates to Server" `Quick
             test_single_shard_delegates;
+          Alcotest.test_case "validation at every shard count" `Quick test_sharded_validation;
         ] );
     ]

@@ -229,11 +229,6 @@ let sample_records =
     Wal.Fuzzy_checkpoint { lsn = 17; start_lsn = 17; active = []; dirty = [] };
   ]
 
-(* Every record shape that predates the codec; [encode_legacy] still
-   produces the old fixed-width framing for them. *)
-let legacy_shapes =
-  List.filter (function Wal.Delta _ | Wal.Op _ -> false | _ -> true) sample_records
-
 let test_wal_roundtrip () =
   List.iter
     (fun r ->
@@ -255,35 +250,33 @@ let test_wal_truncated () =
   | exception Wal.Corrupt _ -> ()
   | _ -> Alcotest.fail "truncated record accepted"
 
-let test_wal_legacy_roundtrip () =
-  (* journals written before the codec change must still decode: the
-     uppercase-tag legacy framing is dispatched on the tag byte *)
+(* Tags are lowercase: a frame with an uppercase tag decodes as
+   [Corrupt] even under a valid checksum, never as a record or another
+   exception. *)
+let test_wal_uppercase_tags_corrupt () =
+  let module Enc = Dbm_storage.Wal_codec.Enc in
+  let enc = Enc.create () in
   List.iter
-    (fun r ->
-      let r' = Wal.decode (Wal.encode_legacy r) in
-      if r <> r' then
-        Alcotest.failf "legacy roundtrip failed for %s" (Format.asprintf "%a" Wal.pp r))
-    legacy_shapes;
-  match Wal.encode_legacy (Wal.Op { lsn = 1; txn = 1; key = 0; value = None }) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "legacy encoding of a post-codec shape accepted"
+    (fun tag ->
+      Enc.reset enc ~tag;
+      Enc.int64 enc 8;
+      Enc.int64 enc 3;
+      match Wal.decode (Enc.finish enc) with
+      | exception Wal.Corrupt _ -> ()
+      | exception e -> Alcotest.failf "tag %C raised %s" tag (Printexc.to_string e)
+      | _ -> Alcotest.failf "tag %C decoded to a record" tag)
+    [ 'U'; 'C'; 'A'; 'K'; 'F' ]
 
-let test_wal_peeks_agree_across_framings () =
+let test_wal_peeks_agree_with_decode () =
   List.iter
     (fun r ->
       let s = Wal.encode r in
-      check Alcotest.int "peek_lsn (codec)" (Wal.lsn r) (Wal.peek_lsn s);
-      check (Alcotest.option Alcotest.int) "peek_txn (codec)" (Wal.txn_of r) (Wal.peek_txn s);
-      check Alcotest.bool "peek fuzzy (codec)"
+      check Alcotest.int "peek_lsn" (Wal.lsn r) (Wal.peek_lsn s);
+      check (Alcotest.option Alcotest.int) "peek_txn" (Wal.txn_of r) (Wal.peek_txn s);
+      check Alcotest.bool "peek fuzzy"
         (match r with Wal.Fuzzy_checkpoint _ -> true | _ -> false)
         (Wal.peek_is_fuzzy_checkpoint s))
-    sample_records;
-  List.iter
-    (fun r ->
-      let s = Wal.encode_legacy r in
-      check Alcotest.int "peek_lsn (legacy)" (Wal.lsn r) (Wal.peek_lsn s);
-      check (Alcotest.option Alcotest.int) "peek_txn (legacy)" (Wal.txn_of r) (Wal.peek_txn s))
-    legacy_shapes
+    sample_records
 
 let test_wal_encode_allocation_bounded () =
   (* the scratch-buffer encoder's one allocation per record is the
@@ -448,26 +441,6 @@ let prop_wal_delta_apply =
         (* fallback path: full images, verbatim *)
         Bytes.equal b' before && Bytes.equal a' after
       | _ -> false)
-
-let prop_wal_diff_range =
-  QCheck.Test.make ~name:"diff_range bounds the disagreement exactly" ~count:500
-    QCheck.(
-      make
-        Gen.(
-          int_range 0 48 >>= fun n ->
-          tup2 (string_size (return n)) (string_size (return n))))
-    (fun (b, a) ->
-      let before = Bytes.of_string b and after = Bytes.of_string a in
-      match Wal.diff_range ~before ~after with
-      | None -> Bytes.equal before after
-      | Some (off, len) ->
-        len > 0 && off >= 0
-        && off + len <= Bytes.length before
-        && Bytes.sub before 0 off = Bytes.sub after 0 off
-        && Bytes.sub before (off + len) (Bytes.length before - off - len)
-           = Bytes.sub after (off + len) (Bytes.length after - off - len)
-        && Bytes.get before off <> Bytes.get after off
-        && Bytes.get before (off + len - 1) <> Bytes.get after (off + len - 1))
 
 (* --- Buffer_pool ------------------------------------------------------------ *)
 
@@ -660,7 +633,7 @@ let qsuite =
     [
       prop_page_roundtrip; prop_page_lookup_matches_records; prop_page_update_equal_length;
       prop_wal_roundtrip; prop_wal_injective; prop_wal_truncation_corrupt;
-      prop_wal_bitflip_corrupt; prop_wal_delta_apply; prop_wal_diff_range;
+      prop_wal_bitflip_corrupt; prop_wal_delta_apply;
     ]
 
 let () =
@@ -696,9 +669,8 @@ let () =
       ( "wal",
         [
           Alcotest.test_case "roundtrip" `Quick test_wal_roundtrip;
-          Alcotest.test_case "legacy roundtrip" `Quick test_wal_legacy_roundtrip;
-          Alcotest.test_case "peeks agree across framings" `Quick
-            test_wal_peeks_agree_across_framings;
+          Alcotest.test_case "uppercase tags are Corrupt" `Quick test_wal_uppercase_tags_corrupt;
+          Alcotest.test_case "peeks agree with decode" `Quick test_wal_peeks_agree_with_decode;
           Alcotest.test_case "checksum" `Quick test_wal_checksum_detects_corruption;
           Alcotest.test_case "truncated" `Quick test_wal_truncated;
           Alcotest.test_case "accessors" `Quick test_wal_accessors;
