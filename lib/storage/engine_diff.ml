@@ -5,6 +5,10 @@
    checkpoint marker.  Stamps are globally ordered so (B u A) - D
    resolves by newest-wins. *)
 
+(* One retained record as the reads see it: an A record carries
+   [Some value], a D record [None]. *)
+type version = { stamp : int; writer : int; value : string option }
+
 type store = {
   n_keys : int;
   keys_per_page : int;
@@ -32,6 +36,11 @@ type store = {
      everything before the marker. *)
   mutable max_record_stamp : int;
   mutable max_record_txn : int;
+  (* Volatile per-key index of the retained A/D records, newest first:
+     what a scan of both files finds for the key.  A crash or a merge
+     only marks it stale; the next read rebuilds it in one pass. *)
+  chains : version list array;
+  mutable chains_stale : bool;
   mutable epoch : int;
   mutable live : int;
   auto_merge_records : int option;
@@ -125,6 +134,8 @@ let create_with ?(n_keys = 256) ?(keys_per_page = 4) ?auto_merge_records () =
     next_stamp = 1;
     max_record_stamp = 0;
     max_record_txn = 0;
+    chains = Array.make n_keys [];
+    chains_stale = false;
     epoch = 0;
     live = 0;
     recovery_pool = None;
@@ -162,33 +173,42 @@ let stamp t =
   t.next_stamp <- s + 1;
   s
 
-(* The view (B u A) - D for one key, as seen by [own]: among the A and
-   D records for the key whose writer is committed or [own], the one
-   with the newest stamp decides; otherwise the base file does. *)
+let push t key v = t.chains.(key) <- v :: t.chains.(key)
+
+(* One pass over the live records of both files.  Each file is
+   stamp-ordered, so a chain comes out as two newest-first runs, one
+   per file; the sort interleaves them. *)
+let rebuild_chains t =
+  Array.fill t.chains 0 t.n_keys [];
+  Journal.iter_live
+    (fun r ->
+      let stamp, writer, key, v = decode_a r in
+      push t key { stamp; writer; value = Some v })
+    t.a_file;
+  Journal.iter_live
+    (fun r ->
+      let stamp, writer, key = decode_d r in
+      push t key { stamp; writer; value = None })
+    t.d_file;
+  Array.map_inplace (List.sort (fun a b -> Int.compare b.stamp a.stamp)) t.chains;
+  t.chains_stale <- false
+
+(* The view (B u A) - D for one key: the newest retained record whose
+   writer [visible] accepts decides; otherwise the base file does. *)
+let resolve t k visible =
+  if t.chains_stale then rebuild_chains t;
+  let rec walk = function
+    | [] -> Page.lookup (Vdisk.read_ro t.base (page_of t k)) ~key:k
+    | v :: older -> if visible v.writer then v.value else walk older
+  in
+  walk t.chains.(k)
+
+(* A transaction sees its own records and the committed ones. *)
 let get h k =
   check h;
   check_key h.st k;
   let t = h.st in
-  let visible txn = txn = h.id || Hashtbl.mem t.committed txn in
-  let best = ref None in
-  let consider stamp outcome =
-    match !best with
-    | Some (s, _) when s >= stamp -> ()
-    | _ -> best := Some (stamp, outcome)
-  in
-  Journal.iter_live
-    (fun r ->
-      let stamp, txn, key, value = decode_a r in
-      if key = k && visible txn then consider stamp (Some value))
-    t.a_file;
-  Journal.iter_live
-    (fun r ->
-      let stamp, txn, key = decode_d r in
-      if key = k && visible txn then consider stamp None)
-    t.d_file;
-  match !best with
-  | Some (_, outcome) -> outcome
-  | None -> Page.lookup (Vdisk.read_ro t.base (page_of t k)) ~key:k
+  resolve t k (fun txn -> txn = h.id || Hashtbl.mem t.committed txn)
 
 let note_record t ~stamp ~txn =
   if stamp > t.max_record_stamp then t.max_record_stamp <- stamp;
@@ -200,6 +220,7 @@ let put h k v =
   let t = h.st in
   let s = stamp t in
   ignore (Journal.append t.a_file (encode_a t.enc ~stamp:s ~txn:h.id ~key:k ~value:v));
+  push t k { stamp = s; writer = h.id; value = Some v };
   note_record t ~stamp:s ~txn:h.id
 
 let delete h k =
@@ -208,6 +229,7 @@ let delete h k =
   let t = h.st in
   let s = stamp t in
   ignore (Journal.append t.d_file (encode_d t.enc ~stamp:s ~txn:h.id ~key:k));
+  push t k { stamp = s; writer = h.id; value = None };
   note_record t ~stamp:s ~txn:h.id
 
 let finish h =
@@ -366,13 +388,20 @@ let recover t =
     ~max_stamp:(max stamp_floor (max a_stamp d_stamp))
     ~record_txn:(max txn_floor (max a_txn d_txn))
 
-let crash_and_recover t =
+(* Lose everything volatile.  The read index is only marked stale: a
+   rebuild here would decode every retained record, the very prefix a
+   fuzzy checkpoint lets recovery skip, so the first read pays for it. *)
+let crash t =
   Vdisk.crash t.base;
   Journal.crash t.a_file;
   Journal.crash t.d_file;
   Journal.crash t.commits;
   Hashtbl.reset t.snaps;
   t.epoch <- t.epoch + 1;
+  t.chains_stale <- true
+
+let crash_and_recover t =
+  crash t;
   recover t
 
 (* The pre-parallelization recovery, preserved: one thread, full scan
@@ -381,12 +410,7 @@ let crash_and_recover t =
    fingerprint — the marker floors are defined as exactly what the full
    scan finds in the skipped prefix. *)
 let crash_and_recover_reference t =
-  Vdisk.crash t.base;
-  Journal.crash t.a_file;
-  Journal.crash t.d_file;
-  Journal.crash t.commits;
-  Hashtbl.reset t.snaps;
-  t.epoch <- t.epoch + 1;
+  crash t;
   Hashtbl.reset t.committed;
   ignore (read_commits t);
   let max_txn = ref 0 and max_stamp = ref 0 in
@@ -489,30 +513,10 @@ let snapshot_get s k =
   if s.s_released || s.s_born <> s.s_st.epoch then raise Kv.Txn_finished;
   let t = s.s_st in
   check_key t k;
-  let visible txn =
-    match Hashtbl.find_opt t.committed txn with
-    | Some seq -> seq <= s.s_horizon
-    | None -> false
-  in
-  let best = ref None in
-  let consider stamp outcome =
-    match !best with
-    | Some (st, _) when st >= stamp -> ()
-    | _ -> best := Some (stamp, outcome)
-  in
-  Journal.iter_live
-    (fun r ->
-      let stamp, txn, key, value = decode_a r in
-      if key = k && visible txn then consider stamp (Some value))
-    t.a_file;
-  Journal.iter_live
-    (fun r ->
-      let stamp, txn, key = decode_d r in
-      if key = k && visible txn then consider stamp None)
-    t.d_file;
-  match !best with
-  | Some (_, outcome) -> outcome
-  | None -> Page.lookup (Vdisk.read_ro t.base (page_of t k)) ~key:k
+  resolve t k (fun txn ->
+      match Hashtbl.find t.committed txn with
+      | seq -> seq <= s.s_horizon
+      | exception Not_found -> false)
 
 (* Merge the committed differential records into the base file and
    truncate A and D — the periodic reorganization the paper notes must
@@ -636,6 +640,10 @@ let checkpoint t =
   t.max_record_txn <- !mt;
   ignore (Journal.append t.commits (encode_marker t));
   Journal.sync t.commits;
+  (* Reads through the old chains would still be right — a dropped
+     record is invisible, folded into the base, or shadowed by one that
+     is — but the chains would keep every version the files let go. *)
+  t.chains_stale <- true;
   t.merge_count <- t.merge_count + 1
 
 let () =

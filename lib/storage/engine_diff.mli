@@ -2,10 +2,20 @@
 
     The store is the view [(B u A) - D]: a read-only base [B] (pages on
     a virtual disk) plus append-only differential files — [A] for
-    additions/updates and [D] for deletions.  A lookup consults the
-    committed (or own) A and D records for the key, newest first, and
-    falls back to the base: precisely the set-union/set-difference the
-    paper charges the query processors for.
+    additions/updates and [D] for deletions.  A lookup resolves that
+    view for one key: the newest A or D record for the key whose writer
+    it may see (its own or a committed one) decides, and otherwise the
+    base does — the set-union/set-difference the paper charges the
+    query processors for, paid per key rather than per file.
+
+    Reads find a key's records through a volatile per-key chain of the
+    retained A and D records, newest first, that every write extends.
+    A read walks its key's chain to the first visible record and stops.
+    A crash or a merge only marks the chains stale; the next read
+    rebuilds all of them in one pass over both files, so it alone pays
+    a scan.  Recovery does not rebuild them: it decodes only the records
+    after the newest fuzzy checkpoint marker, and a rebuild would decode
+    the whole files.
 
     Writes never touch the base, so the recovery data {e is} the data:
     commit forces the A and D files and appends a commit marker;

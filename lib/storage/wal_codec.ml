@@ -122,6 +122,9 @@ module Dec = struct
       shift := !shift + 7;
       if b < 0x80 then continue := false
     done;
+    (* The ninth group reaches the sign bit, which [Enc.varint] never
+       sets. *)
+    if !v < 0 then raise (Corrupt "varint overflow");
     !v
 
   let byte t =
@@ -130,16 +133,21 @@ module Dec = struct
     t.pos <- t.pos + 1;
     v
 
-  let string t =
+  (* [len] is non-negative but may be near [max_int]: compare it with
+     the bytes left, never [t.pos + len] with the limit. *)
+  let payload_len t =
     let len = varint t in
-    if t.pos + len > t.limit then raise (Corrupt "truncated payload");
+    if len > t.limit - t.pos then raise (Corrupt "truncated payload");
+    len
+
+  let string t =
+    let len = payload_len t in
     let v = String.sub t.s t.pos len in
     t.pos <- t.pos + len;
     v
 
   let bytes t =
-    let len = varint t in
-    if t.pos + len > t.limit then raise (Corrupt "truncated payload");
+    let len = payload_len t in
     (* The single copy: straight from the encoded string into fresh
        bytes, no intermediate String.sub. *)
     let b = Bytes.create len in

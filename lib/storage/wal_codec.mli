@@ -87,14 +87,19 @@ module Dec : sig
       the tag byte.  @raise Corrupt on a short or damaged encoding. *)
 
   val int64 : t -> int
+
   val varint : t -> int
+  (** Always non-negative.  @raise Corrupt on a truncated varint or one
+      whose value needs the sign bit. *)
 
   val bytes : t -> Bytes.t
   (** Varint-framed payload as fresh bytes — a single copy out of the
-      encoded string (the old path copied twice). *)
+      encoded string (the old path copied twice).  @raise Corrupt when
+      the length runs past the body. *)
 
   val string : t -> string
-  (** Varint-framed payload as a fresh string, single copy. *)
+  (** Varint-framed payload as a fresh string, single copy.  @raise
+      Corrupt when the length runs past the body. *)
 
   val byte : t -> int
 

@@ -654,6 +654,89 @@ let test_diff_newest_wins () =
   check (Alcotest.option Alcotest.string) "A beats older D" (Some "second") (Engine_diff.get t 0);
   Engine_diff.abort t
 
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+(* A read walks only its own key's versions: reading key 0 costs the
+   base-page lookup, however many records (here 10,000) the
+   differential files hold for other keys.  A scan of both files
+   allocates per record. *)
+let test_diff_read_allocation_bounded () =
+  let e = Engine_diff.create ~n_keys:64 () in
+  for i = 0 to 99 do
+    let t = Engine_diff.begin_txn e in
+    for j = 0 to 99 do
+      Engine_diff.put t (1 + ((i + j) mod 63)) "v"
+    done;
+    Engine_diff.commit t
+  done;
+  let t = Engine_diff.begin_txn e in
+  let s = Engine_diff.snapshot e in
+  let get = minor_words_of (fun () -> Engine_diff.get t 0) in
+  let snapshot_get = minor_words_of (fun () -> Engine_diff.snapshot_get s 0) in
+  if get > 64.0 || snapshot_get > 64.0 then
+    Alcotest.failf "reading an untouched key allocates %.0f (get) / %.0f (snapshot_get) words"
+      get snapshot_get;
+  Engine_diff.snapshot_release s;
+  Engine_diff.abort t
+
+(* Recovery leaves the read index to the first read: past a fuzzy
+   checkpoint, crash_and_recover allocates no more when the skipped
+   prefix holds 10,000 records than when it holds 200. *)
+let test_diff_recovery_leaves_index_to_reads () =
+  let recover_words ~puts =
+    let e = Engine_diff.create ~n_keys:64 () in
+    let txn n =
+      let t = Engine_diff.begin_txn e in
+      for j = 0 to n - 1 do
+        Engine_diff.put t (j mod 64) (Printf.sprintf "v%d" j)
+      done;
+      Engine_diff.commit t
+    in
+    for _ = 1 to 20 do
+      txn puts
+    done;
+    Engine_diff.checkpoint_fuzzy e;
+    for _ = 1 to 5 do
+      txn 4
+    done;
+    let words = minor_words_of (fun () -> Engine_diff.crash_and_recover e) in
+    let t = Engine_diff.begin_txn e in
+    check (Alcotest.option Alcotest.string) "first read sees the suffix" (Some "v3")
+      (Engine_diff.get t 3);
+    Engine_diff.abort t;
+    words
+  in
+  let short = recover_words ~puts:10 and long = recover_words ~puts:500 in
+  if long > short +. 64.0 then
+    Alcotest.failf "recovery allocates %.0f words past a 10,000-record prefix, %.0f past 200" long
+      short
+
+(* The merge bounds the read index as it bounds the files: once a read
+   follows the last merge, the store holds about as much after 10,000
+   merged records as after 1,000.  The slack covers the journals'
+   buffers, which keep their largest capacity. *)
+let test_diff_merge_bounds_index () =
+  let held ~puts =
+    let e = Engine_diff.create_with ~n_keys:64 ~auto_merge_records:50 () in
+    for _ = 1 to 10 do
+      let t = Engine_diff.begin_txn e in
+      for j = 0 to puts - 1 do
+        Engine_diff.put t (j mod 64) "v"
+      done;
+      Engine_diff.commit t
+    done;
+    let t = Engine_diff.begin_txn e in
+    check (Alcotest.option Alcotest.string) "merged value" (Some "v") (Engine_diff.get t 0);
+    Engine_diff.abort t;
+    Obj.reachable_words (Obj.repr e)
+  in
+  let short = held ~puts:100 and long = held ~puts:1000 in
+  if long > short + 4096 then
+    Alcotest.failf "store holds %d words after 10,000 merged records, %d after 1,000" long short
+
 (* --- log-format head-to-head: physical / delta / logical -------------- *)
 
 (* The three formats' LSN streams are aligned by construction (one LSN
@@ -868,6 +951,10 @@ let specific =
     Alcotest.test_case "diff: auto-merge bounds files" `Quick test_diff_auto_merge_bounds_files;
     Alcotest.test_case "diff: merge needs quiescence" `Quick test_diff_merge_requires_quiescence;
     Alcotest.test_case "diff: newest wins" `Quick test_diff_newest_wins;
+    Alcotest.test_case "diff: read allocation bounded" `Quick test_diff_read_allocation_bounded;
+    Alcotest.test_case "diff: recovery leaves the index to reads" `Quick
+      test_diff_recovery_leaves_index_to_reads;
+    Alcotest.test_case "diff: merge bounds the read index" `Quick test_diff_merge_bounds_index;
     Alcotest.test_case "delta: steal then crash matches physical" `Quick
       test_delta_steal_then_crash_matches_physical;
     Alcotest.test_case "delta: log diet >= 2x" `Quick test_delta_log_diet;

@@ -27,8 +27,10 @@ let check = Alcotest.check
    writes).  Every live snapshot carries the copy of the committed
    state taken at its pin; at every [SRead] each live snapshot must
    return exactly that copy for all keys — later commits and the open
-   transaction's pending writes must both be invisible.  A crash kills
-   every snapshot: reading through one must raise [Txn_finished]. *)
+   transaction's pending writes must both be invisible.  An [SGet]
+   reads through the open transaction instead, which must see its own
+   pending write, else the committed value.  A crash kills every
+   snapshot: reading through one must raise [Txn_finished]. *)
 
 type sop =
   | SPut of int
@@ -40,6 +42,7 @@ type sop =
   | SPin
   | SRead
   | SRelease
+  | SGet of int
 
 let n_keys = 32
 
@@ -56,6 +59,7 @@ let sop_gen =
         (3, return SPin);
         (3, return SRead);
         (2, return SRelease);
+        (3, map (fun k -> SGet k) (int_range 0 (n_keys - 1)));
       ])
 
 let sop_print = function
@@ -68,6 +72,7 @@ let sop_print = function
   | SPin -> "pin"
   | SRead -> "read"
   | SRelease -> "release"
+  | SGet k -> Printf.sprintf "get%d" k
 
 let history_arb =
   QCheck.make
@@ -158,7 +163,12 @@ module Snapshot_equiv (E : Kv.SNAPSHOT) = struct
           | (s, _) :: rest ->
             E.snapshot_release s;
             snaps := rest;
-            check_snaps ()))
+            check_snaps ())
+        | SGet k ->
+          let expected =
+            match Hashtbl.find_opt pending k with Some v -> v | None -> committed.(k)
+          in
+          if E.get (ensure_txn ()) k <> expected then ok := false)
       ops;
     (match !txn with Some t -> E.abort t | None -> ());
     List.iter (fun (s, _) -> E.snapshot_release s) !snaps;

@@ -267,6 +267,56 @@ let test_wal_uppercase_tags_corrupt () =
       | _ -> Alcotest.failf "tag %C decoded to a record" tag)
     [ 'U'; 'C'; 'A'; 'K'; 'F' ]
 
+(* A length varint under a valid checksum may decode to a value with the
+   sign bit set (eight 0xff then 0x7f) or to one near [max_int] (0x3f
+   last), where [pos + len] overflows.  Both are [Corrupt], through the
+   payload accessors and through a whole-record decode. *)
+let test_wal_bad_lengths_corrupt () =
+  let module Codec = Dbm_storage.Wal_codec in
+  let enc = Codec.Enc.create () in
+  let frame ~tag ~prefix last =
+    Codec.Enc.reset enc ~tag;
+    prefix ();
+    for _ = 1 to 8 do
+      Codec.Enc.byte enc 0xff
+    done;
+    Codec.Enc.byte enc last;
+    Codec.Enc.finish enc
+  in
+  let expect_corrupt what f =
+    match f () with
+    | exception Codec.Corrupt _ -> ()
+    | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e)
+    | _ -> Alcotest.failf "%s decoded" what
+  in
+  List.iter
+    (fun last ->
+      let bare = frame ~tag:'x' ~prefix:ignore last in
+      expect_corrupt (Printf.sprintf "Dec.string, last byte %#x" last) (fun () ->
+          Codec.Dec.string (Codec.Dec.start bare));
+      expect_corrupt (Printf.sprintf "Dec.bytes, last byte %#x" last) (fun () ->
+          Codec.Dec.bytes (Codec.Dec.start bare));
+      (* an update's before image and an operation's value *)
+      let update =
+        frame ~tag:'u' last ~prefix:(fun () ->
+            Codec.Enc.int64 enc 8;
+            Codec.Enc.int64 enc 3;
+            Codec.Enc.varint enc 1)
+      in
+      let op =
+        frame ~tag:'o' last ~prefix:(fun () ->
+            Codec.Enc.int64 enc 8;
+            Codec.Enc.int64 enc 3;
+            Codec.Enc.varint enc 1;
+            Codec.Enc.byte enc 1)
+      in
+      List.iter
+        (fun (name, s) ->
+          expect_corrupt (Printf.sprintf "Wal.decode %s, last byte %#x" name last) (fun () ->
+              Wal.decode s))
+        [ ("update", update); ("op", op) ])
+    [ 0x7f; 0x3f ]
+
 let test_wal_peeks_agree_with_decode () =
   List.iter
     (fun r ->
@@ -670,6 +720,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_wal_roundtrip;
           Alcotest.test_case "uppercase tags are Corrupt" `Quick test_wal_uppercase_tags_corrupt;
+          Alcotest.test_case "overflowing lengths are Corrupt" `Quick test_wal_bad_lengths_corrupt;
           Alcotest.test_case "peeks agree with decode" `Quick test_wal_peeks_agree_with_decode;
           Alcotest.test_case "checksum" `Quick test_wal_checksum_detects_corruption;
           Alcotest.test_case "truncated" `Quick test_wal_truncated;
