@@ -59,16 +59,33 @@ let make_arch = function
   | "version-select" -> Dbm_recovery.Version_select.make_sim
   | other -> invalid_arg (Printf.sprintf "unknown architecture %S" other)
 
-(* -- parallel execution -------------------------------------------- *)
+(* -- numeric converters -------------------------------------------- *)
 
-let positive_int =
+(* Converters carrying the bounds the libraries enforce, so an
+   out-of-range flag is a usage error rather than an uncaught
+   Invalid_argument. *)
+let bounded conv ok msg =
   let parse s =
-    match Arg.conv_parser Arg.int s with
-    | Ok n when n >= 1 -> Ok n
-    | Ok _ -> Error (`Msg "must be >= 1")
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg msg)
     | Error _ as e -> e
   in
-  Arg.conv (parse, Arg.conv_printer Arg.int)
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive_int = bounded Arg.int (fun n -> n >= 1) "must be >= 1"
+
+let positive_float =
+  bounded Arg.float (fun f -> Float.is_finite f && f > 0.0) "must be positive and finite"
+
+let non_negative_float =
+  bounded Arg.float (fun f -> Float.is_finite f && f >= 0.0) "must be non-negative and finite"
+
+let fraction = bounded Arg.float (fun f -> f >= 0.0 && f <= 1.0) "must be in [0,1]"
+
+let non_empty_list conv = bounded (Arg.list conv) (fun l -> l <> []) "must not be empty"
+
+(* -- parallel execution -------------------------------------------- *)
 
 let jobs_arg =
   Arg.(
@@ -435,11 +452,10 @@ let recovery_time_cmd =
 
 (* -- storage-bench command ------------------------------------------ *)
 
-(* The storage-half throughput suite (Storage_bench): per-engine
-   committed-txns/sec under the 2PL scheduler, the polling-vs-wakeup
-   scheduler head-to-head, recovery wall vs log length, and buffer-pool
-   / journal microbenchmarks.  Prints the same report bench/main does
-   and exits 1 on any failed equivalence gate. *)
+(* The storage-half suite (Storage_bench), every section at the
+   requested sweep.  Prints the same report bench/main does and exits 1
+   when a check row fails.  Floor rows are claims about the default
+   sweep or wall-clock ratios, so only bench/main gates them. *)
 let storage_bench_cmd =
   let open Cmdliner in
   let scale_arg =
@@ -475,7 +491,7 @@ let storage_bench_cmd =
   let read_fracs_arg =
     Arg.(
       value
-      & opt (list float) Dbm_storage.Storage_bench.default_read_fracs
+      & opt (non_empty_list fraction) Dbm_storage.Storage_bench.default_read_fracs
       & info [ "read-frac" ] ~docv:"F,..."
           ~doc:
             "Read fractions (each in [0,1]) for the MVCC snapshot sweep; at each one the \
@@ -486,7 +502,7 @@ let storage_bench_cmd =
   let shard_counts_arg =
     Arg.(
       value
-      & opt (list positive_int) Dbm_storage.Storage_bench.default_shard_counts
+      & opt (non_empty_list positive_int) Dbm_storage.Storage_bench.default_shard_counts
       & info [ "shard-counts" ] ~docv:"N,..."
           ~doc:
             "Shard counts for the sharded-execution sweep (a 1-shard serial baseline is \
@@ -496,7 +512,7 @@ let storage_bench_cmd =
   let cross_fracs_arg =
     Arg.(
       value
-      & opt (list float) Dbm_storage.Storage_bench.default_cross_fracs
+      & opt (list fraction) Dbm_storage.Storage_bench.default_cross_fracs
       & info [ "cross-fracs" ] ~docv:"F,..."
           ~doc:
             "Cross-shard transaction fractions (each in [0,1]) for the two-phase-commit \
@@ -508,11 +524,13 @@ let storage_bench_cmd =
         ~read_fracs ~shard_counts ~cross_fracs ~now:Unix.gettimeofday ()
     in
     Dbm_storage.Storage_bench.print b;
-    match Dbm_storage.Storage_bench.equivalence_failures b with
-    | [] -> ()
-    | failures ->
-      List.iter (fun m -> prerr_endline ("FAIL: " ^ m)) failures;
-      exit 1
+    let failed_checks =
+      List.filter_map
+        (function Dbm_storage.Storage_bench.Check, m -> Some m | Floor, _ -> None)
+        (Dbm_storage.Storage_bench.failed b)
+    in
+    List.iter (fun m -> prerr_endline ("FAIL: " ^ m)) failed_checks;
+    if failed_checks <> [] then exit 1
   in
   Cmd.v
     (Cmd.info "storage-bench"
@@ -540,7 +558,7 @@ let serve_bench_cmd =
   let loads_arg =
     Arg.(
       value
-      & opt (list float) [ 2_000.0; 10_000.0; 40_000.0; 160_000.0; 400_000.0 ]
+      & opt (list positive_float) [ 2_000.0; 10_000.0; 40_000.0; 160_000.0; 400_000.0 ]
       & info [ "load" ] ~docv:"TPS,..."
           ~doc:"Offered arrival rates (transactions per second) to sweep, in order.")
   in
@@ -552,7 +570,7 @@ let serve_bench_cmd =
   in
   let timeout_arg =
     Arg.(
-      value & opt float 1000.0
+      value & opt positive_float 1000.0
       & info [ "timeout-us" ] ~docv:"US"
           ~doc:
             "Group-commit timeout: a pending batch is forced at most $(docv) simulated \
@@ -607,17 +625,17 @@ let serve_bench_cmd =
   in
   let op_cost_arg =
     Arg.(
-      value & opt float 1.0
+      value & opt non_negative_float 1.0
       & info [ "op-cost-us" ] ~docv:"US" ~doc:"Simulated cost of one scheduler turn.")
   in
   let sync_cost_arg =
     Arg.(
-      value & opt float 100.0
+      value & opt non_negative_float 100.0
       & info [ "sync-cost-us" ] ~docv:"US" ~doc:"Simulated cost of one log force.")
   in
   let read_frac_arg =
     Arg.(
-      value & opt float 0.0
+      value & opt fraction 0.0
       & info [ "read-frac" ] ~docv:"F"
           ~doc:
             "Make each transaction read-only (its whole write set cleared) with \
@@ -645,7 +663,7 @@ let serve_bench_cmd =
   in
   let cross_frac_arg =
     Arg.(
-      value & opt float 0.0
+      value & opt fraction 0.0
       & info [ "cross-frac" ] ~docv:"F"
           ~doc:
             "Re-home workload pages so a $(docv) fraction of transactions in [0,1] \
@@ -654,14 +672,6 @@ let serve_bench_cmd =
   in
   let run engine log_format loads batch timeout_us mpl txns seed arrival eager op_cost
       sync_cost read_frac use_snapshot shards cross_frac =
-    if not (Float.is_finite read_frac && read_frac >= 0.0 && read_frac <= 1.0) then begin
-      prerr_endline "serve-bench: --read-frac must be in [0,1]";
-      exit 2
-    end;
-    if not (Float.is_finite cross_frac && cross_frac >= 0.0 && cross_frac <= 1.0) then begin
-      prerr_endline "serve-bench: --cross-frac must be in [0,1]";
-      exit 2
-    end;
     if cross_frac > 0.0 && shards = 1 then begin
       prerr_endline "serve-bench: --cross-frac needs --shards > 1";
       exit 2
@@ -742,7 +752,7 @@ let serve_bench_cmd =
       List.iter
         (fun rate ->
           let e = E.create ~n_keys:4096 () in
-          let snapshot = Option.map (fun f () -> f e) snapshot_of in
+          let snapshot = Option.map (fun f -> f e) snapshot_of in
           let r =
             Srv.run ?snapshot ~read_only ~mpl ~op_cost_us:op_cost ~sync_cost_us:sync_cost
               ~mode ~arrivals_us:(arrivals rate) ~scripts e
@@ -759,8 +769,9 @@ let serve_bench_cmd =
 
       let create ?n_keys () = create_with ?n_keys ~log_format:Delta ()
     end in
-    (* A snapshot view factory over any Kv.SNAPSHOT engine, in the
-       engine-agnostic shape the scheduler consumes. *)
+    let snapshot_of (type a) (module E : Dbm_storage.Kv.SNAPSHOT with type t = a) =
+      if use_snapshot then Some (Sch.snapshot_view (module E)) else None
+    in
     let reject_snapshot what =
       if use_snapshot then begin
         Printf.eprintf "serve-bench: --snapshot is not supported by %s\n" what;
@@ -843,37 +854,16 @@ let serve_bench_cmd =
         ?snapshot_of:(reject_snapshot "the delta logging engine (try --log-format oplog)")
         (module Engine_log_delta) "logging-delta"
     | `Logging, `Oplog ->
-      let snapshot_of e =
-        let s = Dbm_storage.Engine_oplog.snapshot e in
-        {
-          Sch.view_get = (fun k -> Dbm_storage.Engine_oplog.snapshot_get s k);
-          view_close = (fun () -> Dbm_storage.Engine_oplog.snapshot_release s);
-        }
-      in
       sweep
-        ?snapshot_of:(if use_snapshot then Some snapshot_of else None)
+        ?snapshot_of:(snapshot_of (module Dbm_storage.Engine_oplog))
         (module Dbm_storage.Engine_oplog) "operation-logging"
     | `Diff, `Physical ->
-      let snapshot_of e =
-        let s = Dbm_storage.Engine_diff.snapshot e in
-        {
-          Sch.view_get = (fun k -> Dbm_storage.Engine_diff.snapshot_get s k);
-          view_close = (fun () -> Dbm_storage.Engine_diff.snapshot_release s);
-        }
-      in
       sweep
-        ?snapshot_of:(if use_snapshot then Some snapshot_of else None)
+        ?snapshot_of:(snapshot_of (module Dbm_storage.Engine_diff))
         (module Dbm_storage.Engine_diff) "differential-file"
     | `Versel, `Physical ->
-      let snapshot_of e =
-        let s = Dbm_storage.Engine_versel.snapshot e in
-        {
-          Sch.view_get = (fun k -> Dbm_storage.Engine_versel.snapshot_get s k);
-          view_close = (fun () -> Dbm_storage.Engine_versel.snapshot_release s);
-        }
-      in
       sweep
-        ?snapshot_of:(if use_snapshot then Some snapshot_of else None)
+        ?snapshot_of:(snapshot_of (module Dbm_storage.Engine_versel))
         (module Dbm_storage.Engine_versel) "version-select"
     | `Diff, (`Delta | `Oplog) ->
       prerr_endline "serve-bench: --engine diff supports only --log-format physical";

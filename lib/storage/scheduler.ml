@@ -6,6 +6,10 @@ type report = { commit_order : int list; restarts : int; steps : int }
 
 type view = { view_get : int -> string option; view_close : unit -> unit }
 
+let snapshot_view (type e) (module E : Kv.SNAPSHOT with type t = e) (engine : e) () =
+  let s = E.snapshot engine in
+  { view_get = E.snapshot_get s; view_close = (fun () -> E.snapshot_release s) }
+
 let key_of = function Get k -> k | Put (k, _) -> k | Delete k -> k
 
 let mode_of read_mode = function
@@ -18,8 +22,8 @@ module Make (E : Kv.S) = struct
      single-step advance.  The commit sink is pluggable so a server can
      route commits through a group-commit pipeline instead of the
      engine's eager [commit]; with the default sink the closed-loop
-     driver is bit-identical to the pre-split scheduler (a CI gate
-     checks it against {!Naive.Sched}). *)
+     driver is bit-identical to the pre-split scheduler (the storage
+     bench's sched.equivalent check compares it with {!Naive.Sched}). *)
   module Exec = struct
     type task = {
       id : int;

@@ -34,13 +34,18 @@ type report = {
 
 (** A pinned read-only view of an engine, as the scheduler consumes it:
     how to read a key and how to close the view.  Engine-agnostic so
-    the execution core does not require {!Kv.SNAPSHOT} — callers build
-    one from an engine's [snapshot]/[snapshot_get]/[snapshot_release]
-    and install the factory via {!Make.Exec.create}. *)
+    the execution core does not require {!Kv.SNAPSHOT}; {!snapshot_view}
+    builds the factory for any engine that has snapshots. *)
 type view = {
   view_get : int -> string option;
   view_close : unit -> unit;
 }
+
+val snapshot_view : (module Kv.SNAPSHOT with type t = 'e) -> 'e -> unit -> view
+(** [snapshot_view (module E) e] is the view factory over engine [e]:
+    each call pins [E.snapshot e], reads through [E.snapshot_get] and
+    closes with [E.snapshot_release].  Pass it as [~snapshot] to
+    {!Make.Exec.create} or {!Server.Make.run}. *)
 
 module Make (E : Kv.S) : sig
   (** The admission-independent execution core: who holds which page
@@ -136,7 +141,8 @@ module Make (E : Kv.S) : sig
   (** Run the scripts to completion, round-robin, committing eagerly.
       Script ids must be distinct.  Bit-identical ([steps],
       [commit_order], [restarts]) to the pre-split scheduler and to
-      {!Naive.Sched} (a CI gate holds this).
+      {!Naive.Sched} (the storage bench's [sched.equivalent] check
+      holds this on a contended workload).
       @raise Failure if the scripts have not all committed within
       [max_steps] scheduler steps (default 100,000). *)
 end

@@ -1,184 +1,96 @@
 (* Storage-half throughput measurements.  Pure library code: the caller
    supplies the clock (bench/main and dbmsim pass Unix.gettimeofday), so
-   dbm_storage itself needs no unix dependency. *)
+   dbm_storage itself needs no unix dependency.
 
-type engine_tps = {
-  engine : string;
-  low_tps : float;  (* committed txns/sec, disjoint key blocks *)
-  low_restarts : int;
-  high_tps : float;  (* committed txns/sec, hot key set *)
-  high_restarts : int;
-}
+   Each section measures, then hands back its lines of the report, its
+   fields of the storage JSON object and its gate rows; nothing outside
+   this file knows a field or a threshold. *)
 
-type recovery_jobs_point = {
-  rj_jobs : int;
-  rj_oversubscribed : bool;  (* pool larger than the host's cores *)
-  rj_wall_ms : float;
-  rj_equivalent : bool;  (* fingerprint equals the serial reference recovery *)
-}
+module Json = Dbm_util.Json
 
-type recovery_ckpt_point = {
-  ck_fraction : float;  (* commits preceding the checkpoint; 0 = none *)
-  ck_records : int;
-  ck_wall_ms : float;
-  ck_equivalent : bool;
-}
+type kind = Check | Floor
 
-type log_format_point = {
-  lf_format : string;  (* "physical" | "delta" | "oplog" *)
-  lf_committed_txns : int;
-  lf_records : int;
-  lf_log_bytes : int;
-  lf_bytes_per_txn : float;
-  lf_append_ns_per_record : float;  (* full append path, load wall / records *)
-  lf_replay_wall_ms : float;  (* best-of-five serial crash-and-recover *)
-  lf_replay_parallel_ms : float;  (* best wall across the parallel job counts *)
-  lf_equivalent : bool;  (* equals the physical serial reference, at every job count *)
-}
+type row = { kind : kind; name : string; held : bool; detail : string }
 
-type server_point = {
-  sv_offered_tps : float;  (* open-loop Poisson arrival rate *)
-  sv_sustained_tps : float;  (* completed / makespan, simulated time *)
-  sv_completed : int;
-  sv_p50_us : float;  (* arrival-to-durable-ack latency percentiles *)
-  sv_p99_us : float;
-  sv_p999_us : float;
-  sv_mean_us : float;
-  sv_max_us : float;
-  sv_restarts : int;
-  sv_forces : int;
-  sv_max_queued : int;  (* peak admission-queue depth *)
-}
+type section = { report : string; fields : (string * Json.t) list; rows : row list }
 
-type server_engine = {
-  sv_engine : string;
-  sv_sweep : server_point list;  (* group-commit pipeline, rising load *)
-  sv_eager_tps : float;  (* per-txn-sync sustained tps at the top load *)
-  sv_grouped_tps : float;  (* group-commit sustained tps at the top load *)
-  sv_speedup : float;  (* grouped / eager *)
-  sv_eager_p99_us : float;
-  sv_grouped_p99_us : float;
-  sv_equivalent : bool;
-      (* recovered fingerprint of a grouped commit sequence (with a
-         crash between append and force) equals the eager reference *)
-}
+type t = { scale : int; sections : section list }
 
-type read_mode_point = {
-  rm_mode : string;  (* "xlock" | "slock" | "snapshot" *)
-  rm_sustained_tps : float;
-  rm_restarts : int;
-  rm_ro_restarts : int;
-  rm_lock_acquires : int;
-  rm_ro_p50_us : float;
-  rm_ro_p99_us : float;
-  rm_rw_p50_us : float;
-  rm_rw_p99_us : float;
-}
+(* One measured point of a sweep as its section consumes it: its report
+   text, its JSON entry and the values the section's summary and rows
+   read. *)
+type 'v point = { text : string; json : Json.t; v : 'v }
 
-type read_frac_point = {
-  rf_read_frac : float;
-  rf_heavy_tail : bool;  (* Pareto transaction sizes at this point *)
-  rf_modes : read_mode_point list;
-  rf_snapshot_speedup : float;  (* snapshot tps / exclusive-lock tps *)
-  rf_equivalent : bool;  (* post-crash scan digests equal across modes *)
-}
+let texts points = String.concat "" (List.map (fun p -> p.text) points)
 
-type read_engine = { re_engine : string; re_points : read_frac_point list }
+let jsons points = Json.List (List.map (fun p -> p.json) points)
 
-type shard_point = {
-  sh_shards : int;
-  sh_oversubscribed : bool;  (* more shard domains than host cores *)
-  sh_sustained_tps : float;  (* simulated time; machine-independent *)
-  sh_makespan_us : float;
-  sh_p99_us : float;
-  sh_restarts : int;
-  sh_serial_identical : bool;
-      (* shards = 1 only: every Shard.result field and the engine
-         fingerprint equal the plain Server.run's (vacuously true
-         elsewhere) *)
-  sh_scan_equal : bool;  (* crash-recovered scan equals the serial reference *)
-  sh_in_doubt : int;  (* prepared-but-unresolved txns after recovery: must be 0 *)
-}
+let row kind name held fmt = Printf.ksprintf (fun detail -> { kind; name; held; detail }) fmt
 
-type cross_point = {
-  cf_cross_frac : float;  (* requested cross-shard transaction fraction *)
-  cf_cross_txns : int;  (* transactions actually spanning >= 2 shards *)
-  cf_sustained_tps : float;
-  cf_p99_cross_us : float;  (* cross-shard class latency tail (0 when none) *)
-  cf_scan_equal : bool;
-  cf_in_doubt : int;
-}
+let check name held fmt = row Check name held fmt
 
-type shard_bench = {
-  sb_points : shard_point list;  (* zero-cross workload, rising shard count *)
-  sb_scaling : float;  (* top-shard-count tps / 1-shard tps *)
-  sb_cross : cross_point list;  (* top shard count, rising cross fraction *)
-  sb_equivalent : bool;
-      (* every scan matched the serial reference, shards = 1 was
-         bit-identical, and no transaction stayed in doubt *)
-}
+let floor name held fmt = row Floor name held fmt
 
-type t = {
-  scale : int;
-  (* Contended-scheduler head-to-head: identical workload through the
-     pre-overhaul polling scheduler (Naive) and the wakeup scheduler. *)
-  sched_txns : int;
-  sched_naive_ms : float;
-  sched_opt_ms : float;
-  sched_speedup : float;
-  sched_equivalent : bool;  (* commit order, restarts and steps all equal *)
-  engines : engine_tps list;
-  (* Logging-engine restart recovery at L and 2L committed txns. *)
-  recovery_txns_l : int;
-  recovery_records_l : int;
-  recovery_wall_l_ms : float;
-  recovery_records_2l : int;
-  recovery_wall_2l_ms : float;
-  recovery_wall_ratio : float;  (* ~linear means <= ~2.5 *)
-  (* Parallel restart recovery: wall vs worker-domain count on one
-     fixed log, every point fingerprint-checked against the serial
-     reference replay. *)
-  recovery_jobs : recovery_jobs_point list;
-  recovery_parallel_speedup : float;  (* serial wall / best parallel wall *)
-  (* Fuzzy checkpoints: wall vs checkpoint age on same-length logs,
-     replayed serially so the saving isolates the skipped prefix. *)
-  recovery_ckpt : recovery_ckpt_point list;
-  recovery_ckpt_speedup : float;  (* full-replay wall / newest-checkpoint wall *)
-  recovery_equivalent : bool;  (* every point above matched the reference *)
-  (* Log-format head-to-head: the same committed workload through
-     physical full-image logging, delta logging and operation logging;
-     all three must recover to the physical reference fingerprint. *)
-  log_formats : log_format_point list;
-  log_delta_reduction : float;  (* physical bytes/txn over delta's *)
-  log_oplog_reduction : float;
-  log_format_equivalent : bool;
-  (* Open-loop transaction server: offered-load sweep through the
-     group-commit pipeline plus an eager-vs-grouped head-to-head at the
-     top load, per engine, all in simulated time. *)
-  server : server_engine list;
-  server_speedup : float;  (* worst grouped/eager ratio across engines *)
-  server_equivalent : bool;  (* every engine's equivalence check passed *)
-  (* MVCC snapshot reads: read-heavy open-loop sweep per
-     snapshot-capable engine, exclusive-lock baseline vs S/X locked
-     reads vs snapshot read-only class. *)
-  read_heavy : read_engine list;
-  read_speedup : float;  (* worst snapshot/xlock tps ratio at ~0.9 *)
-  read_ro_restarts : int;  (* total snapshot-mode read-only restarts *)
-  read_equivalent : bool;  (* every point's cross-mode scan check passed *)
-  (* Sharded multicore execution: tps vs shard count on a fully
-     partitionable workload, plus a cross-shard-fraction sweep at the
-     top shard count through two-phase commit. *)
-  shard : shard_bench;
-  pool_hit_ns : float;
-  pool_miss_ns : float;
-  journal_append_per_sec : float;
-  journal_append_sync_per_sec : float;  (* with a sync every 64 appends *)
-}
+let finite xs = List.for_all Float.is_finite xs
+
+let positive xs = List.for_all (fun v -> Float.is_finite v && v > 0.) xs
 
 let time now f =
   let t0 = now () in
   let r = f () in
   (r, now () -. t0)
+
+(* --- shared workload ------------------------------------------------ *)
+
+let value = "value-0123456789abcdef"
+
+module W = Dbm_workload.Workload
+module Hist = Dbm_util.Stats.Histogram
+
+(* One key per referenced page, so lock conflicts stay at the paper's
+   page granule. *)
+let scripts_of txns =
+  Array.map
+    (fun t ->
+      List.init (Array.length t.W.pages) (fun i ->
+          let k = t.W.pages.(i) * 4 in
+          if t.W.writes.(i) then Scheduler.Put (k, value) else Scheduler.Get k))
+    txns
+
+let random_access_pages = 1024
+
+let random_access_txns ~n ~seed =
+  W.generate
+    {
+      W.n_transactions = n;
+      min_pages = 2;
+      max_pages = 8;
+      write_fraction = 0.7;
+      pattern = W.Random_access;
+      db_pages = random_access_pages;
+      seed;
+    }
+
+(* The committed data, as data: a digest of every key's value read
+   through [get].  Every put writes the one constant [value], so any
+   serializable execution of the same transactions scans identically
+   after crash recovery, whatever its commit order. *)
+let scan_digest ~n_keys get =
+  let d = Dbm_util.Digest.create () in
+  for k = 0 to n_keys - 1 do
+    Dbm_util.Digest.int d k;
+    match get k with
+    | Some v ->
+      Dbm_util.Digest.int d 1;
+      Dbm_util.Digest.string d v
+    | None -> Dbm_util.Digest.int d 0
+  done;
+  Dbm_util.Digest.hex d
+
+(* Open-loop Poisson arrival instants in microseconds, seeded per point. *)
+let poisson_arrivals_us ~seed ~rate ~n =
+  let rng = Dbm_util.Prng.create seed in
+  Array.map (fun s -> s *. 1e6) (W.gen_arrival_times rng (W.Poisson { rate }) ~n)
 
 (* --- contended scheduler: naive polling vs wakeup parking ----------- *)
 
@@ -197,7 +109,7 @@ let sched_scripts ~scripts ~privates =
       in
       (i + 1, ops))
 
-let run_sched_comparison ~now ~scale =
+let sched_section ~now ~scale =
   let scripts = 24 * scale and privates = 40 in
   let n_keys = (scripts * privates) + 1 in
   let specs = sched_scripts ~scripts ~privates in
@@ -213,11 +125,35 @@ let run_sched_comparison ~now ~scale =
     && r_naive.Scheduler.restarts = r_opt.Scheduler.restarts
     && r_naive.Scheduler.steps = r_opt.Scheduler.steps
   in
-  (scripts, naive_s *. 1000., opt_s *. 1000., equivalent)
+  let naive_ms = naive_s *. 1000. and opt_ms = opt_s *. 1000. in
+  let speedup = if opt_ms > 0. then naive_ms /. opt_ms else infinity in
+  {
+    report =
+      Printf.sprintf
+        "contended scheduler (%d scripts): polling %.2f ms -> wakeup %.2f ms (%.1fx, reports %s)\n"
+        scripts naive_ms opt_ms speedup
+        (if equivalent then "identical" else "DIVERGED");
+    fields =
+      Json.
+        [
+          ("sched_contended_scripts", Int scripts);
+          ("sched_naive_wall_ms", Float naive_ms);
+          ("sched_opt_wall_ms", Float opt_ms);
+          ("sched_speedup", Float speedup);
+          ("sched_reports_equivalent", Bool equivalent);
+        ];
+    rows =
+      [
+        check "sched.equivalent" equivalent
+          "wakeup scheduler report diverged from the polling reference";
+        check "sched.measured" (finite [ naive_ms; opt_ms; speedup ])
+          "scheduler walls or speedup not finite";
+        floor "sched.speedup" (speedup >= 5.0) "contended speedup %.2fx below the 5x floor"
+          speedup;
+      ];
+  }
 
 (* --- per-engine committed-txns/sec under the 2PL scheduler ---------- *)
-
-let value = "value-0123456789abcdef"
 
 (* 8 scripts on disjoint 16-key blocks: no blocking at any page granule. *)
 let low_contention_scripts =
@@ -240,6 +176,7 @@ let high_contention_scripts =
           Scheduler.Put ((i * 5 + 4) mod 8, value);
         ] ))
 
+(* [v]: both rates came back finite. *)
 let bench_engine (module E : Kv.S) ~now ~rounds =
   let module Sched = Scheduler.Make (E) in
   let measure scripts =
@@ -257,7 +194,22 @@ let bench_engine (module E : Kv.S) ~now ~rounds =
   in
   let low_tps, low_restarts = measure low_contention_scripts in
   let high_tps, high_restarts = measure high_contention_scripts in
-  { engine = E.engine_name; low_tps; low_restarts; high_tps; high_restarts }
+  {
+    text =
+      Printf.sprintf "  %-22s %10.0f | %10.0f  (%d restarts)\n" E.engine_name low_tps high_tps
+        high_restarts;
+    json =
+      Json.(
+        Obj
+          [
+            ("engine", String E.engine_name);
+            ("low_tps", Float low_tps);
+            ("low_restarts", Int low_restarts);
+            ("high_tps", Float high_tps);
+            ("high_restarts", Int high_restarts);
+          ]);
+    v = finite [ low_tps; high_tps ];
+  }
 
 let all_engines : (module Kv.S) list =
   [
@@ -269,6 +221,21 @@ let all_engines : (module Kv.S) list =
     (module Engine_diff);
     (module Kv.Model);
   ]
+
+let engines_section ~now ~scale =
+  let measured = List.map (fun e -> bench_engine e ~now ~rounds:(20 * scale)) all_engines in
+  let count = List.length measured in
+  {
+    report = "committed txns/sec (low | high contention):\n" ^ texts measured;
+    fields = [ ("engines", jsons measured) ];
+    rows =
+      [
+        check "engines.complete" (count >= 6) "per-engine table has %d engines, below 6" count;
+        check "engines.measured"
+          (List.for_all (fun p -> p.v) measured)
+          "an engine's low or high tps is not finite";
+      ];
+  }
 
 (* --- recovery wall vs durable log length ---------------------------- *)
 
@@ -298,14 +265,14 @@ let durable_records t =
     0
     (List.init (Engine_log.log_disks t) Fun.id)
 
-(* The linearity ratio wall(2L)/wall(L) is a CI gate, so it must not
+(* The linearity ratio wall(2L)/wall(L) is a gate, so it must not
    wobble with whatever heap and machine state earlier bench sections
    left behind.  Both engines are built first, the heap is compacted
    once, and the two log lengths are then timed in alternation — any
    remaining distortion hits both measurements alike and cancels in the
    ratio.  Best of five: recovery leaves the journal intact, so repeated
    crash-and-recover runs measure the same work. *)
-let recovery_walls ~now ~txns =
+let recovery_length_section ~now ~txns =
   let t_l = load_log_engine ~txns () in
   let t_2l = load_log_engine ~txns:(2 * txns) () in
   let records_l = durable_records t_l in
@@ -318,116 +285,38 @@ let recovery_walls ~now ~txns =
     let (), wall_2l = time now (fun () -> Engine_log.crash_and_recover t_2l) in
     if wall_2l < !best_2l then best_2l := wall_2l
   done;
-  (records_l, !best_l *. 1000., records_2l, !best_2l *. 1000.)
+  let wall_l = !best_l *. 1000. and wall_2l = !best_2l *. 1000. in
+  let ratio = if wall_l > 0. then wall_2l /. wall_l else infinity in
+  {
+    report =
+      Printf.sprintf "recovery: %d records %.2f ms; %d records %.2f ms (ratio %.2f)\n" records_l
+        wall_l records_2l wall_2l ratio;
+    fields =
+      Json.
+        [
+          ("recovery_txns_l", Int txns);
+          ("recovery_records_l", Int records_l);
+          ("recovery_wall_l_ms", Float wall_l);
+          ("recovery_records_2l", Int records_2l);
+          ("recovery_wall_2l_ms", Float wall_2l);
+          ("recovery_wall_ratio", Float ratio);
+        ];
+    rows =
+      [
+        check "recovery.measured" (finite [ wall_l; wall_2l; ratio ])
+          "recovery walls or their ratio not finite";
+        floor "recovery.linear" (ratio <= 2.5)
+          "recovery superlinear: 2L/L wall ratio %.2f above 2.5" ratio;
+      ];
+  }
 
-(* --- parallel recovery: wall vs worker domains ---------------------- *)
+(* --- parallel recovery and fuzzy checkpoints ------------------------ *)
 
 module Pool = Dbm_util.Pool
 
-(* Best-of-five crash-and-recover wall; recovery leaves the durable
-   journal intact, so repeated runs measure the same work.  Returns the
-   wall and the post-recovery fingerprint for the equivalence check. *)
-let timed_recovery ~now t =
-  let best = ref infinity in
-  for _ = 1 to 5 do
-    let (), w = time now (fun () -> Engine_log.crash_and_recover t) in
-    if w < !best then best := w
-  done;
-  (!best *. 1000., Engine_log.state_fingerprint t)
-
-(* One fixed uncheckpointed log replayed at each domain count; every
-   point's restart state must fingerprint-equal the serial reference
-   replay (Naive.Log_replay), which is measured first on the same
-   engine.  A 1-core host would leave no parallel point at all, so an
-   oversubscribed 2-domain run stands in (and is flagged as such) —
-   mirroring the table-regeneration fallback in bench/main. *)
-(* The domain counts a recovery curve actually runs: the request list
-   plus the jobs = 1 baseline, capped at the host's cores unless
-   oversubscription is allowed, with a 2-domain stand-in when nothing
-   parallel survives (1-core hosts). *)
-let kept_jobs ~jobs ~allow_oversubscribe =
-  let host = Pool.default_jobs () in
-  let requested = List.sort_uniq Int.compare (1 :: jobs) in
-  let kept =
-    if allow_oversubscribe then requested
-    else List.filter (fun j -> j <= host) requested
-  in
-  if List.exists (fun j -> j > 1) kept then kept else kept @ [ 2 ]
-
-let recovery_vs_jobs ~now ~jobs ~allow_oversubscribe ~txns =
-  let host = Pool.default_jobs () in
-  let kept = kept_jobs ~jobs ~allow_oversubscribe in
-  let t = load_log_engine ~txns () in
-  Gc.compact ();
-  Engine_log.crash_and_recover_reference t;
-  let ref_fp = Engine_log.state_fingerprint t in
-  let points =
-    List.map
-      (fun j ->
-        let pool =
-          if j = 1 then None else Some (Pool.create ~jobs:j ~allow_oversubscribe:true ())
-        in
-        Engine_log.set_recovery_pool t pool;
-        let wall_ms, fp = timed_recovery ~now t in
-        Engine_log.set_recovery_pool t None;
-        Option.iter Pool.shutdown pool;
-        {
-          rj_jobs = j;
-          rj_oversubscribed = j > host;
-          rj_wall_ms = wall_ms;
-          rj_equivalent = String.equal fp ref_fp;
-        })
-      kept
-  in
-  let serial = List.find (fun p -> p.rj_jobs = 1) points in
-  let best_parallel =
-    List.fold_left
-      (fun acc p -> if p.rj_jobs > 1 then Float.min acc p.rj_wall_ms else acc)
-      infinity points
-  in
-  (points, serial.rj_wall_ms /. best_parallel)
-
-(* --- fuzzy checkpoints: wall vs checkpoint age ---------------------- *)
-
-(* Same committed work at every point; only where (and whether) the
-   fuzzy checkpoint record sits in the log varies.  Replay is serial
-   (no pool), so any saving is the skipped prefix — the records before
-   the checkpoint's start LSN that recovery never decodes — and not
-   parallelism.  Each point's restart state is fingerprint-checked
-   against the from-zero serial reference on the same engine. *)
-let recovery_vs_checkpoint_age ~now ~txns =
-  let fractions = [ 0.0; 0.5; 0.9 ] in
-  let engines =
-    List.map
-      (fun frac ->
-        let checkpoint_after =
-          if frac <= 0.0 then None else Some (int_of_float (frac *. float_of_int txns))
-        in
-        (frac, load_log_engine ?checkpoint_after ~txns ()))
-      fractions
-  in
-  Gc.compact ();
-  let points =
-    List.map
-      (fun (frac, t) ->
-        let wall_ms, fp = timed_recovery ~now t in
-        Engine_log.crash_and_recover_reference t;
-        let equivalent = String.equal fp (Engine_log.state_fingerprint t) in
-        {
-          ck_fraction = frac;
-          ck_records = durable_records t;
-          ck_wall_ms = wall_ms;
-          ck_equivalent = equivalent;
-        })
-      engines
-  in
-  let wall_at f = (List.find (fun p -> p.ck_fraction = f) points).ck_wall_ms in
-  (points, wall_at 0.0 /. wall_at 0.9)
-
-(* --- log formats: physical vs delta vs operation logging ------------ *)
-
-(* What the head-to-head needs from an engine; Engine_log (under either
-   log format) and Engine_oplog both satisfy it. *)
+(* What a timed recovery and the log-format head-to-head need from an
+   engine; Engine_log (under either log format) and Engine_oplog both
+   satisfy it. *)
 module type FORMAT_ENGINE = sig
   type t
 
@@ -450,6 +339,179 @@ module type FORMAT_ENGINE = sig
   val records_logged : t -> int
 end
 
+(* Best-of-five crash-and-recover wall; recovery leaves the durable
+   journal intact, so repeated runs measure the same work.  Returns the
+   wall and the post-recovery fingerprint for the equivalence check. *)
+let timed_recovery (type a) (module E : FORMAT_ENGINE with type t = a) ~now (e : a) =
+  let best = ref infinity in
+  for _ = 1 to 5 do
+    let (), w = time now (fun () -> E.crash_and_recover e) in
+    if w < !best then best := w
+  done;
+  (!best *. 1000., E.state_fingerprint e)
+
+(* The domain counts a recovery curve actually runs: the request list
+   plus the jobs = 1 baseline, capped at the host's cores unless
+   oversubscription is allowed, with a 2-domain stand-in when nothing
+   parallel survives (1-core hosts) — mirroring the table-regeneration
+   fallback in bench/main. *)
+let kept_jobs ~jobs ~allow_oversubscribe =
+  let host = Pool.default_jobs () in
+  let requested = List.sort_uniq Int.compare (1 :: jobs) in
+  let kept =
+    if allow_oversubscribe then requested
+    else List.filter (fun j -> j <= host) requested
+  in
+  if List.exists (fun j -> j > 1) kept then kept else kept @ [ 2 ]
+
+(* One fixed uncheckpointed log replayed at each domain count; every
+   point's restart state must fingerprint-equal the serial reference
+   replay (Naive.Log_replay), which is measured first on the same
+   engine.  Returns (jobs, oversubscribed, wall ms, equivalent) per
+   point and the log's durable record count. *)
+let recovery_vs_jobs ~now ~jobs ~allow_oversubscribe ~txns =
+  let host = Pool.default_jobs () in
+  let kept = kept_jobs ~jobs ~allow_oversubscribe in
+  let t = load_log_engine ~txns () in
+  Gc.compact ();
+  Engine_log.crash_and_recover_reference t;
+  let ref_fp = Engine_log.state_fingerprint t in
+  let points =
+    List.map
+      (fun j ->
+        let pool =
+          if j = 1 then None else Some (Pool.create ~jobs:j ~allow_oversubscribe:true ())
+        in
+        Engine_log.set_recovery_pool t pool;
+        let wall_ms, fp = timed_recovery (module Engine_log) ~now t in
+        Engine_log.set_recovery_pool t None;
+        Option.iter Pool.shutdown pool;
+        (j, j > host, wall_ms, String.equal fp ref_fp))
+      kept
+  in
+  (points, durable_records t)
+
+(* Same committed work at every point; only where (and whether) the
+   fuzzy checkpoint record sits in the log varies.  Replay is serial
+   (no pool), so any saving is the skipped prefix — the records before
+   the checkpoint's start LSN that recovery never decodes — and not
+   parallelism.  Each point's restart state is fingerprint-checked
+   against the from-zero serial reference on the same engine.  Returns
+   (fraction, records, wall ms, equivalent) per point. *)
+let recovery_vs_checkpoint_age ~now ~txns =
+  let fractions = [ 0.0; 0.5; 0.9 ] in
+  let engines =
+    List.map
+      (fun frac ->
+        let checkpoint_after =
+          if frac <= 0.0 then None else Some (int_of_float (frac *. float_of_int txns))
+        in
+        (frac, load_log_engine ?checkpoint_after ~txns ()))
+      fractions
+  in
+  Gc.compact ();
+  List.map
+    (fun (frac, t) ->
+      let wall_ms, fp = timed_recovery (module Engine_log) ~now t in
+      Engine_log.crash_and_recover_reference t;
+      (frac, durable_records t, wall_ms, String.equal fp (Engine_log.state_fingerprint t)))
+    engines
+
+let identical ok what = if ok then "state identical to " ^ what else "STATE DIVERGED"
+
+let recovery_parallel_section ~now ~jobs ~allow_oversubscribe ~txns =
+  let by_jobs, records = recovery_vs_jobs ~now ~jobs ~allow_oversubscribe ~txns in
+  let by_age = recovery_vs_checkpoint_age ~now ~txns in
+  let serial = List.fold_left (fun acc (j, _, w, _) -> if j = 1 then w else acc) nan by_jobs in
+  let best_parallel =
+    List.fold_left (fun acc (j, _, w, _) -> if j > 1 then Float.min acc w else acc) infinity by_jobs
+  in
+  let wall_at f = List.fold_left (fun acc (f', _, w, _) -> if f' = f then w else acc) nan by_age in
+  let parallel_speedup = serial /. best_parallel in
+  let ckpt_speedup = wall_at 0.0 /. wall_at 0.9 in
+  let equivalent =
+    List.for_all (fun (_, _, _, eq) -> eq) by_jobs && List.for_all (fun (_, _, _, eq) -> eq) by_age
+  in
+  (* parallel replay must not lose to serial where each domain had a core *)
+  let slower =
+    List.filter (fun (j, over, w, _) -> j > 1 && (not over) && not (w <= serial)) by_jobs
+  in
+  let walls = List.map (fun (_, _, w, _) -> w) by_jobs @ List.map (fun (_, _, w, _) -> w) by_age in
+  let buf = Buffer.create 1024 in
+  let pr fmt = Printf.bprintf buf fmt in
+  pr "parallel recovery (%d records):\n" records;
+  List.iter
+    (fun (j, over, w, eq) ->
+      pr "  %d job%s%s %8.2f ms  (%s)\n" j
+        (if j > 1 then "s" else " ")
+        (if over then " [oversubscribed]" else "")
+        w
+        (identical eq "serial reference"))
+    by_jobs;
+  pr "  best parallel speedup over serial: %.2fx\n" parallel_speedup;
+  pr "fuzzy-checkpointed recovery (serial replay, same committed work):\n";
+  List.iter
+    (fun (f, recs, w, eq) ->
+      pr "  checkpoint after %3.0f%% of commits: %7d records %8.2f ms  (%s)\n" (100. *. f) recs w
+        (identical eq "full replay"))
+    by_age;
+  pr "  newest checkpoint vs full replay: %.2fx cheaper\n" ckpt_speedup;
+  {
+    report = Buffer.contents buf;
+    fields =
+      Json.
+        [
+          ( "recovery_jobs",
+            List
+              (List.map
+                 (fun (j, over, w, eq) ->
+                   Obj
+                     [
+                       ("jobs", Int j);
+                       ("oversubscribed", Bool over);
+                       ("wall_ms", Float w);
+                       ("equivalent", Bool eq);
+                     ])
+                 by_jobs) );
+          ("recovery_parallel_speedup", Float parallel_speedup);
+          ( "recovery_checkpoint",
+            List
+              (List.map
+                 (fun (f, recs, w, eq) ->
+                   Obj
+                     [
+                       ("fraction", Float f);
+                       ("records", Int recs);
+                       ("wall_ms", Float w);
+                       ("equivalent", Bool eq);
+                     ])
+                 by_age) );
+          ("recovery_checkpoint_speedup", Float ckpt_speedup);
+          ("recovery_equivalent", Bool equivalent);
+        ];
+    rows =
+      [
+        check "recovery.equivalent" equivalent
+          "parallel/checkpointed recovery state diverged from the serial reference";
+        check "recovery.jobs_curve"
+          (List.length by_jobs >= 2)
+          "recovery-vs-jobs curve has %d points, below 2" (List.length by_jobs);
+        check "recovery.checkpoint_curve"
+          (List.length by_age >= 3)
+          "recovery-vs-checkpoint-age curve has %d points, below 3" (List.length by_age);
+        check "recovery.point_walls" (positive walls)
+          "a recovery point's wall is not finite and positive";
+        floor "recovery.parallel_not_slower" (slower = [])
+          "parallel recovery slower than serial (%.2f ms) at %s" serial
+          (String.concat ", "
+             (List.map (fun (j, _, w, _) -> Printf.sprintf "%d jobs (%.2f ms)" j w) slower));
+        floor "recovery.checkpoint_speedup" (ckpt_speedup >= 1.5)
+          "fuzzy checkpoint saved too little: %.2fx below the 1.5x floor" ckpt_speedup;
+      ];
+  }
+
+(* --- log formats: physical vs delta vs operation logging ------------ *)
+
 (* Exactly [load_log_engine]'s committed workload, format-generic: the
    engines issue identical LSN streams on it, so their recovered states
    must fingerprint-match the physical reference byte for byte. *)
@@ -462,55 +524,63 @@ let load_format (type a) (module E : FORMAT_ENGINE with type t = a) (e : a) ~txn
     E.commit txn
   done
 
+(* [v]: the format's log bytes per committed txn, whether every
+   recovered fingerprint (serial and at each job count) matched the
+   reference, and whether its measurements came back finite and
+   positive. *)
 let format_point (type a) (module E : FORMAT_ENGINE with type t = a) ~now ~name ~txns
     ~par_jobs ~ref_fp (e : a) =
   Gc.compact ();
   let (), load_s = time now (fun () -> load_format (module E) e ~txns) in
   let records = E.records_logged e in
   let bytes = E.log_bytes e in
-  let timed () =
-    let best = ref infinity in
-    for _ = 1 to 5 do
-      let (), w = time now (fun () -> E.crash_and_recover e) in
-      if w < !best then best := w
-    done;
-    (!best *. 1000., E.state_fingerprint e)
-  in
-  let serial_ms, serial_fp = timed () in
+  let serial_ms, serial_fp = timed_recovery (module E) ~now e in
   let par =
     List.map
       (fun j ->
         let pool = Pool.create ~jobs:j ~allow_oversubscribe:true () in
         E.set_recovery_pool e (Some pool);
-        let ms, fp = timed () in
+        let ms, fp = timed_recovery (module E) ~now e in
         E.set_recovery_pool e None;
         Pool.shutdown pool;
         (ms, fp))
       par_jobs
   in
+  let bytes_per_txn = float_of_int bytes /. float_of_int txns in
+  (* the whole append path (page update, diff/encode, journal append,
+     commit force) over records logged, not the codec alone *)
+  let append_ns = load_s *. 1e9 /. float_of_int (max 1 records) in
+  let parallel_ms = List.fold_left (fun acc (ms, _) -> Float.min acc ms) infinity par in
+  let equivalent =
+    String.equal serial_fp ref_fp && List.for_all (fun (_, fp) -> String.equal fp ref_fp) par
+  in
   {
-    lf_format = name;
-    lf_committed_txns = txns;
-    lf_records = records;
-    lf_log_bytes = bytes;
-    lf_bytes_per_txn = float_of_int bytes /. float_of_int txns;
-    lf_append_ns_per_record = load_s *. 1e9 /. float_of_int (max 1 records);
-    lf_replay_wall_ms = serial_ms;
-    lf_replay_parallel_ms =
-      List.fold_left (fun acc (ms, _) -> Float.min acc ms) infinity par;
-    lf_equivalent =
-      String.equal serial_fp ref_fp
-      && List.for_all (fun (_, fp) -> String.equal fp ref_fp) par;
+    text =
+      Printf.sprintf
+        "  %-9s %8d records %10d bytes  %8.1f B/txn  append %7.0f ns/rec  replay %7.2f ms \
+         serial, %7.2f ms parallel  (%s)\n"
+        name records bytes bytes_per_txn append_ns serial_ms parallel_ms
+        (identical equivalent "physical reference");
+    json =
+      Json.(
+        Obj
+          [
+            ("format", String name);
+            ("committed_txns", Int txns);
+            ("records", Int records);
+            ("log_bytes", Int bytes);
+            ("log_bytes_per_txn", Float bytes_per_txn);
+            ("append_ns_per_record", Float append_ns);
+            ("replay_wall_ms", Float serial_ms);
+            ("replay_parallel_ms", Float parallel_ms);
+            ("equivalent", Bool equivalent);
+          ]);
+    v = (bytes_per_txn, equivalent, positive [ bytes_per_txn; append_ns; serial_ms ]);
   }
 
 let known_formats = [ "physical"; "delta"; "oplog" ]
 
-let log_format_bench ~now ~jobs ~allow_oversubscribe ~formats ~txns =
-  List.iter
-    (fun f ->
-      if not (List.mem f known_formats) then
-        invalid_arg (Printf.sprintf "Storage_bench.run: unknown log format %S" f))
-    formats;
+let log_format_section ~now ~jobs ~allow_oversubscribe ~formats ~txns =
   let want f = List.mem f formats in
   let par_jobs = List.filter (fun j -> j > 1) (kept_jobs ~jobs ~allow_oversubscribe) in
   (* The cross-format reference: the physical engine's serial reference
@@ -520,122 +590,68 @@ let log_format_bench ~now ~jobs ~allow_oversubscribe ~formats ~txns =
     Engine_log.crash_and_recover_reference t;
     Engine_log.state_fingerprint t
   in
-  let physical =
-    format_point
-      (module Engine_log)
-      ~now ~name:"physical" ~txns ~par_jobs ~ref_fp
-      (Engine_log.create_with ~n_keys:256 ())
+  let point (type a) (module E : FORMAT_ENGINE with type t = a) name (e : a) =
+    format_point (module E) ~now ~name ~txns ~par_jobs ~ref_fp e
   in
+  let physical = point (module Engine_log) "physical" (Engine_log.create_with ~n_keys:256 ()) in
   let delta =
     if not (want "delta") then None
     else
       Some
-        (format_point
-           (module Engine_log)
-           ~now ~name:"delta" ~txns ~par_jobs ~ref_fp
+        (point (module Engine_log) "delta"
            (Engine_log.create_with ~n_keys:256 ~log_format:Engine_log.Delta ()))
   in
   let oplog =
     if not (want "oplog") then None
-    else
-      Some
-        (format_point
-           (module Engine_oplog)
-           ~now ~name:"oplog" ~txns ~par_jobs ~ref_fp
-           (Engine_oplog.create_with ~n_keys:256 ()))
+    else Some (point (module Engine_oplog) "oplog" (Engine_oplog.create_with ~n_keys:256 ()))
   in
   (* A format the caller excluded scores [infinity]: "no bytes spent". *)
+  let physical_bpt, _, _ = physical.v in
   let reduction = function
-    | Some pt when pt.lf_bytes_per_txn > 0. -> physical.lf_bytes_per_txn /. pt.lf_bytes_per_txn
+    | Some { v = bpt, _, _; _ } when bpt > 0. -> physical_bpt /. bpt
     | Some _ | None -> infinity
   in
+  let delta_reduction = reduction delta and oplog_reduction = reduction oplog in
   let points = physical :: List.filter_map Fun.id [ delta; oplog ] in
-  (points, reduction delta, reduction oplog, List.for_all (fun p -> p.lf_equivalent) points)
-
-(* --- buffer pool and journal microbenchmarks ------------------------ *)
-
-let pool_ns ~now ~iters =
-  let disk = Vdisk.create ~pages:512 ~page_size:1024 () in
-  let pool = Buffer_pool.create disk ~frames:128 () in
-  for p = 0 to 127 do
-    ignore (Buffer_pool.get pool p);
-    Buffer_pool.unpin pool p
-  done;
-  let hit_iters = iters in
-  let (), hit_s =
-    time now (fun () ->
-        for i = 0 to hit_iters - 1 do
-          let p = i land 127 in
-          ignore (Buffer_pool.get pool p);
-          Buffer_pool.unpin pool p
-        done)
-  in
-  (* 384 cold pages cycled through 128 frames: every get is a miss. *)
-  let miss_iters = iters / 8 in
-  let (), miss_s =
-    time now (fun () ->
-        for i = 0 to miss_iters - 1 do
-          let p = 128 + (i mod 384) in
-          ignore (Buffer_pool.get pool p);
-          Buffer_pool.unpin pool p
-        done)
-  in
-  ( hit_s *. 1e9 /. float_of_int hit_iters,
-    miss_s *. 1e9 /. float_of_int miss_iters )
-
-let journal_throughput ~now ~iters =
-  let record = String.make 64 'r' in
-  let j1 = Journal.create () in
-  let (), append_s =
-    time now (fun () ->
-        for _ = 1 to iters do
-          ignore (Journal.append j1 record)
-        done;
-        Journal.sync j1)
-  in
-  let j2 = Journal.create () in
-  let (), append_sync_s =
-    time now (fun () ->
-        for i = 1 to iters do
-          ignore (Journal.append j2 record);
-          if i land 63 = 0 then Journal.sync j2
-        done;
-        Journal.sync j2)
-  in
-  ( float_of_int iters /. append_s,
-    float_of_int iters /. append_sync_s )
+  let equivalent = List.for_all (fun { v = _, eq, _; _ } -> eq) points in
+  {
+    report =
+      Printf.sprintf "log formats (same committed workload; %d txns):\n" txns
+      ^ texts points
+      ^ Printf.sprintf "  log volume reduction over physical: delta %.1fx, oplog %.1fx\n"
+          delta_reduction oplog_reduction;
+    fields =
+      Json.
+        [
+          ("log_formats", jsons points);
+          ("log_delta_reduction", Float delta_reduction);
+          ("log_oplog_reduction", Float oplog_reduction);
+          ("log_format_equivalent", Bool equivalent);
+        ];
+    rows =
+      [
+        check "log.equivalent" equivalent
+          "a log format recovered to different state than the physical reference";
+        check "log.measured"
+          (List.for_all (fun { v = _, _, ok; _ } -> ok) points)
+          "a log format's bytes/txn, append ns/record or serial replay wall is not finite and \
+           positive";
+        floor "log.formats"
+          (List.length points >= 3)
+          "log-format head-to-head has %d formats, below 3" (List.length points);
+        (* the slimmer format must actually shrink the log *)
+        floor "log.delta_reduction" (delta_reduction >= 2.0)
+          "delta log reduction %.2fx below the 2x floor" delta_reduction;
+      ];
+  }
 
 (* --- open-loop server: group commit vs per-transaction sync --------- *)
-
-module W = Dbm_workload.Workload
-module Hist = Dbm_util.Stats.Histogram
 
 module type SERVER_ENGINE = sig
   include Server.ENGINE
 
   val state_fingerprint : t -> string
 end
-
-(* Random-access transactions from the workload generator, one key per
-   referenced page so lock conflicts stay at the paper's page granule. *)
-let server_scripts ~n ~seed =
-  let cfg =
-    {
-      W.n_transactions = n;
-      min_pages = 2;
-      max_pages = 8;
-      write_fraction = 0.7;
-      pattern = W.Random_access;
-      db_pages = 1024;
-      seed;
-    }
-  in
-  Array.map
-    (fun t ->
-      List.init (Array.length t.W.pages) (fun i ->
-          let k = t.W.pages.(i) * 4 in
-          if t.W.writes.(i) then Scheduler.Put (k, value) else Scheduler.Get k))
-    (W.generate cfg)
 
 (* Deterministic serial equivalence check: a grouped commit sequence —
    forces between batches and a crash {e between append and force} on
@@ -684,13 +700,13 @@ let grouped_equivalent (type a) (module E : SERVER_ENGINE with type t = a) =
   E.crash_and_recover r;
   String.equal fp_grouped (E.state_fingerprint r)
 
+(* [v]: the engine's grouped/eager speedup, its equivalence check, its
+   sweep length, and whether every sweep point's latency percentiles
+   came back finite and positive, and monotone. *)
 let server_bench_engine (type a) (module E : SERVER_ENGINE with type t = a) ~loads ~n ~seed =
   let module Srv = Server.Make (E) in
-  let scripts = server_scripts ~n ~seed in
-  let arrivals rate =
-    let rng = Dbm_util.Prng.create (seed + int_of_float rate) in
-    Array.map (fun s -> s *. 1e6) (W.gen_arrival_times rng (W.Poisson { rate }) ~n)
-  in
+  let scripts = scripts_of (random_access_txns ~n ~seed) in
+  let arrivals rate = poisson_arrivals_us ~seed:(seed + int_of_float rate) ~rate ~n in
   let grouped_mode = Commit_pipeline.Grouped { batch = 32; timeout_us = 1000.0 } in
   let point ?ro_hist ?rw_hist ~mode rate =
     let e = E.create ~n_keys:4096 () in
@@ -709,36 +725,71 @@ let server_bench_engine (type a) (module E : SERVER_ENGINE with type t = a) ~loa
         Hist.clear ro_h;
         Hist.clear rw_h;
         let r = point ~ro_hist:ro_h ~rw_hist:rw_h ~mode:grouped_mode rate in
+        let h = r.Server.latency_us in
+        let p50 = Hist.p50 h and p99 = Hist.p99 h and p999 = Hist.p999 h in
         {
-          sv_offered_tps = rate;
-          sv_sustained_tps = r.Server.sustained_tps;
-          sv_completed = r.Server.completed;
-          sv_p50_us = Hist.p50 r.Server.latency_us;
-          sv_p99_us = Hist.p99 r.Server.latency_us;
-          sv_p999_us = Hist.p999 r.Server.latency_us;
-          sv_mean_us = Hist.mean r.Server.latency_us;
-          sv_max_us = Hist.max r.Server.latency_us;
-          sv_restarts = r.Server.restarts;
-          sv_forces = r.Server.forces;
-          sv_max_queued = r.Server.max_queued;
+          text =
+            Printf.sprintf
+              "    offered %8.0f tps -> sustained %8.0f tps  p50 %8.1f us  p99 %9.1f us  p999 \
+               %9.1f us  (%d forces, %d restarts, queue peak %d)\n"
+              rate r.Server.sustained_tps p50 p99 p999 r.Server.forces r.Server.restarts
+              r.Server.max_queued;
+          json =
+            Json.(
+              Obj
+                [
+                  ("offered_tps", Float rate);
+                  ("sustained_tps", Float r.Server.sustained_tps);
+                  ("completed", Int r.Server.completed);
+                  ("p50_us", Float p50);
+                  ("p99_us", Float p99);
+                  ("p999_us", Float p999);
+                  ("mean_us", Float (Hist.mean h));
+                  ("max_us", Float (Hist.max h));
+                  ("restarts", Int r.Server.restarts);
+                  ("forces", Int r.Server.forces);
+                  ("max_queued", Int r.Server.max_queued);
+                ]);
+          v = (positive [ p50; p99; p999 ], p50 <= p99 && p99 <= p999);
         })
       loads
   in
   let top = List.fold_left Float.max 0.0 loads in
   let eager = point ~mode:Commit_pipeline.Eager top in
   let grouped = point ~mode:grouped_mode top in
+  let eager_tps = eager.Server.sustained_tps and grouped_tps = grouped.Server.sustained_tps in
+  let speedup = if eager_tps > 0. then grouped_tps /. eager_tps else infinity in
+  let eager_p99 = Hist.p99 eager.Server.latency_us in
+  let grouped_p99 = Hist.p99 grouped.Server.latency_us in
+  let equivalent = grouped_equivalent (module E) in
   {
-    sv_engine = E.engine_name;
-    sv_sweep = sweep;
-    sv_eager_tps = eager.Server.sustained_tps;
-    sv_grouped_tps = grouped.Server.sustained_tps;
-    sv_speedup =
-      (if eager.Server.sustained_tps > 0. then
-         grouped.Server.sustained_tps /. eager.Server.sustained_tps
-       else infinity);
-    sv_eager_p99_us = Hist.p99 eager.Server.latency_us;
-    sv_grouped_p99_us = Hist.p99 grouped.Server.latency_us;
-    sv_equivalent = grouped_equivalent (module E);
+    text =
+      Printf.sprintf "  %s:\n" E.engine_name
+      ^ texts sweep
+      ^ Printf.sprintf
+          "    top load head-to-head: eager %8.0f tps (p99 %9.1f us) -> grouped %8.0f tps \
+           (p99 %9.1f us)  %.1fx, recovery %s\n"
+          eager_tps eager_p99 grouped_tps grouped_p99 speedup
+          (if equivalent then "equivalent" else "DIVERGED");
+    json =
+      Json.(
+        Obj
+          [
+            ("engine", String E.engine_name);
+            ("sweep", jsons sweep);
+            ("eager_tps", Float eager_tps);
+            ("grouped_tps", Float grouped_tps);
+            ("group_commit_speedup", Float speedup);
+            ("eager_p99_us", Float eager_p99);
+            ("grouped_p99_us", Float grouped_p99);
+            ("equivalent", Bool equivalent);
+          ]);
+    v =
+      ( speedup,
+        equivalent,
+        List.length sweep,
+        List.for_all (fun { v = ok, _; _ } -> ok) sweep,
+        List.for_all (fun { v = _, ok; _ } -> ok) sweep );
   }
 
 (* Offered loads spanning both engines' saturation points: eager
@@ -746,8 +797,8 @@ let server_bench_engine (type a) (module E : SERVER_ENGINE with type t = a) ~loa
    — the top points drive both pipelines well past saturation. *)
 let server_loads = [ 2_000.0; 10_000.0; 40_000.0; 160_000.0; 400_000.0 ]
 
-(* The logging engine on the slimmed (delta) log: the BENCH_7 server
-   sweep re-run over far fewer log bytes per commit. *)
+(* The logging engine on the slimmed (delta) log: the server sweep
+   re-run over far fewer log bytes per commit. *)
 module Engine_log_delta = struct
   include Engine_log
 
@@ -756,31 +807,64 @@ module Engine_log_delta = struct
   let create ?n_keys () = create_with ?n_keys ~log_format:Delta ()
 end
 
-let server_bench ~scale =
+let server_section ~scale =
   let n = 800 * scale and seed = 20_250 in
-  [
-    server_bench_engine (module Engine_log) ~loads:server_loads ~n ~seed;
-    server_bench_engine (module Engine_log_delta) ~loads:server_loads ~n ~seed;
-    server_bench_engine (module Engine_diff) ~loads:server_loads ~n ~seed;
-  ]
+  let bench (module E : SERVER_ENGINE) =
+    server_bench_engine (module E) ~loads:server_loads ~n ~seed
+  in
+  let engines =
+    List.map bench
+      [ (module Engine_log : SERVER_ENGINE); (module Engine_log_delta); (module Engine_diff) ]
+  in
+  let speedup =
+    List.fold_left (fun acc { v = s, _, _, _, _; _ } -> Float.min acc s) infinity engines
+  in
+  let equivalent = List.for_all (fun { v = _, eq, _, _, _; _ } -> eq) engines in
+  let count = List.length engines in
+  {
+    report =
+      "open-loop server (simulated time, group commit, mpl 64):\n"
+      ^ texts engines
+      ^ Printf.sprintf "  worst grouped/eager speedup across engines: %.2fx\n" speedup;
+    fields =
+      Json.
+        [
+          ("server", jsons engines);
+          ("server_group_commit_speedup", Float speedup);
+          ("server_equivalent", Bool equivalent);
+        ];
+    rows =
+      [
+        check "server.equivalent" equivalent
+          "grouped-commit recovered state diverged from the eager reference";
+        check "server.engines" (count >= 2) "server sweep has %d engines, below 2" count;
+        check "server.sweep"
+          (List.for_all (fun { v = _, _, loads, _, _; _ } -> loads >= 3) engines)
+          "an engine's server sweep has fewer than 3 points";
+        check "server.percentiles_finite"
+          (List.for_all (fun { v = _, _, _, ok, _; _ } -> ok) engines)
+          "a server sweep point's p50, p99 or p999 is not finite and positive";
+        check "server.percentiles_monotone"
+          (List.for_all (fun { v = _, _, _, _, ok; _ } -> ok) engines)
+          "a server sweep point's percentiles are not monotone (p50 <= p99 <= p999)";
+        (* group commit is only worth its durability window if it buys
+           real throughput *)
+        floor "server.group_commit_speedup" (speedup >= 2.0)
+          "group-commit speedup %.2fx below the 2x floor" speedup;
+      ];
+  }
 
 (* --- MVCC snapshot reads: read-heavy head-to-head ------------------- *)
 
-(* What the read-heavy sweep needs: a {!Server.ENGINE} whose engine can
-   also pin MVCC snapshots.  Engine_diff, Engine_versel and
-   Engine_oplog all satisfy it. *)
+(* What the read-heavy sweep needs: a {!Server.ENGINE} that can also pin
+   MVCC snapshots.  Engine_diff, Engine_versel and Engine_oplog all
+   satisfy it. *)
 module type SNAPSHOT_SERVER_ENGINE = sig
-  include Server.ENGINE
+  include Kv.SNAPSHOT
 
-  type snapshot
+  val commit_group : txn -> unit
 
-  val snapshot : t -> snapshot
-
-  val snapshot_get : snapshot -> int -> string option
-
-  val snapshot_release : snapshot -> unit
-
-  val live_snapshots : t -> int
+  val force_commits : t -> unit
 end
 
 let snapshot_engines : (module SNAPSHOT_SERVER_ENGINE) list =
@@ -789,8 +873,8 @@ let snapshot_engines : (module SNAPSHOT_SERVER_ENGINE) list =
 (* Zipfian-page transactions with a read-only class carved out: each
    transaction's whole write set is cleared with probability
    [read_frac].  One key per referenced page keeps conflicts at the
-   page granule; the heavy-tail variant draws Pareto sizes (satellite:
-   mostly-small, occasionally-huge transaction mixes). *)
+   page granule; the heavy-tail variant draws Pareto sizes (mostly
+   small, occasionally huge transaction mixes). *)
 let read_heavy_scripts ~n ~seed ~read_frac ~heavy =
   let cfg =
     {
@@ -807,62 +891,38 @@ let read_heavy_scripts ~n ~seed ~read_frac ~heavy =
   let txns = W.generate_with ~size_dist cfg in
   let rng = Dbm_util.Prng.create (seed lxor 0x5eed) in
   let txns = W.apply_read_fraction rng ~read_frac txns in
-  let read_only = Array.map (fun t -> W.write_set_size t = 0) txns in
-  let scripts =
-    Array.map
-      (fun t ->
-        List.init (Array.length t.W.pages) (fun i ->
-            let k = t.W.pages.(i) * 4 in
-            if t.W.writes.(i) then Scheduler.Put (k, value) else Scheduler.Get k))
-      txns
-  in
-  (scripts, read_only)
+  (scripts_of txns, Array.map (fun t -> W.write_set_size t = 0) txns)
 
-(* The committed data, as data: crash-recover, then digest a full key
-   scan through a fresh transaction.  Every put writes the one constant
-   [value], so the recovered store is independent of commit order and
-   the three lock modes must scan identically — unlike the engines'
+(* Crash-recover, then scan through one fresh transaction: the three
+   lock modes must scan identically — unlike the engines'
    [state_fingerprint]s, whose counters legitimately differ across
    modes. *)
 let read_scan_digest (type a) (module E : SNAPSHOT_SERVER_ENGINE with type t = a) (e : a) =
   E.crash_and_recover e;
-  let d = Dbm_util.Digest.create () in
   let txn = E.begin_txn e in
-  for k = 0 to E.max_keys e - 1 do
-    Dbm_util.Digest.int d k;
-    match E.get txn k with
-    | Some v ->
-      Dbm_util.Digest.int d 1;
-      Dbm_util.Digest.string d v
-    | None -> Dbm_util.Digest.int d 0
-  done;
+  let digest = scan_digest ~n_keys:(E.max_keys e) (E.get txn) in
   E.abort txn;
-  Dbm_util.Digest.hex d
+  digest
 
 let pctl h p = if Hist.count h = 0 then 0.0 else Hist.percentile h ~p
+
+let read_modes = [ "xlock"; "slock"; "snapshot" ]
 
 (* One server run of the workload under one read-lock regime, through
    the eager (per-commit-force) pipeline: in the locked modes {e every}
    transaction — read-only ones included — appends a commit record and
    pays the force; the snapshot read-only class has nothing to make
    durable and bypasses the pipeline, which together with the absent
-   lock waits is where its throughput headroom comes from.  Returns
-   the point and the post-crash scan digest (plus a snapshot-leak
-   check: every view must be closed by the end). *)
+   lock waits is where its throughput headroom comes from.  [v]: the
+   sustained tps, the read-only restarts, the post-crash scan digest
+   and whether every snapshot view was closed by the end. *)
 let read_mode_run (type a) (module E : SNAPSHOT_SERVER_ENGINE with type t = a) ~mode_name
     ~arrivals_us ~scripts ~read_only =
   let module Srv = Server.Make (E) in
   let e = E.create ~n_keys:1024 () in
   let snapshot =
-    if not (String.equal mode_name "snapshot") then None
-    else
-      Some
-        (fun () ->
-          let s = E.snapshot e in
-          {
-            Scheduler.view_get = (fun k -> E.snapshot_get s k);
-            view_close = (fun () -> E.snapshot_release s);
-          })
+    if String.equal mode_name "snapshot" then Some (Scheduler.snapshot_view (module E) e)
+    else None
   in
   let read_mode = if String.equal mode_name "xlock" then Some Lock_mgr.X else None in
   let r =
@@ -870,20 +930,42 @@ let read_mode_run (type a) (module E : SNAPSHOT_SERVER_ENGINE with type t = a) ~
       ~mode:Commit_pipeline.Eager ~arrivals_us ~scripts e
   in
   let leaked = E.live_snapshots e in
-  let point =
-    {
-      rm_mode = mode_name;
-      rm_sustained_tps = r.Server.sustained_tps;
-      rm_restarts = r.Server.restarts;
-      rm_ro_restarts = r.Server.ro_restarts;
-      rm_lock_acquires = r.Server.lock_acquires;
-      rm_ro_p50_us = pctl r.Server.ro_latency_us 50.0;
-      rm_ro_p99_us = pctl r.Server.ro_latency_us 99.0;
-      rm_rw_p50_us = pctl r.Server.rw_latency_us 50.0;
-      rm_rw_p99_us = pctl r.Server.rw_latency_us 99.0;
-    }
-  in
-  (point, read_scan_digest (module E) e, leaked = 0)
+  let ro = r.Server.ro_latency_us and rw = r.Server.rw_latency_us in
+  let digest = read_scan_digest (module E) e in
+  {
+    text =
+      Printf.sprintf
+        "      %-8s %8.0f tps  %6d locks  %3d restarts (%d ro)  ro p50/p99 %8.1f/%9.1f us  rw \
+         p50/p99 %8.1f/%9.1f us\n"
+        mode_name r.Server.sustained_tps r.Server.lock_acquires r.Server.restarts
+        r.Server.ro_restarts (pctl ro 50.0) (pctl ro 99.0) (pctl rw 50.0) (pctl rw 99.0);
+    json =
+      Json.(
+        Obj
+          [
+            ("mode", String mode_name);
+            ("sustained_tps", Float r.Server.sustained_tps);
+            ("restarts", Int r.Server.restarts);
+            ("ro_restarts", Int r.Server.ro_restarts);
+            ("lock_acquires", Int r.Server.lock_acquires);
+            ("ro_p50_us", Float (pctl ro 50.0));
+            ("ro_p99_us", Float (pctl ro 99.0));
+            ("rw_p50_us", Float (pctl rw 50.0));
+            ("rw_p99_us", Float (pctl rw 99.0));
+          ]);
+    v = (r.Server.sustained_tps, r.Server.ro_restarts, digest, leaked = 0);
+  }
+
+(* What the read-heavy section reads of one read-fraction point. *)
+type read_point = {
+  read_frac : float;
+  heavy : bool;
+  speedup : float;  (* snapshot tps over xlock tps *)
+  equivalent : bool;  (* post-crash scans equal across modes, no leaked view *)
+  snapshot_ro_restarts : int;
+  tps_positive : bool;  (* every mode's tps finite and > 0 *)
+  modes : string list;
+}
 
 let read_frac_point (module E : SNAPSHOT_SERVER_ENGINE) ~n ~seed ~read_frac ~heavy =
   let scripts, read_only = read_heavy_scripts ~n ~seed ~read_frac ~heavy in
@@ -892,73 +974,133 @@ let read_frac_point (module E : SNAPSHOT_SERVER_ENGINE) ~n ~seed ~read_frac ~hea
      capacity-bound and sustained tps measures capacity, not the
      arrival rate. *)
   let arrivals_us =
-    let rng = Dbm_util.Prng.create (seed + int_of_float (read_frac *. 1000.0)) in
-    Array.map (fun s -> s *. 1e6) (W.gen_arrival_times rng (W.Poisson { rate = 160_000.0 }) ~n)
+    poisson_arrivals_us ~seed:(seed + int_of_float (read_frac *. 1000.0)) ~rate:160_000.0 ~n
   in
-  let run name = read_mode_run (module E) ~mode_name:name ~arrivals_us ~scripts ~read_only in
-  let xlock, fp_x, ok_x = run "xlock" in
-  let slock, fp_s, ok_s = run "slock" in
-  let snap, fp_n, ok_n = run "snapshot" in
+  let runs =
+    List.map
+      (fun mode_name ->
+        (mode_name, read_mode_run (module E) ~mode_name ~arrivals_us ~scripts ~read_only))
+      read_modes
+  in
+  let points = List.map snd runs in
+  let xlock_tps, _, _, _ = (List.assoc "xlock" runs).v in
+  let snapshot_tps, snapshot_ro_restarts, _, _ = (List.assoc "snapshot" runs).v in
+  let speedup = if xlock_tps > 0. then snapshot_tps /. xlock_tps else infinity in
+  let digests = List.map (fun { v = _, _, digest, _; _ } -> digest) points in
+  let equivalent =
+    List.for_all (String.equal (List.hd digests)) digests
+    && List.for_all (fun { v = _, _, _, closed; _ } -> closed) points
+  in
   {
-    rf_read_frac = read_frac;
-    rf_heavy_tail = heavy;
-    rf_modes = [ xlock; slock; snap ];
-    rf_snapshot_speedup =
-      (if xlock.rm_sustained_tps > 0. then snap.rm_sustained_tps /. xlock.rm_sustained_tps
-       else infinity);
-    rf_equivalent =
-      String.equal fp_x fp_s && String.equal fp_x fp_n && ok_x && ok_s && ok_n;
+    text =
+      Printf.sprintf "    read fraction %.2f%s:\n" read_frac
+        (if heavy then " [Pareto sizes]" else "")
+      ^ texts points
+      ^ Printf.sprintf "      snapshot over xlock: %.2fx, recovered scans %s\n" speedup
+          (if equivalent then "identical across modes" else "DIVERGED");
+    json =
+      Json.(
+        Obj
+          [
+            ("read_frac", Float read_frac);
+            ("heavy_tail", Bool heavy);
+            ("modes", jsons points);
+            ("snapshot_speedup", Float speedup);
+            ("equivalent", Bool equivalent);
+          ]);
+    v =
+      {
+        read_frac;
+        heavy;
+        speedup;
+        equivalent;
+        snapshot_ro_restarts;
+        tps_positive = positive (List.map (fun { v = t, _, _, _; _ } -> t) points);
+        modes = List.map fst runs;
+      };
   }
 
-let read_heavy_bench ~scale ~read_fracs =
-  let n = 400 * scale and seed = 90_125 in
-  List.map
-    (fun (module E : SNAPSHOT_SERVER_ENGINE) ->
-      let points =
-        List.map (fun rf -> read_frac_point (module E) ~n ~seed ~read_frac:rf ~heavy:false) read_fracs
-        @ [ read_frac_point (module E) ~n ~seed ~read_frac:0.9 ~heavy:true ]
-      in
-      { re_engine = E.engine_name; re_points = points })
-    snapshot_engines
-
-(* The gate point: among each engine's uniform-size points, the one
+(* The gate point: among an engine's uniform-size points, the one
    closest to read fraction 0.9 (exactly 0.9 on default sweeps). *)
-let read_gate_speedup read_heavy =
-  List.fold_left
-    (fun acc re ->
-      let uniform = List.filter (fun p -> not p.rf_heavy_tail) re.re_points in
-      match uniform with
-      | [] -> acc
-      | _ ->
-        let best =
-          List.fold_left
-            (fun (d, sp) p ->
-              let d' = Float.abs (p.rf_read_frac -. 0.9) in
-              if d' < d then (d', p.rf_snapshot_speedup) else (d, sp))
-            (infinity, infinity) uniform
-        in
-        Float.min acc (snd best))
-    infinity read_heavy
+let gate_speedup points =
+  snd
+    (List.fold_left
+       (fun (d, sp) { v = p; _ } ->
+         let d' = Float.abs (p.read_frac -. 0.9) in
+         if (not p.heavy) && d' < d then (d', p.speedup) else (d, sp))
+       (infinity, infinity) points)
 
-let snapshot_mode_ro_restarts read_heavy =
-  List.fold_left
-    (fun acc re ->
-      List.fold_left
-        (fun acc p ->
-          List.fold_left
-            (fun acc m -> if String.equal m.rm_mode "snapshot" then acc + m.rm_ro_restarts else acc)
-            acc p.rf_modes)
-        acc re.re_points)
-    0 read_heavy
+let read_heavy_section ~scale ~read_fracs =
+  let n = 400 * scale and seed = 90_125 in
+  let engines =
+    List.map
+      (fun (module E : SNAPSHOT_SERVER_ENGINE) ->
+        let point = read_frac_point (module E) ~n ~seed in
+        ( E.engine_name,
+          List.map (fun rf -> point ~read_frac:rf ~heavy:false) read_fracs
+          @ [ point ~read_frac:0.9 ~heavy:true ] ))
+      snapshot_engines
+  in
+  let all = List.concat_map (fun (_, ps) -> List.map (fun p -> p.v) ps) engines in
+  let speedup =
+    List.fold_left (fun acc (_, ps) -> Float.min acc (gate_speedup ps)) infinity engines
+  in
+  let ro_restarts = List.fold_left (fun acc p -> acc + p.snapshot_ro_restarts) 0 all in
+  let equivalent = List.for_all (fun p -> p.equivalent) all in
+  let count = List.length engines in
+  {
+    report =
+      "read-heavy snapshot sweep (eager commits, Zipfian pages, simulated time):\n"
+      ^ String.concat ""
+          (List.map (fun (name, ps) -> Printf.sprintf "  %s:\n" name ^ texts ps) engines)
+      ^ Printf.sprintf
+          "  worst snapshot/xlock speedup near read fraction 0.9: %.2fx (%d ro restarts on the \
+           snapshot path)\n"
+          speedup ro_restarts;
+    fields =
+      Json.
+        [
+          ( "read_heavy",
+            List
+              (List.map
+                 (fun (name, ps) -> Obj [ ("engine", String name); ("points", jsons ps) ])
+                 engines) );
+          ("read_snapshot_speedup", Float speedup);
+          ("read_ro_restarts", Int ro_restarts);
+          ("read_equivalent", Bool equivalent);
+        ];
+    rows =
+      [
+        check "read.equivalent" equivalent
+          "a read-lock regime recovered to different data than its peers";
+        check "read.ro_restarts" (ro_restarts = 0)
+          "%d read-only restarts on the snapshot path (must be 0)" ro_restarts;
+        check "read.engines" (count >= 3) "snapshot sweep has %d engines, below 3" count;
+        check "read.heavy_tail"
+          (List.for_all (fun (_, ps) -> List.exists (fun p -> p.v.heavy) ps) engines)
+          "an engine's snapshot sweep lacks the Pareto-size point";
+        check "read.modes"
+          (List.for_all (fun p -> p.modes = read_modes) all)
+          "a snapshot-sweep point lacks one of the xlock, slock and snapshot modes";
+        check "read.tps"
+          (List.for_all (fun p -> p.tps_positive) all)
+          "a read mode's sustained tps is not finite and positive";
+        floor "read.points"
+          (List.for_all (fun (_, ps) -> List.length ps >= 4) engines)
+          "an engine's snapshot sweep has fewer than 4 points";
+        (* the snapshot path must beat the lock-everything baseline on
+           read-heavy load *)
+        floor "read.snapshot_speedup" (speedup >= 2.0)
+          "snapshot read speedup %.2fx below the 2x floor" speedup;
+      ];
+  }
 
 (* --- sharded multicore execution: tps vs shards, cross-shard 2PC ---- *)
 
 module Sharded_log = Shard.Make (Engine_log)
 module Serial_log = Server.Make (Engine_log)
 
-let shard_db_pages = 1024
-
-let shard_n_keys = shard_db_pages * 4 (* 4 keys per page *)
+let shard_n_keys = random_access_pages * 4 (* 4 keys per page *)
 
 (* Workload with an exact cross-shard fraction carved against the {e
    top} shard count's router.  The router's class at [top] refines its
@@ -967,57 +1109,21 @@ let shard_n_keys = shard_db_pages * 4 (* 4 keys per page *)
    single-shard at {e every} count — the fully-parallel regime the
    scaling gate measures. *)
 let shard_scripts ~n ~seed ~cross_frac ~top =
-  let cfg =
-    {
-      W.n_transactions = n;
-      min_pages = 2;
-      max_pages = 8;
-      write_fraction = 0.7;
-      pattern = W.Random_access;
-      db_pages = shard_db_pages;
-      seed;
-    }
-  in
-  let txns = W.generate cfg in
   let rng = Dbm_util.Prng.create (seed lxor 0xc105) in
-  let txns =
-    W.apply_cross_fraction rng ~cross_frac ~classes:top
-      ~class_of:(fun p -> Shard_router.shard_of_page ~shards:top p)
-      ~db_pages:shard_db_pages txns
-  in
-  Array.map
-    (fun t ->
-      List.init (Array.length t.W.pages) (fun i ->
-          let k = t.W.pages.(i) * 4 in
-          if t.W.writes.(i) then Scheduler.Put (k, value) else Scheduler.Get k))
-    txns
+  scripts_of
+    (W.apply_cross_fraction rng ~cross_frac ~classes:top
+       ~class_of:(fun p -> Shard_router.shard_of_page ~shards:top p)
+       ~db_pages:random_access_pages (random_access_txns ~n ~seed))
 
-(* Offered load far above a single serial server's capacity, so tps
-   measures capacity and the shard sweep exposes the parallel
-   headroom.  Simulated time: the curve is machine-independent. *)
-let shard_arrivals ~n ~seed =
-  let rng = Dbm_util.Prng.create (seed + 77) in
-  Array.map (fun s -> s *. 1e6) (W.gen_arrival_times rng (W.Poisson { rate = 400_000.0 }) ~n)
-
-(* The committed data as data (as in the snapshot sweep): every put
-   writes the one constant [value], so any serializable execution of
-   the same transaction set scans identically after crash recovery —
-   the cross-shard-count and cross-fraction equality gate. *)
+(* Each key read from its home shard: the cross-shard-count and
+   cross-fraction equality gate. *)
 let shard_scan_digest ~shards engines =
   let keys_per_page = Engine_log.keys_per_page engines.(0) in
-  let d = Dbm_util.Digest.create () in
-  for k = 0 to shard_n_keys - 1 do
-    let s = Shard_router.shard_of_key ~shards ~keys_per_page k in
-    let t = Engine_log.begin_txn engines.(s) in
-    Dbm_util.Digest.int d k;
-    (match Engine_log.get t k with
-    | Some v ->
-      Dbm_util.Digest.int d 1;
-      Dbm_util.Digest.string d v
-    | None -> Dbm_util.Digest.int d 0);
-    Engine_log.abort t
-  done;
-  Dbm_util.Digest.hex d
+  scan_digest ~n_keys:shard_n_keys (fun k ->
+      let t = Engine_log.begin_txn engines.(Shard_router.shard_of_key ~shards ~keys_per_page k) in
+      let v = Engine_log.get t k in
+      Engine_log.abort t;
+      v)
 
 let shard_mode = Commit_pipeline.Grouped { batch = 32; timeout_us = 1000.0 }
 
@@ -1087,8 +1193,12 @@ let shard_section ~scale ~shard_counts ~cross_fracs =
   let n = 600 * scale and seed = 31_850 in
   let counts = List.sort_uniq Int.compare (1 :: shard_counts) in
   let top = List.fold_left Stdlib.max 1 counts in
-  let arrivals_us = shard_arrivals ~n ~seed in
-  (* tps vs shard count on the zero-cross workload *)
+  (* Offered load far above a single serial server's capacity, so tps
+     measures capacity and the shard sweep exposes the parallel
+     headroom.  Simulated time: the curve is machine-independent. *)
+  let arrivals_us = poisson_arrivals_us ~seed:(seed + 77) ~rate:400_000.0 ~n in
+  (* tps vs shard count on the zero-cross workload; [v]: shard count,
+     oversubscribed, sustained tps, equivalent *)
   let scripts0 = shard_scripts ~n ~seed ~cross_frac:0.0 ~top in
   let direct, direct_fingerprint, reference =
     shard_serial_reference ~arrivals_us ~scripts:scripts0
@@ -1097,53 +1207,202 @@ let shard_section ~scale ~shard_counts ~cross_fracs =
     List.map
       (fun shards ->
         let r, fingerprint, digest, in_doubt = shard_run ~shards ~arrivals_us ~scripts:scripts0 in
+        let p99 = Hist.p99 r.Shard.latency_us in
+        (* vacuously true at counts other than 1 *)
+        let serial_identical =
+          shards <> 1 || shard_serial_identical r fingerprint direct direct_fingerprint
+        in
+        let scan_equal = String.equal digest reference in
         {
-          sh_shards = shards;
-          sh_oversubscribed = r.Shard.oversubscribed;
-          sh_sustained_tps = r.Shard.sustained_tps;
-          sh_makespan_us = r.Shard.makespan_us;
-          sh_p99_us = Hist.p99 r.Shard.latency_us;
-          sh_restarts = r.Shard.restarts;
-          sh_serial_identical =
-            shards <> 1 || shard_serial_identical r fingerprint direct direct_fingerprint;
-          sh_scan_equal = String.equal digest reference;
-          sh_in_doubt = in_doubt;
+          text =
+            Printf.sprintf
+              "  %d shard%s%s %8.0f tps  makespan %10.0f us  p99 %9.1f us  (%d restarts, %d in \
+               doubt, scan %s%s)\n"
+              shards
+              (if shards > 1 then "s" else " ")
+              (if r.Shard.oversubscribed then " [oversubscribed]" else "")
+              r.Shard.sustained_tps r.Shard.makespan_us p99 r.Shard.restarts in_doubt
+              (if scan_equal then "identical" else "DIVERGED")
+              (if shards = 1 then
+                 if serial_identical then ", bit-identical to Server.run" else ", SERIAL DRIFT"
+               else "");
+          json =
+            Json.(
+              Obj
+                [
+                  ("shards", Int shards);
+                  ("oversubscribed", Bool r.Shard.oversubscribed);
+                  ("sustained_tps", Float r.Shard.sustained_tps);
+                  ("makespan_us", Float r.Shard.makespan_us);
+                  ("p99_us", Float p99);
+                  ("restarts", Int r.Shard.restarts);
+                  ("serial_identical", Bool serial_identical);
+                  ("scan_equal", Bool scan_equal);
+                  ("in_doubt", Int in_doubt);
+                ]);
+          v =
+            ( shards,
+              r.Shard.oversubscribed,
+              r.Shard.sustained_tps,
+              scan_equal && serial_identical && in_doubt = 0 );
         })
       counts
   in
   let tps_of c =
-    List.fold_left (fun acc p -> if p.sh_shards = c then p.sh_sustained_tps else acc) 0.0 points
+    List.fold_left (fun acc { v = s, _, tps, _; _ } -> if s = c then tps else acc) 0.0 points
   in
   let scaling = if tps_of 1 > 0.0 then tps_of top /. tps_of 1 else infinity in
+  let top_oversubscribed = List.exists (fun { v = _, over, _, _; _ } -> over) points in
   (* cross-shard fraction sweep at the top shard count, each fraction
-     gated against its own serial reference *)
+     gated against its own serial reference; [v]: fraction, cross
+     txns, equivalent *)
   let cross =
     List.map
       (fun cf ->
         let scripts = shard_scripts ~n ~seed ~cross_frac:cf ~top in
         let _, _, reference = shard_serial_reference ~arrivals_us ~scripts in
         let r, _, digest, in_doubt = shard_run ~shards:top ~arrivals_us ~scripts in
+        let xh = r.Shard.cross_latency_us in
+        let p99_cross = if Hist.count xh = 0 then 0.0 else Hist.p99 xh in
+        let scan_equal = String.equal digest reference in
         {
-          cf_cross_frac = cf;
-          cf_cross_txns = r.Shard.cross_committed;
-          cf_sustained_tps = r.Shard.sustained_tps;
-          cf_p99_cross_us =
-            (if Hist.count r.Shard.cross_latency_us = 0 then 0.0
-             else Hist.p99 r.Shard.cross_latency_us);
-          cf_scan_equal = String.equal digest reference;
-          cf_in_doubt = in_doubt;
+          text =
+            Printf.sprintf
+              "  cross %.2f: %4d cross txns  %8.0f tps  cross p99 %9.1f us  (%d in doubt, scan \
+               %s)\n"
+              cf r.Shard.cross_committed r.Shard.sustained_tps p99_cross in_doubt
+              (if scan_equal then "identical" else "DIVERGED");
+          json =
+            Json.(
+              Obj
+                [
+                  ("cross_frac", Float cf);
+                  ("cross_txns", Int r.Shard.cross_committed);
+                  ("sustained_tps", Float r.Shard.sustained_tps);
+                  ("p99_cross_us", Float p99_cross);
+                  ("scan_equal", Bool scan_equal);
+                  ("in_doubt", Int in_doubt);
+                ]);
+          v = (cf, r.Shard.cross_committed, scan_equal && in_doubt = 0);
         })
       cross_fracs
   in
+  let equivalent =
+    List.for_all (fun { v = _, _, _, eq; _ } -> eq) points
+    && List.for_all (fun { v = _, _, eq; _ } -> eq) cross
+  in
+  let n_points = List.length points in
   {
-    sb_points = points;
-    sb_scaling = scaling;
-    sb_cross = cross;
-    sb_equivalent =
-      List.for_all
-        (fun p -> p.sh_scan_equal && p.sh_serial_identical && p.sh_in_doubt = 0)
-        points
-      && List.for_all (fun c -> c.cf_scan_equal && c.cf_in_doubt = 0) cross;
+    report =
+      "sharded execution (zero-cross workload, group commit, simulated time):\n"
+      ^ texts points
+      ^ Printf.sprintf "  scaling at the top shard count: %.2fx over 1 shard\n" scaling
+      ^ "cross-shard fraction sweep (two-phase commit at the top shard count):\n"
+      ^ texts cross;
+    fields =
+      Json.
+        [
+          ( "shard",
+            Obj
+              [
+                ("points", jsons points);
+                ("scaling", Float scaling);
+                ("cross", jsons cross);
+                ("equivalent", Bool equivalent);
+              ] );
+        ];
+    rows =
+      [
+        check "shard.equivalent" equivalent
+          "a sharded run diverged from the serial reference after recovery (scan digest, \
+           1-shard identity or transactions left in doubt)";
+        check "shard.tps"
+          (positive (List.map (fun { v = _, _, tps, _; _ } -> tps) points))
+          "a shard point's sustained tps is not finite and positive";
+        floor "shard.points" (n_points >= 3) "shard sweep has %d points, below 3" n_points;
+        floor "shard.cross_txns"
+          (List.for_all (fun { v = cf, txns, _; _ } -> cf <= 0.0 || txns > 0) cross)
+          "a cross-shard fraction above 0 generated no cross-shard transactions";
+        (* skipped when the host has fewer cores than shards *)
+        floor "shard.scaling" (top_oversubscribed || scaling >= 1.5)
+          "shard scaling %.2fx below the 1.5x floor" scaling;
+      ];
+  }
+
+(* --- buffer pool and journal microbenchmarks ------------------------ *)
+
+let pool_ns ~now ~iters =
+  let disk = Vdisk.create ~pages:512 ~page_size:1024 () in
+  let pool = Buffer_pool.create disk ~frames:128 () in
+  for p = 0 to 127 do
+    ignore (Buffer_pool.get pool p);
+    Buffer_pool.unpin pool p
+  done;
+  let hit_iters = iters in
+  let (), hit_s =
+    time now (fun () ->
+        for i = 0 to hit_iters - 1 do
+          let p = i land 127 in
+          ignore (Buffer_pool.get pool p);
+          Buffer_pool.unpin pool p
+        done)
+  in
+  (* 384 cold pages cycled through 128 frames: every get is a miss. *)
+  let miss_iters = iters / 8 in
+  let (), miss_s =
+    time now (fun () ->
+        for i = 0 to miss_iters - 1 do
+          let p = 128 + (i mod 384) in
+          ignore (Buffer_pool.get pool p);
+          Buffer_pool.unpin pool p
+        done)
+  in
+  ( hit_s *. 1e9 /. float_of_int hit_iters,
+    miss_s *. 1e9 /. float_of_int miss_iters )
+
+let journal_throughput ~now ~iters =
+  let record = String.make 64 'r' in
+  let j1 = Journal.create () in
+  let (), append_s =
+    time now (fun () ->
+        for _ = 1 to iters do
+          ignore (Journal.append j1 record)
+        done;
+        Journal.sync j1)
+  in
+  let j2 = Journal.create () in
+  let (), append_sync_s =
+    time now (fun () ->
+        for i = 1 to iters do
+          ignore (Journal.append j2 record);
+          if i land 63 = 0 then Journal.sync j2
+        done;
+        Journal.sync j2)
+  in
+  ( float_of_int iters /. append_s,
+    float_of_int iters /. append_sync_s )
+
+let substrate_section ~now ~scale =
+  let hit_ns, miss_ns = pool_ns ~now ~iters:(200_000 * scale) in
+  let append, append_sync = journal_throughput ~now ~iters:(200_000 * scale) in
+  {
+    report =
+      Printf.sprintf "buffer pool get: %.0f ns hit, %.0f ns miss\n" hit_ns miss_ns
+      ^ Printf.sprintf "journal: %.2fM appends/s, %.2fM appends/s with sync every 64\n"
+          (append /. 1e6) (append_sync /. 1e6);
+    fields =
+      Json.
+        [
+          ("pool_hit_ns", Float hit_ns);
+          ("pool_miss_ns", Float miss_ns);
+          ("journal_append_per_sec", Float append);
+          ("journal_append_sync_per_sec", Float append_sync);
+        ];
+    rows =
+      [
+        check "substrate.measured" (finite [ hit_ns; miss_ns; append; append_sync ])
+          "buffer-pool or journal rates not finite";
+      ];
   }
 
 (* --- entry point ---------------------------------------------------- *)
@@ -1157,216 +1416,54 @@ let default_read_fracs = [ 0.5; 0.9; 0.99 ]
 let run ?(scale = 1) ?(jobs = [ 1; 2; 4 ]) ?(allow_oversubscribe = false)
     ?(log_formats = known_formats) ?(read_fracs = default_read_fracs)
     ?(shard_counts = default_shard_counts) ?(cross_fracs = default_cross_fracs) ~now () =
+  let fraction f = f >= 0.0 && f <= 1.0 in
   if scale <= 0 then invalid_arg "Storage_bench.run: scale must be positive";
   if List.exists (fun j -> j < 1) jobs then
     invalid_arg "Storage_bench.run: jobs must all be >= 1";
-  if read_fracs = [] || List.exists (fun f -> not (f >= 0.0 && f <= 1.0)) read_fracs then
+  List.iter
+    (fun f ->
+      if not (List.mem f known_formats) then
+        invalid_arg (Printf.sprintf "Storage_bench.run: unknown log format %S" f))
+    log_formats;
+  if read_fracs = [] || not (List.for_all fraction read_fracs) then
     invalid_arg "Storage_bench.run: read_fracs must be non-empty, each in [0,1]";
   if shard_counts = [] || List.exists (fun s -> s < 1) shard_counts then
     invalid_arg "Storage_bench.run: shard_counts must be non-empty, each >= 1";
-  if List.exists (fun f -> not (f >= 0.0 && f <= 1.0)) cross_fracs then
+  if not (List.for_all fraction cross_fracs) then
     invalid_arg "Storage_bench.run: cross_fracs must each be in [0,1]";
-  let sched_txns, sched_naive_ms, sched_opt_ms, sched_equivalent =
-    run_sched_comparison ~now ~scale
-  in
-  let engines = List.map (fun e -> bench_engine e ~now ~rounds:(20 * scale)) all_engines in
-  let txns_l = 600 * scale in
-  let recovery_records_l, recovery_wall_l_ms, recovery_records_2l, recovery_wall_2l_ms =
-    recovery_walls ~now ~txns:txns_l
-  in
-  let recovery_jobs, recovery_parallel_speedup =
-    recovery_vs_jobs ~now ~jobs ~allow_oversubscribe ~txns:txns_l
-  in
-  let recovery_ckpt, recovery_ckpt_speedup = recovery_vs_checkpoint_age ~now ~txns:txns_l in
-  let log_formats, log_delta_reduction, log_oplog_reduction, log_format_equivalent =
-    log_format_bench ~now ~jobs ~allow_oversubscribe ~formats:log_formats ~txns:txns_l
-  in
-  let server = server_bench ~scale in
-  let server_speedup =
-    List.fold_left (fun acc s -> Float.min acc s.sv_speedup) infinity server
-  in
-  let server_equivalent = List.for_all (fun s -> s.sv_equivalent) server in
-  let read_heavy = read_heavy_bench ~scale ~read_fracs in
-  let read_equivalent =
-    List.for_all (fun re -> List.for_all (fun p -> p.rf_equivalent) re.re_points) read_heavy
-  in
+  (* Sections run in this order so each wall is taken in the heap state
+     the earlier sections leave behind. *)
+  let txns = 600 * scale in
+  let sched = sched_section ~now ~scale in
+  let engines = engines_section ~now ~scale in
+  let length = recovery_length_section ~now ~txns in
+  let parallel = recovery_parallel_section ~now ~jobs ~allow_oversubscribe ~txns in
+  let formats = log_format_section ~now ~jobs ~allow_oversubscribe ~formats:log_formats ~txns in
+  let server = server_section ~scale in
+  let read_heavy = read_heavy_section ~scale ~read_fracs in
   let shard = shard_section ~scale ~shard_counts ~cross_fracs in
-  let pool_hit_ns, pool_miss_ns = pool_ns ~now ~iters:(200_000 * scale) in
-  let journal_append_per_sec, journal_append_sync_per_sec =
-    journal_throughput ~now ~iters:(200_000 * scale)
-  in
+  let substrate = substrate_section ~now ~scale in
   {
     scale;
-    sched_txns;
-    sched_naive_ms;
-    sched_opt_ms;
-    sched_speedup = (if sched_opt_ms > 0. then sched_naive_ms /. sched_opt_ms else infinity);
-    sched_equivalent;
-    engines;
-    recovery_txns_l = txns_l;
-    recovery_records_l;
-    recovery_wall_l_ms;
-    recovery_records_2l;
-    recovery_wall_2l_ms;
-    recovery_wall_ratio =
-      (if recovery_wall_l_ms > 0. then recovery_wall_2l_ms /. recovery_wall_l_ms else infinity);
-    recovery_jobs;
-    recovery_parallel_speedup;
-    recovery_ckpt;
-    recovery_ckpt_speedup;
-    recovery_equivalent =
-      List.for_all (fun p -> p.rj_equivalent) recovery_jobs
-      && List.for_all (fun p -> p.ck_equivalent) recovery_ckpt;
-    log_formats;
-    log_delta_reduction;
-    log_oplog_reduction;
-    log_format_equivalent;
-    server;
-    server_speedup;
-    server_equivalent;
-    read_heavy;
-    read_speedup = read_gate_speedup read_heavy;
-    read_ro_restarts = snapshot_mode_ro_restarts read_heavy;
-    read_equivalent;
-    shard;
-    pool_hit_ns;
-    pool_miss_ns;
-    journal_append_per_sec;
-    journal_append_sync_per_sec;
+    sections = [ sched; engines; length; parallel; formats; server; read_heavy; shard; substrate ];
   }
 
-(* --- the report --------------------------------------------------- *)
+let print b = List.iter (fun s -> print_string s.report) b.sections
 
-let print (b : t) =
-  Printf.printf "contended scheduler (%d scripts): polling %.2f ms -> wakeup %.2f ms (%.1fx, reports %s)\n"
-    b.sched_txns b.sched_naive_ms b.sched_opt_ms b.sched_speedup
-    (if b.sched_equivalent then "identical" else "DIVERGED");
-  Printf.printf "committed txns/sec (low | high contention):\n";
-  List.iter
-    (fun e ->
-      Printf.printf "  %-22s %10.0f | %10.0f  (%d restarts)\n" e.engine e.low_tps e.high_tps
-        e.high_restarts)
-    b.engines;
-  Printf.printf "recovery: %d records %.2f ms; %d records %.2f ms (ratio %.2f)\n"
-    b.recovery_records_l b.recovery_wall_l_ms b.recovery_records_2l b.recovery_wall_2l_ms
-    b.recovery_wall_ratio;
-  Printf.printf "parallel recovery (%d records):\n" b.recovery_records_l;
-  List.iter
-    (fun p ->
-      Printf.printf "  %d job%s%s %8.2f ms  (%s)\n" p.rj_jobs
-        (if p.rj_jobs > 1 then "s" else " ")
-        (if p.rj_oversubscribed then " [oversubscribed]" else "")
-        p.rj_wall_ms
-        (if p.rj_equivalent then "state identical to serial reference" else "STATE DIVERGED"))
-    b.recovery_jobs;
-  Printf.printf "  best parallel speedup over serial: %.2fx\n" b.recovery_parallel_speedup;
-  Printf.printf "fuzzy-checkpointed recovery (serial replay, same committed work):\n";
-  List.iter
-    (fun p ->
-      Printf.printf "  checkpoint after %3.0f%% of commits: %7d records %8.2f ms  (%s)\n"
-        (100. *. p.ck_fraction) p.ck_records p.ck_wall_ms
-        (if p.ck_equivalent then "state identical to full replay" else "STATE DIVERGED"))
-    b.recovery_ckpt;
-  Printf.printf "  newest checkpoint vs full replay: %.2fx cheaper\n" b.recovery_ckpt_speedup;
-  Printf.printf "log formats (same committed workload; %d txns):\n"
-    (match b.log_formats with p :: _ -> p.lf_committed_txns | [] -> 0);
-  List.iter
-    (fun p ->
-      Printf.printf
-        "  %-9s %8d records %10d bytes  %8.1f B/txn  append %7.0f ns/rec  replay %7.2f ms \
-         serial, %7.2f ms parallel  (%s)\n"
-        p.lf_format p.lf_records p.lf_log_bytes p.lf_bytes_per_txn p.lf_append_ns_per_record
-        p.lf_replay_wall_ms p.lf_replay_parallel_ms
-        (if p.lf_equivalent then "state identical to physical reference" else "STATE DIVERGED"))
-    b.log_formats;
-  Printf.printf "  log volume reduction over physical: delta %.1fx, oplog %.1fx\n"
-    b.log_delta_reduction b.log_oplog_reduction;
-  Printf.printf "open-loop server (simulated time, group commit, mpl 64):\n";
-  List.iter
+let to_json b =
+  Json.Obj (("scale", Json.Int b.scale) :: List.concat_map (fun s -> s.fields) b.sections)
+
+let failed b =
+  List.concat_map
     (fun s ->
-      Printf.printf "  %s:\n" s.sv_engine;
-      List.iter
-        (fun p ->
-          Printf.printf
-            "    offered %8.0f tps -> sustained %8.0f tps  p50 %8.1f us  p99 %9.1f us  \
-             p999 %9.1f us  (%d forces, %d restarts, queue peak %d)\n"
-            p.sv_offered_tps p.sv_sustained_tps p.sv_p50_us p.sv_p99_us p.sv_p999_us
-            p.sv_forces p.sv_restarts p.sv_max_queued)
-        s.sv_sweep;
-      Printf.printf
-        "    top load head-to-head: eager %8.0f tps (p99 %9.1f us) -> grouped %8.0f tps \
-         (p99 %9.1f us)  %.1fx, recovery %s\n"
-        s.sv_eager_tps s.sv_eager_p99_us s.sv_grouped_tps s.sv_grouped_p99_us s.sv_speedup
-        (if s.sv_equivalent then "equivalent" else "DIVERGED"))
-    b.server;
-  Printf.printf "  worst grouped/eager speedup across engines: %.2fx\n" b.server_speedup;
-  Printf.printf "read-heavy snapshot sweep (eager commits, Zipfian pages, simulated time):\n";
-  List.iter
-    (fun e ->
-      Printf.printf "  %s:\n" e.re_engine;
-      List.iter
-        (fun p ->
-          Printf.printf "    read fraction %.2f%s:\n" p.rf_read_frac
-            (if p.rf_heavy_tail then " [Pareto sizes]" else "");
-          List.iter
-            (fun m ->
-              Printf.printf
-                "      %-8s %8.0f tps  %6d locks  %3d restarts (%d ro)  ro p50/p99 %8.1f/%9.1f us  \
-                 rw p50/p99 %8.1f/%9.1f us\n"
-                m.rm_mode m.rm_sustained_tps m.rm_lock_acquires m.rm_restarts m.rm_ro_restarts
-                m.rm_ro_p50_us m.rm_ro_p99_us m.rm_rw_p50_us m.rm_rw_p99_us)
-            p.rf_modes;
-          Printf.printf "      snapshot over xlock: %.2fx, recovered scans %s\n"
-            p.rf_snapshot_speedup
-            (if p.rf_equivalent then "identical across modes" else "DIVERGED"))
-        e.re_points)
-    b.read_heavy;
-  Printf.printf
-    "  worst snapshot/xlock speedup near read fraction 0.9: %.2fx (%d ro restarts on the \
-     snapshot path)\n"
-    b.read_speedup b.read_ro_restarts;
-  Printf.printf "sharded execution (zero-cross workload, group commit, simulated time):\n";
-  List.iter
-    (fun p ->
-      Printf.printf
-        "  %d shard%s%s %8.0f tps  makespan %10.0f us  p99 %9.1f us  (%d restarts, %d in \
-         doubt, scan %s%s)\n"
-        p.sh_shards
-        (if p.sh_shards > 1 then "s" else " ")
-        (if p.sh_oversubscribed then " [oversubscribed]" else "")
-        p.sh_sustained_tps p.sh_makespan_us p.sh_p99_us p.sh_restarts p.sh_in_doubt
-        (if p.sh_scan_equal then "identical" else "DIVERGED")
-        (if p.sh_shards = 1 then
-           if p.sh_serial_identical then ", bit-identical to Server.run" else ", SERIAL DRIFT"
-         else ""))
-    b.shard.sb_points;
-  Printf.printf "  scaling at the top shard count: %.2fx over 1 shard\n" b.shard.sb_scaling;
-  Printf.printf "cross-shard fraction sweep (two-phase commit at the top shard count):\n";
-  List.iter
-    (fun c ->
-      Printf.printf
-        "  cross %.2f: %4d cross txns  %8.0f tps  cross p99 %9.1f us  (%d in doubt, scan %s)\n"
-        c.cf_cross_frac c.cf_cross_txns c.cf_sustained_tps c.cf_p99_cross_us c.cf_in_doubt
-        (if c.cf_scan_equal then "identical" else "DIVERGED"))
-    b.shard.sb_cross;
-  Printf.printf "buffer pool get: %.0f ns hit, %.0f ns miss\n" b.pool_hit_ns b.pool_miss_ns;
-  Printf.printf "journal: %.2fM appends/s, %.2fM appends/s with sync every 64\n"
-    (b.journal_append_per_sec /. 1e6)
-    (b.journal_append_sync_per_sec /. 1e6)
-
-let equivalence_failures b =
-  List.filter_map
-    (fun (held, failure) -> if held then None else Some failure)
-    [
-      (b.sched_equivalent, "wakeup scheduler report diverged from the polling reference");
-      ( b.recovery_equivalent,
-        "parallel/checkpointed recovery state diverged from the serial reference" );
-      (b.server_equivalent, "grouped-commit recovered state diverged from the eager reference");
-      ( b.log_format_equivalent,
-        "a log format recovered to different state than the physical reference" );
-      (b.read_equivalent, "a read-lock regime recovered to different data than its peers");
-      ( b.read_ro_restarts = 0,
-        Printf.sprintf "%d read-only restarts on the snapshot path (must be 0)"
-          b.read_ro_restarts );
-      (b.shard.sb_equivalent, "a sharded run diverged from the serial reference after recovery");
-    ]
+      List.filter_map
+        (fun r ->
+          if r.held then None
+          else
+            Some
+              ( r.kind,
+                Printf.sprintf "%s %s: %s"
+                  (match r.kind with Check -> "check" | Floor -> "floor")
+                  r.name r.detail ))
+        s.rows)
+    b.sections

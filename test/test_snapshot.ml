@@ -198,12 +198,7 @@ module Oplog_equiv = Snapshot_equiv (Engine_oplog)
    writers may restart, the read-only class may not, and the per-class
    histograms must partition the combined one. *)
 
-let snapshot_factory e () =
-  let s = Engine_diff.snapshot e in
-  {
-    Scheduler.view_get = (fun k -> Engine_diff.snapshot_get s k);
-    view_close = (fun () -> Engine_diff.snapshot_release s);
-  }
+let snapshot_factory = Scheduler.snapshot_view (module Engine_diff)
 
 let mixed_workload ~n ~seed ~read_frac =
   let cfg =

@@ -678,6 +678,32 @@ let test_lock_locked_pages () =
   Lock.release_all t ~txn:1;
   check Alcotest.int "none" 0 (Lock.locked_pages t)
 
+(* --- Storage_bench ------------------------------------------------------- *)
+
+(* Every argument is checked before the first section runs: a bad one
+   raises without a single clock read. *)
+let test_storage_bench_rejects_early () =
+  let module SB = Dbm_storage.Storage_bench in
+  let reads = ref 0 in
+  let now () =
+    incr reads;
+    0.0
+  in
+  let rejects name run =
+    reads := 0;
+    (match run () with
+    | (_ : SB.t) -> Alcotest.failf "%s: accepted" name
+    | exception Invalid_argument _ -> ());
+    check Alcotest.int (name ^ ": clock reads") 0 !reads
+  in
+  rejects "scale 0" (fun () -> SB.run ~scale:0 ~now ());
+  rejects "jobs [0]" (fun () -> SB.run ~jobs:[ 0 ] ~now ());
+  rejects "unknown log format" (fun () -> SB.run ~log_formats:[ "bogus" ] ~now ());
+  rejects "read fraction 1.5" (fun () -> SB.run ~read_fracs:[ 1.5 ] ~now ());
+  rejects "no read fractions" (fun () -> SB.run ~read_fracs:[] ~now ());
+  rejects "shard count 0" (fun () -> SB.run ~shard_counts:[ 0 ] ~now ());
+  rejects "cross fraction -0.1" (fun () -> SB.run ~cross_fracs:[ -0.1 ] ~now ())
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -751,6 +777,11 @@ let () =
           Alcotest.test_case "fifo fairness" `Quick test_lock_fifo_fairness;
           Alcotest.test_case "withdraw" `Quick test_lock_withdraw;
           Alcotest.test_case "locked pages" `Quick test_lock_locked_pages;
+        ] );
+      ( "bench_args",
+        [
+          Alcotest.test_case "bad arguments rejected early" `Quick
+            test_storage_bench_rejects_early;
         ] );
       ("properties", qsuite);
     ]

@@ -523,6 +523,50 @@ let prop_hist_relative_error =
           est <= H.max h +. 1e-9 && Float.abs (est -. v) <= (0.015 *. v) +. 1e-9)
         [ 1.0; 25.0; 50.0; 75.0; 99.0; 100.0 ])
 
+(* --- Json ------------------------------------------------------------ *)
+
+module Json = Dbm_util.Json
+
+let test_json_escaping () =
+  check Alcotest.string "quote, backslash, control characters"
+    {|"a\"b\\c\u000a\u0001\u001f é"|}
+    (Json.to_string (Json.String "a\"b\\c\n\001\031 é"))
+
+let test_json_nesting () =
+  check Alcotest.string "scalar-only members stay on one line"
+    (String.concat "\n"
+       [
+         {|{|};
+         {|  "a": 1,|};
+         {|  "b": [|};
+         {|    true,|};
+         {|    {"c": null, "d": "x"}|};
+         {|  ],|};
+         {|  "e": {},|};
+         {|  "f": []|};
+         {|}|};
+       ])
+    Json.(
+      to_string
+        (Obj
+           [
+             ("a", Int 1);
+             ("b", List [ Bool true; Obj [ ("c", Null); ("d", String "x") ] ]);
+             ("e", Obj []);
+             ("f", List []);
+           ]))
+
+let test_json_numbers () =
+  check Alcotest.string "ints" "[0, -42, 4611686018427387903]"
+    (Json.to_string (Json.List [ Json.Int 0; Json.Int (-42); Json.Int max_int ]));
+  check Alcotest.string "non-finite floats are null; finite ones round-trip"
+    "[null, null, null, 0.1, 2.5, 1e+21, 0.30000000000000004]"
+    (Json.to_string
+       (Json.List
+          (List.map
+             (fun f -> Json.Float f)
+             [ nan; infinity; neg_infinity; 0.1; 2.5; 1e21; 0.1 +. 0.2 ])))
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [ prop_heap_sorted; prop_lru_capacity; prop_percentile_bounds; prop_hist_relative_error ]
@@ -598,6 +642,12 @@ let () =
             test_hist_large_n_bounded_error;
           Alcotest.test_case "histogram monotone + range" `Quick test_hist_monotone_and_range;
           Alcotest.test_case "histogram validation" `Quick test_hist_validation;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "escaping" `Quick test_json_escaping;
+          Alcotest.test_case "nesting" `Quick test_json_nesting;
+          Alcotest.test_case "numbers" `Quick test_json_numbers;
         ] );
       ("properties", qsuite);
     ]
