@@ -648,8 +648,8 @@ let serve_bench_cmd =
           ~doc:
             "Run read-only transactions lock-free over pinned MVCC snapshots instead of \
              the locked path; they bypass the commit pipeline and can never restart.  \
-             Needs a version-retaining engine: diff, versel, or logging with \
-             $(b,--log-format oplog).")
+             Every engine supports it (logging under any $(b,--log-format)), but not \
+             with $(b,--shards) > 1.")
   in
   let shards_arg =
     Arg.(
@@ -731,9 +731,9 @@ let serve_bench_cmd =
       if eager then Dbm_storage.Commit_pipeline.Eager
       else Dbm_storage.Commit_pipeline.Grouped { batch; timeout_us }
     in
-    let sweep (type a) ?snapshot_of (module E : Dbm_storage.Server.ENGINE with type t = a)
-        name =
+    let sweep (module E : Dbm_storage.Server.SNAPSHOT_ENGINE) name =
       let module Srv = Dbm_storage.Server.Make (E) in
+      let snapshot_of = if use_snapshot then Some (Sch.snapshot_view (module E)) else None in
       Printf.printf
         "open-loop server: engine %s, %s commits%s, mpl %d, %d txns/point%s, %s arrivals\n\
          (simulated time: %.1f us/turn, %.1f us/force)\n\n"
@@ -764,26 +764,9 @@ let serve_bench_cmd =
             r.Dbm_storage.Server.max_queued)
         loads
     in
-    let module Engine_log_delta = struct
-      include Dbm_storage.Engine_log
-
-      let create ?n_keys () = create_with ?n_keys ~log_format:Delta ()
-    end in
-    let snapshot_of (type a) (module E : Dbm_storage.Kv.SNAPSHOT with type t = a) =
-      if use_snapshot then Some (Sch.snapshot_view (module E)) else None
-    in
-    let reject_snapshot what =
-      if use_snapshot then begin
-        Printf.eprintf "serve-bench: --snapshot is not supported by %s\n" what;
-        exit 2
-      end;
-      None
-    in
     (* One domain per shard, cross-shard commits through the 2PC
-       coordinator; [wire] lets an engine family share process-global
-       state across the shard engines before the run. *)
-    let sweep_sharded (type a) ?(wire = fun (_ : a array) -> ())
-        (module E : Dbm_storage.Shard.ENGINE with type t = a) name =
+       coordinator. *)
+    let sweep_sharded (module E : Dbm_storage.Shard.ENGINE) name =
       let module Shd = Dbm_storage.Shard.Make (E) in
       Printf.printf
         "sharded server: engine %s, %d shards, cross fraction %.2f, %s commits%s, mpl %d \
@@ -801,7 +784,6 @@ let serve_bench_cmd =
       List.iter
         (fun rate ->
           let engines = Array.init shards (fun _ -> E.create ~n_keys:4096 ()) in
-          wire engines;
           let coordinator = Dbm_storage.Coordinator_log.create () in
           let r =
             Shd.run ~mpl ~op_cost_us:op_cost ~sync_cost_us:sync_cost ~mode
@@ -824,19 +806,8 @@ let serve_bench_cmd =
       end;
       match (engine, log_format) with
       | `Logging, `Physical -> sweep_sharded (module Dbm_storage.Engine_log) "logging"
-      | `Logging, `Delta -> sweep_sharded (module Engine_log_delta) "logging-delta"
-      | `Logging, `Oplog ->
-        sweep_sharded
-          ~wire:(fun engines ->
-            (* One process-global commit-sequence source so snapshot
-               horizons order commits consistently across the shards. *)
-            let seq = Atomic.make 0 in
-            Array.iter
-              (fun e ->
-                Dbm_storage.Engine_oplog.set_seq_source e
-                  (Some (fun () -> Atomic.fetch_and_add seq 1)))
-              engines)
-          (module Dbm_storage.Engine_oplog) "operation-logging"
+      | `Logging, `Delta -> sweep_sharded (module Dbm_storage.Engine_log_delta) "logging-delta"
+      | `Logging, `Oplog -> sweep_sharded (module Dbm_storage.Engine_oplog) "operation-logging"
       | (`Diff | `Versel), _ ->
         prerr_endline
           "serve-bench: --shards > 1 needs an engine with a durable prepare vote \
@@ -845,26 +816,11 @@ let serve_bench_cmd =
     end
     else
       match (engine, log_format) with
-    | `Logging, `Physical ->
-      sweep
-        ?snapshot_of:(reject_snapshot "the physical logging engine (try --log-format oplog)")
-        (module Dbm_storage.Engine_log) "logging"
-    | `Logging, `Delta ->
-      sweep
-        ?snapshot_of:(reject_snapshot "the delta logging engine (try --log-format oplog)")
-        (module Engine_log_delta) "logging-delta"
-    | `Logging, `Oplog ->
-      sweep
-        ?snapshot_of:(snapshot_of (module Dbm_storage.Engine_oplog))
-        (module Dbm_storage.Engine_oplog) "operation-logging"
-    | `Diff, `Physical ->
-      sweep
-        ?snapshot_of:(snapshot_of (module Dbm_storage.Engine_diff))
-        (module Dbm_storage.Engine_diff) "differential-file"
-    | `Versel, `Physical ->
-      sweep
-        ?snapshot_of:(snapshot_of (module Dbm_storage.Engine_versel))
-        (module Dbm_storage.Engine_versel) "version-select"
+    | `Logging, `Physical -> sweep (module Dbm_storage.Engine_log) "logging"
+    | `Logging, `Delta -> sweep (module Dbm_storage.Engine_log_delta) "logging-delta"
+    | `Logging, `Oplog -> sweep (module Dbm_storage.Engine_oplog) "operation-logging"
+    | `Diff, `Physical -> sweep (module Dbm_storage.Engine_diff) "differential-file"
+    | `Versel, `Physical -> sweep (module Dbm_storage.Engine_versel) "version-select"
     | `Diff, (`Delta | `Oplog) ->
       prerr_endline "serve-bench: --engine diff supports only --log-format physical";
       exit 2

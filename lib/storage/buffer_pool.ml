@@ -53,8 +53,6 @@ let create disk ~frames ?(can_evict = fun ~page:_ ~lsn:_ -> true)
 
 let frames t = t.capacity
 
-let in_use t = Hashtbl.length t.table
-
 let pinned t = t.pinned_count
 
 let dirty_frames t = t.dirty_count

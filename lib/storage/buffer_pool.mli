@@ -32,8 +32,6 @@ val create :
 
 val frames : t -> int
 
-val in_use : t -> int
-
 val pinned : t -> int
 (** Frames with at least one pin — a maintained counter, O(1). *)
 

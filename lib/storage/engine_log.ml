@@ -2,53 +2,22 @@ type selection = Cyclic | By_txn | By_page
 
 type recovery_strategy = Sorted | Unmerged
 
-type log_format = Physical | Delta
+type log_format = Physical | Delta | Logical
 
-(* Growable parallel arrays of (journal seq, lsn, txn) triples — the
-   per-log-disk record index.  Appending is amortized O(1) where the old
-   [list ref] representation re-built the whole list per append. *)
-module Idx = struct
-  type t = {
-    mutable seqs : int array;
-    mutable lsns : int array;
-    mutable txns : int array;
-    mutable len : int;
-  }
-
-  let create () = { seqs = Array.make 16 0; lsns = Array.make 16 0; txns = Array.make 16 0; len = 0 }
-
-  let clear t = t.len <- 0
-
-  let push t ~seq ~lsn ~txn =
-    if t.len = Array.length t.seqs then begin
-      let grow a = Array.append a (Array.make (Array.length a) 0) in
-      t.seqs <- grow t.seqs;
-      t.lsns <- grow t.lsns;
-      t.txns <- grow t.txns
-    end;
-    t.seqs.(t.len) <- seq;
-    t.lsns.(t.len) <- lsn;
-    t.txns.(t.len) <- txn;
-    t.len <- t.len + 1
-
-  let iter f t =
-    for i = 0 to t.len - 1 do
-      f ~seq:t.seqs.(i) ~lsn:t.lsns.(i) ~txn:t.txns.(i)
-    done
-
-  (* Keep only entries with [seq >= keep_from]; entries are in ascending
-     seq order, so this drops a prefix in place. *)
-  let drop_before t ~keep_from =
-    let src = ref 0 in
-    while !src < t.len && t.seqs.(!src) < keep_from do incr src done;
-    let drop = !src in
-    if drop > 0 then begin
-      Array.blit t.seqs drop t.seqs 0 (t.len - drop);
-      Array.blit t.lsns drop t.lsns 0 (t.len - drop);
-      Array.blit t.txns drop t.txns 0 (t.len - drop);
-      t.len <- t.len - drop
-    end
-end
+(* Volatile state of a live transaction.  [firsts]: page -> (before
+   image, lsn) of the transaction's first update of the page — the undo
+   an abort performs, the committed image a snapshot reads while the
+   page is dirty, and the fuzzy checkpoint's replay floor.  [seqs.(d)]:
+   journal sequence number of the first record the transaction appended
+   on log disk [d], or -1 — the disks its commit must force, and where a
+   sharp checkpoint must stop truncating disk [d].  [prepared]: a
+   prepare forced every record the transaction has, so its decision
+   depends on no other disk. *)
+type live = {
+  firsts : (int, bytes * int) Hashtbl.t;
+  seqs : int array;
+  mutable prepared : bool;
+}
 
 type store = {
   n_keys : int;
@@ -56,18 +25,12 @@ type store = {
   page_size : int;
   data : Vdisk.t;
   logs : Journal.t array;
-  (* Per log disk: (journal sequence number, lsn, txn) of each retained
-     record, oldest first — the index checkpointing needs to know how
-     far each log may be truncated. *)
-  indexes : Idx.t array;
   selection : selection;
   mutable next_lsn : int;
   mutable next_txn : int;
   mutable cyclic : int;
   mutable epoch : int;
-  active : (int, (int, bytes * int) Hashtbl.t) Hashtbl.t;
-      (* txn -> page -> (before image, lsn) of the txn's first update *)
-  used_logs : (int, (int, unit) Hashtbl.t) Hashtbl.t;  (* txn -> log disks used *)
+  active : (int, live) Hashtbl.t;
   group_deps : (int, unit) Hashtbl.t array;
       (* Per log disk [d]: the set of disks holding update records of
          transactions whose {e pending} (appended, unforced) group-commit
@@ -91,6 +54,17 @@ type store = {
   (* A delta record is emitted only when both slices together fit in
      this many bytes; past it a full image costs less bookkeeping. *)
   delta_threshold : int;
+  (* Commit sequence numbers, only consumed by snapshot visibility. *)
+  mutable next_seq : int;
+  snaps : (int, int) Hashtbl.t;  (* live snapshot id -> pinned horizon *)
+  mutable next_snap : int;
+  (* key -> newest-first [(commit seq, value)] version chain.  Pages are
+     updated in place, so old versions survive only in these bounded
+     in-memory chains: a chain exists for a key only while snapshots are
+     live and some commit has since changed the key; it is trimmed past
+     the snapshot watermark at every push and the whole table is dropped
+     when the last snapshot releases (and on crash). *)
+  chains : (int, (int * string option) list) Hashtbl.t;
   mutable recovery_pool : Dbm_util.Pool.t option;
   mutable records_logged : int;
   mutable records_since_checkpoint : int;
@@ -103,7 +77,7 @@ type store = {
 
 type t = store
 
-type txn = { st : store; id : int; born : int; mutable finished : bool }
+type txn = { st : store; id : int; born : int; live : live; mutable finished : bool }
 
 let engine_name = "logging"
 
@@ -125,19 +99,21 @@ let create_with ?(n_keys = default_keys) ?(n_log_disks = 2) ?(selection = Cyclic
     page_size;
     data = Vdisk.create ~pages:n_pages ~page_size ();
     logs = Array.init n_log_disks (fun _ -> Journal.create ());
-    indexes = Array.init n_log_disks (fun _ -> Idx.create ());
     selection;
     next_lsn = 1;
     next_txn = 1;
     cyclic = 0;
     epoch = 0;
     active = Hashtbl.create 8;
-    used_logs = Hashtbl.create 8;
     group_deps = Array.init n_log_disks (fun _ -> Hashtbl.create 4);
     dirty_rec = Hashtbl.create 32;
     log_format;
     enc = Wal_codec.Enc.create ~size:(2 * page_size + 64) ();
     delta_threshold = page_size;
+    next_seq = 1;
+    snaps = Hashtbl.create 8;
+    next_snap = 0;
+    chains = Hashtbl.create 16;
     recovery_pool = None;
     records_logged = 0;
     records_since_checkpoint = 0;
@@ -171,6 +147,15 @@ let page_of t key = key / t.keys_per_page
 let check_key t k =
   if k < 0 || k >= t.n_keys then invalid_arg (Printf.sprintf "key %d out of range" k)
 
+(* Only formats that log before images may make uncommitted pages
+   durable (steal): replay peels them back off.  [Logical] logs no
+   images, so the data disk is forced only while no live transaction
+   has uncommitted page writes — restart recovery is then REDO-only. *)
+let may_force_data t =
+  match t.log_format with
+  | Physical | Delta -> true
+  | Logical -> Hashtbl.fold (fun _ lt ok -> ok && Hashtbl.length lt.firsts = 0) t.active true
+
 let select_log t ~txn ~page =
   match t.selection with
   | Cyclic ->
@@ -181,13 +166,16 @@ let select_log t ~txn ~page =
   | By_page -> page mod Array.length t.logs
 
 let append_log t ~disk record =
-  let seq = Journal.append t.logs.(disk) (Wal.encode_with t.enc record) in
+  ignore (Journal.append t.logs.(disk) (Wal.encode_with t.enc record));
   t.records_logged <- t.records_logged + 1;
-  t.records_since_checkpoint <- t.records_since_checkpoint + 1;
-  (match Wal.txn_of record with
-  | Some txn -> Idx.push t.indexes.(disk) ~seq ~lsn:(Wal.lsn record) ~txn
-  | None -> ());
-  seq
+  t.records_since_checkpoint <- t.records_since_checkpoint + 1
+
+(* A live transaction's own record: remember where it first touched the
+   disk. *)
+let append_for txn ~disk record =
+  let seq = Journal.appended txn.st.logs.(disk) in
+  append_log txn.st ~disk record;
+  if txn.live.seqs.(disk) < 0 then txn.live.seqs.(disk) <- seq
 
 (* Set after [checkpoint] is defined; commit/abort call through it so
    automatic checkpoints run at transaction boundaries. *)
@@ -201,9 +189,11 @@ let fresh_lsn t =
 let begin_txn t =
   let id = t.next_txn in
   t.next_txn <- id + 1;
-  Hashtbl.replace t.active id (Hashtbl.create 4);
-  Hashtbl.replace t.used_logs id (Hashtbl.create 2);
-  { st = t; id; born = t.epoch; finished = false }
+  let live =
+    { firsts = Hashtbl.create 4; seqs = Array.make (Array.length t.logs) (-1); prepared = false }
+  in
+  Hashtbl.replace t.active id live;
+  { st = t; id; born = t.epoch; live; finished = false }
 
 let check txn = if txn.finished || txn.born <> txn.st.epoch then raise Kv.Txn_finished
 
@@ -213,8 +203,8 @@ let get txn k =
   (* Borrowed page view: Page.lookup only reads, so skip the 1 KB copy. *)
   Page.lookup (Vdisk.read_ro txn.st.data (page_of txn.st k)) ~key:k
 
-(* In-place update with write-ahead logging: append the before/after
-   images to a log disk, then update the data page (volatile). *)
+(* In-place update with write-ahead logging: append the format's record
+   to a log disk, then update the data page (volatile). *)
 let update_key txn k value =
   check txn;
   check_key txn.st k;
@@ -224,7 +214,9 @@ let update_key txn k value =
      dirties the page: a delta-mode clean->dirty transition logs a full
      image, anchoring the page's record chain for replay. *)
   let was_clean = not (Hashtbl.mem t.dirty_rec p) in
-  let before = Vdisk.read t.data p in
+  (* A borrowed view: the record is encoded before the page is written,
+     and the undo state keeps a copy. *)
+  let before = Vdisk.read_ro t.data p in
   let after = Bytes.copy before in
   Page.update after ~key:k ~value;
   let lsn = fresh_lsn t in
@@ -236,19 +228,16 @@ let update_key txn k value =
     | Delta when was_clean -> Wal.Update { lsn; txn = txn.id; page = p; before; after }
     | Delta ->
       Wal.delta_update ~threshold:t.delta_threshold ~lsn ~txn:txn.id ~page:p ~before ~after
+    | Logical ->
+      (* Which operation ran, under which LSN: replay re-executes it. *)
+      Wal.Op { lsn; txn = txn.id; key = k; value }
   in
-  ignore (append_log t ~disk record);
-  (match Hashtbl.find_opt t.used_logs txn.id with
-  | Some set -> Hashtbl.replace set disk ()
-  | None -> assert false);
-  (* Remember the first (before image, lsn) per page for in-flight abort
-     and for the fuzzy checkpoint's dirty-page table. *)
-  (match Hashtbl.find_opt t.active txn.id with
-  | Some firsts -> if not (Hashtbl.mem firsts p) then Hashtbl.replace firsts p (before, lsn)
-  | None -> assert false);
+  append_for txn ~disk record;
+  if not (Hashtbl.mem txn.live.firsts p) then
+    Hashtbl.replace txn.live.firsts p (Bytes.copy before, lsn);
   (* The page becomes dirty at the LSN of the first update its durable
      image misses. *)
-  if not (Hashtbl.mem t.dirty_rec p) then Hashtbl.replace t.dirty_rec p lsn;
+  if was_clean then Hashtbl.replace t.dirty_rec p lsn;
   Vdisk.write t.data p after
 
 let put txn k v = update_key txn k (Some v)
@@ -257,8 +246,50 @@ let delete txn k = update_key txn k None
 
 let finish txn =
   txn.finished <- true;
-  Hashtbl.remove txn.st.active txn.id;
-  Hashtbl.remove txn.st.used_logs txn.id
+  Hashtbl.remove txn.st.active txn.id
+
+(* --- MVCC version chains -------------------------------------------- *)
+
+(* Oldest horizon any live snapshot is pinned to. *)
+let watermark t = Hashtbl.fold (fun _ h acc -> min h acc) t.snaps max_int
+
+(* Drop the chain suffix no live snapshot can reach: everything
+   strictly older than the newest entry at or below the watermark. *)
+let trim_chain wm chain =
+  let rec cut = function
+    | ((seq, _) as keep) :: rest -> keep :: (if seq <= wm then [] else cut rest)
+    | [] -> []
+  in
+  cut chain
+
+(* Commit-time snapshot bookkeeping: take the next commit sequence
+   number and, while snapshots are live, push (seq, value) for every key
+   whose value the transaction changed — found by comparing each touched
+   page's before image with its final one.  A key's chain is seeded on
+   its first such commit with the pre-transaction value from the before
+   image, tagged seq 0: that value was committed at or before every
+   horizon still live, since any later commit to the key would itself
+   have seeded or extended the chain.  No snapshots live = no work. *)
+let publish txn =
+  let t = txn.st in
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  if Hashtbl.length t.snaps > 0 then begin
+    let wm = watermark t in
+    Hashtbl.iter
+      (fun p (before, _) ->
+        let now = Vdisk.read_ro t.data p in
+        for k = p * t.keys_per_page to min t.n_keys ((p + 1) * t.keys_per_page) - 1 do
+          let pre = Page.lookup before ~key:k and value = Page.lookup now ~key:k in
+          if value <> pre then begin
+            let chain = Option.value (Hashtbl.find_opt t.chains k) ~default:[ (0, pre) ] in
+            Hashtbl.replace t.chains k (trim_chain wm ((seq, value) :: chain))
+          end
+        done)
+      txn.live.firsts
+  end
+
+(* --- commit, group commit, 2PC vote, abort -------------------------- *)
 
 (* Force every log disk and discharge all group-commit dependencies:
    everything appended anywhere is durable now. *)
@@ -288,70 +319,67 @@ let sync_closure t seeds =
       Hashtbl.reset t.group_deps.(d))
     forced
 
+(* The disks other than [disk] that hold records of the transaction a
+   force may not yet have covered. *)
+let other_disks txn ~disk =
+  if txn.live.prepared then []
+  else begin
+    let ds = ref [] in
+    Array.iteri (fun d s -> if s >= 0 && d <> disk then ds := d :: !ds) txn.live.seqs;
+    !ds
+  end
+
+(* The WAL commit rule with one force of the decision disk: pick the
+   disk the decision record goes to, force the transaction's other
+   disks (plus closure), append the record and force the decision
+   disk's closure.  A journal force makes everything appended before it
+   durable, so the transaction's records on the decision disk become
+   durable with the decision record.  [sync_closure] closes the
+   partial-durability window group commit opens (a forced disk may hold
+   a pending group-commit record whose transaction's updates sit on
+   another disk) precisely, by co-forcing exactly the disks the pending
+   commits on a forced disk depend on. *)
+let force_decision txn record =
+  let t = txn.st in
+  let disk = select_log t ~txn:txn.id ~page:0 in
+  sync_closure t (other_disks txn ~disk);
+  append_for txn ~disk (record (fresh_lsn t));
+  sync_closure t [ disk ]
+
 let commit txn =
   check txn;
-  let t = txn.st in
-  (* WAL commit rule: the disks holding THIS transaction's update
-     records are forced before its commit record is appended and
-     forced — not every disk.  (The pre-PR-7 path forced all N disks
-     per commit; a transaction that fragmented its log over k < N disks
-     pays k+1 forces now, which is what the sync-count test pins.)
-     What made force-everything load-bearing was group commit: forcing
-     a disk can make a {e pending} group-commit record durable while
-     that transaction's update records on another disk are still
-     volatile — the partial-durability window that would let recovery
-     apply half a transaction.  [sync_closure] closes the window
-     precisely instead of maximally, by co-forcing exactly the disks
-     the pending commits on a forced disk depend on. *)
-  let used =
-    match Hashtbl.find_opt t.used_logs txn.id with
-    | Some set -> Hashtbl.fold (fun d () acc -> d :: acc) set []
-    | None -> []
-  in
-  sync_closure t used;
-  let disk = select_log t ~txn:txn.id ~page:0 in
-  ignore (append_log t ~disk (Wal.Commit { lsn = fresh_lsn t; txn = txn.id }));
-  sync_closure t [ disk ];
+  force_decision txn (fun lsn -> Wal.Commit { lsn; txn = txn.id });
+  publish txn;
   finish txn;
-  !maybe_auto_checkpoint t
+  !maybe_auto_checkpoint txn.st
 
 (* Group commit: the commit record is appended but the force is left
    to a later [force_commits]; until then the transaction is committed
    in memory but not durable.  The commit disk inherits a dependency on
-   the transaction's update disks so that any force reaching it (an
+   the transaction's other disks so that any force reaching it (an
    eager committer's [sync_closure], not just [force_commits]) makes
    the whole transaction durable atomically. *)
 let commit_group txn =
   check txn;
   let t = txn.st in
   let disk = select_log t ~txn:txn.id ~page:0 in
-  ignore (append_log t ~disk (Wal.Commit { lsn = fresh_lsn t; txn = txn.id }));
-  (match Hashtbl.find_opt t.used_logs txn.id with
-  | Some set -> Hashtbl.iter (fun d () -> if d <> disk then Hashtbl.replace t.group_deps.(disk) d ()) set
-  | None -> ());
+  append_log t ~disk (Wal.Commit { lsn = fresh_lsn t; txn = txn.id });
+  List.iter (fun d -> Hashtbl.replace t.group_deps.(disk) d ()) (other_disks txn ~disk);
+  publish txn;
   finish txn
 
 let force_commits t = sync_all_logs t
 
-(* Two-phase commit, participant side.  The prepare is the durable vote:
-   update disks are forced (plus closure, exactly as an eager commit
-   would), then the Prepare record itself is appended and forced.  The
-   transaction stays active — its undo state and locks survive — until
-   the coordinator's decision arrives: [commit_group] (the decision
-   record may stay unforced, recovery resolves in-doubt transactions
-   from the coordinator log) or [abort]. *)
+(* Two-phase commit, participant side.  The prepare is the durable vote,
+   forced exactly as an eager commit record would be.  The transaction
+   stays active — its undo state and locks survive — until the
+   coordinator's decision arrives: [commit_group] (the decision record
+   may stay unforced, recovery resolves in-doubt transactions from the
+   coordinator log) or [abort]. *)
 let prepare txn ~gid =
   check txn;
-  let t = txn.st in
-  let used =
-    match Hashtbl.find_opt t.used_logs txn.id with
-    | Some set -> Hashtbl.fold (fun d () acc -> d :: acc) set []
-    | None -> []
-  in
-  sync_closure t used;
-  let disk = select_log t ~txn:txn.id ~page:0 in
-  ignore (append_log t ~disk (Wal.Prepare { lsn = fresh_lsn t; txn = txn.id; gid }));
-  sync_closure t [ disk ]
+  force_decision txn (fun lsn -> Wal.Prepare { lsn; txn = txn.id; gid });
+  txn.live.prepared <- true
 
 (* Prepared-but-undecided transactions in the durable logs. *)
 let in_doubt t = Replay.in_doubt (Array.map Journal.to_array t.logs)
@@ -360,73 +388,55 @@ let abort txn =
   check txn;
   let t = txn.st in
   (* Undo in place from the saved before images; recovery would reach
-     the same state from the logged before images. *)
-  (match Hashtbl.find_opt t.active txn.id with
-  | Some firsts ->
-    Hashtbl.iter
-      (fun p (before, first_lsn) ->
-        let lsn = fresh_lsn t in
-        let restored = Bytes.copy before in
-        Page.set_lsn restored lsn;
-        (* Delta replay reconstructs page images by chaining slices, so
-           every volatile page change must be logged — including this
-           restore (physical mode leaves it implicit: full images make
-           the fold order-insensitive without it).  The record reuses
-           the LSN the restore burns in either mode, keeping the two
-           formats' LSN streams — and hence their recovered
-           fingerprints — identical. *)
-        (match t.log_format with
-        | Physical -> ()
-        | Delta ->
-          let current = Vdisk.read t.data p in
-          let disk = select_log t ~txn:txn.id ~page:p in
-          ignore
-            (append_log t ~disk
-               (Wal.delta_update ~threshold:t.delta_threshold ~lsn ~txn:txn.id ~page:p
-                  ~before:current ~after:restored)));
-        Vdisk.write t.data p restored;
-        (* In [Physical] mode the restore itself is not logged, so a
-           mid-log replay must still scan back to the loser's first
-           update on this page to reproduce the undo — the dirty entry
-           keeps (or regains) that LSN, never the restore's fresh one.
-           ([Delta] mode logs the restore above, but keeps the same
-           conservative entry: replay wants the loser's whole chain.) *)
-        let rec_ =
-          match Hashtbl.find_opt t.dirty_rec p with
-          | Some existing -> min existing first_lsn
-          | None -> first_lsn
-        in
-        Hashtbl.replace t.dirty_rec p rec_)
-      firsts
-  | None -> ());
+     the same state from the log. *)
+  Hashtbl.iter
+    (fun p (before, first_lsn) ->
+      let lsn = fresh_lsn t in
+      let restored = Bytes.copy before in
+      Page.set_lsn restored lsn;
+      (* Delta replay reconstructs page images by chaining slices, so
+         every volatile page change must be logged — including this
+         restore.  Physical full images make the fold order-insensitive
+         without it, and logical replay ignores loser operations.  The
+         record reuses the LSN the restore burns in every format,
+         keeping the formats' LSN streams — and hence their recovered
+         fingerprints — identical. *)
+      (match t.log_format with
+      | Physical | Logical -> ()
+      | Delta ->
+        let current = Vdisk.read t.data p in
+        let disk = select_log t ~txn:txn.id ~page:p in
+        append_log t ~disk
+          (Wal.delta_update ~threshold:t.delta_threshold ~lsn ~txn:txn.id ~page:p
+             ~before:current ~after:restored));
+      Vdisk.write t.data p restored;
+      (* Where the restore is not logged, a mid-log replay must still
+         scan back to the loser's first update on this page to reproduce
+         the undo — the dirty entry keeps (or regains) that LSN, never
+         the restore's fresh one.  ([Delta] logs the restore above, but
+         keeps the same conservative entry: replay wants the loser's
+         whole chain.) *)
+      let rec_ =
+        match Hashtbl.find_opt t.dirty_rec p with
+        | Some existing -> min existing first_lsn
+        | None -> first_lsn
+      in
+      Hashtbl.replace t.dirty_rec p rec_)
+    txn.live.firsts;
   let disk = select_log t ~txn:txn.id ~page:0 in
-  ignore (append_log t ~disk (Wal.Abort { lsn = fresh_lsn t; txn = txn.id }));
+  append_log t ~disk (Wal.Abort { lsn = fresh_lsn t; txn = txn.id });
   finish txn;
   !maybe_auto_checkpoint t
 
 let flush t =
   sync_all_logs t;
-  Vdisk.sync t.data;
-  (* Every page image is durable now; nothing is dirty. *)
-  Hashtbl.reset t.dirty_rec
+  if may_force_data t then begin
+    Vdisk.sync t.data;
+    (* Every page image is durable now; nothing is dirty. *)
+    Hashtbl.reset t.dirty_rec
+  end
 
 (* --- restart recovery --------------------------------------------- *)
-
-(* Rebuild the per-disk index from peeked record metadata (LSN and txn
-   id load at fixed offsets, no decode needed); element [i] of disk
-   [d]'s array carries journal sequence number [synced - length + i]. *)
-let rebuild_indexes t (meta : Replay.meta) =
-  Array.iteri
-    (fun d txns ->
-      let idx = t.indexes.(d) in
-      Idx.clear idx;
-      let j = t.logs.(d) in
-      let base = Journal.synced j - Journal.length j in
-      let lsns = meta.Replay.lsns.(d) in
-      Array.iteri
-        (fun i txn -> if txn >= 0 then Idx.push idx ~seq:(base + i) ~lsn:lsns.(i) ~txn)
-        txns)
-    meta.Replay.txns
 
 (* The companion algorithm [13]: no merging, no global sort.  Each log
    disk is processed independently.
@@ -475,9 +485,18 @@ let recover_unmerged t (decoded : Wal.record array array) committed =
       decoded
   done
 
+(* The crash itself: unforced log tails, volatile pages, live
+   transaction handles and snapshots are lost. *)
+let crash t =
+  Vdisk.crash t.data;
+  Array.iter Journal.crash t.logs;
+  Hashtbl.reset t.snaps;
+  Hashtbl.reset t.chains;
+  t.epoch <- t.epoch + 1
+
 (* Shared epilogue of every recovery path: force the rebuilt data disk,
-   re-seed the LSN/txn counters past everything the log has seen, clear
-   the volatile transaction state and rebuild the per-disk index. *)
+   re-seed the LSN/txn counters past everything the log has seen and
+   clear the volatile transaction state. *)
 let finish_recovery t (meta : Replay.meta) =
   Vdisk.sync t.data;
   let max_lsn = ref 0 and max_txn = ref 0 in
@@ -492,12 +511,10 @@ let finish_recovery t (meta : Replay.meta) =
      back. *)
   t.next_txn <- !max_txn + 1;
   Hashtbl.reset t.active;
-  Hashtbl.reset t.used_logs;
   Hashtbl.reset t.dirty_rec;
   (* The crash dropped every pending (unforced) group-commit record, so
      no force owes anyone a co-force anymore. *)
   Array.iter Hashtbl.reset t.group_deps;
-  rebuild_indexes t meta;
   t.recoveries <- t.recoveries + 1
 
 let recover_with ~resolve t =
@@ -511,109 +528,104 @@ let recover_with ~resolve t =
   let doubt = Replay.in_doubt raws in
   let decide ~gid = match resolve with Some f -> f ~gid | None -> false in
   let also_committed = List.filter_map (fun (txn, gid) -> if decide ~gid then Some txn else None) doubt in
+  let read ~page = Vdisk.read t.data page in
+  let write ~page image = Vdisk.write t.data page image in
   (* The unmerged companion strategy keys redo off full-page images; a
      delta log always replays along the sorted path, which knows how to
-     expand slice chains. *)
-  let strategy = match t.log_format with Delta -> Sorted | Physical -> t.strategy in
-  (match strategy with
-  | Sorted ->
+     expand slice chains, and an operation log always re-executes. *)
+  (match (t.log_format, t.strategy) with
+  | Physical, Unmerged ->
+    (* The companion algorithm keys redo off page LSNs, not off a start
+       point, so it always decodes and walks the full log. *)
+    let records = Replay.decode_from ?pool raws ~lo:(Array.map (fun _ -> 0) raws) in
+    recover_unmerged t records (Replay.committed ~also:also_committed ~start_lsn:0 records)
+  | (Physical | Delta | Logical), _ -> (
     (* The partitioned parallel path.  The newest durable fuzzy
        checkpoint is located by tag peek, each journal is binary-searched
        for its replay suffix, and only that suffix is decoded — the
        skipped prefix never pays the checksum pass, which is where the
-       checkpoint's saving lives (indexes and counter maxima come from
-       the peeked [meta] instead).  With no pool (or a 1-job pool) this
-       is the serial sorted replay, record for record. *)
+       checkpoint's saving lives (counter maxima come from the peeked
+       [meta] instead).  With no pool (or a 1-job pool) this is the
+       serial replay, record for record. *)
     let start_lsn = Replay.replay_start_raw raws in
-    let lo = Replay.suffix_starts meta ~start_lsn in
-    let records = Replay.decode_from ?pool raws ~lo in
-    Replay.recover_sorted ?pool
-      ~read:(fun ~page -> Vdisk.read t.data page)
-      ~also_committed ~records ~start_lsn
-      ~write:(fun ~page image -> Vdisk.write t.data page image)
-      ()
-  | Unmerged ->
-    (* The companion algorithm keys redo off page LSNs, not off a start
-       point, so it always decodes and walks the full log. *)
-    let records = Replay.decode_from ?pool raws ~lo:(Array.map (fun _ -> 0) raws) in
-    recover_unmerged t records (Replay.committed ~also:also_committed ~start_lsn:0 records));
+    let records = Replay.decode_from ?pool raws ~lo:(Replay.suffix_starts meta ~start_lsn) in
+    match t.log_format with
+    | Logical ->
+      Replay.recover_logical ?pool ~also_committed ~records ~start_lsn ~page_of:(page_of t) ~read
+        ~write ()
+    | Physical | Delta ->
+      Replay.recover_sorted ?pool ~read ~also_committed ~records ~start_lsn ~write ()));
   finish_recovery t meta;
   if doubt <> [] then begin
     List.iter
       (fun (txn, gid) ->
         let disk = select_log t ~txn ~page:0 in
         let lsn = fresh_lsn t in
-        let r =
-          if decide ~gid then Wal.Commit { lsn; txn } else Wal.Abort { lsn; txn }
-        in
-        ignore (append_log t ~disk r))
+        append_log t ~disk
+          (if decide ~gid then Wal.Commit { lsn; txn } else Wal.Abort { lsn; txn }))
       doubt;
     sync_all_logs t
   end
 
-let recover t = recover_with ~resolve:None t
-
 let crash_and_recover t =
-  Vdisk.crash t.data;
-  Array.iter Journal.crash t.logs;
-  t.epoch <- t.epoch + 1;
-  recover t
+  crash t;
+  recover_with ~resolve:None t
 
 (* Crash, then recover with in-doubt transactions resolved from the
    coordinator's decision log. *)
 let crash_and_recover_resolved ~resolve t =
-  Vdisk.crash t.data;
-  Array.iter Journal.crash t.logs;
-  t.epoch <- t.epoch + 1;
+  crash t;
   recover_with ~resolve:(Some resolve) t
 
 (* Crash, then recover along the preserved pre-parallelization path
-   (Naive.Log_replay): single-threaded decode, from-zero sorted replay,
+   (Naive.Log_replay): single-threaded decode, from-zero replay,
    fuzzy-checkpoint records ignored.  The epilogue is the same
    [finish_recovery], so [state_fingerprint] after this must equal the
    fingerprint after [crash_and_recover] on the same durable state —
    the equivalence the property tests and the bench gate on. *)
 let crash_and_recover_reference t =
-  Vdisk.crash t.data;
-  Array.iter Journal.crash t.logs;
-  t.epoch <- t.epoch + 1;
-  let decoded =
-    Array.map (fun j -> Array.of_list (List.map Wal.decode (Journal.read_all j))) t.logs
+  crash t;
+  let records =
+    List.concat_map (fun j -> List.map Wal.decode (Journal.read_all j)) (Array.to_list t.logs)
   in
-  let records = Array.to_list decoded |> List.concat_map Array.to_list in
+  let read ~page = Vdisk.read t.data page in
+  let write ~page image = Vdisk.write t.data page image in
   (match t.log_format with
-  | Physical ->
-    Naive.Log_replay.recover_sorted ~records
-      ~write:(fun ~page image -> Vdisk.write t.data page image)
-  | Delta ->
-    Naive.Log_replay.recover_sorted_delta ~records
-      ~read:(fun ~page -> Vdisk.read t.data page)
-      ~write:(fun ~page image -> Vdisk.write t.data page image));
+  | Physical -> Naive.Log_replay.recover_sorted ~records ~read ~write
+  | Delta -> Naive.Log_replay.recover_sorted_delta ~records ~read ~write
+  | Logical -> Naive.Log_replay.recover_logical ~records ~page_of:(page_of t) ~read ~write);
   finish_recovery t (Replay.scan (Array.map Journal.to_array t.logs))
 
 (* Sharp checkpoint: force logs and data, then truncate every log disk
-   up to the earliest record still needed by a live transaction. *)
+   up to the earliest record still needed by a live transaction.  Under
+   [Logical] a live transaction with uncommitted page writes blocks the
+   data force (no steal), and with it the truncation: the retained
+   operations are the only copy of committed work the durable image
+   lacks. *)
 let checkpoint t =
   sync_all_logs t;
-  Vdisk.sync t.data;
-  Hashtbl.reset t.dirty_rec;
+  let forced = may_force_data t in
+  if forced then begin
+    Vdisk.sync t.data;
+    Hashtbl.reset t.dirty_rec
+  end;
   let active = Hashtbl.fold (fun id _ acc -> id :: acc) t.active [] in
   let disk = 0 in
-  ignore (append_log t ~disk (Wal.Checkpoint { lsn = fresh_lsn t; active }));
+  append_log t ~disk (Wal.Checkpoint { lsn = fresh_lsn t; active });
   Journal.sync t.logs.(disk);
-  Array.iteri
-    (fun d j ->
-      let keep_from = ref (Journal.synced j) in
-      Idx.iter
-        (fun ~seq ~lsn:_ ~txn ->
-          if List.mem txn active && seq < !keep_from then keep_from := seq)
-        t.indexes.(d);
-      (* Never truncate the checkpoint record we just wrote on disk 0:
-         it documents the active set for auditing. *)
-      let keep_from = if d = 0 then min !keep_from (Journal.synced j - 1) else !keep_from in
-      Journal.truncate j ~keep_from;
-      Idx.drop_before t.indexes.(d) ~keep_from)
-    t.logs;
+  if forced then
+    Array.iteri
+      (fun d j ->
+        let keep_from =
+          Hashtbl.fold
+            (fun _ lt acc -> if lt.seqs.(d) >= 0 then min acc lt.seqs.(d) else acc)
+            t.active (Journal.synced j)
+        in
+        (* Never truncate the checkpoint record we just wrote on disk 0:
+           it documents the active set for auditing. *)
+        let keep_from = if d = 0 then min keep_from (Journal.synced j - 1) else keep_from in
+        Journal.truncate j ~keep_from)
+      t.logs;
   t.records_since_checkpoint <- 0;
   t.checkpoints <- t.checkpoints + 1
 
@@ -635,8 +647,7 @@ let checkpoint_fuzzy ?(sync = true) t =
   sync_all_logs t;
   let start = ref t.next_lsn in
   Hashtbl.iter
-    (fun _ firsts ->
-      Hashtbl.iter (fun _ (_, lsn) -> if lsn < !start then start := lsn) firsts)
+    (fun _ lt -> Hashtbl.iter (fun _ (_, lsn) -> if lsn < !start then start := lsn) lt.firsts)
     t.active;
   Hashtbl.iter (fun _ rec_ -> if rec_ < !start then start := rec_) t.dirty_rec;
   let active = Hashtbl.fold (fun id _ acc -> id :: acc) t.active [] |> List.sort Int.compare in
@@ -645,9 +656,8 @@ let checkpoint_fuzzy ?(sync = true) t =
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   in
   let disk = 0 in
-  ignore
-    (append_log t ~disk
-       (Wal.Fuzzy_checkpoint { lsn = fresh_lsn t; start_lsn = !start; active; dirty }));
+  append_log t ~disk
+    (Wal.Fuzzy_checkpoint { lsn = fresh_lsn t; start_lsn = !start; active; dirty });
   if sync then Journal.sync t.logs.(disk);
   t.records_since_checkpoint <- 0;
   t.fuzzy_checkpoints <- t.fuzzy_checkpoints + 1
@@ -663,9 +673,8 @@ let checkpoint_fuzzy ?(sync = true) t =
    the highest-id transaction may be long finished with all its pages
    durable — entirely below the replay start.  Keeping its newest
    record (always a commit/abort record for a finished transaction,
-   harmless to both replay strategies) pins the counter so recovery
-   after truncation fingerprint-equals recovery on the untruncated
-   log. *)
+   harmless to every replay path) pins the counter so recovery after
+   truncation fingerprint-equals recovery on the untruncated log. *)
 let truncate_to_checkpoint t =
   let raws = Array.map Journal.to_array t.logs in
   let start_lsn = Replay.replay_start_raw raws in
@@ -690,9 +699,7 @@ let truncate_to_checkpoint t =
     Array.iteri
       (fun d j ->
         let cut = if d = !keep_txn_d then min lo.(d) !keep_txn_i else lo.(d) in
-        let keep_from = Journal.synced j - Journal.length j + cut in
-        Journal.truncate j ~keep_from;
-        Idx.drop_before t.indexes.(d) ~keep_from)
+        Journal.truncate j ~keep_from:(Journal.synced j - Journal.length j + cut))
       t.logs
   end
 
@@ -723,9 +730,67 @@ let () =
 
 let set_recovery_strategy t s = t.strategy <- s
 
-let recovery_strategy t = t.strategy
-
 let dump_log t ~disk = List.map Wal.decode (Journal.read_all t.logs.(disk))
+
+(* --- MVCC snapshots ------------------------------------------------- *)
+
+type snapshot = {
+  s_st : store;
+  s_id : int;
+  s_horizon : int;
+  s_born : int;
+  mutable s_released : bool;
+}
+
+let snapshot t =
+  let id = t.next_snap in
+  t.next_snap <- id + 1;
+  let horizon = t.next_seq - 1 in
+  Hashtbl.replace t.snaps id horizon;
+  { s_st = t; s_id = id; s_horizon = horizon; s_born = t.epoch; s_released = false }
+
+let snapshot_release s =
+  if not s.s_released then begin
+    s.s_released <- true;
+    if s.s_born = s.s_st.epoch then begin
+      let t = s.s_st in
+      Hashtbl.remove t.snaps s.s_id;
+      if Hashtbl.length t.snaps = 0 then Hashtbl.reset t.chains
+      else
+        (* Re-trim every chain against the advanced watermark. *)
+        let wm = watermark t in
+        Hashtbl.filter_map_inplace (fun _ chain -> Some (trim_chain wm chain)) t.chains
+    end
+  end
+
+let live_snapshots t = Hashtbl.length t.snaps
+
+(* The committed image of a page: pages are updated in place, so if a
+   live transaction has dirtied the page its before image is the
+   committed copy (page access is serialized by the caller, so at most
+   one live writer holds it). *)
+let committed_page_image t p =
+  let dirty = ref None in
+  Hashtbl.iter
+    (fun _ lt ->
+      match Hashtbl.find_opt lt.firsts p with Some (img, _) -> dirty := Some img | None -> ())
+    t.active;
+  match !dirty with Some img -> img | None -> Vdisk.read_ro t.data p
+
+(* A key with no chain has not been committed-to since the snapshot was
+   pinned (chains exist exactly for keys changed under live snapshots),
+   so its current committed value is the pinned value; otherwise the
+   newest chain entry at or below the horizon is — trimming always keeps
+   one, since live horizons are at or above the watermark. *)
+let snapshot_get s k =
+  if s.s_released || s.s_born <> s.s_st.epoch then raise Kv.Txn_finished;
+  let t = s.s_st in
+  check_key t k;
+  match
+    Option.bind (Hashtbl.find_opt t.chains k) (List.find_opt (fun (seq, _) -> seq <= s.s_horizon))
+  with
+  | Some (_, v) -> v
+  | None -> Page.lookup (committed_page_image t (page_of t k)) ~key:k
 
 let stats t =
   [

@@ -1,33 +1,65 @@
 (** The parallel-logging recovery engine (Section 3.1, functional).
 
-    A steal / no-force page store: updates are applied in place after a
-    full before/after-image log record is appended to one of [N] log
-    disks (write-ahead rule), commit forces every log disk holding the
-    transaction's fragments, and restart recovery rebuilds each page
-    from the distributed logs {e without merging them into one physical
-    log} — global LSNs plus full-page images make per-page
-    reconstruction order-insensitive, the property the paper's
-    companion algorithm [13] exploits.
+    An update-in-place page store: each update appends a log record to
+    one of [N] log disks (write-ahead rule) and then changes the data
+    page in memory; a commit forces the log disks holding the
+    transaction's records; restart recovery rebuilds each page from the
+    distributed logs {e without merging them into one physical log} —
+    global LSNs order every record, the property the paper's companion
+    algorithm [13] exploits.
 
-    Satisfies {!Kv.S}; extras below. *)
+    One engine serves all three record granularities ({!log_format}).
+    The format decides exactly three things: the record an update or an
+    abort restore logs; whether a data-disk force may {e steal} (make
+    uncommitted pages durable), which only the formats logging before
+    images allow; and the replay routine.  Everything else — LSN issue,
+    commit and group commit with the per-disk force closure, the 2PC
+    vote and in-doubt resolution, checkpoints, the recovery epilogue,
+    the fingerprint and MVCC snapshots — is shared, so the formats issue
+    identical LSN streams and recover to identical fingerprints.
 
-include Kv.S
+    MVCC snapshot reads ({!Kv.SNAPSHOT}) work under every format: old
+    versions survive only in bounded in-memory per-key version chains,
+    kept {e only while snapshots are live}.  A commit pushes
+    [(commit seq, value)] for every key it changed, found by comparing
+    each touched page's before image (kept for abort anyway) with its
+    final image, and seeds an absent chain with the pre-transaction
+    value.  A snapshot pinned at horizon [h] reads the newest entry at
+    or below [h], else the committed page image (the before image while
+    a live writer has the page dirty).  Chains are trimmed past the
+    snapshot watermark at every push and release, and dropped when the
+    last snapshot closes or on crash — with no snapshots the write path
+    does no version work.
+
+    Satisfies {!Kv.SNAPSHOT}; extras below. *)
+
+include Kv.SNAPSHOT
 
 type selection = Cyclic | By_txn | By_page
 
 type log_format =
-  | Physical  (** full before/after page images per update (the paper's logging) *)
+  | Physical
+      (** full before/after page images per update (the paper's
+          logging); steal allowed, abort restores not logged *)
   | Delta
       (** {!Wal.Delta} records carrying only each update's changed byte
           range (common-prefix/suffix diff), with full images logged at
           every clean->dirty page transition (the chain anchor replay
           needs) and past the size threshold.  Abort restores are
-          logged too — reusing the LSN the restore burns in physical
-          mode, so both formats issue identical LSN streams and recover
-          to identical fingerprints.  Replay expands each page's slice
-          chain back to full images against the durable base
-          ({!Replay.expand_page}) and then runs the unchanged
-          winner/loser fold. *)
+          logged too, under the LSN the restore burns in every format.
+          Steal allowed.  Replay expands each page's slice chain back to
+          full images against the durable base ({!Replay.expand_page})
+          and then runs the unchanged winner/loser fold. *)
+  | Logical
+      (** operation logging: a {!Wal.Op} record per update names the
+          key and the value written, no images at all; abort restores
+          are not logged.  No steal: {!flush} and the sharp
+          [checkpoint] force the data disk (and the checkpoint
+          truncates) only while no live transaction has uncommitted
+          page writes, so an uncommitted change never becomes durable
+          and restart recovery is REDO-only ({!Replay.recover_logical}):
+          committed operations re-execute in LSN order onto the durable
+          images behind the page-header LSN guard. *)
 
 val create_with :
   ?n_keys:int ->
@@ -77,11 +109,12 @@ val force_commits : t -> unit
     coordinator — or {!Kv.S.abort}. *)
 
 val prepare : txn -> gid:int -> unit
-(** Durable vote for global transaction [gid]: force the disks holding
-    this transaction's update records (plus group-commit closure,
-    exactly as an eager commit would), then append and force a
-    {!Wal.Prepare} record.  The transaction stays active — undo state
-    and locks survive — until the decision. *)
+(** Durable vote for global transaction [gid], forced exactly as an
+    eager commit record: pick the vote's disk, force the transaction's
+    other disks (plus group-commit closure), append a {!Wal.Prepare}
+    record and force the vote disk's closure once.  The transaction
+    stays active — undo state and locks survive — until the decision,
+    and takes no further updates. *)
 
 val in_doubt : t -> (int * int) list
 (** [(txn, gid)] for every durably prepared transaction with no durable
@@ -108,7 +141,8 @@ val truncate_to_checkpoint : t -> unit
 val flush : t -> unit
 (** Force the log disks and then the data disk: the "steal" path (a
     dirty page may reach disk before commit, but never before its log
-    records — the WAL rule). *)
+    records — the WAL rule).  Under [Logical] the data force is skipped
+    while a live transaction has uncommitted page writes (no steal). *)
 
 type recovery_strategy =
   | Sorted  (** group the distributed records per page and replay them
@@ -124,10 +158,9 @@ type recovery_strategy =
 
 val set_recovery_strategy : t -> recovery_strategy -> unit
 (** Default [Sorted].  Takes effect at the next [crash_and_recover].
-    A [Delta]-format engine always recovers along the [Sorted] path
-    (the companion algorithm keys redo off full-page images). *)
-
-val recovery_strategy : t -> recovery_strategy
+    Only a [Physical] engine honours it: the companion algorithm keys
+    redo off full-page images, so a [Delta] engine always recovers
+    along the [Sorted] path and a [Logical] one always re-executes. *)
 
 val set_recovery_pool : t -> Dbm_util.Pool.t option -> unit
 (** Domain pool for restart recovery (default [None] = serial).  With a
@@ -162,8 +195,8 @@ val state_fingerprint : t -> string
 
 val crash_and_recover_reference : t -> unit
 (** Crash, then recover along the preserved pre-parallelization path
-    ({!Naive.Log_replay}): serial decode, from-zero sorted replay,
-    fuzzy-checkpoint records ignored.  Reference for equivalence tests
+    ({!Naive.Log_replay}): serial decode, from-zero replay (sorted, or
+    re-execution for [Logical]), fuzzy-checkpoint records ignored.  Reference for equivalence tests
     and the bench baseline; same counter-reset epilogue as
     [crash_and_recover]. *)
 

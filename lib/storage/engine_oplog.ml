@@ -1,449 +1,11 @@
-(* Operation-logging (logical) recovery engine.  See engine_oplog.mli. *)
+(* Operation logging: Engine_log's Logical format on one journal.  See
+   engine_oplog.mli. *)
 
-(* Volatile per-transaction state.  [firsts] maps each touched page to
-   its pre-transaction image: the undo information an abort needs.
-   Never logged — no-steal means an uncommitted change can never reach
-   the durable image, so restart recovery has nothing to undo.  [wset]
-   is the last value written per key, consumed at commit to extend the
-   snapshot version chains. *)
-type live_txn = {
-  firsts : (int, bytes) Hashtbl.t;
-  wset : (int, string option) Hashtbl.t;
-}
-
-type store = {
-  n_keys : int;
-  keys_per_page : int;
-  data : Vdisk.t;
-  log : Journal.t;
-  enc : Wal_codec.Enc.t;
-  mutable next_lsn : int;
-  mutable next_txn : int;
-  mutable epoch : int;
-  active : (int, live_txn) Hashtbl.t;
-  (* commit sequence numbers, only consumed by snapshot visibility *)
-  mutable next_seq : int;
-  (* live snapshot id -> pinned horizon *)
-  snaps : (int, int) Hashtbl.t;
-  mutable next_snap : int;
-  (* key -> newest-first [(commit seq, value)] version chain.  Pages are
-     overwritten in place here, so old versions survive only in these
-     bounded in-memory chains: a chain exists for a key only while
-     snapshots are live and some commit has since written the key; it is
-     trimmed past the snapshot watermark at every push and the whole
-     table is dropped when the last snapshot releases (and on crash). *)
-  chains : (int, (int * string option) list) Hashtbl.t;
-  (* When set, commit sequence numbers are drawn from this shared
-     source instead of [next_seq] — the Shard layer installs one
-     process-global atomic counter across every shard's engine so
-     snapshot horizons order commits consistently machine-wide. *)
-  mutable seq_source : (unit -> int) option;
-  mutable recovery_pool : Dbm_util.Pool.t option;
-  mutable records_logged : int;
-  mutable recoveries : int;
-  mutable checkpoints : int;
-}
-
-type t = store
-
-type txn = { st : store; id : int; born : int; mutable finished : bool }
+include Engine_log
 
 let engine_name = "oplog"
 
-let default_keys = 256
-
-let create_with ?(n_keys = default_keys) ?(keys_per_page = 4) () =
-  if n_keys <= 0 then invalid_arg "Engine_oplog.create: need at least one key";
-  if keys_per_page <= 0 then invalid_arg "Engine_oplog.create: bad keys_per_page";
-  let n_pages = (n_keys + keys_per_page - 1) / keys_per_page in
-  let page_size = 1024 in
-  {
-    n_keys;
-    keys_per_page;
-    data = Vdisk.create ~pages:n_pages ~page_size ();
-    log = Journal.create ();
-    enc = Wal_codec.Enc.create ~size:128 ();
-    next_lsn = 1;
-    next_txn = 1;
-    epoch = 0;
-    active = Hashtbl.create 8;
-    next_seq = 1;
-    snaps = Hashtbl.create 8;
-    next_snap = 0;
-    chains = Hashtbl.create 16;
-    seq_source = None;
-    recovery_pool = None;
-    records_logged = 0;
-    recoveries = 0;
-    checkpoints = 0;
-  }
+let create_with ?n_keys ?keys_per_page () =
+  Engine_log.create_with ?n_keys ?keys_per_page ~n_log_disks:1 ~log_format:Logical ()
 
 let create ?n_keys () = create_with ?n_keys ()
-
-let max_keys t = t.n_keys
-
-let keys_per_page t = t.keys_per_page
-
-let records_logged t = t.records_logged
-
-let log_bytes t =
-  let total = ref 0 in
-  Journal.iter_all (fun s -> total := !total + String.length s) t.log;
-  !total
-
-let page_of t key = key / t.keys_per_page
-
-let check_key t k =
-  if k < 0 || k >= t.n_keys then invalid_arg (Printf.sprintf "key %d out of range" k)
-
-let fresh_lsn t =
-  let l = t.next_lsn in
-  t.next_lsn <- l + 1;
-  l
-
-let append_log t record =
-  ignore (Journal.append t.log (Wal.encode_with t.enc record));
-  t.records_logged <- t.records_logged + 1
-
-let begin_txn t =
-  let id = t.next_txn in
-  t.next_txn <- id + 1;
-  Hashtbl.replace t.active id { firsts = Hashtbl.create 4; wset = Hashtbl.create 4 };
-  { st = t; id; born = t.epoch; finished = false }
-
-let check txn = if txn.finished || txn.born <> txn.st.epoch then raise Kv.Txn_finished
-
-let get txn k =
-  check txn;
-  check_key txn.st k;
-  Page.lookup (Vdisk.read_ro txn.st.data (page_of txn.st k)) ~key:k
-
-let update_key txn k value =
-  check txn;
-  check_key txn.st k;
-  let t = txn.st in
-  let p = page_of t k in
-  (* First touch of this page by this transaction: save its image for
-     the volatile undo an abort performs. *)
-  (match Hashtbl.find_opt t.active txn.id with
-  | Some lt ->
-    if not (Hashtbl.mem lt.firsts p) then Hashtbl.replace lt.firsts p (Vdisk.read t.data p);
-    Hashtbl.replace lt.wset k value
-  | None -> assert false);
-  let img = Vdisk.read t.data p in
-  Page.update img ~key:k ~value;
-  let lsn = fresh_lsn t in
-  Page.set_lsn img lsn;
-  (* The whole log record: which operation ran, under which LSN.  No
-     images — replay re-executes. *)
-  append_log t (Wal.Op { lsn; txn = txn.id; key = k; value });
-  Vdisk.write t.data p img
-
-let put txn k v = update_key txn k (Some v)
-
-let delete txn k = update_key txn k None
-
-let finish txn =
-  txn.finished <- true;
-  Hashtbl.remove txn.st.active txn.id
-
-(* Oldest horizon any live snapshot is pinned to. *)
-let watermark t = Hashtbl.fold (fun _ h acc -> min h acc) t.snaps max_int
-
-let commit_seq t =
-  match t.seq_source with
-  | None ->
-    let s = t.next_seq in
-    t.next_seq <- s + 1;
-    s
-  | Some src ->
-    let s = src () in
-    (* Keep the local counter ahead of every sequence this shard has
-       seen, so snapshot horizons ([next_seq - 1]) still bound all
-       locally visible commits. *)
-    if s + 1 > t.next_seq then t.next_seq <- s + 1;
-    s
-
-let set_seq_source t src = t.seq_source <- src
-
-(* Drop the chain suffix no live snapshot can reach: everything
-   strictly older than the newest entry at or below the watermark. *)
-let trim_chain wm chain =
-  let rec cut = function
-    | ((seq, _) as keep) :: rest -> keep :: (if seq <= wm then [] else cut rest)
-    | [] -> []
-  in
-  cut chain
-
-(* Commit-time snapshot bookkeeping: push (seq, value) for every key
-   the transaction wrote.  A key's chain is seeded on its first
-   committed write while snapshots are live, with the pre-transaction
-   committed value read from the undo image — tagged seq 0, correct
-   because that value was necessarily committed at or before every
-   horizon still live (any later commit to the key would itself have
-   seeded or extended the chain).  No snapshots live = no work. *)
-let extend_chains t txn seq =
-  if Hashtbl.length t.snaps > 0 then
-    match Hashtbl.find_opt t.active txn.id with
-    | None -> ()
-    | Some lt ->
-      let wm = watermark t in
-      Hashtbl.iter
-        (fun k value ->
-          let chain =
-            match Hashtbl.find_opt t.chains k with
-            | Some c -> c
-            | None ->
-              let p = k / t.keys_per_page in
-              let pre =
-                match Hashtbl.find_opt lt.firsts p with
-                | Some img -> Page.lookup img ~key:k
-                | None -> None
-              in
-              [ (0, pre) ]
-          in
-          Hashtbl.replace t.chains k (trim_chain wm ((seq, value) :: chain)))
-        lt.wset
-
-let commit txn =
-  check txn;
-  let t = txn.st in
-  append_log t (Wal.Commit { lsn = fresh_lsn t; txn = txn.id });
-  (* One journal holds every record of the transaction, so a single
-     force is the whole WAL protocol. *)
-  Journal.sync t.log;
-  extend_chains t txn (commit_seq t);
-  finish txn
-
-let commit_group txn =
-  check txn;
-  let t = txn.st in
-  append_log t (Wal.Commit { lsn = fresh_lsn t; txn = txn.id });
-  extend_chains t txn (commit_seq t);
-  finish txn
-
-let force_commits t = Journal.sync t.log
-
-(* Two-phase commit, participant side: the durable vote.  One journal
-   holds every record of the transaction, so one force after the
-   Prepare record makes both the effects and the vote durable.  The
-   transaction stays active (undo images and the write set survive)
-   until the coordinator's decision: [commit_group] or [abort]. *)
-let prepare txn ~gid =
-  check txn;
-  let t = txn.st in
-  append_log t (Wal.Prepare { lsn = fresh_lsn t; txn = txn.id; gid });
-  Journal.sync t.log
-
-let in_doubt t = Replay.in_doubt [| Journal.to_array t.log |]
-
-let abort txn =
-  check txn;
-  let t = txn.st in
-  (* Volatile undo from the saved pre-transaction images; the fresh LSN
-     per restored page mirrors the physical engine's restore, keeping
-     the two engines' LSN streams aligned. *)
-  (match Hashtbl.find_opt t.active txn.id with
-  | Some lt ->
-    Hashtbl.iter
-      (fun p image ->
-        let lsn = fresh_lsn t in
-        let restored = Bytes.copy image in
-        Page.set_lsn restored lsn;
-        Vdisk.write t.data p restored)
-      lt.firsts
-  | None -> ());
-  append_log t (Wal.Abort { lsn = fresh_lsn t; txn = txn.id });
-  finish txn
-
-(* No-steal gate: the data disk may only be forced when no live
-   transaction has uncommitted page writes — otherwise a dirty
-   uncommitted image would become durable with no undo record anywhere
-   to peel it back off. *)
-let can_sync_data t =
-  Hashtbl.fold (fun _ lt acc -> acc && Hashtbl.length lt.firsts = 0) t.active true
-
-let flush t =
-  Journal.sync t.log;
-  if can_sync_data t then Vdisk.sync t.data
-
-let checkpoint t =
-  Journal.sync t.log;
-  let quiescent = can_sync_data t in
-  if quiescent then Vdisk.sync t.data;
-  let active = Hashtbl.fold (fun id _ acc -> id :: acc) t.active [] in
-  append_log t (Wal.Checkpoint { lsn = fresh_lsn t; active });
-  Journal.sync t.log;
-  (* When the no-steal gate let the data force run, every retained
-     operation is reflected in the durable image: drop the prefix (the
-     checkpoint record survives to re-seed the LSN counter).  This is
-     what bounds the operation log — and it mirrors the physical
-     engine's sharp-checkpoint truncation, keeping the two engines'
-     post-crash counter re-seeds (and so their fingerprints) aligned. *)
-  if quiescent then Journal.truncate t.log ~keep_from:(Journal.synced t.log - 1);
-  t.checkpoints <- t.checkpoints + 1
-
-(* --- restart recovery ---------------------------------------------- *)
-
-let finish_recovery t meta =
-  Vdisk.sync t.data;
-  let max_lsn = ref 0 and max_txn = ref 0 in
-  Array.iter (Array.iter (fun l -> if l > !max_lsn then max_lsn := l)) meta.Replay.lsns;
-  Array.iter (Array.iter (fun x -> if x > !max_txn then max_txn := x)) meta.Replay.txns;
-  t.next_lsn <- !max_lsn + 1;
-  t.next_txn <- !max_txn + 1;
-  Hashtbl.reset t.active;
-  t.recoveries <- t.recoveries + 1
-
-let recover_with ~resolve t =
-  let pool = t.recovery_pool in
-  let raws = [| Journal.to_array t.log |] in
-  let meta = Replay.scan raws in
-  let doubt = Replay.in_doubt raws in
-  let decide ~gid = match resolve with Some f -> f ~gid | None -> false in
-  let also_committed =
-    List.filter_map (fun (txn, gid) -> if decide ~gid then Some txn else None) doubt
-  in
-  let records = Replay.decode_from ?pool raws ~lo:[| 0 |] in
-  Replay.recover_logical ?pool ~also_committed ~records ~start_lsn:0
-    ~page_of:(fun k -> k / t.keys_per_page)
-    ~read:(fun ~page -> Vdisk.read t.data page)
-    ~write:(fun ~page image -> Vdisk.write t.data page image)
-    ();
-  finish_recovery t meta;
-  (* Resolution records: the next restart needs no coordinator. *)
-  if doubt <> [] then begin
-    List.iter
-      (fun (txn, gid) ->
-        let lsn = fresh_lsn t in
-        append_log t (if decide ~gid then Wal.Commit { lsn; txn } else Wal.Abort { lsn; txn }))
-      doubt;
-    Journal.sync t.log
-  end
-
-let recover t = recover_with ~resolve:None t
-
-let crash_and_recover t =
-  Vdisk.crash t.data;
-  Journal.crash t.log;
-  Hashtbl.reset t.snaps;
-  Hashtbl.reset t.chains;
-  t.epoch <- t.epoch + 1;
-  recover t
-
-let crash_and_recover_resolved ~resolve t =
-  Vdisk.crash t.data;
-  Journal.crash t.log;
-  Hashtbl.reset t.snaps;
-  Hashtbl.reset t.chains;
-  t.epoch <- t.epoch + 1;
-  recover_with ~resolve:(Some resolve) t
-
-let crash_and_recover_reference t =
-  Vdisk.crash t.data;
-  Journal.crash t.log;
-  Hashtbl.reset t.snaps;
-  Hashtbl.reset t.chains;
-  t.epoch <- t.epoch + 1;
-  let records = List.map Wal.decode (Journal.read_all t.log) in
-  Naive.Log_replay.recover_logical ~records
-    ~page_of:(fun k -> k / t.keys_per_page)
-    ~read:(fun ~page -> Vdisk.read t.data page)
-    ~write:(fun ~page image -> Vdisk.write t.data page image);
-  finish_recovery t (Replay.scan [| Journal.to_array t.log |])
-
-let set_recovery_pool t pool = t.recovery_pool <- pool
-
-let recovery_pool t = t.recovery_pool
-
-let state_fingerprint t =
-  let d = Dbm_util.Digest.create () in
-  for p = 0 to Vdisk.pages t.data - 1 do
-    Dbm_util.Digest.string d (Bytes.to_string (Vdisk.read_ro t.data p))
-  done;
-  Dbm_util.Digest.int d t.next_lsn;
-  Dbm_util.Digest.int d t.next_txn;
-  Dbm_util.Digest.hex d
-
-let dump_log t = List.map Wal.decode (Journal.read_all t.log)
-
-(* --- MVCC snapshots ------------------------------------------------- *)
-
-type snapshot = {
-  s_st : store;
-  s_id : int;
-  s_horizon : int;
-  s_born : int;
-  mutable s_released : bool;
-}
-
-let snapshot t =
-  let id = t.next_snap in
-  t.next_snap <- id + 1;
-  let horizon = t.next_seq - 1 in
-  Hashtbl.replace t.snaps id horizon;
-  { s_st = t; s_id = id; s_horizon = horizon; s_born = t.epoch; s_released = false }
-
-let snapshot_release s =
-  if not s.s_released then begin
-    s.s_released <- true;
-    if s.s_born = s.s_st.epoch then begin
-      let t = s.s_st in
-      Hashtbl.remove t.snaps s.s_id;
-      if Hashtbl.length t.snaps = 0 then Hashtbl.reset t.chains
-      else begin
-        (* Re-trim every chain against the advanced watermark. *)
-        let wm = watermark t in
-        let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.chains [] in
-        List.iter
-          (fun k ->
-            match Hashtbl.find_opt t.chains k with
-            | Some chain -> Hashtbl.replace t.chains k (trim_chain wm chain)
-            | None -> ())
-          keys
-      end
-    end
-  end
-
-let live_snapshots t = Hashtbl.length t.snaps
-
-(* The committed image of a page: pages are overwritten in place, so if
-   a live transaction has dirtied the page its pre-transaction undo
-   image is the committed copy (page access is serialized by the
-   caller, so at most one live writer holds it). *)
-let committed_page_image t p =
-  let dirty = ref None in
-  Hashtbl.iter
-    (fun _ lt -> match Hashtbl.find_opt lt.firsts p with Some img -> dirty := Some img | None -> ())
-    t.active;
-  match !dirty with Some img -> img | None -> Vdisk.read_ro t.data p
-
-(* A key with no chain has not been committed-to since the snapshot was
-   pinned (chains exist exactly for keys written under live snapshots),
-   so its current committed value is the pinned value; otherwise the
-   newest chain entry at or below the horizon is. *)
-let snapshot_get s k =
-  if s.s_released || s.s_born <> s.s_st.epoch then raise Kv.Txn_finished;
-  let t = s.s_st in
-  check_key t k;
-  match Hashtbl.find_opt t.chains k with
-  | None -> Page.lookup (committed_page_image t (page_of t k)) ~key:k
-  | Some chain -> (
-    match List.find_opt (fun (seq, _) -> seq <= s.s_horizon) chain with
-    | Some (_, v) -> v
-    | None ->
-      (* Unreachable: trimming always keeps an entry at or below the
-         watermark, and live horizons are at or above it. *)
-      Page.lookup (committed_page_image t (page_of t k)) ~key:k)
-
-let stats t =
-  [
-    ("disk_reads", Vdisk.reads t.data);
-    ("disk_writes", Vdisk.writes t.data);
-    ("records_logged", t.records_logged);
-    ("live_txns", Hashtbl.length t.active);
-    ("recoveries", t.recoveries);
-    ("checkpoints", t.checkpoints);
-    ("durable_records", Journal.length t.log);
-    ("log_syncs", Journal.sync_count t.log);
-  ]

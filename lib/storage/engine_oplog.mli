@@ -1,127 +1,18 @@
-(** The operation-logging (logical) recovery engine — ROADMAP item 5
-    made concrete: log {e what was done} ([insert(k,v)]/[delete(k)]),
-    not what the pages looked like.
+(** Operation logging (Lomet's performance-competitive logical
+    recovery, PAPERS.md): {!Engine_log} in its [Logical] format on a
+    single log journal, under the engine name ["oplog"].
 
-    A {b no-steal / no-force} design: updates are applied volatile
-    in place after a tiny {!Wal.Op} record is appended (the whole log
-    record is the operation — no images at all), commit is one log
-    force, and the data disk is only ever forced when no live
-    transaction has uncommitted page writes (the no-steal gate), so an
-    uncommitted change can never become durable.  That makes restart
-    recovery {b REDO-only}: committed operations re-execute in LSN
-    order onto the durable images behind the page-header LSN guard
-    ({!Replay.recover_logical}), and there is nothing to undo — loser
-    operations never reached the disk.  Abort undo uses volatile
-    pre-transaction images kept in memory, never logged.
+    Each update logs the operation it ran — [insert(k,v)] or
+    [delete(k)] — and no page image, so its log is an order of
+    magnitude smaller than the physical format's on the same workload;
+    the bench meters the ratio.  No steal makes restart recovery
+    REDO-only.  One journal holds every record of a transaction, so an
+    eager commit or a prepare forces once. *)
 
-    Log records are an order of magnitude smaller than the physical
-    engine's full-image records on the same workload, which is the
-    whole argument (Lomet's performance-competitive logical recovery,
-    PAPERS.md); the bench meters the ratio.  LSN issue order mirrors
-    {!Engine_log}'s (one per update, one per commit/abort, one per
-    abort-restored page), so on identical committed histories the two
-    engines recover to identical {!state_fingerprint}s — the
-    cross-architecture equivalence gate.
-
-    MVCC snapshot reads ({!Kv.SNAPSHOT}): pages here are overwritten in
-    place, so old versions survive only in bounded in-memory version
-    chains, maintained per key {e only while snapshots are live}.  A
-    chain is seeded at a key's first committed write under a live
-    snapshot (pre-image taken from the committing transaction's undo
-    image) and extended at each commit with the commit's sequence
-    number; a snapshot pinned at horizon [h] reads the newest entry at
-    or below [h], falling back to the committed page image (the undo
-    image when a live writer has the page dirty) for keys never
-    committed-to since the pin.  Chains are trimmed past the snapshot
-    watermark at every push and release, and dropped entirely when the
-    last snapshot closes or on crash — with no snapshots the engine
-    runs exactly as before.
-
-    Satisfies {!Kv.SNAPSHOT}; extras below. *)
-
-include Kv.SNAPSHOT
+include module type of struct
+  include Engine_log
+end
 
 val create_with : ?n_keys:int -> ?keys_per_page:int -> unit -> t
-(** [create] is [create_with] with 4 keys per page (1 KB pages, one log
-    journal). *)
-
-val commit_group : txn -> unit
-(** Group commit: append the commit record but leave the force to the
-    next {!force_commits} (or any eager {!commit}, which forces the one
-    shared journal).  A crash before the force loses the transaction —
-    the group-commit durability window. *)
-
-val force_commits : t -> unit
-(** Force the log journal: every group-committed transaction becomes
-    durable. *)
-
-(** {2 Two-phase commit (participant side)}
-
-    Same protocol as {!Engine_log}: [prepare] is the durable vote (one
-    force covers the operations and the {!Wal.Prepare} record — one
-    journal holds everything), the transaction stays active until the
-    coordinator's decision ({!commit_group} or abort), and restart
-    recovery resolves in-doubt transactions from the coordinator. *)
-
-val prepare : txn -> gid:int -> unit
-(** Durable vote for global transaction [gid]. *)
-
-val in_doubt : t -> (int * int) list
-(** [(txn, gid)] for every durably prepared transaction with no durable
-    decision record, ascending by txn id. *)
-
-val crash_and_recover_resolved : resolve:(gid:int -> bool) -> t -> unit
-(** Crash-and-recover with in-doubt transactions committed iff
-    [resolve ~gid] holds (plain [crash_and_recover] presumes abort);
-    resolution records are appended and forced so the next restart
-    needs no coordinator. *)
-
-val set_seq_source : t -> (unit -> int) option -> unit
-(** Draw commit sequence numbers from a shared source instead of the
-    private counter — a sharded driver ({!Shard} callers such as
-    [dbmsim serve-bench --shards]) installs one process-global atomic
-    counter across every shard's engine so snapshot horizons order
-    commits consistently machine-wide.  [None] restores the private
-    counter. *)
-
-val flush : t -> unit
-(** Force the log, then the data disk — but the data force is skipped
-    whenever a live transaction holds uncommitted page writes (the
-    no-steal gate; stealing would strand an undo-less uncommitted image
-    on disk).
-
-    [checkpoint] (from {!Kv.S}) is the sharp form: force the log, force
-    the data disk when the no-steal gate allows it, append a
-    {!Wal.Checkpoint} record — and, when the data force ran, truncate
-    the log down to that record (every retained operation is then
-    reflected in the durable image).  The truncation is what bounds the
-    operation log, and it mirrors {!Engine_log}'s sharp-checkpoint
-    truncation so the two engines' post-crash counter re-seeds stay
-    fingerprint-aligned. *)
-
-val set_recovery_pool : t -> Dbm_util.Pool.t option -> unit
-(** Domain pool for restart recovery (default [None] = serial): log
-    decoding and per-page re-execution fan out across the domains, with
-    bit-identical results at any pool size.  The engine does not own
-    the pool. *)
-
-val recovery_pool : t -> Dbm_util.Pool.t option
-
-val state_fingerprint : t -> string
-(** 128-bit hex digest of every data page image plus the LSN/txn
-    counters — comparable across engines (same digest layout as
-    {!Engine_log.state_fingerprint}). *)
-
-val crash_and_recover_reference : t -> unit
-(** Crash, then recover along the serial reference
-    ({!Naive.Log_replay.recover_logical}): one global LSN-sorted pass,
-    no partitioning.  Same epilogue as [crash_and_recover]; equal
-    fingerprints are the parallel path's correctness gate. *)
-
-val records_logged : t -> int
-
-val log_bytes : t -> int
-(** Total durable log volume in bytes. *)
-
-val dump_log : t -> Wal.record list
-(** Durable records of the log journal, for inspection and tests. *)
+(** [create] is [create_with] with 4 keys per page: 1 KB pages, one log
+    journal, [Logical] records. *)

@@ -334,8 +334,6 @@ let snapshot_get s k =
   | Some payload -> Page.lookup payload ~key:k
   | None -> Page.lookup (Page.empty ~page_size:payload_size) ~key:k
 
-let committed_count t = Hashtbl.length t.committed
-
 let slot_versions t ~page =
   if page < 0 || page >= t.n_logical then invalid_arg "Engine_versel.slot_versions";
   ( slot_version (Vdisk.read t.disk (2 * page)),

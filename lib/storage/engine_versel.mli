@@ -43,7 +43,5 @@ val force_commits : t -> unit
 (** Sync the data slots, then the committed list (slots before ids):
     every group-committed transaction becomes durable. *)
 
-val committed_count : t -> int
-
 val slot_versions : t -> page:int -> int * int
 (** The version tags of the two slots of a logical page (tests). *)

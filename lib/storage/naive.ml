@@ -179,7 +179,7 @@ module Log_replay = struct
       records;
     committed
 
-  let recover_sorted ~records ~write =
+  let recover_sorted ~records ~read ~write =
     let committed = committed records in
     let by_page : (int, (int * int * bytes * bytes) list) Hashtbl.t = Hashtbl.create 64 in
     List.iter
@@ -195,14 +195,18 @@ module Log_replay = struct
         let ordered = List.sort (fun (a, _, _, _) (b, _, _, _) -> Int.compare a b) updates in
         let state =
           List.fold_left
-            (fun acc (_, txn, before, after) ->
-              if Hashtbl.mem committed txn then Some after
-              else match acc with None -> Some before | Some _ -> acc)
+            (fun acc (lsn, txn, before, after) ->
+              if Hashtbl.mem committed txn then Some (after, max_int)
+              else match acc with None -> Some (before, lsn) | Some _ -> acc)
             None ordered
         in
+        (* A loser-only restore is skipped when the durable base image
+           predates the earliest retained loser update: the base then
+           holds no loser effect. *)
         match state with
-        | Some image -> write ~page image
-        | None -> ())
+        | Some (image, guard) when guard = max_int || Page.get_lsn (read ~page) >= guard ->
+          write ~page image
+        | Some _ | None -> ())
       by_page
 
   (* Serial reference for delta logs, written independently of
@@ -261,7 +265,7 @@ module Log_replay = struct
     let passthrough =
       List.filter (function Wal.Update _ | Wal.Delta _ -> false | _ -> true) records
     in
-    recover_sorted ~records:(passthrough @ !expanded) ~write
+    recover_sorted ~records:(passthrough @ !expanded) ~read ~write
 
   (* Serial reference for operation logs: committed operations in one
      global LSN-sorted list, re-executed onto the durable images behind

@@ -41,9 +41,13 @@ module Log_replay : sig
   val committed : Wal.record list -> (int, unit) Hashtbl.t
   (** Transactions with a durable commit record anywhere in the log. *)
 
-  val recover_sorted : records:Wal.record list -> write:(page:int -> bytes -> unit) -> unit
-  (** Calls [write] once per touched page with its final image, in the
-      reference's (hash-table) iteration order. *)
+  val recover_sorted :
+    records:Wal.record list -> read:(page:int -> bytes) -> write:(page:int -> bytes -> unit) -> unit
+  (** Calls [write] at most once per touched page with its final image,
+      in the reference's (hash-table) iteration order.  [read] supplies
+      the durable base image of a page touched only by losers: its
+      restore is skipped when the base predates the earliest retained
+      loser update, as in {!Replay.recover_sorted}. *)
 
   val recover_sorted_delta :
     records:Wal.record list ->

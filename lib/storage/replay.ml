@@ -58,18 +58,14 @@ let decode_from ?pool (raws : string array array) ~(lo : int array) : Wal.record
     chunks;
   out
 
-let decode ?pool (logs : Journal.t array) : Wal.record array array =
-  let raws = Array.map Journal.to_array logs in
-  decode_from ?pool raws ~lo:(Array.map (fun _ -> 0) raws)
-
 (* --- peeked metadata ------------------------------------------------ *)
 
 type meta = { lsns : int array array; txns : int array array }
 
 (* Two fixed-offset loads per record and no checksum pass, so even a
    full-log scan is cheap next to decoding one page image; recovery
-   rebuilds its indexes and epilogue maxima from this instead of from
-   the decoded prefix it no longer has. *)
+   takes its epilogue maxima from this instead of from the decoded
+   prefix it no longer has. *)
 let scan raws =
   {
     lsns = Array.map (Array.map Wal.peek_lsn) raws;
@@ -109,18 +105,6 @@ let suffix_starts meta ~start_lsn =
       done;
       !lo)
     meta.lsns
-
-let replay_start records =
-  let best = ref 0 and best_lsn = ref (-1) in
-  Array.iter
-    (Array.iter (fun r ->
-         match r with
-         | Wal.Fuzzy_checkpoint { lsn; start_lsn; _ } when lsn > !best_lsn ->
-           best_lsn := lsn;
-           best := start_lsn
-         | _ -> ()))
-    records;
-  !best
 
 let committed ?(also = []) ~start_lsn records =
   let committed = Hashtbl.create 64 in
@@ -168,14 +152,25 @@ let in_doubt (raws : string array array) : (int * int) list =
 (* The per-page fold, verbatim from the serial algorithm (preserved as
    Naive.Log_replay): last committed after-image wins; a page touched
    only by losers reverts to the before image of its earliest retained
-   update.  LSNs are globally unique, so the sort is a total order. *)
+   update, guarded by that update's LSN (see [restore_due]).  LSNs are
+   globally unique, so the sort is a total order. *)
 let page_state committed updates =
   let ordered = List.sort (fun (a, _, _, _) (b, _, _, _) -> Int.compare a b) updates in
   List.fold_left
-    (fun acc (_, txn, before, after) ->
-      if Hashtbl.mem committed txn then Some after
-      else match acc with None -> Some before | Some _ -> acc)
+    (fun acc (lsn, txn, before, after) ->
+      if Hashtbl.mem committed txn then Some (after, None)
+      else match acc with None -> Some (before, Some lsn) | Some _ -> acc)
     None ordered
+
+(* A loser-only page's restore is due only when the durable base holds
+   the guarding update (base LSN >= guard).  A base that predates it
+   holds no loser effect at all: every update a base holds was forced
+   to the log before the data disk, so its record is retained and would
+   be the earliest.  The before image, though, may hold a loser update
+   whose record a partial force left volatile on another log disk. *)
+let restore_due ~read ~page = function
+  | None -> true
+  | Some lsn -> Page.get_lsn (read ~page) >= lsn
 
 (* --- delta expansion ------------------------------------------------ *)
 
@@ -283,17 +278,20 @@ let recover_sorted ?pool ?read ?(also_committed = []) ~(records : Wal.record arr
                     ordered
               in
               match page_state committed updates with
-              | Some image -> (page, image) :: acc
+              | Some (image, guard) -> (page, image, guard) :: acc
               | None -> acc)
             by_page []
         in
-        List.sort (fun (a, _) (b, _) -> Int.compare a b) pages)
+        List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) pages)
   in
   (* Partitions hold disjoint page sets, so a merge by ascending page is
-     a plain sort; each page is written exactly once. *)
+     a plain sort; each page is written at most once, and read (for a
+     restore guard) before it is written. *)
   List.concat images
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  |> List.iter (fun (page, image) -> write ~page image)
+  |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
+  |> List.iter (fun (page, image, guard) ->
+         let due = match read with Some read -> restore_due ~read ~page guard | None -> true in
+         if due then write ~page image)
 
 (* --- logical (operation-log) replay --------------------------------- *)
 

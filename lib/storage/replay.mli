@@ -20,14 +20,15 @@
        engines issue), filters through the committed-transaction set and
        folds to a final image per page: the last committed after-image
        wins, and a page touched only by losers reverts to the before
-       image of its earliest retained update.  Because the fold is per
+       image of its earliest retained update (when its durable base
+       holds that update; see {!recover_sorted}).  Because the fold is per
        page and pages do not straddle partitions, the images are
        independent of the partition count and of worker interleaving.}}
 
-    Final images are handed to the caller in ascending page order, once
-    per page, so disk write counts and contents are identical for any
-    job count — [pool = None] (or a 1-job pool) reproduces the serial
-    path exactly. *)
+    Final images are handed to the caller in ascending page order, at
+    most once per page, so disk write counts and contents are identical
+    for any job count — [pool = None] (or a 1-job pool) reproduces the
+    serial path exactly. *)
 
 val map_list : ?pool:Dbm_util.Pool.t -> 'a list -> f:('a -> 'b) -> 'b list
 (** The one parallel primitive every phase uses: input order in, result
@@ -39,17 +40,6 @@ val chunk_ranges : len:int -> pieces:int -> (int * int) list
 (** Contiguous [(lo, hi)] ranges covering [0, len), at most [pieces] of
     them, sizes differing by at most one.  Empty for [len <= 0]. *)
 
-val replay_start : Wal.record array array -> int
-(** The replay start LSN announced by the newest durable
-    {!Wal.Fuzzy_checkpoint} record across all logs, or [0] when no
-    checkpoint record survives (full-log replay). *)
-
-val decode : ?pool:Dbm_util.Pool.t -> Journal.t array -> Wal.record array array
-(** Decode every retained durable record of every journal, fanning
-    contiguous chunks across the pool.  Output order per disk is append
-    order, bit-identical for any pool size.
-    @raise Wal.Corrupt as a serial decode would. *)
-
 (** {2 Prefix skipping}
 
     Decoding is the dominant recovery cost (a checksum pass over every
@@ -58,7 +48,7 @@ val decode : ?pool:Dbm_util.Pool.t -> Journal.t array -> Wal.record array array
     on the raw encoded strings ([Journal.to_array]) via the O(1)
     {!Wal.peek_lsn}/{!Wal.peek_txn} loads: find the newest checkpoint,
     binary-search each journal for the replay suffix, decode only that,
-    and rebuild indexes / epilogue maxima from peeked metadata. *)
+    and take the epilogue's counter maxima from peeked metadata. *)
 
 type meta = {
   lsns : int array array;  (** peeked LSN of every retained record *)
@@ -70,9 +60,11 @@ val scan : string array array -> meta
     loads per record, no checksum pass. *)
 
 val replay_start_raw : string array array -> int
-(** {!replay_start} over raw encodings: checkpoint candidates are found
-    by tag byte and only those pay for a checked decode.  [0] when no
-    fuzzy checkpoint record survives. *)
+(** The replay start LSN announced by the newest durable
+    {!Wal.Fuzzy_checkpoint} record across all logs, read off the raw
+    encodings: checkpoint candidates are found by tag byte and only
+    those pay for a checked decode.  [0] when no fuzzy checkpoint
+    record survives (full-log replay). *)
 
 val suffix_starts : meta -> start_lsn:int -> int array
 (** Per-journal index of the first retained record with
@@ -82,8 +74,8 @@ val suffix_starts : meta -> start_lsn:int -> int array
 val decode_from :
   ?pool:Dbm_util.Pool.t -> string array array -> lo:int array -> Wal.record array array
 (** Decode only the suffix [lo.(disk) ..] of each journal's raw record
-    array, fanning contiguous chunks across the pool.  [decode] is this
-    with [lo] all zero.
+    array, fanning contiguous chunks across the pool.  Output order per
+    disk is append order, bit-identical for any pool size.
     @raise Wal.Corrupt as a serial decode would. *)
 
 val committed : ?also:int list -> start_lsn:int -> Wal.record array array -> (int, unit) Hashtbl.t
@@ -126,15 +118,21 @@ val recover_sorted :
   unit ->
   unit
 (** The sorted-replay strategy over the partitioned plan described
-    above.  [write] receives each touched page's final image exactly
+    above.  [write] receives each touched page's final image at most
     once, in ascending page order, from the calling domain.
 
-    When the log holds {!Wal.Delta} records, [read] must supply each
-    page's durable base image; bases are snapshotted serially before
-    the fan-out (worker domains never touch the disk) and each page's
-    chain is expanded to full images with {!expand_page} before the
-    unchanged winner/loser fold runs.  Physical-only logs never invoke
-    [read].
+    [read] supplies durable base images.  A page touched only by losers
+    reverts to the before image of its earliest retained update only
+    when its base holds that update: a base that predates it holds no
+    loser effect, while the before image may hold a loser update whose
+    record a partial force (an eager commit forcing only its own log
+    disks) left volatile on another disk.  Without [read] the restore
+    is always written.
+
+    When the log holds {!Wal.Delta} records, [read] is required; bases
+    are snapshotted serially before the fan-out (worker domains never
+    touch the disk) and each page's chain is expanded to full images
+    with {!expand_page} before the unchanged winner/loser fold runs.
     @raise Wal.Corrupt on delta records without a [read]. *)
 
 val recover_logical :

@@ -239,12 +239,12 @@ let engines_section ~now ~scale =
 
 (* --- recovery wall vs durable log length ---------------------------- *)
 
-(* [checkpoint_after]: after that many committed transactions the engine
+(* Commit [txns] transactions of 8 puts each into [t].
+   [checkpoint_after]: after that many committed transactions the engine
    flushes (the page cleaner catching up) and takes a fuzzy checkpoint;
    the remaining transactions dirty pages again on top of it, so the
    checkpoint ages as the log keeps growing. *)
-let load_log_engine ?checkpoint_after ~txns () =
-  let t = Engine_log.create_with ~n_keys:256 () in
+let load_log_engine ?checkpoint_after ~txns t =
   for i = 0 to txns - 1 do
     (match checkpoint_after with
     | Some c when i = c ->
@@ -273,8 +273,8 @@ let durable_records t =
    ratio.  Best of five: recovery leaves the journal intact, so repeated
    crash-and-recover runs measure the same work. *)
 let recovery_length_section ~now ~txns =
-  let t_l = load_log_engine ~txns () in
-  let t_2l = load_log_engine ~txns:(2 * txns) () in
+  let t_l = load_log_engine ~txns (Engine_log.create ()) in
+  let t_2l = load_log_engine ~txns:(2 * txns) (Engine_log.create ()) in
   let records_l = durable_records t_l in
   let records_2l = durable_records t_2l in
   Gc.compact ();
@@ -314,41 +314,16 @@ let recovery_length_section ~now ~txns =
 
 module Pool = Dbm_util.Pool
 
-(* What a timed recovery and the log-format head-to-head need from an
-   engine; Engine_log (under either log format) and Engine_oplog both
-   satisfy it. *)
-module type FORMAT_ENGINE = sig
-  type t
-
-  type txn
-
-  val begin_txn : t -> txn
-
-  val put : txn -> int -> string -> unit
-
-  val commit : txn -> unit
-
-  val crash_and_recover : t -> unit
-
-  val state_fingerprint : t -> string
-
-  val set_recovery_pool : t -> Pool.t option -> unit
-
-  val log_bytes : t -> int
-
-  val records_logged : t -> int
-end
-
 (* Best-of-five crash-and-recover wall; recovery leaves the durable
    journal intact, so repeated runs measure the same work.  Returns the
    wall and the post-recovery fingerprint for the equivalence check. *)
-let timed_recovery (type a) (module E : FORMAT_ENGINE with type t = a) ~now (e : a) =
+let timed_recovery ~now e =
   let best = ref infinity in
   for _ = 1 to 5 do
-    let (), w = time now (fun () -> E.crash_and_recover e) in
+    let (), w = time now (fun () -> Engine_log.crash_and_recover e) in
     if w < !best then best := w
   done;
-  (!best *. 1000., E.state_fingerprint e)
+  (!best *. 1000., Engine_log.state_fingerprint e)
 
 (* The domain counts a recovery curve actually runs: the request list
    plus the jobs = 1 baseline, capped at the host's cores unless
@@ -372,7 +347,7 @@ let kept_jobs ~jobs ~allow_oversubscribe =
 let recovery_vs_jobs ~now ~jobs ~allow_oversubscribe ~txns =
   let host = Pool.default_jobs () in
   let kept = kept_jobs ~jobs ~allow_oversubscribe in
-  let t = load_log_engine ~txns () in
+  let t = load_log_engine ~txns (Engine_log.create ()) in
   Gc.compact ();
   Engine_log.crash_and_recover_reference t;
   let ref_fp = Engine_log.state_fingerprint t in
@@ -383,7 +358,7 @@ let recovery_vs_jobs ~now ~jobs ~allow_oversubscribe ~txns =
           if j = 1 then None else Some (Pool.create ~jobs:j ~allow_oversubscribe:true ())
         in
         Engine_log.set_recovery_pool t pool;
-        let wall_ms, fp = timed_recovery (module Engine_log) ~now t in
+        let wall_ms, fp = timed_recovery ~now t in
         Engine_log.set_recovery_pool t None;
         Option.iter Pool.shutdown pool;
         (j, j > host, wall_ms, String.equal fp ref_fp))
@@ -406,13 +381,13 @@ let recovery_vs_checkpoint_age ~now ~txns =
         let checkpoint_after =
           if frac <= 0.0 then None else Some (int_of_float (frac *. float_of_int txns))
         in
-        (frac, load_log_engine ?checkpoint_after ~txns ()))
+        (frac, load_log_engine ?checkpoint_after ~txns (Engine_log.create ())))
       fractions
   in
   Gc.compact ();
   List.map
     (fun (frac, t) ->
-      let wall_ms, fp = timed_recovery (module Engine_log) ~now t in
+      let wall_ms, fp = timed_recovery ~now t in
       Engine_log.crash_and_recover_reference t;
       (frac, durable_records t, wall_ms, String.equal fp (Engine_log.state_fingerprint t)))
     engines
@@ -512,36 +487,26 @@ let recovery_parallel_section ~now ~jobs ~allow_oversubscribe ~txns =
 
 (* --- log formats: physical vs delta vs operation logging ------------ *)
 
-(* Exactly [load_log_engine]'s committed workload, format-generic: the
-   engines issue identical LSN streams on it, so their recovered states
-   must fingerprint-match the physical reference byte for byte. *)
-let load_format (type a) (module E : FORMAT_ENGINE with type t = a) (e : a) ~txns =
-  for i = 0 to txns - 1 do
-    let txn = E.begin_txn e in
-    for j = 0 to 7 do
-      E.put txn (((i * 8) + j) mod 256) value
-    done;
-    E.commit txn
-  done
-
-(* [v]: the format's log bytes per committed txn, whether every
-   recovered fingerprint (serial and at each job count) matched the
-   reference, and whether its measurements came back finite and
+(* [load_log_engine]'s committed workload, in the format [e] was built
+   with: the formats issue identical LSN streams on it, so their
+   recovered states must fingerprint-match the physical reference byte
+   for byte.  [v]: the format's log bytes per committed txn, whether
+   every recovered fingerprint (serial and at each job count) matched
+   the reference, and whether its measurements came back finite and
    positive. *)
-let format_point (type a) (module E : FORMAT_ENGINE with type t = a) ~now ~name ~txns
-    ~par_jobs ~ref_fp (e : a) =
+let format_point ~now ~name ~txns ~par_jobs ~ref_fp e =
   Gc.compact ();
-  let (), load_s = time now (fun () -> load_format (module E) e ~txns) in
-  let records = E.records_logged e in
-  let bytes = E.log_bytes e in
-  let serial_ms, serial_fp = timed_recovery (module E) ~now e in
+  let e, load_s = time now (fun () -> load_log_engine ~txns e) in
+  let records = Engine_log.records_logged e in
+  let bytes = Engine_log.log_bytes e in
+  let serial_ms, serial_fp = timed_recovery ~now e in
   let par =
     List.map
       (fun j ->
         let pool = Pool.create ~jobs:j ~allow_oversubscribe:true () in
-        E.set_recovery_pool e (Some pool);
-        let ms, fp = timed_recovery (module E) ~now e in
-        E.set_recovery_pool e None;
+        Engine_log.set_recovery_pool e (Some pool);
+        let ms, fp = timed_recovery ~now e in
+        Engine_log.set_recovery_pool e None;
         Pool.shutdown pool;
         (ms, fp))
       par_jobs
@@ -586,24 +551,14 @@ let log_format_section ~now ~jobs ~allow_oversubscribe ~formats ~txns =
   (* The cross-format reference: the physical engine's serial reference
      replay (Naive.Log_replay) on the same workload. *)
   let ref_fp =
-    let t = load_log_engine ~txns () in
+    let t = load_log_engine ~txns (Engine_log.create ()) in
     Engine_log.crash_and_recover_reference t;
     Engine_log.state_fingerprint t
   in
-  let point (type a) (module E : FORMAT_ENGINE with type t = a) name (e : a) =
-    format_point (module E) ~now ~name ~txns ~par_jobs ~ref_fp e
-  in
-  let physical = point (module Engine_log) "physical" (Engine_log.create_with ~n_keys:256 ()) in
-  let delta =
-    if not (want "delta") then None
-    else
-      Some
-        (point (module Engine_log) "delta"
-           (Engine_log.create_with ~n_keys:256 ~log_format:Engine_log.Delta ()))
-  in
-  let oplog =
-    if not (want "oplog") then None
-    else Some (point (module Engine_oplog) "oplog" (Engine_oplog.create_with ~n_keys:256 ()))
+  let point name e = format_point ~now ~name ~txns ~par_jobs ~ref_fp e in
+  let physical = point "physical" (Engine_log.create ()) in
+  let delta = if want "delta" then Some (point "delta" (Engine_log_delta.create ())) else None in
+  let oplog = if want "oplog" then Some (point "oplog" (Engine_oplog.create ())) else None
   in
   (* A format the caller excluded scores [infinity]: "no bytes spent". *)
   let physical_bpt, _, _ = physical.v in
@@ -797,16 +752,6 @@ let server_bench_engine (type a) (module E : SERVER_ENGINE with type t = a) ~loa
    — the top points drive both pipelines well past saturation. *)
 let server_loads = [ 2_000.0; 10_000.0; 40_000.0; 160_000.0; 400_000.0 ]
 
-(* The logging engine on the slimmed (delta) log: the server sweep
-   re-run over far fewer log bytes per commit. *)
-module Engine_log_delta = struct
-  include Engine_log
-
-  let engine_name = "logging-delta"
-
-  let create ?n_keys () = create_with ?n_keys ~log_format:Delta ()
-end
-
 let server_section ~scale =
   let n = 800 * scale and seed = 20_250 in
   let bench (module E : SERVER_ENGINE) =
@@ -856,18 +801,9 @@ let server_section ~scale =
 
 (* --- MVCC snapshot reads: read-heavy head-to-head ------------------- *)
 
-(* What the read-heavy sweep needs: a {!Server.ENGINE} that can also pin
-   MVCC snapshots.  Engine_diff, Engine_versel and Engine_oplog all
-   satisfy it. *)
-module type SNAPSHOT_SERVER_ENGINE = sig
-  include Kv.SNAPSHOT
-
-  val commit_group : txn -> unit
-
-  val force_commits : t -> unit
-end
-
-let snapshot_engines : (module SNAPSHOT_SERVER_ENGINE) list =
+(* The logging engine pins snapshots under every log format; the
+   read-heavy sweep runs it as oplog. *)
+let snapshot_engines : (module Server.SNAPSHOT_ENGINE) list =
   [ (module Engine_diff); (module Engine_versel); (module Engine_oplog) ]
 
 (* Zipfian-page transactions with a read-only class carved out: each
@@ -897,7 +833,7 @@ let read_heavy_scripts ~n ~seed ~read_frac ~heavy =
    lock modes must scan identically — unlike the engines'
    [state_fingerprint]s, whose counters legitimately differ across
    modes. *)
-let read_scan_digest (type a) (module E : SNAPSHOT_SERVER_ENGINE with type t = a) (e : a) =
+let read_scan_digest (type a) (module E : Server.SNAPSHOT_ENGINE with type t = a) (e : a) =
   E.crash_and_recover e;
   let txn = E.begin_txn e in
   let digest = scan_digest ~n_keys:(E.max_keys e) (E.get txn) in
@@ -916,7 +852,7 @@ let read_modes = [ "xlock"; "slock"; "snapshot" ]
    lock waits is where its throughput headroom comes from.  [v]: the
    sustained tps, the read-only restarts, the post-crash scan digest
    and whether every snapshot view was closed by the end. *)
-let read_mode_run (type a) (module E : SNAPSHOT_SERVER_ENGINE with type t = a) ~mode_name
+let read_mode_run (type a) (module E : Server.SNAPSHOT_ENGINE with type t = a) ~mode_name
     ~arrivals_us ~scripts ~read_only =
   let module Srv = Server.Make (E) in
   let e = E.create ~n_keys:1024 () in
@@ -967,7 +903,7 @@ type read_point = {
   modes : string list;
 }
 
-let read_frac_point (module E : SNAPSHOT_SERVER_ENGINE) ~n ~seed ~read_frac ~heavy =
+let read_frac_point (module E : Server.SNAPSHOT_ENGINE) ~n ~seed ~read_frac ~heavy =
   let scripts, read_only = read_heavy_scripts ~n ~seed ~read_frac ~heavy in
   (* Offered load well above the eager baseline's ~9.5k tps capacity
      (one 100 µs force per commit), so the locked modes are
@@ -1034,7 +970,7 @@ let read_heavy_section ~scale ~read_fracs =
   let n = 400 * scale and seed = 90_125 in
   let engines =
     List.map
-      (fun (module E : SNAPSHOT_SERVER_ENGINE) ->
+      (fun (module E : Server.SNAPSHOT_ENGINE) ->
         let point = read_frac_point (module E) ~n ~seed in
         ( E.engine_name,
           List.map (fun rf -> point ~read_frac:rf ~heavy:false) read_fracs

@@ -123,7 +123,7 @@ val decode : string -> record
     pays.  These trust the
     framing: they are only safe on records the engine itself appended
     (the in-memory journals hold exactly what [encode] produced).
-    Recovery uses them to locate the replay suffix and rebuild indexes
+    Recovery uses them to locate the replay suffix and re-seed counters
     without decoding — and checksumming — the log prefix a fuzzy
     checkpoint lets it skip. *)
 

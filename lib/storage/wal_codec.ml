@@ -4,11 +4,6 @@ exception Corrupt of string
 
 let checksum s ~pos ~len = Dbm_util.Digest.fnv64_words s ~pos ~len
 
-let varint_size v =
-  if v < 0 then invalid_arg "Wal_codec.varint_size: negative";
-  let rec go v n = if v < 0x80 then n else go (v lsr 7) (n + 1) in
-  go v 1
-
 (* --- encoder -------------------------------------------------------- *)
 
 module Enc = struct

@@ -28,9 +28,6 @@ exception Corrupt of string
 val checksum : string -> pos:int -> len:int -> int64
 (** The framing checksum over a range: {!Dbm_util.Digest.fnv64_words}. *)
 
-val varint_size : int -> int
-(** Encoded size in bytes of a varint ([v >= 0]), 1..10. *)
-
 (** Scratch-buffer encoder.  One instance per engine (single-domain
     use); the buffer is reused across records and only grows. *)
 module Enc : sig

@@ -10,6 +10,7 @@
 module Kv = Dbm_storage.Kv
 module Engine_log = Dbm_storage.Engine_log
 module Engine_oplog = Dbm_storage.Engine_oplog
+module Engine_log_delta = Dbm_storage.Engine_log_delta
 module Engine_shadow = Dbm_storage.Engine_shadow
 module Engine_versel = Dbm_storage.Engine_versel
 module Engine_overwrite = Dbm_storage.Engine_overwrite
@@ -276,10 +277,16 @@ module Log_unmerged = Crash_harness (struct
 end)
 
 module Log_delta = Crash_harness (struct
-  include Engine_log
+  include Engine_log_delta
 
   let engine_name = "logging-delta-records"
-  let create ?n_keys () = create_with ?n_keys ~log_format:Engine_log.Delta ()
+end)
+
+module Log_logical = Crash_harness (struct
+  include Engine_log
+
+  let engine_name = "logging-logical-2-disks"
+  let create ?n_keys () = create_with ?n_keys ~log_format:Engine_log.Logical ()
 end)
 
 module Oplog_h = Crash_harness (Engine_oplog)
@@ -343,13 +350,81 @@ let test_log_fuzzy_checkpoint_with_active_txn () =
   let e = Engine_log.create () in
   let t1 = Engine_log.begin_txn e in
   Engine_log.put t1 1 "uncommitted";
-  (* fuzzy checkpoint with t1 still active *)
+  (* sharp checkpoint with t1 still active: its page is forced (steal)
+     and its record must survive the truncation *)
   Engine_log.checkpoint e;
   Engine_log.crash_and_recover e;
   let t = Engine_log.begin_txn e in
   check (Alcotest.option Alcotest.string) "active txn undone despite checkpoint" None
     (Engine_log.get t 1);
   Engine_log.abort t
+
+let test_log_sharp_checkpoint_keeps_both_disks () =
+  (* Cyclic selection spreads the live transaction's updates over both
+     log disks; the committed history before it gives the truncation
+     something to drop on each disk.  The checkpoint forces the loser's
+     pages (steal), so every one of its records must survive on its
+     own disk for the crash to undo it. *)
+  let e = Engine_log.create () in
+  for i = 0 to 5 do
+    let t = Engine_log.begin_txn e in
+    Engine_log.put t (i * 4) "committed";
+    Engine_log.commit t
+  done;
+  let loser = Engine_log.begin_txn e in
+  List.iter (fun k -> Engine_log.put loser k "loser") [ 0; 4; 8; 12 ];
+  let loser_updates disk =
+    List.length
+      (List.filter
+         (function Dbm_storage.Wal.Update { txn; _ } -> txn = 7 | _ -> false)
+         (Engine_log.dump_log e ~disk))
+  in
+  Engine_log.checkpoint e;
+  check Alcotest.(pair int int) "loser records kept on both disks" (2, 2)
+    (loser_updates 0, loser_updates 1);
+  check Alcotest.int "only the loser's records and the checkpoint remain" 5
+    (List.assoc "durable_records" (Engine_log.stats e));
+  Engine_log.crash_and_recover e;
+  let t = Engine_log.begin_txn e in
+  List.iter
+    (fun k ->
+      check (Alcotest.option Alcotest.string) "loser undone" (Some "committed")
+        (Engine_log.get t k))
+    [ 0; 4; 8; 12 ];
+  Engine_log.abort t
+
+let test_log_partial_force_keeps_loser_out () =
+  (* Cyclic selection puts a loser's three updates of page 0 on disks 0,
+     1 and 0.  An empty transaction's eager commit lands on disk 1 and
+     forces only it, so the crash keeps the loser's second record and
+     loses the first and third.  The durable page predates the loser:
+     restoring the second record's before image would resurrect the
+     first, uncommitted update. *)
+  List.iter
+    (fun (path, recover) ->
+      let e = Engine_log.create () in
+      let loser = Engine_log.begin_txn e in
+      Engine_log.put loser 1 "first";
+      Engine_log.put loser 2 "second";
+      Engine_log.put loser 3 "third";
+      Engine_log.commit (Engine_log.begin_txn e);
+      recover e;
+      check Alcotest.(pair int int) (path ^ ": only disk 1 was forced") (0, 2)
+        (List.length (Engine_log.dump_log e ~disk:0), List.length (Engine_log.dump_log e ~disk:1));
+      let t = Engine_log.begin_txn e in
+      check
+        Alcotest.(list (option string))
+        (path ^ ": loser invisible") [ None; None; None ]
+        (List.map (Engine_log.get t) [ 1; 2; 3 ]);
+      Engine_log.abort t)
+    [
+      ("parallel", Engine_log.crash_and_recover);
+      ("reference", Engine_log.crash_and_recover_reference);
+      ( "unmerged",
+        fun e ->
+          Engine_log.set_recovery_strategy e Engine_log.Unmerged;
+          Engine_log.crash_and_recover e );
+    ]
 
 let test_log_flush_steal_then_crash () =
   let e = Engine_log.create () in
@@ -803,13 +878,14 @@ end
 
 module Fp_physical = Fp_harness (Engine_log)
 
-module Fp_delta = Fp_harness (struct
+module Fp_delta = Fp_harness (Engine_log_delta)
+module Fp_oplog = Fp_harness (Engine_oplog)
+
+module Fp_logical = Fp_harness (struct
   include Engine_log
 
-  let create ?n_keys () = create_with ?n_keys ~log_format:Engine_log.Delta ()
+  let create ?n_keys () = create_with ?n_keys ~log_format:Engine_log.Logical ()
 end)
-
-module Fp_oplog = Fp_harness (Engine_oplog)
 
 let prop_delta_fingerprint_parity =
   QCheck.Test.make ~name:"delta log recovers to the physical fingerprint" ~count:100
@@ -818,6 +894,10 @@ let prop_delta_fingerprint_parity =
 let prop_oplog_fingerprint_parity =
   QCheck.Test.make ~name:"operation log recovers to the physical fingerprint" ~count:100
     ops_arbitrary (fun ops -> Fp_physical.run ops = Fp_oplog.run ops)
+
+let prop_logical_fingerprint_parity =
+  QCheck.Test.make ~name:"two-disk operation log recovers to the physical fingerprint" ~count:100
+    ops_arbitrary (fun ops -> Fp_physical.run ops = Fp_logical.run ops)
 
 let test_delta_steal_then_crash_matches_physical () =
   (* a steal (flush with a live loser) is the sharpest delta-chain test:
@@ -925,6 +1005,10 @@ let specific =
     Alcotest.test_case "log: fuzzy checkpoint keeps undo" `Quick
       test_log_fuzzy_checkpoint_with_active_txn;
     Alcotest.test_case "log: steal then crash rolls back" `Quick test_log_flush_steal_then_crash;
+    Alcotest.test_case "log: sharp checkpoint keeps a live txn on both disks" `Quick
+      test_log_sharp_checkpoint_keeps_both_disks;
+    Alcotest.test_case "log: partial force keeps a loser out" `Quick
+      test_log_partial_force_keeps_loser_out;
     Alcotest.test_case "log: unmerged recovery = sorted recovery" `Quick
       test_log_unmerged_equals_sorted;
     Alcotest.test_case "log: auto-checkpoint bounds the log" `Quick
@@ -962,6 +1046,7 @@ let specific =
     Alcotest.test_case "oplog: no-steal gate" `Quick test_oplog_no_steal_gate;
     QCheck_alcotest.to_alcotest prop_delta_fingerprint_parity;
     QCheck_alcotest.to_alcotest prop_oplog_fingerprint_parity;
+    QCheck_alcotest.to_alcotest prop_logical_fingerprint_parity;
   ]
 
 let () =
@@ -973,6 +1058,7 @@ let () =
       Log_by_page.suite;
       Log_unmerged.suite;
       Log_delta.suite;
+      Log_logical.suite;
       Oplog_h.suite;
       Shadow_h.suite;
       Versel_h.suite;

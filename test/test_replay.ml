@@ -12,6 +12,7 @@
 module Kv = Dbm_storage.Kv
 module Engine_log = Dbm_storage.Engine_log
 module Engine_diff = Dbm_storage.Engine_diff
+module Engine_oplog = Dbm_storage.Engine_oplog
 module Journal = Dbm_storage.Journal
 module Replay = Dbm_storage.Replay
 module Wal = Dbm_storage.Wal
@@ -66,8 +67,8 @@ let ops_arbitrary =
     ~print:(fun ops -> String.concat ";" (List.map op_print ops))
     (QCheck.Gen.list_size (QCheck.Gen.int_range 0 80) op_gen)
 
-(* What the equivalence harness needs beyond Kv.S — both converted
-   engines provide exactly this. *)
+(* What the equivalence harness needs beyond Kv.S — every converted
+   engine provides exactly this. *)
 module type CONVERTED = sig
   include Kv.S
 
@@ -263,8 +264,13 @@ module Diff_c : CONVERTED with type t = Engine_diff.t = struct
   let flush _ = ()
 end
 
+module Oplog_c : CONVERTED with type t = Engine_oplog.t = struct
+  include Engine_oplog
+end
+
 module Log_equiv = Equiv_harness (Log_c)
 module Diff_equiv = Equiv_harness (Diff_c)
+module Oplog_equiv = Equiv_harness (Oplog_c)
 
 (* --- the checkpoint actually moves the replay start -------------------- *)
 
@@ -277,11 +283,11 @@ let test_replay_start_advances () =
   Engine_log.flush e;
   (* clean data, no live txns: the checkpoint may skip everything *)
   Engine_log.checkpoint_fuzzy e;
-  let decoded =
+  let raws =
     Array.init (Engine_log.log_disks e) (fun d ->
-        Array.of_list (Engine_log.dump_log e ~disk:d))
+        Array.of_list (List.map Wal.encode (Engine_log.dump_log e ~disk:d)))
   in
-  check Alcotest.bool "start LSN advanced past zero" true (Replay.replay_start decoded > 0);
+  check Alcotest.bool "start LSN advanced past zero" true (Replay.replay_start_raw raws > 0);
   (* and the engine still recovers to the right values through it *)
   let t = Engine_log.begin_txn e in
   Engine_log.put t 3 "three";
@@ -361,7 +367,8 @@ let prop_truncate_chunk_boundary =
          decode must see exactly the kept records, in order *)
       let serial = List.map Wal.decode kept in
       let parallel =
-        Replay.decode ~pool:(Lazy.force pool) [| j |] |> fun a -> Array.to_list a.(0)
+        Replay.decode_from ~pool:(Lazy.force pool) [| Journal.to_array j |] ~lo:[| 0 |]
+        |> fun a -> Array.to_list a.(0)
       in
       iter_ok && read_ok && parallel = serial)
 
@@ -374,6 +381,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest (Log_equiv.property 60);
           QCheck_alcotest.to_alcotest (Diff_equiv.property 60);
+          QCheck_alcotest.to_alcotest (Oplog_equiv.property 60);
         ] );
       ( "fuzzy checkpoints",
         [
@@ -385,6 +393,10 @@ let () =
             (durable_checkpoint_matches (module Log_c));
           Alcotest.test_case "diff: durable checkpoint matches" `Quick
             (durable_checkpoint_matches (module Diff_c));
+          Alcotest.test_case "oplog: crash during checkpoint" `Quick
+            (crash_during_checkpoint (module Oplog_c));
+          Alcotest.test_case "oplog: durable checkpoint matches" `Quick
+            (durable_checkpoint_matches (module Oplog_c));
           Alcotest.test_case "log: replay start advances" `Quick test_replay_start_advances;
         ] );
       ( "partitioning",

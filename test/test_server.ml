@@ -9,6 +9,7 @@ module Server = Dbm_storage.Server
 module Commit_pipeline = Dbm_storage.Commit_pipeline
 module Engine_log = Dbm_storage.Engine_log
 module Engine_diff = Dbm_storage.Engine_diff
+module Engine_oplog = Dbm_storage.Engine_oplog
 
 let check = Alcotest.check
 
@@ -111,21 +112,40 @@ let log_syncs e = List.assoc "log_syncs" (Engine_log.stats e)
 
 let test_commit_forces_only_used_disks () =
   (* By_txn on 4 disks puts all of a transaction's records (updates and
-     commit) on one disk: an eager commit needs exactly two forces (one
-     for the updates under the WAL rule, one for the commit record),
-     not one per log disk. *)
+     commit) on one disk: an eager commit needs exactly one force — the
+     commit record's, which makes the updates appended before it on the
+     same journal durable too — not one per log disk. *)
   let e = Engine_log.create_with ~n_keys:32 ~n_log_disks:4 ~selection:Engine_log.By_txn () in
   let before = log_syncs e in
   let t = Engine_log.begin_txn e in
   Engine_log.put t 0 "a";
   Engine_log.put t 5 "b";
   Engine_log.commit t;
-  check Alcotest.int "two syncs, not one per disk" 2 (log_syncs e - before);
+  check Alcotest.int "one sync, not one per disk" 1 (log_syncs e - before);
   (* and it really is durable *)
   Engine_log.crash_and_recover e;
   let t = Engine_log.begin_txn e in
   check (Alcotest.option Alcotest.string) "durable" (Some "a") (Engine_log.get t 0);
   Engine_log.abort t
+
+let test_oplog_forces_once () =
+  (* One journal holds every record of an oplog transaction, so an
+     eager commit and a prepare each force it exactly once. *)
+  let e = Engine_oplog.create ~n_keys:32 () in
+  let syncs () = List.assoc "log_syncs" (Engine_oplog.stats e) in
+  let before = syncs () in
+  let t = Engine_oplog.begin_txn e in
+  Engine_oplog.put t 0 "a";
+  Engine_oplog.put t 5 "b";
+  Engine_oplog.commit t;
+  check Alcotest.int "eager commit: one sync" 1 (syncs () - before);
+  let before = syncs () in
+  let t = Engine_oplog.begin_txn e in
+  Engine_oplog.put t 1 "c";
+  Engine_oplog.put t 9 "d";
+  Engine_oplog.prepare t ~gid:1;
+  check Alcotest.int "prepare: one sync" 1 (syncs () - before);
+  Engine_oplog.commit_group t
 
 let test_partial_force_closure () =
   (* By_page on 2 disks: txn A's update goes to disk 1 but its group
@@ -456,6 +476,8 @@ let () =
             test_commit_forces_only_used_disks;
           Alcotest.test_case "partial force closes dependencies" `Quick
             test_partial_force_closure;
+          Alcotest.test_case "oplog: one sync per commit or prepare" `Quick
+            test_oplog_forces_once;
         ] );
       ( "log truncation",
         [

@@ -13,6 +13,8 @@ module Commit_pipeline = Dbm_storage.Commit_pipeline
 module Engine_diff = Dbm_storage.Engine_diff
 module Engine_versel = Dbm_storage.Engine_versel
 module Engine_oplog = Dbm_storage.Engine_oplog
+module Engine_log = Dbm_storage.Engine_log
+module Engine_log_delta = Dbm_storage.Engine_log_delta
 module Hist = Dbm_util.Stats.Histogram
 module W = Dbm_workload.Workload
 
@@ -189,6 +191,8 @@ end
 module Diff_equiv = Snapshot_equiv (Engine_diff)
 module Versel_equiv = Snapshot_equiv (Engine_versel)
 module Oplog_equiv = Snapshot_equiv (Engine_oplog)
+module Physical_equiv = Snapshot_equiv (Engine_log)
+module Delta_equiv = Snapshot_equiv (Engine_log_delta)
 
 (* --- the read-only class is lock-free and restart-free ------------ *)
 
@@ -440,6 +444,10 @@ let () =
             (Versel_equiv.property "versel snapshot sees exactly the pinned committed state");
           QCheck_alcotest.to_alcotest
             (Oplog_equiv.property "oplog snapshot sees exactly the pinned committed state");
+          QCheck_alcotest.to_alcotest
+            (Physical_equiv.property "physical log snapshot sees exactly the pinned state");
+          QCheck_alcotest.to_alcotest
+            (Delta_equiv.property "delta log snapshot sees exactly the pinned state");
         ] );
       ( "read-only-class",
         [
