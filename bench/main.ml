@@ -25,8 +25,8 @@
    log length, vs worker-domain count and vs fuzzy-checkpoint age, the
    physical/delta/operation log-format head-to-head, the open-loop
    transaction server, the read-heavy MVCC snapshot sweep, sharded
-   execution with cross-shard two-phase commit, and buffer-pool /
-   journal microbenchmarks.  Storage_bench owns the report, the
+   execution with cross-shard two-phase commit, and a journal
+   microbenchmark.  Storage_bench owns the report, the
    [storage] object of the record and the gate rows; the harness exits
    non-zero when any row, check or floor, fails.
 

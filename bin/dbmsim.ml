@@ -540,8 +540,8 @@ let storage_bench_cmd =
           versions, recovery wall time vs log length, vs worker-domain count and vs \
           fuzzy-checkpoint age, the physical-vs-delta-vs-oplog log-format head-to-head \
           ($(b,--log-format)), the MVCC snapshot-read sweep ($(b,--read-frac)), the \
-          sharded-execution sweep ($(b,--shard-counts) / $(b,--cross-fracs)), \
-          buffer-pool and journal microbenchmarks.")
+          sharded-execution sweep ($(b,--shard-counts) / $(b,--cross-fracs)) and a \
+          journal microbenchmark.")
     Term.(
       const run $ scale_arg $ jobs_arg $ oversubscribe_arg $ log_formats_arg
       $ read_fracs_arg $ shard_counts_arg $ cross_fracs_arg)

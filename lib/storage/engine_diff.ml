@@ -10,9 +10,7 @@
 type version = { stamp : int; writer : int; value : string option }
 
 type store = {
-  n_keys : int;
-  keys_per_page : int;
-  n_pages : int;
+  keys : Key_space.t;
   base : Vdisk.t;
   a_file : Journal.t;
   d_file : Journal.t;
@@ -23,11 +21,7 @@ type store = {
      snapshot: a record is visible to a snapshot iff its writer's seq
      is at or below the snapshot's horizon. *)
   committed : (int, int) Hashtbl.t;
-  mutable next_seq : int;
-  (* live snapshot id -> pinned horizon; the reclamation watermark is
-     the minimum over this table (infinite when empty) *)
-  snaps : (int, int) Hashtbl.t;
-  mutable next_snap : int;
+  registry : Snapshots.t;
   mutable next_txn : int;
   mutable next_stamp : int;
   (* Exact maxima over the currently retained A/D records (0 when the
@@ -109,32 +103,26 @@ let decode_commit r =
   if not (Wal_codec.Dec.finished d) then corrupt "commit" r;
   txn
 
-let create_with ?(n_keys = 256) ?(keys_per_page = 4) ?auto_merge_records () =
-  if n_keys <= 0 then invalid_arg "Engine_diff.create: need at least one key";
-  if keys_per_page <= 0 then invalid_arg "Engine_diff.create: bad keys_per_page";
+let create_with ?n_keys ?keys_per_page ?auto_merge_records () =
+  let keys = Key_space.create ~engine:"Engine_diff" ?n_keys ?keys_per_page () in
   (match auto_merge_records with
   | Some n when n <= 0 -> invalid_arg "Engine_diff.create: bad auto_merge_records"
   | _ -> ());
-  let n_pages = (n_keys + keys_per_page - 1) / keys_per_page in
   {
-    n_keys;
-    keys_per_page;
-    n_pages;
-    base = Vdisk.create ~pages:n_pages ~page_size ();
+    keys;
+    base = Vdisk.create ~pages:keys.pages ~page_size ();
     a_file = Journal.create ();
     d_file = Journal.create ();
     commits = Journal.create ();
     enc = Wal_codec.Enc.create ~size:256 ();
     committed = Hashtbl.create 32;
-    next_seq = 1;
-    snaps = Hashtbl.create 8;
-    next_snap = 0;
+    registry = Snapshots.create ();
     auto_merge_records;
     next_txn = 1;
     next_stamp = 1;
     max_record_stamp = 0;
     max_record_txn = 0;
-    chains = Array.make n_keys [];
+    chains = Array.make keys.n_keys [];
     chains_stale = false;
     epoch = 0;
     live = 0;
@@ -146,16 +134,11 @@ let create_with ?(n_keys = 256) ?(keys_per_page = 4) ?auto_merge_records () =
 
 let create ?n_keys () = create_with ?n_keys ()
 
-let max_keys t = t.n_keys
+let max_keys t = t.keys.Key_space.n_keys
 
 (* A and D records are appended per key, so the locking granule is the
    key itself even though the base file is paged. *)
 let keys_per_page _ = 1
-
-let check_key t k =
-  if k < 0 || k >= t.n_keys then invalid_arg (Printf.sprintf "key %d out of range" k)
-
-let page_of t key = key / t.keys_per_page
 
 (* Set once [checkpoint] (the merge) is defined below. *)
 let maybe_auto_merge : (store -> unit) ref = ref (fun _ -> ())
@@ -179,7 +162,7 @@ let push t key v = t.chains.(key) <- v :: t.chains.(key)
    stamp-ordered, so a chain comes out as two newest-first runs, one
    per file; the sort interleaves them. *)
 let rebuild_chains t =
-  Array.fill t.chains 0 t.n_keys [];
+  Array.fill t.chains 0 (Array.length t.chains) [];
   Journal.iter_live
     (fun r ->
       let stamp, writer, key, v = decode_a r in
@@ -198,7 +181,7 @@ let rebuild_chains t =
 let resolve t k visible =
   if t.chains_stale then rebuild_chains t;
   let rec walk = function
-    | [] -> Page.lookup (Vdisk.read_ro t.base (page_of t k)) ~key:k
+    | [] -> Page.lookup (Vdisk.read_ro t.base (Key_space.page_of t.keys k)) ~key:k
     | v :: older -> if visible v.writer then v.value else walk older
   in
   walk t.chains.(k)
@@ -206,8 +189,8 @@ let resolve t k visible =
 (* A transaction sees its own records and the committed ones. *)
 let get h k =
   check h;
-  check_key h.st k;
   let t = h.st in
+  Key_space.check t.keys k;
   resolve t k (fun txn -> txn = h.id || Hashtbl.mem t.committed txn)
 
 let note_record t ~stamp ~txn =
@@ -216,8 +199,8 @@ let note_record t ~stamp ~txn =
 
 let put h k v =
   check h;
-  check_key h.st k;
   let t = h.st in
+  Key_space.check t.keys k;
   let s = stamp t in
   ignore (Journal.append t.a_file (encode_a t.enc ~stamp:s ~txn:h.id ~key:k ~value:v));
   push t k { stamp = s; writer = h.id; value = Some v };
@@ -225,8 +208,8 @@ let put h k v =
 
 let delete h k =
   check h;
-  check_key h.st k;
   let t = h.st in
+  Key_space.check t.keys k;
   let s = stamp t in
   ignore (Journal.append t.d_file (encode_d t.enc ~stamp:s ~txn:h.id ~key:k));
   push t k { stamp = s; writer = h.id; value = None };
@@ -235,11 +218,6 @@ let delete h k =
 let finish h =
   h.finished <- true;
   h.st.live <- h.st.live - 1
-
-let commit_seq t =
-  let s = t.next_seq in
-  t.next_seq <- s + 1;
-  s
 
 let commit h =
   check h;
@@ -250,7 +228,7 @@ let commit h =
   Journal.sync t.d_file;
   ignore (Journal.append t.commits (encode_commit t.enc ~txn:h.id));
   Journal.sync t.commits;
-  Hashtbl.replace t.committed h.id (commit_seq t);
+  Hashtbl.replace t.committed h.id (Snapshots.commit t.registry);
   finish h;
   !maybe_auto_merge t
 
@@ -267,7 +245,7 @@ let commit_group h =
   check h;
   let t = h.st in
   ignore (Journal.append t.commits (encode_commit t.enc ~txn:h.id));
-  Hashtbl.replace t.committed h.id (commit_seq t);
+  Hashtbl.replace t.committed h.id (Snapshots.commit t.registry);
   finish h
 
 (* Records before markers: the A/D files are forced before the commits
@@ -317,18 +295,14 @@ let decode_marker r =
    fuzzy-checkpoint marker (if any) rides back too. *)
 let read_commits t =
   let marker = ref None in
-  let seq = ref 0 in
   List.iter
     (fun r ->
       if is_marker r then marker := Some (decode_marker r)
-      else begin
+      else
         (* Commit seqs rebuild from durable commit-record order — the
            order they were assigned in (appends happen at commit). *)
-        incr seq;
-        Hashtbl.replace t.committed (decode_commit r) !seq
-      end)
+        Hashtbl.replace t.committed (decode_commit r) (Snapshots.commit t.registry))
     (Journal.read_all t.commits);
-  t.next_seq <- !seq + 1;
   !marker
 
 (* Max (stamp, txn) over the durable records of [journal] with sequence
@@ -396,7 +370,7 @@ let crash t =
   Journal.crash t.a_file;
   Journal.crash t.d_file;
   Journal.crash t.commits;
-  Hashtbl.reset t.snaps;
+  Snapshots.crash t.registry;
   t.epoch <- t.epoch + 1;
   t.chains_stale <- true
 
@@ -452,7 +426,7 @@ let recovery_pool t = t.recovery_pool
    counts so a truncation-shifted-but-equal state cannot alias. *)
 let state_fingerprint t =
   let d = Dbm_util.Digest.create () in
-  for p = 0 to t.n_pages - 1 do
+  for p = 0 to t.keys.pages - 1 do
     Dbm_util.Digest.string d (Bytes.to_string (Vdisk.read_ro t.base p))
   done;
   let feed_journal j =
@@ -476,33 +450,15 @@ let state_fingerprint t =
    below never folds away (and the truncation never drops) a version
    some live snapshot can still see. *)
 
-type snapshot = {
-  s_st : store;
-  s_id : int;
-  s_horizon : int;
-  s_born : int;
-  mutable s_released : bool;
-}
+type snapshot = store Snapshots.handle
 
-(* Oldest horizon any live snapshot is pinned to; commits at or below
-   it are visible to every live snapshot. *)
-let watermark t = Hashtbl.fold (fun _ h acc -> min h acc) t.snaps max_int
+let snapshot t = Snapshots.pin t.registry t
 
-let snapshot t =
-  let id = t.next_snap in
-  t.next_snap <- id + 1;
-  let horizon = t.next_seq - 1 in
-  Hashtbl.replace t.snaps id horizon;
-  { s_st = t; s_id = id; s_horizon = horizon; s_born = t.epoch; s_released = false }
+(* Nothing to reclaim at release: the next merge folds what the
+   advanced watermark frees. *)
+let snapshot_release s = Snapshots.release s ~reclaim:ignore
 
-let snapshot_release s =
-  if not s.s_released then begin
-    s.s_released <- true;
-    (* After a crash the table was already reset; nothing to remove. *)
-    if s.s_born = s.s_st.epoch then Hashtbl.remove s.s_st.snaps s.s_id
-  end
-
-let live_snapshots t = Hashtbl.length t.snaps
+let live_snapshots t = Snapshots.live t.registry
 
 (* Same (B u A) - D resolution as [get], with visibility pinned to the
    horizon: a record counts iff its writer committed at or before the
@@ -510,12 +466,12 @@ let live_snapshots t = Hashtbl.length t.snaps
    every live snapshot could see (and any snapshot taken later can see
    everything the merge folded). *)
 let snapshot_get s k =
-  if s.s_released || s.s_born <> s.s_st.epoch then raise Kv.Txn_finished;
-  let t = s.s_st in
-  check_key t k;
+  let t = Snapshots.owner s in
+  Key_space.check t.keys k;
+  let horizon = Snapshots.horizon s in
   resolve t k (fun txn ->
       match Hashtbl.find t.committed txn with
-      | seq -> seq <= s.s_horizon
+      | seq -> seq <= horizon
       | exception Not_found -> false)
 
 (* Merge the committed differential records into the base file and
@@ -546,8 +502,8 @@ let checkpoint t =
      retained.)  With no live snapshots the fence is infinite and this
      is the full merge. *)
   let fence = ref max_int in
-  if Hashtbl.length t.snaps > 0 then begin
-    let wm = watermark t in
+  if Snapshots.live t.registry > 0 then begin
+    let wm = Snapshots.watermark t.registry in
     let consider stamp txn =
       match Hashtbl.find_opt t.committed txn with
       | Some seq when seq > wm -> if stamp < !fence then fence := stamp
@@ -584,10 +540,11 @@ let checkpoint t =
       let stamp, txn, key = decode_d r in
       if stamp < fence && Hashtbl.mem t.committed txn then consider key stamp None)
     t.d_file;
-  for p = 0 to t.n_pages - 1 do
+  let { Key_space.n_keys; keys_per_page; pages } = t.keys in
+  for p = 0 to pages - 1 do
     let page = Vdisk.read t.base p in
     let changed = ref false in
-    for k = p * t.keys_per_page to min ((p + 1) * t.keys_per_page) t.n_keys - 1 do
+    for k = p * keys_per_page to min ((p + 1) * keys_per_page) n_keys - 1 do
       match Hashtbl.find_opt winners k with
       | None -> ()
       | Some (_, outcome) ->

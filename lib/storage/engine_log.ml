@@ -20,8 +20,7 @@ type live = {
 }
 
 type store = {
-  n_keys : int;
-  keys_per_page : int;
+  keys : Key_space.t;
   page_size : int;
   data : Vdisk.t;
   logs : Journal.t array;
@@ -54,10 +53,7 @@ type store = {
   (* A delta record is emitted only when both slices together fit in
      this many bytes; past it a full image costs less bookkeeping. *)
   delta_threshold : int;
-  (* Commit sequence numbers, only consumed by snapshot visibility. *)
-  mutable next_seq : int;
-  snaps : (int, int) Hashtbl.t;  (* live snapshot id -> pinned horizon *)
-  mutable next_snap : int;
+  registry : Snapshots.t;
   (* key -> newest-first [(commit seq, value)] version chain.  Pages are
      updated in place, so old versions survive only in these bounded
      in-memory chains: a chain exists for a key only while snapshots are
@@ -81,23 +77,18 @@ type txn = { st : store; id : int; born : int; live : live; mutable finished : b
 
 let engine_name = "logging"
 
-let default_keys = 256
-
-let create_with ?(n_keys = default_keys) ?(n_log_disks = 2) ?(selection = Cyclic)
-    ?(keys_per_page = 4) ?auto_checkpoint_records ?(log_format = Physical) () =
+let create_with ?n_keys ?(n_log_disks = 2) ?(selection = Cyclic) ?keys_per_page
+    ?auto_checkpoint_records ?(log_format = Physical) () =
   (match auto_checkpoint_records with
   | Some n when n <= 0 -> invalid_arg "Engine_log.create: bad auto_checkpoint_records"
   | _ -> ());
-  if n_keys <= 0 then invalid_arg "Engine_log.create: need at least one key";
+  let keys = Key_space.create ~engine:"Engine_log" ?n_keys ?keys_per_page () in
   if n_log_disks <= 0 then invalid_arg "Engine_log.create: need a log disk";
-  if keys_per_page <= 0 then invalid_arg "Engine_log.create: bad keys_per_page";
-  let n_pages = (n_keys + keys_per_page - 1) / keys_per_page in
   let page_size = 1024 in
   {
-    n_keys;
-    keys_per_page;
+    keys;
     page_size;
-    data = Vdisk.create ~pages:n_pages ~page_size ();
+    data = Vdisk.create ~pages:keys.pages ~page_size ();
     logs = Array.init n_log_disks (fun _ -> Journal.create ());
     selection;
     next_lsn = 1;
@@ -110,9 +101,7 @@ let create_with ?(n_keys = default_keys) ?(n_log_disks = 2) ?(selection = Cyclic
     log_format;
     enc = Wal_codec.Enc.create ~size:(2 * page_size + 64) ();
     delta_threshold = page_size;
-    next_seq = 1;
-    snaps = Hashtbl.create 8;
-    next_snap = 0;
+    registry = Snapshots.create ();
     chains = Hashtbl.create 16;
     recovery_pool = None;
     records_logged = 0;
@@ -126,9 +115,9 @@ let create_with ?(n_keys = default_keys) ?(n_log_disks = 2) ?(selection = Cyclic
 
 let create ?n_keys () = create_with ?n_keys ()
 
-let max_keys t = t.n_keys
+let max_keys t = t.keys.Key_space.n_keys
 
-let keys_per_page t = t.keys_per_page
+let keys_per_page t = t.keys.Key_space.keys_per_page
 
 let log_disks t = Array.length t.logs
 
@@ -141,11 +130,6 @@ let log_bytes t =
   let total = ref 0 in
   Array.iter (Journal.iter_all (fun s -> total := !total + String.length s)) t.logs;
   !total
-
-let page_of t key = key / t.keys_per_page
-
-let check_key t k =
-  if k < 0 || k >= t.n_keys then invalid_arg (Printf.sprintf "key %d out of range" k)
 
 (* Only formats that log before images may make uncommitted pages
    durable (steal): replay peels them back off.  [Logical] logs no
@@ -199,17 +183,17 @@ let check txn = if txn.finished || txn.born <> txn.st.epoch then raise Kv.Txn_fi
 
 let get txn k =
   check txn;
-  check_key txn.st k;
+  Key_space.check txn.st.keys k;
   (* Borrowed page view: Page.lookup only reads, so skip the 1 KB copy. *)
-  Page.lookup (Vdisk.read_ro txn.st.data (page_of txn.st k)) ~key:k
+  Page.lookup (Vdisk.read_ro txn.st.data (Key_space.page_of txn.st.keys k)) ~key:k
 
 (* In-place update with write-ahead logging: append the format's record
    to a log disk, then update the data page (volatile). *)
 let update_key txn k value =
   check txn;
-  check_key txn.st k;
   let t = txn.st in
-  let p = page_of t k in
+  Key_space.check t.keys k;
+  let p = Key_space.page_of t.keys k in
   (* Whether the durable image is current, read before this update
      dirties the page: a delta-mode clean->dirty transition logs a full
      image, anchoring the page's record chain for replay. *)
@@ -250,9 +234,6 @@ let finish txn =
 
 (* --- MVCC version chains -------------------------------------------- *)
 
-(* Oldest horizon any live snapshot is pinned to. *)
-let watermark t = Hashtbl.fold (fun _ h acc -> min h acc) t.snaps max_int
-
 (* Drop the chain suffix no live snapshot can reach: everything
    strictly older than the newest entry at or below the watermark. *)
 let trim_chain wm chain =
@@ -272,14 +253,14 @@ let trim_chain wm chain =
    have seeded or extended the chain.  No snapshots live = no work. *)
 let publish txn =
   let t = txn.st in
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  if Hashtbl.length t.snaps > 0 then begin
-    let wm = watermark t in
+  let seq = Snapshots.commit t.registry in
+  if Snapshots.live t.registry > 0 then begin
+    let wm = Snapshots.watermark t.registry in
+    let { Key_space.n_keys; keys_per_page; _ } = t.keys in
     Hashtbl.iter
       (fun p (before, _) ->
         let now = Vdisk.read_ro t.data p in
-        for k = p * t.keys_per_page to min t.n_keys ((p + 1) * t.keys_per_page) - 1 do
+        for k = p * keys_per_page to min n_keys ((p + 1) * keys_per_page) - 1 do
           let pre = Page.lookup before ~key:k and value = Page.lookup now ~key:k in
           if value <> pre then begin
             let chain = Option.value (Hashtbl.find_opt t.chains k) ~default:[ (0, pre) ] in
@@ -490,7 +471,7 @@ let recover_unmerged t (decoded : Wal.record array array) committed =
 let crash t =
   Vdisk.crash t.data;
   Array.iter Journal.crash t.logs;
-  Hashtbl.reset t.snaps;
+  Snapshots.crash t.registry;
   Hashtbl.reset t.chains;
   t.epoch <- t.epoch + 1
 
@@ -551,8 +532,8 @@ let recover_with ~resolve t =
     let records = Replay.decode_from ?pool raws ~lo:(Replay.suffix_starts meta ~start_lsn) in
     match t.log_format with
     | Logical ->
-      Replay.recover_logical ?pool ~also_committed ~records ~start_lsn ~page_of:(page_of t) ~read
-        ~write ()
+      Replay.recover_logical ?pool ~also_committed ~records ~start_lsn
+        ~page_of:(Key_space.page_of t.keys) ~read ~write ()
     | Physical | Delta ->
       Replay.recover_sorted ?pool ~read ~also_committed ~records ~start_lsn ~write ()));
   finish_recovery t meta;
@@ -593,7 +574,8 @@ let crash_and_recover_reference t =
   (match t.log_format with
   | Physical -> Naive.Log_replay.recover_sorted ~records ~read ~write
   | Delta -> Naive.Log_replay.recover_sorted_delta ~records ~read ~write
-  | Logical -> Naive.Log_replay.recover_logical ~records ~page_of:(page_of t) ~read ~write);
+  | Logical ->
+    Naive.Log_replay.recover_logical ~records ~page_of:(Key_space.page_of t.keys) ~read ~write);
   finish_recovery t (Replay.scan (Array.map Journal.to_array t.logs))
 
 (* Sharp checkpoint: force logs and data, then truncate every log disk
@@ -734,36 +716,21 @@ let dump_log t ~disk = List.map Wal.decode (Journal.read_all t.logs.(disk))
 
 (* --- MVCC snapshots ------------------------------------------------- *)
 
-type snapshot = {
-  s_st : store;
-  s_id : int;
-  s_horizon : int;
-  s_born : int;
-  mutable s_released : bool;
-}
+type snapshot = store Snapshots.handle
 
-let snapshot t =
-  let id = t.next_snap in
-  t.next_snap <- id + 1;
-  let horizon = t.next_seq - 1 in
-  Hashtbl.replace t.snaps id horizon;
-  { s_st = t; s_id = id; s_horizon = horizon; s_born = t.epoch; s_released = false }
+let snapshot t = Snapshots.pin t.registry t
 
-let snapshot_release s =
-  if not s.s_released then begin
-    s.s_released <- true;
-    if s.s_born = s.s_st.epoch then begin
-      let t = s.s_st in
-      Hashtbl.remove t.snaps s.s_id;
-      if Hashtbl.length t.snaps = 0 then Hashtbl.reset t.chains
-      else
-        (* Re-trim every chain against the advanced watermark. *)
-        let wm = watermark t in
-        Hashtbl.filter_map_inplace (fun _ chain -> Some (trim_chain wm chain)) t.chains
-    end
-  end
+(* A release advanced the watermark: re-trim every chain against it, or
+   drop them all with the last snapshot. *)
+let trim_chains t =
+  if Snapshots.live t.registry = 0 then Hashtbl.reset t.chains
+  else
+    let wm = Snapshots.watermark t.registry in
+    Hashtbl.filter_map_inplace (fun _ chain -> Some (trim_chain wm chain)) t.chains
 
-let live_snapshots t = Hashtbl.length t.snaps
+let snapshot_release s = Snapshots.release s ~reclaim:trim_chains
+
+let live_snapshots t = Snapshots.live t.registry
 
 (* The committed image of a page: pages are updated in place, so if a
    live transaction has dirtied the page its before image is the
@@ -783,14 +750,14 @@ let committed_page_image t p =
    newest chain entry at or below the horizon is — trimming always keeps
    one, since live horizons are at or above the watermark. *)
 let snapshot_get s k =
-  if s.s_released || s.s_born <> s.s_st.epoch then raise Kv.Txn_finished;
-  let t = s.s_st in
-  check_key t k;
+  let t = Snapshots.owner s in
+  Key_space.check t.keys k;
+  let horizon = Snapshots.horizon s in
   match
-    Option.bind (Hashtbl.find_opt t.chains k) (List.find_opt (fun (seq, _) -> seq <= s.s_horizon))
+    Option.bind (Hashtbl.find_opt t.chains k) (List.find_opt (fun (seq, _) -> seq <= horizon))
   with
   | Some (_, v) -> v
-  | None -> Page.lookup (committed_page_image t (page_of t k)) ~key:k
+  | None -> Page.lookup (committed_page_image t (Key_space.page_of t.keys k)) ~key:k
 
 let stats t =
   [

@@ -14,9 +14,7 @@ type variant = No_undo_v | No_redo_v
 
 type store = {
   variant : variant;
-  n_keys : int;
-  keys_per_page : int;
-  n_logical : int;
+  keys : Key_space.t;
   scratch_slots : int;
   disk : Vdisk.t;
   meta : Journal.t;
@@ -42,17 +40,14 @@ let parse_meta r =
 
 let intent_record ~txn ~page ~slot = Printf.sprintf "I %d %d %d" txn page slot
 
-let make_store variant ?(n_keys = 256) ?(keys_per_page = 4) ?(scratch_slots = 64) () =
-  if n_keys <= 0 then invalid_arg "Engine_overwrite.create: need at least one key";
-  if keys_per_page <= 0 || scratch_slots <= 0 then invalid_arg "Engine_overwrite.create: bad sizes";
-  let n_logical = (n_keys + keys_per_page - 1) / keys_per_page in
+let make_store variant ?n_keys ?keys_per_page ?(scratch_slots = 64) () =
+  let keys = Key_space.create ~engine:"Engine_overwrite" ?n_keys ?keys_per_page () in
+  if scratch_slots <= 0 then invalid_arg "Engine_overwrite.create: bad scratch_slots";
   {
     variant;
-    n_keys;
-    keys_per_page;
-    n_logical;
+    keys;
     scratch_slots;
-    disk = Vdisk.create ~pages:(n_logical + scratch_slots) ~page_size ();
+    disk = Vdisk.create ~pages:(keys.pages + scratch_slots) ~page_size ();
     meta = Journal.create ();
     busy = Array.make scratch_slots false;
     staged = Hashtbl.create 8;
@@ -63,7 +58,7 @@ let make_store variant ?(n_keys = 256) ?(keys_per_page = 4) ?(scratch_slots = 64
     installs = 0;
   }
 
-let scratch_addr t slot = t.n_logical + slot
+let scratch_addr t slot = t.keys.pages + slot
 
 let alloc_slot t =
   let rec find i = if i >= t.scratch_slots then raise Kv.Scratch_full
@@ -82,12 +77,7 @@ let resolve t txn_id =
   | None -> ());
   Hashtbl.remove t.staged txn_id
 
-let check_key t k =
-  if k < 0 || k >= t.n_keys then invalid_arg (Printf.sprintf "key %d out of range" k)
-
-let page_of t key = key / t.keys_per_page
-
-let begin_txn_ t =
+let begin_txn t =
   let id = t.next_txn in
   t.next_txn <- id + 1;
   t.live <- t.live + 1;
@@ -169,33 +159,53 @@ let recover t =
   t.live <- 0;
   t.recoveries <- t.recoveries + 1
 
-let crash_and_recover_ t =
-  Vdisk.crash t.disk;
-  Journal.crash t.meta;
-  t.epoch <- t.epoch + 1;
-  recover t
-
 (* ---- the two variants --------------------------------------------- *)
 
-module No_undo = struct
+(* The members both variants share. *)
+module Common = struct
   type t = store
   type txn = txn_h
+
+  let max_keys t = t.keys.Key_space.n_keys
+  let keys_per_page t = t.keys.Key_space.keys_per_page
+  let begin_txn = begin_txn
+
+  let crash_and_recover t =
+    Vdisk.crash t.disk;
+    Journal.crash t.meta;
+    t.epoch <- t.epoch + 1;
+    recover t
+
+  let checkpoint _ = ()
+  let scratch_in_use t = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 t.busy
+
+  let stats t =
+    [
+      ("disk_reads", Vdisk.reads t.disk);
+      ("disk_writes", Vdisk.writes t.disk);
+      ("scratch_in_use", scratch_in_use t);
+      ("scratch_slots", t.scratch_slots);
+      ("live_txns", t.live);
+      ("recoveries", t.recoveries);
+      ("installs", t.installs);
+    ]
+end
+
+module No_undo = struct
+  include Common
 
   let engine_name = "overwrite-no-undo"
 
   let create_with = make_store No_undo_v
   let create ?n_keys () = create_with ?n_keys ()
-  let max_keys t = t.n_keys
-  let keys_per_page t = t.keys_per_page
-  let begin_txn = begin_txn_
 
   (* Reads see the transaction's own staged copy first; committed state
      is always installed in the home location while the system is up. *)
   let get h k =
     check h;
-    check_key h.st k;
     let t = h.st in
-    let p = page_of t k in
+    Key_space.check t.keys k;
+    let p = Key_space.page_of t.keys k in
     let image =
       match staged_slot t h.id p with
       | Some slot -> Vdisk.read_ro t.disk (scratch_addr t slot)
@@ -205,9 +215,9 @@ module No_undo = struct
 
   let update_key h k value =
     check h;
-    check_key h.st k;
     let t = h.st in
-    let p = page_of t k in
+    Key_space.check t.keys k;
+    let p = Key_space.page_of t.keys k in
     let slot, image =
       match staged_slot t h.id p with
       | Some slot -> (slot, Vdisk.read t.disk (scratch_addr t slot))
@@ -259,45 +269,27 @@ module No_undo = struct
     Journal.sync t.meta;
     finish h
 
-  let crash_and_recover = crash_and_recover_
-  let checkpoint _ = ()
-  let scratch_in_use t = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 t.busy
-
-  let stats t =
-    [
-      ("disk_reads", Vdisk.reads t.disk);
-      ("disk_writes", Vdisk.writes t.disk);
-      ("scratch_in_use", scratch_in_use t);
-      ("scratch_slots", t.scratch_slots);
-      ("live_txns", t.live);
-      ("recoveries", t.recoveries);
-      ("installs", t.installs);
-    ]
 end
 
 module No_redo = struct
-  type t = store
-  type txn = txn_h
+  include Common
 
   let engine_name = "overwrite-no-redo"
 
   let create_with = make_store No_redo_v
   let create ?n_keys () = create_with ?n_keys ()
-  let max_keys t = t.n_keys
-  let keys_per_page t = t.keys_per_page
-  let begin_txn = begin_txn_
 
   (* Updates are in place, so the home block is always current. *)
   let get h k =
     check h;
-    check_key h.st k;
-    Page.lookup (Vdisk.read_ro h.st.disk (page_of h.st k)) ~key:k
+    Key_space.check h.st.keys k;
+    Page.lookup (Vdisk.read_ro h.st.disk (Key_space.page_of h.st.keys k)) ~key:k
 
   let update_key h k value =
     check h;
-    check_key h.st k;
     let t = h.st in
-    let p = page_of t k in
+    Key_space.check t.keys k;
+    let p = Key_space.page_of t.keys k in
     (match staged_slot t h.id p with
     | Some _ -> ()  (* the shadow is already safe *)
     | None ->
@@ -341,18 +333,4 @@ module No_redo = struct
     resolve t h.id;
     finish h
 
-  let crash_and_recover = crash_and_recover_
-  let checkpoint _ = ()
-  let scratch_in_use t = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 t.busy
-
-  let stats t =
-    [
-      ("disk_reads", Vdisk.reads t.disk);
-      ("disk_writes", Vdisk.writes t.disk);
-      ("scratch_in_use", scratch_in_use t);
-      ("scratch_slots", t.scratch_slots);
-      ("live_txns", t.live);
-      ("recoveries", t.recoveries);
-      ("installs", t.installs);
-    ]
 end

@@ -1,8 +1,6 @@
 type store = {
-  n_keys : int;
-  keys_per_page : int;
+  keys : Key_space.t;
   page_size : int;
-  n_logical : int;
   table_pages : int;  (* pages per table area *)
   data_base : int;  (* first data block *)
   n_blocks : int;  (* data blocks *)
@@ -49,7 +47,7 @@ let write_table_area t area table =
     let b = Bytes.make t.page_size '\000' in
     for i = 0 to epp - 1 do
       let logical = (tp * epp) + i in
-      if logical < t.n_logical then
+      if logical < t.keys.pages then
         Bytes.set_int64_le b (8 * i) (Int64.of_int table.(logical))
     done;
     Vdisk.write t.disk (table_area_base t area + tp) b
@@ -61,7 +59,7 @@ let read_table_area t area =
      logical entry. *)
   let cur_tp = ref (-1) in
   let cur = ref Bytes.empty in
-  Array.init t.n_logical (fun logical ->
+  Array.init t.keys.pages (fun logical ->
       let tp = logical / epp and i = logical mod epp in
       if tp <> !cur_tp then begin
         cur := Vdisk.read_ro t.disk (table_area_base t area + tp);
@@ -71,21 +69,19 @@ let read_table_area t area =
 
 (* --- construction -------------------------------------------------- *)
 
-let create_with ?(n_keys = 256) ?(keys_per_page = 4) ?(spare_factor = 2) () =
-  if n_keys <= 0 then invalid_arg "Engine_shadow.create: need at least one key";
-  if keys_per_page <= 0 || spare_factor < 1 then invalid_arg "Engine_shadow.create: bad sizes";
+let create_with ?n_keys ?keys_per_page ?(spare_factor = 2) () =
+  let keys = Key_space.create ~engine:"Engine_shadow" ?n_keys ?keys_per_page () in
+  if spare_factor < 1 then invalid_arg "Engine_shadow.create: bad spare_factor";
   let page_size = 1024 in
-  let n_logical = (n_keys + keys_per_page - 1) / keys_per_page in
+  let n_logical = keys.pages in
   let table_pages = (n_logical * 8 / page_size) + 1 in
   let data_base = 1 + (2 * table_pages) in
   let n_blocks = n_logical * (1 + spare_factor) in
   let disk = Vdisk.create ~pages:(data_base + n_blocks) ~page_size () in
   let t =
     {
-      n_keys;
-      keys_per_page;
+      keys;
       page_size;
-      n_logical;
       table_pages;
       data_base;
       n_blocks;
@@ -113,14 +109,9 @@ let create_with ?(n_keys = 256) ?(keys_per_page = 4) ?(spare_factor = 2) () =
 
 let create ?n_keys () = create_with ?n_keys ()
 
-let max_keys t = t.n_keys
+let max_keys t = t.keys.Key_space.n_keys
 
-let keys_per_page t = t.keys_per_page
-
-let check_key t k =
-  if k < 0 || k >= t.n_keys then invalid_arg (Printf.sprintf "key %d out of range" k)
-
-let page_of t key = key / t.keys_per_page
+let keys_per_page t = t.keys.Key_space.keys_per_page
 
 let block_addr t ordinal = t.data_base + ordinal
 
@@ -156,16 +147,16 @@ let current_image txn p = Vdisk.read txn.st.disk (block_addr txn.st (current_ord
 
 let get txn k =
   check txn;
-  check_key txn.st k;
+  Key_space.check txn.st.keys k;
   (* Borrowed view: Page.lookup only reads the block. *)
-  let p = page_of txn.st k in
+  let p = Key_space.page_of txn.st.keys k in
   Page.lookup (Vdisk.read_ro txn.st.disk (block_addr txn.st (current_ordinal txn p))) ~key:k
 
 let update_key txn k value =
   check txn;
-  check_key txn.st k;
   let t = txn.st in
-  let p = page_of t k in
+  Key_space.check t.keys k;
+  let p = Key_space.page_of t.keys k in
   let image = current_image txn p in
   Page.update image ~key:k ~value;
   let target =
@@ -244,7 +235,7 @@ let table_flips t = t.flips
 let free_blocks t = t.free_count
 
 let current_block t ~page =
-  if page < 0 || page >= t.n_logical then invalid_arg "Engine_shadow.current_block";
+  if page < 0 || page >= t.keys.pages then invalid_arg "Engine_shadow.current_block";
   t.table.(page)
 
 let stats t =

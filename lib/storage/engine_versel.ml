@@ -18,17 +18,12 @@ type retained_version = {
 }
 
 type store = {
-  n_keys : int;
-  keys_per_page : int;
-  n_logical : int;
+  keys : Key_space.t;
   disk : Vdisk.t;
   commit_list : Journal.t;
   (* txn id -> commit sequence number (commit-list append order) *)
   committed : (int, int) Hashtbl.t;
-  mutable next_seq : int;
-  (* live snapshot id -> pinned horizon *)
-  snaps : (int, int) Hashtbl.t;
-  mutable next_snap : int;
+  registry : Snapshots.t;
   (* logical page -> displaced committed versions live snapshots may
      still select; pruned as snapshots release *)
   retained : (int, retained_version list) Hashtbl.t;
@@ -44,20 +39,14 @@ type txn = { st : store; id : int; born : int; mutable finished : bool }
 
 let engine_name = "version-selection"
 
-let create_with ?(n_keys = 256) ?(keys_per_page = 4) () =
-  if n_keys <= 0 then invalid_arg "Engine_versel.create: need at least one key";
-  if keys_per_page <= 0 then invalid_arg "Engine_versel.create: bad keys_per_page";
-  let n_logical = (n_keys + keys_per_page - 1) / keys_per_page in
+let create_with ?n_keys ?keys_per_page () =
+  let keys = Key_space.create ~engine:"Engine_versel" ?n_keys ?keys_per_page () in
   {
-    n_keys;
-    keys_per_page;
-    n_logical;
-    disk = Vdisk.create ~pages:(2 * n_logical) ~page_size:slot_size ();
+    keys;
+    disk = Vdisk.create ~pages:(2 * keys.pages) ~page_size:slot_size ();
     commit_list = Journal.create ();
     committed = Hashtbl.create 32;
-    next_seq = 1;
-    snaps = Hashtbl.create 8;
-    next_snap = 0;
+    registry = Snapshots.create ();
     retained = Hashtbl.create 16;
     next_txn = 1;
     epoch = 0;
@@ -67,14 +56,9 @@ let create_with ?(n_keys = 256) ?(keys_per_page = 4) () =
 
 let create ?n_keys () = create_with ?n_keys ()
 
-let max_keys t = t.n_keys
+let max_keys t = t.keys.Key_space.n_keys
 
-let keys_per_page t = t.keys_per_page
-
-let check_key t k =
-  if k < 0 || k >= t.n_keys then invalid_arg (Printf.sprintf "key %d out of range" k)
-
-let page_of t key = key / t.keys_per_page
+let keys_per_page t = t.keys.Key_space.keys_per_page
 
 let slot_version slot = Int64.to_int (Bytes.get_int64_le slot 0)
 
@@ -117,12 +101,9 @@ let select t ~own p =
 
 let get txn k =
   check txn;
-  check_key txn.st k;
-  let _, current, _ = select txn.st ~own:txn.id (page_of txn.st k) in
+  Key_space.check txn.st.keys k;
+  let _, current, _ = select txn.st ~own:txn.id (Key_space.page_of txn.st.keys k) in
   Page.lookup (slot_payload current) ~key:k
-
-(* Oldest horizon any live snapshot is pinned to. *)
-let watermark t = Hashtbl.fold (fun _ h acc -> min h acc) t.snaps max_int
 
 (* The commit seq of a writer tag: the initial writer 0 predates every
    commit (seq 0); an id missing from the committed list is uncommitted
@@ -136,12 +117,12 @@ let seq_of t w = if w = 0 then Some 0 else Hashtbl.find_opt t.committed w
    only copy on the write path, and it happens at most once per
    displaced committed version while snapshots are live. *)
 let retain_displaced t p ~target_idx ~shadow_writer =
-  if Hashtbl.length t.snaps > 0 then begin
+  if Snapshots.live t.registry > 0 then begin
     let old_slot = Vdisk.read_ro t.disk ((2 * p) + target_idx) in
     let tw = slot_writer old_slot in
     if tw <> 0 then
       match (Hashtbl.find_opt t.committed tw, seq_of t shadow_writer) with
-      | Some _, Some shadow when shadow > watermark t ->
+      | Some _, Some shadow when shadow > Snapshots.watermark t.registry ->
         let entry =
           {
             rv_version = slot_version old_slot;
@@ -157,9 +138,9 @@ let retain_displaced t p ~target_idx ~shadow_writer =
 
 let update_key txn k value =
   check txn;
-  check_key txn.st k;
   let t = txn.st in
-  let p = page_of t k in
+  Key_space.check t.keys k;
+  let p = Key_space.page_of t.keys k in
   let current_idx, current, _ = select t ~own:txn.id p in
   let payload = slot_payload current in
   Page.update payload ~key:k ~value;
@@ -186,11 +167,6 @@ let finish txn =
   txn.finished <- true;
   txn.st.live <- txn.st.live - 1
 
-let commit_seq t =
-  let s = t.next_seq in
-  t.next_seq <- s + 1;
-  s
-
 let commit txn =
   check txn;
   let t = txn.st in
@@ -199,7 +175,7 @@ let commit txn =
   Vdisk.sync t.disk;
   ignore (Journal.append t.commit_list (string_of_int txn.id));
   Journal.sync t.commit_list;
-  Hashtbl.replace t.committed txn.id (commit_seq t);
+  Hashtbl.replace t.committed txn.id (Snapshots.commit t.registry);
   finish txn
 
 (* Group commit: append the commit id but force nothing.  The
@@ -211,7 +187,7 @@ let commit_group txn =
   check txn;
   let t = txn.st in
   ignore (Journal.append t.commit_list (string_of_int txn.id));
-  Hashtbl.replace t.committed txn.id (commit_seq t);
+  Hashtbl.replace t.committed txn.id (Snapshots.commit t.registry);
   finish txn
 
 (* Slots before ids, as in eager commit: a durable commit id must never
@@ -229,17 +205,13 @@ let recover t =
   Hashtbl.reset t.committed;
   (* Commit seqs rebuild from durable commit-list order — the order
      they were assigned in (appends happen at commit). *)
-  let seq = ref 0 in
   List.iter
-    (fun r ->
-      incr seq;
-      Hashtbl.replace t.committed (int_of_string r) !seq)
+    (fun r -> Hashtbl.replace t.committed (int_of_string r) (Snapshots.commit t.registry))
     (Journal.read_all t.commit_list);
-  t.next_seq <- !seq + 1;
   (* Transaction ids must never be reused: a recycled id would make a
      crashed transaction's garbage slot look live.  Scan every slot. *)
   let max_tag = ref 0 in
-  for s = 0 to (2 * t.n_logical) - 1 do
+  for s = 0 to (2 * t.keys.pages) - 1 do
     max_tag := max !max_tag (slot_writer (Vdisk.read_ro t.disk s))
   done;
   Hashtbl.iter (fun id _ -> max_tag := max !max_tag id) t.committed;
@@ -250,7 +222,7 @@ let recover t =
 let crash_and_recover t =
   Vdisk.crash t.disk;
   Journal.crash t.commit_list;
-  Hashtbl.reset t.snaps;
+  Snapshots.crash t.registry;
   Hashtbl.reset t.retained;
   t.epoch <- t.epoch + 1;
   recover t
@@ -259,27 +231,16 @@ let checkpoint _ = ()
 
 (* --- MVCC snapshots ------------------------------------------------- *)
 
-type snapshot = {
-  s_st : store;
-  s_id : int;
-  s_horizon : int;
-  s_born : int;
-  mutable s_released : bool;
-}
+type snapshot = store Snapshots.handle
 
-let snapshot t =
-  let id = t.next_snap in
-  t.next_snap <- id + 1;
-  let horizon = t.next_seq - 1 in
-  Hashtbl.replace t.snaps id horizon;
-  { s_st = t; s_id = id; s_horizon = horizon; s_born = t.epoch; s_released = false }
+let snapshot t = Snapshots.pin t.registry t
 
 (* Drop retained versions no remaining snapshot can need: an entry is
    needed only by horizons strictly below its displacing commit. *)
 let prune_retained t =
-  if Hashtbl.length t.snaps = 0 then Hashtbl.reset t.retained
+  if Snapshots.live t.registry = 0 then Hashtbl.reset t.retained
   else begin
-    let wm = watermark t in
+    let wm = Snapshots.watermark t.registry in
     let stale = ref [] in
     Hashtbl.iter
       (fun p entries ->
@@ -290,16 +251,9 @@ let prune_retained t =
     List.iter (Hashtbl.remove t.retained) !stale
   end
 
-let snapshot_release s =
-  if not s.s_released then begin
-    s.s_released <- true;
-    if s.s_born = s.s_st.epoch then begin
-      Hashtbl.remove s.s_st.snaps s.s_id;
-      prune_retained s.s_st
-    end
-  end
+let snapshot_release s = Snapshots.release s ~reclaim:prune_retained
 
-let live_snapshots t = Hashtbl.length t.snaps
+let live_snapshots t = Snapshots.live t.registry
 
 (* Version selection pinned to the horizon: among both disk slots plus
    the page's retained versions, those whose writer committed at or
@@ -307,16 +261,16 @@ let live_snapshots t = Hashtbl.length t.snaps
    highest version wins.  Nothing visible = the page was empty at the
    pin. *)
 let snapshot_get s k =
-  if s.s_released || s.s_born <> s.s_st.epoch then raise Kv.Txn_finished;
-  let t = s.s_st in
-  check_key t k;
-  let p = page_of t k in
+  let t = Snapshots.owner s in
+  Key_space.check t.keys k;
+  let horizon = Snapshots.horizon s in
+  let p = Key_space.page_of t.keys k in
   let best_v = ref (-1) in
   let best = ref None in
   let consider ~version ~writer payload =
     if version > !best_v then
       match seq_of t writer with
-      | Some seq when seq <= s.s_horizon ->
+      | Some seq when seq <= horizon ->
         best_v := version;
         best := Some payload
       | Some _ | None -> ()
@@ -335,7 +289,7 @@ let snapshot_get s k =
   | None -> Page.lookup (Page.empty ~page_size:payload_size) ~key:k
 
 let slot_versions t ~page =
-  if page < 0 || page >= t.n_logical then invalid_arg "Engine_versel.slot_versions";
+  if page < 0 || page >= t.keys.pages then invalid_arg "Engine_versel.slot_versions";
   ( slot_version (Vdisk.read t.disk (2 * page)),
     slot_version (Vdisk.read t.disk ((2 * page) + 1)) )
 
@@ -346,5 +300,5 @@ let stats t =
     ("committed", Hashtbl.length t.committed);
     ("live_txns", t.live);
     ("recoveries", t.recoveries);
-    ("slots", 2 * t.n_logical);
+    ("slots", 2 * t.keys.pages);
   ]

@@ -2,10 +2,13 @@
 
     The stable-storage analogue of a sequential log file: {!append}
     buffers a record, {!sync} makes every buffered record durable, and
-    {!crash} discards the tail that was never synced.  Records are
-    length-prefixed and checksummed, so a record that was only half
-    "on disk" at a crash is detected and the scan stops there — exactly
-    how a real log tail is handled.
+    {!crash} discards the tail that was never synced.  A journal holds
+    whole strings in memory: it adds no framing of its own (no length
+    prefix, no checksum), and a crash drops whole unsynced records, so
+    a torn tail — a record half "on disk" — cannot occur and no scan
+    ever meets one.  Whatever integrity checks a record has come from
+    its own format ({!Wal_codec} frames are checksummed; the others are
+    not).  A torn crash mode is ROADMAP item 5.
 
     The logging engine's log disks, the overwriting engines' intention
     lists, and the version-selection commit list are all journals. *)
@@ -21,9 +24,9 @@ val append : t -> string -> int
 val sync : t -> unit
 
 val crash : t -> unit
-(** Drop the unsynced tail.  A record is durable as a unit or not at
-    all: the length-prefix-and-checksum framing a real log uses to
-    detect a torn tail is what makes that abstraction sound. *)
+(** Drop the unsynced tail, record by record: every record appended
+    before the last {!sync} survives whole, every later one is lost
+    whole.  No record is ever cut short. *)
 
 val read_all : t -> string list
 (** The durable records, in append order.  Valid after a crash. *)

@@ -34,7 +34,7 @@ end
 
 module Model : S = struct
   type t = {
-    n_keys : int;
+    keys : Key_space.t;
     committed : (int, string) Hashtbl.t;
     mutable epoch : int;
     mutable live : int;
@@ -49,16 +49,17 @@ module Model : S = struct
 
   let engine_name = "model"
 
-  let create ?(n_keys = 256) () =
-    if n_keys <= 0 then invalid_arg "Model.create: need at least one key";
-    { n_keys; committed = Hashtbl.create 64; epoch = 0; live = 0 }
+  let create ?n_keys () =
+    {
+      keys = Key_space.create ~engine:"Model" ?n_keys ~keys_per_page:1 ();
+      committed = Hashtbl.create 64;
+      epoch = 0;
+      live = 0;
+    }
 
-  let max_keys t = t.n_keys
+  let max_keys t = t.keys.Key_space.n_keys
 
   let keys_per_page _ = 1
-
-  let check_key t k =
-    if k < 0 || k >= t.n_keys then invalid_arg (Printf.sprintf "key %d out of range" k)
 
   let begin_txn t =
     t.live <- t.live + 1;
@@ -69,19 +70,19 @@ module Model : S = struct
 
   let get txn k =
     check txn;
-    check_key txn.store k;
+    Key_space.check txn.store.keys k;
     match Hashtbl.find_opt txn.writes k with
     | Some v -> v
     | None -> Hashtbl.find_opt txn.store.committed k
 
   let put txn k v =
     check txn;
-    check_key txn.store k;
+    Key_space.check txn.store.keys k;
     Hashtbl.replace txn.writes k (Some v)
 
   let delete txn k =
     check txn;
-    check_key txn.store k;
+    Key_space.check txn.store.keys k;
     Hashtbl.replace txn.writes k None
 
   let finish txn =

@@ -1265,36 +1265,7 @@ let shard_section ~scale ~shard_counts ~cross_fracs =
       ];
   }
 
-(* --- buffer pool and journal microbenchmarks ------------------------ *)
-
-let pool_ns ~now ~iters =
-  let disk = Vdisk.create ~pages:512 ~page_size:1024 () in
-  let pool = Buffer_pool.create disk ~frames:128 () in
-  for p = 0 to 127 do
-    ignore (Buffer_pool.get pool p);
-    Buffer_pool.unpin pool p
-  done;
-  let hit_iters = iters in
-  let (), hit_s =
-    time now (fun () ->
-        for i = 0 to hit_iters - 1 do
-          let p = i land 127 in
-          ignore (Buffer_pool.get pool p);
-          Buffer_pool.unpin pool p
-        done)
-  in
-  (* 384 cold pages cycled through 128 frames: every get is a miss. *)
-  let miss_iters = iters / 8 in
-  let (), miss_s =
-    time now (fun () ->
-        for i = 0 to miss_iters - 1 do
-          let p = 128 + (i mod 384) in
-          ignore (Buffer_pool.get pool p);
-          Buffer_pool.unpin pool p
-        done)
-  in
-  ( hit_s *. 1e9 /. float_of_int hit_iters,
-    miss_s *. 1e9 /. float_of_int miss_iters )
+(* --- journal microbenchmark ---------------------------------------- *)
 
 let journal_throughput ~now ~iters =
   let record = String.make 64 'r' in
@@ -1319,25 +1290,20 @@ let journal_throughput ~now ~iters =
     float_of_int iters /. append_sync_s )
 
 let substrate_section ~now ~scale =
-  let hit_ns, miss_ns = pool_ns ~now ~iters:(200_000 * scale) in
   let append, append_sync = journal_throughput ~now ~iters:(200_000 * scale) in
   {
     report =
-      Printf.sprintf "buffer pool get: %.0f ns hit, %.0f ns miss\n" hit_ns miss_ns
-      ^ Printf.sprintf "journal: %.2fM appends/s, %.2fM appends/s with sync every 64\n"
-          (append /. 1e6) (append_sync /. 1e6);
+      Printf.sprintf "journal: %.2fM appends/s, %.2fM appends/s with sync every 64\n"
+        (append /. 1e6) (append_sync /. 1e6);
     fields =
       Json.
         [
-          ("pool_hit_ns", Float hit_ns);
-          ("pool_miss_ns", Float miss_ns);
           ("journal_append_per_sec", Float append);
           ("journal_append_sync_per_sec", Float append_sync);
         ];
     rows =
       [
-        check "substrate.measured" (finite [ hit_ns; miss_ns; append; append_sync ])
-          "buffer-pool or journal rates not finite";
+        check "substrate.measured" (finite [ append; append_sync ]) "journal rates not finite";
       ];
   }
 

@@ -14,8 +14,8 @@
     and a grouped-vs-eager head-to-head, simulated time); the read-heavy
     MVCC snapshot sweep (exclusive-lock vs shared-lock vs snapshot
     reads, simulated time); sharded execution (tps against shard count
-    and a cross-shard two-phase-commit sweep, simulated time); and
-    buffer-pool / journal microbenchmarks.
+    and a cross-shard two-phase-commit sweep, simulated time); and a
+    journal microbenchmark.
 
     Each section yields its lines of the report, its fields of the
     [storage] JSON object and its gate rows.  A row is a {!Check} or a

@@ -1,9 +1,9 @@
 (** Fixed-capacity LRU map with hit/miss accounting and dirty tracking.
 
     Models the page-table buffer of the shadow recovery architecture
-    (Section 4.2 of the paper) and backs the buffer pool of the storage
-    engines.  Entries carry a [dirty] flag; evicting a dirty entry is
-    reported to the caller so it can schedule a write-back. *)
+    (Section 4.2 of the paper).  Entries carry a [dirty] flag; evicting
+    a dirty entry is reported to the caller so it can schedule a
+    write-back. *)
 
 type ('k, 'v) t
 

@@ -226,10 +226,17 @@ module Crash_harness (E : Kv.S) = struct
   let test_key_bounds () =
     let e = E.create ~n_keys () in
     let t = E.begin_txn e in
-    (match E.put t n_keys "x" with
+    List.iter
+      (fun k ->
+        let out_of_range = Invalid_argument (Printf.sprintf "key %d out of range" k) in
+        Alcotest.check_raises "get" out_of_range (fun () -> ignore (E.get t k));
+        Alcotest.check_raises "put" out_of_range (fun () -> E.put t k "x");
+        Alcotest.check_raises "delete" out_of_range (fun () -> E.delete t k))
+      [ -1; n_keys ];
+    E.abort t;
+    match E.create ~n_keys:0 () with
     | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.fail "out-of-range key accepted");
-    E.abort t
+    | _ -> Alcotest.fail "a store with no keys"
 
   let suite =
     ( E.engine_name,

@@ -194,6 +194,56 @@ module Oplog_equiv = Snapshot_equiv (Engine_oplog)
 module Physical_equiv = Snapshot_equiv (Engine_log)
 module Delta_equiv = Snapshot_equiv (Engine_log_delta)
 
+(* --- the handle lifecycle ------------------------------------------ *)
+
+(* What the random histories above never do: read or release a handle
+   after its release, release a pre-crash handle after the crash, or
+   read outside the key space. *)
+let handle_lifecycle (module E : Kv.SNAPSHOT) =
+  let commit_put e k v =
+    let t = E.begin_txn e in
+    E.put t k v;
+    E.commit t
+  in
+  Alcotest.test_case (E.engine_name ^ " lifecycle") `Quick (fun () ->
+      let e = E.create ~n_keys () in
+      commit_put e 1 "a";
+      (* Pinned first: a registry that reused ids after a crash would
+         hand its id to the post-crash snapshot. *)
+      let pre_crash = E.snapshot e in
+      let s = E.snapshot e in
+      E.snapshot_release s;
+      Alcotest.check_raises "read after release" Kv.Txn_finished (fun () ->
+          ignore (E.snapshot_get s 1));
+      E.snapshot_release s;
+      check Alcotest.int "a second release changes nothing" 1 (E.live_snapshots e);
+      List.iter
+        (fun k ->
+          Alcotest.check_raises "key outside the store"
+            (Invalid_argument (Printf.sprintf "key %d out of range" k))
+            (fun () -> ignore (E.snapshot_get pre_crash k)))
+        [ -1; n_keys ];
+      E.crash_and_recover e;
+      let s = E.snapshot e in
+      E.snapshot_release pre_crash;
+      check Alcotest.int "the post-crash snapshot stays pinned" 1 (E.live_snapshots e);
+      commit_put e 1 "b";
+      commit_put e 2 "c";
+      check Alcotest.(option string) "pinned value" (Some "a") (E.snapshot_get s 1);
+      check Alcotest.(option string) "later commit invisible" None (E.snapshot_get s 2);
+      E.snapshot_release s;
+      check Alcotest.int "all released" 0 (E.live_snapshots e))
+
+let handle_tests =
+  List.map handle_lifecycle
+    [
+      (module Engine_log : Kv.SNAPSHOT);
+      (module Engine_log_delta);
+      (module Engine_oplog);
+      (module Engine_diff);
+      (module Engine_versel);
+    ]
+
 (* --- the read-only class is lock-free and restart-free ------------ *)
 
 (* Drive the open-loop server over Engine_diff with every transaction
@@ -449,6 +499,7 @@ let () =
           QCheck_alcotest.to_alcotest
             (Delta_equiv.property "delta log snapshot sees exactly the pinned state");
         ] );
+      ("snapshot-handle", handle_tests);
       ( "read-only-class",
         [
           Alcotest.test_case "all-read-only run is lock-free" `Quick

@@ -1,11 +1,13 @@
 (* Tests for the storage substrate: virtual disk, journal, pages, WAL
-   records, lock manager. *)
+   records, the engines' key space and snapshot registry, lock manager. *)
 
 module Vdisk = Dbm_storage.Vdisk
 module Journal = Dbm_storage.Journal
 module Page = Dbm_storage.Page
 module Wal = Dbm_storage.Wal
 module Lock = Dbm_storage.Lock_mgr
+module Key_space = Dbm_storage.Key_space
+module Snapshots = Dbm_storage.Snapshots
 
 let check = Alcotest.check
 
@@ -492,113 +494,54 @@ let prop_wal_delta_apply =
         Bytes.equal b' before && Bytes.equal a' after
       | _ -> false)
 
-(* --- Buffer_pool ------------------------------------------------------------ *)
+(* --- Key_space and Snapshots: the engines' shared skeleton ------------- *)
 
-module Pool = Dbm_storage.Buffer_pool
-
-let make_pool ?can_evict ?before_evict ~frames () =
-  let d = Vdisk.create ~pages:16 ~page_size:64 () in
-  (* give the disk distinguishable contents *)
-  for p = 0 to 15 do
-    let b = Bytes.make 64 '\000' in
-    Bytes.set b 16 (Char.chr (Char.code 'a' + p));
-    Vdisk.write d p b
-  done;
-  Vdisk.sync d;
-  (d, Pool.create d ~frames ?can_evict ?before_evict ())
-
-let test_pool_hit_miss () =
-  let _, pool = make_pool ~frames:2 () in
-  let b = Pool.get pool 3 in
-  check Alcotest.char "fetched from disk" 'd' (Bytes.get b 16);
-  Pool.unpin pool 3;
-  ignore (Pool.get pool 3);
-  Pool.unpin pool 3;
-  check Alcotest.int "one miss" 1 (Pool.misses pool);
-  check Alcotest.int "one hit" 1 (Pool.hits pool)
-
-let test_pool_eviction_lru () =
-  let _, pool = make_pool ~frames:2 () in
-  ignore (Pool.get pool 0);
-  Pool.unpin pool 0;
-  ignore (Pool.get pool 1);
-  Pool.unpin pool 1;
-  ignore (Pool.get pool 0);  (* touch 0: 1 becomes LRU *)
-  Pool.unpin pool 0;
-  ignore (Pool.get pool 2);
-  Pool.unpin pool 2;
-  check Alcotest.bool "page 1 evicted" false (Pool.resident pool 1);
-  check Alcotest.bool "page 0 kept" true (Pool.resident pool 0);
-  check Alcotest.int "one eviction" 1 (Pool.evictions pool)
-
-let test_pool_pinned_not_evicted () =
-  let _, pool = make_pool ~frames:1 () in
-  ignore (Pool.get pool 0);  (* pinned *)
-  match Pool.get pool 1 with
-  | exception Pool.No_free_frame -> ()
-  | _ -> Alcotest.fail "evicted a pinned frame"
-
-let test_pool_dirty_writeback () =
-  let d, pool = make_pool ~frames:1 () in
-  let b = Pool.get pool 0 in
-  Bytes.set b 16 'Z';
-  Pool.mark_dirty pool 0;
-  Pool.unpin pool 0;
-  (* force eviction: the dirty frame must reach the disk *)
-  ignore (Pool.get pool 1);
-  Pool.unpin pool 1;
-  check Alcotest.char "dirty page written back" 'Z' (Bytes.get (Vdisk.read d 0) 16)
-
-let test_pool_wal_gate () =
-  let allowed = ref false in
-  let forced = ref 0 in
-  let _, pool =
-    make_pool ~frames:1
-      ~can_evict:(fun ~page:_ ~lsn:_ -> !allowed)
-      ~before_evict:(fun ~page:_ ~lsn:_ -> incr forced)
-      ()
-  in
-  let b = Pool.get pool 0 in
-  Bytes.set b 16 'Z';
-  Pool.mark_dirty pool 0;
-  Pool.unpin pool 0;
-  (* gate closed: the only candidate is unevictable *)
-  (match Pool.get pool 1 with
-  | exception Pool.No_free_frame -> ()
-  | _ -> Alcotest.fail "evicted past a closed WAL gate");
-  check Alcotest.bool "before_evict ran (a chance to force the log)" true (!forced > 0);
-  allowed := true;
-  ignore (Pool.get pool 1);
-  Pool.unpin pool 1;
-  check Alcotest.bool "evicted once the gate opened" true (Pool.resident pool 1)
-
-let test_pool_flush_all () =
-  let d, pool = make_pool ~frames:4 () in
+let test_key_space () =
+  let ks = Key_space.create ~engine:"E" ~n_keys:10 ~keys_per_page:4 () in
+  check Alcotest.int "pages round up" 3 ks.Key_space.pages;
+  check Alcotest.int "page of the last key" 2 (Key_space.page_of ks 9);
+  Key_space.check ks 0;
+  Key_space.check ks 9;
   List.iter
-    (fun p ->
-      let b = Pool.get pool p in
-      Bytes.set b 16 'X';
-      Pool.mark_dirty pool p;
-      Pool.unpin pool p)
-    [ 0; 1; 2 ];
-  Pool.flush_all pool;
-  Vdisk.crash d;
-  List.iter
-    (fun p -> check Alcotest.char "durable after flush_all" 'X' (Bytes.get (Vdisk.read d p) 16))
-    [ 0; 1; 2 ];
-  check Alcotest.bool "frames clean" false (Pool.is_dirty pool 0)
+    (fun k ->
+      Alcotest.check_raises "key outside the space"
+        (Invalid_argument (Printf.sprintf "key %d out of range" k))
+        (fun () -> Key_space.check ks k))
+    [ -1; 10 ];
+  Alcotest.check_raises "no keys" (Invalid_argument "E.create: need at least one key") (fun () ->
+      ignore (Key_space.create ~engine:"E" ~n_keys:0 ()));
+  Alcotest.check_raises "no keys per page" (Invalid_argument "E.create: bad keys_per_page")
+    (fun () -> ignore (Key_space.create ~engine:"E" ~keys_per_page:0 ()))
 
-let test_pool_nested_pins () =
-  let _, pool = make_pool ~frames:2 () in
-  ignore (Pool.get pool 0);
-  ignore (Pool.get pool 0);
-  Pool.unpin pool 0;
-  check Alcotest.int "still pinned" 1 (Pool.pinned pool);
-  Pool.unpin pool 0;
-  check Alcotest.int "fully unpinned" 0 (Pool.pinned pool);
-  match Pool.unpin pool 0 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "over-unpin accepted"
+let test_snapshot_registry () =
+  let r = Snapshots.create () in
+  check Alcotest.int "no pin, no watermark" max_int (Snapshots.watermark r);
+  check Alcotest.int "first commit seq" 1 (Snapshots.commit r);
+  ignore (Snapshots.commit r);
+  let old = Snapshots.pin r "store" in
+  ignore (Snapshots.commit r);
+  let young = Snapshots.pin r "store" in
+  check Alcotest.(pair int int) "horizons" (2, 3) (Snapshots.horizon old, Snapshots.horizon young);
+  check Alcotest.int "watermark is the oldest horizon" 2 (Snapshots.watermark r);
+  let reclaims = ref [] in
+  let reclaim _ = reclaims := Snapshots.watermark r :: !reclaims in
+  Snapshots.release old ~reclaim;
+  Snapshots.release old ~reclaim;
+  check Alcotest.(list int) "one reclaim, after the watermark moved" [ 3 ] !reclaims;
+  check Alcotest.int "one live" 1 (Snapshots.live r);
+  Alcotest.check_raises "released handle" Dbm_storage.Kv.Txn_finished (fun () ->
+      ignore (Snapshots.owner old));
+  check Alcotest.string "live handle reads its store" "store" (Snapshots.owner young);
+  Snapshots.crash r;
+  check Alcotest.int "crash drops every pin" 0 (Snapshots.live r);
+  Alcotest.check_raises "pre-crash handle" Dbm_storage.Kv.Txn_finished (fun () ->
+      ignore (Snapshots.owner young));
+  check Alcotest.int "sequence restarts" 1 (Snapshots.commit r);
+  let after = Snapshots.pin r "store" in
+  Snapshots.release young ~reclaim;
+  check Alcotest.int "pre-crash release reclaims nothing" 1 (List.length !reclaims);
+  check Alcotest.int "and leaves the new pin" 1 (Snapshots.live r);
+  check Alcotest.int "new pin sees the new commit" 1 (Snapshots.horizon after)
 
 (* --- Lock_mgr --------------------------------------------------------------- *)
 
@@ -756,15 +699,10 @@ let () =
           Alcotest.test_case "decode allocation bounded" `Quick
             test_wal_decode_allocation_bounded;
         ] );
-      ( "buffer_pool",
+      ( "engine_core",
         [
-          Alcotest.test_case "hit/miss" `Quick test_pool_hit_miss;
-          Alcotest.test_case "lru eviction" `Quick test_pool_eviction_lru;
-          Alcotest.test_case "pinned not evicted" `Quick test_pool_pinned_not_evicted;
-          Alcotest.test_case "dirty write-back" `Quick test_pool_dirty_writeback;
-          Alcotest.test_case "WAL gate" `Quick test_pool_wal_gate;
-          Alcotest.test_case "flush_all" `Quick test_pool_flush_all;
-          Alcotest.test_case "nested pins" `Quick test_pool_nested_pins;
+          Alcotest.test_case "key space" `Quick test_key_space;
+          Alcotest.test_case "snapshot registry" `Quick test_snapshot_registry;
         ] );
       ( "lock_mgr",
         [

@@ -1,16 +1,14 @@
 (* Equivalence tests for the storage-half data-structure overhaul.
 
-   The optimized lock manager (per-transaction page sets), scheduler
-   (wakeup parking) and buffer pool (intrusive LRU list) must make
-   decisions indistinguishable from the pre-overhaul algorithms, which
-   are preserved verbatim in Dbm_storage.Naive.  The journal's growable
+   The optimized lock manager (per-transaction page sets) and scheduler
+   (wakeup parking) must make decisions indistinguishable from the
+   pre-overhaul algorithms, which are preserved verbatim in
+   Dbm_storage.Naive.  The journal's growable
    array must behave like the reference list model under any mix of
    append/sync/crash/truncate, including logs long enough to have blown
    the old non-tail-recursive truncate. *)
 
-module Vdisk = Dbm_storage.Vdisk
 module Journal = Dbm_storage.Journal
-module Pool = Dbm_storage.Buffer_pool
 module Lock = Dbm_storage.Lock_mgr
 module Naive = Dbm_storage.Naive
 module Scheduler = Dbm_storage.Scheduler
@@ -173,94 +171,6 @@ let test_sched_contended_shape () =
   run_both (module Kv.Model);
   run_both (module Dbm_storage.Engine_shadow)
 
-(* --- buffer pool: intrusive list keeps seed LRU order ----------------- *)
-
-let fresh_pool ?can_evict ?before_evict ~frames () =
-  let disk = Vdisk.create ~pages:16 ~page_size:32 () in
-  (disk, Pool.create disk ~frames ?can_evict ?before_evict ())
-
-let touch pool p =
-  ignore (Pool.get pool p);
-  Pool.unpin pool p
-
-let test_pool_eviction_order () =
-  let _, pool = fresh_pool ~frames:3 () in
-  touch pool 0;
-  touch pool 1;
-  touch pool 2;
-  touch pool 0;
-  (* last-use order now 1 < 2 < 0 *)
-  touch pool 3;
-  check Alcotest.bool "page 1 evicted" false (Pool.resident pool 1);
-  check Alcotest.bool "page 0 kept" true (Pool.resident pool 0);
-  check Alcotest.bool "page 2 kept" true (Pool.resident pool 2);
-  touch pool 4;
-  (* order was 2 < 0 < 3 *)
-  check Alcotest.bool "page 2 evicted next" false (Pool.resident pool 2);
-  touch pool 0;
-  touch pool 5;
-  (* order was 3 < 4 < 0 *)
-  check Alcotest.bool "page 3 evicted after re-touch of 0" false (Pool.resident pool 3);
-  check Alcotest.bool "page 0 still resident" true (Pool.resident pool 0);
-  check Alcotest.int "three evictions" 3 (Pool.evictions pool)
-
-let test_pool_pinned_skipped () =
-  let _, pool = fresh_pool ~frames:2 () in
-  ignore (Pool.get pool 0);
-  (* page 0 stays pinned: LRU but unevictable *)
-  touch pool 1;
-  touch pool 2;
-  check Alcotest.bool "pinned page 0 kept" true (Pool.resident pool 0);
-  check Alcotest.bool "unpinned page 1 evicted" false (Pool.resident pool 1);
-  ignore (Pool.get pool 2);
-  (match Pool.get pool 3 with
-  | exception Pool.No_free_frame -> ()
-  | _ -> Alcotest.fail "all-pinned pool handed out a frame");
-  Pool.unpin pool 0;
-  Pool.unpin pool 2
-
-let test_pool_gate_refusal_skips () =
-  let gated = ref 9 in
-  let _, pool = fresh_pool ~frames:2 ~can_evict:(fun ~page ~lsn:_ -> page <> !gated) () in
-  ignore (Pool.get pool 0);
-  Pool.mark_dirty pool 0;
-  Pool.unpin pool 0;
-  touch pool 1;
-  gated := 0;
-  (* page 0 is LRU and dirty but the gate refuses it; 1 must go instead *)
-  touch pool 2;
-  check Alcotest.bool "gated dirty page kept" true (Pool.resident pool 0);
-  check Alcotest.bool "next candidate evicted" false (Pool.resident pool 1)
-
-let test_pool_counters () =
-  let _, pool = fresh_pool ~frames:3 () in
-  check Alcotest.int "no pins" 0 (Pool.pinned pool);
-  ignore (Pool.get pool 0);
-  ignore (Pool.get pool 0);
-  ignore (Pool.get pool 1);
-  check Alcotest.int "two pinned frames (nested pin counts once)" 2 (Pool.pinned pool);
-  Pool.mark_dirty pool 0;
-  Pool.mark_dirty pool 0;
-  check Alcotest.int "one dirty frame" 1 (Pool.dirty_frames pool);
-  Pool.unpin pool 0;
-  check Alcotest.int "still pinned via nested pin" 2 (Pool.pinned pool);
-  Pool.unpin pool 0;
-  Pool.unpin pool 1;
-  check Alcotest.int "all unpinned" 0 (Pool.pinned pool);
-  Pool.flush_page pool 0;
-  check Alcotest.int "flushed clean" 0 (Pool.dirty_frames pool)
-
-let test_pool_dirty_eviction_writes_back () =
-  let disk, pool = fresh_pool ~frames:1 () in
-  let b = Pool.get pool 0 in
-  Bytes.blit_string "dirty!" 0 b 0 6;
-  Pool.mark_dirty pool 0;
-  Pool.unpin pool 0;
-  touch pool 1;
-  check Alcotest.bool "page 0 evicted" false (Pool.resident pool 0);
-  check Alcotest.string "contents written back" "dirty!"
-    (Bytes.sub_string (Vdisk.read disk 0) 0 6)
-
 (* --- journal vs a list reference model -------------------------------- *)
 
 type j_op = Append of string | Sync | Crash | Truncate of int
@@ -376,15 +286,6 @@ let () =
           QCheck_alcotest.to_alcotest (sched_equal_prop (module Kv.Model) 200);
           QCheck_alcotest.to_alcotest (sched_equal_prop (module Dbm_storage.Engine_log) 40);
           Alcotest.test_case "contended shape across engines" `Quick test_sched_contended_shape;
-        ] );
-      ( "buffer pool",
-        [
-          Alcotest.test_case "LRU eviction order" `Quick test_pool_eviction_order;
-          Alcotest.test_case "pinned frames skipped" `Quick test_pool_pinned_skipped;
-          Alcotest.test_case "gate refusal skips to next" `Quick test_pool_gate_refusal_skips;
-          Alcotest.test_case "pinned/dirty counters" `Quick test_pool_counters;
-          Alcotest.test_case "dirty eviction writes back" `Quick
-            test_pool_dirty_eviction_writes_back;
         ] );
       ( "journal",
         [
