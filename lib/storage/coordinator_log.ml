@@ -7,30 +7,21 @@ type t = {
   mutable decisions : int;
 }
 
-(* One record per decision: tag byte ('C' commit / 'A' abort), 8-byte
-   little-endian gid.  The journal's own length-prefix-and-checksum
-   framing handles torn-tail detection, so no further checksum here. *)
-let encode ~gid ~commit =
-  let b = Bytes.create 9 in
-  Bytes.set b 0 (if commit then 'C' else 'A');
-  Bytes.set_int64_le b 1 (Int64.of_int gid);
-  Bytes.unsafe_to_string b
-
+(* One Wal_codec small record per decision: tag 'C' (commit) or 'A'
+   (abort), then the gid as a varint, then the checksum trailer. *)
 let decode s =
-  if String.length s <> 9 then invalid_arg "Coordinator_log: bad record";
-  let commit =
-    match s.[0] with
-    | 'C' -> true
-    | 'A' -> false
-    | _ -> invalid_arg "Coordinator_log: bad tag"
-  in
-  (Int64.to_int (String.get_int64_le s 1), commit)
+  match Wal_codec.decode_fields s with
+  | 'C', [ gid ] -> (gid, true)
+  | 'A', [ gid ] -> (gid, false)
+  | _ -> raise (Wal_codec.Corrupt "Coordinator_log: bad decision record")
 
 let create () = { j = Journal.create (); table = Hashtbl.create 16; decisions = 0 }
 
 let decide t ~gid ~commit =
   if Hashtbl.mem t.table gid then invalid_arg "Coordinator_log.decide: duplicate gid";
-  ignore (Journal.append t.j (encode ~gid ~commit));
+  (* A fresh scratch per (rare) decision: every shard's domain decides. *)
+  let enc = Wal_codec.Enc.create ~size:16 () and tag = if commit then 'C' else 'A' in
+  ignore (Journal.append t.j (Wal_codec.encode_fields enc ~tag [ gid ]));
   (* The decision record IS the commit point of a cross-shard
      transaction: it is forced before any participant learns the
      outcome. *)

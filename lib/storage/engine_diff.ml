@@ -1,13 +1,16 @@
 (* Records ride the shared codec framing (Wal_codec): tag byte, varint
-   fields, FNV-64 checksum trailer.  The tags are private to this
-   engine's journals — 'A' add/update (stamp, txn, key, value),
-   'D' delete (stamp, txn, key), 'C' commit id (txn), 'M' fuzzy
+   fields, FNV-64 checksum trailer.  The differential files hold one
+   record type, a key and its [version]: 'A' add/update (stamp, txn,
+   key, value) in A, 'D' delete (stamp, txn, key) in D.  The commits
+   journal holds small records: 'C' commit (txn) and 'M' fuzzy
    checkpoint marker.  Stamps are globally ordered so (B u A) - D
    resolves by newest-wins. *)
 
-(* One retained record as the reads see it: an A record carries
+(* One differential record as the reads see it: an A record carries
    [Some value], a D record [None]. *)
 type version = { stamp : int; writer : int; value : string option }
+
+type marker = { a_mark : int; d_mark : int; stamp_floor : int; txn_floor : int }
 
 type store = {
   keys : Key_space.t;
@@ -52,56 +55,37 @@ let engine_name = "differential-file"
 
 let page_size = 1024
 
-let corrupt what r =
-  raise
-    (Wal_codec.Corrupt
-       (Printf.sprintf "Engine_diff: corrupt %s record (%d bytes)" what (String.length r)))
+let corrupt what = raise (Wal_codec.Corrupt ("Engine_diff: corrupt " ^ what ^ " record"))
 
-let encode_a enc ~stamp ~txn ~key ~value =
-  Wal_codec.Enc.reset enc ~tag:'A';
-  Wal_codec.Enc.varint enc stamp;
-  Wal_codec.Enc.varint enc txn;
-  Wal_codec.Enc.varint enc key;
-  Wal_codec.Enc.string enc value;
-  Wal_codec.Enc.finish enc
+(* The one encoder of both differential files: tag 'A' for a value,
+   'D' for a deletion. *)
+let encode_record enc ~key { stamp; writer; value } =
+  let open Wal_codec.Enc in
+  reset enc ~tag:(match value with Some _ -> 'A' | None -> 'D');
+  varint enc stamp;
+  varint enc writer;
+  varint enc key;
+  (match value with Some v -> string enc v | None -> ());
+  finish enc
 
-let encode_d enc ~stamp ~txn ~key =
-  Wal_codec.Enc.reset enc ~tag:'D';
-  Wal_codec.Enc.varint enc stamp;
-  Wal_codec.Enc.varint enc txn;
-  Wal_codec.Enc.varint enc key;
-  Wal_codec.Enc.finish enc
+(* The one decoder of both differential files: the key and its version. *)
+let decode_record r =
+  let open Wal_codec.Dec in
+  let d = start r in
+  let stamp = varint d in
+  let writer = varint d in
+  let key = varint d in
+  let value = match tag r with 'A' -> Some (string d) | 'D' -> None | _ -> corrupt "A/D" in
+  if not (finished d) then corrupt "A/D";
+  (key, { stamp; writer; value })
 
-let decode_a r =
-  if Wal_codec.Dec.tag r <> 'A' then corrupt "A" r;
-  let d = Wal_codec.Dec.start r in
-  let stamp = Wal_codec.Dec.varint d in
-  let txn = Wal_codec.Dec.varint d in
-  let key = Wal_codec.Dec.varint d in
-  let value = Wal_codec.Dec.string d in
-  if not (Wal_codec.Dec.finished d) then corrupt "A" r;
-  (stamp, txn, key, value)
-
-let decode_d r =
-  if Wal_codec.Dec.tag r <> 'D' then corrupt "D" r;
-  let d = Wal_codec.Dec.start r in
-  let stamp = Wal_codec.Dec.varint d in
-  let txn = Wal_codec.Dec.varint d in
-  let key = Wal_codec.Dec.varint d in
-  if not (Wal_codec.Dec.finished d) then corrupt "D" r;
-  (stamp, txn, key)
-
-let encode_commit enc ~txn =
-  Wal_codec.Enc.reset enc ~tag:'C';
-  Wal_codec.Enc.varint enc txn;
-  Wal_codec.Enc.finish enc
-
-let decode_commit r =
-  if Wal_codec.Dec.tag r <> 'C' then corrupt "commit" r;
-  let d = Wal_codec.Dec.start r in
-  let txn = Wal_codec.Dec.varint d in
-  if not (Wal_codec.Dec.finished d) then corrupt "commit" r;
-  txn
+(* The one decoder of the commits journal. *)
+let decode_commits_record r =
+  match Wal_codec.decode_fields r with
+  | 'C', [ txn ] -> `Commit txn
+  | 'M', [ a_mark; d_mark; stamp_floor; txn_floor ] ->
+    `Marker { a_mark; d_mark; stamp_floor; txn_floor }
+  | _ -> corrupt "commits journal"
 
 let create_with ?n_keys ?keys_per_page ?auto_merge_records () =
   let keys = Key_space.create ~engine:"Engine_diff" ?n_keys ?keys_per_page () in
@@ -151,28 +135,20 @@ let begin_txn t =
 
 let check h = if h.finished || h.born <> h.st.epoch then raise Kv.Txn_finished
 
-let stamp t =
-  let s = t.next_stamp in
-  t.next_stamp <- s + 1;
-  s
-
 let push t key v = t.chains.(key) <- v :: t.chains.(key)
+
+(* The one walk over both differential files, A then D, through the
+   one decoder: the durable records, or with [iter:Journal.iter_live]
+   the unsynced tail too. *)
+let iter_records ?(iter = Journal.iter_all) t f =
+  List.iter (iter (fun r -> f (decode_record r))) [ t.a_file; t.d_file ]
 
 (* One pass over the live records of both files.  Each file is
    stamp-ordered, so a chain comes out as two newest-first runs, one
    per file; the sort interleaves them. *)
 let rebuild_chains t =
   Array.fill t.chains 0 (Array.length t.chains) [];
-  Journal.iter_live
-    (fun r ->
-      let stamp, writer, key, v = decode_a r in
-      push t key { stamp; writer; value = Some v })
-    t.a_file;
-  Journal.iter_live
-    (fun r ->
-      let stamp, writer, key = decode_d r in
-      push t key { stamp; writer; value = None })
-    t.d_file;
+  iter_records ~iter:Journal.iter_live t (fun (key, v) -> push t key v);
   Array.map_inplace (List.sort (fun a b -> Int.compare b.stamp a.stamp)) t.chains;
   t.chains_stale <- false
 
@@ -193,27 +169,24 @@ let get h k =
   Key_space.check t.keys k;
   resolve t k (fun txn -> txn = h.id || Hashtbl.mem t.committed txn)
 
-let note_record t ~stamp ~txn =
-  if stamp > t.max_record_stamp then t.max_record_stamp <- stamp;
-  if txn > t.max_record_txn then t.max_record_txn <- txn
+let append_commits t ~tag fields =
+  ignore (Journal.append t.commits (Wal_codec.encode_fields t.enc ~tag fields))
 
-let put h k v =
+let write h k value =
   check h;
   let t = h.st in
   Key_space.check t.keys k;
-  let s = stamp t in
-  ignore (Journal.append t.a_file (encode_a t.enc ~stamp:s ~txn:h.id ~key:k ~value:v));
-  push t k { stamp = s; writer = h.id; value = Some v };
-  note_record t ~stamp:s ~txn:h.id
+  let v = { stamp = t.next_stamp; writer = h.id; value } in
+  t.next_stamp <- v.stamp + 1;
+  let file = match value with Some _ -> t.a_file | None -> t.d_file in
+  ignore (Journal.append file (encode_record t.enc ~key:k v));
+  push t k v;
+  if v.stamp > t.max_record_stamp then t.max_record_stamp <- v.stamp;
+  if h.id > t.max_record_txn then t.max_record_txn <- h.id
 
-let delete h k =
-  check h;
-  let t = h.st in
-  Key_space.check t.keys k;
-  let s = stamp t in
-  ignore (Journal.append t.d_file (encode_d t.enc ~stamp:s ~txn:h.id ~key:k));
-  push t k { stamp = s; writer = h.id; value = None };
-  note_record t ~stamp:s ~txn:h.id
+let put h k v = write h k (Some v)
+
+let delete h k = write h k None
 
 let finish h =
   h.finished <- true;
@@ -226,7 +199,7 @@ let commit h =
      commit marker. *)
   Journal.sync t.a_file;
   Journal.sync t.d_file;
-  ignore (Journal.append t.commits (encode_commit t.enc ~txn:h.id));
+  append_commits t ~tag:'C' [ h.id ];
   Journal.sync t.commits;
   Hashtbl.replace t.committed h.id (Snapshots.commit t.registry);
   finish h;
@@ -244,7 +217,7 @@ let commit h =
 let commit_group h =
   check h;
   let t = h.st in
-  ignore (Journal.append t.commits (encode_commit t.enc ~txn:h.id));
+  append_commits t ~tag:'C' [ h.id ];
   Hashtbl.replace t.committed h.id (Snapshots.commit t.registry);
   finish h
 
@@ -270,67 +243,57 @@ let abort h =
    exact record-stamp/txn maxima of that durable prefix.  Recovery only
    scans records at or after the newest marker's marks; the floors
    stand in for the skipped prefix. *)
-let encode_marker t =
-  Wal_codec.Enc.reset t.enc ~tag:'M';
-  Wal_codec.Enc.varint t.enc (Journal.synced t.a_file);
-  Wal_codec.Enc.varint t.enc (Journal.synced t.d_file);
-  Wal_codec.Enc.varint t.enc t.max_record_stamp;
-  Wal_codec.Enc.varint t.enc t.max_record_txn;
-  Wal_codec.Enc.finish t.enc
+let append_marker t =
+  append_commits t ~tag:'M'
+    [ Journal.synced t.a_file; Journal.synced t.d_file; t.max_record_stamp; t.max_record_txn ]
 
-type marker = { a_mark : int; d_mark : int; stamp_floor : int; txn_floor : int }
+let no_marker = { a_mark = 0; d_mark = 0; stamp_floor = 0; txn_floor = 0 }
 
-let is_marker r = String.length r > 0 && r.[0] = 'M'
-
-let decode_marker r =
-  let d = Wal_codec.Dec.start r in
-  let a_mark = Wal_codec.Dec.varint d in
-  let d_mark = Wal_codec.Dec.varint d in
-  let stamp_floor = Wal_codec.Dec.varint d in
-  let txn_floor = Wal_codec.Dec.varint d in
-  if not (Wal_codec.Dec.finished d) then corrupt "checkpoint marker" r;
-  { a_mark; d_mark; stamp_floor; txn_floor }
-
-(* Rebuild [committed] from the commit markers; the newest durable
+(* Rebuild [committed] from the commit records; the newest durable
    fuzzy-checkpoint marker (if any) rides back too. *)
 let read_commits t =
-  let marker = ref None in
-  List.iter
+  Hashtbl.reset t.committed;
+  let marker = ref no_marker in
+  Journal.iter_all
     (fun r ->
-      if is_marker r then marker := Some (decode_marker r)
-      else
+      match decode_commits_record r with
+      | `Marker m -> marker := m
+      | `Commit txn ->
         (* Commit seqs rebuild from durable commit-record order — the
            order they were assigned in (appends happen at commit). *)
-        Hashtbl.replace t.committed (decode_commit r) (Snapshots.commit t.registry))
-    (Journal.read_all t.commits);
+        Hashtbl.replace t.committed txn (Snapshots.commit t.registry))
+    t.commits;
   !marker
 
-(* Max (stamp, txn) over the durable records of [journal] with sequence
-   number >= [from_seq], chunk-scanned across the pool. *)
-let scan_max ?pool journal ~from_seq ~decode =
-  let raw = Journal.to_array journal in
-  let base = Journal.synced journal - Journal.length journal in
-  let lo = max 0 (from_seq - base) in
-  let len = Array.length raw in
-  if lo >= len then (0, 0)
-  else begin
-    let pieces = match pool with None -> 1 | Some p -> 4 * Dbm_util.Pool.jobs p in
-    Replay.map_list ?pool
-      (Replay.chunk_ranges ~len:(len - lo) ~pieces)
-      ~f:(fun (clo, chi) ->
-        let ms = ref 0 and mt = ref 0 in
-        for i = lo + clo to lo + chi - 1 do
-          let s, txn = decode raw.(i) in
-          if s > !ms then ms := s;
-          if txn > !mt then mt := txn
-        done;
-        (!ms, !mt))
-    |> List.fold_left (fun (ams, amt) (ms, mt) -> (max ams ms, max amt mt)) (0, 0)
-  end
+(* Max (stamp, txn) over the durable records past the marker's marks,
+   folded onto its floors: both files' suffixes, chunk-scanned across
+   the pool in one fan-out.  With [no_marker], every durable record. *)
+let scan_max ?pool t m =
+  let pieces = match pool with None -> 1 | Some p -> 4 * Dbm_util.Pool.jobs p in
+  let suffix journal from_seq =
+    let raw = Journal.to_array journal in
+    let lo = max 0 (from_seq - (Journal.synced journal - Journal.length journal)) in
+    List.map
+      (fun (clo, chi) -> (raw, lo + clo, lo + chi))
+      (Replay.chunk_ranges ~len:(Array.length raw - lo) ~pieces)
+  in
+  Replay.map_list ?pool
+    (suffix t.a_file m.a_mark @ suffix t.d_file m.d_mark)
+    ~f:(fun (raw, lo, hi) ->
+      let ms = ref 0 and mt = ref 0 in
+      for i = lo to hi - 1 do
+        let _, v = decode_record raw.(i) in
+        if v.stamp > !ms then ms := v.stamp;
+        if v.writer > !mt then mt := v.writer
+      done;
+      (!ms, !mt))
+  |> List.fold_left
+       (fun (ams, amt) (ms, mt) -> (max ams ms, max amt mt))
+       (m.stamp_floor, m.txn_floor)
 
 (* Shared recovery epilogue: re-seed the counters from the computed
    record maxima plus the committed ids. *)
-let finish_recovery t ~max_stamp ~record_txn =
+let finish_recovery t (max_stamp, record_txn) =
   t.max_record_stamp <- max_stamp;
   t.max_record_txn <- record_txn;
   let max_txn = Hashtbl.fold (fun id _ acc -> max acc id) t.committed record_txn in
@@ -339,28 +302,7 @@ let finish_recovery t ~max_stamp ~record_txn =
   t.live <- 0;
   t.recoveries <- t.recoveries + 1
 
-let recover t =
-  Hashtbl.reset t.committed;
-  let marker = read_commits t in
-  let a_from, d_from, stamp_floor, txn_floor =
-    match marker with
-    | None -> (0, 0, 0, 0)
-    | Some m -> (m.a_mark, m.d_mark, m.stamp_floor, m.txn_floor)
-  in
-  let pool = t.recovery_pool in
-  let a_stamp, a_txn =
-    scan_max ?pool t.a_file ~from_seq:a_from ~decode:(fun r ->
-        let s, txn, _, _ = decode_a r in
-        (s, txn))
-  in
-  let d_stamp, d_txn =
-    scan_max ?pool t.d_file ~from_seq:d_from ~decode:(fun r ->
-        let s, txn, _ = decode_d r in
-        (s, txn))
-  in
-  finish_recovery t
-    ~max_stamp:(max stamp_floor (max a_stamp d_stamp))
-    ~record_txn:(max txn_floor (max a_txn d_txn))
+let recover t = finish_recovery t (scan_max ?pool:t.recovery_pool t (read_commits t))
 
 (* Lose everything volatile.  The read index is only marked stale: a
    rebuild here would decode every retained record, the very prefix a
@@ -385,22 +327,8 @@ let crash_and_recover t =
    scan finds in the skipped prefix. *)
 let crash_and_recover_reference t =
   crash t;
-  Hashtbl.reset t.committed;
   ignore (read_commits t);
-  let max_txn = ref 0 and max_stamp = ref 0 in
-  List.iter
-    (fun r ->
-      let s, txn, _, _ = decode_a r in
-      max_stamp := max !max_stamp s;
-      max_txn := max !max_txn txn)
-    (Journal.read_all t.a_file);
-  List.iter
-    (fun r ->
-      let s, txn, _ = decode_d r in
-      max_stamp := max !max_stamp s;
-      max_txn := max !max_txn txn)
-    (Journal.read_all t.d_file);
-  finish_recovery t ~max_stamp:!max_stamp ~record_txn:!max_txn
+  finish_recovery t (scan_max t no_marker)
 
 (* Fuzzy checkpoint: force the differential files (making every record
    before the recorded marks durable), then append one marker carrying
@@ -412,7 +340,7 @@ let crash_and_recover_reference t =
 let checkpoint_fuzzy ?(sync = true) t =
   Journal.sync t.a_file;
   Journal.sync t.d_file;
-  ignore (Journal.append t.commits (encode_marker t));
+  append_marker t;
   if sync then Journal.sync t.commits;
   t.fuzzy_checkpoints <- t.fuzzy_checkpoints + 1
 
@@ -431,7 +359,7 @@ let state_fingerprint t =
   done;
   let feed_journal j =
     Dbm_util.Digest.int d (Journal.synced j);
-    List.iter (Dbm_util.Digest.string d) (Journal.read_all j)
+    Journal.iter_all (Dbm_util.Digest.string d) j
   in
   feed_journal t.a_file;
   feed_journal t.d_file;
@@ -504,42 +432,21 @@ let checkpoint t =
   let fence = ref max_int in
   if Snapshots.live t.registry > 0 then begin
     let wm = Snapshots.watermark t.registry in
-    let consider stamp txn =
-      match Hashtbl.find_opt t.committed txn with
-      | Some seq when seq > wm -> if stamp < !fence then fence := stamp
-      | Some _ | None -> ()
-    in
-    Journal.iter_all
-      (fun r ->
-        let stamp, txn, _, _ = decode_a r in
-        consider stamp txn)
-      t.a_file;
-    Journal.iter_all
-      (fun r ->
-        let stamp, txn, _ = decode_d r in
-        consider stamp txn)
-      t.d_file
+    iter_records t (fun (_, v) ->
+        match Hashtbl.find_opt t.committed v.writer with
+        | Some seq when seq > wm -> if v.stamp < !fence then fence := v.stamp
+        | Some _ | None -> ())
   end;
   let fence = !fence in
-  (* One pass over each file builds key -> newest committed outcome;
+  (* One pass over both files builds key -> newest committed version;
      stamps are unique and monotonically issued, so newest-wins per key
      is order-independent and matches the old per-key re-scan exactly. *)
-  let winners : (int, int * string option) Hashtbl.t = Hashtbl.create 64 in
-  let consider key stamp outcome =
-    match Hashtbl.find_opt winners key with
-    | Some (s, _) when s >= stamp -> ()
-    | _ -> Hashtbl.replace winners key (stamp, outcome)
-  in
-  Journal.iter_all
-    (fun r ->
-      let stamp, txn, key, value = decode_a r in
-      if stamp < fence && Hashtbl.mem t.committed txn then consider key stamp (Some value))
-    t.a_file;
-  Journal.iter_all
-    (fun r ->
-      let stamp, txn, key = decode_d r in
-      if stamp < fence && Hashtbl.mem t.committed txn then consider key stamp None)
-    t.d_file;
+  let winners : (int, version) Hashtbl.t = Hashtbl.create 64 in
+  iter_records t (fun (key, v) ->
+      if v.stamp < fence && Hashtbl.mem t.committed v.writer then
+        match Hashtbl.find_opt winners key with
+        | Some w when w.stamp >= v.stamp -> ()
+        | _ -> Hashtbl.replace winners key v);
   let { Key_space.n_keys; keys_per_page; pages } = t.keys in
   for p = 0 to pages - 1 do
     let page = Vdisk.read t.base p in
@@ -547,8 +454,8 @@ let checkpoint t =
     for k = p * keys_per_page to min ((p + 1) * keys_per_page) n_keys - 1 do
       match Hashtbl.find_opt winners k with
       | None -> ()
-      | Some (_, outcome) ->
-        Page.update page ~key:k ~value:outcome;
+      | Some v ->
+        Page.update page ~key:k ~value:v.value;
         changed := true
     done;
     if !changed then Vdisk.write t.base p page
@@ -558,44 +465,24 @@ let checkpoint t =
   Vdisk.sync t.base;
   (* Drop each file's sub-fence stamp prefix; with no live snapshots
      that is every durable record, exactly the old full truncation. *)
-  let cut journal stamp_of =
-    let raw = Journal.to_array journal in
-    let base = Journal.synced journal - Journal.length journal in
-    let n = Array.length raw in
-    let i = ref 0 in
-    while !i < n && stamp_of raw.(!i) < fence do
-      incr i
-    done;
-    Journal.truncate journal ~keep_from:(base + !i)
-  in
-  cut t.a_file (fun r ->
-      let s, _, _, _ = decode_a r in
-      s);
-  cut t.d_file (fun r ->
-      let s, _, _ = decode_d r in
-      s);
+  List.iter
+    (fun journal ->
+      let raw = Journal.to_array journal in
+      let n = Array.length raw in
+      let i = ref 0 in
+      while !i < n && (snd (decode_record raw.(!i))).stamp < fence do
+        incr i
+      done;
+      Journal.truncate journal ~keep_from:(Journal.synced journal - n + !i))
+    [ t.a_file; t.d_file ];
   (* The record maxima a full durable scan would now find — zero after
      a full truncation — and every older checkpoint marker's floors are
      stale either way.  Record the new state durably so recovery never
      trusts one. *)
-  let ms = ref 0 and mt = ref 0 in
-  let note s txn =
-    if s > !ms then ms := s;
-    if txn > !mt then mt := txn
-  in
-  Journal.iter_all
-    (fun r ->
-      let s, txn, _, _ = decode_a r in
-      note s txn)
-    t.a_file;
-  Journal.iter_all
-    (fun r ->
-      let s, txn, _ = decode_d r in
-      note s txn)
-    t.d_file;
-  t.max_record_stamp <- !ms;
-  t.max_record_txn <- !mt;
-  ignore (Journal.append t.commits (encode_marker t));
+  let ms, mt = scan_max t no_marker in
+  t.max_record_stamp <- ms;
+  t.max_record_txn <- mt;
+  append_marker t;
   Journal.sync t.commits;
   (* Reads through the old chains would still be right — a dropped
      record is invisible, folded into the base, or shadowed by one that

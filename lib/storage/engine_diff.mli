@@ -93,3 +93,20 @@ val d_size : t -> int
 (** Records currently in the deletions file. *)
 
 val merges : t -> int
+
+(** {2 Record decoders} Exposed for the decoder tests.  Any string that
+    is not one of the journal's records raises {!Wal_codec.Corrupt}. *)
+
+type version = { stamp : int; writer : int; value : string option }
+(** A differential record without its key: [Some value] from A, [None]
+    from D. *)
+
+val decode_record : string -> int * version
+(** The one decoder of both differential files: a key and its version. *)
+
+type marker = { a_mark : int; d_mark : int; stamp_floor : int; txn_floor : int }
+(** A fuzzy-checkpoint marker: the A/D sequence numbers recovery scans
+    from, and the stamp/txn maxima of the records before them. *)
+
+val decode_commits_record : string -> [ `Commit of int | `Marker of marker ]
+(** The one decoder of the commits journal. *)

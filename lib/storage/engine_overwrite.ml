@@ -1,9 +1,10 @@
 (* Shared core of the two overwriting variants.  Disk layout: home
    blocks [0, n_logical), scratch ring [n_logical, n_logical+slots).
-   The meta journal records intentions and transaction outcomes:
-     "I txn page slot"  - page is shadowed/staged in scratch slot
-     "C txn"            - transaction committed
-     "R txn"            - transaction resolved: its scratch slots are
+   The meta journal records intentions and transaction outcomes as
+   Wal_codec small records (tag, varint fields, checksum trailer):
+     'I' txn page slot  - page is shadowed/staged in scratch slot
+     'C' txn            - transaction committed
+     'R' txn            - transaction resolved: its scratch slots are
                           dead and may be reused (installed, restored,
                           or discarded)
    A slot is reusable only once its transaction's R record is durable;
@@ -18,8 +19,9 @@ type store = {
   scratch_slots : int;
   disk : Vdisk.t;
   meta : Journal.t;
+  enc : Wal_codec.Enc.t;
   busy : bool array;  (* scratch slot -> in use *)
-  staged : (int, (int * int) list ref) Hashtbl.t;  (* txn -> (page, slot) *)
+  staged : (int, (int * int) list) Hashtbl.t;  (* txn -> (page, slot), newest first *)
   mutable next_txn : int;
   mutable epoch : int;
   mutable live : int;
@@ -31,14 +33,15 @@ type txn_h = { st : store; id : int; born : int; mutable finished : bool }
 
 let page_size = 1024
 
-let parse_meta r =
-  match String.split_on_char ' ' r with
-  | [ "I"; txn; page; slot ] -> `Intent (int_of_string txn, int_of_string page, int_of_string slot)
-  | [ "C"; txn ] -> `Commit (int_of_string txn)
-  | [ "R"; txn ] -> `Resolved (int_of_string txn)
-  | _ -> invalid_arg ("Engine_overwrite: corrupt meta record " ^ r)
+let append_meta t ~tag fields =
+  ignore (Journal.append t.meta (Wal_codec.encode_fields t.enc ~tag fields))
 
-let intent_record ~txn ~page ~slot = Printf.sprintf "I %d %d %d" txn page slot
+let decode_meta r =
+  match Wal_codec.decode_fields r with
+  | 'I', [ txn; page; slot ] -> `Intent (txn, page, slot)
+  | 'C', [ txn ] -> `Commit txn
+  | 'R', [ txn ] -> `Resolved txn
+  | _ -> raise (Wal_codec.Corrupt "Engine_overwrite: bad meta record")
 
 let make_store variant ?n_keys ?keys_per_page ?(scratch_slots = 64) () =
   let keys = Key_space.create ~engine:"Engine_overwrite" ?n_keys ?keys_per_page () in
@@ -49,6 +52,7 @@ let make_store variant ?n_keys ?keys_per_page ?(scratch_slots = 64) () =
     scratch_slots;
     disk = Vdisk.create ~pages:(keys.pages + scratch_slots) ~page_size ();
     meta = Journal.create ();
+    enc = Wal_codec.Enc.create ~size:32 ();
     busy = Array.make scratch_slots false;
     staged = Hashtbl.create 8;
     next_txn = 1;
@@ -69,19 +73,26 @@ let alloc_slot t =
   t.busy.(s) <- true;
   s
 
+let staged_pairs t txn_id = Option.value (Hashtbl.find_opt t.staged txn_id) ~default:[]
+
+(* Copy staged scratch images to their home pages: the install of a
+   committed transaction, or the restore of an uncommitted one's
+   shadows.  Vdisk.write copies its input, so the borrowed read is
+   safe. *)
+let copy_home t =
+  List.iter (fun (p, slot) -> Vdisk.write t.disk p (Vdisk.read_ro t.disk (scratch_addr t slot)))
+
 let resolve t txn_id =
-  ignore (Journal.append t.meta (Printf.sprintf "R %d" txn_id));
+  append_meta t ~tag:'R' [ txn_id ];
   Journal.sync t.meta;
-  (match Hashtbl.find_opt t.staged txn_id with
-  | Some l -> List.iter (fun (_, slot) -> t.busy.(slot) <- false) !l
-  | None -> ());
+  List.iter (fun (_, slot) -> t.busy.(slot) <- false) (staged_pairs t txn_id);
   Hashtbl.remove t.staged txn_id
 
 let begin_txn t =
   let id = t.next_txn in
   t.next_txn <- id + 1;
   t.live <- t.live + 1;
-  Hashtbl.replace t.staged id (ref []);
+  Hashtbl.replace t.staged id [];
   { st = t; id; born = t.epoch; finished = false }
 
 let check h = if h.finished || h.born <> h.st.epoch then raise Kv.Txn_finished
@@ -90,57 +101,44 @@ let finish h =
   h.finished <- true;
   h.st.live <- h.st.live - 1
 
-let staged_slot t txn_id p =
-  match Hashtbl.find_opt t.staged txn_id with
-  | None -> None
-  | Some l -> List.assoc_opt p !l
+let staged_slot t txn_id p = List.assoc_opt p (staged_pairs t txn_id)
 
-let stage t txn_id p slot =
-  match Hashtbl.find_opt t.staged txn_id with
-  | Some l -> l := (p, slot) :: !l
-  | None -> Hashtbl.replace t.staged txn_id (ref [ (p, slot) ])
+(* The commit point: every updated page durable, then the commit
+   record. *)
+let log_commit t txn_id =
+  Vdisk.sync t.disk;
+  append_meta t ~tag:'C' [ txn_id ];
+  Journal.sync t.meta
+
+let stage t txn_id p slot = Hashtbl.replace t.staged txn_id ((p, slot) :: staged_pairs t txn_id)
 
 (* ---- recovery, shared -------------------------------------------- *)
 
 let recover t =
-  let records = List.map parse_meta (Journal.read_all t.meta) in
   let committed = Hashtbl.create 8 and resolved = Hashtbl.create 8 in
-  let intents = Hashtbl.create 8 in
-  List.iter
-    (function
+  let intents = Hashtbl.create 8 and max_id = ref 0 in
+  Journal.iter_all
+    (fun r ->
+      let record = decode_meta r in
+      (match record with
+      | `Commit id | `Resolved id | `Intent (id, _, _) -> max_id := max !max_id id);
+      match record with
       | `Commit id -> Hashtbl.replace committed id ()
       | `Resolved id -> Hashtbl.replace resolved id ()
       | `Intent (id, page, slot) ->
-        let l = match Hashtbl.find_opt intents id with
-          | Some l -> l
-          | None ->
-            let l = ref [] in
-            Hashtbl.replace intents id l;
-            l
-        in
-        l := (page, slot) :: !l)
-    records;
+        let prior = Option.value (Hashtbl.find_opt intents id) ~default:[] in
+        Hashtbl.replace intents id ((page, slot) :: prior))
+    t.meta;
   Array.fill t.busy 0 t.scratch_slots false;
   Hashtbl.reset t.staged;
-  let max_id = ref 0 in
-  List.iter
-    (function
-      | `Commit id | `Resolved id -> max_id := max !max_id id
-      | `Intent (id, _, _) -> max_id := max !max_id id)
-    records;
   Hashtbl.iter
     (fun id l ->
       if not (Hashtbl.mem resolved id) then begin
-        let is_committed = Hashtbl.mem committed id in
-        let copy_scratch_to_home (page, slot) =
-          (* Vdisk.write copies its input, so the borrowed read is safe. *)
-          Vdisk.write t.disk page (Vdisk.read_ro t.disk (scratch_addr t slot))
-        in
-        (match t.variant, is_committed with
+        (match t.variant, Hashtbl.mem committed id with
         | No_undo_v, true ->
           (* Committed but not installed: re-install (idempotent). *)
-          List.iter copy_scratch_to_home !l;
-          t.installs <- t.installs + List.length !l
+          copy_home t l;
+          t.installs <- t.installs + List.length l
         | No_undo_v, false ->
           (* Homes were never touched: nothing to do. *)
           ()
@@ -149,9 +147,9 @@ let recover t =
           ()
         | No_redo_v, false ->
           (* Restore the shadows of the uncommitted transaction. *)
-          List.iter copy_scratch_to_home !l);
+          copy_home t l);
         Vdisk.sync t.disk;
-        ignore (Journal.append t.meta (Printf.sprintf "R %d" id));
+        append_meta t ~tag:'R' [ id ];
         Journal.sync t.meta
       end)
     intents;
@@ -224,7 +222,7 @@ module No_undo = struct
       | None ->
         let slot = alloc_slot t in
         stage t h.id p slot;
-        ignore (Journal.append t.meta (intent_record ~txn:h.id ~page:p ~slot));
+        append_meta t ~tag:'I' [ h.id; p; slot ];
         (slot, Vdisk.read t.disk p)
     in
     Page.update image ~key:k ~value;
@@ -236,21 +234,15 @@ module No_undo = struct
   let commit h =
     check h;
     let t = h.st in
-    (* 1. All updated pages durable in the scratch space... *)
-    Vdisk.sync t.disk;
-    (* 2. ...then the commit record: the transaction is now committed. *)
-    ignore (Journal.append t.meta (Printf.sprintf "C %d" h.id));
-    Journal.sync t.meta;
+    (* 1-2. All updated pages durable in the scratch space, then the
+       commit record: the transaction is now committed. *)
+    log_commit t h.id;
     (* 3. Install: overwrite the shadows with the current copies.  The
        paper releases the page locks only after this pass. *)
-    (match Hashtbl.find_opt t.staged h.id with
-    | Some l ->
-      List.iter
-        (fun (p, slot) -> Vdisk.write t.disk p (Vdisk.read_ro t.disk (scratch_addr t slot)))
-        !l;
-      t.installs <- t.installs + List.length !l;
-      Vdisk.sync t.disk
-    | None -> ());
+    let pairs = staged_pairs t h.id in
+    copy_home t pairs;
+    t.installs <- t.installs + List.length pairs;
+    Vdisk.sync t.disk;
     resolve t h.id;
     finish h
 
@@ -263,10 +255,7 @@ module No_undo = struct
   (* Test hook: durably committed, install pass not yet run. *)
   let commit_without_install h =
     check h;
-    let t = h.st in
-    Vdisk.sync t.disk;
-    ignore (Journal.append t.meta (Printf.sprintf "C %d" h.id));
-    Journal.sync t.meta;
+    log_commit h.st h.id;
     finish h
 
 end
@@ -299,7 +288,7 @@ module No_redo = struct
       stage t h.id p slot;
       Vdisk.write t.disk (scratch_addr t slot) (Vdisk.read_ro t.disk p);
       Vdisk.sync t.disk;
-      ignore (Journal.append t.meta (intent_record ~txn:h.id ~page:p ~slot));
+      append_meta t ~tag:'I' [ h.id; p; slot ];
       Journal.sync t.meta);
     let image = Vdisk.read t.disk p in
     Page.update image ~key:k ~value;
@@ -313,9 +302,7 @@ module No_redo = struct
     let t = h.st in
     (* A transaction is committed only after all its updates are on
        disk; then the commit record makes that durable fact explicit. *)
-    Vdisk.sync t.disk;
-    ignore (Journal.append t.meta (Printf.sprintf "C %d" h.id));
-    Journal.sync t.meta;
+    log_commit t h.id;
     resolve t h.id;
     finish h
 
@@ -323,13 +310,8 @@ module No_redo = struct
     check h;
     let t = h.st in
     (* Undo in place: restore every shadow from the scratch space. *)
-    (match Hashtbl.find_opt t.staged h.id with
-    | Some l ->
-      List.iter
-        (fun (p, slot) -> Vdisk.write t.disk p (Vdisk.read_ro t.disk (scratch_addr t slot)))
-        !l;
-      Vdisk.sync t.disk
-    | None -> ());
+    copy_home t (staged_pairs t h.id);
+    Vdisk.sync t.disk;
     resolve t h.id;
     finish h
 

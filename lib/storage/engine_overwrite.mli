@@ -44,3 +44,8 @@ module No_redo : sig
 
   val scratch_in_use : t -> int
 end
+
+val decode_meta : string -> [ `Intent of int * int * int | `Commit of int | `Resolved of int ]
+(** The meta journal's one decoder, exposed for the decoder tests:
+    [`Intent (txn, page, slot)], [`Commit txn] or [`Resolved txn].
+    @raise Wal_codec.Corrupt on any other string. *)

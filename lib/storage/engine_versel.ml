@@ -1,5 +1,6 @@
 (* Slot layout: [version:8][writer txn:8][embedded 1024-byte data page].
-   Logical page p owns adjacent slots 2p and 2p+1. *)
+   Logical page p owns adjacent slots 2p and 2p+1.  The commit list
+   holds one Wal_codec small record per commit: tag 'C', the txn id. *)
 
 let payload_size = 1024
 
@@ -21,6 +22,7 @@ type store = {
   keys : Key_space.t;
   disk : Vdisk.t;
   commit_list : Journal.t;
+  enc : Wal_codec.Enc.t;
   (* txn id -> commit sequence number (commit-list append order) *)
   committed : (int, int) Hashtbl.t;
   registry : Snapshots.t;
@@ -45,6 +47,7 @@ let create_with ?n_keys ?keys_per_page () =
     keys;
     disk = Vdisk.create ~pages:(2 * keys.pages) ~page_size:slot_size ();
     commit_list = Journal.create ();
+    enc = Wal_codec.Enc.create ~size:16 ();
     committed = Hashtbl.create 32;
     registry = Snapshots.create ();
     retained = Hashtbl.create 16;
@@ -72,6 +75,14 @@ let make_slot ~version ~writer payload =
   Bytes.set_int64_le b 8 (Int64.of_int writer);
   Bytes.blit payload 0 b 16 payload_size;
   b
+
+let append_commit t id =
+  ignore (Journal.append t.commit_list (Wal_codec.encode_fields t.enc ~tag:'C' [ id ]))
+
+let decode_commit r =
+  match Wal_codec.decode_fields r with
+  | 'C', [ txn ] -> txn
+  | _ -> raise (Wal_codec.Corrupt "Engine_versel: bad commit record")
 
 let begin_txn t =
   let id = t.next_txn in
@@ -173,7 +184,7 @@ let commit txn =
   (* Data slots first, then the committed list: a crash between the two
      leaves the writes invisible (the txn is simply not committed). *)
   Vdisk.sync t.disk;
-  ignore (Journal.append t.commit_list (string_of_int txn.id));
+  append_commit t txn.id;
   Journal.sync t.commit_list;
   Hashtbl.replace t.committed txn.id (Snapshots.commit t.registry);
   finish txn
@@ -186,7 +197,7 @@ let commit txn =
 let commit_group txn =
   check txn;
   let t = txn.st in
-  ignore (Journal.append t.commit_list (string_of_int txn.id));
+  append_commit t txn.id;
   Hashtbl.replace t.committed txn.id (Snapshots.commit t.registry);
   finish txn
 
@@ -205,9 +216,9 @@ let recover t =
   Hashtbl.reset t.committed;
   (* Commit seqs rebuild from durable commit-list order — the order
      they were assigned in (appends happen at commit). *)
-  List.iter
-    (fun r -> Hashtbl.replace t.committed (int_of_string r) (Snapshots.commit t.registry))
-    (Journal.read_all t.commit_list);
+  Journal.iter_all
+    (fun r -> Hashtbl.replace t.committed (decode_commit r) (Snapshots.commit t.registry))
+    t.commit_list;
   (* Transaction ids must never be reused: a recycled id would make a
      crashed transaction's garbage slot look live.  Scan every slot. *)
   let max_tag = ref 0 in

@@ -45,3 +45,7 @@ val force_commits : t -> unit
 
 val slot_versions : t -> page:int -> int * int
 (** The version tags of the two slots of a logical page (tests). *)
+
+val decode_commit : string -> int
+(** The commit list's one decoder, exposed for the decoder tests: the
+    committed txn id.  @raise Wal_codec.Corrupt on any other string. *)

@@ -69,13 +69,6 @@ let read_all t =
   done;
   !acc
 
-let read_live t =
-  let acc = ref [] in
-  for i = t.start + live t - 1 downto t.start do
-    acc := t.buf.(i) :: !acc
-  done;
-  !acc
-
 let to_array t = Array.sub t.buf t.start t.durable
 
 let appended t = t.base + t.durable + t.pending

@@ -6,12 +6,14 @@
     whole strings in memory: it adds no framing of its own (no length
     prefix, no checksum), and a crash drops whole unsynced records, so
     a torn tail — a record half "on disk" — cannot occur and no scan
-    ever meets one.  Whatever integrity checks a record has come from
-    its own format ({!Wal_codec} frames are checksummed; the others are
-    not).  A torn crash mode is ROADMAP item 5.
+    ever meets one.  A torn crash mode is ROADMAP item 5.
 
-    The logging engine's log disks, the overwriting engines' intention
-    lists, and the version-selection commit list are all journals. *)
+    Every journal holds {!Wal_codec} frames (tag byte, varint fields,
+    checksum trailer), and each has one decoder that answers a damaged
+    record with {!Wal_codec.Corrupt}: the logging engine's log disks,
+    the differential engine's A, D and commits files, the overwriting
+    engines' intention lists, the version-selection commit list and
+    the 2PC coordinator's decision log. *)
 
 type t
 
@@ -30,10 +32,6 @@ val crash : t -> unit
 
 val read_all : t -> string list
 (** The durable records, in append order.  Valid after a crash. *)
-
-val read_live : t -> string list
-(** Durable records followed by the still-buffered tail: the view an
-    up-and-running reader has (a crash loses the tail). *)
 
 val length : t -> int
 (** Number of durable records currently retained (what

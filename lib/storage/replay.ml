@@ -124,25 +124,16 @@ let committed ?(also = []) ~start_lsn records =
 
 (* Prepared-but-undecided transactions, straight off the raw encodings:
    a Prepare record whose transaction has no later Commit/Abort record
-   anywhere in the logs.  Prepares are rare (cross-shard transactions
-   only), so only they pay for a checked decode — decision records are
-   recognized by tag byte and peeked. *)
+   anywhere in the logs ([Wal.peek_vote] decodes only the prepares). *)
 let in_doubt (raws : string array array) : (int * int) list =
   let prepared : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let decided : (int, unit) Hashtbl.t = Hashtbl.create 16 in
   Array.iter
     (Array.iter (fun s ->
-         if String.length s > 0 then
-           match s.[0] with
-           | 'p' -> (
-             match Wal.decode s with
-             | Wal.Prepare { txn; gid; _ } -> Hashtbl.replace prepared txn gid
-             | _ -> ())
-           | 'c' | 'a' -> (
-             match Wal.peek_txn s with
-             | Some txn -> Hashtbl.replace decided txn ()
-             | None -> ())
-           | _ -> ()))
+         match Wal.peek_vote s with
+         | `Prepared (txn, gid) -> Hashtbl.replace prepared txn gid
+         | `Decided txn -> Hashtbl.replace decided txn ()
+         | `Other -> ()))
     raws;
   Hashtbl.fold
     (fun txn gid acc -> if Hashtbl.mem decided txn then acc else (txn, gid) :: acc)

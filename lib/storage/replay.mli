@@ -93,8 +93,8 @@ val in_doubt : string array array -> (int * int) list
 (** Prepared-but-undecided transactions in the raw durable logs
     ([Journal.to_array]): [(txn, gid)] for every {!Wal.Prepare} record
     whose transaction has no Commit/Abort record anywhere, ascending by
-    txn id.  Only prepare records pay for a checked decode; decision
-    records are recognized by tag byte and peeked. *)
+    txn id.  Records are classified by {!Wal.peek_vote}, so only
+    prepare records pay for a checked decode. *)
 
 val expand_page : base:bytes -> Wal.record list -> (int * int * bytes * bytes) list
 (** Reconstruct full [(lsn, txn, before, after)] images for one page's

@@ -240,10 +240,10 @@ let engines_section ~now ~scale =
 (* --- recovery wall vs durable log length ---------------------------- *)
 
 (* Commit [txns] transactions of 8 puts each into [t].
-   [checkpoint_after]: after that many committed transactions the engine
-   flushes (the page cleaner catching up) and takes a fuzzy checkpoint;
-   the remaining transactions dirty pages again on top of it, so the
-   checkpoint ages as the log keeps growing. *)
+   [checkpoint_after]: after that many committed transactions every
+   dirty page is flushed (the system has no page cleaner) right before
+   a fuzzy checkpoint; the remaining transactions dirty pages again on
+   top of it, so the checkpoint ages as the log keeps growing. *)
 let load_log_engine ?checkpoint_after ~txns t =
   for i = 0 to txns - 1 do
     (match checkpoint_after with
@@ -424,7 +424,7 @@ let recovery_parallel_section ~now ~jobs ~allow_oversubscribe ~txns =
         (identical eq "serial reference"))
     by_jobs;
   pr "  best parallel speedup over serial: %.2fx\n" parallel_speedup;
-  pr "fuzzy-checkpointed recovery (serial replay, same committed work):\n";
+  pr "fuzzy-checkpointed recovery after a full flush (serial replay, same committed work):\n";
   List.iter
     (fun (f, recs, w, eq) ->
       pr "  checkpoint after %3.0f%% of commits: %7d records %8.2f ms  (%s)\n" (100. *. f) recs w

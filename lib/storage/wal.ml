@@ -255,6 +255,16 @@ let decode s =
   if not (finished c) then raise (Corrupt "trailing bytes");
   r
 
+(* Restart recovery runs this on every retained record: only the rare
+   prepares pay for a checked decode, decisions are a tag test and a peek. *)
+let peek_vote s =
+  if String.length s = 0 then `Other
+  else
+    match s.[0] with
+    | 'p' -> ( match decode s with Prepare { txn; gid; _ } -> `Prepared (txn, gid) | _ -> `Other)
+    | 'c' | 'a' -> ( match peek_txn s with Some txn -> `Decided txn | None -> `Other)
+    | _ -> `Other
+
 let pp ppf = function
   | Update { lsn; txn; page; _ } -> Format.fprintf ppf "Update(lsn=%d txn=%d page=%d)" lsn txn page
   | Delta { lsn; txn; page; off; prev_lsn; before_slice; _ } ->

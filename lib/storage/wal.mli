@@ -136,4 +136,10 @@ val peek_txn : string -> int option
 val peek_is_fuzzy_checkpoint : string -> bool
 (** Tag test: does this encoding hold a {!Fuzzy_checkpoint}? *)
 
+val peek_vote : string -> [ `Prepared of int * int | `Decided of int | `Other ]
+(** The record's part in two-phase commit, for in-doubt detection:
+    [`Prepared (txn, gid)] for a {!Prepare} (checked decode),
+    [`Decided txn] for a {!Commit} or {!Abort} (tag byte and
+    {!peek_txn}), [`Other] for the rest. *)
+
 val pp : Format.formatter -> record -> unit

@@ -152,3 +152,22 @@ module Dec = struct
 
   let finished t = t.pos = t.limit
 end
+
+(* --- small records -------------------------------------------------- *)
+
+(* Top-level recursion: no closure per record, unlike [List.iter]. *)
+let rec varints enc = function
+  | [] -> ()
+  | f :: rest ->
+    Enc.varint enc f;
+    varints enc rest
+
+let encode_fields enc ~tag fields =
+  Enc.reset enc ~tag;
+  varints enc fields;
+  Enc.finish enc
+
+let decode_fields s =
+  let d = Dec.start s in
+  let rec fields acc = if Dec.finished d then List.rev acc else fields (Dec.varint d :: acc) in
+  (Dec.tag s, fields [])

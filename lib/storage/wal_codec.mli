@@ -1,7 +1,9 @@
 (** Shared zero-copy log-record framing.
 
-    The framing layer under {!Wal} (and the differential engine's
-    private record formats): a record is
+    The one record format of every journal: {!Wal}'s log records, the
+    differential engine's A, D, commit and marker records, the
+    overwriting engines' intentions, version selection's commit list
+    and the 2PC coordinator's decisions.  A record is
 
     {v tag:1 | fixed fields | varint-framed payload | checksum:8 v}
 
@@ -104,3 +106,14 @@ module Dec : sig
   (** Has the cursor consumed the whole body?  Decoders use it to
       reject trailing garbage. *)
 end
+
+(** {2 Small records} A tag and a few non-negative ints, one varint
+    each: an intention, a commit id, a decision, a marker. *)
+
+val encode_fields : Enc.t -> tag:char -> int list -> string
+(** @raise Invalid_argument on a negative field. *)
+
+val decode_fields : string -> char * int list
+(** The checked inverse: the tag and every varint before the trailer.
+    A caller raises {!Corrupt} on any shape its journal does not hold.
+    @raise Corrupt on a damaged encoding. *)

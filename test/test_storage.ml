@@ -1,10 +1,12 @@
 (* Tests for the storage substrate: virtual disk, journal, pages, WAL
-   records, the engines' key space and snapshot registry, lock manager. *)
+   records and every journal's decoder, the engines' key space and
+   snapshot registry, lock manager. *)
 
 module Vdisk = Dbm_storage.Vdisk
 module Journal = Dbm_storage.Journal
 module Page = Dbm_storage.Page
 module Wal = Dbm_storage.Wal
+module Wal_codec = Dbm_storage.Wal_codec
 module Lock = Dbm_storage.Lock_mgr
 module Key_space = Dbm_storage.Key_space
 module Snapshots = Dbm_storage.Snapshots
@@ -229,6 +231,7 @@ let sample_records =
     Wal.Op { lsn = 15; txn = 6; key = 0; value = None };
     Wal.Fuzzy_checkpoint { lsn = 16; start_lsn = 3; active = [ 1; 2 ]; dirty = [ (0, 3); (7, 9) ] };
     Wal.Fuzzy_checkpoint { lsn = 17; start_lsn = 17; active = []; dirty = [] };
+    Wal.Prepare { lsn = 18; txn = 7; gid = 42 };
   ]
 
 let test_wal_roundtrip () =
@@ -327,7 +330,14 @@ let test_wal_peeks_agree_with_decode () =
       check (Alcotest.option Alcotest.int) "peek_txn" (Wal.txn_of r) (Wal.peek_txn s);
       check Alcotest.bool "peek fuzzy"
         (match r with Wal.Fuzzy_checkpoint _ -> true | _ -> false)
-        (Wal.peek_is_fuzzy_checkpoint s))
+        (Wal.peek_is_fuzzy_checkpoint s);
+      let vote =
+        match r with
+        | Wal.Prepare { txn; gid; _ } -> `Prepared (txn, gid)
+        | Wal.Commit { txn; _ } | Wal.Abort { txn; _ } -> `Decided txn
+        | _ -> `Other
+      in
+      check Alcotest.bool "peek_vote" true (Wal.peek_vote s = vote))
     sample_records
 
 let test_wal_encode_allocation_bounded () =
@@ -385,6 +395,9 @@ let wal_record_gen =
       [
         map2 (fun lsn txn -> Wal.Commit { lsn; txn }) (int_range 0 1000) (int_range 0 1000);
         map2 (fun lsn txn -> Wal.Abort { lsn; txn }) (int_range 0 1000) (int_range 0 1000);
+        map3
+          (fun lsn txn gid -> Wal.Prepare { lsn; txn; gid })
+          (int_range 0 1000) (int_range 0 1000) (int_range 0 1000);
         map
           (fun (lsn, txn, page, b, a) ->
             Wal.Update
@@ -431,30 +444,104 @@ let prop_wal_injective =
     (QCheck.pair wal_arbitrary wal_arbitrary) (fun (r1, r2) ->
       r1 = r2 || Wal.encode r1 <> Wal.encode r2)
 
+(* Every journal's one decoder, with a generator of its valid frames.
+   The non-WAL frames are built here from their documented layouts, so
+   a decoder that stops accepting its journal's bytes fails too. *)
+let journals =
+  let open QCheck.Gen in
+  let field = int_range 0 100_000 in
+  let small shapes =
+    oneofl shapes >>= fun (tag, arity) ->
+    map (Wal_codec.encode_fields (Wal_codec.Enc.create ()) ~tag) (list_repeat arity field)
+  in
+  let diff_record (stamp, txn, key, value) =
+    let enc = Wal_codec.Enc.create () in
+    Wal_codec.Enc.reset enc ~tag:(if value = None then 'D' else 'A');
+    List.iter (Wal_codec.Enc.varint enc) [ stamp; txn; key ];
+    Option.iter (Wal_codec.Enc.string enc) value;
+    Wal_codec.Enc.finish enc
+  in
+  let decoder f s = ignore (f s) in
+  let module S = Dbm_storage in
+  [
+    ("wal", decoder Wal.decode, map Wal.encode wal_record_gen);
+    ( "diff A/D",
+      decoder S.Engine_diff.decode_record,
+      map diff_record (quad field field field (option (string_size (int_range 0 40)))) );
+    ( "diff commits",
+      decoder S.Engine_diff.decode_commits_record,
+      small [ ('C', 1); ('M', 4) ] );
+    ( "overwrite meta",
+      decoder S.Engine_overwrite.decode_meta,
+      small [ ('I', 3); ('C', 1); ('R', 1) ] );
+    ("versel commits", decoder S.Engine_versel.decode_commit, small [ ('C', 1) ]);
+    ("coordinator", decoder S.Coordinator_log.decode, small [ ('C', 1); ('A', 1) ]);
+  ]
+
+(* One valid frame of every journal, in [journals] order. *)
+let journal_frames =
+  QCheck.make
+    ~print:(fun frames ->
+      String.concat "\n"
+        (List.map2 (fun (name, _, _) f -> name ^ ": " ^ String.escaped f) journals frames))
+    (QCheck.Gen.flatten_l (List.map (fun (_, _, gen) -> gen) journals))
+
+(* [damage] each journal's frame; its decoder must accept the intact
+   frame and answer the damaged one with Corrupt. *)
+let all_damage_corrupt frames damage =
+  List.for_all2
+    (fun (_, decode, _) s ->
+      decode s;
+      match decode (damage s) with exception Wal_codec.Corrupt _ -> true | () -> false)
+    journals frames
+
 let prop_wal_truncation_corrupt =
   QCheck.Test.make ~name:"any truncation decodes as Corrupt" ~count:500
-    (QCheck.pair wal_arbitrary (QCheck.int_range 0 10_000))
-    (fun (r, cut) ->
-      let s = Wal.encode r in
-      let cut = cut mod String.length s in
-      match Wal.decode (String.sub s 0 cut) with
-      | exception Wal.Corrupt _ -> true
-      | _ -> false)
+    (QCheck.pair journal_frames (QCheck.int_range 0 10_000))
+    (fun (frames, cut) ->
+      all_damage_corrupt frames (fun s -> String.sub s 0 (cut mod String.length s)))
 
 let prop_wal_bitflip_corrupt =
   (* the checksum step [h <- (h xor word) * prime] is injective in [h]
      for fixed input, so a single flipped bit always changes the
      trailer: every one-bit corruption must be detected *)
   QCheck.Test.make ~name:"any single bit-flip decodes as Corrupt" ~count:500
-    (QCheck.pair wal_arbitrary (QCheck.pair (QCheck.int_range 0 10_000) (QCheck.int_range 0 7)))
-    (fun (r, (pos, bit)) ->
-      let s = Wal.encode r in
-      let b = Bytes.of_string s in
-      let pos = pos mod Bytes.length b in
-      Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl bit)));
-      match Wal.decode (Bytes.to_string b) with
-      | exception Wal.Corrupt _ -> true
-      | _ -> false)
+    (QCheck.pair journal_frames (QCheck.pair (QCheck.int_range 0 10_000) (QCheck.int_range 0 7)))
+    (fun (frames, (pos, bit)) ->
+      all_damage_corrupt frames (fun s ->
+          let b = Bytes.of_string s in
+          let pos = pos mod Bytes.length b in
+          Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl bit)));
+          Bytes.to_string b))
+
+let prop_decoders_total =
+  (* The decoder rule: every journal's decoder answers any byte string
+     with a record or Corrupt, never another exception.  Random strings
+     almost never pass the checksum, so half the inputs re-checksum a
+     random tag and body: those reach the field parsers and the
+     wrong-shape fallbacks. *)
+  let reframe tag body =
+    let s = String.make 1 tag ^ body in
+    let trailer = Bytes.create 8 in
+    Bytes.set_int64_le trailer 0 (Wal_codec.checksum s ~pos:0 ~len:(String.length s));
+    s ^ Bytes.to_string trailer
+  in
+  let gen =
+    QCheck.Gen.(
+      let tag = oneof [ oneofl (List.of_seq (String.to_seq "udocapkfADCMIR")); char ] in
+      let body = string_size ~gen:(oneof [ char_range '\000' '\127'; char ]) (int_range 0 40) in
+      oneof [ string_size (int_range 0 60); map2 reframe tag body ])
+  in
+  QCheck.Test.make ~name:"every decoder: a record or Corrupt" ~count:1000
+    (QCheck.make ~print:String.escaped gen)
+    (fun s ->
+      List.for_all
+        (fun (name, decode, _) ->
+          match decode s with
+          | () | (exception Wal_codec.Corrupt _) -> true
+          | exception e ->
+            QCheck.Test.fail_reportf "%s decoder raised %s" name (Printexc.to_string e))
+        journals)
 
 let prop_wal_delta_apply =
   (* delta_update on random page pairs: applying the after slice (plus
@@ -652,7 +739,7 @@ let qsuite =
     [
       prop_page_roundtrip; prop_page_lookup_matches_records; prop_page_update_equal_length;
       prop_wal_roundtrip; prop_wal_injective; prop_wal_truncation_corrupt;
-      prop_wal_bitflip_corrupt; prop_wal_delta_apply;
+      prop_wal_bitflip_corrupt; prop_wal_delta_apply; prop_decoders_total;
     ]
 
 let () =

@@ -234,7 +234,9 @@ let j_model_step m j op =
 
 let j_model_agrees m j =
   Journal.read_all j = m.m_durable
-  && Journal.read_live j = m.m_durable @ m.m_pending
+  && (let live = ref [] in
+      Journal.iter_live (fun r -> live := r :: !live) j;
+      List.rev !live = m.m_durable @ m.m_pending)
   && Journal.length j = List.length m.m_durable
   && Journal.synced j = m.m_base + List.length m.m_durable
   && Journal.appended j = m.m_base + List.length m.m_durable + List.length m.m_pending
