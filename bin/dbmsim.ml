@@ -478,16 +478,6 @@ let storage_bench_cmd =
       & info [ "allow-oversubscribe" ]
           ~doc:"Measure requested job counts beyond the host's cores instead of skipping them.")
   in
-  let log_formats_arg =
-    Arg.(
-      value
-      & opt (list (enum [ ("physical", "physical"); ("delta", "delta"); ("oplog", "oplog") ]))
-          [ "physical"; "delta"; "oplog" ]
-      & info [ "log-format" ] ~docv:"FMT,..."
-          ~doc:
-            "Log formats for the physical-vs-delta-vs-oplog head-to-head: physical | delta \
-             | oplog (the physical baseline always runs).")
-  in
   let read_fracs_arg =
     Arg.(
       value
@@ -518,10 +508,10 @@ let storage_bench_cmd =
             "Cross-shard transaction fractions (each in [0,1]) for the two-phase-commit \
              sweep at the largest shard count.")
   in
-  let run scale jobs allow_oversubscribe log_formats read_fracs shard_counts cross_fracs =
+  let run scale jobs allow_oversubscribe read_fracs shard_counts cross_fracs =
     let b =
-      Dbm_storage.Storage_bench.run ~scale ~jobs ~allow_oversubscribe ~log_formats
-        ~read_fracs ~shard_counts ~cross_fracs ~now:Unix.gettimeofday ()
+      Dbm_storage.Storage_bench.run ~scale ~jobs ~allow_oversubscribe ~read_fracs ~shard_counts
+        ~cross_fracs ~now:Unix.gettimeofday ()
     in
     Dbm_storage.Storage_bench.print b;
     let failed_checks =
@@ -538,13 +528,13 @@ let storage_bench_cmd =
          "Benchmark the storage half: per-engine transaction throughput under the 2PL \
           scheduler, scheduler and lock-manager hot paths against their pre-overhaul \
           versions, recovery wall time vs log length, vs worker-domain count and vs \
-          fuzzy-checkpoint age, the physical-vs-delta-vs-oplog log-format head-to-head \
-          ($(b,--log-format)), the MVCC snapshot-read sweep ($(b,--read-frac)), the \
+          fuzzy-checkpoint age, the physical-vs-delta-vs-oplog log-format head-to-head, \
+          the MVCC snapshot-read sweep ($(b,--read-frac)), the \
           sharded-execution sweep ($(b,--shard-counts) / $(b,--cross-fracs)) and a \
           journal microbenchmark.")
     Term.(
-      const run $ scale_arg $ jobs_arg $ oversubscribe_arg $ log_formats_arg
-      $ read_fracs_arg $ shard_counts_arg $ cross_fracs_arg)
+      const run $ scale_arg $ jobs_arg $ oversubscribe_arg $ read_fracs_arg $ shard_counts_arg
+      $ cross_fracs_arg)
 
 (* -- serve-bench command -------------------------------------------- *)
 

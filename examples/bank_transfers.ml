@@ -66,6 +66,8 @@ let run_bank (module E : Kv.S) ~seed =
 let engines : (module Kv.S) list =
   [
     (module Dbm_storage.Engine_log);
+    (module Dbm_storage.Engine_log_delta);
+    (module Dbm_storage.Engine_oplog);
     (module Dbm_storage.Engine_shadow);
     (module Dbm_storage.Engine_versel);
     (module Dbm_storage.Engine_overwrite.No_undo);

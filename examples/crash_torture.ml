@@ -74,6 +74,8 @@ let torture (module E : Kv.S) ~rounds ~seed =
 let engines : (module Kv.S) list =
   [
     (module Dbm_storage.Engine_log);
+    (module Dbm_storage.Engine_log_delta);
+    (module Dbm_storage.Engine_oplog);
     (module Dbm_storage.Engine_shadow);
     (module Dbm_storage.Engine_versel);
     (module Dbm_storage.Engine_overwrite.No_undo);

@@ -86,8 +86,6 @@ let enable_disk_cache ~dir =
 
 let disable_disk_cache () = disk := None
 
-let disk_cache_dir () = Option.map Run_cache.dir !disk
-
 (* ------------------------------------------------------------------ *)
 (* Requests                                                            *)
 (* ------------------------------------------------------------------ *)

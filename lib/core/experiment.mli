@@ -124,8 +124,6 @@ val enable_disk_cache : dir:string -> unit
 
 val disable_disk_cache : unit -> unit
 
-val disk_cache_dir : unit -> string option
-
 (** {1 Instrumentation} *)
 
 type counters = {

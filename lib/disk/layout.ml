@@ -89,9 +89,6 @@ let slot_positions params layout pages =
   in
   List.length slots
 
-let cylinders_spanned params layout pages =
-  List.sort_uniq Int.compare (List.map (fun p -> (locate params layout ~page:p).cylinder) pages)
-
 let permutation ~seed ~n x =
   if x < 0 || x >= n then invalid_arg "Layout.permutation: input out of range";
   if n <= 2 then x

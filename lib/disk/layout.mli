@@ -29,9 +29,6 @@ val slot_positions : Params.t -> t -> int list -> int
 (** Number of distinct rotational slot positions covered by the given
     pages: the transfer-count term of a parallel-access access. *)
 
-val cylinders_spanned : Params.t -> t -> int list -> int list
-(** Sorted list of distinct cylinders covered by the given pages. *)
-
 val permutation : seed:int -> n:int -> int -> int
 (** [permutation ~seed ~n] is a deterministic bijection on [0, n)
     (an affine map with a large multiplier) that scatters adjacent

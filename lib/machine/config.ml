@@ -83,8 +83,6 @@ let feed_digest d t =
     D.float d mean);
   D.int d t.seed
 
-let pages_per_disk t = (t.db_pages + t.n_data_disks - 1) / t.n_data_disks
-
 (* Size of the data zone on each disk: whole cylinder-sized chunks, so
    the last (possibly partial) stripe chunk still fits. *)
 let data_zone_pages t =

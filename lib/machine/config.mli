@@ -66,8 +66,6 @@ val feed_digest : Dbm_util.Digest.t -> t -> unit
 (** Feed every result-affecting field into a run digest, in declaration
     order (canonical-serialization contract of {!Dbm_util.Digest}). *)
 
-val pages_per_disk : t -> int
-
 val data_zone_pages : t -> int
 (** Pages reserved for the data zone on each disk: [db_pages] striped in
     cylinder-sized chunks, rounded up to whole chunks. *)

@@ -95,4 +95,3 @@ let holds t ~owner ~page =
 
 let locked_pages t = Hashtbl.length t.pages
 
-let owners t = Hashtbl.fold (fun o _ acc -> o :: acc) t.by_owner []

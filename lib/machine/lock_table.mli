@@ -38,5 +38,3 @@ val holds : t -> owner:int -> page:int -> mode option
 val locked_pages : t -> int
 (** Number of pages with at least one lock. *)
 
-val owners : t -> int list
-(** Distinct owners currently holding locks, unordered. *)

@@ -24,10 +24,9 @@ type t = {
   mutable resources : Resource.t array; (* cached pools, in first-request order *)
   mutable n_resources : int;
   mutable cursor : int; (* next pool to hand out in the current run *)
-  mutable runs : int;
 }
 
-let create () = { engine = Engine.create (); resources = [||]; n_resources = 0; cursor = 0; runs = 0 }
+let create () = { engine = Engine.create (); resources = [||]; n_resources = 0; cursor = 0 }
 
 (* Switchable so benchmarks can measure fresh-state allocation against
    recycled-state allocation in one process.  When disabled, [current]
@@ -42,14 +41,11 @@ let key = Domain.DLS.new_key create
 let current () = if Atomic.get enabled then Domain.DLS.get key else create ()
 
 let begin_run t =
-  t.runs <- t.runs + 1;
   t.cursor <- 0;
   Engine.reset t.engine;
   t.engine
 
 let engine t = t.engine
-
-let runs_started t = t.runs
 
 let resource t ~name ~servers =
   if t.cursor < t.n_resources then begin

@@ -44,9 +44,6 @@ val resource : t -> name:string -> servers:int -> Resource.t
     reset to [name]/[servers]; creates and caches one the first time a
     run asks for more pools than any previous run did. *)
 
-val runs_started : t -> int
-(** How many {!begin_run}s this arena has served (recycling telemetry;
-    a throwaway arena reports 1). *)
 
 val set_enabled : bool -> unit
 (** Globally enable/disable recycling (default enabled).  Disabling

@@ -42,7 +42,6 @@ type t = {
                           float field of this mixed record *)
   mutable next_seq : int;
   mutable live : int; (* scheduled and not cancelled/fired *)
-  mutable fired_count : int;
   mutable recs : event array; (* every record ever created, by [idx] *)
   mutable n_recs : int;
   mutable free : int array; (* stack of recyclable record indices *)
@@ -57,7 +56,6 @@ let create () =
     clock = [| 0.0 |];
     next_seq = 0;
     live = 0;
-    fired_count = 0;
     recs = [||];
     n_recs = 0;
     free = [||];
@@ -81,7 +79,6 @@ let reset t =
   t.clock.(0) <- 0.0;
   t.next_seq <- 0;
   t.live <- 0;
-  t.fired_count <- 0;
   if Array.length t.free < t.n_recs then t.free <- Array.make (Array.length t.recs) 0;
   t.n_free <- 0;
   for i = 0 to t.n_recs - 1 do
@@ -98,8 +95,6 @@ let now t = t.clock.(0)
 let clock_cell t = t.clock
 
 let pending t = t.live
-
-let events_fired t = t.fired_count
 
 (* ---- record pool ------------------------------------------------- *)
 
@@ -277,7 +272,6 @@ let fire t =
   remove_top t;
   t.clock.(0) <- time;
   t.live <- t.live - 1;
-  t.fired_count <- t.fired_count + 1;
   let action = ev.action in
   (* Release before running the action: anything the action schedules
      reuses this record immediately, which is what makes steady-state

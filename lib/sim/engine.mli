@@ -52,9 +52,6 @@ val cancel : t -> event_id -> unit
 val pending : t -> int
 (** Number of scheduled (uncancelled) events. *)
 
-val events_fired : t -> int
-(** Total events fired since [create] (cancelled events never count). *)
-
 val run : ?until:float -> ?max_events:int -> t -> unit
 (** Execute events in order until the agenda is empty, [until] is
     reached (events at exactly [until] still fire), or [max_events] have

@@ -124,9 +124,6 @@ let max_keys t = t.keys.Key_space.n_keys
    key itself even though the base file is paged. *)
 let keys_per_page _ = 1
 
-(* Set once [checkpoint] (the merge) is defined below. *)
-let maybe_auto_merge : (store -> unit) ref = ref (fun _ -> ())
-
 let begin_txn t =
   let id = t.next_txn in
   t.next_txn <- id + 1;
@@ -192,51 +189,6 @@ let finish h =
   h.finished <- true;
   h.st.live <- h.st.live - 1
 
-let commit h =
-  check h;
-  let t = h.st in
-  (* The differential files ARE the recovery data: force them, then the
-     commit marker. *)
-  Journal.sync t.a_file;
-  Journal.sync t.d_file;
-  append_commits t ~tag:'C' [ h.id ];
-  Journal.sync t.commits;
-  Hashtbl.replace t.committed h.id (Snapshots.commit t.registry);
-  finish h;
-  !maybe_auto_merge t
-
-(* Group commit: the commit marker is appended but not forced, and the
-   differential files are not forced either — the whole transaction
-   becomes durable at the next [force_commits] (or any eager [commit],
-   whose three syncs cover every pending record: the A/D/commits files
-   are single shared journals, so one force is inherently global).
-   Until then the transaction is committed in memory (visible to
-   readers) but a crash loses it — the group-commit durability
-   window.  Housekeeping (the auto-merge check) is deferred to
-   [force_commits]. *)
-let commit_group h =
-  check h;
-  let t = h.st in
-  append_commits t ~tag:'C' [ h.id ];
-  Hashtbl.replace t.committed h.id (Snapshots.commit t.registry);
-  finish h
-
-(* Records before markers: the A/D files are forced before the commits
-   journal so a durable commit id can never precede the records it
-   promises. *)
-let force_commits t =
-  Journal.sync t.a_file;
-  Journal.sync t.d_file;
-  Journal.sync t.commits;
-  !maybe_auto_merge t
-
-let abort h =
-  check h;
-  (* Appended records of an uncommitted transaction are never visible:
-     nothing to undo. *)
-  finish h;
-  !maybe_auto_merge h.st
-
 (* Fuzzy checkpoint markers ride in the commits journal — tag 'M' with
    varints (a_mark, d_mark, max_stamp, max_txn): the A/D sequence
    numbers everything before which was durable at marker time, plus the
@@ -248,22 +200,6 @@ let append_marker t =
     [ Journal.synced t.a_file; Journal.synced t.d_file; t.max_record_stamp; t.max_record_txn ]
 
 let no_marker = { a_mark = 0; d_mark = 0; stamp_floor = 0; txn_floor = 0 }
-
-(* Rebuild [committed] from the commit records; the newest durable
-   fuzzy-checkpoint marker (if any) rides back too. *)
-let read_commits t =
-  Hashtbl.reset t.committed;
-  let marker = ref no_marker in
-  Journal.iter_all
-    (fun r ->
-      match decode_commits_record r with
-      | `Marker m -> marker := m
-      | `Commit txn ->
-        (* Commit seqs rebuild from durable commit-record order — the
-           order they were assigned in (appends happen at commit). *)
-        Hashtbl.replace t.committed txn (Snapshots.commit t.registry))
-    t.commits;
-  !marker
 
 (* Max (stamp, txn) over the durable records past the marker's marks,
    folded onto its floors: both files' suffixes, chunk-scanned across
@@ -290,117 +226,6 @@ let scan_max ?pool t m =
   |> List.fold_left
        (fun (ams, amt) (ms, mt) -> (max ams ms, max amt mt))
        (m.stamp_floor, m.txn_floor)
-
-(* Shared recovery epilogue: re-seed the counters from the computed
-   record maxima plus the committed ids. *)
-let finish_recovery t (max_stamp, record_txn) =
-  t.max_record_stamp <- max_stamp;
-  t.max_record_txn <- record_txn;
-  let max_txn = Hashtbl.fold (fun id _ acc -> max acc id) t.committed record_txn in
-  t.next_txn <- max_txn + 1;
-  t.next_stamp <- max_stamp + 1;
-  t.live <- 0;
-  t.recoveries <- t.recoveries + 1
-
-let recover t = finish_recovery t (scan_max ?pool:t.recovery_pool t (read_commits t))
-
-(* Lose everything volatile.  The read index is only marked stale: a
-   rebuild here would decode every retained record, the very prefix a
-   fuzzy checkpoint lets recovery skip, so the first read pays for it. *)
-let crash t =
-  Vdisk.crash t.base;
-  Journal.crash t.a_file;
-  Journal.crash t.d_file;
-  Journal.crash t.commits;
-  Snapshots.crash t.registry;
-  t.epoch <- t.epoch + 1;
-  t.chains_stale <- true
-
-let crash_and_recover t =
-  crash t;
-  recover t
-
-(* The pre-parallelization recovery, preserved: one thread, full scan
-   of both differential files, no marker shortcuts (markers are parsed
-   only to be skipped).  [crash_and_recover] must reach the same
-   fingerprint — the marker floors are defined as exactly what the full
-   scan finds in the skipped prefix. *)
-let crash_and_recover_reference t =
-  crash t;
-  ignore (read_commits t);
-  finish_recovery t (scan_max t no_marker)
-
-(* Fuzzy checkpoint: force the differential files (making every record
-   before the recorded marks durable), then append one marker carrying
-   the exact prefix maxima.  No quiescence, no base write, no
-   truncation — cost is two journal forces regardless of load.
-   [sync:false] leaves the marker volatile for the
-   crash-during-checkpoint tests: losing it falls back to the previous
-   marker or a full scan, never to a wrong state. *)
-let checkpoint_fuzzy ?(sync = true) t =
-  Journal.sync t.a_file;
-  Journal.sync t.d_file;
-  append_marker t;
-  if sync then Journal.sync t.commits;
-  t.fuzzy_checkpoints <- t.fuzzy_checkpoints + 1
-
-let set_recovery_pool t pool = t.recovery_pool <- pool
-
-let recovery_pool t = t.recovery_pool
-
-(* Digest of everything recovery is responsible for: base pages,
-   retained differential records, the committed set and the re-seeded
-   counters.  Journal sequence positions are included via the synced
-   counts so a truncation-shifted-but-equal state cannot alias. *)
-let state_fingerprint t =
-  let d = Dbm_util.Digest.create () in
-  for p = 0 to t.keys.pages - 1 do
-    Dbm_util.Digest.string d (Bytes.to_string (Vdisk.read_ro t.base p))
-  done;
-  let feed_journal j =
-    Dbm_util.Digest.int d (Journal.synced j);
-    Journal.iter_all (Dbm_util.Digest.string d) j
-  in
-  feed_journal t.a_file;
-  feed_journal t.d_file;
-  Hashtbl.fold (fun id _ acc -> id :: acc) t.committed []
-  |> List.sort Int.compare
-  |> List.iter (Dbm_util.Digest.int d);
-  Dbm_util.Digest.int d t.next_stamp;
-  Dbm_util.Digest.int d t.next_txn;
-  Dbm_util.Digest.hex d
-
-(* --- MVCC snapshots ------------------------------------------------- *)
-
-(* A snapshot is just a pinned horizon: the commit seq of the newest
-   commit at pin time.  Reads decide visibility per record against it —
-   no copies, no locks.  The store tracks live horizons so the merge
-   below never folds away (and the truncation never drops) a version
-   some live snapshot can still see. *)
-
-type snapshot = store Snapshots.handle
-
-let snapshot t = Snapshots.pin t.registry t
-
-(* Nothing to reclaim at release: the next merge folds what the
-   advanced watermark frees. *)
-let snapshot_release s = Snapshots.release s ~reclaim:ignore
-
-let live_snapshots t = Snapshots.live t.registry
-
-(* Same (B u A) - D resolution as [get], with visibility pinned to the
-   horizon: a record counts iff its writer committed at or before the
-   pin.  The base is always visible — merges only ever fold records
-   every live snapshot could see (and any snapshot taken later can see
-   everything the merge folded). *)
-let snapshot_get s k =
-  let t = Snapshots.owner s in
-  Key_space.check t.keys k;
-  let horizon = Snapshots.horizon s in
-  resolve t k (fun txn ->
-      match Hashtbl.find t.committed txn with
-      | seq -> seq <= horizon
-      | exception Not_found -> false)
 
 (* Merge the committed differential records into the base file and
    truncate A and D — the periodic reorganization the paper notes must
@@ -490,14 +315,186 @@ let checkpoint t =
   t.chains_stale <- true;
   t.merge_count <- t.merge_count + 1
 
-let () =
-  maybe_auto_merge :=
-    fun t ->
-      match t.auto_merge_records with
-      | Some threshold
-        when t.live = 0 && Journal.length t.a_file + Journal.length t.d_file >= threshold ->
-        checkpoint t
-      | Some _ | None -> ()
+(* Commit, group-commit forces and abort call this, so automatic merges
+   run at transaction boundaries. *)
+let maybe_auto_merge t =
+  match t.auto_merge_records with
+  | Some threshold
+    when t.live = 0 && Journal.length t.a_file + Journal.length t.d_file >= threshold ->
+    checkpoint t
+  | Some _ | None -> ()
+
+let commit h =
+  check h;
+  let t = h.st in
+  (* The differential files ARE the recovery data: force them, then the
+     commit marker. *)
+  Journal.sync t.a_file;
+  Journal.sync t.d_file;
+  append_commits t ~tag:'C' [ h.id ];
+  Journal.sync t.commits;
+  Hashtbl.replace t.committed h.id (Snapshots.commit t.registry);
+  finish h;
+  maybe_auto_merge t
+
+(* Group commit: the commit marker is appended but not forced, and the
+   differential files are not forced either — the whole transaction
+   becomes durable at the next [force_commits] (or any eager [commit],
+   whose three syncs cover every pending record: the A/D/commits files
+   are single shared journals, so one force is inherently global).
+   Until then the transaction is committed in memory (visible to
+   readers) but a crash loses it — the group-commit durability
+   window.  Housekeeping (the auto-merge check) is deferred to
+   [force_commits]. *)
+let commit_group h =
+  check h;
+  let t = h.st in
+  append_commits t ~tag:'C' [ h.id ];
+  Hashtbl.replace t.committed h.id (Snapshots.commit t.registry);
+  finish h
+
+(* Records before markers: the A/D files are forced before the commits
+   journal so a durable commit id can never precede the records it
+   promises. *)
+let force_commits t =
+  Journal.sync t.a_file;
+  Journal.sync t.d_file;
+  Journal.sync t.commits;
+  maybe_auto_merge t
+
+let abort h =
+  check h;
+  (* Appended records of an uncommitted transaction are never visible:
+     nothing to undo. *)
+  finish h;
+  maybe_auto_merge h.st
+
+(* Rebuild [committed] from the commit records; the newest durable
+   fuzzy-checkpoint marker (if any) rides back too. *)
+let read_commits t =
+  Hashtbl.reset t.committed;
+  let marker = ref no_marker in
+  Journal.iter_all
+    (fun r ->
+      match decode_commits_record r with
+      | `Marker m -> marker := m
+      | `Commit txn ->
+        (* Commit seqs rebuild from durable commit-record order — the
+           order they were assigned in (appends happen at commit). *)
+        Hashtbl.replace t.committed txn (Snapshots.commit t.registry))
+    t.commits;
+  !marker
+
+(* Shared recovery epilogue: re-seed the counters from the computed
+   record maxima plus the committed ids. *)
+let finish_recovery t (max_stamp, record_txn) =
+  t.max_record_stamp <- max_stamp;
+  t.max_record_txn <- record_txn;
+  let max_txn = Hashtbl.fold (fun id _ acc -> max acc id) t.committed record_txn in
+  t.next_txn <- max_txn + 1;
+  t.next_stamp <- max_stamp + 1;
+  t.live <- 0;
+  t.recoveries <- t.recoveries + 1
+
+let recover t = finish_recovery t (scan_max ?pool:t.recovery_pool t (read_commits t))
+
+(* Lose everything volatile.  The read index is only marked stale: a
+   rebuild here would decode every retained record, the very prefix a
+   fuzzy checkpoint lets recovery skip, so the first read pays for it. *)
+let crash t =
+  Vdisk.crash t.base;
+  Journal.crash t.a_file;
+  Journal.crash t.d_file;
+  Journal.crash t.commits;
+  Snapshots.crash t.registry;
+  t.epoch <- t.epoch + 1;
+  t.chains_stale <- true
+
+let crash_and_recover t =
+  crash t;
+  recover t
+
+(* The pre-parallelization recovery, preserved: one thread, full scan
+   of both differential files, no marker shortcuts (markers are parsed
+   only to be skipped).  [crash_and_recover] must reach the same
+   fingerprint — the marker floors are defined as exactly what the full
+   scan finds in the skipped prefix. *)
+let crash_and_recover_reference t =
+  crash t;
+  ignore (read_commits t);
+  finish_recovery t (scan_max t no_marker)
+
+(* Fuzzy checkpoint: force the differential files (making every record
+   before the recorded marks durable), then append one marker carrying
+   the exact prefix maxima.  No quiescence, no base write, no
+   truncation — cost is two journal forces regardless of load.
+   [sync:false] leaves the marker volatile for the
+   crash-during-checkpoint tests: losing it falls back to the previous
+   marker or a full scan, never to a wrong state. *)
+let checkpoint_fuzzy ?(sync = true) t =
+  Journal.sync t.a_file;
+  Journal.sync t.d_file;
+  append_marker t;
+  if sync then Journal.sync t.commits;
+  t.fuzzy_checkpoints <- t.fuzzy_checkpoints + 1
+
+let set_recovery_pool t pool = t.recovery_pool <- pool
+
+let recovery_pool t = t.recovery_pool
+
+(* Digest of everything recovery is responsible for: base pages,
+   retained differential records, the committed set and the re-seeded
+   counters.  Journal sequence positions are included via the synced
+   counts so a truncation-shifted-but-equal state cannot alias. *)
+let state_fingerprint t =
+  let d = Dbm_util.Digest.create () in
+  for p = 0 to t.keys.pages - 1 do
+    Dbm_util.Digest.string d (Bytes.to_string (Vdisk.read_ro t.base p))
+  done;
+  let feed_journal j =
+    Dbm_util.Digest.int d (Journal.synced j);
+    Journal.iter_all (Dbm_util.Digest.string d) j
+  in
+  feed_journal t.a_file;
+  feed_journal t.d_file;
+  Hashtbl.fold (fun id _ acc -> id :: acc) t.committed []
+  |> List.sort Int.compare
+  |> List.iter (Dbm_util.Digest.int d);
+  Dbm_util.Digest.int d t.next_stamp;
+  Dbm_util.Digest.int d t.next_txn;
+  Dbm_util.Digest.hex d
+
+(* --- MVCC snapshots ------------------------------------------------- *)
+
+(* A snapshot is just a pinned horizon: the commit seq of the newest
+   commit at pin time.  Reads decide visibility per record against it —
+   no copies, no locks.  The store tracks live horizons so the merge
+   never folds away (and the truncation never drops) a version
+   some live snapshot can still see. *)
+
+type snapshot = store Snapshots.handle
+
+let snapshot t = Snapshots.pin t.registry t
+
+(* Nothing to reclaim at release: the next merge folds what the
+   advanced watermark frees. *)
+let snapshot_release s = Snapshots.release s ~reclaim:ignore
+
+let live_snapshots t = Snapshots.live t.registry
+
+(* Same (B u A) - D resolution as [get], with visibility pinned to the
+   horizon: a record counts iff its writer committed at or before the
+   pin.  The base is always visible — merges only ever fold records
+   every live snapshot could see (and any snapshot taken later can see
+   everything the merge folded). *)
+let snapshot_get s k =
+  let t = Snapshots.owner s in
+  Key_space.check t.keys k;
+  let horizon = Snapshots.horizon s in
+  resolve t k (fun txn ->
+      match Hashtbl.find t.committed txn with
+      | seq -> seq <= horizon
+      | exception Not_found -> false)
 
 let a_size t = Journal.length t.a_file
 

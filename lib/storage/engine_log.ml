@@ -161,10 +161,6 @@ let append_for txn ~disk record =
   append_log txn.st ~disk record;
   if txn.live.seqs.(disk) < 0 then txn.live.seqs.(disk) <- seq
 
-(* Set after [checkpoint] is defined; commit/abort call through it so
-   automatic checkpoints run at transaction boundaries. *)
-let maybe_auto_checkpoint : (store -> unit) ref = ref (fun _ -> ())
-
 let fresh_lsn t =
   let l = t.next_lsn in
   t.next_lsn <- l + 1;
@@ -327,12 +323,52 @@ let force_decision txn record =
   append_for txn ~disk (record (fresh_lsn t));
   sync_closure t [ disk ]
 
+(* Sharp checkpoint: force logs and data, then truncate every log disk
+   up to the earliest record still needed by a live transaction.  Under
+   [Logical] a live transaction with uncommitted page writes blocks the
+   data force (no steal), and with it the truncation: the retained
+   operations are the only copy of committed work the durable image
+   lacks. *)
+let checkpoint t =
+  sync_all_logs t;
+  let forced = may_force_data t in
+  if forced then begin
+    Vdisk.sync t.data;
+    Hashtbl.reset t.dirty_rec
+  end;
+  let active = Hashtbl.fold (fun id _ acc -> id :: acc) t.active [] in
+  let disk = 0 in
+  append_log t ~disk (Wal.Checkpoint { lsn = fresh_lsn t; active });
+  Journal.sync t.logs.(disk);
+  if forced then
+    Array.iteri
+      (fun d j ->
+        let keep_from =
+          Hashtbl.fold
+            (fun _ lt acc -> if lt.seqs.(d) >= 0 then min acc lt.seqs.(d) else acc)
+            t.active (Journal.synced j)
+        in
+        (* Never truncate the checkpoint record we just wrote on disk 0:
+           it documents the active set for auditing. *)
+        let keep_from = if d = 0 then min keep_from (Journal.synced j - 1) else keep_from in
+        Journal.truncate j ~keep_from)
+      t.logs;
+  t.records_since_checkpoint <- 0;
+  t.checkpoints <- t.checkpoints + 1
+
+(* Commit and abort call this, so automatic checkpoints run at
+   transaction boundaries. *)
+let maybe_auto_checkpoint t =
+  match t.auto_checkpoint_records with
+  | Some threshold when t.records_since_checkpoint >= threshold -> checkpoint t
+  | Some _ | None -> ()
+
 let commit txn =
   check txn;
   force_decision txn (fun lsn -> Wal.Commit { lsn; txn = txn.id });
   publish txn;
   finish txn;
-  !maybe_auto_checkpoint txn.st
+  maybe_auto_checkpoint txn.st
 
 (* Group commit: the commit record is appended but the force is left
    to a later [force_commits]; until then the transaction is committed
@@ -407,7 +443,7 @@ let abort txn =
   let disk = select_log t ~txn:txn.id ~page:0 in
   append_log t ~disk (Wal.Abort { lsn = fresh_lsn t; txn = txn.id });
   finish txn;
-  !maybe_auto_checkpoint t
+  maybe_auto_checkpoint t
 
 let flush t =
   sync_all_logs t;
@@ -578,39 +614,6 @@ let crash_and_recover_reference t =
     Naive.Log_replay.recover_logical ~records ~page_of:(Key_space.page_of t.keys) ~read ~write);
   finish_recovery t (Replay.scan (Array.map Journal.to_array t.logs))
 
-(* Sharp checkpoint: force logs and data, then truncate every log disk
-   up to the earliest record still needed by a live transaction.  Under
-   [Logical] a live transaction with uncommitted page writes blocks the
-   data force (no steal), and with it the truncation: the retained
-   operations are the only copy of committed work the durable image
-   lacks. *)
-let checkpoint t =
-  sync_all_logs t;
-  let forced = may_force_data t in
-  if forced then begin
-    Vdisk.sync t.data;
-    Hashtbl.reset t.dirty_rec
-  end;
-  let active = Hashtbl.fold (fun id _ acc -> id :: acc) t.active [] in
-  let disk = 0 in
-  append_log t ~disk (Wal.Checkpoint { lsn = fresh_lsn t; active });
-  Journal.sync t.logs.(disk);
-  if forced then
-    Array.iteri
-      (fun d j ->
-        let keep_from =
-          Hashtbl.fold
-            (fun _ lt acc -> if lt.seqs.(d) >= 0 then min acc lt.seqs.(d) else acc)
-            t.active (Journal.synced j)
-        in
-        (* Never truncate the checkpoint record we just wrote on disk 0:
-           it documents the active set for auditing. *)
-        let keep_from = if d = 0 then min keep_from (Journal.synced j - 1) else keep_from in
-        Journal.truncate j ~keep_from)
-      t.logs;
-  t.records_since_checkpoint <- 0;
-  t.checkpoints <- t.checkpoints + 1
-
 (* Fuzzy checkpoint (the paper's low-interference flavor): no data-disk
    force, no truncation, no quiescing — one log force and one record.
    The record names where a later replay may start:
@@ -702,13 +705,6 @@ let state_fingerprint t =
   Dbm_util.Digest.int d t.next_lsn;
   Dbm_util.Digest.int d t.next_txn;
   Dbm_util.Digest.hex d
-
-let () =
-  maybe_auto_checkpoint :=
-    fun t ->
-      match t.auto_checkpoint_records with
-      | Some threshold when t.records_since_checkpoint >= threshold -> checkpoint t
-      | Some _ | None -> ()
 
 let set_recovery_strategy t s = t.strategy <- s
 

@@ -47,9 +47,9 @@ type log_format =
           every clean->dirty page transition (the chain anchor replay
           needs) and past the size threshold.  Abort restores are
           logged too, under the LSN the restore burns in every format.
-          Steal allowed.  Replay expands each page's slice chain back to
-          full images against the durable base ({!Replay.expand_page})
-          and then runs the unchanged winner/loser fold. *)
+          Steal allowed.  Replay's sorted fold ({!Replay.recover_sorted})
+          rebuilds each page's slice chain to full images against the
+          durable base and folds winners and losers as for [Physical]. *)
   | Logical
       (** operation logging: a {!Wal.Op} record per update names the
           key and the value written, no images at all; abort restores

@@ -210,10 +210,10 @@ module Log_replay = struct
       by_page
 
   (* Serial reference for delta logs, written independently of
-     Replay.expand_page (the parallel path the property tests compare
-     against): expand every page's Update/Delta chain to full images by
-     replaying slices forward from the chain state the durable base
-     image pins, then run the fold above verbatim. *)
+     Replay.recover_sorted's fold (the parallel path the property tests
+     compare against): expand every page's Update/Delta chain to full
+     images by replaying slices forward from the chain state the durable
+     base image pins, then run the fold above verbatim. *)
   let recover_sorted_delta ~records ~read ~write =
     let by_page : (int, Wal.record list) Hashtbl.t = Hashtbl.create 64 in
     List.iter

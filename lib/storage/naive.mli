@@ -57,8 +57,8 @@ module Log_replay : sig
   (** [recover_sorted] for logs holding {!Wal.Delta} records: each
       page's Update/Delta chain is expanded to full images against the
       durable base image [read] supplies (an implementation independent
-      of {!Replay.expand_page}, which the property tests compare it
-      to), then folded exactly as [recover_sorted]. *)
+      of {!Replay.recover_sorted}'s fold, which the property tests
+      compare it to), then folded exactly as [recover_sorted]. *)
 
   val recover_logical :
     records:Wal.record list ->

@@ -140,208 +140,176 @@ let in_doubt (raws : string array array) : (int * int) list =
     prepared []
   |> List.sort compare
 
-(* The per-page fold, verbatim from the serial algorithm (preserved as
-   Naive.Log_replay): last committed after-image wins; a page touched
-   only by losers reverts to the before image of its earliest retained
-   update, guarded by that update's LSN (see [restore_due]).  LSNs are
-   globally unique, so the sort is a total order. *)
-let page_state committed updates =
-  let ordered = List.sort (fun (a, _, _, _) (b, _, _, _) -> Int.compare a b) updates in
+(* --- the replay pipeline ---------------------------------------------- *)
+
+(* Where a format's route sends one decoded record: to its page, to its
+   page with a read of the page's durable base image, or nowhere. *)
+type 'a dest = Skip | To of int * 'a | To_based of int * 'a
+
+(* The one pipeline every log format replays through.  The format
+   supplies [route] and the per-page [fold]:
+   1. each decoded record at or past [start_lsn] is routed to its page
+      and grouped with the page's other changes; pages are partitioned
+      by [page mod jobs], so partitions own disjoint pages;
+   2. the base images routes ask for are read on the calling domain,
+      before the fan-out, so workers never touch the disk (or its
+      operation counters);
+   3. partitions fan out across the pool;
+   4. [fold ~base changes] folds one page's changes, ascending by LSN
+      (LSNs are globally unique, a total order), into the image to
+      write and the base LSN that write needs ([None]: always due), or
+      nothing to write;
+   5. each image is written at most once, in ascending page order: a
+      page is read for its due check before it is written.
+   Folds are per page and pages do not straddle partitions, so images,
+   reads and writes are the same for any job count. *)
+let replay ~pool ~read ~records ~start_lsn ~route ~fold ~write =
+  let nparts = pieces_of_pool pool in
+  let parts = Array.init nparts (fun _ -> Hashtbl.create 64) and based = Hashtbl.create 16 in
+  let add page lsn x =
+    let part = parts.(page mod nparts) in
+    match Hashtbl.find_opt part page with
+    | Some changes -> changes := (lsn, x) :: !changes
+    | None -> Hashtbl.add part page (ref [ (lsn, x) ])
+  in
+  Array.iter
+    (Array.iter (fun r ->
+         let lsn = Wal.lsn r in
+         if lsn >= start_lsn then
+           match route r with
+           | Skip -> ()
+           | To (page, x) -> add page lsn x
+           | To_based (page, x) ->
+             add page lsn x;
+             Hashtbl.replace based page ()))
+    records;
+  let bases = Hashtbl.create (Hashtbl.length based) in
+  Hashtbl.iter
+    (fun page () ->
+      match read with
+      | Some read -> Hashtbl.replace bases page (read ~page)
+      | None -> raise (Wal.Corrupt "a record needs its page's base image but no reader was given"))
+    based;
+  (* The bases and the format's tables are frozen before the fan-out, so
+     concurrent reads are safe. *)
+  map_list ?pool (Array.to_list parts) ~f:(fun part ->
+      Hashtbl.fold
+        (fun page changes acc ->
+          let changes = List.sort (fun (a, _) (b, _) -> Int.compare a b) !changes in
+          match fold ~base:(Hashtbl.find_opt bases page) changes with
+          | Some (image, due) -> (page, image, due) :: acc
+          | None -> acc)
+        part [])
+  |> List.concat
+  |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
+  |> List.iter (fun (page, image, due) ->
+         match (due, read) with
+         | Some lsn, Some read when Page.get_lsn (read ~page) < lsn -> ()
+         | _ -> write ~page image)
+
+(* --- sorted (physical and delta) replay ------------------------------ *)
+
+(* One retained change to a page: full images ([Wal.Update]) or a
+   changed byte range ([Wal.Delta]). *)
+type change =
+  | Image of { txn : int; before : bytes; after : bytes }
+  | Slice of { txn : int; off : int; prev_lsn : int; before_slice : string; after_slice : string }
+
+(* A slice chains off the page state before it, so a page with one asks
+   for its base image. *)
+let route_sorted = function
+  | Wal.Update { txn; page; before; after; _ } -> To (page, Image { txn; before; after })
+  | Wal.Delta { txn; page; off; prev_lsn; before_slice; after_slice; _ } ->
+    To_based (page, Slice { txn; off; prev_lsn; before_slice; after_slice })
+  | _ -> Skip
+
+(* Delta-mode engines log {e every} volatile change to a page — updates
+   and abort restores alike — so a page's retained changes form an
+   unbroken chain of states s_0 -> s_1 -> ... -> s_n, and the durable
+   base image is one of them (the one at its header LSN, written by the
+   last data sync).  Rewinding walks the changes at or below that LSN
+   {e backward} from the base to s_0.  Slices never cover the page-header
+   LSN: the change restores it — [prev_lsn] rewinding, its own LSN going
+   forward.  DESIGN.md B.3 carries the full argument. *)
+let rewind base changes =
+  let plsn = Page.get_lsn base and img = Bytes.copy base in
+  List.iter
+    (fun (lsn, c) ->
+      if lsn <= plsn then
+        match c with
+        | Image { before; _ } -> Bytes.blit before 0 img 0 (Bytes.length before)
+        | Slice { off; before_slice; prev_lsn; _ } ->
+          Wal.apply_slice img ~off before_slice;
+          Page.set_lsn img prev_lsn)
+    (List.rev changes);
+  img
+
+(* The sorted fold (the serial algorithm, preserved as Naive.Log_replay):
+   walking forward from s_0 rebuilds each change's before and after
+   images, re-anchoring at every full image; the last committed after
+   image wins, and a page touched only by losers reverts to the before
+   image of its earliest retained change.  That restore is due only
+   when the durable base holds the change: a base that predates it
+   holds no loser effect (every update a base holds was forced to the
+   log first, so its record is retained and would be the earliest),
+   while the before image may hold a loser update whose record a
+   partial force left volatile on another log disk. *)
+let fold_sorted committed ~base changes =
+  (* Without a slice every state comes from a full image: no s_0. *)
+  let cur = ref (match base with Some base -> rewind base changes | None -> Bytes.empty) in
   List.fold_left
-    (fun acc (lsn, txn, before, after) ->
+    (fun acc (lsn, c) ->
+      let txn, before, after =
+        match c with
+        | Image { txn; before; after } -> (txn, before, after)
+        | Slice { txn; off; after_slice; _ } ->
+          let after = Bytes.copy !cur in
+          Wal.apply_slice after ~off after_slice;
+          Page.set_lsn after lsn;
+          (txn, !cur, after)
+      in
+      cur := after;
       if Hashtbl.mem committed txn then Some (after, None)
       else match acc with None -> Some (before, Some lsn) | Some _ -> acc)
-    None ordered
-
-(* A loser-only page's restore is due only when the durable base holds
-   the guarding update (base LSN >= guard).  A base that predates it
-   holds no loser effect at all: every update a base holds was forced
-   to the log before the data disk, so its record is retained and would
-   be the earliest.  The before image, though, may hold a loser update
-   whose record a partial force left volatile on another log disk. *)
-let restore_due ~read ~page = function
-  | None -> true
-  | Some lsn -> Page.get_lsn (read ~page) >= lsn
-
-(* --- delta expansion ------------------------------------------------ *)
-
-(* Reconstruct full (lsn, txn, before, after) images for one page's
-   mixed Update/Delta record chain, [recs] ascending by LSN.
-
-   Delta-mode engines log {e every} volatile change to a page — updates
-   and abort restores alike — so the retained records for a page form an
-   unbroken chain of states s_0 -> s_1 -> ... -> s_n, and the durable
-   disk image [base] is one of those states (the one at the page's
-   header LSN, written by the last data sync).  Records at or below
-   that LSN are walked {e backward} from the base (patching each
-   before-slice over the image) to recover s_0; the forward pass then
-   rebuilds every record's full images, resetting the chain at any full
-   Update record it meets (the engine logs one whenever a page turns
-   dirty, anchoring every replay window).  Delta slices never cover the
-   page-header LSN: it is restored from the record itself — [prev_lsn]
-   rewinding, [lsn] going forward.  DESIGN.md B.3 carries the full
-   argument. *)
-let expand_page ~base recs =
-  let plsn = Page.get_lsn base in
-  let img = Bytes.copy base in
-  (* Backward to s_0 over the records the disk image already holds. *)
-  let covered = List.filter (fun r -> Wal.lsn r <= plsn) recs in
-  List.iter
-    (fun r ->
-      match r with
-      | Wal.Update { before; _ } -> Bytes.blit before 0 img 0 (Bytes.length before)
-      | Wal.Delta { off; before_slice; prev_lsn; _ } ->
-        Wal.apply_slice img ~off before_slice;
-        Page.set_lsn img prev_lsn
-      | _ -> ())
-    (List.rev covered);
-  (* Forward, snapshotting each state exactly once: entry i's after
-     image IS entry i+1's before image, never mutated after creation. *)
-  let cur = ref img in
-  List.map
-    (fun r ->
-      match r with
-      | Wal.Update { lsn; txn; before; after; _ } ->
-        cur := after;
-        (lsn, txn, before, after)
-      | Wal.Delta { lsn; txn; off; after_slice; _ } ->
-        let before = !cur in
-        let after = Bytes.copy before in
-        Wal.apply_slice after ~off after_slice;
-        Page.set_lsn after lsn;
-        cur := after;
-        (lsn, txn, before, after)
-      | _ -> assert false)
-    recs
+    None changes
 
 let recover_sorted ?pool ?read ?(also_committed = []) ~(records : Wal.record array array)
     ~start_lsn ~write () =
   let committed = committed ~also:also_committed ~start_lsn records in
-  let nparts = pieces_of_pool pool in
-  let buckets = Array.make nparts [] in
-  let delta_pages = Hashtbl.create 16 in
-  Array.iter
-    (Array.iter (fun r ->
-         match r with
-         | Wal.Update { lsn; page; _ } when lsn >= start_lsn ->
-           let b = page mod nparts in
-           buckets.(b) <- (page, r) :: buckets.(b)
-         | Wal.Delta { lsn; page; _ } when lsn >= start_lsn ->
-           let b = page mod nparts in
-           buckets.(b) <- (page, r) :: buckets.(b);
-           Hashtbl.replace delta_pages page ()
-         | _ -> ()))
-    records;
-  (* Pages with delta records need their durable base image; snapshot
-     them serially on the calling domain, before the fan-out, so worker
-     domains never touch the disk (or its operation counters). *)
-  let bases : (int, bytes) Hashtbl.t = Hashtbl.create (Hashtbl.length delta_pages) in
-  (match read with
-  | Some read -> Hashtbl.iter (fun page () -> Hashtbl.replace bases page (read ~page)) delta_pages
-  | None ->
-    if Hashtbl.length delta_pages > 0 then
-      raise (Wal.Corrupt "delta records in the log but no base-image reader"));
-  let images =
-    map_list ?pool (List.init nparts Fun.id) ~f:(fun b ->
-        (* Group this partition's records per page; the committed and
-           base tables are frozen before the fan-out, so concurrent
-           reads are safe. *)
-        let by_page : (int, Wal.record list) Hashtbl.t = Hashtbl.create 64 in
-        List.iter
-          (fun (page, r) ->
-            let prev = Option.value (Hashtbl.find_opt by_page page) ~default:[] in
-            Hashtbl.replace by_page page (r :: prev))
-          buckets.(b);
-        let pages =
-          Hashtbl.fold
-            (fun page recs acc ->
-              let ordered =
-                List.sort (fun a b -> Int.compare (Wal.lsn a) (Wal.lsn b)) recs
-              in
-              let updates =
-                if List.exists (function Wal.Delta _ -> true | _ -> false) ordered then
-                  expand_page ~base:(Hashtbl.find bases page) ordered
-                else
-                  List.map
-                    (function
-                      | Wal.Update { lsn; txn; before; after; _ } -> (lsn, txn, before, after)
-                      | _ -> assert false)
-                    ordered
-              in
-              match page_state committed updates with
-              | Some (image, guard) -> (page, image, guard) :: acc
-              | None -> acc)
-            by_page []
-        in
-        List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) pages)
-  in
-  (* Partitions hold disjoint page sets, so a merge by ascending page is
-     a plain sort; each page is written at most once, and read (for a
-     restore guard) before it is written. *)
-  List.concat images
-  |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
-  |> List.iter (fun (page, image, guard) ->
-         let due = match read with Some read -> restore_due ~read ~page guard | None -> true in
-         if due then write ~page image)
+  replay ~pool ~read ~records ~start_lsn ~route:route_sorted ~fold:(fold_sorted committed) ~write
 
 (* --- logical (operation-log) replay --------------------------------- *)
 
 (* REDO-only re-execution for the no-steal operation-logging engine:
-   committed operations, grouped per page (the key -> page map is
-   static), re-executed in global LSN order onto the durable page image,
-   guarded by the page header LSN so already-applied operations are
-   skipped (idempotence).  Loser operations are ignored outright —
-   no-steal means an uncommitted change never reached the durable image,
-   so there is nothing to undo. *)
+   committed operations, per page (the key -> page map is static),
+   re-executed in LSN order onto the durable page image behind its
+   header LSN, so operations the image already holds are skipped
+   (idempotence).  Loser operations are never routed: no-steal means an
+   uncommitted change never reached the durable image, so there is
+   nothing to undo. *)
 let recover_logical ?pool ?(also_committed = []) ~(records : Wal.record array array) ~start_lsn
     ~page_of ~read ~write () =
   let committed = committed ~also:also_committed ~start_lsn records in
-  let nparts = pieces_of_pool pool in
-  let buckets = Array.make nparts [] in
-  let touched = Hashtbl.create 64 in
-  Array.iter
-    (Array.iter (fun r ->
-         match r with
-         | Wal.Op { lsn; txn; key; value } when lsn >= start_lsn && Hashtbl.mem committed txn ->
-           let page = page_of key in
-           let b = page mod nparts in
-           buckets.(b) <- (page, lsn, key, value) :: buckets.(b);
-           Hashtbl.replace touched page ()
-         | _ -> ()))
-    records;
-  let bases : (int, bytes) Hashtbl.t = Hashtbl.create (Hashtbl.length touched) in
-  Hashtbl.iter (fun page () -> Hashtbl.replace bases page (read ~page)) touched;
-  let images =
-    map_list ?pool (List.init nparts Fun.id) ~f:(fun b ->
-        let by_page : (int, (int * int * string option) list) Hashtbl.t = Hashtbl.create 64 in
-        List.iter
-          (fun (page, lsn, key, value) ->
-            let prev = Option.value (Hashtbl.find_opt by_page page) ~default:[] in
-            Hashtbl.replace by_page page ((lsn, key, value) :: prev))
-          buckets.(b);
-        let pages =
-          Hashtbl.fold
-            (fun page ops acc ->
-              let img = Hashtbl.find bases page in
-              let plsn = Page.get_lsn img in
-              let ordered = List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) ops in
-              let applied = ref false in
-              (* [ordered] ascends, so [lsn > plsn] holds for a suffix:
-                 the first re-executed operation is the first one the
-                 durable image is missing. *)
-              List.iter
-                (fun (lsn, key, value) ->
-                  if lsn > plsn then begin
-                    Page.update img ~key ~value;
-                    Page.set_lsn img lsn;
-                    applied := true
-                  end)
-                ordered;
-              if !applied then (page, img) :: acc else acc)
-            by_page []
-        in
-        List.sort (fun (a, _) (b, _) -> Int.compare a b) pages)
+  let route = function
+    | Wal.Op { txn; key; value; _ } when Hashtbl.mem committed txn ->
+      To_based (page_of key, (key, value))
+    | _ -> Skip
   in
-  List.concat images
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  |> List.iter (fun (page, image) -> write ~page image)
+  let fold ~base ops =
+    (* Every routed operation asks for its page's base. *)
+    let img = Option.get base in
+    let plsn = Page.get_lsn img in
+    (* [ops] ascends, so the operations past the header LSN are a
+       suffix: the first one is the first the durable image is
+       missing. *)
+    match List.filter (fun (lsn, _) -> lsn > plsn) ops with
+    | [] -> None
+    | missing ->
+      List.iter
+        (fun (lsn, (key, value)) ->
+          Page.update img ~key ~value;
+          Page.set_lsn img lsn)
+        missing;
+      Some (img, None)
+  in
+  replay ~pool ~read:(Some read) ~records ~start_lsn ~route ~fold ~write

@@ -1,9 +1,9 @@
 (** Page-partitioned parallel log replay (the tentpole of the multicore
     recovery work).
 
-    Restart recovery over a set of distributed log journals decomposes
-    into three phases, each of which parallelizes without changing the
-    result:
+    Restart recovery over a set of distributed log journals runs one
+    pipeline for every log format, in three phases, each of which
+    parallelizes without changing the result:
 
     {ol
     {- {b decode} — every durable record is length-checked, checksummed
@@ -11,19 +11,22 @@
        arrays are cut into contiguous chunks and decoded across the
        {!Dbm_util.Pool} domains; chunk results are reassembled in input
        order, so the decoded arrays are identical to a serial decode.}
-    {- {b partition} — update records at or after the replay start LSN
-       are hash-partitioned by page ([page mod partitions]).  Every
-       record of one page lands in exactly one partition, so partitions
-       touch disjoint page sets.}
-    {- {b merge/replay} — each partition independently groups its
-       records per page, sorts them by LSN (the global total order the
-       engines issue), filters through the committed-transaction set and
-       folds to a final image per page: the last committed after-image
-       wins, and a page touched only by losers reverts to the before
-       image of its earliest retained update (when its durable base
-       holds that update; see {!recover_sorted}).  Because the fold is per
-       page and pages do not straddle partitions, the images are
-       independent of the partition count and of worker interleaving.}}
+    {- {b partition} — the format's route sends each record at or after
+       the replay start LSN to its page, or skips it, and pages are
+       hash-partitioned ([page mod partitions]).  Every record of one
+       page lands in exactly one partition, so partitions touch disjoint
+       page sets.  The durable base images a route asks for are read
+       serially on the calling domain before the fan-out.}
+    {- {b fold} — each partition independently groups its records per
+       page, sorts them by LSN (the global total order the engines
+       issue) and hands them to the format's per-page fold: after
+       images and delta chains for {!recover_sorted}, operation
+       re-execution for {!recover_logical}.  The fold returns the
+       page's final image and, for a loser-only restore, the base LSN
+       that makes its write due (see {!recover_sorted}).  Because the
+       fold is per page and pages do not straddle partitions, the images
+       are independent of the partition count and of worker
+       interleaving.}}
 
     Final images are handed to the caller in ascending page order, at
     most once per page, so disk write counts and contents are identical
@@ -96,18 +99,6 @@ val in_doubt : string array array -> (int * int) list
     txn id.  Records are classified by {!Wal.peek_vote}, so only
     prepare records pay for a checked decode. *)
 
-val expand_page : base:bytes -> Wal.record list -> (int * int * bytes * bytes) list
-(** Reconstruct full [(lsn, txn, before, after)] images for one page's
-    mixed {!Wal.Update}/{!Wal.Delta} chain ([recs] ascending by LSN,
-    [base] the page's durable disk image).  Delta-mode engines log every
-    volatile page change (updates {e and} abort restores), so the
-    records form an unbroken chain of page states with [base] one of
-    them (at the page's header LSN): records at or below that LSN are
-    walked backward from the base to the chain's first state, and the
-    forward pass rebuilds each record's images, re-anchoring at any
-    full Update record.  Exposed for the property tests; replay calls
-    it per page inside {!recover_sorted}. *)
-
 val recover_sorted :
   ?pool:Dbm_util.Pool.t ->
   ?read:(page:int -> bytes) ->
@@ -117,8 +108,8 @@ val recover_sorted :
   write:(page:int -> bytes -> unit) ->
   unit ->
   unit
-(** The sorted-replay strategy over the partitioned plan described
-    above.  [write] receives each touched page's final image at most
+(** Physical and delta replay: the pipeline described above with the
+    after-image/delta-chain fold.  [write] receives each touched page's final image at most
     once, in ascending page order, from the calling domain.
 
     [read] supplies durable base images.  A page touched only by losers
@@ -129,10 +120,11 @@ val recover_sorted :
     disks) left volatile on another disk.  Without [read] the restore
     is always written.
 
-    When the log holds {!Wal.Delta} records, [read] is required; bases
-    are snapshotted serially before the fan-out (worker domains never
-    touch the disk) and each page's chain is expanded to full images
-    with {!expand_page} before the unchanged winner/loser fold runs.
+    When the log holds {!Wal.Delta} records, [read] is required: a page
+    with a delta record rewinds its durable base image over the records
+    the base already holds to the chain's first state, then rebuilds
+    every record's full images forward from it, re-anchoring at each
+    full {!Wal.Update}, before the winner/loser fold runs.
     @raise Wal.Corrupt on delta records without a [read]. *)
 
 val recover_logical :
@@ -145,8 +137,9 @@ val recover_logical :
   write:(page:int -> bytes -> unit) ->
   unit ->
   unit
-(** REDO-only re-execution for the no-steal operation-logging engine:
-    committed {!Wal.Op} records are partitioned by page ([page_of] is
+(** REDO-only re-execution for the no-steal operation-logging engine,
+    the same pipeline with the re-executing fold: committed {!Wal.Op}
+    records are partitioned by page ([page_of] is
     the engine's static key layout), each page's operations re-execute
     in LSN order onto its durable base image, and the page-header LSN
     guard skips operations the image already holds (idempotence).

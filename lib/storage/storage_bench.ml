@@ -543,10 +543,7 @@ let format_point ~now ~name ~txns ~par_jobs ~ref_fp e =
     v = (bytes_per_txn, equivalent, positive [ bytes_per_txn; append_ns; serial_ms ]);
   }
 
-let known_formats = [ "physical"; "delta"; "oplog" ]
-
-let log_format_section ~now ~jobs ~allow_oversubscribe ~formats ~txns =
-  let want f = List.mem f formats in
+let log_format_section ~now ~jobs ~allow_oversubscribe ~txns =
   let par_jobs = List.filter (fun j -> j > 1) (kept_jobs ~jobs ~allow_oversubscribe) in
   (* The cross-format reference: the physical engine's serial reference
      replay (Naive.Log_replay) on the same workload. *)
@@ -557,17 +554,12 @@ let log_format_section ~now ~jobs ~allow_oversubscribe ~formats ~txns =
   in
   let point name e = format_point ~now ~name ~txns ~par_jobs ~ref_fp e in
   let physical = point "physical" (Engine_log.create ()) in
-  let delta = if want "delta" then Some (point "delta" (Engine_log_delta.create ())) else None in
-  let oplog = if want "oplog" then Some (point "oplog" (Engine_oplog.create ())) else None
-  in
-  (* A format the caller excluded scores [infinity]: "no bytes spent". *)
+  let delta = point "delta" (Engine_log_delta.create ()) in
+  let oplog = point "oplog" (Engine_oplog.create ()) in
   let physical_bpt, _, _ = physical.v in
-  let reduction = function
-    | Some { v = bpt, _, _; _ } when bpt > 0. -> physical_bpt /. bpt
-    | Some _ | None -> infinity
-  in
+  let reduction { v = bpt, _, _; _ } = physical_bpt /. bpt in
   let delta_reduction = reduction delta and oplog_reduction = reduction oplog in
-  let points = physical :: List.filter_map Fun.id [ delta; oplog ] in
+  let points = [ physical; delta; oplog ] in
   let equivalent = List.for_all (fun { v = _, eq, _; _ } -> eq) points in
   {
     report =
@@ -1316,17 +1308,12 @@ let default_cross_fracs = [ 0.0; 0.05; 0.2 ]
 let default_read_fracs = [ 0.5; 0.9; 0.99 ]
 
 let run ?(scale = 1) ?(jobs = [ 1; 2; 4 ]) ?(allow_oversubscribe = false)
-    ?(log_formats = known_formats) ?(read_fracs = default_read_fracs)
-    ?(shard_counts = default_shard_counts) ?(cross_fracs = default_cross_fracs) ~now () =
+    ?(read_fracs = default_read_fracs) ?(shard_counts = default_shard_counts)
+    ?(cross_fracs = default_cross_fracs) ~now () =
   let fraction f = f >= 0.0 && f <= 1.0 in
   if scale <= 0 then invalid_arg "Storage_bench.run: scale must be positive";
   if List.exists (fun j -> j < 1) jobs then
     invalid_arg "Storage_bench.run: jobs must all be >= 1";
-  List.iter
-    (fun f ->
-      if not (List.mem f known_formats) then
-        invalid_arg (Printf.sprintf "Storage_bench.run: unknown log format %S" f))
-    log_formats;
   if read_fracs = [] || not (List.for_all fraction read_fracs) then
     invalid_arg "Storage_bench.run: read_fracs must be non-empty, each in [0,1]";
   if shard_counts = [] || List.exists (fun s -> s < 1) shard_counts then
@@ -1340,7 +1327,7 @@ let run ?(scale = 1) ?(jobs = [ 1; 2; 4 ]) ?(allow_oversubscribe = false)
   let engines = engines_section ~now ~scale in
   let length = recovery_length_section ~now ~txns in
   let parallel = recovery_parallel_section ~now ~jobs ~allow_oversubscribe ~txns in
-  let formats = log_format_section ~now ~jobs ~allow_oversubscribe ~formats:log_formats ~txns in
+  let formats = log_format_section ~now ~jobs ~allow_oversubscribe ~txns in
   let server = server_section ~scale in
   let read_heavy = read_heavy_section ~scale ~read_fracs in
   let shard = shard_section ~scale ~shard_counts ~cross_fracs in

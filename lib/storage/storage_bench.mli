@@ -54,7 +54,6 @@ val run :
   ?scale:int ->
   ?jobs:int list ->
   ?allow_oversubscribe:bool ->
-  ?log_formats:string list ->
   ?read_fracs:float list ->
   ?shard_counts:int list ->
   ?cross_fracs:float list ->
@@ -67,21 +66,20 @@ val run :
     host's cores are skipped unless [allow_oversubscribe] (default
     false), and a jobs = 1 point is always included.  On a 1-core host
     an oversubscribed 2-domain point stands in so the curve never comes
-    back empty.  [log_formats] (default all of ["physical"], ["delta"],
-    ["oplog"]) restricts the log-format head-to-head; the physical
-    baseline is always measured (it is the reference the others are
-    fingerprint-checked against), and an excluded format reports an
-    infinite (JSON [null]) reduction.  [read_fracs] (default
-    {!default_read_fracs}) lists the read fractions of the snapshot
-    sweep; a Pareto-size heavy-tail point at read fraction 0.9 is always
-    appended.  [shard_counts] (default {!default_shard_counts}) lists
-    the shard counts of the sharded sweep (a shards = 1 baseline is
-    always included); [cross_fracs] (default {!default_cross_fracs}) the
-    cross-shard fractions swept at the largest count.
+    back empty.  The log-format head-to-head always writes and replays
+    all three formats (physical, delta, oplog), each checked against
+    the physical engine's serial reference replay.  [read_fracs]
+    (default {!default_read_fracs}) lists the read fractions of the
+    snapshot sweep; a Pareto-size heavy-tail point at read fraction 0.9
+    is always appended.  [shard_counts] (default
+    {!default_shard_counts}) lists the shard counts of the sharded sweep
+    (a shards = 1 baseline is always included); [cross_fracs] (default
+    {!default_cross_fracs}) the cross-shard fractions swept at the
+    largest count.
     @raise Invalid_argument before reading the clock if [scale <= 0],
-    any job count is [< 1], a log format name is unknown, [read_fracs]
-    is empty, a read or cross fraction is outside [0,1], or
-    [shard_counts] is empty or holds a count [< 1]. *)
+    any job count is [< 1], [read_fracs] is empty, a read or cross
+    fraction is outside [0,1], or [shard_counts] is empty or holds a
+    count [< 1]. *)
 
 val print : t -> unit
 (** Print the report on stdout — the one rendering both [dbmsim

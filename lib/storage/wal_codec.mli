@@ -57,9 +57,6 @@ module Enc : sig
   val substring : t -> string -> pos:int -> len:int -> unit
   (** Varint length prefix, then [len] bytes of [s] from [pos]. *)
 
-  val subbytes : t -> Bytes.t -> pos:int -> len:int -> unit
-  (** Varint length prefix, then [len] bytes of [b] from [pos]. *)
-
   val byte : t -> int -> unit
   (** One raw byte (a flag). *)
 

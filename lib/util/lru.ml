@@ -92,11 +92,6 @@ let set_dirty t k d =
   | Some node -> node.dirty <- d
   | None -> ()
 
-let is_dirty t k =
-  match Hashtbl.find_opt t.table k with
-  | Some node -> node.dirty
-  | None -> false
-
 let remove t k =
   match Hashtbl.find_opt t.table k with
   | Some node ->

@@ -33,8 +33,6 @@ val add : ('k, 'v) t -> ?dirty:bool -> 'k -> 'v -> ('k, 'v) evicted option
 val set_dirty : ('k, 'v) t -> 'k -> bool -> unit
 (** Mark an existing entry dirty or clean.  No-op when absent. *)
 
-val is_dirty : ('k, 'v) t -> 'k -> bool
-
 val remove : ('k, 'v) t -> 'k -> unit
 
 val dirty_entries : ('k, 'v) t -> ('k * 'v) list

@@ -35,8 +35,6 @@ let create ~dir ~version =
   mkdir_p dir;
   { dir; version }
 
-let dir t = t.dir
-
 let magic = "DBM-RUN-CACHE 1"
 
 let entry_path t ~digest =

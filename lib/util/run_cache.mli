@@ -15,8 +15,6 @@ val create : dir:string -> version:string -> t
     entries stamped with a different version read as misses, so stale
     formats self-invalidate. *)
 
-val dir : t -> string
-
 val find : t -> digest:string -> string option
 (** The payload stored for [digest], or [None] on a miss (including
     corrupt, truncated, or wrong-version entries). *)

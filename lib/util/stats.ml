@@ -291,7 +291,6 @@ module Busy = struct
   let create () = { busy = 0.0 }
   let reset t = t.busy <- 0.0
   let add_busy t d = t.busy <- t.busy +. d
-  let busy_time t = t.busy
 
   let utilization t ~elapsed ~servers =
     if elapsed <= 0.0 || servers <= 0 then 0.0

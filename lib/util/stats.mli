@@ -139,9 +139,7 @@ module Busy : sig
   val add_busy : t -> float -> unit
   (** Accumulate a busy interval of the given duration. *)
 
-  val busy_time : t -> float
-
   val utilization : t -> elapsed:float -> servers:int -> float
-  (** [busy_time / (elapsed * servers)], clamped to [\[0, 1\]]; 0 over an
-      empty interval. *)
+  (** Accumulated busy time over [elapsed * servers], clamped to
+      [\[0, 1\]]; 0 over an empty interval. *)
 end

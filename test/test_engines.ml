@@ -433,6 +433,43 @@ let test_log_partial_force_keeps_loser_out () =
           Engine_log.crash_and_recover e );
     ]
 
+let test_delta_sharp_checkpoint_rewinds_loser () =
+  (* The committed puts leave page 0 dirty, so the loser's two updates
+     of it log slices, not a full image.  The sharp checkpoint forces
+     the page with both slices applied and truncates the committed
+     records, anchor included: replay must rewind the durable page over
+     both slices, the newest one at its header LSN too, to undo the
+     loser. *)
+  List.iter
+    (fun (path, recover) ->
+      let e = Engine_log.create_with ~log_format:Engine_log.Delta () in
+      List.iter
+        (fun k ->
+          let t = Engine_log.begin_txn e in
+          Engine_log.put t k "committed";
+          Engine_log.commit t)
+        [ 0; 1; 2 ];
+      let loser = Engine_log.begin_txn e in
+      Engine_log.put loser 1 "loser";
+      Engine_log.put loser 3 "loser";
+      Engine_log.checkpoint e;
+      check Alcotest.bool (path ^ ": replay window opens on slices") true
+        (List.for_all
+           (function Dbm_storage.Wal.Update _ -> false | _ -> true)
+           (Engine_log.dump_log e ~disk:0 @ Engine_log.dump_log e ~disk:1));
+      recover e;
+      let t = Engine_log.begin_txn e in
+      check
+        Alcotest.(list (option string))
+        (path ^ ": loser undone")
+        [ Some "committed"; Some "committed"; Some "committed"; None ]
+        (List.map (Engine_log.get t) [ 0; 1; 2; 3 ]);
+      Engine_log.abort t)
+    [
+      ("parallel", Engine_log.crash_and_recover);
+      ("reference", Engine_log.crash_and_recover_reference);
+    ]
+
 let test_log_flush_steal_then_crash () =
   let e = Engine_log.create () in
   let t = Engine_log.begin_txn e in
@@ -1054,6 +1091,8 @@ let specific =
     QCheck_alcotest.to_alcotest prop_delta_fingerprint_parity;
     QCheck_alcotest.to_alcotest prop_oplog_fingerprint_parity;
     QCheck_alcotest.to_alcotest prop_logical_fingerprint_parity;
+    Alcotest.test_case "delta: sharp checkpoint rewinds a loser" `Quick
+      test_delta_sharp_checkpoint_rewinds_loser;
   ]
 
 let () =

@@ -7,11 +7,14 @@
    path (4 oversubscribed domains, checkpoint-seeking) and an identical
    twin recovering through the preserved serial from-zero reference
    must land on the same state fingerprint after every crash, and both
-   must show the executable specification's (Kv.Model) visible state. *)
+   must show the executable specification's (Kv.Model) visible state.
+   A third twin recovering along the parallel path with no pool must
+   write as many pages as the 4-domain one, to the same state. *)
 
 module Kv = Dbm_storage.Kv
 module Engine_log = Dbm_storage.Engine_log
 module Engine_diff = Dbm_storage.Engine_diff
+module Engine_log_delta = Dbm_storage.Engine_log_delta
 module Engine_oplog = Dbm_storage.Engine_oplog
 module Journal = Dbm_storage.Journal
 module Replay = Dbm_storage.Replay
@@ -85,96 +88,87 @@ end
 
 module Equiv_harness (E : CONVERTED) = struct
   (* [a] recovers via the parallel checkpoint-seeking path, its twin
-     [b] via the serial from-zero reference; [m] is the spec.  Every
-     operation is applied to all three, so any fingerprint divergence
-     is recovery's fault alone. *)
+     [b] via the serial from-zero reference and its twin [c] via the
+     same path as [a] with no pool; [m] is the spec.  Every operation is
+     applied to all four, so any fingerprint divergence is recovery's
+     fault alone.  [c] pins Replay's promise that disk writes do not
+     depend on the job count: after every crash its recovery wrote as
+     many pages as [a]'s, and the same state. *)
   let run_ops ops =
-    let a = E.create ~n_keys () and b = E.create ~n_keys () and m = Kv.Model.create ~n_keys () in
+    let a = E.create ~n_keys () and b = E.create ~n_keys () and c = E.create ~n_keys () in
+    let twins = [ a; b; c ] and m = Kv.Model.create ~n_keys () in
     E.set_recovery_pool a (Some (Lazy.force pool));
     let live = ref None in
     let ensure_live () =
       match !live with
-      | Some triple -> triple
+      | Some txns -> txns
       | None ->
-        let triple = (E.begin_txn a, E.begin_txn b, Kv.Model.begin_txn m) in
-        live := Some triple;
-        triple
+        let txns = (List.map E.begin_txn twins, Kv.Model.begin_txn m) in
+        live := Some txns;
+        txns
     in
     let ok = ref true in
     (* Fingerprints first (reads only), then the visible state — the
-       probe transactions are begun and aborted on [a] and [b] alike so
-       the twins' counters stay in lock-step. *)
+       probe transactions are begun and aborted on every twin alike so
+       their counters stay in lock-step. *)
     let assert_equal () =
       if E.state_fingerprint a <> E.state_fingerprint b then ok := false;
-      let ta = E.begin_txn a and tb = E.begin_txn b and tm = Kv.Model.begin_txn m in
+      let ts = List.map E.begin_txn twins and tm = Kv.Model.begin_txn m in
       for k = 0 to n_keys - 1 do
         let expect = Kv.Model.get tm k in
-        if E.get ta k <> expect then ok := false;
-        if E.get tb k <> expect then ok := false
+        List.iter (fun t -> if E.get t k <> expect then ok := false) ts
       done;
-      E.abort ta;
-      E.abort tb;
+      List.iter E.abort ts;
       Kv.Model.abort tm
+    in
+    let crash () =
+      let writes e = List.assoc "disk_writes" (E.stats e) in
+      let wa = writes a and wc = writes c in
+      E.crash_and_recover a;
+      E.crash_and_recover_reference b;
+      E.crash_and_recover c;
+      Kv.Model.crash_and_recover m;
+      if writes a - wa <> writes c - wc then ok := false;
+      if E.state_fingerprint a <> E.state_fingerprint c then ok := false;
+      assert_equal ()
+    in
+    let finish f g =
+      match !live with
+      | Some (ts, tm) ->
+        List.iter f ts;
+        g tm;
+        live := None
+      | None -> ()
     in
     List.iter
       (fun op ->
         match op with
         | Put (k, v) ->
-          let ta, tb, tm = ensure_live () in
-          E.put ta k v;
-          E.put tb k v;
+          let ts, tm = ensure_live () in
+          List.iter (fun t -> E.put t k v) ts;
           Kv.Model.put tm k v
         | Delete k ->
-          let ta, tb, tm = ensure_live () in
-          E.delete ta k;
-          E.delete tb k;
+          let ts, tm = ensure_live () in
+          List.iter (fun t -> E.delete t k) ts;
           Kv.Model.delete tm k
-        | Commit ->
-          (match !live with
-          | Some (ta, tb, tm) ->
-            E.commit ta;
-            E.commit tb;
-            Kv.Model.commit tm;
-            live := None
-          | None -> ())
-        | Abort ->
-          (match !live with
-          | Some (ta, tb, tm) ->
-            E.abort ta;
-            E.abort tb;
-            Kv.Model.abort tm;
-            live := None
-          | None -> ())
+        | Commit -> finish E.commit Kv.Model.commit
+        | Abort -> finish E.abort Kv.Model.abort
         | Crash ->
-          E.crash_and_recover a;
-          E.crash_and_recover_reference b;
-          Kv.Model.crash_and_recover m;
           live := None;
-          assert_equal ()
+          crash ()
         | Fuzzy sync ->
           (* No quiescence needed: fuzzy checkpoints run mid-transaction. *)
-          E.checkpoint_fuzzy ~sync a;
-          E.checkpoint_fuzzy ~sync b
+          List.iter (E.checkpoint_fuzzy ~sync) twins
         | Sharp ->
           (* Sharp checkpoints/merges require quiescence in some engines;
              exercise them only between transactions. *)
           if !live = None then begin
-            E.checkpoint a;
-            E.checkpoint b;
+            List.iter E.checkpoint twins;
             Kv.Model.checkpoint m
           end)
       ops;
-    (match !live with
-    | Some (ta, tb, tm) ->
-      E.commit ta;
-      E.commit tb;
-      Kv.Model.commit tm;
-      live := None
-    | None -> ());
-    E.crash_and_recover a;
-    E.crash_and_recover_reference b;
-    Kv.Model.crash_and_recover m;
-    assert_equal ();
+    finish E.commit Kv.Model.commit;
+    crash ();
     !ok
 
   let property count =
@@ -268,9 +262,14 @@ module Oplog_c : CONVERTED with type t = Engine_oplog.t = struct
   include Engine_oplog
 end
 
+module Delta_c : CONVERTED with type t = Engine_log_delta.t = struct
+  include Engine_log_delta
+end
+
 module Log_equiv = Equiv_harness (Log_c)
 module Diff_equiv = Equiv_harness (Diff_c)
 module Oplog_equiv = Equiv_harness (Oplog_c)
+module Delta_equiv = Equiv_harness (Delta_c)
 
 (* --- the checkpoint actually moves the replay start -------------------- *)
 
@@ -382,6 +381,7 @@ let () =
           QCheck_alcotest.to_alcotest (Log_equiv.property 60);
           QCheck_alcotest.to_alcotest (Diff_equiv.property 60);
           QCheck_alcotest.to_alcotest (Oplog_equiv.property 60);
+          QCheck_alcotest.to_alcotest (Delta_equiv.property 60);
         ] );
       ( "fuzzy checkpoints",
         [
@@ -398,6 +398,10 @@ let () =
           Alcotest.test_case "oplog: durable checkpoint matches" `Quick
             (durable_checkpoint_matches (module Oplog_c));
           Alcotest.test_case "log: replay start advances" `Quick test_replay_start_advances;
+          Alcotest.test_case "delta: crash during checkpoint" `Quick
+            (crash_during_checkpoint (module Delta_c));
+          Alcotest.test_case "delta: durable checkpoint matches" `Quick
+            (durable_checkpoint_matches (module Delta_c));
         ] );
       ( "partitioning",
         [

@@ -728,7 +728,6 @@ let test_storage_bench_rejects_early () =
   in
   rejects "scale 0" (fun () -> SB.run ~scale:0 ~now ());
   rejects "jobs [0]" (fun () -> SB.run ~jobs:[ 0 ] ~now ());
-  rejects "unknown log format" (fun () -> SB.run ~log_formats:[ "bogus" ] ~now ());
   rejects "read fraction 1.5" (fun () -> SB.run ~read_fracs:[ 1.5 ] ~now ());
   rejects "no read fractions" (fun () -> SB.run ~read_fracs:[] ~now ());
   rejects "shard count 0" (fun () -> SB.run ~shard_counts:[ 0 ] ~now ());

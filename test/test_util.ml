@@ -1,7 +1,6 @@
 (* Unit and property tests for the foundation library (dbm_util). *)
 
 module Prng = Dbm_util.Prng
-module Heap = Dbm_util.Heap
 module Lru = Dbm_util.Lru
 module Ring = Dbm_util.Ring
 module Stats = Dbm_util.Stats
@@ -103,62 +102,6 @@ let test_split_independent () =
   let b = Prng.split a in
   let va = Prng.bits64 a and vb = Prng.bits64 b in
   check Alcotest.bool "split streams differ" true (va <> vb)
-
-(* --- Heap ------------------------------------------------------------ *)
-
-let test_heap_sorts () =
-  let h = Heap.create ~cmp:Int.compare () in
-  let rng = Prng.create 21 in
-  let input = List.init 200 (fun _ -> Prng.int rng 1000) in
-  List.iter (Heap.push h) input;
-  let rec drain acc = match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc) in
-  check (Alcotest.list Alcotest.int) "heap sorts" (List.sort Int.compare input) (drain [])
-
-let test_heap_peek_pop () =
-  let h = Heap.create ~cmp:Int.compare () in
-  check (Alcotest.option Alcotest.int) "peek empty" None (Heap.peek h);
-  Heap.push h 5;
-  Heap.push h 2;
-  check (Alcotest.option Alcotest.int) "peek min" (Some 2) (Heap.peek h);
-  check Alcotest.int "length" 2 (Heap.length h);
-  check (Alcotest.option Alcotest.int) "pop min" (Some 2) (Heap.pop h);
-  check (Alcotest.option Alcotest.int) "pop next" (Some 5) (Heap.pop h);
-  check Alcotest.bool "empty" true (Heap.is_empty h)
-
-let test_heap_to_sorted_list () =
-  let h = Heap.create ~cmp:Int.compare () in
-  List.iter (Heap.push h) [ 3; 1; 2 ];
-  check (Alcotest.list Alcotest.int) "sorted view" [ 1; 2; 3 ] (Heap.to_sorted_list h);
-  check Alcotest.int "non-destructive" 3 (Heap.length h)
-
-let test_heap_pop_releases () =
-  (* popping must overwrite the vacated slot: a long-lived heap may not
-     pin elements that have left it *)
-  let h = Heap.create ~cmp:(fun a b -> Int.compare !a !b) () in
-  List.iter (fun i -> Heap.push h (ref i)) [ 3; 1; 2 ];
-  let w = Weak.create 1 in
-  (fun () ->
-    match Heap.pop h with
-    | Some r ->
-      check Alcotest.int "pops min" 1 !r;
-      Weak.set w 0 (Some r)
-    | None -> Alcotest.fail "expected an element")
-    ();
-  Gc.full_major ();
-  Gc.full_major ();
-  check Alcotest.int "rest retained" 2 (Heap.length h);
-  check Alcotest.bool "popped element is collectable" false (Weak.check w 0)
-
-let prop_heap_sorted =
-  QCheck.Test.make ~name:"heap drains in sorted order" ~count:200
-    QCheck.(list int)
-    (fun input ->
-      let h = Heap.create ~cmp:Int.compare () in
-      List.iter (Heap.push h) input;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort Int.compare input)
 
 (* --- Pool ------------------------------------------------------------ *)
 
@@ -569,7 +512,7 @@ let test_json_numbers () =
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_heap_sorted; prop_lru_capacity; prop_percentile_bounds; prop_hist_relative_error ]
+    [ prop_lru_capacity; prop_percentile_bounds; prop_hist_relative_error ]
 
 let () =
   Alcotest.run "dbm_util"
@@ -589,13 +532,6 @@ let () =
           Alcotest.test_case "sample_distinct invalid" `Quick test_sample_distinct_invalid;
           Alcotest.test_case "shuffle is a permutation" `Quick test_shuffle_permutation;
           Alcotest.test_case "split independence" `Quick test_split_independent;
-        ] );
-      ( "heap",
-        [
-          Alcotest.test_case "sorts" `Quick test_heap_sorts;
-          Alcotest.test_case "peek/pop" `Quick test_heap_peek_pop;
-          Alcotest.test_case "to_sorted_list" `Quick test_heap_to_sorted_list;
-          Alcotest.test_case "pop releases references" `Quick test_heap_pop_releases;
         ] );
       ( "pool",
         [
