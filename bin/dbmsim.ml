@@ -14,50 +14,29 @@ let scenario_conv =
   let print ppf sc = Format.pp_print_string ppf (Dbm_core.Scenario.name sc) in
   Arg.conv (parse, print)
 
-let arch_names =
+(* Each architecture's name, its canonical descriptor (so a CLI run
+   shares its digest, and any cached result, with the corresponding
+   table/ablation runs) and its constructor. *)
+let archs =
+  let module L = Dbm_recovery.Logging in
+  let module S = Dbm_recovery.Shadow in
+  let module D = Dbm_recovery.Diff_file in
+  let logging c = (L.descriptor c, L.make c) in
+  let shadow c = (S.descriptor c, S.make c) in
+  let diff c = (D.descriptor c, D.make c) in
   [
-    "bare"; "logging"; "logging-physical"; "shadow"; "shadow-2pt"; "shadow-buf50";
-    "overwrite"; "overwrite-no-redo"; "diff"; "diff-basic"; "version-select";
+    ("bare", ("bare", fun _ -> Dbm_machine.Arch.bare));
+    ("logging", logging L.default);
+    ("logging-physical", logging { L.default with L.mode = L.Physical });
+    ("shadow", shadow S.default_thru);
+    ("shadow-2pt", shadow (S.thru ~n_pt_processors:2 ~buffer_pages:10));
+    ("shadow-buf50", shadow (S.thru ~n_pt_processors:1 ~buffer_pages:50));
+    ("overwrite", shadow S.overwrite_no_undo);
+    ("overwrite-no-redo", shadow S.overwrite_no_redo);
+    ("diff", diff D.default);
+    ("diff-basic", diff D.basic);
+    ("version-select", ("version-select", Dbm_recovery.Version_select.make_sim));
   ]
-
-(* Canonical architecture descriptors for the same names, so a CLI run
-   shares its digest (and any cached result) with the corresponding
-   table/ablation runs. *)
-let arch_descriptor = function
-  | "bare" -> "bare"
-  | "logging" -> Dbm_recovery.Logging.descriptor Dbm_recovery.Logging.default
-  | "logging-physical" ->
-    Dbm_recovery.Logging.descriptor
-      { Dbm_recovery.Logging.default with Dbm_recovery.Logging.mode = Dbm_recovery.Logging.Physical }
-  | "shadow" -> Dbm_recovery.Shadow.descriptor Dbm_recovery.Shadow.default_thru
-  | "shadow-2pt" ->
-    Dbm_recovery.Shadow.descriptor (Dbm_recovery.Shadow.thru ~n_pt_processors:2 ~buffer_pages:10)
-  | "shadow-buf50" ->
-    Dbm_recovery.Shadow.descriptor (Dbm_recovery.Shadow.thru ~n_pt_processors:1 ~buffer_pages:50)
-  | "overwrite" -> Dbm_recovery.Shadow.descriptor Dbm_recovery.Shadow.overwrite_no_undo
-  | "overwrite-no-redo" -> Dbm_recovery.Shadow.descriptor Dbm_recovery.Shadow.overwrite_no_redo
-  | "diff" -> Dbm_recovery.Diff_file.descriptor Dbm_recovery.Diff_file.default
-  | "diff-basic" -> Dbm_recovery.Diff_file.descriptor Dbm_recovery.Diff_file.basic
-  | "version-select" -> "version-select"
-  | other -> invalid_arg (Printf.sprintf "unknown architecture %S" other)
-
-let make_arch = function
-  | "bare" -> fun _ -> Dbm_machine.Arch.bare
-  | "logging" -> Dbm_recovery.Logging.make Dbm_recovery.Logging.default
-  | "logging-physical" ->
-    Dbm_recovery.Logging.make
-      { Dbm_recovery.Logging.default with Dbm_recovery.Logging.mode = Dbm_recovery.Logging.Physical }
-  | "shadow" -> Dbm_recovery.Shadow.make Dbm_recovery.Shadow.default_thru
-  | "shadow-2pt" ->
-    Dbm_recovery.Shadow.make (Dbm_recovery.Shadow.thru ~n_pt_processors:2 ~buffer_pages:10)
-  | "shadow-buf50" ->
-    Dbm_recovery.Shadow.make (Dbm_recovery.Shadow.thru ~n_pt_processors:1 ~buffer_pages:50)
-  | "overwrite" -> Dbm_recovery.Shadow.make Dbm_recovery.Shadow.overwrite_no_undo
-  | "overwrite-no-redo" -> Dbm_recovery.Shadow.make Dbm_recovery.Shadow.overwrite_no_redo
-  | "diff" -> Dbm_recovery.Diff_file.make Dbm_recovery.Diff_file.default
-  | "diff-basic" -> Dbm_recovery.Diff_file.make Dbm_recovery.Diff_file.basic
-  | "version-select" -> Dbm_recovery.Version_select.make_sim
-  | other -> invalid_arg (Printf.sprintf "unknown architecture %S" other)
 
 (* -- numeric converters -------------------------------------------- *)
 
@@ -225,7 +204,7 @@ let run_cmd =
   let arch =
     Arg.(
       value
-      & opt (enum (List.map (fun a -> (a, a)) arch_names)) "bare"
+      & opt (enum (List.map (fun (a, _) -> (a, a)) archs)) "bare"
       & info [ "a"; "arch" ] ~docv:"ARCH" ~doc:"Recovery architecture.")
   in
   let txns =
@@ -238,6 +217,7 @@ let run_cmd =
       & info [ "trace" ] ~docv:"N" ~doc:"Print the last N machine trace events (0 = off).")
   in
   let run scenario arch txns seed trace_n () =
+    let descriptor, make_arch = List.assoc arch archs in
     let machine = Dbm_core.Scenario.machine_config scenario in
     let workload = Dbm_core.Scenario.workload_config ~n_transactions:txns ~seed scenario in
     let r =
@@ -245,8 +225,7 @@ let run_cmd =
         let trace = Dbm_sim.Trace.create ~capacity:trace_n () in
         let txns_arr = Dbm_workload.Workload.generate workload in
         let r =
-          Dbm_machine.Machine.run_traced ~trace ~config:machine
-            ~make_arch:(make_arch arch) ~workload:txns_arr
+          Dbm_machine.Machine.run_traced ~trace ~config:machine ~make_arch ~workload:txns_arr
         in
         Format.printf "--- last %d of %d trace events ---@." trace_n
           (Dbm_sim.Trace.total trace);
@@ -254,8 +233,7 @@ let run_cmd =
         r
       end
       else
-        Dbm_core.Experiment.run ~arch:(arch_descriptor arch) ~machine ~workload
-          ~make_arch:(make_arch arch) ()
+        Dbm_core.Experiment.run ~arch:descriptor ~machine ~workload ~make_arch ()
     in
     Format.printf "%s on %s:@.%a@." arch (Dbm_core.Scenario.name scenario)
       Dbm_machine.Results.pp r;
@@ -542,9 +520,23 @@ let storage_bench_cmd =
    on a chosen engine through the group-commit pipeline (or per-txn
    sync under --eager), printing sustained throughput and the latency
    tail at each load.  Entirely simulated time — the numbers depend on
-   the cost knobs and the seed, never on the host. *)
+   the cost knobs and the seed, never on the host.  The workload and
+   its arrivals are storage-bench's server and shard sections'. *)
 let serve_bench_cmd =
   let open Cmdliner in
+  let module S = Dbm_storage in
+  (* Each engine, with its sharded form when it casts a durable prepare
+     vote. *)
+  let engines :
+      (string * ((module S.Server.SNAPSHOT_ENGINE) * (module S.Shard.ENGINE) option)) list =
+    [
+      ("logging", ((module S.Engine_log), Some (module S.Engine_log)));
+      ("logging-delta", ((module S.Engine_log_delta), Some (module S.Engine_log_delta)));
+      ("oplog", ((module S.Engine_oplog), Some (module S.Engine_oplog)));
+      ("diff", ((module S.Engine_diff), None));
+      ("versel", ((module S.Engine_versel), None));
+    ]
+  in
   let loads_arg =
     Arg.(
       value
@@ -569,18 +561,11 @@ let serve_bench_cmd =
   let engine_arg =
     Arg.(
       value
-      & opt (enum [ ("logging", `Logging); ("diff", `Diff); ("versel", `Versel) ]) `Logging
-      & info [ "engine" ] ~docv:"ENGINE" ~doc:"Storage engine: logging | diff | versel.")
-  in
-  let log_format_arg =
-    Arg.(
-      value
-      & opt (enum [ ("physical", `Physical); ("delta", `Delta); ("oplog", `Oplog) ]) `Physical
-      & info [ "log-format" ] ~docv:"FORMAT"
+      & opt (enum (List.map (fun (name, _) -> (name, name)) engines)) "logging"
+      & info [ "engine" ] ~docv:"ENGINE"
           ~doc:
-            "Log-record granularity for the logging engine: physical (full page \
-             images), delta (changed byte ranges) or oplog (operation logging). The \
-             diff engine keeps its own format and accepts only physical.")
+            "Storage engine: logging, logging-delta or oplog (the logging engine writing \
+             full page images, changed byte ranges or operation records), diff or versel.")
   in
   let mpl_arg =
     Arg.(
@@ -638,8 +623,7 @@ let serve_bench_cmd =
           ~doc:
             "Run read-only transactions lock-free over pinned MVCC snapshots instead of \
              the locked path; they bypass the commit pipeline and can never restart.  \
-             Every engine supports it (logging under any $(b,--log-format)), but not \
-             with $(b,--shards) > 1.")
+             Every engine supports it, but not with $(b,--shards) > 1.")
   in
   let shards_arg =
     Arg.(
@@ -649,7 +633,7 @@ let serve_bench_cmd =
             "Partition the key space page-wise across $(docv) engine shards, each \
              served by its own domain; transactions spanning shards commit by \
              two-phase commit through a coordinator decision log.  Needs an engine \
-             with a durable prepare vote: logging, any $(b,--log-format).")
+             with a durable prepare vote: logging, logging-delta or oplog.")
   in
   let cross_frac_arg =
     Arg.(
@@ -660,163 +644,97 @@ let serve_bench_cmd =
              spans two shards and the rest stay confined to one.  Only meaningful \
              with $(b,--shards) > 1.")
   in
-  let run engine log_format loads batch timeout_us mpl txns seed arrival eager op_cost
-      sync_cost read_frac use_snapshot shards cross_frac =
-    if cross_frac > 0.0 && shards = 1 then begin
-      prerr_endline "serve-bench: --cross-frac needs --shards > 1";
+  let run engine loads batch timeout_us mpl txns seed arrival eager op_cost sync_cost read_frac
+      use_snapshot shards cross_frac =
+    let usage msg =
+      prerr_endline ("serve-bench: " ^ msg);
       exit 2
-    end;
-    let module W = Dbm_workload.Workload in
+    in
+    if cross_frac > 0.0 && shards = 1 then usage "--cross-frac needs --shards > 1";
+    let (module E : S.Server.SNAPSHOT_ENGINE), sharded = List.assoc engine engines in
+    if shards > 1 && use_snapshot then usage "--snapshot is not supported with --shards > 1";
+    if shards > 1 && sharded = None then
+      usage
+        "--shards > 1 needs an engine with a durable prepare vote (--engine logging, \
+         logging-delta or oplog)";
     let module Hist = Dbm_util.Stats.Histogram in
-    let module Sch = Dbm_storage.Scheduler in
-    let txns_w =
-      let cfg =
-        {
-          W.n_transactions = txns;
-          min_pages = 2;
-          max_pages = 8;
-          write_fraction = 0.7;
-          pattern = W.Random_access;
-          db_pages = 1024;
-          seed;
-        }
-      in
-      W.apply_read_fraction
-        (Dbm_util.Prng.create (seed lxor 0x5eed))
-        ~read_frac (W.generate cfg)
+    let cross = if shards > 1 then Some (cross_frac, shards) else None in
+    let scripts, read_only =
+      S.Storage_bench.random_access_workload ~read_frac ?cross ~n:txns ~seed ()
     in
-    (* Sharded runs re-home pages so exactly the requested fraction of
-       transactions spans two shards; shards = 1 leaves the workload
-       byte-identical to the serial path. *)
-    let txns_w =
-      if shards = 1 then txns_w
-      else
-        W.apply_cross_fraction
-          (Dbm_util.Prng.create (seed lxor 0xc105))
-          ~cross_frac ~classes:shards
-          ~class_of:(fun p -> Dbm_storage.Shard_router.shard_of_page ~shards p)
-          ~db_pages:1024 txns_w
-    in
-    let read_only = Array.map (fun t -> W.write_set_size t = 0) txns_w in
     let n_ro = Array.fold_left (fun a ro -> if ro then a + 1 else a) 0 read_only in
-    let scripts =
-      Array.map
-        (fun t ->
-          List.init (Array.length t.W.pages) (fun i ->
-              let k = t.W.pages.(i) * 4 in
-              if t.W.writes.(i) then Sch.Put (k, "serve-bench-value") else Sch.Get k))
-        txns_w
-    in
-    let process rate =
-      match arrival with
-      | `Poisson -> W.Poisson { rate }
-      | `Bursty ->
-        W.Bursty { on_rate = 2.0 *. rate; off_rate = 0.0; mean_on = 0.01; mean_off = 0.01 }
-    in
     let arrivals rate =
-      let rng = Dbm_util.Prng.create (seed + int_of_float rate) in
-      Array.map (fun s -> s *. 1e6) (W.gen_arrival_times rng (process rate) ~n:txns)
+      let process =
+        match arrival with
+        | `Poisson -> Dbm_workload.Workload.Poisson { rate }
+        | `Bursty ->
+          Dbm_workload.Workload.Bursty
+            { on_rate = 2.0 *. rate; off_rate = 0.0; mean_on = 0.01; mean_off = 0.01 }
+      in
+      S.Storage_bench.arrivals_us ~seed:(seed + int_of_float rate) process ~n:txns
     in
     let mode =
-      if eager then Dbm_storage.Commit_pipeline.Eager
-      else Dbm_storage.Commit_pipeline.Grouped { batch; timeout_us }
+      if eager then S.Commit_pipeline.Eager else S.Commit_pipeline.Grouped { batch; timeout_us }
     in
-    let sweep (module E : Dbm_storage.Server.SNAPSHOT_ENGINE) name =
-      let module Srv = Dbm_storage.Server.Make (E) in
-      let snapshot_of = if use_snapshot then Some (Sch.snapshot_view (module E)) else None in
-      Printf.printf
-        "open-loop server: engine %s, %s commits%s, mpl %d, %d txns/point%s, %s arrivals\n\
-         (simulated time: %.1f us/turn, %.1f us/force)\n\n"
-        name
-        (if eager then "eager" else "grouped")
-        (if eager then "" else Printf.sprintf " (batch %d, timeout %.0f us)" batch timeout_us)
-        mpl txns
-        (if read_frac > 0.0 then
-           Printf.sprintf " (%d read-only%s)" n_ro
-             (if snapshot_of <> None then ", lock-free snapshot reads" else "")
-         else "")
-        (match arrival with `Poisson -> "poisson" | `Bursty -> "bursty")
-        op_cost sync_cost;
+    Printf.printf
+      "%s server: engine %s, %s%s commits%s, mpl %d%s, %d txns/point%s, %s arrivals\n\
+       (simulated time: %.1f us/turn, %.1f us/force)\n\n"
+      (if shards > 1 then "sharded" else "open-loop")
+      E.engine_name
+      (if shards > 1 then Printf.sprintf "%d shards, cross fraction %.2f, " shards cross_frac
+       else "")
+      (if eager then "eager" else "grouped")
+      (if eager then "" else Printf.sprintf " (batch %d, timeout %.0f us)" batch timeout_us)
+      mpl
+      (if shards > 1 then " per shard" else "")
+      txns
+      (if read_frac > 0.0 then
+         Printf.sprintf " (%d read-only%s)" n_ro
+           (if use_snapshot then ", lock-free snapshot reads" else "")
+       else "")
+      (match arrival with `Poisson -> "poisson" | `Bursty -> "bursty")
+      op_cost sync_cost;
+    match sharded with
+    | Some (module Sh : S.Shard.ENGINE) when shards > 1 ->
+      (* one domain per shard, cross-shard commits through the 2PC
+         coordinator *)
+      let module Shd = S.Shard.Make (Sh) in
+      Printf.printf "%12s %12s %10s %10s %12s %8s %8s %8s\n" "offered/s" "sustained/s" "p50 us"
+        "p99 us" "cross p99" "forces" "restarts" "cross";
+      List.iter
+        (fun rate ->
+          let engines = Array.init shards (fun _ -> Sh.create ~n_keys:4096 ()) in
+          let coordinator = S.Coordinator_log.create () in
+          let r =
+            Shd.run ~mpl ~op_cost_us:op_cost ~sync_cost_us:sync_cost ~mode
+              ~arrivals_us:(arrivals rate) ~scripts ~coordinator engines
+          in
+          let h = r.S.Shard.latency_us and xh = r.S.Shard.cross_latency_us in
+          Printf.printf "%12.0f %12.0f %10.1f %10.1f %12.1f %8d %8d %8d%s\n" rate
+            r.S.Shard.sustained_tps (Hist.p50 h) (Hist.p99 h)
+            (if Hist.count xh = 0 then 0.0 else Hist.p99 xh)
+            r.S.Shard.forces r.S.Shard.restarts r.S.Shard.cross_committed
+            (if r.S.Shard.oversubscribed then "  (oversubscribed)" else ""))
+        loads
+    | _ ->
+      let module Srv = S.Server.Make (E) in
       Printf.printf "%12s %12s %10s %10s %10s %10s %8s %8s %8s\n" "offered/s" "sustained/s"
         "p50 us" "p99 us" "p999 us" "max us" "forces" "restarts" "queue";
       List.iter
         (fun rate ->
           let e = E.create ~n_keys:4096 () in
-          let snapshot = Option.map (fun f -> f e) snapshot_of in
-          let r =
-            Srv.run ?snapshot ~read_only ~mpl ~op_cost_us:op_cost ~sync_cost_us:sync_cost
-              ~mode ~arrivals_us:(arrivals rate) ~scripts e
+          let snapshot =
+            if use_snapshot then Some (S.Scheduler.snapshot_view (module E) e) else None
           in
-          let h = r.Dbm_storage.Server.latency_us in
+          let r =
+            Srv.run ?snapshot ~read_only ~mpl ~op_cost_us:op_cost ~sync_cost_us:sync_cost ~mode
+              ~arrivals_us:(arrivals rate) ~scripts e
+          in
+          let h = r.S.Server.latency_us in
           Printf.printf "%12.0f %12.0f %10.1f %10.1f %10.1f %10.1f %8d %8d %8d\n" rate
-            r.Dbm_storage.Server.sustained_tps (Hist.p50 h) (Hist.p99 h) (Hist.p999 h)
-            (Hist.max h) r.Dbm_storage.Server.forces r.Dbm_storage.Server.restarts
-            r.Dbm_storage.Server.max_queued)
+            r.S.Server.sustained_tps (Hist.p50 h) (Hist.p99 h) (Hist.p999 h) (Hist.max h)
+            r.S.Server.forces r.S.Server.restarts r.S.Server.max_queued)
         loads
-    in
-    (* One domain per shard, cross-shard commits through the 2PC
-       coordinator. *)
-    let sweep_sharded (module E : Dbm_storage.Shard.ENGINE) name =
-      let module Shd = Dbm_storage.Shard.Make (E) in
-      Printf.printf
-        "sharded server: engine %s, %d shards, cross fraction %.2f, %s commits%s, mpl %d \
-         per shard, %d txns/point%s, %s arrivals\n\
-         (simulated time: %.1f us/turn, %.1f us/force)\n\n"
-        name shards cross_frac
-        (if eager then "eager" else "grouped")
-        (if eager then "" else Printf.sprintf " (batch %d, timeout %.0f us)" batch timeout_us)
-        mpl txns
-        (if read_frac > 0.0 then Printf.sprintf " (%d read-only)" n_ro else "")
-        (match arrival with `Poisson -> "poisson" | `Bursty -> "bursty")
-        op_cost sync_cost;
-      Printf.printf "%12s %12s %10s %10s %12s %8s %8s %8s\n" "offered/s" "sustained/s"
-        "p50 us" "p99 us" "cross p99" "forces" "restarts" "cross";
-      List.iter
-        (fun rate ->
-          let engines = Array.init shards (fun _ -> E.create ~n_keys:4096 ()) in
-          let coordinator = Dbm_storage.Coordinator_log.create () in
-          let r =
-            Shd.run ~mpl ~op_cost_us:op_cost ~sync_cost_us:sync_cost ~mode
-              ~arrivals_us:(arrivals rate) ~scripts ~coordinator engines
-          in
-          let h = r.Dbm_storage.Shard.latency_us in
-          let xh = r.Dbm_storage.Shard.cross_latency_us in
-          Printf.printf "%12.0f %12.0f %10.1f %10.1f %12.1f %8d %8d %8d%s\n" rate
-            r.Dbm_storage.Shard.sustained_tps (Hist.p50 h) (Hist.p99 h)
-            (if Hist.count xh = 0 then 0.0 else Hist.p99 xh)
-            r.Dbm_storage.Shard.forces r.Dbm_storage.Shard.restarts
-            r.Dbm_storage.Shard.cross_committed
-            (if r.Dbm_storage.Shard.oversubscribed then "  (oversubscribed)" else ""))
-        loads
-    in
-    if shards > 1 then begin
-      if use_snapshot then begin
-        prerr_endline "serve-bench: --snapshot is not supported with --shards > 1";
-        exit 2
-      end;
-      match (engine, log_format) with
-      | `Logging, `Physical -> sweep_sharded (module Dbm_storage.Engine_log) "logging"
-      | `Logging, `Delta -> sweep_sharded (module Dbm_storage.Engine_log_delta) "logging-delta"
-      | `Logging, `Oplog -> sweep_sharded (module Dbm_storage.Engine_oplog) "operation-logging"
-      | (`Diff | `Versel), _ ->
-        prerr_endline
-          "serve-bench: --shards > 1 needs an engine with a durable prepare vote \
-           (--engine logging, any --log-format)";
-        exit 2
-    end
-    else
-      match (engine, log_format) with
-    | `Logging, `Physical -> sweep (module Dbm_storage.Engine_log) "logging"
-    | `Logging, `Delta -> sweep (module Dbm_storage.Engine_log_delta) "logging-delta"
-    | `Logging, `Oplog -> sweep (module Dbm_storage.Engine_oplog) "operation-logging"
-    | `Diff, `Physical -> sweep (module Dbm_storage.Engine_diff) "differential-file"
-    | `Versel, `Physical -> sweep (module Dbm_storage.Engine_versel) "version-select"
-    | `Diff, (`Delta | `Oplog) ->
-      prerr_endline "serve-bench: --engine diff supports only --log-format physical";
-      exit 2
-    | `Versel, (`Delta | `Oplog) ->
-      prerr_endline "serve-bench: --engine versel supports only --log-format physical";
-      exit 2
   in
   Cmd.v
     (Cmd.info "serve-bench"
@@ -824,17 +742,17 @@ let serve_bench_cmd =
          "Drive the open-loop transaction server: Poisson or bursty arrivals at each \
           $(b,--load), admission control at $(b,--mpl), commits batched by the \
           group-commit pipeline ($(b,--batch) / $(b,--timeout-us)) or synced per \
-          transaction under $(b,--eager); the logging engine can write physical, delta \
-          or operation-logging records ($(b,--log-format)); a $(b,--read-frac) share of \
+          transaction under $(b,--eager); $(b,--engine) picks the storage engine, the \
+          logging engine under any of its three log formats; a $(b,--read-frac) share of \
           transactions runs read-only, lock-free over pinned MVCC snapshots under \
           $(b,--snapshot); $(b,--shards) partitions the key space across domain-parallel \
           engine shards with two-phase commit for the $(b,--cross-frac) share of \
           transactions that spans two of them; prints sustained throughput and the \
           arrival-to-durable-ack latency tail per load point.")
     Term.(
-      const run $ engine_arg $ log_format_arg $ loads_arg $ batch_arg $ timeout_arg
-      $ mpl_arg $ txns_arg $ seed_arg $ arrival_arg $ eager_arg $ op_cost_arg
-      $ sync_cost_arg $ read_frac_arg $ snapshot_arg $ shards_arg $ cross_frac_arg)
+      const run $ engine_arg $ loads_arg $ batch_arg $ timeout_arg $ mpl_arg $ txns_arg
+      $ seed_arg $ arrival_arg $ eager_arg $ op_cost_arg $ sync_cost_arg $ read_frac_arg
+      $ snapshot_arg $ shards_arg $ cross_frac_arg)
 
 (* -- version-select command ---------------------------------------- *)
 

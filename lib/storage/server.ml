@@ -51,7 +51,7 @@ module Make (E : ENGINE) = struct
   }
 
   let drive ?(mpl = 64) ?(op_cost_us = 1.0) ?(sync_cost_us = 100.0) ?snapshot ?read_mode
-      ?read_only ?ro_hist ?rw_hist ?participant ~mode ~arrivals_us ~ids ~scripts engine =
+      ?read_only ?participant ~mode ~arrivals_us ~ids ~scripts engine =
     if mpl < 1 then invalid_arg "Server.run: mpl must be >= 1";
     if not (op_cost_us >= 0.0 && Float.is_finite op_cost_us) then
       invalid_arg "Server.run: op_cost_us must be non-negative and finite";
@@ -69,12 +69,7 @@ module Make (E : ENGINE) = struct
       arrivals_us;
     let is_ro id = match read_only with Some ro -> ro.(id) | None -> false in
     let now = ref 0.0 in
-    (* Callers sweeping many points may pass recycled (cleared)
-       histograms to avoid reallocating the bucket arrays per point;
-       supplied histograms must be empty or the class stats skew. *)
-    let fresh_or h = match h with Some h -> h | None -> Histogram.create () in
-    let ro_hist = fresh_or ro_hist in
-    let rw_hist = fresh_or rw_hist in
+    let ro_hist = Histogram.create () and rw_hist = Histogram.create () in
     let acked = ref 0 in
     let pipe =
       Pipe.create ~sync_cost_us
@@ -231,10 +226,9 @@ module Make (E : ENGINE) = struct
       rw_latency_us = rw_hist;
     }
 
-  let run ?mpl ?op_cost_us ?sync_cost_us ?snapshot ?read_mode ?read_only ?ro_hist ?rw_hist ~mode
-      ~arrivals_us ~scripts engine =
-    drive ?mpl ?op_cost_us ?sync_cost_us ?snapshot ?read_mode ?read_only ?ro_hist ?rw_hist ~mode
-      ~arrivals_us
+  let run ?mpl ?op_cost_us ?sync_cost_us ?snapshot ?read_mode ?read_only ~mode ~arrivals_us
+      ~scripts engine =
+    drive ?mpl ?op_cost_us ?sync_cost_us ?snapshot ?read_mode ?read_only ~mode ~arrivals_us
       ~ids:(Array.init (Array.length arrivals_us) Fun.id)
       ~scripts engine
 end

@@ -74,8 +74,6 @@ module Make (E : ENGINE) : sig
     ?snapshot:(unit -> Scheduler.view) ->
     ?read_mode:Lock_mgr.mode ->
     ?read_only:bool array ->
-    ?ro_hist:Dbm_util.Stats.Histogram.t ->
-    ?rw_hist:Dbm_util.Stats.Histogram.t ->
     mode:Commit_pipeline.mode ->
     arrivals_us:float array ->
     scripts:Scheduler.script array ->
@@ -97,13 +95,6 @@ module Make (E : ENGINE) : sig
       commit through the pipeline.  [read_mode] sets the lock mode of
       Gets on the locked path ({!Lock_mgr.X} = the exclusive-only
       baseline the snapshot bench compares against).
-
-      [ro_hist]/[rw_hist] supply the per-class latency histograms
-      (default: fresh ones) so sweep loops can recycle one pair via
-      {!Dbm_util.Stats.Histogram.clear} across points instead of
-      allocating the bucket arrays per run.  Supplied histograms must
-      be empty; they are the [ro_latency_us]/[rw_latency_us] of the
-      result, so extract a point's scalars before clearing.
       @raise Invalid_argument on bad parameters.
       @raise Failure on livelock (no progress for a bounded number of
       scheduler passes). *)
@@ -139,8 +130,6 @@ module Make (E : ENGINE) : sig
     ?snapshot:(unit -> Scheduler.view) ->
     ?read_mode:Lock_mgr.mode ->
     ?read_only:bool array ->
-    ?ro_hist:Dbm_util.Stats.Histogram.t ->
-    ?rw_hist:Dbm_util.Stats.Histogram.t ->
     ?participant:participant ->
     mode:Commit_pipeline.mode ->
     arrivals_us:float array ->

@@ -59,17 +59,39 @@ let scripts_of txns =
 
 let random_access_pages = 1024
 
-let random_access_txns ~n ~seed =
-  W.generate
-    {
-      W.n_transactions = n;
-      min_pages = 2;
-      max_pages = 8;
-      write_fraction = 0.7;
-      pattern = W.Random_access;
-      db_pages = random_access_pages;
-      seed;
-    }
+(* The open-loop random-access workload of the server and shard
+   sections and of [dbmsim serve-bench]: each transaction is made
+   read-only with probability [read_frac], and [cross = (f, shards)]
+   re-homes pages so a fraction [f] of the transactions spans two of
+   [shards] shards and the rest stay on one.  Returns the scripts and
+   the read-only marks. *)
+let random_access_workload ?(read_frac = 0.0) ?cross ~n ~seed () =
+  let txns =
+    W.apply_read_fraction
+      (Dbm_util.Prng.create (seed lxor 0x5eed))
+      ~read_frac
+      (W.generate
+         {
+           W.n_transactions = n;
+           min_pages = 2;
+           max_pages = 8;
+           write_fraction = 0.7;
+           pattern = W.Random_access;
+           db_pages = random_access_pages;
+           seed;
+         })
+  in
+  let txns =
+    match cross with
+    | None -> txns
+    | Some (cross_frac, shards) ->
+      W.apply_cross_fraction
+        (Dbm_util.Prng.create (seed lxor 0xc105))
+        ~cross_frac ~classes:shards
+        ~class_of:(fun p -> Shard_router.shard_of_page ~shards p)
+        ~db_pages:random_access_pages txns
+  in
+  (scripts_of txns, Array.map (fun t -> W.write_set_size t = 0) txns)
 
 (* The committed data, as data: a digest of every key's value read
    through [get].  Every put writes the one constant [value], so any
@@ -87,10 +109,9 @@ let scan_digest ~n_keys get =
   done;
   Dbm_util.Digest.hex d
 
-(* Open-loop Poisson arrival instants in microseconds, seeded per point. *)
-let poisson_arrivals_us ~seed ~rate ~n =
-  let rng = Dbm_util.Prng.create seed in
-  Array.map (fun s -> s *. 1e6) (W.gen_arrival_times rng (W.Poisson { rate }) ~n)
+(* Open-loop arrival instants in microseconds, seeded per point. *)
+let arrivals_us ~seed process ~n =
+  Array.map (fun s -> s *. 1e6) (W.gen_arrival_times (Dbm_util.Prng.create seed) process ~n)
 
 (* --- contended scheduler: naive polling vs wakeup parking ----------- *)
 
@@ -237,7 +258,7 @@ let engines_section ~now ~scale =
       ];
   }
 
-(* --- recovery wall vs durable log length ---------------------------- *)
+(* --- restart recovery: log length, cores, checkpoint age, format ---- *)
 
 (* Commit [txns] transactions of 8 puts each into [t].
    [checkpoint_after]: after that many committed transactions every
@@ -265,65 +286,7 @@ let durable_records t =
     0
     (List.init (Engine_log.log_disks t) Fun.id)
 
-(* The linearity ratio wall(2L)/wall(L) is a gate, so it must not
-   wobble with whatever heap and machine state earlier bench sections
-   left behind.  Both engines are built first, the heap is compacted
-   once, and the two log lengths are then timed in alternation — any
-   remaining distortion hits both measurements alike and cancels in the
-   ratio.  Best of five: recovery leaves the journal intact, so repeated
-   crash-and-recover runs measure the same work. *)
-let recovery_length_section ~now ~txns =
-  let t_l = load_log_engine ~txns (Engine_log.create ()) in
-  let t_2l = load_log_engine ~txns:(2 * txns) (Engine_log.create ()) in
-  let records_l = durable_records t_l in
-  let records_2l = durable_records t_2l in
-  Gc.compact ();
-  let best_l = ref infinity and best_2l = ref infinity in
-  for _ = 1 to 5 do
-    let (), wall_l = time now (fun () -> Engine_log.crash_and_recover t_l) in
-    if wall_l < !best_l then best_l := wall_l;
-    let (), wall_2l = time now (fun () -> Engine_log.crash_and_recover t_2l) in
-    if wall_2l < !best_2l then best_2l := wall_2l
-  done;
-  let wall_l = !best_l *. 1000. and wall_2l = !best_2l *. 1000. in
-  let ratio = if wall_l > 0. then wall_2l /. wall_l else infinity in
-  {
-    report =
-      Printf.sprintf "recovery: %d records %.2f ms; %d records %.2f ms (ratio %.2f)\n" records_l
-        wall_l records_2l wall_2l ratio;
-    fields =
-      Json.
-        [
-          ("recovery_txns_l", Int txns);
-          ("recovery_records_l", Int records_l);
-          ("recovery_wall_l_ms", Float wall_l);
-          ("recovery_records_2l", Int records_2l);
-          ("recovery_wall_2l_ms", Float wall_2l);
-          ("recovery_wall_ratio", Float ratio);
-        ];
-    rows =
-      [
-        check "recovery.measured" (finite [ wall_l; wall_2l; ratio ])
-          "recovery walls or their ratio not finite";
-        floor "recovery.linear" (ratio <= 2.5)
-          "recovery superlinear: 2L/L wall ratio %.2f above 2.5" ratio;
-      ];
-  }
-
-(* --- parallel recovery and fuzzy checkpoints ------------------------ *)
-
 module Pool = Dbm_util.Pool
-
-(* Best-of-five crash-and-recover wall; recovery leaves the durable
-   journal intact, so repeated runs measure the same work.  Returns the
-   wall and the post-recovery fingerprint for the equivalence check. *)
-let timed_recovery ~now e =
-  let best = ref infinity in
-  for _ = 1 to 5 do
-    let (), w = time now (fun () -> Engine_log.crash_and_recover e) in
-    if w < !best then best := w
-  done;
-  (!best *. 1000., Engine_log.state_fingerprint e)
 
 (* The domain counts a recovery curve actually runs: the request list
    plus the jobs = 1 baseline, capped at the host's cores unless
@@ -339,82 +302,152 @@ let kept_jobs ~jobs ~allow_oversubscribe =
   in
   if List.exists (fun j -> j > 1) kept then kept else kept @ [ 2 ]
 
-(* One fixed uncheckpointed log replayed at each domain count; every
-   point's restart state must fingerprint-equal the serial reference
-   replay (Naive.Log_replay), which is measured first on the same
-   engine.  Returns (jobs, oversubscribed, wall ms, equivalent) per
-   point and the log's durable record count. *)
-let recovery_vs_jobs ~now ~jobs ~allow_oversubscribe ~txns =
-  let host = Pool.default_jobs () in
-  let kept = kept_jobs ~jobs ~allow_oversubscribe in
-  let t = load_log_engine ~txns (Engine_log.create ()) in
-  Gc.compact ();
-  Engine_log.crash_and_recover_reference t;
-  let ref_fp = Engine_log.state_fingerprint t in
-  let points =
-    List.map
-      (fun j ->
-        let pool =
-          if j = 1 then None else Some (Pool.create ~jobs:j ~allow_oversubscribe:true ())
-        in
-        Engine_log.set_recovery_pool t pool;
-        let wall_ms, fp = timed_recovery ~now t in
-        Engine_log.set_recovery_pool t None;
-        Option.iter Pool.shutdown pool;
-        (j, j > host, wall_ms, String.equal fp ref_fp))
-      kept
-  in
-  (points, durable_records t)
+(* One timed replay configuration: a built log, the domain count that
+   replays it, its best wall so far (s) and the fingerprint its latest
+   replay left. *)
+type replay = { log : Engine_log.t; jobs : int; mutable best : float; mutable fp : string }
 
-(* Same committed work at every point; only where (and whether) the
-   fuzzy checkpoint record sits in the log varies.  Replay is serial
-   (no pool), so any saving is the skipped prefix — the records before
-   the checkpoint's start LSN that recovery never decodes — and not
-   parallelism.  Each point's restart state is fingerprint-checked
-   against the from-zero serial reference on the same engine.  Returns
-   (fraction, records, wall ms, equivalent) per point. *)
-let recovery_vs_checkpoint_age ~now ~txns =
-  let fractions = [ 0.0; 0.5; 0.9 ] in
-  let engines =
-    List.map
-      (fun frac ->
-        let checkpoint_after =
-          if frac <= 0.0 then None else Some (int_of_float (frac *. float_of_int txns))
-        in
-        (frac, load_log_engine ?checkpoint_after ~txns (Engine_log.create ())))
-      fractions
-  in
-  Gc.compact ();
-  List.map
-    (fun (frac, t) ->
-      let wall_ms, fp = timed_recovery ~now t in
-      Engine_log.crash_and_recover_reference t;
-      (frac, durable_records t, wall_ms, String.equal fp (Engine_log.state_fingerprint t)))
-    engines
+let replay ~now pool r =
+  Engine_log.set_recovery_pool r.log pool;
+  let (), wall = time now (fun () -> Engine_log.crash_and_recover r.log) in
+  Engine_log.set_recovery_pool r.log None;
+  r.best <- Float.min r.best wall;
+  r.fp <- Engine_log.state_fingerprint r.log
+
+(* One log format's L log and what building it measured. *)
+type format_log = {
+  name : string;
+  log : Engine_log.t;
+  records : int;
+  bytes : int;
+  bytes_per_txn : float;
+  append_ns : float;
+}
 
 let identical ok what = if ok then "state identical to " ^ what else "STATE DIVERGED"
 
-let recovery_parallel_section ~now ~jobs ~allow_oversubscribe ~txns =
-  let by_jobs, records = recovery_vs_jobs ~now ~jobs ~allow_oversubscribe ~txns in
-  let by_age = recovery_vs_checkpoint_age ~now ~txns in
-  let serial = List.fold_left (fun acc (j, _, w, _) -> if j = 1 then w else acc) nan by_jobs in
-  let best_parallel =
-    List.fold_left (fun acc (j, _, w, _) -> if j > 1 then Float.min acc w else acc) infinity by_jobs
+(* The three recovery sections (wall vs log length; vs domain count and
+   checkpoint age; the log-format head-to-head) read one measurement.
+   Six logs of [load_log_engine]'s workload are built once: physical,
+   delta and oplog at L = [txns] transactions (the formats issue
+   identical LSN streams), physical at 2L, and physical with a flush
+   and fuzzy checkpoint after 50% and after 90% of its commits.  A
+   serial reference replay (Naive.Log_replay) fingerprints the physical
+   L log, the reference of every format and of the 0% checkpoint point,
+   and each checkpointed log, the reference of its own point.  Then, on
+   a compacted heap, five round-robin rounds time every log's serial
+   replay, and five more under one pool per parallel domain count time
+   each format's replay there; each configuration keeps its best wall.
+   Recovery leaves the journal intact, so the rounds repeat the same
+   work.  From the second round on, every timed replay follows a replay
+   of its own kind (serial after serial, pooled after pooled on the
+   same pool), never a pool's start or teardown; and every serial wall
+   is taken before the first pool starts, so a log's serial wall does
+   not depend on whether it is also replayed in parallel. *)
+let recovery_sections ~now ~jobs ~allow_oversubscribe ~txns =
+  let host = Pool.default_jobs () in
+  let par_jobs = List.filter (fun j -> j > 1) (kept_jobs ~jobs ~allow_oversubscribe) in
+  (* A format's load is timed: the whole append path (page update,
+     diff/encode, journal append, commit force) over records logged,
+     not the codec alone. *)
+  let load_format name e =
+    Gc.compact ();
+    let log, load_s = time now (fun () -> load_log_engine ~txns e) in
+    let records = Engine_log.records_logged log and bytes = Engine_log.log_bytes log in
+    {
+      name;
+      log;
+      records;
+      bytes;
+      bytes_per_txn = float_of_int bytes /. float_of_int txns;
+      append_ns = load_s *. 1e9 /. float_of_int (max 1 records);
+    }
   in
-  let wall_at f = List.fold_left (fun acc (f', _, w, _) -> if f' = f then w else acc) nan by_age in
-  let parallel_speedup = serial /. best_parallel in
-  let ckpt_speedup = wall_at 0.0 /. wall_at 0.9 in
+  let physical = load_format "physical" (Engine_log.create ()) in
+  let delta = load_format "delta" (Engine_log_delta.create ()) in
+  let oplog = load_format "oplog" (Engine_oplog.create ()) in
+  let formats = [ physical; delta; oplog ] and l = physical.log in
+  let l2 = load_log_engine ~txns:(2 * txns) (Engine_log.create ()) in
+  let checkpointed =
+    List.map
+      (fun f ->
+        let checkpoint_after = int_of_float (f *. float_of_int txns) in
+        (f, load_log_engine ~checkpoint_after ~txns (Engine_log.create ())))
+      [ 0.5; 0.9 ]
+  in
+  let reference e =
+    Engine_log.crash_and_recover_reference e;
+    Engine_log.state_fingerprint e
+  in
+  let ref_l = reference l in
+  (* (checkpoint fraction, log, its reference); 0% is the L log *)
+  let aged = (0.0, l, ref_l) :: List.map (fun (f, e) -> (f, e, reference e)) checkpointed in
+  let format_logs = List.map (fun f -> f.log) formats in
+  let at jobs log = { log; jobs; best = infinity; fp = "" } in
+  let serial = List.map (at 1) (format_logs @ (l2 :: List.map snd checkpointed)) in
+  let parallel = List.map (fun j -> (j, List.map (at j) format_logs)) par_jobs in
+  let rounds pool rs =
+    for _ = 1 to 5 do
+      List.iter (replay ~now pool) rs
+    done
+  in
+  Gc.compact ();
+  rounds None serial;
+  List.iter
+    (fun (j, rs) ->
+      Pool.with_pool ~jobs:j ~allow_oversubscribe:true (fun pool -> rounds (Some pool) rs))
+    parallel;
+  let all = serial @ List.concat_map snd parallel in
+  let find e j = List.find (fun (r : replay) -> r.log == e && r.jobs = j) all in
+  let wall e j = (find e j).best *. 1000. in
+  let same e j reference = String.equal (find e j).fp reference in
+  let best_parallel e = List.fold_left (fun acc j -> Float.min acc (wall e j)) infinity par_jobs in
+  (* recovery wall vs durable log length *)
+  let records_l = durable_records l and records_2l = durable_records l2 in
+  let wall_l = wall l 1 and wall_2l = wall l2 1 in
+  let ratio = if wall_l > 0. then wall_2l /. wall_l else infinity in
+  let length =
+    {
+      report =
+        Printf.sprintf "recovery: %d records %.2f ms; %d records %.2f ms (ratio %.2f)\n" records_l
+          wall_l records_2l wall_2l ratio;
+      fields =
+        Json.
+          [
+            ("recovery_txns_l", Int txns);
+            ("recovery_records_l", Int records_l);
+            ("recovery_wall_l_ms", Float wall_l);
+            ("recovery_records_2l", Int records_2l);
+            ("recovery_wall_2l_ms", Float wall_2l);
+            ("recovery_wall_ratio", Float ratio);
+          ];
+      rows =
+        [
+          check "recovery.measured" (finite [ wall_l; wall_2l; ratio ])
+            "recovery walls or their ratio not finite";
+          floor "recovery.linear" (ratio <= 2.5)
+            "recovery superlinear: 2L/L wall ratio %.2f above 2.5" ratio;
+        ];
+    }
+  in
+  (* recovery vs domain count on the L log, and vs checkpoint age
+     (serial replay, so any saving is the skipped prefix — the records
+     before the checkpoint's start LSN that recovery never decodes) *)
+  let by_jobs = List.map (fun j -> (j, j > host, wall l j, same l j ref_l)) (1 :: par_jobs) in
+  let by_age = List.map (fun (f, e, r) -> (f, durable_records e, wall e 1, same e 1 r)) aged in
+  let parallel_speedup = wall_l /. best_parallel l in
+  let ckpt_speedup = wall_l /. wall (List.assoc 0.9 checkpointed) 1 in
   let equivalent =
     List.for_all (fun (_, _, _, eq) -> eq) by_jobs && List.for_all (fun (_, _, _, eq) -> eq) by_age
   in
   (* parallel replay must not lose to serial where each domain had a core *)
   let slower =
-    List.filter (fun (j, over, w, _) -> j > 1 && (not over) && not (w <= serial)) by_jobs
+    List.filter (fun (j, over, w, _) -> j > 1 && (not over) && not (w <= wall_l)) by_jobs
   in
   let walls = List.map (fun (_, _, w, _) -> w) by_jobs @ List.map (fun (_, _, w, _) -> w) by_age in
   let buf = Buffer.create 1024 in
   let pr fmt = Printf.bprintf buf fmt in
-  pr "parallel recovery (%d records):\n" records;
+  pr "parallel recovery (%d records):\n" records_l;
   List.iter
     (fun (j, over, w, eq) ->
       pr "  %d job%s%s %8.2f ms  (%s)\n" j
@@ -431,166 +464,131 @@ let recovery_parallel_section ~now ~jobs ~allow_oversubscribe ~txns =
         (identical eq "full replay"))
     by_age;
   pr "  newest checkpoint vs full replay: %.2fx cheaper\n" ckpt_speedup;
-  {
-    report = Buffer.contents buf;
-    fields =
-      Json.
-        [
-          ( "recovery_jobs",
-            List
-              (List.map
-                 (fun (j, over, w, eq) ->
-                   Obj
-                     [
-                       ("jobs", Int j);
-                       ("oversubscribed", Bool over);
-                       ("wall_ms", Float w);
-                       ("equivalent", Bool eq);
-                     ])
-                 by_jobs) );
-          ("recovery_parallel_speedup", Float parallel_speedup);
-          ( "recovery_checkpoint",
-            List
-              (List.map
-                 (fun (f, recs, w, eq) ->
-                   Obj
-                     [
-                       ("fraction", Float f);
-                       ("records", Int recs);
-                       ("wall_ms", Float w);
-                       ("equivalent", Bool eq);
-                     ])
-                 by_age) );
-          ("recovery_checkpoint_speedup", Float ckpt_speedup);
-          ("recovery_equivalent", Bool equivalent);
-        ];
-    rows =
-      [
-        check "recovery.equivalent" equivalent
-          "parallel/checkpointed recovery state diverged from the serial reference";
-        check "recovery.jobs_curve"
-          (List.length by_jobs >= 2)
-          "recovery-vs-jobs curve has %d points, below 2" (List.length by_jobs);
-        check "recovery.checkpoint_curve"
-          (List.length by_age >= 3)
-          "recovery-vs-checkpoint-age curve has %d points, below 3" (List.length by_age);
-        check "recovery.point_walls" (positive walls)
-          "a recovery point's wall is not finite and positive";
-        floor "recovery.parallel_not_slower" (slower = [])
-          "parallel recovery slower than serial (%.2f ms) at %s" serial
-          (String.concat ", "
-             (List.map (fun (j, _, w, _) -> Printf.sprintf "%d jobs (%.2f ms)" j w) slower));
-        floor "recovery.checkpoint_speedup" (ckpt_speedup >= 1.5)
-          "fuzzy checkpoint saved too little: %.2fx below the 1.5x floor" ckpt_speedup;
-      ];
-  }
-
-(* --- log formats: physical vs delta vs operation logging ------------ *)
-
-(* [load_log_engine]'s committed workload, in the format [e] was built
-   with: the formats issue identical LSN streams on it, so their
-   recovered states must fingerprint-match the physical reference byte
-   for byte.  [v]: the format's log bytes per committed txn, whether
-   every recovered fingerprint (serial and at each job count) matched
-   the reference, and whether its measurements came back finite and
-   positive. *)
-let format_point ~now ~name ~txns ~par_jobs ~ref_fp e =
-  Gc.compact ();
-  let e, load_s = time now (fun () -> load_log_engine ~txns e) in
-  let records = Engine_log.records_logged e in
-  let bytes = Engine_log.log_bytes e in
-  let serial_ms, serial_fp = timed_recovery ~now e in
-  let par =
-    List.map
-      (fun j ->
-        let pool = Pool.create ~jobs:j ~allow_oversubscribe:true () in
-        Engine_log.set_recovery_pool e (Some pool);
-        let ms, fp = timed_recovery ~now e in
-        Engine_log.set_recovery_pool e None;
-        Pool.shutdown pool;
-        (ms, fp))
-      par_jobs
-  in
-  let bytes_per_txn = float_of_int bytes /. float_of_int txns in
-  (* the whole append path (page update, diff/encode, journal append,
-     commit force) over records logged, not the codec alone *)
-  let append_ns = load_s *. 1e9 /. float_of_int (max 1 records) in
-  let parallel_ms = List.fold_left (fun acc (ms, _) -> Float.min acc ms) infinity par in
-  let equivalent =
-    String.equal serial_fp ref_fp && List.for_all (fun (_, fp) -> String.equal fp ref_fp) par
-  in
-  {
-    text =
-      Printf.sprintf
-        "  %-9s %8d records %10d bytes  %8.1f B/txn  append %7.0f ns/rec  replay %7.2f ms \
-         serial, %7.2f ms parallel  (%s)\n"
-        name records bytes bytes_per_txn append_ns serial_ms parallel_ms
-        (identical equivalent "physical reference");
-    json =
-      Json.(
-        Obj
+  let cores_and_age =
+    {
+      report = Buffer.contents buf;
+      fields =
+        Json.
           [
-            ("format", String name);
-            ("committed_txns", Int txns);
-            ("records", Int records);
-            ("log_bytes", Int bytes);
-            ("log_bytes_per_txn", Float bytes_per_txn);
-            ("append_ns_per_record", Float append_ns);
-            ("replay_wall_ms", Float serial_ms);
-            ("replay_parallel_ms", Float parallel_ms);
-            ("equivalent", Bool equivalent);
-          ]);
-    v = (bytes_per_txn, equivalent, positive [ bytes_per_txn; append_ns; serial_ms ]);
-  }
-
-let log_format_section ~now ~jobs ~allow_oversubscribe ~txns =
-  let par_jobs = List.filter (fun j -> j > 1) (kept_jobs ~jobs ~allow_oversubscribe) in
-  (* The cross-format reference: the physical engine's serial reference
-     replay (Naive.Log_replay) on the same workload. *)
-  let ref_fp =
-    let t = load_log_engine ~txns (Engine_log.create ()) in
-    Engine_log.crash_and_recover_reference t;
-    Engine_log.state_fingerprint t
-  in
-  let point name e = format_point ~now ~name ~txns ~par_jobs ~ref_fp e in
-  let physical = point "physical" (Engine_log.create ()) in
-  let delta = point "delta" (Engine_log_delta.create ()) in
-  let oplog = point "oplog" (Engine_oplog.create ()) in
-  let physical_bpt, _, _ = physical.v in
-  let reduction { v = bpt, _, _; _ } = physical_bpt /. bpt in
-  let delta_reduction = reduction delta and oplog_reduction = reduction oplog in
-  let points = [ physical; delta; oplog ] in
-  let equivalent = List.for_all (fun { v = _, eq, _; _ } -> eq) points in
-  {
-    report =
-      Printf.sprintf "log formats (same committed workload; %d txns):\n" txns
-      ^ texts points
-      ^ Printf.sprintf "  log volume reduction over physical: delta %.1fx, oplog %.1fx\n"
-          delta_reduction oplog_reduction;
-    fields =
-      Json.
+            ( "recovery_jobs",
+              List
+                (List.map
+                   (fun (j, over, w, eq) ->
+                     Obj
+                       [
+                         ("jobs", Int j);
+                         ("oversubscribed", Bool over);
+                         ("wall_ms", Float w);
+                         ("equivalent", Bool eq);
+                       ])
+                   by_jobs) );
+            ("recovery_parallel_speedup", Float parallel_speedup);
+            ( "recovery_checkpoint",
+              List
+                (List.map
+                   (fun (f, recs, w, eq) ->
+                     Obj
+                       [
+                         ("fraction", Float f);
+                         ("records", Int recs);
+                         ("wall_ms", Float w);
+                         ("equivalent", Bool eq);
+                       ])
+                   by_age) );
+            ("recovery_checkpoint_speedup", Float ckpt_speedup);
+            ("recovery_equivalent", Bool equivalent);
+          ];
+      rows =
         [
-          ("log_formats", jsons points);
-          ("log_delta_reduction", Float delta_reduction);
-          ("log_oplog_reduction", Float oplog_reduction);
-          ("log_format_equivalent", Bool equivalent);
+          check "recovery.equivalent" equivalent
+            "parallel/checkpointed recovery state diverged from the serial reference";
+          check "recovery.jobs_curve"
+            (List.length by_jobs >= 2)
+            "recovery-vs-jobs curve has %d points, below 2" (List.length by_jobs);
+          check "recovery.checkpoint_curve"
+            (List.length by_age >= 3)
+            "recovery-vs-checkpoint-age curve has %d points, below 3" (List.length by_age);
+          check "recovery.point_walls" (positive walls)
+            "a recovery point's wall is not finite and positive";
+          floor "recovery.parallel_not_slower" (slower = [])
+            "parallel recovery slower than serial (%.2f ms) at %s" wall_l
+            (String.concat ", "
+               (List.map (fun (j, _, w, _) -> Printf.sprintf "%d jobs (%.2f ms)" j w) slower));
+          floor "recovery.checkpoint_speedup" (ckpt_speedup >= 1.5)
+            "fuzzy checkpoint saved too little: %.2fx below the 1.5x floor" ckpt_speedup;
         ];
-    rows =
-      [
-        check "log.equivalent" equivalent
-          "a log format recovered to different state than the physical reference";
-        check "log.measured"
-          (List.for_all (fun { v = _, _, ok; _ } -> ok) points)
-          "a log format's bytes/txn, append ns/record or serial replay wall is not finite and \
-           positive";
-        floor "log.formats"
-          (List.length points >= 3)
-          "log-format head-to-head has %d formats, below 3" (List.length points);
-        (* the slimmer format must actually shrink the log *)
-        floor "log.delta_reduction" (delta_reduction >= 2.0)
-          "delta log reduction %.2fx below the 2x floor" delta_reduction;
-      ];
-  }
+    }
+  in
+  (* the log-format head-to-head; [v]: whether every recovered
+     fingerprint (serial and at each domain count) matched the physical
+     reference, and whether the format's measurements came back finite
+     and positive *)
+  let points =
+    List.map
+      (fun f ->
+        let serial_ms = wall f.log 1 and parallel_ms = best_parallel f.log in
+        let equivalent = List.for_all (fun j -> same f.log j ref_l) (1 :: par_jobs) in
+        {
+          text =
+            Printf.sprintf
+              "  %-9s %8d records %10d bytes  %8.1f B/txn  append %7.0f ns/rec  replay %7.2f ms \
+               serial, %7.2f ms parallel  (%s)\n"
+              f.name f.records f.bytes f.bytes_per_txn f.append_ns serial_ms parallel_ms
+              (identical equivalent "physical reference");
+          json =
+            Json.(
+              Obj
+                [
+                  ("format", String f.name);
+                  ("committed_txns", Int txns);
+                  ("records", Int f.records);
+                  ("log_bytes", Int f.bytes);
+                  ("log_bytes_per_txn", Float f.bytes_per_txn);
+                  ("append_ns_per_record", Float f.append_ns);
+                  ("replay_wall_ms", Float serial_ms);
+                  ("replay_parallel_ms", Float parallel_ms);
+                  ("equivalent", Bool equivalent);
+                ]);
+          v = (equivalent, positive [ f.bytes_per_txn; f.append_ns; serial_ms ]);
+        })
+      formats
+  in
+  let reduction f = physical.bytes_per_txn /. f.bytes_per_txn in
+  let delta_reduction = reduction delta and oplog_reduction = reduction oplog in
+  let equivalent = List.for_all (fun { v = eq, _; _ } -> eq) points in
+  let log_formats =
+    {
+      report =
+        Printf.sprintf "log formats (same committed workload; %d txns):\n" txns
+        ^ texts points
+        ^ Printf.sprintf "  log volume reduction over physical: delta %.1fx, oplog %.1fx\n"
+            delta_reduction oplog_reduction;
+      fields =
+        Json.
+          [
+            ("log_formats", jsons points);
+            ("log_delta_reduction", Float delta_reduction);
+            ("log_oplog_reduction", Float oplog_reduction);
+            ("log_format_equivalent", Bool equivalent);
+          ];
+      rows =
+        [
+          check "log.equivalent" equivalent
+            "a log format recovered to different state than the physical reference";
+          check "log.measured"
+            (List.for_all (fun { v = _, ok; _ } -> ok) points)
+            "a log format's bytes/txn, append ns/record or serial replay wall is not finite and \
+             positive";
+          floor "log.formats"
+            (List.length points >= 3)
+            "log-format head-to-head has %d formats, below 3" (List.length points);
+          (* the slimmer format must actually shrink the log *)
+          floor "log.delta_reduction" (delta_reduction >= 2.0)
+            "delta log reduction %.2fx below the 2x floor" delta_reduction;
+        ];
+    }
+  in
+  [ length; cores_and_age; log_formats ]
 
 (* --- open-loop server: group commit vs per-transaction sync --------- *)
 
@@ -652,26 +650,18 @@ let grouped_equivalent (type a) (module E : SERVER_ENGINE with type t = a) =
    came back finite and positive, and monotone. *)
 let server_bench_engine (type a) (module E : SERVER_ENGINE with type t = a) ~loads ~n ~seed =
   let module Srv = Server.Make (E) in
-  let scripts = scripts_of (random_access_txns ~n ~seed) in
-  let arrivals rate = poisson_arrivals_us ~seed:(seed + int_of_float rate) ~rate ~n in
+  let scripts, _ = random_access_workload ~n ~seed () in
   let grouped_mode = Commit_pipeline.Grouped { batch = 32; timeout_us = 1000.0 } in
-  let point ?ro_hist ?rw_hist ~mode rate =
+  let point ~mode rate =
     let e = E.create ~n_keys:4096 () in
-    Srv.run ?ro_hist ?rw_hist ~mpl:64 ~op_cost_us:1.0 ~sync_cost_us:100.0 ~mode
-      ~arrivals_us:(arrivals rate) ~scripts e
+    Srv.run ~mpl:64 ~op_cost_us:1.0 ~sync_cost_us:100.0 ~mode
+      ~arrivals_us:(arrivals_us ~seed:(seed + int_of_float rate) (W.Poisson { rate }) ~n)
+      ~scripts e
   in
-  (* One histogram pair for the whole sweep, cleared between points:
-     every point's scalars are extracted before the next run, so the
-     ~6k-bucket arrays need not be reallocated per load.  The
-     eager-vs-grouped head-to-head below still takes fresh histograms —
-     it reads both results after both runs. *)
-  let ro_h = Hist.create () and rw_h = Hist.create () in
   let sweep =
     List.map
       (fun rate ->
-        Hist.clear ro_h;
-        Hist.clear rw_h;
-        let r = point ~ro_hist:ro_h ~rw_hist:rw_h ~mode:grouped_mode rate in
+        let r = point ~mode:grouped_mode rate in
         let h = r.Server.latency_us in
         let p50 = Hist.p50 h and p99 = Hist.p99 h and p999 = Hist.p999 h in
         {
@@ -902,7 +892,10 @@ let read_frac_point (module E : Server.SNAPSHOT_ENGINE) ~n ~seed ~read_frac ~hea
      capacity-bound and sustained tps measures capacity, not the
      arrival rate. *)
   let arrivals_us =
-    poisson_arrivals_us ~seed:(seed + int_of_float (read_frac *. 1000.0)) ~rate:160_000.0 ~n
+    arrivals_us
+      ~seed:(seed + int_of_float (read_frac *. 1000.0))
+      (W.Poisson { rate = 160_000.0 })
+      ~n
   in
   let runs =
     List.map
@@ -1030,19 +1023,6 @@ module Serial_log = Server.Make (Engine_log)
 
 let shard_n_keys = random_access_pages * 4 (* 4 keys per page *)
 
-(* Workload with an exact cross-shard fraction carved against the {e
-   top} shard count's router.  The router's class at [top] refines its
-   class at every divisor (x mod 2 is determined by x mod 4), so when
-   the swept counts all divide the top one, a zero-cross workload stays
-   single-shard at {e every} count — the fully-parallel regime the
-   scaling gate measures. *)
-let shard_scripts ~n ~seed ~cross_frac ~top =
-  let rng = Dbm_util.Prng.create (seed lxor 0xc105) in
-  scripts_of
-    (W.apply_cross_fraction rng ~cross_frac ~classes:top
-       ~class_of:(fun p -> Shard_router.shard_of_page ~shards:top p)
-       ~db_pages:random_access_pages (random_access_txns ~n ~seed))
-
 (* Each key read from its home shard: the cross-shard-count and
    cross-fraction equality gate. *)
 let shard_scan_digest ~shards engines =
@@ -1124,10 +1104,17 @@ let shard_section ~scale ~shard_counts ~cross_fracs =
   (* Offered load far above a single serial server's capacity, so tps
      measures capacity and the shard sweep exposes the parallel
      headroom.  Simulated time: the curve is machine-independent. *)
-  let arrivals_us = poisson_arrivals_us ~seed:(seed + 77) ~rate:400_000.0 ~n in
+  let arrivals_us = arrivals_us ~seed:(seed + 77) (W.Poisson { rate = 400_000.0 }) ~n in
+  (* Workloads with an exact cross-shard fraction carved against the {e
+     top} shard count's router.  The router's class at [top] refines its
+     class at every divisor (x mod 2 is determined by x mod 4), so when
+     the swept counts all divide the top one, a zero-cross workload
+     stays single-shard at {e every} count — the fully-parallel regime
+     the scaling gate measures. *)
+  let scripts cross_frac = fst (random_access_workload ~cross:(cross_frac, top) ~n ~seed ()) in
   (* tps vs shard count on the zero-cross workload; [v]: shard count,
      oversubscribed, sustained tps, equivalent *)
-  let scripts0 = shard_scripts ~n ~seed ~cross_frac:0.0 ~top in
+  let scripts0 = scripts 0.0 in
   let direct, direct_fingerprint, reference =
     shard_serial_reference ~arrivals_us ~scripts:scripts0
   in
@@ -1187,7 +1174,7 @@ let shard_section ~scale ~shard_counts ~cross_fracs =
   let cross =
     List.map
       (fun cf ->
-        let scripts = shard_scripts ~n ~seed ~cross_frac:cf ~top in
+        let scripts = scripts cf in
         let _, _, reference = shard_serial_reference ~arrivals_us ~scripts in
         let r, _, digest, in_doubt = shard_run ~shards:top ~arrivals_us ~scripts in
         let xh = r.Shard.cross_latency_us in
@@ -1325,16 +1312,14 @@ let run ?(scale = 1) ?(jobs = [ 1; 2; 4 ]) ?(allow_oversubscribe = false)
   let txns = 600 * scale in
   let sched = sched_section ~now ~scale in
   let engines = engines_section ~now ~scale in
-  let length = recovery_length_section ~now ~txns in
-  let parallel = recovery_parallel_section ~now ~jobs ~allow_oversubscribe ~txns in
-  let formats = log_format_section ~now ~jobs ~allow_oversubscribe ~txns in
+  let recovery = recovery_sections ~now ~jobs ~allow_oversubscribe ~txns in
   let server = server_section ~scale in
   let read_heavy = read_heavy_section ~scale ~read_fracs in
   let shard = shard_section ~scale ~shard_counts ~cross_fracs in
   let substrate = substrate_section ~now ~scale in
   {
     scale;
-    sections = [ sched; engines; length; parallel; formats; server; read_heavy; shard; substrate ];
+    sections = (sched :: engines :: recovery) @ [ server; read_heavy; shard; substrate ];
   }
 
 let print b = List.iter (fun s -> print_string s.report) b.sections

@@ -17,6 +17,15 @@
     and a cross-shard two-phase-commit sweep, simulated time); and a
     journal microbenchmark.
 
+    The three recovery sections read one measurement: six logs built
+    once (physical, delta and oplog at L transactions, physical at 2L,
+    physical checkpointed after 50% and after 90% of its commits), each
+    timed best of five: all six serially in round-robin rounds, then
+    the three formats under one pool per parallel domain count.  So
+    the L log's serial wall is one number wherever the report shows
+    it, and the physical format's parallel wall is the jobs curve's
+    best.
+
     Each section yields its lines of the report, its fields of the
     [storage] JSON object and its gate rows.  A row is a {!Check} or a
     {!Floor}; see {!kind}.
@@ -50,6 +59,27 @@ val default_cross_fracs : float list
 (** [[0.; 0.05; 0.2]] — the cross-shard fractions swept at the top
     shard count. *)
 
+val random_access_workload :
+  ?read_frac:float ->
+  ?cross:float * int ->
+  n:int ->
+  seed:int ->
+  unit ->
+  Scheduler.script array * bool array
+(** The open-loop workload of the server and sharded sections, and of
+    [dbmsim serve-bench]: [n] transactions drawn from [seed], each
+    touching 2-8 uniformly random pages of 1024 (one key per page, 70%
+    of them written).  Each transaction is made read-only with
+    probability [read_frac] (default 0); [cross = (f, shards)] re-homes
+    pages so that a fraction [f] of the transactions spans two of
+    [shards] shards ({!Shard_router.shard_of_page}) and the rest stay on
+    one.  Returns the scripts and each transaction's read-only mark.
+    @raise Invalid_argument on a fraction outside [0,1] or [shards < 1]. *)
+
+val arrivals_us : seed:int -> Dbm_workload.Workload.arrival -> n:int -> float array
+(** The first [n] arrival instants of a process drawn from [seed], in
+    microseconds: the [arrivals_us] of {!Server.Make.run}. *)
+
 val run :
   ?scale:int ->
   ?jobs:int list ->
@@ -67,8 +97,9 @@ val run :
     false), and a jobs = 1 point is always included.  On a 1-core host
     an oversubscribed 2-domain point stands in so the curve never comes
     back empty.  The log-format head-to-head always writes and replays
-    all three formats (physical, delta, oplog), each checked against
-    the physical engine's serial reference replay.  [read_fracs]
+    all three formats (physical, delta, oplog), serially and at every
+    parallel count of that curve, each checked against the physical
+    log's serial reference replay.  [read_fracs]
     (default {!default_read_fracs}) lists the read fractions of the
     snapshot sweep; a Pareto-size heavy-tail point at read fraction 0.9
     is always appended.  [shard_counts] (default

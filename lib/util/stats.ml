@@ -190,12 +190,6 @@ module Histogram = struct
     t.total <- t.total +. v;
     if v > t.max then t.max <- v
 
-  let clear t =
-    Array.fill t.counts 0 n_buckets 0;
-    t.count <- 0;
-    t.total <- 0.0;
-    t.max <- neg_infinity
-
   let count t = t.count
 
   let total t = t.total

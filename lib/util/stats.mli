@@ -84,13 +84,6 @@ module Histogram : sig
       (latencies cannot be negative; clamping beats raising mid-run).
       @raise Invalid_argument on NaN. *)
 
-  val clear : t -> unit
-  (** Forget every sample — as freshly created (same [exact_limit]),
-      reusing the bucket storage.  The sweep loops recycle one
-      histogram per transaction class across server runs instead of
-      allocating the ~6k-bucket array per point; only safe once the
-      point's scalars have been extracted. *)
-
   val count : t -> int
 
   val total : t -> float

@@ -213,6 +213,27 @@ let test_cross_suite_dedup () =
   in
   check Alcotest.bool "ablations/extensions share table runs" true overlap
 
+(* Parallel regeneration prefetches each suite's hand-kept run list and
+   then builds the suite from the memo, so the list must cover every
+   run its builder forces: once the listed runs are memoized, a serial
+   build computes nothing. *)
+let test_run_lists_cover_builders () =
+  Experiment.disable_disk_cache ();
+  List.iter
+    (fun (suite, runs, build) ->
+      Experiment.clear_cache ();
+      List.iter (fun r -> ignore (Experiment.force r)) (runs ());
+      Experiment.reset_counters ();
+      build ();
+      check Alcotest.int (suite ^ " builders compute no unlisted run") 0
+        (Experiment.counters ()).Experiment.computed)
+    [
+      ("tables", Dbm_core.Tables.runs, fun () -> ignore (Dbm_core.Tables.all ()));
+      ("ablations", Dbm_core.Ablations.runs, fun () -> ignore (Dbm_core.Ablations.all ()));
+      ("extensions", Dbm_core.Extensions.runs, fun () -> ignore (Dbm_core.Extensions.all ()));
+    ];
+  Experiment.clear_cache ()
+
 (* --- the persistent store --------------------------------------------- *)
 
 let digest_a = String.make 32 'a'
@@ -442,6 +463,7 @@ let () =
           Alcotest.test_case "cold priors differentiate" `Quick test_cold_priors_differentiate;
           Alcotest.test_case "dedup order" `Quick test_dedup_keeps_first_occurrences;
           Alcotest.test_case "cross-suite overlap" `Quick test_cross_suite_dedup;
+          Alcotest.test_case "run lists cover builders" `Quick test_run_lists_cover_builders;
         ] );
       ( "persistent store",
         [
