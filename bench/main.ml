@@ -84,8 +84,6 @@ let run_tables ~jobs ~allow_oversubscribe () =
   Printf.printf "(each cell: measured [paper]; all times in ms)\n";
   Dbm_core.Experiment.reset_profile ();
   let serial, serial_ms = timed_serial () in
-  (* The serial pass just populated the cost model, so every parallel
-     pass below schedules from observed walls, not priors. *)
   let top_runs =
     let open Dbm_core.Experiment in
     profile ()
@@ -141,13 +139,12 @@ let run_tables ~jobs ~allow_oversubscribe () =
     (if oversubscribed then "; ~jobs expected when oversubscribed on fewer cores" else "");
   Printf.printf "byte-identical to serial at 2 jobs: %b; at 4 jobs: %b\n" byte_identical_j2
     byte_identical_j4;
-  separator "Slowest runs (serial pass, cost-model estimate vs observed)";
+  separator "Slowest runs (serial pass)";
   List.iter
     (fun (o : Dbm_core.Experiment.observation) ->
-      Printf.printf "%-13s %-44s %9.3f ms (est. %9.3f)\n"
+      Printf.printf "%-13s %-44s %9.3f ms\n"
         (String.sub o.Dbm_core.Experiment.obs_digest 0 12)
-        o.Dbm_core.Experiment.obs_label o.Dbm_core.Experiment.wall_ms
-        o.Dbm_core.Experiment.estimate_ms)
+        o.Dbm_core.Experiment.obs_label o.Dbm_core.Experiment.wall_ms)
     top_runs;
   {
     serial_ms;
@@ -164,34 +161,23 @@ let run_tables ~jobs ~allow_oversubscribe () =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Per-run major-heap allocation: fresh state vs recycled arenas       *)
+(* Per-run major-heap allocation with recycled arenas                  *)
 (* ------------------------------------------------------------------ *)
 
-type arena_report = { major_fresh : float; major_arena : float }
-
-(* One full serial regeneration per mode, major words divided by the
-   simulations actually computed.  Fresh first: its throwaway engines
-   and resource pools are exactly what the arena path recycles. *)
+(* One full serial regeneration, major words divided by the simulations
+   actually computed. *)
 let run_arena_alloc () =
   separator "Per-run major-heap allocation (arena recycling)";
-  let measure ~recycle =
-    Dbm_sim.Arena.set_enabled recycle;
-    Dbm_core.Experiment.clear_cache ();
-    Dbm_core.Experiment.reset_counters ();
-    Gc.full_major ();
-    let s0 = Gc.quick_stat () in
-    ignore (Dbm_core.Tables.all ());
-    let s1 = Gc.quick_stat () in
-    Dbm_sim.Arena.set_enabled true;
-    let computed = (Dbm_core.Experiment.counters ()).Dbm_core.Experiment.computed in
-    (s1.Gc.major_words -. s0.Gc.major_words) /. float_of_int (max 1 computed)
-  in
-  let major_fresh = measure ~recycle:false in
-  let major_arena = measure ~recycle:true in
-  Printf.printf "fresh state per run:  %10.0f major words\n" major_fresh;
-  Printf.printf "arena reuse per run:  %10.0f major words  (%.1f%% reduction)\n" major_arena
-    (100.0 *. (1.0 -. (major_arena /. major_fresh)));
-  { major_fresh; major_arena }
+  Dbm_core.Experiment.clear_cache ();
+  Dbm_core.Experiment.reset_counters ();
+  Gc.full_major ();
+  let s0 = Gc.quick_stat () in
+  ignore (Dbm_core.Tables.all ());
+  let s1 = Gc.quick_stat () in
+  let computed = (Dbm_core.Experiment.counters ()).Dbm_core.Experiment.computed in
+  let words = (s1.Gc.major_words -. s0.Gc.major_words) /. float_of_int (max 1 computed) in
+  Printf.printf "arena reuse per run:  %10.0f major words\n" words;
+  words
 
 (* Sweep shapes, at a glance. *)
 let run_charts () =
@@ -585,7 +571,7 @@ let run_benchmarks () =
 (* ------------------------------------------------------------------ *)
 
 let bench_record (tr : table_report) (core : event_core) (cr : cache_report)
-    (ar : arena_report) storage (lookup_ns, lookup_minor) total_s =
+    major_words_per_run storage (lookup_ns, lookup_minor) total_s =
   let open Dbm_util.Json in
   let opt = function None -> Null | Some v -> Float v in
   Obj
@@ -602,14 +588,7 @@ let bench_record (tr : table_report) (core : event_core) (cr : cache_report)
       ("parallel_output_byte_identical", Bool (tr.byte_identical_j2 && tr.byte_identical_j4));
       ("byte_identical_jobs2", Bool tr.byte_identical_j2);
       ("byte_identical_jobs4", Bool tr.byte_identical_j4);
-      ("major_words_per_run_fresh", Float ar.major_fresh);
-      ("major_words_per_run", Float ar.major_arena);
-      ("major_words_reduction", Float (1.0 -. (ar.major_arena /. ar.major_fresh)));
-      ( "cost_model_entries",
-        Int
-          (match Dbm_core.Experiment.cost_model () with
-          | Some m -> Dbm_util.Cost_model.size m
-          | None -> 0) );
+      ("major_words_per_run", Float major_words_per_run);
       ( "top_runs",
         List
           (List.map
@@ -619,7 +598,6 @@ let bench_record (tr : table_report) (core : event_core) (cr : cache_report)
                    ("digest", String (String.sub o.Dbm_core.Experiment.obs_digest 0 12));
                    ("run", String o.Dbm_core.Experiment.obs_label);
                    ("wall_ms", Float o.Dbm_core.Experiment.wall_ms);
-                   ("estimate_ms", Float o.Dbm_core.Experiment.estimate_ms);
                  ])
              tr.top_runs) );
       ("events_per_sec", Float core.tick_events_per_sec);
@@ -669,17 +647,12 @@ let () =
     prerr_endline "--jobs must be >= 1";
     exit 2
   end;
-  (* The LPT scheduler needs cost observations to sort by; an in-memory
-     model keeps the bench hermetic (no file left behind) while the
-     serial pass feeds every parallel pass real walls. *)
-  Dbm_core.Experiment.set_cost_model
-    (Some (Dbm_util.Cost_model.in_memory ~version:"bench"));
   let t0 = Unix.gettimeofday () in
   let table_report =
     run_tables ~jobs:!jobs ~allow_oversubscribe:!allow_oversubscribe ()
   in
   let core = run_event_core () in
-  let arena_report = run_arena_alloc () in
+  let major_words_per_run = run_arena_alloc () in
   let cache_report = run_cache () in
   (* The storage half runs even under --fast: its rows gate the run. *)
   let storage_report = run_storage_bench ~allow_oversubscribe:!allow_oversubscribe () in
@@ -696,7 +669,7 @@ let () =
   let oc = open_out !json_path in
   output_string oc
     (Dbm_util.Json.to_string
-       (bench_record table_report core cache_report arena_report storage_report
+       (bench_record table_report core cache_report major_words_per_run storage_report
           lookup_estimates total_s));
   output_char oc '\n';
   close_out oc;

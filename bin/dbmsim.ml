@@ -54,6 +54,8 @@ let bounded conv ok msg =
 
 let positive_int = bounded Arg.int (fun n -> n >= 1) "must be >= 1"
 
+let non_negative_int = bounded Arg.int (fun n -> n >= 0) "must be >= 0"
+
 let positive_float =
   bounded Arg.float (fun f -> Float.is_finite f && f > 0.0) "must be positive and finite"
 
@@ -103,33 +105,11 @@ let cache_dir_arg =
 let no_cache_arg =
   Arg.(value & flag & info [ "no-cache" ] ~doc:"Disable the persistent run cache.")
 
-let cost_model_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "cost-model" ] ~docv:"FILE"
-        ~doc:
-          "Persistent cost model: an EWMA wall-time estimate per run digest, used to \
-           schedule parallel regeneration longest-run-first (LPT).  Defaults to \
-           $(i,CACHE-DIR)/cost-model; kept in memory only under $(b,--no-cache).  A \
-           damaged or missing file means an empty model — scheduling quality, never \
-           correctness, depends on it.")
-
-let setup_cache dir no_cache cost_model_path =
+let setup_cache dir no_cache =
   if no_cache then Dbm_core.Experiment.disable_disk_cache ()
-  else Dbm_core.Experiment.enable_disk_cache ~dir;
-  let version = Printf.sprintf "cost-schema-%d" Dbm_core.Experiment.schema_version in
-  let model =
-    match cost_model_path with
-    | Some path -> Dbm_util.Cost_model.load ~path ~version
-    | None ->
-      if no_cache then Dbm_util.Cost_model.in_memory ~version
-      else Dbm_util.Cost_model.load ~path:(Filename.concat dir "cost-model") ~version
-  in
-  Dbm_core.Experiment.set_cost_model (Some model);
-  at_exit (fun () -> Dbm_util.Cost_model.save model)
+  else Dbm_core.Experiment.enable_disk_cache ~dir
 
-let cache_term = Term.(const setup_cache $ cache_dir_arg $ no_cache_arg $ cost_model_arg)
+let cache_term = Term.(const setup_cache $ cache_dir_arg $ no_cache_arg)
 
 (* -- table command ------------------------------------------------- *)
 
@@ -141,9 +121,7 @@ let print_table ~csv t =
       (Dbm_core.Report.mean_abs_log_ratio t)
   end
 
-(* Top-10 slowest simulations actually executed this process, with what
-   the cost model predicted for each just before it ran — the drift
-   check for --cost-model without re-running bench. *)
+(* Top-10 slowest simulations actually executed this process. *)
 let print_profile () =
   let open Dbm_core.Experiment in
   let obs = profile () in
@@ -153,12 +131,10 @@ let print_profile () =
     let sorted = List.sort (fun a b -> Float.compare b.wall_ms a.wall_ms) obs in
     let top = List.filteri (fun i _ -> i < 10) sorted in
     Printf.printf "\ntop %d slowest of %d executed runs:\n" (List.length top) (List.length obs);
-    Printf.printf "%-13s %-44s %12s %12s\n" "digest" "run" "wall ms" "est. ms";
+    Printf.printf "%-13s %-44s %12s\n" "digest" "run" "wall ms";
     List.iter
       (fun o ->
-        Printf.printf "%-13s %-44s %12.3f %12.3f\n"
-          (String.sub o.obs_digest 0 12)
-          o.obs_label o.wall_ms o.estimate_ms)
+        Printf.printf "%-13s %-44s %12.3f\n" (String.sub o.obs_digest 0 12) o.obs_label o.wall_ms)
       top
   end
 
@@ -166,7 +142,7 @@ let table_cmd =
   let id =
     Arg.(
       value
-      & pos 0 (some int) None
+      & pos 0 (some (bounded Arg.int (fun n -> n >= 1 && n <= 12) "must be in 1-12")) None
       & info [] ~docv:"N" ~doc:"Table number (1-12); all when omitted.")
   in
   let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV instead of aligned text.") in
@@ -176,8 +152,7 @@ let table_cmd =
       & info [ "profile" ]
           ~doc:
             "After the tables, print the top-10 slowest runs (digest prefix, run, observed \
-             wall ms, cost-model estimate) so cost-model drift is inspectable.  Runs served \
-             from a cache executed no simulation and never appear.")
+             wall ms).  Runs served from a cache executed no simulation and never appear.")
   in
   let run id csv profile jobs allow_oversubscribe () =
     (match id with
@@ -208,12 +183,14 @@ let run_cmd =
       & info [ "a"; "arch" ] ~docv:"ARCH" ~doc:"Recovery architecture.")
   in
   let txns =
-    Arg.(value & opt int 50 & info [ "n"; "transactions" ] ~docv:"N" ~doc:"Transaction count.")
+    Arg.(
+      value & opt non_negative_int 50
+      & info [ "n"; "transactions" ] ~docv:"N" ~doc:"Transaction count.")
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Workload seed.") in
   let trace_n =
     Arg.(
-      value & opt int 0
+      value & opt non_negative_int 0
       & info [ "trace" ] ~docv:"N" ~doc:"Print the last N machine trace events (0 = off).")
   in
   let run scenario arch txns seed trace_n () =
@@ -267,7 +244,9 @@ let workload_cmd =
           ~doc:"conv-random | par-random | conv-seq | par-seq")
   in
   let txns =
-    Arg.(value & opt int 50 & info [ "n"; "transactions" ] ~docv:"N" ~doc:"Transaction count.")
+    Arg.(
+      value & opt non_negative_int 50
+      & info [ "n"; "transactions" ] ~docv:"N" ~doc:"Transaction count.")
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Workload seed.") in
   let out =

@@ -358,16 +358,4 @@ let runs () : Experiment.request list =
         Scenario.all;
     ]
 
-let all ?pool () =
-  let serial () = List.map (fun f -> f ()) builders in
-  match pool with
-  | None -> serial ()
-  | Some p ->
-    if Dbm_util.Pool.jobs p <= 1 then serial ()
-    else begin
-      let work = Experiment.dedup (runs ()) in
-      ignore
-        (Dbm_util.Pool.map_ordered_weighted p work ~weight:Experiment.estimated_cost
-           ~f:(fun r -> ignore (Experiment.force r)));
-      serial ()
-    end
+let all ?pool () = Experiment.build_suite ?pool ~runs builders

@@ -56,7 +56,6 @@ val bare_request : Scenario.t -> request
 
 val custom_request :
   ?label:string ->
-  ?prior_ms:float ->
   tag:string ->
   machine:Dbm_machine.Config.t ->
   (unit -> Dbm_machine.Results.t) ->
@@ -64,9 +63,7 @@ val custom_request :
 (** Escape hatch for runs whose workload is built by hand.  [tag] must
     uniquely determine the computation given the machine config, and
     must be versioned (e.g. ["ext-mixed/v1"]) so changing the
-    construction logic invalidates old persistent entries.  [prior_ms]
-    (default 50) seeds the cost estimate until the model has observed
-    the digest. *)
+    construction logic invalidates old persistent entries. *)
 
 val digest : request -> string
 (** The request's content digest (32 hex characters). *)
@@ -83,6 +80,16 @@ val dedup : request list -> request list
 (** Drop requests whose digest already appeared earlier in the list
     (stable; keeps first occurrences).  Schedule the deduplicated list
     and let {!force} fan the shared results back to every requester. *)
+
+val build_suite :
+  ?pool:Dbm_util.Pool.t -> runs:(unit -> request list) -> (unit -> 'a) list -> 'a list
+(** [build_suite ?pool ~runs builders] calls every builder, in order.
+    With [pool] (effective jobs > 1) it first forces [dedup (runs ())]
+    across the pool's domains, so the builders then assemble from memo
+    hits.  [runs] should list every run the builders force; a missing
+    run is computed serially by its builder.  The result is
+    byte-identical to the serial build whatever the pool size or cache
+    state. *)
 
 (** {1 Forced convenience wrappers} *)
 
@@ -138,37 +145,18 @@ val counters : unit -> counters
 
 val reset_counters : unit -> unit
 
-(** {1 Cost model and profile}
-
-    When a {!Dbm_util.Cost_model} is installed, {!force} folds the wall
-    time of every simulation it {e actually executes} into the model,
-    and {!estimated_cost} answers the scheduler's "how long will this
-    run take?".  Results served from the memo or the persistent store
-    record {e no} observation — their near-zero wall is cache-load
-    time, not simulation cost, and would poison the model. *)
-
-val set_cost_model : Dbm_util.Cost_model.t option -> unit
-(** Install (or remove) the process-wide cost model.  Not synchronised:
-    set it before fanning work out to a pool. *)
-
-val cost_model : unit -> Dbm_util.Cost_model.t option
-
-val estimated_cost : request -> float
-(** Estimated wall time in ms: the model's EWMA for this digest when it
-    has one, otherwise a prior derived from the request's workload
-    descriptor (transactions x mean pages, arrival-process factor).
-    Priors are rank estimates — meaningful relative to each other, not
-    as clock time. *)
+(** {1 Profile} *)
 
 type observation = {
   obs_digest : string;
   obs_label : string;
   wall_ms : float;  (** observed wall time of the simulation *)
-  estimate_ms : float;  (** what {!estimated_cost} said just before it ran *)
 }
 
 val profile : unit -> observation list
 (** Every simulation actually executed since process start (or
-    {!reset_profile}), in execution order.  Cache hits never appear. *)
+    {!reset_profile}), in execution order.  Results served from the
+    memo or the persistent store never appear: their near-zero wall is
+    load time, not simulation cost. *)
 
 val reset_profile : unit -> unit

@@ -412,12 +412,10 @@ let builders =
   ]
 
 (* The flattened run-level work list: every simulation the twelve
-   tables need, one request per run, most expensive first so Table 3's
-   21 physical-logging runs never gate the tail of the pool the way
-   whole-table work units did.  Content-identical entries are fine —
-   schedulers dedup by digest first.  Coverage drift is benign: a run a
-   builder needs but the list misses is simply computed serially during
-   assembly. *)
+   tables need, one request per run.  Content-identical entries are
+   fine — Experiment.build_suite dedups by digest first.  Coverage drift
+   is benign: a run a builder needs but the list misses is simply
+   computed serially during assembly. *)
 let runs () : Experiment.request list =
   let table3 =
     List.concat_map
@@ -425,8 +423,8 @@ let runs () : Experiment.request list =
         if n_log = 0 then [ table3_request ~n_log:0 ~selection:Logging.Cyclic ]
         else List.map (fun selection -> table3_request ~n_log ~selection) selections)
       Paper.table3_exec
-    (* Labelled for --profile: these are the suite's dominant runs and
-       the digest alone does not say where they came from. *)
+    (* Labelled for --profile: the digest alone does not say where
+       these runs came from. *)
     |> List.map (Experiment.with_label "Table 3")
   in
   let per_scenario =
@@ -457,29 +455,7 @@ let runs () : Experiment.request list =
   in
   table3 @ per_scenario @ table6_extra
 
-(* The unit of parallelism is the individual run: the work list above
-   is deduplicated by digest and fanned out across the pool to fill the
-   (mutex-protected, in-flight latched) memo cache, and the tables are
-   then assembled serially from cache hits — so the rendered output
-   cannot depend on the pool size, the dedup, or the state of any
-   persistent cache, and no single slow table gates the schedule.
-   The fan-out is cost-aware (LPT): runs are handed out longest-first
-   by their estimated wall time (cost-model EWMA, workload prior when
-   cold), so the 130 ms Table 3 runs start immediately instead of
-   stalling the tail of the schedule. *)
-let all ?pool () =
-  let serial () = List.map (fun f -> f ()) builders in
-  match pool with
-  | None -> serial ()
-  | Some p ->
-    if Dbm_util.Pool.jobs p <= 1 then serial ()
-    else begin
-      let work = Experiment.dedup (runs ()) in
-      ignore
-        (Dbm_util.Pool.map_ordered_weighted p work ~weight:Experiment.estimated_cost
-           ~f:(fun r -> ignore (Experiment.force r)));
-      serial ()
-    end
+let all ?pool () = Experiment.build_suite ?pool ~runs builders
 
 let by_id = function
   | 1 -> table1 ()

@@ -49,16 +49,14 @@ val table12 : unit -> Report.table
 
 val runs : unit -> Experiment.request list
 (** The flattened run-level work list: one request per simulation the
-    twelve tables need (most expensive first).  Dedup by digest, force
-    them — in any order, on any number of domains — and table assembly
-    afterwards is pure cache hits. *)
+    twelve tables need.  Dedup by digest, force them — in any order, on
+    any number of domains — and table assembly afterwards is pure cache
+    hits. *)
 
 val all : ?pool:Dbm_util.Pool.t -> unit -> Report.table list
-(** All twelve, in order.  With [pool] (effective jobs > 1), {!runs} is
-    deduplicated and fanned out across its domains first and the tables
-    are then assembled serially from the memo cache, so the result is
-    byte-identical to the serial run regardless of pool size or cache
-    state. *)
+(** All twelve, in order: {!Experiment.build_suite} over {!runs}, so
+    the result is byte-identical to the serial run regardless of pool
+    size or cache state. *)
 
 val by_id : int -> Report.table
 (** @raise Invalid_argument unless [1 <= id <= 12]. *)

@@ -25,7 +25,7 @@ let ceil_div a b = (a + b - 1) / b
    table cannot change its behaviour — it only skips re-growing the
    buckets on the major heap.  [Dbm_sim.Arena] cannot own these (the
    dependency points the other way), so the machine keeps its own
-   domain-local slot, gated on the same switch. *)
+   domain-local slot. *)
 type scratch = { locks : Lock_table.t; arrival_times : (int, float) Hashtbl.t }
 
 let fresh_scratch () = { locks = Lock_table.create (); arrival_times = Hashtbl.create 16 }
@@ -33,13 +33,10 @@ let fresh_scratch () = { locks = Lock_table.create (); arrival_times = Hashtbl.c
 let scratch_key = Domain.DLS.new_key fresh_scratch
 
 let current_scratch () =
-  if Dbm_sim.Arena.recycling_enabled () then begin
-    let s = Domain.DLS.get scratch_key in
-    Lock_table.clear s.locks;
-    Hashtbl.clear s.arrival_times;
-    s
-  end
-  else fresh_scratch ()
+  let s = Domain.DLS.get scratch_key in
+  Lock_table.clear s.locks;
+  Hashtbl.clear s.arrival_times;
+  s
 
 let run_gen ~trace ~config ~make_arch ~workload =
   Config.validate config;

@@ -28,17 +28,9 @@ type t = {
 
 let create () = { engine = Engine.create (); resources = [||]; n_resources = 0; cursor = 0 }
 
-(* Switchable so benchmarks can measure fresh-state allocation against
-   recycled-state allocation in one process.  When disabled, [current]
-   hands out a throwaway arena, which is exactly the pre-arena
-   behaviour: every run builds fresh state. *)
-let enabled = Atomic.make true
-let set_enabled b = Atomic.set enabled b
-let recycling_enabled () = Atomic.get enabled
-
 let key = Domain.DLS.new_key create
 
-let current () = if Atomic.get enabled then Domain.DLS.get key else create ()
+let current () = Domain.DLS.get key
 
 let begin_run t =
   t.cursor <- 0;

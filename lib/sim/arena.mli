@@ -22,14 +22,9 @@
 
 type t
 
-val create : unit -> t
-(** A standalone arena (not bound to any domain); {!current} is the
-    normal entry point. *)
-
 val current : unit -> t
-(** The calling domain's arena.  When recycling is disabled
-    ({!set_enabled}[ false]) this returns a fresh throwaway arena
-    instead, reproducing the build-everything-per-run behaviour. *)
+(** The calling domain's arena.  A newly spawned domain starts with a
+    fresh one. *)
 
 val begin_run : t -> Engine.t
 (** Start a run: resets the recycled engine (clock 0, empty agenda, all
@@ -43,11 +38,3 @@ val resource : t -> name:string -> servers:int -> Resource.t
 (** Hand out the next recycled resource pool (in first-request order),
     reset to [name]/[servers]; creates and caches one the first time a
     run asks for more pools than any previous run did. *)
-
-
-val set_enabled : bool -> unit
-(** Globally enable/disable recycling (default enabled).  Disabling
-    makes {!current} return throwaway arenas so benchmarks can measure
-    the fresh-state baseline in the same process. *)
-
-val recycling_enabled : unit -> bool

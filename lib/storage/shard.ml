@@ -180,18 +180,15 @@ module Make (E : ENGINE) = struct
       }
     in
     let oversubscribed = shards > Pool.default_jobs () in
-    (* One domain per shard: weighted map hands items out one at a
-       time, so each shard loop owns a worker for its whole run —
-       chunking could strand two blocking loops on one domain.
-       [allow_oversubscribe] keeps that guarantee on small hosts; the
-       clock is simulated, so oversubscription costs wall time, not
-       measured time.  One shard runs on the calling domain. *)
+    (* One domain per shard: the pool hands items out one at a time,
+       so each shard loop owns a worker for its whole run and no two
+       blocking loops share a domain.  [allow_oversubscribe] keeps that
+       guarantee on small hosts; the clock is simulated, so
+       oversubscription costs wall time, not measured time.  One shard
+       runs on the calling domain. *)
     let results =
       Pool.with_pool ~jobs:shards ~allow_oversubscribe:true (fun pool ->
-          Pool.map_ordered_weighted pool
-            (List.init shards Fun.id)
-            ~weight:(fun s -> float_of_int (Array.length work.(s)))
-            ~f:(fun s ->
+          Pool.map_ordered pool (List.init shards Fun.id) ~f:(fun s ->
               try
                 Srv.drive ?mpl ?op_cost_us ~sync_cost_us
                   ~participant:(participant ~sync_cost_us ~coordinator ~cross ~is_cross)

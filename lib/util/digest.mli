@@ -35,15 +35,14 @@ val hex : t -> string
 val of_string : string -> string
 (** One-shot digest of a single string. *)
 
-val fnv64 : string -> int64
-(** Single-lane FNV-1a over the raw bytes — a plain checksum. *)
-
 val fnv64_hex : string -> string
-(** {!fnv64} as 16 lowercase hex characters. *)
+(** Single-lane FNV-1a over the raw bytes — a plain checksum — as 16
+    lowercase hex characters. *)
 
 val fnv64_words : string -> pos:int -> len:int -> int64
 (** Word-at-a-time FNV-1a over [s.[pos .. pos+len)]: folds 8 bytes per
-    multiply, ~8x cheaper than {!fnv64} on page-sized payloads.  A
-    {e different} function than {!fnv64} (fold width changes the value);
-    mixes the trailing partial word and the length.  The WAL codec's
-    record checksum.  @raise Invalid_argument on a bad range. *)
+    multiply, ~8x cheaper than the single-lane {!fnv64_hex} on
+    page-sized payloads.  A {e different} function (fold width changes
+    the value); mixes the trailing partial word and the length.  The
+    WAL codec's record checksum.  @raise Invalid_argument on a bad
+    range. *)

@@ -4,7 +4,7 @@ type t = {
   queue : (unit -> unit) Queue.t;
   mutex : Mutex.t;
   work_ready : Condition.t; (* something was enqueued, or shutdown began *)
-  all_done : Condition.t; (* some map_ordered call finished its last chunk *)
+  all_done : Condition.t; (* some map_ordered call finished its last item *)
   mutable shutting_down : bool;
   mutable workers : unit Domain.t array;
 }
@@ -61,119 +61,47 @@ let map_ordered t xs ~f =
   else begin
     let items = Array.of_list xs in
     let n = Array.length items in
-    if n = 0 then []
-    else begin
-      let results : ('b, exn) result option array = Array.make n None in
-      let remaining = ref n in
-      let chunk = max 1 (n / (t.jobs * 4)) in
-      let run_chunk lo hi () =
-        for i = lo to hi - 1 do
-          results.(i) <- Some (try Ok (f items.(i)) with e -> Error e)
-        done;
+    let results : ('b, exn) result option array = Array.make n None in
+    (* Self-scheduling: single items from an atomic cursor, in input
+       order.  No chunk boundaries, so no domain ever idles behind one
+       long item that happened to share a chunk with it. *)
+    let cursor = Atomic.make 0 in
+    let remaining = ref n in
+    let rec drain () =
+      let i = Atomic.fetch_and_add cursor 1 in
+      if i < n then begin
+        results.(i) <- Some (try Ok (f items.(i)) with e -> Error e);
         Mutex.lock t.mutex;
-        remaining := !remaining - (hi - lo);
+        decr remaining;
         if !remaining = 0 then Condition.broadcast t.all_done;
-        Mutex.unlock t.mutex
-      in
-      Mutex.lock t.mutex;
-      let lo = ref 0 in
-      while !lo < n do
-        let hi = min n (!lo + chunk) in
-        Queue.add (run_chunk !lo hi) t.queue;
-        lo := hi
-      done;
-      Condition.broadcast t.work_ready;
-      (* Help drain the queue; once it is empty, wait for the in-flight
-         chunks (possibly on other domains) to settle. *)
-      while !remaining > 0 do
-        match Queue.take_opt t.queue with
-        | Some task ->
-          Mutex.unlock t.mutex;
-          task ();
-          Mutex.lock t.mutex
-        | None -> if !remaining > 0 then Condition.wait t.all_done t.mutex
-      done;
-      Mutex.unlock t.mutex;
-      let out = ref [] in
-      let first_error = ref None in
-      for i = n - 1 downto 0 do
-        match results.(i) with
-        | Some (Ok v) -> out := v :: !out
-        | Some (Error e) -> first_error := Some e
-        | None -> assert false
-      done;
-      match !first_error with None -> !out | Some e -> raise e
-    end
-  end
-
-let map_ordered_weighted t xs ~weight ~f =
-  (* jobs = 1 must reproduce the serial path bit-for-bit, so [weight]
-     is never even consulted. *)
-  if t.jobs = 1 then serial_map xs ~f
-  else begin
-    let items = Array.of_list xs in
-    let n = Array.length items in
-    if n = 0 then []
-    else begin
-      let w =
-        Array.map
-          (fun x ->
-            let c = weight x in
-            (* A NaN weight would make the sort comparator inconsistent;
-               treat it (and infinities) as "no information". *)
-            if Float.is_finite c then c else 0.0)
-          items
-      in
-      (* LPT order: descending estimated cost, ascending input index as
-         the tie-break so the hand-out order is deterministic. *)
-      let order = Array.init n (fun i -> i) in
-      Array.sort (fun a b -> match Float.compare w.(b) w.(a) with 0 -> compare a b | c -> c) order;
-      let results : ('b, exn) result option array = Array.make n None in
-      (* Self-scheduling: single items from an atomic cursor.  No chunk
-         boundaries, so no domain ever idles behind one long run that
-         happened to share a chunk with it. *)
-      let cursor = Atomic.make 0 in
-      let remaining = ref n in
-      let drain () =
-        let continue = ref true in
-        while !continue do
-          let k = Atomic.fetch_and_add cursor 1 in
-          if k >= n then continue := false
-          else begin
-            let i = order.(k) in
-            results.(i) <- Some (try Ok (f items.(i)) with e -> Error e);
-            Mutex.lock t.mutex;
-            decr remaining;
-            if !remaining = 0 then Condition.broadcast t.all_done;
-            Mutex.unlock t.mutex
-          end
-        done
-      in
-      Mutex.lock t.mutex;
-      (* One drainer per worker domain; the caller's domain drains too.
-         A drainer that arrives after the cursor is exhausted exits
-         immediately, so stale queue entries are harmless. *)
-      for _ = 2 to t.jobs do
-        Queue.add drain t.queue
-      done;
-      Condition.broadcast t.work_ready;
-      Mutex.unlock t.mutex;
-      drain ();
-      Mutex.lock t.mutex;
-      while !remaining > 0 do
-        Condition.wait t.all_done t.mutex
-      done;
-      Mutex.unlock t.mutex;
-      let out = ref [] in
-      let first_error = ref None in
-      for i = n - 1 downto 0 do
-        match results.(i) with
-        | Some (Ok v) -> out := v :: !out
-        | Some (Error e) -> first_error := Some e
-        | None -> assert false
-      done;
-      match !first_error with None -> !out | Some e -> raise e
-    end
+        Mutex.unlock t.mutex;
+        drain ()
+      end
+    in
+    Mutex.lock t.mutex;
+    (* One drainer per worker domain; the caller's domain drains too.
+       A drainer that arrives after the cursor is exhausted exits
+       immediately, so stale queue entries are harmless. *)
+    for _ = 2 to t.jobs do
+      Queue.add drain t.queue
+    done;
+    Condition.broadcast t.work_ready;
+    Mutex.unlock t.mutex;
+    drain ();
+    Mutex.lock t.mutex;
+    while !remaining > 0 do
+      Condition.wait t.all_done t.mutex
+    done;
+    Mutex.unlock t.mutex;
+    let out = ref [] in
+    let first_error = ref None in
+    for i = n - 1 downto 0 do
+      match results.(i) with
+      | Some (Ok v) -> out := v :: !out
+      | Some (Error e) -> first_error := Some e
+      | None -> assert false
+    done;
+    match !first_error with None -> !out | Some e -> raise e
   end
 
 let shutdown t =

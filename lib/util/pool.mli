@@ -1,11 +1,12 @@
 (** Fixed-size domain-based worker pool.
 
-    The pool owns [jobs - 1] worker domains pulling chunks of work off a
-    shared queue (the calling domain contributes as the [jobs]-th worker
-    while a [map_ordered] is in flight).  Results are always delivered in
-    input order, so for a pure [f] the output is independent of how the
-    chunks were interleaved across domains — parallelism never changes
-    what a caller observes, only how fast it arrives.
+    The pool owns [jobs - 1] worker domains that take the items of a
+    [map_ordered] one at a time, in input order (the calling domain
+    contributes as the [jobs]-th worker while the map is in flight).
+    Results are always delivered in input order, so for a pure [f] the
+    output is independent of how the items were interleaved across
+    domains — parallelism never changes what a caller observes, only how
+    fast it arrives.
 
     With [jobs = 1] no domains are spawned and [map_ordered] degenerates
     to a plain left-to-right [List.map], reproducing the serial execution
@@ -38,20 +39,13 @@ val requested_jobs : t -> int
 val map_ordered : t -> 'a list -> f:('a -> 'b) -> 'b list
 (** [map_ordered t xs ~f] applies [f] to every element of [xs], fanning
     the applications out across the pool's domains, and returns the
-    results in the order of [xs].  If one or more applications raise, the
-    exception of the smallest input index is re-raised in the caller
-    after all chunks have settled. *)
-
-val map_ordered_weighted : t -> 'a list -> weight:('a -> float) -> f:('a -> 'b) -> 'b list
-(** Like {!map_ordered}, but cost-aware: the work list is sorted by
-    descending [weight] (LPT — longest processing time first, ties
-    broken by input order) and items are handed out one at a time from
-    an atomic cursor, so a long run never idles other domains behind a
-    chunk boundary.  Results are still returned in input order, and the
-    exception of the smallest input index is re-raised if any
-    application raises.  With [jobs = 1] this is exactly the serial
-    path — [weight] is not called at all.  Non-finite weights are
-    treated as 0. *)
+    results in the order of [xs].  Items are handed out one at a time
+    from an atomic cursor, in input order: a long item never idles other
+    domains behind a chunk boundary, and a domain takes its next item
+    only after finishing the last, so up to [jobs] items that wait on
+    one another each get a domain of their own.  If one or more
+    applications raise, the exception of the smallest input index is
+    re-raised in the caller after all items have settled. *)
 
 val shutdown : t -> unit
 (** Join the worker domains.  Idempotent; the pool is unusable after. *)

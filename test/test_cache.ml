@@ -153,37 +153,6 @@ let test_request_digest_sensitivity () =
             Dbm_machine.Arch.bare))
     <> Experiment.digest logging_req)
 
-(* BENCH_5 regression: with no cost model loaded every run of a scenario
-   got the same flat prior (the formula only looked at the workload), so
-   LPT scheduling of a cold suite degenerated to arbitrary order — the
-   bench's top_runs all claimed 313.75 ms.  The prior must now separate
-   the architecture families, and distinct configs within one family. *)
-let test_cold_priors_differentiate () =
-  Experiment.set_cost_model None;
-  let sc = Scenario.Conventional_random in
-  let machine = Scenario.machine_config sc in
-  let workload = small_workload sc in
-  let prior arch =
-    Experiment.estimated_cost
-      (Experiment.request ~arch ~machine ~workload ~make_arch:(fun _ -> Dbm_machine.Arch.bare))
-  in
-  let archs =
-    [
-      "bare";
-      "version-select";
-      Logging.descriptor Logging.default;
-      Dbm_recovery.Shadow.descriptor Dbm_recovery.Shadow.overwrite_no_undo;
-      Dbm_recovery.Diff_file.descriptor Dbm_recovery.Diff_file.default;
-    ]
-  in
-  let priors = List.map prior archs in
-  check Alcotest.int "cold priors pairwise distinct" (List.length archs)
-    (List.length (List.sort_uniq compare priors));
-  check Alcotest.bool "variant configs of one family differ" true
-    (prior (Logging.descriptor Logging.default)
-    <> prior
-         (Logging.descriptor { Logging.default with Logging.n_log_processors = 7 }))
-
 let test_dedup_keeps_first_occurrences () =
   let a = bare_req Scenario.Conventional_random in
   let b = bare_req ~seed:8 Scenario.Conventional_random in
@@ -374,35 +343,26 @@ let test_corrupt_entry_recomputes () =
           check Alcotest.int "healed entry hits" 1
             (Experiment.counters ()).Experiment.disk_hits))
 
-(* Cache hits must record NO cost observation: a hit's near-zero wall
-   is cache-load time, not simulation cost, and folding it into the
-   EWMA would wreck the schedule of the next cold regeneration. *)
+(* Cache hits must record no observation: a hit runs no simulation, so
+   its near-zero wall is load time, and --profile lists simulations. *)
 let test_cache_hit_records_no_observation () =
   with_temp_dir (fun dir ->
       with_disk_cache dir (fun () ->
-          let model = Dbm_util.Cost_model.in_memory ~version:"test" in
-          Experiment.set_cost_model (Some model);
-          Fun.protect
-            ~finally:(fun () -> Experiment.set_cost_model None)
-            (fun () ->
-              Experiment.reset_profile ();
-              let req = bare_req ~seed:13 Scenario.Conventional_random in
-              let digest = Experiment.digest req in
-              ignore (Experiment.force req);
-              check Alcotest.int "the compute was observed" 1
-                (Dbm_util.Cost_model.observations model ~digest);
-              let profiled = List.length (Experiment.profile ()) in
-              check Alcotest.int "the compute was profiled" 1 profiled;
-              (* memo hit *)
-              ignore (Experiment.force req);
-              (* disk hit *)
-              Experiment.clear_cache ();
-              ignore (Experiment.force req);
-              check Alcotest.int "memo/disk hits recorded no observation" 1
-                (Dbm_util.Cost_model.observations model ~digest);
-              check Alcotest.int "memo/disk hits were not profiled" 1
-                (List.length (Experiment.profile ()));
-              Experiment.reset_profile ())))
+          Experiment.reset_profile ();
+          let req = bare_req ~seed:13 Scenario.Conventional_random in
+          ignore (Experiment.force req);
+          check
+            (Alcotest.list Alcotest.string)
+            "the compute was profiled" [ Experiment.digest req ]
+            (List.map (fun o -> o.Experiment.obs_digest) (Experiment.profile ()));
+          (* memo hit *)
+          ignore (Experiment.force req);
+          (* disk hit *)
+          Experiment.clear_cache ();
+          ignore (Experiment.force req);
+          check Alcotest.int "memo/disk hits were not profiled" 1
+            (List.length (Experiment.profile ()));
+          Experiment.reset_profile ()))
 
 (* Random small configurations: whatever the workload, a disk-loaded
    result is structurally identical to the fresh computation. *)
@@ -460,7 +420,6 @@ let () =
         [
           Alcotest.test_case "stable + golden" `Quick test_request_digest_stable;
           Alcotest.test_case "sensitivity" `Quick test_request_digest_sensitivity;
-          Alcotest.test_case "cold priors differentiate" `Quick test_cold_priors_differentiate;
           Alcotest.test_case "dedup order" `Quick test_dedup_keeps_first_occurrences;
           Alcotest.test_case "cross-suite overlap" `Quick test_cross_suite_dedup;
           Alcotest.test_case "run lists cover builders" `Quick test_run_lists_cover_builders;

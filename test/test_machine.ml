@@ -239,26 +239,26 @@ let test_arena_recycling_byte_identical () =
   let marshal (r : Results.t) = Marshal.to_string r [] in
   (* A mixed sequence, so the second run inherits storage sized by a
      differently-shaped first run. *)
-  let sequence () =
-    [ run_bare (); run_bare ~pattern:W.Sequential ~n:5 (); run_bare () ]
+  let runs =
+    [
+      (fun () -> run_bare ());
+      (fun () -> run_bare ~pattern:W.Sequential ~n:5 ());
+      (fun () -> run_bare ());
+    ]
   in
-  Dbm_sim.Arena.set_enabled false;
-  let fresh =
-    Fun.protect ~finally:(fun () -> Dbm_sim.Arena.set_enabled true) sequence
-  in
+  (* A newly spawned domain starts with a fresh arena and scratch, so
+     each reference run gets a domain of its own; one domain for the
+     whole sequence would recycle state between its runs. *)
+  let fresh = List.map (fun run -> marshal (Domain.join (Domain.spawn run))) runs in
+  let sequence () = List.map (fun run -> marshal (run ())) runs in
   let recycled = sequence () in
   let recycled_again = sequence () in
   List.iteri
     (fun i (f, r) ->
-      check Alcotest.string
-        (Printf.sprintf "arena run %d = fresh run %d" i i)
-        (marshal f) (marshal r))
+      check Alcotest.string (Printf.sprintf "arena run %d = fresh run %d" i i) f r)
     (List.combine fresh recycled);
   List.iteri
-    (fun i (f, r) ->
-      check Alcotest.string
-        (Printf.sprintf "second arena pass, run %d" i)
-        (marshal f) (marshal r))
+    (fun i (f, r) -> check Alcotest.string (Printf.sprintf "second arena pass, run %d" i) f r)
     (List.combine fresh recycled_again)
 
 (* --- metamorphic properties (tiny workloads, many configs) ------------- *)

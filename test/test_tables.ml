@@ -171,18 +171,28 @@ let shape_checks_pass () =
       (String.concat "; " (List.map (fun c -> c.Dbm_core.Shape_checks.claim) fs))
 
 let parallel_determinism () =
-  (* the paper's tables are independent seeded simulations: for a fixed
-     seed the rendered output must not depend on the pool size.
+  (* the suites are independent seeded simulations: for a fixed seed
+     the rendered output must not depend on the pool size.
      Oversubscription is forced so real domains run even on a one-core
      host, where ~jobs:4 alone would clamp to the serial path. *)
-  Experiment.clear_cache ();
-  let serial = List.map Report.to_string (Dbm_core.Tables.all ()) in
-  Experiment.clear_cache ();
-  let parallel =
-    Dbm_util.Pool.with_pool ~jobs:4 ~allow_oversubscribe:true (fun pool ->
-        List.map Report.to_string (Dbm_core.Tables.all ~pool ()))
-  in
-  check (Alcotest.list Alcotest.string) "jobs=4 output byte-identical to jobs=1" serial parallel
+  List.iter
+    (fun (suite, all) ->
+      Experiment.clear_cache ();
+      let serial = List.map Report.to_string (all None) in
+      Experiment.clear_cache ();
+      let parallel =
+        Dbm_util.Pool.with_pool ~jobs:4 ~allow_oversubscribe:true (fun pool ->
+            List.map Report.to_string (all (Some pool)))
+      in
+      check
+        (Alcotest.list Alcotest.string)
+        (suite ^ ": jobs=4 output byte-identical to jobs=1")
+        serial parallel)
+    [
+      ("tables", fun pool -> Dbm_core.Tables.all ?pool ());
+      ("ablations", fun pool -> Dbm_core.Ablations.all ?pool ());
+      ("extensions", fun pool -> Dbm_core.Extensions.all ?pool ());
+    ]
 
 let test_by_id_bounds () =
   match Dbm_core.Tables.by_id 13 with

@@ -167,61 +167,14 @@ let test_pool_oversubscribe_escape_hatch () =
       check Alcotest.int "oversubscription honoured when asked for"
         (Pool.default_jobs () + 2) (Pool.jobs p))
 
-(* --- weighted scheduling --------------------------------------------- *)
-
-let test_weighted_serial_path () =
-  Pool.with_pool ~jobs:1 (fun p ->
-      let weight_calls = ref 0 in
-      let r =
-        Pool.map_ordered_weighted p
-          (List.init 10 (fun i -> i))
-          ~weight:(fun _ ->
-            incr weight_calls;
-            1.0)
-          ~f:(fun x -> x * x)
-      in
-      check (Alcotest.list Alcotest.int) "maps in order" (squares 10) r;
-      (* jobs=1 must reproduce the serial path bit-for-bit: no sort, no
-         cost estimation, nothing the weight could influence. *)
-      check Alcotest.int "weight never consulted" 0 !weight_calls)
-
-let test_weighted_reuse_any_weights () =
-  let f x = (x * 31) mod 97 in
-  let xs = List.init 57 (fun i -> i) in
-  Pool.with_pool ~jobs:3 ~allow_oversubscribe:true (fun p ->
-      check (Alcotest.list Alcotest.int) "ascending weights" (List.map f xs)
-        (Pool.map_ordered_weighted p xs ~weight:float_of_int ~f);
-      check (Alcotest.list Alcotest.int) "descending weights (pool reused)" (List.map f xs)
-        (Pool.map_ordered_weighted p xs ~weight:(fun x -> -.float_of_int x) ~f);
-      check (Alcotest.list Alcotest.int) "empty input" []
-        (Pool.map_ordered_weighted p [] ~weight:float_of_int ~f))
-
-let test_weighted_exception () =
-  Pool.with_pool ~jobs:4 ~allow_oversubscribe:true (fun p ->
-      match
-        Pool.map_ordered_weighted p [ 1; 2; 3; 4 ]
-          ~weight:(fun x -> float_of_int (10 - x))
-          ~f:(fun x -> if x mod 2 = 0 then failwith (string_of_int x) else x)
-      with
-      | exception Failure m -> check Alcotest.string "smallest failing index wins" "2" m
-      | _ -> Alcotest.fail "expected the worker exception to propagate")
-
-(* Whatever the weights (including ties, negatives, NaN and infinities)
-   and whatever the pool size, the result is exactly [List.map f]. *)
-let prop_weighted_matches_list_map =
-  QCheck.Test.make ~name:"map_ordered_weighted = List.map f" ~count:30
-    QCheck.(triple (int_range 1 4) (small_list int) (int_range 0 1000))
-    (fun (jobs, xs, wseed) ->
+(* Whatever the pool size, the result is exactly [List.map f]. *)
+let prop_map_ordered_matches_list_map =
+  QCheck.Test.make ~name:"map_ordered = List.map f" ~count:30
+    QCheck.(pair (int_range 1 4) (small_list int))
+    (fun (jobs, xs) ->
       let f x = (x * 7919) mod 101 in
-      let weight x =
-        match abs (x + wseed) mod 5 with
-        | 0 -> Float.nan
-        | 1 -> Float.infinity
-        | 2 -> Float.neg_infinity
-        | _ -> float_of_int ((abs (x * wseed) mod 13) - 3)
-      in
       Pool.with_pool ~jobs ~allow_oversubscribe:true (fun p ->
-          Pool.map_ordered_weighted p xs ~weight ~f = List.map f xs))
+          Pool.map_ordered p xs ~f = List.map f xs))
 
 (* --- Lru ------------------------------------------------------------- *)
 
@@ -544,11 +497,7 @@ let () =
           Alcotest.test_case "clamps to host cores" `Quick test_pool_clamps_to_cores;
           Alcotest.test_case "oversubscribe escape hatch" `Quick
             test_pool_oversubscribe_escape_hatch;
-          Alcotest.test_case "weighted serial path" `Quick test_weighted_serial_path;
-          Alcotest.test_case "weighted reuse + any weights" `Quick
-            test_weighted_reuse_any_weights;
-          Alcotest.test_case "weighted exception propagation" `Quick test_weighted_exception;
-          QCheck_alcotest.to_alcotest prop_weighted_matches_list_map;
+          QCheck_alcotest.to_alcotest prop_map_ordered_matches_list_map;
         ] );
       ( "lru",
         [
