@@ -281,7 +281,7 @@ let run_event_core () =
 (* ------------------------------------------------------------------ *)
 
 type cache_report = {
-  total_runs : int; (* requests across tables + ablations + extensions *)
+  total_runs : int; (* each table's distinct runs, summed over all three suites *)
   unique_runs : int; (* distinct digests among them *)
   cold_ms : float; (* tables regenerated into an empty disk cache *)
   warm_ms : float; (* tables replayed from that disk cache *)
@@ -300,11 +300,12 @@ let rec rm_rf path =
 let run_cache () =
   separator "Content-addressed run cache";
   let reqs =
-    Dbm_core.Tables.runs () @ Dbm_core.Ablations.runs () @ Dbm_core.Extensions.runs ()
+    List.concat_map Dbm_core.Experiment.runs
+      Dbm_core.(Tables.declared @ Ablations.declared @ Extensions.declared)
   in
   let total_runs = List.length reqs in
   let unique_runs = List.length (Dbm_core.Experiment.dedup reqs) in
-  Printf.printf "suite requests: %d runs, %d unique digests (%.1f%% deduped)\n"
+  Printf.printf "suite work list: %d table runs, %d unique digests (%.1f%% deduped)\n"
     total_runs unique_runs
     (100.0 *. float_of_int (total_runs - unique_runs) /. float_of_int total_runs);
   (* Cold vs warm regeneration through a scratch on-disk store.  Both

@@ -210,7 +210,7 @@ let run_cmd =
         r
       end
       else
-        Dbm_core.Experiment.run ~arch:descriptor ~machine ~workload ~make_arch ()
+        Dbm_core.Experiment.(force (request ~arch:descriptor ~machine ~workload ~make_arch))
     in
     Format.printf "%s on %s:@.%a@." arch (Dbm_core.Scenario.name scenario)
       Dbm_machine.Results.pp r;
@@ -307,7 +307,7 @@ let export_cmd =
   let slug s = String.map (fun c -> if c = ' ' then '_' else Char.lowercase_ascii c) s in
   let run dir jobs allow_oversubscribe () =
     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    let write (t : Dbm_core.Report.table) =
+    let write t =
       let path = Filename.concat dir (slug t.Dbm_core.Report.id ^ ".csv") in
       let oc = open_out path in
       output_string oc (Dbm_core.Report.to_csv t);
@@ -356,14 +356,13 @@ let recovery_time_cmd =
       E.commit t
     done;
     if checkpointed then E.checkpoint e;
-    let reads0 = Option.value (List.assoc_opt "disk_reads" (E.stats e)) ~default:0 in
-    let writes0 = Option.value (List.assoc_opt "disk_writes" (E.stats e)) ~default:0 in
+    (* every engine exports both counters: a missing one is a bug, not a 0 *)
+    let counter key = List.assoc key (E.stats e) in
+    let reads0 = counter "disk_reads" and writes0 = counter "disk_writes" in
     let t0 = Sys.time () in
     E.crash_and_recover e;
     let dt = (Sys.time () -. t0) *. 1000.0 in
-    let reads1 = Option.value (List.assoc_opt "disk_reads" (E.stats e)) ~default:0 in
-    let writes1 = Option.value (List.assoc_opt "disk_writes" (E.stats e)) ~default:0 in
-    (dt, reads1 - reads0, writes1 - writes0)
+    (dt, counter "disk_reads" - reads0, counter "disk_writes" - writes0)
   in
   let engines : (string * (module Dbm_storage.Kv.S)) list =
     [

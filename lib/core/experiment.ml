@@ -183,26 +183,24 @@ let request ~arch ~machine ~workload ~make_arch =
         Dbm_machine.Machine.run ~config:machine ~make_arch ~workload:txns);
   }
 
-let with_label label req = { req with label }
-
-let scenario_request ?label ~arch ?scramble scenario make_arch =
-  let label =
-    match label with Some l -> l | None -> Printf.sprintf "%s @ %s" arch (Scenario.name scenario)
-  in
-  with_label label
+let scenario_request ~arch ?scramble scenario make_arch =
+  {
     (request ~arch
        ~machine:(Scenario.machine_config ?scramble scenario)
        ~workload:(Scenario.workload_config scenario)
        ~make_arch)
+    with
+    label = Printf.sprintf "%s @ %s" arch (Scenario.name scenario);
+  }
 
 let bare_request scenario = scenario_request ~arch:"bare" scenario (fun _ -> Dbm_machine.Arch.bare)
 
-let custom_request ?label ~tag ~machine compute =
+let custom_request ~tag ~machine compute =
   let d = Digest.create () in
   Digest.string d "custom-request";
   Digest.string d tag;
   Dbm_machine.Config.feed_digest d machine;
-  { digest = Digest.hex d; label = (match label with Some l -> l | None -> tag); compute }
+  { digest = Digest.hex d; label = tag; compute }
 
 (* Disk lookups happen inside the memo's compute branch, so at most one
    domain per digest touches the store, and a hit still lands in the
@@ -251,26 +249,36 @@ let dedup reqs =
       end)
     reqs
 
+(* ------------------------------------------------------------------ *)
+(* Declared tables                                                     *)
+(* ------------------------------------------------------------------ *)
+
+type cell = { run : request; measure : Results.t -> float; paper : float option }
+
+let cell ?paper measure run = { run; measure; paper }
+
+type table = cell Report.table
+
+let runs (t : table) =
+  dedup (List.concat_map (fun r -> List.map (fun c -> c.run) r.Report.cells) t.rows)
+
+let render (t : table) =
+  let cell c = Report.cell ?paper:c.paper (c.measure (force c.run)) in
+  let row r = { r with Report.cells = List.map cell r.Report.cells } in
+  { t with rows = List.map row t.rows }
+
 (* The unit of parallelism is the individual run: the suite's work list
-   is deduplicated by digest and fanned out across the pool to fill the
-   (mutex-protected, in-flight latched) memo cache, and the builders
-   then assemble the suite serially from cache hits — so the rendered
-   output cannot depend on the pool size, the dedup, or the state of any
-   persistent cache, and no single slow table gates the schedule. *)
-let build_suite ?pool ~runs builders =
+   is every table's runs, deduplicated by digest and fanned out across
+   the pool to fill the (mutex-protected, in-flight latched) memo cache,
+   and the tables are then rendered serially from cache hits — so the
+   rendered output cannot depend on the pool size, the dedup, or the
+   state of any persistent cache, and no single slow table gates the
+   schedule.  The list is read off the tables' cells, so it covers
+   exactly the runs rendering forces. *)
+let build_suite ?pool tables =
   (match pool with
   | Some p when Dbm_util.Pool.jobs p > 1 ->
-    ignore (Dbm_util.Pool.map_ordered p (dedup (runs ())) ~f:(fun r -> ignore (force r)))
+    let work = dedup (List.concat_map runs tables) in
+    ignore (Dbm_util.Pool.map_ordered p work ~f:(fun r -> ignore (force r)))
   | _ -> ());
-  List.map (fun build -> build ()) builders
-
-(* ------------------------------------------------------------------ *)
-(* Forced convenience wrappers                                         *)
-(* ------------------------------------------------------------------ *)
-
-let run ~arch ~machine ~workload ~make_arch () = force (request ~arch ~machine ~workload ~make_arch)
-
-let on_scenario ~arch ?scramble scenario make_arch =
-  force (scenario_request ~arch ?scramble scenario make_arch)
-
-let bare scenario = force (bare_request scenario)
+  List.map render tables

@@ -34,42 +34,35 @@ val request :
 (** [arch] must be a canonical architecture descriptor (e.g. from
     {!Dbm_recovery.Logging.descriptor}), i.e. determined by the
     architecture's configuration alone — never by the requesting table
-    — and [make_arch] must be the architecture it describes.  The
-    profile label defaults to [arch]; see {!with_label}. *)
-
-val with_label : string -> request -> request
-(** Override the request's human-readable {!label} (used by {!profile}
-    attribution only — never part of the digest). *)
+    — and [make_arch] must be the architecture it describes.  [arch]
+    is also the request's {!label}. *)
 
 val scenario_request :
-  ?label:string ->
   arch:string ->
   ?scramble:int ->
   Scenario.t ->
   (Dbm_machine.Arch.ctx -> Dbm_machine.Arch.t) ->
   request
-(** {!request} on one of the paper's four configurations; the default
-    label is ["<arch> @ <scenario>"]. *)
+(** {!request} on one of the paper's four configurations, labelled
+    ["<arch> @ <scenario>"]. *)
 
 val bare_request : Scenario.t -> request
 (** Baseline (no recovery architecture) run of a configuration. *)
 
 val custom_request :
-  ?label:string ->
-  tag:string ->
-  machine:Dbm_machine.Config.t ->
-  (unit -> Dbm_machine.Results.t) ->
-  request
+  tag:string -> machine:Dbm_machine.Config.t -> (unit -> Dbm_machine.Results.t) -> request
 (** Escape hatch for runs whose workload is built by hand.  [tag] must
     uniquely determine the computation given the machine config, and
     must be versioned (e.g. ["ext-mixed/v1"]) so changing the
-    construction logic invalidates old persistent entries. *)
+    construction logic invalidates old persistent entries.  [tag] is
+    also the request's {!label}. *)
 
 val digest : request -> string
 (** The request's content digest (32 hex characters). *)
 
 val label : request -> string
-(** Human-readable attribution (table/architecture) for profiles. *)
+(** Human-readable attribution (architecture, configuration) for
+    profiles; never part of the digest. *)
 
 val force : request -> Dbm_machine.Results.t
 (** Resolve a request: memo hit, else persistent-store hit, else
@@ -81,34 +74,33 @@ val dedup : request list -> request list
     (stable; keeps first occurrences).  Schedule the deduplicated list
     and let {!force} fan the shared results back to every requester. *)
 
-val build_suite :
-  ?pool:Dbm_util.Pool.t -> runs:(unit -> request list) -> (unit -> 'a) list -> 'a list
-(** [build_suite ?pool ~runs builders] calls every builder, in order.
-    With [pool] (effective jobs > 1) it first forces [dedup (runs ())]
-    across the pool's domains, so the builders then assemble from memo
-    hits.  [runs] should list every run the builders force; a missing
-    run is computed serially by its builder.  The result is
-    byte-identical to the serial build whatever the pool size or cache
-    state. *)
+(** {1 Declared tables} *)
 
-(** {1 Forced convenience wrappers} *)
+type cell
+(** One cell of a declared table: a run, the figure read off its
+    result, and the paper's value if the paper reports one. *)
 
-val run :
-  arch:string ->
-  machine:Dbm_machine.Config.t ->
-  workload:Dbm_workload.Workload.config ->
-  make_arch:(Dbm_machine.Arch.ctx -> Dbm_machine.Arch.t) ->
-  unit ->
-  Dbm_machine.Results.t
+val cell : ?paper:float -> (Dbm_machine.Results.t -> float) -> request -> cell
+(** [cell ?paper measure run]. *)
 
-val on_scenario :
-  arch:string ->
-  ?scramble:int ->
-  Scenario.t ->
-  (Dbm_machine.Arch.ctx -> Dbm_machine.Arch.t) ->
-  Dbm_machine.Results.t
+type table = cell Report.table
+(** A suite table (paper table, ablation or extension) as declared:
+    each cell names the one run it reads, so the table is also its own
+    run list. *)
 
-val bare : Scenario.t -> Dbm_machine.Results.t
+val runs : table -> request list
+(** The table's distinct runs, in row-major order of first use. *)
+
+val render : table -> Report.cell Report.table
+(** Force each cell's run, in row-major order, and read its figure. *)
+
+val build_suite : ?pool:Dbm_util.Pool.t -> table list -> Report.cell Report.table list
+(** [build_suite ?pool tables] renders every table, in order.  With
+    [pool] (effective jobs > 1) it first forces the suite's work list,
+    [dedup] of every table's {!runs}, one run at a time across the
+    pool's domains, so rendering then reads memo hits only.  The result
+    is byte-identical to the serial build whatever the pool size or
+    cache state. *)
 
 (** {1 Cache control} *)
 

@@ -3,7 +3,7 @@ module Results = Dbm_machine.Results
 module Workload = Dbm_workload.Workload
 module Logging = Dbm_recovery.Logging
 
-let cell = Report.cell
+let cell = Experiment.cell
 
 let e1_skews =
   [
@@ -14,38 +14,41 @@ let e1_skews =
     ("1% hot, 95% of accesses", Workload.Hotspot { hot_fraction = 0.01; hot_access_prob = 0.95 });
   ]
 
+let exec (r : Results.t) = r.Results.exec_ms_per_page
+
+let completion (r : Results.t) = r.Results.mean_completion_ms
+
+(* (descriptor, architecture) of the two machines the extensions
+   compare *)
+let bare = ("bare", fun _ -> Dbm_machine.Arch.bare)
+
+let logging = (Logging.descriptor Logging.default, Logging.make Logging.default)
+
 (* The workload pattern is part of the digest, so the uniform rows
-   collapse (via dedup) onto the Table 1 bare/logging runs of the same
-   machine. *)
-let e1_request ~arch ~make_arch (_label, pattern) =
-  let machine = Scenario.machine_config Scenario.Conventional_random in
-  let workload =
-    { (Scenario.workload_config Scenario.Conventional_random) with Workload.pattern }
+   collapse (in the suite's work list) onto the Table 1 bare/logging
+   runs of the same machine. *)
+let hotspot_contention =
+  let run (arch, make_arch) pattern =
+    let machine = Scenario.machine_config Scenario.Conventional_random in
+    let workload =
+      { (Scenario.workload_config Scenario.Conventional_random) with Workload.pattern }
+    in
+    Experiment.request ~arch ~machine ~workload ~make_arch
   in
-  Experiment.request ~arch ~machine ~workload ~make_arch
-
-let e1_bare_request = e1_request ~arch:"bare" ~make_arch:(fun _ -> Dbm_machine.Arch.bare)
-
-let e1_logging_request =
-  e1_request ~arch:(Logging.descriptor Logging.default) ~make_arch:(Logging.make Logging.default)
-
-let hotspot_contention () =
   let rows =
     List.map
-      (fun skew ->
-        let label, _ = skew in
-        let bare = Experiment.force (e1_bare_request skew) in
-        let log = Experiment.force (e1_logging_request skew) in
+      (fun (label, pattern) ->
+        let b = run bare pattern and l = run logging pattern in
         {
           Report.row_label = label;
           cells =
             [
-              cell bare.Results.exec_ms_per_page;
-              cell bare.Results.mean_completion_ms;
-              cell bare.Results.mean_active_txns;
-              cell (Results.data_disk_utilization bare);
-              cell log.Results.exec_ms_per_page;
-              cell log.Results.mean_completion_ms;
+              cell exec b;
+              cell completion b;
+              cell (fun r -> r.Results.mean_active_txns) b;
+              cell Results.data_disk_utilization b;
+              cell exec l;
+              cell completion l;
             ];
         })
       e1_skews
@@ -74,7 +77,7 @@ let hotspot_contention () =
    is hand-built, so this run uses a custom request whose versioned tag
    stands in for the construction below: bump the tag when changing
    it, or stale persistent entries would be served. *)
-let e2_request () =
+let e2_request =
   let machine = Scenario.machine_config Scenario.Conventional_random in
   Experiment.custom_request ~tag:"ext-mixed/v1" ~machine @@ fun () ->
   let small =
@@ -109,14 +112,17 @@ let e2_request () =
     ~make_arch:(fun _ -> Dbm_machine.Arch.bare)
     ~workload:mixed
 
-let mixed_size_fairness () =
-  let r = Experiment.force (e2_request ()) in
-  let class_mean pred =
-    let xs = List.filter_map (fun (id, c) -> if pred id then Some c else None) r.Results.completions in
+let mixed_size_fairness =
+  let r = e2_request in
+  let class_mean pred (r : Results.t) =
+    let xs =
+      List.filter_map (fun (id, c) -> if pred id then Some c else None) r.Results.completions
+    in
     match xs with
     | [] -> 0.0
     | _ -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
   in
+  let count n = cell (fun _ -> n) r in
   {
     Report.id = "Extension E2";
     title = "Mixed transaction sizes: completion time by class (bare Conventional-Random)";
@@ -125,16 +131,13 @@ let mixed_size_fairness () =
       [
         {
           Report.row_label = "small (1-10 pages)";
-          cells = [ cell (class_mean (fun id -> id < 1000)); cell 20.0 ];
+          cells = [ cell (class_mean (fun id -> id < 1000)) r; count 20.0 ];
         };
         {
           Report.row_label = "large (200-250 pages)";
-          cells = [ cell (class_mean (fun id -> id >= 1000)); cell 5.0 ];
+          cells = [ cell (class_mean (fun id -> id >= 1000)) r; count 5.0 ];
         };
-        {
-          Report.row_label = "all";
-          cells = [ cell r.Results.mean_completion_ms; cell 25.0 ];
-        };
+        { Report.row_label = "all"; cells = [ cell completion r; count 25.0 ] };
       ];
     notes =
       [
@@ -146,41 +149,33 @@ let mixed_size_fairness () =
 (* Offered load vs response time in an open system (Poisson arrivals):
    the closed-model paper reports completion under a fixed MPL; this
    sweep shows the classic response-time knee as utilization rises. *)
-let e3_interarrivals = [ 10_000.0; 5_000.0; 3_500.0; 3_000.0 ]
-
-let e3_request ~arch ~make_arch mean =
-  let machine = Scenario.machine_config Scenario.Conventional_random in
-  let machine = { machine with Config.arrivals = Config.Poisson mean } in
-  let workload =
-    { (Scenario.workload_config Scenario.Conventional_random) with Workload.n_transactions = 40 }
+let open_system_load =
+  let run (arch, make_arch) mean =
+    let machine = Scenario.machine_config Scenario.Conventional_random in
+    let machine = { machine with Config.arrivals = Config.Poisson mean } in
+    let workload =
+      { (Scenario.workload_config Scenario.Conventional_random) with Workload.n_transactions = 40 }
+    in
+    Experiment.request ~arch ~machine ~workload ~make_arch
   in
-  Experiment.request ~arch ~machine ~workload ~make_arch
-
-let e3_bare_request = e3_request ~arch:"bare" ~make_arch:(fun _ -> Dbm_machine.Arch.bare)
-
-let e3_logging_request =
-  e3_request ~arch:(Logging.descriptor Logging.default) ~make_arch:(Logging.make Logging.default)
-
-let open_system_load () =
+  let p95 (r : Results.t) =
+    Dbm_util.Stats.percentile (List.map snd r.Results.completions) ~p:95.0
+  in
   let rows =
     List.map
       (fun mean ->
-        let bare = Experiment.force (e3_bare_request mean) in
-        let log = Experiment.force (e3_logging_request mean) in
-        let p95 (r : Results.t) =
-          Dbm_util.Stats.percentile (List.map snd r.Results.completions) ~p:95.0
-        in
+        let b = run bare mean in
         {
           Report.row_label = Printf.sprintf "interarrival %5.0f ms" mean;
           cells =
             [
-              cell bare.Results.mean_completion_ms;
-              cell (p95 bare);
-              cell (Results.data_disk_utilization bare);
-              cell log.Results.mean_completion_ms;
+              cell completion b;
+              cell p95 b;
+              cell Results.data_disk_utilization b;
+              cell completion (run logging mean);
             ];
         })
-      e3_interarrivals
+      [ 10_000.0; 5_000.0; 3_500.0; 3_000.0 ]
   in
   {
     Report.id = "Extension E3";
@@ -194,15 +189,6 @@ let open_system_load () =
       ];
   }
 
-let builders = [ hotspot_contention; mixed_size_fairness; open_system_load ]
+let declared = [ hotspot_contention; mixed_size_fairness; open_system_load ]
 
-(* Flattened run-level work list (see Tables.runs). *)
-let runs () : Experiment.request list =
-  List.concat
-    [
-      List.concat_map (fun skew -> [ e1_bare_request skew; e1_logging_request skew ]) e1_skews;
-      [ e2_request () ];
-      List.concat_map (fun mean -> [ e3_bare_request mean; e3_logging_request mean ]) e3_interarrivals;
-    ]
-
-let all ?pool () = Experiment.build_suite ?pool ~runs builders
+let all ?pool () = Experiment.build_suite ?pool declared

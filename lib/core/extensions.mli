@@ -4,28 +4,25 @@
     locking scheduler never becomes visible in the numbers.  These
     experiments add the missing dimensions. *)
 
-val hotspot_contention : unit -> Report.table
+val hotspot_contention : Experiment.table
 (** Skewed reference strings (a small hot region drawing most
     accesses): exclusive locks on hot pages serialize admissions, the
     effective multiprogramming level collapses, and throughput follows
     — for both the bare machine and the best recovery architecture
     (logging). *)
 
-val mixed_size_fairness : unit -> Report.table
+val mixed_size_fairness : Experiment.table
 (** Small transactions mixed with very large ones: completion time of
     each class under the static-locking admission policy. *)
 
-val open_system_load : unit -> Report.table
+val open_system_load : Experiment.table
 (** Poisson arrivals instead of the paper's closed batch: mean and max
     response time as the offered load approaches the machine's
     capacity. *)
 
-val runs : unit -> Experiment.request list
-(** Flattened run-level work list (one request per simulation); the
-    uniform-skew E1 entries are content-identical to Table 1's runs and
-    collapse under {!Experiment.dedup}.  See {!Tables.runs}. *)
+val declared : Experiment.table list
+(** E1-E3, in order.  E1's uniform rows are content-identical to
+    Table 1's runs and collapse in the suite's work list. *)
 
-val all : ?pool:Dbm_util.Pool.t -> unit -> Report.table list
-(** All extensions, in order; with [pool] the individual runs are fanned
-    out across its domains first and the tables assembled from the memo
-    cache, with a byte-identical result. *)
+val all : ?pool:Dbm_util.Pool.t -> unit -> Report.cell Report.table list
+(** All extensions rendered: {!Experiment.build_suite} over {!declared}. *)

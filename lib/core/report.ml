@@ -1,12 +1,12 @@
 type cell = { measured : float; paper : float option }
 
-type row = { row_label : string; cells : cell list }
+type 'c row = { row_label : string; cells : 'c list }
 
-type table = {
+type 'c table = {
   id : string;
   title : string;
   columns : string list;
-  rows : row list;
+  rows : 'c row list;
   notes : string list;
 }
 

@@ -6,23 +6,25 @@
 
 type cell = { measured : float; paper : float option }
 
-type row = { row_label : string; cells : cell list }
+type 'c row = { row_label : string; cells : 'c list }
 
-type table = {
+type 'c table = {
   id : string;  (** e.g. "Table 3" *)
   title : string;
   columns : string list;
-  rows : row list;
+  rows : 'c row list;
   notes : string list;
 }
+(** A table of ['c] cells: {!cell}s once rendered, the runs they read
+    while declared ({!Experiment.table}). *)
 
 val cell : ?paper:float -> float -> cell
 
-val pp : Format.formatter -> table -> unit
+val pp : Format.formatter -> cell table -> unit
 
-val to_string : table -> string
+val to_string : cell table -> string
 
-val to_csv : table -> string
+val to_csv : cell table -> string
 (** Machine-readable dump: [row,column,measured,paper]. *)
 
 val ascii_bars : ?width:int -> (string * float) list -> string
@@ -31,7 +33,7 @@ val ascii_bars : ?width:int -> (string * float) list -> string
     sweep shapes (log-disk scaling, buffer sweeps) at a glance.
     Non-positive and non-finite values render as empty bars. *)
 
-val mean_abs_log_ratio : table -> float
+val mean_abs_log_ratio : cell table -> float
 (** Shape metric: mean over cells (with paper values > 0) of
     [|log (measured / paper)|].  0 = perfect reproduction; 0.7 ~ a 2x
     average discrepancy. *)

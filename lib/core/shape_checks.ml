@@ -1,6 +1,5 @@
 module Results = Dbm_machine.Results
 module Logging = Dbm_recovery.Logging
-module Shadow = Dbm_recovery.Shadow
 module Diff_file = Dbm_recovery.Diff_file
 
 type check = { claim : string; where : string; holds : bool }
@@ -9,42 +8,21 @@ let exec (r : Results.t) = r.Results.exec_ms_per_page
 
 let extra key (r : Results.t) = Option.value (Results.find_extra r key) ~default:0.0
 
-(* Shared content-addressed runs (same digests as Tables, so nothing
-   reruns). *)
-let bare = Experiment.bare
+(* The tables' own runs: every digest here is one the tables share, so
+   nothing reruns. *)
+let bare sc = Experiment.force (Tables.bare_request sc)
 
-let logging1 sc =
-  Experiment.on_scenario ~arch:(Logging.descriptor Logging.default) sc
-    (Logging.make Logging.default)
+let logging1 sc = Experiment.force (Tables.logging1_request sc)
 
-let shadow_pt ~n_pt ~buf sc =
-  let cfg = Shadow.thru ~n_pt_processors:n_pt ~buffer_pages:buf in
-  Experiment.on_scenario ~arch:(Shadow.descriptor cfg) sc (Shadow.make cfg)
+let shadow_pt ~n_pt ~buf sc = Experiment.force (Tables.shadow_pt_request ~n_pt ~buf sc)
 
-let scrambled sc =
-  let cfg = Shadow.thru ~n_pt_processors:1 ~buffer_pages:10 in
-  Experiment.on_scenario ~arch:(Shadow.descriptor cfg) ~scramble:1009 sc (Shadow.make cfg)
+let scrambled sc = Experiment.force (Tables.shadow_scrambled_request sc)
 
-let overwriting sc =
-  Experiment.on_scenario
-    ~arch:(Shadow.descriptor Shadow.overwrite_no_undo)
-    sc
-    (Shadow.make Shadow.overwrite_no_undo)
+let overwriting sc = Experiment.force (Tables.overwriting_request sc)
 
-let diff ~strategy sc =
-  let cfg = { Diff_file.default with Diff_file.strategy } in
-  Experiment.on_scenario ~arch:(Diff_file.descriptor cfg) sc (Diff_file.make cfg)
+let diff ~strategy sc = Experiment.force (Tables.diff_request ~strategy sc)
 
-let table3 ~n_log ~selection =
-  let cfg =
-    { Logging.default with Logging.n_log_processors = n_log; selection; mode = Logging.Physical }
-  in
-  Experiment.run
-    ~arch:(Logging.descriptor cfg)
-    ~machine:Scenario.table3_machine
-    ~workload:(Scenario.table3_workload ())
-    ~make_arch:(Logging.make cfg)
-    ()
+let table3 ~n_log ~selection = Experiment.force (Tables.table3_request ~n_log ~selection)
 
 let all () =
   let open Scenario in

@@ -10,9 +10,10 @@ let scenarios = Scenario.all
 (* ---------------------------------------------------------------- *)
 
 (* Each helper names the architecture by its canonical descriptor, so
-   two tables (or an ablation, or an extension) requesting the same
-   configuration on the same scenario share one digest — and one
-   simulation — no matter where the request came from. *)
+   two tables (or an ablation, an extension or a shape check)
+   requesting the same configuration on the same scenario share one
+   digest — and one simulation — no matter where the request came
+   from. *)
 
 let bare_request = Experiment.bare_request
 
@@ -43,21 +44,9 @@ let diff_request ?(size = 0.10) ?(out = 0.10) ~strategy sc =
   in
   Experiment.scenario_request ~arch:(Diff_file.descriptor cfg) sc (Diff_file.make cfg)
 
-let bare = Experiment.bare
-
-let logging1 sc = Experiment.force (logging1_request sc)
-
-let shadow_pt ~n_pt ~buf sc = Experiment.force (shadow_pt_request ~n_pt ~buf sc)
-
-let shadow_scrambled sc = Experiment.force (shadow_scrambled_request sc)
-
-let overwriting sc = Experiment.force (overwriting_request sc)
-
-let diff ?size ?out ~strategy sc = Experiment.force (diff_request ?size ?out ~strategy sc)
-
 (* ---------------------------------------------------------------- *)
 
-let cell = Report.cell
+let cell = Experiment.cell
 
 let exec (r : Results.t) = r.Results.exec_ms_per_page
 
@@ -65,19 +54,19 @@ let completion (r : Results.t) = r.Results.mean_completion_ms
 
 let extra key (r : Results.t) = Option.value (Results.find_extra r key) ~default:0.0
 
-let table1 () =
+let table1 =
   let rows =
     List.map2
       (fun sc ((pe_wo, pe_w), (pc_wo, pc_w)) ->
-        let b = bare sc and l = logging1 sc in
+        let b = bare_request sc and l = logging1_request sc in
         {
           Report.row_label = Scenario.name sc;
           cells =
             [
-              cell ~paper:pe_wo (exec b);
-              cell ~paper:pe_w (exec l);
-              cell ~paper:pc_wo (completion b);
-              cell ~paper:pc_w (completion l);
+              cell ~paper:pe_wo exec b;
+              cell ~paper:pe_w exec l;
+              cell ~paper:pc_wo completion b;
+              cell ~paper:pc_w completion l;
             ];
         })
       scenarios
@@ -92,12 +81,14 @@ let table1 () =
     notes = [ "one log processor, logical logging, dedicated 1 MB/s interconnect" ];
   }
 
-let table2 () =
+let table2 =
   let rows =
     List.map2
       (fun sc p ->
-        let l = logging1 sc in
-        { Report.row_label = Scenario.name sc; cells = [ cell ~paper:p (extra "log_disk_util" l) ] })
+        {
+          Report.row_label = Scenario.name sc;
+          cells = [ cell ~paper:p (extra "log_disk_util") (logging1_request sc) ];
+        })
       scenarios Paper.table2_log_util
   in
   {
@@ -123,17 +114,15 @@ let table3_request ~n_log ~selection =
   Experiment.request ~arch ~machine:Scenario.table3_machine
     ~workload:(Scenario.table3_workload ()) ~make_arch
 
-let table3_run ~n_log ~selection = Experiment.force (table3_request ~n_log ~selection)
-
 let selections = [ Logging.Cyclic; Logging.Random; Logging.Qp_mod; Logging.Txn_mod ]
 
-let table3 () =
+let table3 =
   let row ~metric ~label n_log papers =
     {
       Report.row_label = label;
       cells =
         List.map2
-          (fun selection paper -> cell ~paper (metric (table3_run ~n_log ~selection)))
+          (fun selection paper -> cell ~paper metric (table3_request ~n_log ~selection))
           selections papers;
     }
   in
@@ -159,23 +148,23 @@ let table3 () =
     notes = [];
   }
 
-let table4 () =
+let table4 =
   let rows =
     List.map2
       (fun sc ((pe_b, pe_1, pe_2), (pc_b, pc_1, pc_2)) ->
-        let b = bare sc in
-        let s1 = shadow_pt ~n_pt:1 ~buf:10 sc in
-        let s2 = shadow_pt ~n_pt:2 ~buf:10 sc in
+        let b = bare_request sc in
+        let s1 = shadow_pt_request ~n_pt:1 ~buf:10 sc in
+        let s2 = shadow_pt_request ~n_pt:2 ~buf:10 sc in
         {
           Report.row_label = Scenario.name sc;
           cells =
             [
-              cell ~paper:pe_b (exec b);
-              cell ~paper:pe_1 (exec s1);
-              cell ~paper:pe_2 (exec s2);
-              cell ~paper:pc_b (completion b);
-              cell ~paper:pc_1 (completion s1);
-              cell ~paper:pc_2 (completion s2);
+              cell ~paper:pe_b exec b;
+              cell ~paper:pe_1 exec s1;
+              cell ~paper:pe_2 exec s2;
+              cell ~paper:pc_b completion b;
+              cell ~paper:pc_1 completion s1;
+              cell ~paper:pc_2 completion s2;
             ];
         })
       scenarios
@@ -193,23 +182,22 @@ let table4 () =
     notes = [ "page-table buffer of 10 pages" ];
   }
 
-let table5 () =
-  let data_util (r : Results.t) = Results.data_disk_utilization r in
+let table5 =
+  let data_util = Results.data_disk_utilization in
   let rows =
     List.map2
       (fun sc (p_bare, p1_pt, p1_data, p2_pt, p2_data) ->
-        let b = bare sc in
-        let s1 = shadow_pt ~n_pt:1 ~buf:10 sc in
-        let s2 = shadow_pt ~n_pt:2 ~buf:10 sc in
+        let s1 = shadow_pt_request ~n_pt:1 ~buf:10 sc in
+        let s2 = shadow_pt_request ~n_pt:2 ~buf:10 sc in
         {
           Report.row_label = Scenario.name sc;
           cells =
             [
-              cell ~paper:p_bare (data_util b);
-              cell ~paper:p1_pt (extra "pt_disk_util" s1);
-              cell ~paper:p1_data (data_util s1);
-              cell ~paper:p2_pt (extra "pt_disk_util" s2);
-              cell ~paper:p2_data (data_util s2);
+              cell ~paper:p_bare data_util (bare_request sc);
+              cell ~paper:p1_pt (extra "pt_disk_util") s1;
+              cell ~paper:p1_data data_util s1;
+              cell ~paper:p2_pt (extra "pt_disk_util") s2;
+              cell ~paper:p2_data data_util s2;
             ];
         })
       scenarios Paper.table5_util
@@ -222,18 +210,17 @@ let table5 () =
     notes = [];
   }
 
-let table6 () =
+let table6 =
   let buffer_sizes = [ 10; 25; 50 ] in
   let rows =
     List.map2
       (fun sc (label, p_bare, papers) ->
-        let b = bare sc in
         {
           Report.row_label = label;
           cells =
-            cell ~paper:p_bare (exec b)
+            cell ~paper:p_bare exec (bare_request sc)
             :: List.map2
-                 (fun buf paper -> cell ~paper (exec (shadow_pt ~n_pt:1 ~buf sc)))
+                 (fun buf paper -> cell ~paper exec (shadow_pt_request ~n_pt:1 ~buf sc))
                  buffer_sizes papers;
         })
       [ Scenario.Conventional_random; Scenario.Parallel_random ]
@@ -248,7 +235,7 @@ let table6 () =
     notes = [];
   }
 
-let table7 () =
+let table7 =
   let rows =
     List.map2
       (fun sc (label, p_bare, p_clu, p_scr, p_ow) ->
@@ -256,10 +243,10 @@ let table7 () =
           Report.row_label = label;
           cells =
             [
-              cell ~paper:p_bare (exec (bare sc));
-              cell ~paper:p_clu (exec (shadow_pt ~n_pt:1 ~buf:10 sc));
-              cell ~paper:p_scr (exec (shadow_scrambled sc));
-              cell ~paper:p_ow (exec (overwriting sc));
+              cell ~paper:p_bare exec (bare_request sc);
+              cell ~paper:p_clu exec (shadow_pt_request ~n_pt:1 ~buf:10 sc);
+              cell ~paper:p_scr exec (shadow_scrambled_request sc);
+              cell ~paper:p_ow exec (overwriting_request sc);
             ];
         })
       [ Scenario.Conventional_sequential; Scenario.Parallel_sequential ]
@@ -273,7 +260,7 @@ let table7 () =
     notes = [];
   }
 
-let table8 () =
+let table8 =
   let rows =
     List.map2
       (fun sc (label, p_bare, p_pt, p_ow) ->
@@ -281,9 +268,9 @@ let table8 () =
           Report.row_label = label;
           cells =
             [
-              cell ~paper:p_bare (exec (bare sc));
-              cell ~paper:p_pt (exec (shadow_pt ~n_pt:1 ~buf:10 sc));
-              cell ~paper:p_ow (exec (overwriting sc));
+              cell ~paper:p_bare exec (bare_request sc);
+              cell ~paper:p_pt exec (shadow_pt_request ~n_pt:1 ~buf:10 sc);
+              cell ~paper:p_ow exec (overwriting_request sc);
             ];
         })
       [ Scenario.Conventional_random; Scenario.Parallel_random ]
@@ -297,23 +284,23 @@ let table8 () =
     notes = [];
   }
 
-let table9 () =
+let table9 =
   let rows =
     List.map2
       (fun sc ((pe_b, pe_ba, pe_o), (pc_b, pc_ba, pc_o)) ->
-        let b = bare sc in
-        let ba = diff ~strategy:Diff_file.Basic sc in
-        let o = diff ~strategy:Diff_file.Optimal sc in
+        let b = bare_request sc in
+        let ba = diff_request ~strategy:Diff_file.Basic sc in
+        let o = diff_request ~strategy:Diff_file.Optimal sc in
         {
           Report.row_label = Scenario.name sc;
           cells =
             [
-              cell ~paper:pe_b (exec b);
-              cell ~paper:pe_ba (exec ba);
-              cell ~paper:pe_o (exec o);
-              cell ~paper:pc_b (completion b);
-              cell ~paper:pc_ba (completion ba);
-              cell ~paper:pc_o (completion o);
+              cell ~paper:pe_b exec b;
+              cell ~paper:pe_ba exec ba;
+              cell ~paper:pe_o exec o;
+              cell ~paper:pc_b completion b;
+              cell ~paper:pc_ba completion ba;
+              cell ~paper:pc_o completion o;
             ];
         })
       scenarios
@@ -328,7 +315,7 @@ let table9 () =
     notes = [ "differential files sized at 10% of the base file" ];
   }
 
-let table10 () =
+let table10 =
   let fractions = [ 0.10; 0.20; 0.50 ] in
   let rows =
     List.map2
@@ -336,9 +323,10 @@ let table10 () =
         {
           Report.row_label = Scenario.name sc;
           cells =
-            cell ~paper:p_bare (exec (bare sc))
+            cell ~paper:p_bare exec (bare_request sc)
             :: List.map2
-                 (fun out paper -> cell ~paper (exec (diff ~out ~strategy:Diff_file.Optimal sc)))
+                 (fun out paper ->
+                   cell ~paper exec (diff_request ~out ~strategy:Diff_file.Optimal sc))
                  fractions papers;
         })
       scenarios Paper.table10_exec
@@ -351,7 +339,7 @@ let table10 () =
     notes = [];
   }
 
-let table11 () =
+let table11 =
   let sizes = [ 0.10; 0.15; 0.20 ] in
   let rows =
     List.map2
@@ -359,9 +347,10 @@ let table11 () =
         {
           Report.row_label = Scenario.name sc;
           cells =
-            cell ~paper:p_bare (exec (bare sc))
+            cell ~paper:p_bare exec (bare_request sc)
             :: List.map2
-                 (fun size paper -> cell ~paper (exec (diff ~size ~strategy:Diff_file.Optimal sc)))
+                 (fun size paper ->
+                   cell ~paper exec (diff_request ~size ~strategy:Diff_file.Optimal sc))
                  sizes papers;
         })
       scenarios Paper.table11_exec
@@ -374,23 +363,26 @@ let table11 () =
     notes = [];
   }
 
-let table12 () =
+let table12 =
   let rows =
     List.map2
       (fun sc (label, papers) ->
-        let measured =
+        let runs =
           [
-            exec (bare sc);
-            exec (logging1 sc);
-            exec (shadow_pt ~n_pt:1 ~buf:10 sc);
-            exec (shadow_pt ~n_pt:1 ~buf:50 sc);
-            exec (shadow_pt ~n_pt:2 ~buf:10 sc);
-            exec (shadow_scrambled sc);
-            exec (overwriting sc);
-            exec (diff ~strategy:Diff_file.Optimal sc);
+            bare_request sc;
+            logging1_request sc;
+            shadow_pt_request ~n_pt:1 ~buf:10 sc;
+            shadow_pt_request ~n_pt:1 ~buf:50 sc;
+            shadow_pt_request ~n_pt:2 ~buf:10 sc;
+            shadow_scrambled_request sc;
+            overwriting_request sc;
+            diff_request ~strategy:Diff_file.Optimal sc;
           ]
         in
-        { Report.row_label = label; cells = List.map2 (fun m p -> cell ~paper:p m) measured papers })
+        {
+          Report.row_label = label;
+          cells = List.map2 (fun run paper -> cell ~paper exec run) runs papers;
+        })
       scenarios Paper.table12_exec
   in
   {
@@ -405,69 +397,14 @@ let table12 () =
     notes = [];
   }
 
-let builders =
+let declared =
   [
     table1; table2; table3; table4; table5; table6; table7; table8; table9; table10; table11;
     table12;
   ]
 
-(* The flattened run-level work list: every simulation the twelve
-   tables need, one request per run.  Content-identical entries are
-   fine — Experiment.build_suite dedups by digest first.  Coverage drift
-   is benign: a run a builder needs but the list misses is simply
-   computed serially during assembly. *)
-let runs () : Experiment.request list =
-  let table3 =
-    List.concat_map
-      (fun (n_log, _) ->
-        if n_log = 0 then [ table3_request ~n_log:0 ~selection:Logging.Cyclic ]
-        else List.map (fun selection -> table3_request ~n_log ~selection) selections)
-      Paper.table3_exec
-    (* Labelled for --profile: the digest alone does not say where
-       these runs came from. *)
-    |> List.map (Experiment.with_label "Table 3")
-  in
-  let per_scenario =
-    List.concat_map
-      (fun sc ->
-        [
-          bare_request sc;
-          logging1_request sc;
-          shadow_pt_request ~n_pt:1 ~buf:10 sc;
-          shadow_pt_request ~n_pt:2 ~buf:10 sc;
-          shadow_pt_request ~n_pt:1 ~buf:50 sc;
-          shadow_scrambled_request sc;
-          overwriting_request sc;
-          diff_request ~strategy:Diff_file.Basic sc;
-          diff_request ~strategy:Diff_file.Optimal sc;
-          diff_request ~out:0.20 ~strategy:Diff_file.Optimal sc;
-          diff_request ~out:0.50 ~strategy:Diff_file.Optimal sc;
-          diff_request ~size:0.15 ~strategy:Diff_file.Optimal sc;
-          diff_request ~size:0.20 ~strategy:Diff_file.Optimal sc;
-        ])
-      scenarios
-  in
-  let table6_extra =
-    (* buffers 10 and 50 are already covered for every scenario above *)
-    List.map
-      (fun sc -> shadow_pt_request ~n_pt:1 ~buf:25 sc)
-      [ Scenario.Conventional_random; Scenario.Parallel_random ]
-  in
-  table3 @ per_scenario @ table6_extra
+let all ?pool () = Experiment.build_suite ?pool declared
 
-let all ?pool () = Experiment.build_suite ?pool ~runs builders
-
-let by_id = function
-  | 1 -> table1 ()
-  | 2 -> table2 ()
-  | 3 -> table3 ()
-  | 4 -> table4 ()
-  | 5 -> table5 ()
-  | 6 -> table6 ()
-  | 7 -> table7 ()
-  | 8 -> table8 ()
-  | 9 -> table9 ()
-  | 10 -> table10 ()
-  | 11 -> table11 ()
-  | 12 -> table12 ()
-  | n -> invalid_arg (Printf.sprintf "Tables.by_id: no table %d (1-12)" n)
+let by_id n =
+  if n < 1 || n > 12 then invalid_arg (Printf.sprintf "Tables.by_id: no table %d (1-12)" n);
+  Experiment.render (List.nth declared (n - 1))

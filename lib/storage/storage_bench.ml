@@ -35,6 +35,13 @@ let finite xs = List.for_all Float.is_finite xs
 
 let positive xs = List.for_all (fun v -> Float.is_finite v && v > 0.) xs
 
+(* A parallel figure counts only where every domain had a core of its
+   own: [None] (no such point) prints "[unverified]" and records null,
+   beside a false "<key>_verified". *)
+let verified fmt = function Some v -> Printf.sprintf fmt v | None -> "[unverified]"
+
+let verified_json = function Some v -> Json.Float v | None -> Json.Null
+
 let time now f =
   let t0 = now () in
   let r = f () in
@@ -401,7 +408,11 @@ let recovery_sections ~now ~jobs ~allow_oversubscribe ~txns =
   let find e j = List.find (fun (r : replay) -> r.log == e && r.jobs = j) all in
   let wall e j = (find e j).best *. 1000. in
   let same e j reference = String.equal (find e j).fp reference in
-  let best_parallel e = List.fold_left (fun acc j -> Float.min acc (wall e j)) infinity par_jobs in
+  let best_parallel e =
+    match List.filter (fun j -> j <= host) par_jobs with
+    | [] -> None
+    | js -> Some (List.fold_left (fun acc j -> Float.min acc (wall e j)) infinity js)
+  in
   (* recovery wall vs durable log length *)
   let records_l = durable_records l and records_2l = durable_records l2 in
   let wall_l = wall l 1 and wall_2l = wall l2 1 in
@@ -435,7 +446,7 @@ let recovery_sections ~now ~jobs ~allow_oversubscribe ~txns =
      before the checkpoint's start LSN that recovery never decodes) *)
   let by_jobs = List.map (fun j -> (j, j > host, wall l j, same l j ref_l)) (1 :: par_jobs) in
   let by_age = List.map (fun (f, e, r) -> (f, durable_records e, wall e 1, same e 1 r)) aged in
-  let parallel_speedup = wall_l /. best_parallel l in
+  let parallel_speedup = Option.map (fun best -> wall_l /. best) (best_parallel l) in
   let ckpt_speedup = wall_l /. wall (List.assoc 0.9 checkpointed) 1 in
   let equivalent =
     List.for_all (fun (_, _, _, eq) -> eq) by_jobs && List.for_all (fun (_, _, _, eq) -> eq) by_age
@@ -456,7 +467,7 @@ let recovery_sections ~now ~jobs ~allow_oversubscribe ~txns =
         w
         (identical eq "serial reference"))
     by_jobs;
-  pr "  best parallel speedup over serial: %.2fx\n" parallel_speedup;
+  pr "  best parallel speedup over serial: %s\n" (verified "%.2fx" parallel_speedup);
   pr "fuzzy-checkpointed recovery after a full flush (serial replay, same committed work):\n";
   List.iter
     (fun (f, recs, w, eq) ->
@@ -482,7 +493,8 @@ let recovery_sections ~now ~jobs ~allow_oversubscribe ~txns =
                          ("equivalent", Bool eq);
                        ])
                    by_jobs) );
-            ("recovery_parallel_speedup", Float parallel_speedup);
+            ("recovery_parallel_speedup", verified_json parallel_speedup);
+            ("recovery_parallel_speedup_verified", Bool (parallel_speedup <> None));
             ( "recovery_checkpoint",
               List
                 (List.map
@@ -532,8 +544,9 @@ let recovery_sections ~now ~jobs ~allow_oversubscribe ~txns =
           text =
             Printf.sprintf
               "  %-9s %8d records %10d bytes  %8.1f B/txn  append %7.0f ns/rec  replay %7.2f ms \
-               serial, %7.2f ms parallel  (%s)\n"
-              f.name f.records f.bytes f.bytes_per_txn f.append_ns serial_ms parallel_ms
+               serial, %s parallel  (%s)\n"
+              f.name f.records f.bytes f.bytes_per_txn f.append_ns serial_ms
+              (verified "%7.2f ms" parallel_ms)
               (identical equivalent "physical reference");
           json =
             Json.(
@@ -546,7 +559,8 @@ let recovery_sections ~now ~jobs ~allow_oversubscribe ~txns =
                   ("log_bytes_per_txn", Float f.bytes_per_txn);
                   ("append_ns_per_record", Float f.append_ns);
                   ("replay_wall_ms", Float serial_ms);
-                  ("replay_parallel_ms", Float parallel_ms);
+                  ("replay_parallel_ms", verified_json parallel_ms);
+                  ("replay_parallel_ms_verified", Bool (parallel_ms <> None));
                   ("equivalent", Bool equivalent);
                 ]);
           v = (equivalent, positive [ f.bytes_per_txn; f.append_ns; serial_ms ]);
@@ -1166,8 +1180,12 @@ let shard_section ~scale ~shard_counts ~cross_fracs =
   let tps_of c =
     List.fold_left (fun acc { v = s, _, tps, _; _ } -> if s = c then tps else acc) 0.0 points
   in
-  let scaling = if tps_of 1 > 0.0 then tps_of top /. tps_of 1 else infinity in
+  (* the top point has the most domains, so it is oversubscribed if any is *)
   let top_oversubscribed = List.exists (fun { v = _, over, _, _; _ } -> over) points in
+  let scaling =
+    if top_oversubscribed then None
+    else Some (if tps_of 1 > 0.0 then tps_of top /. tps_of 1 else infinity)
+  in
   (* cross-shard fraction sweep at the top shard count, each fraction
      gated against its own serial reference; [v]: fraction, cross
      txns, equivalent *)
@@ -1211,7 +1229,8 @@ let shard_section ~scale ~shard_counts ~cross_fracs =
     report =
       "sharded execution (zero-cross workload, group commit, simulated time):\n"
       ^ texts points
-      ^ Printf.sprintf "  scaling at the top shard count: %.2fx over 1 shard\n" scaling
+      ^ Printf.sprintf "  scaling at the top shard count: %s\n"
+          (verified "%.2fx over 1 shard" scaling)
       ^ "cross-shard fraction sweep (two-phase commit at the top shard count):\n"
       ^ texts cross;
     fields =
@@ -1221,7 +1240,8 @@ let shard_section ~scale ~shard_counts ~cross_fracs =
             Obj
               [
                 ("points", jsons points);
-                ("scaling", Float scaling);
+                ("scaling", verified_json scaling);
+                ("scaling_verified", Bool (scaling <> None));
                 ("cross", jsons cross);
                 ("equivalent", Bool equivalent);
               ] );
@@ -1239,8 +1259,9 @@ let shard_section ~scale ~shard_counts ~cross_fracs =
           (List.for_all (fun { v = cf, txns, _; _ } -> cf <= 0.0 || txns > 0) cross)
           "a cross-shard fraction above 0 generated no cross-shard transactions";
         (* skipped when the host has fewer cores than shards *)
-        floor "shard.scaling" (top_oversubscribed || scaling >= 1.5)
-          "shard scaling %.2fx below the 1.5x floor" scaling;
+        floor "shard.scaling"
+          (Option.fold ~none:true ~some:(fun s -> s >= 1.5) scaling)
+          "shard scaling %s below the 1.5x floor" (verified "%.2fx" scaling);
       ];
   }
 

@@ -24,7 +24,10 @@
     the three formats under one pool per parallel domain count.  So
     the L log's serial wall is one number wherever the report shows
     it, and the physical format's parallel wall is the jobs curve's
-    best.
+    best.  A best parallel wall, its speedup and the shard scaling
+    ratio count only points where every domain had a core; with none,
+    the report prints [\[unverified\]] and the JSON value is [null],
+    beside a false [<key>_verified].
 
     Each section yields its lines of the report, its fields of the
     [storage] JSON object and its gate rows.  A row is a {!Check} or a

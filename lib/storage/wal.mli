@@ -14,7 +14,8 @@
       small in-place value updates;
     - {b logical}: {!Op} carries the operation itself
       ([insert(k,v)]/[delete(k)]); replay re-executes it instead of
-      restoring images (Lomet's logical recovery, ROADMAP item 5b). *)
+      restoring images (logical recovery, as in Lomet et al.,
+      {i Implementing Performance Competitive Logical Recovery}). *)
 
 exception Corrupt of string
 

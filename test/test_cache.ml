@@ -170,8 +170,9 @@ let test_dedup_keeps_first_occurrences () =
    logging run, E1's uniform rows are Table 1's, ...), so deduping the
    combined work list must collapse it. *)
 let test_cross_suite_dedup () =
-  let tables = Dbm_core.Tables.runs () in
-  let others = Dbm_core.Ablations.runs () @ Dbm_core.Extensions.runs () in
+  let runs tables = List.concat_map Experiment.runs tables in
+  let tables = runs Dbm_core.Tables.declared in
+  let others = runs (Dbm_core.Ablations.declared @ Dbm_core.Extensions.declared) in
   let total = List.length tables + List.length others in
   let unique = List.length (Experiment.dedup (tables @ others)) in
   check Alcotest.bool "combined list collapses" true (unique < total);
@@ -182,24 +183,25 @@ let test_cross_suite_dedup () =
   in
   check Alcotest.bool "ablations/extensions share table runs" true overlap
 
-(* Parallel regeneration prefetches each suite's hand-kept run list and
-   then builds the suite from the memo, so the list must cover every
-   run its builder forces: once the listed runs are memoized, a serial
-   build computes nothing. *)
+(* Parallel regeneration prefetches the work list read off a suite's
+   cells and then renders the suite from the memo, so the list must
+   cover every run rendering forces: once it is memoized, a serial build
+   computes nothing.  The shape checks read the tables' runs only. *)
 let test_run_lists_cover_builders () =
   Experiment.disable_disk_cache ();
   List.iter
-    (fun (suite, runs, build) ->
+    (fun (suite, declared, build) ->
       Experiment.clear_cache ();
-      List.iter (fun r -> ignore (Experiment.force r)) (runs ());
+      List.iter (fun r -> ignore (Experiment.force r)) (List.concat_map Experiment.runs declared);
       Experiment.reset_counters ();
       build ();
-      check Alcotest.int (suite ^ " builders compute no unlisted run") 0
+      check Alcotest.int (suite ^ " compute no unlisted run") 0
         (Experiment.counters ()).Experiment.computed)
     [
-      ("tables", Dbm_core.Tables.runs, fun () -> ignore (Dbm_core.Tables.all ()));
-      ("ablations", Dbm_core.Ablations.runs, fun () -> ignore (Dbm_core.Ablations.all ()));
-      ("extensions", Dbm_core.Extensions.runs, fun () -> ignore (Dbm_core.Extensions.all ()));
+      ("tables", Dbm_core.Tables.declared, fun () -> ignore (Dbm_core.Tables.all ()));
+      ("ablations", Dbm_core.Ablations.declared, fun () -> ignore (Dbm_core.Ablations.all ()));
+      ("extensions", Dbm_core.Extensions.declared, fun () -> ignore (Dbm_core.Extensions.all ()));
+      ("shape checks", Dbm_core.Tables.declared, fun () -> ignore (Dbm_core.Shape_checks.all ()));
     ];
   Experiment.clear_cache ()
 

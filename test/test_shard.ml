@@ -390,6 +390,42 @@ let test_sharded_validation () =
   check Alcotest.bool "finite op cost" true (raises (fun () -> run ~op_cost_us:Float.infinity ()));
   check Alcotest.bool "non-negative op cost" true (raises (fun () -> run ~op_cost_us:(-1.0) ()))
 
+(* An engine that fails on one key.  A cross-shard transaction that
+   writes it and a key of the other shard leaves the healthy shard
+   prepared and waiting on a decision only the failing shard could
+   complete: it must leave through the failure flag, so Shard.run
+   raises instead of hanging. *)
+module Put_fails = struct
+  include Engine_log
+
+  let first_key_on shard =
+    let keys_per_page = keys_per_page (fresh_engine ()) in
+    List.find
+      (fun k -> Shard_router.shard_of_key ~shards:2 ~keys_per_page k = shard)
+      (List.init n_keys Fun.id)
+
+  (* on shard 1, so shard 0's exception — the one Pool.map_ordered
+     re-raises — is the healthy shard's exit *)
+  let poison = first_key_on 1
+
+  let put t k v = if k = poison then failwith "injected put failure" else put t k v
+end
+
+module Sharded_failing = Shard.Make (Put_fails)
+
+let test_peer_failure_raises () =
+  let script =
+    [ Scheduler.Put (Put_fails.first_key_on 0, "v"); Scheduler.Put (Put_fails.poison, "v") ]
+  in
+  match
+    Sharded_failing.run ~mode:Commit_pipeline.Eager ~arrivals_us:[| 0.0 |] ~scripts:[| script |]
+      ~coordinator:(Coordinator_log.create ())
+      [| fresh_engine (); fresh_engine () |]
+  with
+  | exception Failure msg ->
+    check Alcotest.string "healthy shard's exit" "Shard.run: a peer shard failed" msg
+  | _ -> Alcotest.fail "a failing shard's peer completed"
+
 let () =
   Alcotest.run "dbm_storage sharded execution"
     [
@@ -412,5 +448,6 @@ let () =
           Alcotest.test_case "one shard delegates to Server" `Quick
             test_single_shard_delegates;
           Alcotest.test_case "validation at every shard count" `Quick test_sharded_validation;
+          Alcotest.test_case "peer failure raises" `Quick test_peer_failure_raises;
         ] );
     ]

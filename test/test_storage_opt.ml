@@ -171,6 +171,20 @@ let test_sched_contended_shape () =
   run_both (module Kv.Model);
   run_both (module Dbm_storage.Engine_shadow)
 
+(* Both schedulers stop at [max_steps] and report a livelock rather
+   than return a partial run: one step cannot finish a two-operation
+   script. *)
+let test_sched_livelock_guard () =
+  let scripts = [ (1, [ Scheduler.Put (0, "a"); Scheduler.Put (1, "b") ]) ] in
+  let raises run = match run () with exception Failure _ -> true | _ -> false in
+  let module NS = Naive.Sched (Kv.Model) in
+  let module OS = Scheduler.Make (Kv.Model) in
+  let fresh () = Kv.Model.create ~n_keys:4 () in
+  check Alcotest.bool "wakeup scheduler" true
+    (raises (fun () -> OS.run ~max_steps:1 (fresh ()) ~scripts));
+  check Alcotest.bool "polling reference" true
+    (raises (fun () -> NS.run ~max_steps:1 (fresh ()) ~scripts))
+
 (* --- journal vs a list reference model -------------------------------- *)
 
 type j_op = Append of string | Sync | Crash | Truncate of int
@@ -288,6 +302,7 @@ let () =
           QCheck_alcotest.to_alcotest (sched_equal_prop (module Kv.Model) 200);
           QCheck_alcotest.to_alcotest (sched_equal_prop (module Dbm_storage.Engine_log) 40);
           Alcotest.test_case "contended shape across engines" `Quick test_sched_contended_shape;
+          Alcotest.test_case "livelock guard raises" `Quick test_sched_livelock_guard;
         ] );
       ( "journal",
         [
