@@ -40,8 +40,6 @@ type store = {
   mutable chains_stale : bool;
   mutable epoch : int;
   mutable live : int;
-  auto_merge_records : int option;
-  mutable recovery_pool : Dbm_util.Pool.t option;
   mutable recoveries : int;
   mutable merge_count : int;
   mutable fuzzy_checkpoints : int;
@@ -87,11 +85,8 @@ let decode_commits_record r =
     `Marker { a_mark; d_mark; stamp_floor; txn_floor }
   | _ -> corrupt "commits journal"
 
-let create_with ?n_keys ?keys_per_page ?auto_merge_records () =
-  let keys = Key_space.create ~engine:"Engine_diff" ?n_keys ?keys_per_page () in
-  (match auto_merge_records with
-  | Some n when n <= 0 -> invalid_arg "Engine_diff.create: bad auto_merge_records"
-  | _ -> ());
+let create ?n_keys () =
+  let keys = Key_space.create ~engine:"Engine_diff" ?n_keys () in
   {
     keys;
     base = Vdisk.create ~pages:keys.pages ~page_size ();
@@ -101,7 +96,6 @@ let create_with ?n_keys ?keys_per_page ?auto_merge_records () =
     enc = Wal_codec.Enc.create ~size:256 ();
     committed = Hashtbl.create 32;
     registry = Snapshots.create ();
-    auto_merge_records;
     next_txn = 1;
     next_stamp = 1;
     max_record_stamp = 0;
@@ -110,13 +104,10 @@ let create_with ?n_keys ?keys_per_page ?auto_merge_records () =
     chains_stale = false;
     epoch = 0;
     live = 0;
-    recovery_pool = None;
     recoveries = 0;
     merge_count = 0;
     fuzzy_checkpoints = 0;
   }
-
-let create ?n_keys () = create_with ?n_keys ()
 
 let max_keys t = t.keys.Key_space.n_keys
 
@@ -202,30 +193,22 @@ let append_marker t =
 let no_marker = { a_mark = 0; d_mark = 0; stamp_floor = 0; txn_floor = 0 }
 
 (* Max (stamp, txn) over the durable records past the marker's marks,
-   folded onto its floors: both files' suffixes, chunk-scanned across
-   the pool in one fan-out.  With [no_marker], every durable record. *)
-let scan_max ?pool t m =
-  let pieces = match pool with None -> 1 | Some p -> 4 * Dbm_util.Pool.jobs p in
-  let suffix journal from_seq =
+   folded onto its floors: one pass over both files' suffixes.  With
+   [no_marker], every durable record. *)
+let scan_max t m =
+  let ms = ref m.stamp_floor and mt = ref m.txn_floor in
+  let scan journal from_seq =
     let raw = Journal.to_array journal in
     let lo = max 0 (from_seq - (Journal.synced journal - Journal.length journal)) in
-    List.map
-      (fun (clo, chi) -> (raw, lo + clo, lo + chi))
-      (Replay.chunk_ranges ~len:(Array.length raw - lo) ~pieces)
+    for i = lo to Array.length raw - 1 do
+      let _, v = decode_record raw.(i) in
+      if v.stamp > !ms then ms := v.stamp;
+      if v.writer > !mt then mt := v.writer
+    done
   in
-  Replay.map_list ?pool
-    (suffix t.a_file m.a_mark @ suffix t.d_file m.d_mark)
-    ~f:(fun (raw, lo, hi) ->
-      let ms = ref 0 and mt = ref 0 in
-      for i = lo to hi - 1 do
-        let _, v = decode_record raw.(i) in
-        if v.stamp > !ms then ms := v.stamp;
-        if v.writer > !mt then mt := v.writer
-      done;
-      (!ms, !mt))
-  |> List.fold_left
-       (fun (ams, amt) (ms, mt) -> (max ams ms, max amt mt))
-       (m.stamp_floor, m.txn_floor)
+  scan t.a_file m.a_mark;
+  scan t.d_file m.d_mark;
+  (!ms, !mt)
 
 (* Merge the committed differential records into the base file and
    truncate A and D — the periodic reorganization the paper notes must
@@ -315,15 +298,6 @@ let checkpoint t =
   t.chains_stale <- true;
   t.merge_count <- t.merge_count + 1
 
-(* Commit, group-commit forces and abort call this, so automatic merges
-   run at transaction boundaries. *)
-let maybe_auto_merge t =
-  match t.auto_merge_records with
-  | Some threshold
-    when t.live = 0 && Journal.length t.a_file + Journal.length t.d_file >= threshold ->
-    checkpoint t
-  | Some _ | None -> ()
-
 let commit h =
   check h;
   let t = h.st in
@@ -334,8 +308,7 @@ let commit h =
   append_commits t ~tag:'C' [ h.id ];
   Journal.sync t.commits;
   Hashtbl.replace t.committed h.id (Snapshots.commit t.registry);
-  finish h;
-  maybe_auto_merge t
+  finish h
 
 (* Group commit: the commit marker is appended but not forced, and the
    differential files are not forced either — the whole transaction
@@ -344,8 +317,7 @@ let commit h =
    are single shared journals, so one force is inherently global).
    Until then the transaction is committed in memory (visible to
    readers) but a crash loses it — the group-commit durability
-   window.  Housekeeping (the auto-merge check) is deferred to
-   [force_commits]. *)
+   window. *)
 let commit_group h =
   check h;
   let t = h.st in
@@ -359,15 +331,13 @@ let commit_group h =
 let force_commits t =
   Journal.sync t.a_file;
   Journal.sync t.d_file;
-  Journal.sync t.commits;
-  maybe_auto_merge t
+  Journal.sync t.commits
 
 let abort h =
   check h;
   (* Appended records of an uncommitted transaction are never visible:
      nothing to undo. *)
-  finish h;
-  maybe_auto_merge h.st
+  finish h
 
 (* Rebuild [committed] from the commit records; the newest durable
    fuzzy-checkpoint marker (if any) rides back too. *)
@@ -396,7 +366,7 @@ let finish_recovery t (max_stamp, record_txn) =
   t.live <- 0;
   t.recoveries <- t.recoveries + 1
 
-let recover t = finish_recovery t (scan_max ?pool:t.recovery_pool t (read_commits t))
+let recover t = finish_recovery t (scan_max t (read_commits t))
 
 (* Lose everything volatile.  The read index is only marked stale: a
    rebuild here would decode every retained record, the very prefix a
@@ -437,10 +407,6 @@ let checkpoint_fuzzy ?(sync = true) t =
   append_marker t;
   if sync then Journal.sync t.commits;
   t.fuzzy_checkpoints <- t.fuzzy_checkpoints + 1
-
-let set_recovery_pool t pool = t.recovery_pool <- pool
-
-let recovery_pool t = t.recovery_pool
 
 (* Digest of everything recovery is responsible for: base pages,
    retained differential records, the committed set and the re-seeded

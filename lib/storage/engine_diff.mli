@@ -36,12 +36,6 @@
 
 include Kv.SNAPSHOT
 
-val create_with : ?n_keys:int -> ?keys_per_page:int -> ?auto_merge_records:int -> unit -> t
-(** [auto_merge_records], when set, runs the merge automatically at the
-    first quiescent transaction boundary once the differential files
-    hold at least that many records — the periodic reorganization the
-    paper says must bound their size (Section 4.3.3). *)
-
 val commit_group : txn -> unit
 (** Group commit: append the commit marker but force nothing.  The
     transaction is committed in memory (immediately visible to
@@ -54,7 +48,7 @@ val commit_group : txn -> unit
 val force_commits : t -> unit
 (** Force the differential files and then the commit journal (records
     before markers): every group-committed transaction becomes
-    durable.  Also runs the deferred auto-merge housekeeping check. *)
+    durable. *)
 
 val checkpoint_fuzzy : ?sync:bool -> t -> unit
 (** Fuzzy checkpoint: force the differential files, then append one
@@ -66,14 +60,6 @@ val checkpoint_fuzzy : ?sync:bool -> t -> unit
     (default [true]) forces the marker; [sync:false] leaves it
     volatile, so a crash simply loses it and recovery falls back to the
     previous marker or a full scan — never to a wrong state. *)
-
-val set_recovery_pool : t -> Dbm_util.Pool.t option -> unit
-(** Domain pool for restart recovery (default [None] = serial): the
-    differential-file suffix scans are chunked across the pool's
-    domains.  Recovered state is identical for any pool size.  The
-    engine does not own the pool. *)
-
-val recovery_pool : t -> Dbm_util.Pool.t option
 
 val state_fingerprint : t -> string
 (** 128-bit hex digest of base pages, retained differential records,

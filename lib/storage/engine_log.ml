@@ -1,7 +1,3 @@
-type selection = Cyclic | By_txn | By_page
-
-type recovery_strategy = Sorted | Unmerged
-
 type log_format = Physical | Delta | Logical
 
 (* Volatile state of a live transaction.  [firsts]: page -> (before
@@ -24,7 +20,6 @@ type store = {
   page_size : int;
   data : Vdisk.t;
   logs : Journal.t array;
-  selection : selection;
   mutable next_lsn : int;
   mutable next_txn : int;
   mutable cyclic : int;
@@ -63,9 +58,6 @@ type store = {
   chains : (int, (int * string option) list) Hashtbl.t;
   mutable recovery_pool : Dbm_util.Pool.t option;
   mutable records_logged : int;
-  mutable records_since_checkpoint : int;
-  auto_checkpoint_records : int option;
-  mutable strategy : recovery_strategy;
   mutable recoveries : int;
   mutable checkpoints : int;
   mutable fuzzy_checkpoints : int;
@@ -77,12 +69,8 @@ type txn = { st : store; id : int; born : int; live : live; mutable finished : b
 
 let engine_name = "logging"
 
-let create_with ?n_keys ?(n_log_disks = 2) ?(selection = Cyclic) ?keys_per_page
-    ?auto_checkpoint_records ?(log_format = Physical) () =
-  (match auto_checkpoint_records with
-  | Some n when n <= 0 -> invalid_arg "Engine_log.create: bad auto_checkpoint_records"
-  | _ -> ());
-  let keys = Key_space.create ~engine:"Engine_log" ?n_keys ?keys_per_page () in
+let create_with ?n_keys ?(n_log_disks = 2) ?(log_format = Physical) () =
+  let keys = Key_space.create ~engine:"Engine_log" ?n_keys () in
   if n_log_disks <= 0 then invalid_arg "Engine_log.create: need a log disk";
   let page_size = 1024 in
   {
@@ -90,7 +78,6 @@ let create_with ?n_keys ?(n_log_disks = 2) ?(selection = Cyclic) ?keys_per_page
     page_size;
     data = Vdisk.create ~pages:keys.pages ~page_size ();
     logs = Array.init n_log_disks (fun _ -> Journal.create ());
-    selection;
     next_lsn = 1;
     next_txn = 1;
     cyclic = 0;
@@ -105,9 +92,6 @@ let create_with ?n_keys ?(n_log_disks = 2) ?(selection = Cyclic) ?keys_per_page
     chains = Hashtbl.create 16;
     recovery_pool = None;
     records_logged = 0;
-    records_since_checkpoint = 0;
-    auto_checkpoint_records;
-    strategy = Sorted;
     recoveries = 0;
     checkpoints = 0;
     fuzzy_checkpoints = 0;
@@ -140,19 +124,16 @@ let may_force_data t =
   | Physical | Delta -> true
   | Logical -> Hashtbl.fold (fun _ lt ok -> ok && Hashtbl.length lt.firsts = 0) t.active true
 
-let select_log t ~txn ~page =
-  match t.selection with
-  | Cyclic ->
-    let i = t.cyclic in
-    t.cyclic <- (t.cyclic + 1) mod Array.length t.logs;
-    i
-  | By_txn -> txn mod Array.length t.logs
-  | By_page -> page mod Array.length t.logs
+(* The paper's cyclic fragment selection: each record goes to the next
+   log disk in turn. *)
+let select_log t =
+  let i = t.cyclic in
+  t.cyclic <- (t.cyclic + 1) mod Array.length t.logs;
+  i
 
 let append_log t ~disk record =
   ignore (Journal.append t.logs.(disk) (Wal.encode_with t.enc record));
-  t.records_logged <- t.records_logged + 1;
-  t.records_since_checkpoint <- t.records_since_checkpoint + 1
+  t.records_logged <- t.records_logged + 1
 
 (* A live transaction's own record: remember where it first touched the
    disk. *)
@@ -201,7 +182,7 @@ let update_key txn k value =
   Page.update after ~key:k ~value;
   let lsn = fresh_lsn t in
   Page.set_lsn after lsn;
-  let disk = select_log t ~txn:txn.id ~page:p in
+  let disk = select_log t in
   let record =
     match t.log_format with
     | Physical -> Wal.Update { lsn; txn = txn.id; page = p; before; after }
@@ -318,7 +299,7 @@ let other_disks txn ~disk =
    commits on a forced disk depend on. *)
 let force_decision txn record =
   let t = txn.st in
-  let disk = select_log t ~txn:txn.id ~page:0 in
+  let disk = select_log t in
   sync_closure t (other_disks txn ~disk);
   append_for txn ~disk (record (fresh_lsn t));
   sync_closure t [ disk ]
@@ -353,22 +334,13 @@ let checkpoint t =
         let keep_from = if d = 0 then min keep_from (Journal.synced j - 1) else keep_from in
         Journal.truncate j ~keep_from)
       t.logs;
-  t.records_since_checkpoint <- 0;
   t.checkpoints <- t.checkpoints + 1
-
-(* Commit and abort call this, so automatic checkpoints run at
-   transaction boundaries. *)
-let maybe_auto_checkpoint t =
-  match t.auto_checkpoint_records with
-  | Some threshold when t.records_since_checkpoint >= threshold -> checkpoint t
-  | Some _ | None -> ()
 
 let commit txn =
   check txn;
   force_decision txn (fun lsn -> Wal.Commit { lsn; txn = txn.id });
   publish txn;
-  finish txn;
-  maybe_auto_checkpoint txn.st
+  finish txn
 
 (* Group commit: the commit record is appended but the force is left
    to a later [force_commits]; until then the transaction is committed
@@ -379,7 +351,7 @@ let commit txn =
 let commit_group txn =
   check txn;
   let t = txn.st in
-  let disk = select_log t ~txn:txn.id ~page:0 in
+  let disk = select_log t in
   append_log t ~disk (Wal.Commit { lsn = fresh_lsn t; txn = txn.id });
   List.iter (fun d -> Hashtbl.replace t.group_deps.(disk) d ()) (other_disks txn ~disk);
   publish txn;
@@ -422,7 +394,7 @@ let abort txn =
       | Physical | Logical -> ()
       | Delta ->
         let current = Vdisk.read t.data p in
-        let disk = select_log t ~txn:txn.id ~page:p in
+        let disk = select_log t in
         append_log t ~disk
           (Wal.delta_update ~threshold:t.delta_threshold ~lsn ~txn:txn.id ~page:p
              ~before:current ~after:restored));
@@ -440,10 +412,9 @@ let abort txn =
       in
       Hashtbl.replace t.dirty_rec p rec_)
     txn.live.firsts;
-  let disk = select_log t ~txn:txn.id ~page:0 in
+  let disk = select_log t in
   append_log t ~disk (Wal.Abort { lsn = fresh_lsn t; txn = txn.id });
-  finish txn;
-  maybe_auto_checkpoint t
+  finish txn
 
 let flush t =
   sync_all_logs t;
@@ -454,53 +425,6 @@ let flush t =
   end
 
 (* --- restart recovery --------------------------------------------- *)
-
-(* The companion algorithm [13]: no merging, no global sort.  Each log
-   disk is processed independently.
-
-   Redo pass (any order, any interleaving across disks): a committed
-   after-image is applied iff its LSN exceeds the page's current LSN.
-   Full-page images make this idempotent and order-insensitive: whatever
-   order the logs are walked in, the committed image with the highest
-   LSN ends up on the page.
-
-   Undo pass: under page-level strict 2PL a page's writers are serial,
-   so if the page's final LSN belongs to a loser record, restoring that
-   record's before image peels one loser write off; repeating to a
-   fixpoint (a loser may have updated the same page several times)
-   leaves either the last committed image or the pre-history state. *)
-let recover_unmerged t (decoded : Wal.record array array) committed =
-  (* Redo, one log at a time, no coordination between them. *)
-  Array.iter
-    (fun records ->
-      Array.iter
-        (fun r ->
-          match r with
-          | Wal.Update { lsn; txn; page; after; _ } when Hashtbl.mem committed txn ->
-            if lsn > Page.get_lsn (Vdisk.read_ro t.data page) then
-              Vdisk.write t.data page after
-          | _ -> ())
-        records)
-    decoded;
-  (* Undo to fixpoint, again per log with no coordination. *)
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    Array.iter
-      (fun records ->
-        Array.iter
-          (fun r ->
-            match r with
-            | Wal.Update { lsn; txn; page; before; _ }
-              when not (Hashtbl.mem committed txn) ->
-              if Page.get_lsn (Vdisk.read_ro t.data page) = lsn then begin
-                Vdisk.write t.data page before;
-                progress := true
-              end
-            | _ -> ())
-          records)
-      decoded
-  done
 
 (* The crash itself: unforced log tails, volatile pages, live
    transaction handles and snapshots are lost. *)
@@ -547,36 +471,26 @@ let recover_with ~resolve t =
   let also_committed = List.filter_map (fun (txn, gid) -> if decide ~gid then Some txn else None) doubt in
   let read ~page = Vdisk.read t.data page in
   let write ~page image = Vdisk.write t.data page image in
-  (* The unmerged companion strategy keys redo off full-page images; a
-     delta log always replays along the sorted path, which knows how to
-     expand slice chains, and an operation log always re-executes. *)
-  (match (t.log_format, t.strategy) with
-  | Physical, Unmerged ->
-    (* The companion algorithm keys redo off page LSNs, not off a start
-       point, so it always decodes and walks the full log. *)
-    let records = Replay.decode_from ?pool raws ~lo:(Array.map (fun _ -> 0) raws) in
-    recover_unmerged t records (Replay.committed ~also:also_committed ~start_lsn:0 records)
-  | (Physical | Delta | Logical), _ -> (
-    (* The partitioned parallel path.  The newest durable fuzzy
-       checkpoint is located by tag peek, each journal is binary-searched
-       for its replay suffix, and only that suffix is decoded — the
-       skipped prefix never pays the checksum pass, which is where the
-       checkpoint's saving lives (counter maxima come from the peeked
-       [meta] instead).  With no pool (or a 1-job pool) this is the
-       serial replay, record for record. *)
-    let start_lsn = Replay.replay_start_raw raws in
-    let records = Replay.decode_from ?pool raws ~lo:(Replay.suffix_starts meta ~start_lsn) in
-    match t.log_format with
-    | Logical ->
-      Replay.recover_logical ?pool ~also_committed ~records ~start_lsn
-        ~page_of:(Key_space.page_of t.keys) ~read ~write ()
-    | Physical | Delta ->
-      Replay.recover_sorted ?pool ~read ~also_committed ~records ~start_lsn ~write ()));
+  (* The partitioned parallel path.  The newest durable fuzzy
+     checkpoint is located by tag peek, each journal is binary-searched
+     for its replay suffix, and only that suffix is decoded — the
+     skipped prefix never pays the checksum pass, which is where the
+     checkpoint's saving lives (counter maxima come from the peeked
+     [meta] instead).  With no pool (or a 1-job pool) this is the
+     serial replay, record for record. *)
+  let start_lsn = Replay.replay_start_raw raws in
+  let records = Replay.decode_from ?pool raws ~lo:(Replay.suffix_starts meta ~start_lsn) in
+  (match t.log_format with
+  | Logical ->
+    Replay.recover_logical ?pool ~also_committed ~records ~start_lsn
+      ~page_of:(Key_space.page_of t.keys) ~read ~write ()
+  | Physical | Delta ->
+    Replay.recover_sorted ?pool ~read ~also_committed ~records ~start_lsn ~write ());
   finish_recovery t meta;
   if doubt <> [] then begin
     List.iter
       (fun (txn, gid) ->
-        let disk = select_log t ~txn ~page:0 in
+        let disk = select_log t in
         let lsn = fresh_lsn t in
         append_log t ~disk
           (if decide ~gid then Wal.Commit { lsn; txn } else Wal.Abort { lsn; txn }))
@@ -644,53 +558,9 @@ let checkpoint_fuzzy ?(sync = true) t =
   append_log t ~disk
     (Wal.Fuzzy_checkpoint { lsn = fresh_lsn t; start_lsn = !start; active; dirty });
   if sync then Journal.sync t.logs.(disk);
-  t.records_since_checkpoint <- 0;
   t.fuzzy_checkpoints <- t.fuzzy_checkpoints + 1
 
-(* Checkpoint-aware log truncation: once a fuzzy checkpoint record is
-   durable, every record below its replay-start LSN is dead weight —
-   replay will binary-search past it without decoding — so each journal
-   may drop its durable prefix below that LSN.  The checkpoint record
-   itself survives (its own LSN is >= the start LSN it carries).
-
-   One exception is retained: the newest record carrying the maximal
-   txn id.  Recovery re-seeds [next_txn] from the retained records, and
-   the highest-id transaction may be long finished with all its pages
-   durable — entirely below the replay start.  Keeping its newest
-   record (always a commit/abort record for a finished transaction,
-   harmless to every replay path) pins the counter so recovery after
-   truncation fingerprint-equals recovery on the untruncated log. *)
-let truncate_to_checkpoint t =
-  let raws = Array.map Journal.to_array t.logs in
-  let start_lsn = Replay.replay_start_raw raws in
-  if start_lsn > 0 then begin
-    let meta = Replay.scan raws in
-    let lo = Replay.suffix_starts meta ~start_lsn in
-    let keep_txn_d = ref (-1) and keep_txn_i = ref (-1) in
-    let best_txn = ref (-1) and best_lsn = ref (-1) in
-    Array.iteri
-      (fun d txns ->
-        let lsns = meta.Replay.lsns.(d) in
-        Array.iteri
-          (fun i txn ->
-            if txn > !best_txn || (txn = !best_txn && lsns.(i) > !best_lsn) then begin
-              best_txn := txn;
-              best_lsn := lsns.(i);
-              keep_txn_d := d;
-              keep_txn_i := i
-            end)
-          txns)
-      meta.Replay.txns;
-    Array.iteri
-      (fun d j ->
-        let cut = if d = !keep_txn_d then min lo.(d) !keep_txn_i else lo.(d) in
-        Journal.truncate j ~keep_from:(Journal.synced j - Journal.length j + cut))
-      t.logs
-  end
-
 let set_recovery_pool t pool = t.recovery_pool <- pool
-
-let recovery_pool t = t.recovery_pool
 
 (* Injective digest of everything restart recovery is responsible for:
    every data page image plus the re-seeded LSN/txn counters.  Disk
@@ -705,8 +575,6 @@ let state_fingerprint t =
   Dbm_util.Digest.int d t.next_lsn;
   Dbm_util.Digest.int d t.next_txn;
   Dbm_util.Digest.hex d
-
-let set_recovery_strategy t s = t.strategy <- s
 
 let dump_log t ~disk = List.map Wal.decode (Journal.read_all t.logs.(disk))
 

@@ -35,8 +35,6 @@
 
 include Kv.SNAPSHOT
 
-type selection = Cyclic | By_txn | By_page
-
 type log_format =
   | Physical
       (** full before/after page images per update (the paper's
@@ -61,22 +59,11 @@ type log_format =
           committed operations re-execute in LSN order onto the durable
           images behind the page-header LSN guard. *)
 
-val create_with :
-  ?n_keys:int ->
-  ?n_log_disks:int ->
-  ?selection:selection ->
-  ?keys_per_page:int ->
-  ?auto_checkpoint_records:int ->
-  ?log_format:log_format ->
-  unit ->
-  t
-(** [create] is [create_with] with 2 log disks, cyclic selection,
-    4 keys per page, no automatic checkpointing and [Physical] log
-    records.
-    [auto_checkpoint_records], when set, runs a sharp checkpoint at the
-    first transaction boundary after that many log records have
-    accumulated since the last checkpoint, bounding both the log size
-    and the restart-recovery work. *)
+val create_with : ?n_keys:int -> ?n_log_disks:int -> ?log_format:log_format -> unit -> t
+(** [create] is [create_with] with 2 log disks and [Physical] log
+    records.  Each transaction record goes to the next log disk in turn
+    (the paper's cyclic fragment selection); checkpoint records go to
+    disk 0. *)
 
 val log_format : t -> log_format
 
@@ -129,48 +116,19 @@ val crash_and_recover_resolved : resolve:(gid:int -> bool) -> t -> unit
     After replay a Commit/Abort resolution record is appended and
     forced for each, so the next restart needs no coordinator. *)
 
-val truncate_to_checkpoint : t -> unit
-(** Drop each journal's durable prefix below the newest durable fuzzy
-    checkpoint's replay-start LSN — the records replay skips without
-    decoding anyway.  A no-op when no durable fuzzy checkpoint exists.
-    The checkpoint record survives, and so does the newest record of
-    the highest-id transaction (it re-seeds the txn counter), so
-    recovery after truncation reaches a state fingerprint-identical to
-    recovery on the untruncated log under either strategy. *)
-
 val flush : t -> unit
 (** Force the log disks and then the data disk: the "steal" path (a
     dirty page may reach disk before commit, but never before its log
     records — the WAL rule).  Under [Logical] the data force is skipped
     while a live transaction has uncommitted page writes (no steal). *)
 
-type recovery_strategy =
-  | Sorted  (** group the distributed records per page and replay them
-                in LSN order (the textbook formulation) *)
-  | Unmerged
-      (** the paper's companion algorithm [13]: process each log disk
-          {e independently} with no global sort — redo applies a
-          committed after-image iff its LSN exceeds the page's current
-          LSN (idempotent, order-insensitive), and an undo fixpoint
-          rolls loser images off the pages they still own.  The two
-          strategies are provably equivalent; the property tests check
-          it on random crash histories. *)
-
-val set_recovery_strategy : t -> recovery_strategy -> unit
-(** Default [Sorted].  Takes effect at the next [crash_and_recover].
-    Only a [Physical] engine honours it: the companion algorithm keys
-    redo off full-page images, so a [Delta] engine always recovers
-    along the [Sorted] path and a [Logical] one always re-executes. *)
-
 val set_recovery_pool : t -> Dbm_util.Pool.t option -> unit
 (** Domain pool for restart recovery (default [None] = serial).  With a
     pool, log decoding fans contiguous record chunks across the domains
-    and the [Sorted] strategy replays page-hash partitions in parallel
-    (see {!Replay}); the rebuilt state is bit-identical for any pool
-    size — [None] and a 1-job pool are literally the serial path.  The
-    engine does not own the pool; the caller shuts it down. *)
-
-val recovery_pool : t -> Dbm_util.Pool.t option
+    and page-hash partitions replay in parallel (see {!Replay}); the
+    rebuilt state is bit-identical for any pool size — [None] and a
+    1-job pool are literally the serial path.  The engine does not own
+    the pool; the caller shuts it down. *)
 
 val checkpoint_fuzzy : ?sync:bool -> t -> unit
 (** Fuzzy checkpoint: force the log disks and append one

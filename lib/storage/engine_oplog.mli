@@ -12,7 +12,3 @@
 include module type of struct
   include Engine_log
 end
-
-val create_with : ?n_keys:int -> ?keys_per_page:int -> unit -> t
-(** [create] is [create_with] with 4 keys per page: 1 KB pages, one log
-    journal, [Logical] records. *)

@@ -43,8 +43,8 @@ let decode_meta r =
   | 'R', [ txn ] -> `Resolved txn
   | _ -> raise (Wal_codec.Corrupt "Engine_overwrite: bad meta record")
 
-let make_store variant ?n_keys ?keys_per_page ?(scratch_slots = 64) () =
-  let keys = Key_space.create ~engine:"Engine_overwrite" ?n_keys ?keys_per_page () in
+let make_store variant ?n_keys ?(scratch_slots = 64) () =
+  let keys = Key_space.create ~engine:"Engine_overwrite" ?n_keys () in
   if scratch_slots <= 0 then invalid_arg "Engine_overwrite.create: bad scratch_slots";
   {
     variant;

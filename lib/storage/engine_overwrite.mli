@@ -25,7 +25,7 @@
 module No_undo : sig
   include Kv.S
 
-  val create_with : ?n_keys:int -> ?keys_per_page:int -> ?scratch_slots:int -> unit -> t
+  val create_with : ?n_keys:int -> ?scratch_slots:int -> unit -> t
 
   val scratch_in_use : t -> int
 
@@ -40,7 +40,7 @@ end
 module No_redo : sig
   include Kv.S
 
-  val create_with : ?n_keys:int -> ?keys_per_page:int -> ?scratch_slots:int -> unit -> t
+  val create_with : ?n_keys:int -> ?scratch_slots:int -> unit -> t
 
   val scratch_in_use : t -> int
 end

@@ -69,8 +69,8 @@ let read_table_area t area =
 
 (* --- construction -------------------------------------------------- *)
 
-let create_with ?n_keys ?keys_per_page ?(spare_factor = 2) () =
-  let keys = Key_space.create ~engine:"Engine_shadow" ?n_keys ?keys_per_page () in
+let create_with ?n_keys ?(spare_factor = 2) () =
+  let keys = Key_space.create ~engine:"Engine_shadow" ?n_keys () in
   if spare_factor < 1 then invalid_arg "Engine_shadow.create: bad spare_factor";
   let page_size = 1024 in
   let n_logical = keys.pages in

@@ -16,7 +16,7 @@
 
 include Kv.S
 
-val create_with : ?n_keys:int -> ?keys_per_page:int -> ?spare_factor:int -> unit -> t
+val create_with : ?n_keys:int -> ?spare_factor:int -> unit -> t
 (** [spare_factor] controls how many spare data blocks exist per
     logical page (default 2: enough for every page to be shadowed
     concurrently). *)

@@ -41,8 +41,8 @@ type txn = { st : store; id : int; born : int; mutable finished : bool }
 
 let engine_name = "version-selection"
 
-let create_with ?n_keys ?keys_per_page () =
-  let keys = Key_space.create ~engine:"Engine_versel" ?n_keys ?keys_per_page () in
+let create ?n_keys () =
+  let keys = Key_space.create ~engine:"Engine_versel" ?n_keys () in
   {
     keys;
     disk = Vdisk.create ~pages:(2 * keys.pages) ~page_size:slot_size ();
@@ -56,8 +56,6 @@ let create_with ?n_keys ?keys_per_page () =
     live = 0;
     recoveries = 0;
   }
-
-let create ?n_keys () = create_with ?n_keys ()
 
 let max_keys t = t.keys.Key_space.n_keys
 

@@ -30,8 +30,6 @@
 
 include Kv.SNAPSHOT
 
-val create_with : ?n_keys:int -> ?keys_per_page:int -> unit -> t
-
 val commit_group : txn -> unit
 (** Group commit: append the commit id but force nothing.  The
     transaction is committed in memory (its slots select immediately)

@@ -33,12 +33,6 @@
     for any job count — [pool = None] (or a 1-job pool) reproduces the
     serial path exactly. *)
 
-val map_list : ?pool:Dbm_util.Pool.t -> 'a list -> f:('a -> 'b) -> 'b list
-(** The one parallel primitive every phase uses: input order in, result
-    order out.  [pool = None] is [List.map]; a 1-job pool is documented
-    by {!Dbm_util.Pool.map_ordered} to be a plain left-to-right map, so
-    both ARE the serial path. *)
-
 val chunk_ranges : len:int -> pieces:int -> (int * int) list
 (** Contiguous [(lo, hi)] ranges covering [0, len), at most [pieces] of
     them, sizes differing by at most one.  Empty for [len <= 0]. *)

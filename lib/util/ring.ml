@@ -39,13 +39,6 @@ let pop t =
 
 let peek t = if t.length = 0 then None else t.data.(t.first)
 
-let extend t =
-  let t' = { data = Array.make (2 * Array.length t.data) None; first = 0; length = t.length } in
-  for i = 0 to t.length - 1 do
-    t'.data.(i) <- t.data.((t.first + i) mod Array.length t.data)
-  done;
-  t'
-
 let to_list t =
   let rec go i acc =
     if i = t.length then List.rev acc

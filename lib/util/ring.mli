@@ -1,8 +1,5 @@
-(** Fixed-capacity FIFO ring buffer.
-
-    Models the scratch space of the overwriting shadow architectures
-    (Section 3.2.2.2), which the paper manages "as a ring buffer", and is
-    reused by the storage engines for their scratch areas. *)
+(** Fixed-capacity FIFO ring buffer.  The simulator's event trace
+    keeps its most recent events in one. *)
 
 type 'a t
 
@@ -28,12 +25,6 @@ val pop : 'a t -> 'a option
 (** Remove and return the oldest element. *)
 
 val peek : 'a t -> 'a option
-
-val extend : 'a t -> 'a t
-(** A fresh ring with twice the capacity holding the same elements
-    (oldest first).  The original is untouched: bounded users keep the
-    paper's overflow semantics, growable users (e.g. a resource's job
-    queue) swap in the extension when [is_full]. *)
 
 val to_list : 'a t -> 'a list
 (** Oldest first.  Non-destructive. *)

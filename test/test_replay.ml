@@ -243,8 +243,9 @@ let durable_checkpoint_matches (module E : CONVERTED) () =
   check (Alcotest.option Alcotest.string) "post-checkpoint commit" (Some "two") (E.get t 2);
   E.abort t
 
-(* Engine_diff has no [flush] in its extras beyond Kv.S — adapt both
-   engines through first-class modules with the common signature. *)
+(* Engine_diff has no [flush] and no recovery pool in its extras beyond
+   Kv.S — adapt both engines through first-class modules with the
+   common signature. *)
 module Log_c : CONVERTED with type t = Engine_log.t = struct
   include Engine_log
 end
@@ -256,6 +257,9 @@ module Diff_c : CONVERTED with type t = Engine_diff.t = struct
      and commit already forces the differential files: nothing volatile
      to flush. *)
   let flush _ = ()
+
+  (* Its recovery is one serial scan past the newest marker. *)
+  let set_recovery_pool _ _ = ()
 end
 
 module Oplog_c : CONVERTED with type t = Engine_oplog.t = struct

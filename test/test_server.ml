@@ -1,7 +1,7 @@
 (* Tests for the open-loop server stack: the commit pipeline, the
    admission front end, group-commit equivalence on both recovery
-   engines, per-used-disk commit forcing, and checkpoint-aware log
-   truncation. *)
+   engines, per-used-disk commit forcing, and the server loop's
+   livelock guard. *)
 
 module Kv = Dbm_storage.Kv
 module Scheduler = Dbm_storage.Scheduler
@@ -93,13 +93,13 @@ end
 module Equiv_log = Grouped_equiv (struct
   include Engine_log
 
-  let create_fresh () = create_with ~n_keys:16 ~n_log_disks:3 ~selection:Cyclic ()
+  let create_fresh () = create_with ~n_keys:16 ~n_log_disks:3 ()
 end)
 
 module Equiv_diff = Grouped_equiv (struct
   include Engine_diff
 
-  let create_fresh () = create_with ~n_keys:16 ()
+  let create_fresh () = create ~n_keys:16 ()
 end)
 
 let prop_equiv_log = Equiv_log.prop "grouped = eager reference after crash (engine_log)"
@@ -111,17 +111,17 @@ let prop_equiv_diff = Equiv_diff.prop "grouped = eager reference after crash (en
 let log_syncs e = List.assoc "log_syncs" (Engine_log.stats e)
 
 let test_commit_forces_only_used_disks () =
-  (* By_txn on 4 disks puts all of a transaction's records (updates and
-     commit) on one disk: an eager commit needs exactly one force — the
-     commit record's, which makes the updates appended before it on the
-     same journal durable too — not one per log disk. *)
-  let e = Engine_log.create_with ~n_keys:32 ~n_log_disks:4 ~selection:Engine_log.By_txn () in
+  (* Cyclic selection on 4 disks puts the two updates on disks 0 and 1
+     and the commit record on disk 2: an eager commit forces those three
+     disks once each, and never disk 3, which holds none of the
+     transaction's records. *)
+  let e = Engine_log.create_with ~n_keys:32 ~n_log_disks:4 () in
   let before = log_syncs e in
   let t = Engine_log.begin_txn e in
   Engine_log.put t 0 "a";
   Engine_log.put t 5 "b";
   Engine_log.commit t;
-  check Alcotest.int "one sync, not one per disk" 1 (log_syncs e - before);
+  check Alcotest.int "three syncs, not one per disk" 3 (log_syncs e - before);
   (* and it really is durable *)
   Engine_log.crash_and_recover e;
   let t = Engine_log.begin_txn e in
@@ -148,110 +148,23 @@ let test_oplog_forces_once () =
   Engine_oplog.commit_group t
 
 let test_partial_force_closure () =
-  (* By_page on 2 disks: txn A's update goes to disk 1 but its group
-     commit record to disk 0.  A later eager committer touching only
-     disk 0 must drag disk 1 along (the recorded dependency), otherwise
-     A's commit record would be durable without A's update — a torn
-     transaction after the crash. *)
-  let e =
-    Engine_log.create_with ~n_keys:32 ~n_log_disks:2 ~selection:Engine_log.By_page
-      ~keys_per_page:4 ()
-  in
+  (* Cyclic selection on 2 disks: txn A's update goes to disk 0 and its
+     group commit record to disk 1.  An empty group commit then takes
+     disk 0, so the empty eager commit after it lands on disk 1 and has
+     no other disk to force.  Its force must drag disk 0 along (the
+     recorded dependency), otherwise A's commit record would be durable
+     without A's update — a torn transaction after the crash. *)
+  let e = Engine_log.create_with ~n_keys:32 ~n_log_disks:2 () in
   let a = Engine_log.begin_txn e in
-  Engine_log.put a 4 "atomic" (* page 1 -> disk 1 *);
-  Engine_log.commit_group a (* commit record: page 0 -> disk 0 *);
-  let b = Engine_log.begin_txn e in
-  Engine_log.put b 0 "forcing" (* page 0 -> disk 0 *);
-  Engine_log.commit b (* forces disk 0 and, via the dependency, disk 1 *);
+  Engine_log.put a 4 "atomic" (* disk 0 *);
+  Engine_log.commit_group a (* disk 1 *);
+  Engine_log.commit_group (Engine_log.begin_txn e) (* disk 0 *);
+  Engine_log.commit (Engine_log.begin_txn e) (* disk 1, and via A's dependency disk 0 *);
   Engine_log.crash_and_recover e;
   let t = Engine_log.begin_txn e in
   check (Alcotest.option Alcotest.string) "group txn durable atomically" (Some "atomic")
     (Engine_log.get t 4);
-  check (Alcotest.option Alcotest.string) "eager txn durable" (Some "forcing")
-    (Engine_log.get t 0);
   Engine_log.abort t
-
-(* --- checkpoint-aware log truncation ------------------------------- *)
-
-let durable_records e =
-  let n = ref 0 in
-  for d = 0 to Engine_log.log_disks e - 1 do
-    n := !n + List.length (Engine_log.dump_log e ~disk:d)
-  done;
-  !n
-
-let fill e ~first ~count =
-  for i = first to first + count - 1 do
-    let t = Engine_log.begin_txn e in
-    Engine_log.put t (i mod 24) (Printf.sprintf "t%d" i);
-    Engine_log.put t ((i + 7) mod 24) (Printf.sprintf "u%d" i);
-    Engine_log.commit t
-  done
-
-let truncation_pair strategy =
-  let mk () =
-    let e = Engine_log.create_with ~n_keys:24 ~n_log_disks:2 () in
-    Engine_log.set_recovery_strategy e strategy;
-    e
-  in
-  let a = mk () and b = mk () in
-  List.iter
-    (fun e ->
-      fill e ~first:0 ~count:20;
-      Engine_log.flush e (* clean pages: the fuzzy checkpoint's replay start is its own LSN *);
-      Engine_log.checkpoint_fuzzy e;
-      fill e ~first:20 ~count:10)
-    [ a; b ];
-  (a, b)
-
-let test_truncate_matches_reference strategy () =
-  let a, b = truncation_pair strategy in
-  let before = durable_records a in
-  Engine_log.truncate_to_checkpoint a;
-  let after = durable_records a in
-  check Alcotest.bool "truncation dropped records" true (after < before);
-  (* more traffic after truncating, including an unforced group commit
-     that the crash must lose on both sides identically *)
-  List.iter
-    (fun e ->
-      fill e ~first:30 ~count:5;
-      let t = Engine_log.begin_txn e in
-      Engine_log.put t 3 "windowed";
-      Engine_log.commit_group t)
-    [ a; b ];
-  Engine_log.crash_and_recover a;
-  Engine_log.crash_and_recover b;
-  check Alcotest.string "truncated recovery = untruncated reference"
-    (Engine_log.state_fingerprint b) (Engine_log.state_fingerprint a)
-
-let test_truncate_then_reference_replay () =
-  (* The naive from-zero replay must also survive truncation: records
-     below the replay-start LSN are exactly those whose effects are
-     already on the flushed pages. *)
-  let a, b = truncation_pair Engine_log.Sorted in
-  Engine_log.truncate_to_checkpoint a;
-  Engine_log.crash_and_recover_reference a;
-  Engine_log.crash_and_recover_reference b;
-  check Alcotest.string "reference replay agrees after truncation"
-    (Engine_log.state_fingerprint b) (Engine_log.state_fingerprint a)
-
-let test_truncate_without_checkpoint_is_noop () =
-  let e = Engine_log.create_with ~n_keys:24 ~n_log_disks:2 () in
-  fill e ~first:0 ~count:8;
-  let before = durable_records e in
-  Engine_log.truncate_to_checkpoint e;
-  check Alcotest.int "no durable fuzzy checkpoint: nothing dropped" before (durable_records e)
-
-let test_truncate_idempotent () =
-  let a, b = truncation_pair Engine_log.Sorted in
-  Engine_log.truncate_to_checkpoint a;
-  let once = durable_records a in
-  Engine_log.truncate_to_checkpoint a;
-  check Alcotest.int "second truncation drops nothing" once (durable_records a);
-  Engine_log.crash_and_recover a;
-  Engine_log.crash_and_recover b;
-  check Alcotest.string "still equivalent" (Engine_log.state_fingerprint b)
-    (Engine_log.state_fingerprint a)
 
 (* --- pipeline edges: exact-timeout boundary, batch of one ---------- *)
 
@@ -411,7 +324,7 @@ let test_server_contention_completes () =
 
 let test_server_diff_engine () =
   let n = 80 in
-  let e = Engine_diff.create_with ~n_keys:64 () in
+  let e = Engine_diff.create ~n_keys:64 () in
   let scripts = Array.init n (fun i -> [ Scheduler.Put (i mod 64, Printf.sprintf "d%d" i) ]) in
   let r = Diff_server.run ~mpl:8 ~mode:grouped ~arrivals_us:(Array.make n 0.0) ~scripts e in
   check Alcotest.int "diff engine serves the burst" n r.Server.completed;
@@ -462,6 +375,26 @@ let test_server_validation () =
            ~mode:(Commit_pipeline.Grouped { batch = 0; timeout_us = 1.0 })
            ~arrivals_us:[| 0.0 |] ~scripts:[| [] |] e))
 
+(* A participant whose gate never admits and which has no vote pending:
+   nothing can run and no event is due, so every pass is idle until the
+   server loop's livelock guard gives up. *)
+let test_livelock_guard_raises () =
+  let e = Engine_log.create_with ~n_keys:8 () in
+  let participant =
+    {
+      Log_server.votes = (fun _ -> false);
+      vote = (fun ~now:_ ~id:_ _ -> ());
+      admit = (fun _ -> false);
+      decided = (fun () -> None);
+      await = (fun () -> false);
+    }
+  in
+  Alcotest.check_raises "no progress"
+    (Failure "Server.run: no progress (livelock or undetected deadlock)") (fun () ->
+      ignore
+        (Log_server.drive ~participant ~mode:Commit_pipeline.Eager ~arrivals_us:[| 0.0 |]
+           ~ids:[| 0 |] ~scripts:[| [ Scheduler.Put (0, "x") ] |] e))
+
 let () =
   Alcotest.run "dbm_storage open-loop server"
     [
@@ -478,17 +411,6 @@ let () =
             test_partial_force_closure;
           Alcotest.test_case "oplog: one sync per commit or prepare" `Quick
             test_oplog_forces_once;
-        ] );
-      ( "log truncation",
-        [
-          Alcotest.test_case "matches reference (sorted)" `Quick
-            (test_truncate_matches_reference Engine_log.Sorted);
-          Alcotest.test_case "matches reference (unmerged)" `Quick
-            (test_truncate_matches_reference Engine_log.Unmerged);
-          Alcotest.test_case "naive replay agrees" `Quick test_truncate_then_reference_replay;
-          Alcotest.test_case "no checkpoint: no-op" `Quick
-            test_truncate_without_checkpoint_is_noop;
-          Alcotest.test_case "idempotent" `Quick test_truncate_idempotent;
         ] );
       ( "pipeline edges",
         [
@@ -508,5 +430,6 @@ let () =
           Alcotest.test_case "differential engine" `Quick test_server_diff_engine;
           Alcotest.test_case "idle gaps and timeout floor" `Quick test_open_loop_idle_gaps;
           Alcotest.test_case "validation" `Quick test_server_validation;
+          Alcotest.test_case "livelock guard raises" `Quick test_livelock_guard_raises;
         ] );
     ]
