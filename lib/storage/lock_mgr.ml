@@ -19,9 +19,10 @@ type txn_info = {
 type t = {
   pages : (int, entry) Hashtbl.t;
   txns : (int, txn_info) Hashtbl.t;
+  mutable maybe_cyclic : bool;  (* false only while the waits-for graph holds no cycle *)
 }
 
-let create () = { pages = Hashtbl.create 64; txns = Hashtbl.create 16 }
+let create () = { pages = Hashtbl.create 64; txns = Hashtbl.create 16; maybe_cyclic = false }
 
 let entry t page =
   match Hashtbl.find_opt t.pages page with
@@ -115,11 +116,16 @@ let find_cycle t ~txn ~targets =
     (fun acc target -> match acc with Some _ -> acc | None -> dfs [] target)
     None targets
 
-(* Returns whether the waiter was newly queued: a fresh queue entry means
-   fresh waits-for edges, which is what a parking scheduler must audit
-   for deadlocks (see {!acquire_wait_info}). *)
+let waiting t ~txn =
+  match Hashtbl.find_opt t.txns txn with
+  | Some i -> Hashtbl.length i.waits > 0
+  | None -> false
+
+let queued e ~txn ~mode = List.exists (fun (w, m) -> w = txn && m = mode) e.waiters
+
+(* Returns whether the waiter was newly queued, i.e. added edges. *)
 let record_waiter t e ~page ~txn ~mode =
-  let fresh = not (List.exists (fun (w, m) -> w = txn && m = mode) e.waiters) in
+  let fresh = not (queued e ~txn ~mode) in
   if fresh then e.waiters <- e.waiters @ [ (txn, mode) ];
   Hashtbl.replace (info t txn).waits page ();
   fresh
@@ -129,6 +135,40 @@ let remove_waiter t e ~page ~txn =
   match Hashtbl.find_opt t.txns txn with
   | Some i -> Hashtbl.remove i.waits page
   | None -> ()
+
+(* Edges appear only in [grant] and [block]; removals never close a
+   cycle, and [settle] clears the flag after them once none is left. *)
+let settle t =
+  if t.maybe_cyclic then
+    t.maybe_cyclic <-
+      Hashtbl.fold
+        (fun txn i found ->
+          found
+          || (Hashtbl.length i.waits > 0 && find_cycle t ~txn ~targets:(blockers t txn) <> None))
+        t.txns false
+
+(* A grant's new edges all point at [txn]: they can close a cycle only
+   when [txn] still waits on another page and others wait on this one. *)
+let grant t e ~page ~txn =
+  remove_waiter t e ~page ~txn;
+  if e.waiters <> [] && waiting t ~txn then t.maybe_cyclic <- true;
+  (Granted, false)
+
+(* A blocked request.  While the graph is acyclic, a repeat block's
+   edges close no cycle, so it needs no search; and a new waiter's
+   search covers exactly its new edges, except an upgrade's, which
+   covers the holders only: search once more from the waiters ahead. *)
+let block t e ~page ~txn ~mode ~targets ~upgrade =
+  if (not t.maybe_cyclic) && queued e ~txn ~mode then (Would_block, false)
+  else
+    match find_cycle t ~txn ~targets with
+    | Some cycle -> (Deadlock (txn :: cycle), false)
+    | None ->
+      let fresh = record_waiter t e ~page ~txn ~mode in
+      if upgrade && fresh && (not t.maybe_cyclic)
+         && find_cycle t ~txn ~targets:(waiters_ahead e ~txn ~mode) <> None
+      then t.maybe_cyclic <- true;
+      (Would_block, fresh && t.maybe_cyclic)
 
 let acquire_wait_info t ~txn ~page ~mode =
   let e = entry t page in
@@ -141,15 +181,11 @@ let acquire_wait_info t ~txn ~page ~mode =
     (* Upgrade S -> X: allowed when we are the only holder. *)
     if List.for_all (fun (o, _) -> o = txn) e.holders then begin
       e.holders <- [ (txn, X) ];
-      remove_waiter t e ~page ~txn;
-      (Granted, false)
+      grant t e ~page ~txn
     end
-    else begin
+    else
       let others = List.filter_map (fun (o, _) -> if o <> txn then Some o else None) e.holders in
-      match find_cycle t ~txn ~targets:others with
-      | Some cycle -> (Deadlock (txn :: cycle), false)
-      | None -> (Would_block, record_waiter t e ~page ~txn ~mode)
-    end
+      block t e ~page ~txn ~mode ~targets:others ~upgrade:true
   | None ->
     let conflicting = conflicts_with t ~txn ~page ~mode in
     (* FIFO fairness: an incompatible waiter queued ahead of us also
@@ -157,15 +193,10 @@ let acquire_wait_info t ~txn ~page ~mode =
     let blocking_waiters = waiters_ahead e ~txn ~mode in
     if conflicting = [] && blocking_waiters = [] then begin
       e.holders <- (txn, mode) :: e.holders;
-      remove_waiter t e ~page ~txn;
       Hashtbl.replace (info t txn).held page ();
-      (Granted, false)
+      grant t e ~page ~txn
     end
-    else begin
-      match find_cycle t ~txn ~targets:(conflicting @ blocking_waiters) with
-      | Some cycle -> (Deadlock (txn :: cycle), false)
-      | None -> (Would_block, record_waiter t e ~page ~txn ~mode)
-    end
+    else block t e ~page ~txn ~mode ~targets:(conflicting @ blocking_waiters) ~upgrade:false
 
 let acquire t ~txn ~page ~mode = fst (acquire_wait_info t ~txn ~page ~mode)
 
@@ -174,7 +205,8 @@ let withdraw t ~txn ~page =
   | None -> ()
   | Some e ->
     remove_waiter t e ~page ~txn;
-    prune_info t txn
+    prune_info t txn;
+    settle t
 
 let release_all_pages t ~txn =
   match Hashtbl.find_opt t.txns txn with
@@ -197,6 +229,7 @@ let release_all_pages t ~txn =
     Hashtbl.iter (fun page () -> visit page) i.held;
     Hashtbl.iter (fun page () -> visit page) i.waits;
     Hashtbl.remove t.txns txn;
+    settle t;
     !touched
 
 let release_all t ~txn = ignore (release_all_pages t ~txn)
@@ -208,8 +241,3 @@ let holds t ~txn ~page =
 
 let locked_pages t =
   Hashtbl.fold (fun _ e acc -> if e.holders <> [] then acc + 1 else acc) t.pages 0
-
-let waiting t ~txn =
-  match Hashtbl.find_opt t.txns txn with
-  | Some i -> Hashtbl.length i.waits > 0
-  | None -> false

@@ -7,7 +7,14 @@
     edges persist until the request is granted on a retry, withdrawn,
     or the transaction releases its locks.  The caller (the back-end
     controller in the paper's design) chooses the victim and aborts
-    it. *)
+    it.
+
+    The manager tracks whether the waits-for graph may hold a cycle.
+    While it is known to hold none, a repeat block (a request already
+    queued in the same mode) returns [Would_block] without searching
+    the graph: its edges already exist, so they close no cycle.  Every
+    outcome is the one a search on every call would give
+    ({!Naive.Locks}). *)
 
 type t
 
@@ -26,16 +33,17 @@ val acquire : t -> txn:int -> page:int -> mode:mode -> outcome
 
 val acquire_wait_info : t -> txn:int -> page:int -> mode:mode -> outcome * bool
 (** Like {!acquire}, but on [Would_block] additionally reports whether
-    this call queued a {e new} waiter — i.e. added waits-for edges.
-    A cycle can only appear when edges are added, and not every such
-    cycle is detected by the acquire that closes it: an upgrade request
-    checks cycles against the page's other holders only, so the cycle it
-    closes through a waiter ahead of it surfaces on some {e other}
+    this call queued a new waiter while the waits-for graph may hold a
+    cycle that no acquire has reported.  Not every cycle is reported by
+    the acquire that closes it: an upgrade request checks cycles
+    against the page's other holders only, so the cycle it closes
+    through a waiter ahead of it surfaces on some {e other}
     transaction's re-acquire.  A scheduler that parks blocked scripts
-    instead of polling must therefore re-run the blocked acquires (the
-    deadlock audit a poll performed implicitly) whenever a new edge
-    appears; a repeat block of an already-queued request adds no edges
-    and reports [false]. *)
+    instead of polling must re-run the blocked acquires (the deadlock
+    audit a poll performed implicitly) when this is [true].  It is
+    [false] for a repeat block, and for a new waiter whose own search
+    showed that the graph still holds no cycle: then no parked retry
+    could find a deadlock. *)
 
 val withdraw : t -> txn:int -> page:int -> unit
 (** Forget a pending (blocked) request, removing its waits-for edges. *)

@@ -265,15 +265,17 @@ module Make (E : Kv.S) = struct
 
      - a lock release touched their page ({!Lock_mgr.release_all_pages}
        names them): the retry may now be [Granted];
-     - any script queued a new waiter, i.e. added waits-for edges: the
-       retry may now find [Deadlock].  Cycles appear only when edges are
-       added, and the closing acquire does not always see its own cycle
-       (an upgrade request checks only the page's other holders), so in
-       the polling world the victim is whichever transaction on the
-       cycle re-acquires first.  Waking every parked script on a fresh
-       edge reproduces that audit in the same round-robin order.  A
-       repeat block adds no edges, so a contended steady state parks
-       quietly instead of cascading wakes.
+     - a script queued a new waiter while the waits-for graph may hold
+       a cycle that no acquire has reported ([acquire_wait_info]'s
+       bool): the retry may now find [Deadlock].  The closing acquire
+       does not always see its own cycle (an upgrade request checks
+       only the page's other holders), so in the polling world the
+       victim is whichever transaction on the cycle re-acquires first.
+       Waking every parked script then reproduces that audit in the
+       same round-robin order.  While the graph is known to be acyclic,
+       a new waiter wakes nobody: no parked retry could find a
+       deadlock, so a contended steady state parks quietly instead of
+       cascading wakes.
 
      A parked script still counts a scheduler step each turn, and a
      woken retry runs the identical acquire a poll would have run, so

@@ -58,6 +58,14 @@ module Make (E : ENGINE) = struct
     let n = Array.length ids in
     if Array.length scripts <> n then
       invalid_arg "Server.run: arrivals and scripts must have equal length";
+    (* Two tasks sharing an id would share one lock-manager transaction
+       and never wait for each other's locks. *)
+    Array.iteri
+      (fun j id ->
+        let lowest = if j = 0 then 0 else ids.(j - 1) + 1 in
+        if id < lowest || id >= Array.length arrivals_us then
+          invalid_arg "Server.run: ids must be strictly increasing indices into arrivals_us")
+      ids;
     (match read_only with
     | Some ro when Array.length ro <> Array.length arrivals_us ->
       invalid_arg "Server.run: read_only and scripts must have equal length"

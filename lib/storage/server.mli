@@ -56,7 +56,12 @@ type result = {
   forces : int;  (** log forces (eager commits count one each) *)
   max_inflight : int;  (** peak concurrent in-flight transactions *)
   max_queued : int;  (** peak admission-queue depth *)
-  lock_acquires : int;  (** lock acquisition attempts issued *)
+  lock_acquires : int;
+      (** lock acquisition attempts issued.  A parked script retries
+          only after a release touched its page or while the waits-for
+          graph may hold a cycle no acquire has reported, so repeat
+          blocks that a wake-everyone deadlock audit would re-run are
+          not issued. *)
   latency_us : Dbm_util.Stats.Histogram.t;
       (** arrival-to-ack latency of every transaction, µs (the merge of
           the two class histograms below) *)
@@ -139,7 +144,9 @@ module Make (E : ENGINE) : sig
     result
   (** The driver loop: serve transaction [ids.(j)] — script
       [scripts.(j)], arriving at [arrivals_us.(ids.(j))] — for every
-      [j], with [ids] in arrival order.  [arrivals_us] and [read_only]
+      [j].  [ids] must be strictly increasing indices into
+      [arrivals_us], so they are in arrival order and no two tasks
+      share a lock-manager transaction.  [arrivals_us] and [read_only]
       are indexed by transaction id and validated whole.  {!run} is
       [drive] over [ids = [|0; ...; n-1|]] with no participant.  A
       voted transaction is acknowledged at its decision and enters no

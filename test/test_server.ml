@@ -311,6 +311,70 @@ let test_server_deterministic () =
     (Dbm_util.Stats.Histogram.p99 r1.Server.latency_us)
     (Dbm_util.Stats.Histogram.p99 r2.Server.latency_us)
 
+(* Two fixed runs whose decisions are pinned.  [Naive] has no server
+   twin, so these figures are the reference.  They were recorded with
+   the lock manager that searched the waits-for graph on every blocked
+   acquire and woke every parked script on every new waiter; any change
+   to deadlock detection or wakeups must reproduce them exactly.
+   (a) 4 keys per page over 3 pages: even transactions read a key and
+   then write one on the same page (an S-to-X upgrade), odd ones write
+   blindly.  An upgrade queued behind a blind writer that waits for the
+   upgrader's S lock closes a cycle that only a later retry reports.
+   (b) A snapshot read-mostly burst on the differential-file engine:
+   one transaction in ten writes, and the writers block on two hot
+   pages. *)
+let test_server_decisions_pinned () =
+  let pin name (r : Server.result) ~completed ~restarts ~forces ~makespan_us ~p99 =
+    check Alcotest.int (name ^ " completed") completed r.Server.completed;
+    check Alcotest.int (name ^ " restarts") restarts r.Server.restarts;
+    check Alcotest.int (name ^ " forces") forces r.Server.forces;
+    check (Alcotest.float 0.0) (name ^ " makespan") makespan_us r.Server.makespan_us;
+    check (Alcotest.float 1e-6) (name ^ " latency p99") p99
+      (Dbm_util.Stats.Histogram.p99 r.Server.latency_us)
+  in
+  let n = 120 in
+  let rng = Dbm_util.Prng.create 11 in
+  let scripts =
+    Array.init n (fun i ->
+        let page = Dbm_util.Prng.int rng 3 in
+        let key () = (page * 4) + Dbm_util.Prng.int rng 4 in
+        let k = key () in
+        if i mod 2 = 0 then [ Scheduler.Get k; Scheduler.Put (key (), Printf.sprintf "u%d" i) ]
+        else [ Scheduler.Put (k, Printf.sprintf "w%d" i) ])
+  in
+  let e = Engine_log.create_with ~n_keys:12 () in
+  let r =
+    Log_server.run ~mpl:8 ~mode:grouped
+      ~arrivals_us:(Array.init n (fun i -> float_of_int (2 * i)))
+      ~scripts e
+  in
+  pin "upgrades" r ~completed:120 ~restarts:22 ~forces:30 ~makespan_us:3340.0 ~p99:3104.62;
+  let n = 200 in
+  let rng = Dbm_util.Prng.create 3 in
+  let read_only = Array.init n (fun i -> i mod 10 <> 0) in
+  let hot () = Scheduler.Put (Dbm_util.Prng.int rng 2, "h") in
+  let scripts =
+    Array.init n (fun i ->
+        if read_only.(i) then List.init 3 (fun _ -> Scheduler.Get (Dbm_util.Prng.int rng 16))
+        else
+          let first = hot () in
+          let cold = Scheduler.Put (2 + Dbm_util.Prng.int rng 14, "c") in
+          [ first; cold; hot () ])
+  in
+  let e = Engine_diff.create ~n_keys:16 () in
+  let snapshot () =
+    let s = Engine_diff.snapshot e in
+    {
+      Scheduler.view_get = Engine_diff.snapshot_get s;
+      view_close = (fun () -> Engine_diff.snapshot_release s);
+    }
+  in
+  let r =
+    Diff_server.run ~mpl:32 ~snapshot ~read_only ~mode:grouped ~arrivals_us:(Array.make n 0.0)
+      ~scripts e
+  in
+  pin "read-mostly" r ~completed:200 ~restarts:13 ~forces:7 ~makespan_us:2124.0 ~p99:1821.0
+
 let test_server_contention_completes () =
   (* every transaction updates the same hot page: heavy parking and
      deadlock restarts, but the server must still drain the queue *)
@@ -369,6 +433,17 @@ let test_server_validation () =
     (raises (fun () ->
          Log_server.run ~mode:Commit_pipeline.Eager ~arrivals_us:[| 5.0; 1.0 |]
            ~scripts:[| []; [] |] e));
+  let drive ids =
+    raises (fun () ->
+        Log_server.drive ~mode:Commit_pipeline.Eager ~arrivals_us:[| 0.0; 1.0 |] ~ids
+          ~scripts:(Array.map (fun _ -> [ Scheduler.Put (0, "x"); Scheduler.Put (1, "y") ]) ids)
+          e)
+  in
+  check Alcotest.bool "duplicate ids" true (drive [| 0; 0 |]);
+  check Alcotest.bool "descending ids" true (drive [| 1; 0 |]);
+  check Alcotest.bool "id past the arrivals" true (drive [| 0; 2 |]);
+  check Alcotest.bool "negative id" true (drive [| -1 |]);
+  check Alcotest.bool "ascending subset accepted" false (drive [| 1 |]);
   check Alcotest.bool "bad batch" true
     (raises (fun () ->
          Log_server.run
@@ -425,6 +500,7 @@ let () =
           Alcotest.test_case "acked means durable" `Quick test_acked_means_durable;
           Alcotest.test_case "grouped beats eager" `Quick test_grouped_beats_eager;
           Alcotest.test_case "deterministic" `Quick test_server_deterministic;
+          Alcotest.test_case "decisions pinned" `Quick test_server_decisions_pinned;
           Alcotest.test_case "hot-page contention completes" `Quick
             test_server_contention_completes;
           Alcotest.test_case "differential engine" `Quick test_server_diff_engine;

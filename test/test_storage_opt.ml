@@ -52,7 +52,7 @@ let outcome_tag = function
    may legitimately list the same cycle from a different starting
    point), then every (txn, page) hold and every waiting flag. *)
 let prop_lock_mgr_matches_naive =
-  QCheck.Test.make ~name:"lock manager matches whole-table reference" ~count:500
+  QCheck.Test.make ~name:"lock manager matches whole-table reference" ~count:500 ~long_factor:40
     (QCheck.make
        ~print:(fun ops -> String.concat " " (List.map lock_op_print ops))
        QCheck.Gen.(list_size (int_range 0 40) lock_op_gen))
@@ -100,6 +100,73 @@ let test_release_all_pages () =
   check (Alcotest.of_pp Fmt.nop) "t2 now granted" Lock.Granted
     (Lock.acquire l ~txn:2 ~page:0 ~mode:Lock.S)
 
+(* Deterministic traces through the lock manager's acyclicity flag.
+   Each acquire's outcome tag must equal the reference's and the
+   expected tag, and its [acquire_wait_info] bool the expected one:
+   [true] only for a new waiter queued while the waits-for graph may
+   hold a cycle that no acquire has reported. *)
+type lock_step = Acq of int * int * Lock.mode * string * bool | Rel of int
+
+let run_lock_steps steps =
+  let l = Lock.create () and r = Naive.Locks.create () in
+  List.iteri
+    (fun i step ->
+      match step with
+      | Acq (txn, page, mode, tag, wake) ->
+          let m = if mode = Lock.S then "S" else "X" in
+          let name = Printf.sprintf "step %d: T%d %s on page %d" i txn m page in
+          let o, b = Lock.acquire_wait_info l ~txn ~page ~mode in
+          check Alcotest.string (name ^ " = reference")
+            (outcome_tag (Naive.Locks.acquire r ~txn ~page ~mode))
+            (outcome_tag o);
+          check Alcotest.string name tag (outcome_tag o);
+          check Alcotest.bool (name ^ " wakes parked scripts") wake b
+      | Rel txn ->
+          Lock.release_all l ~txn;
+          Naive.Locks.release_all r ~txn)
+    steps
+
+(* A new waiter whose search found no cycle leaves the graph acyclic,
+   and its repeat block needs no search: neither wakes anyone. *)
+let test_cycle_free_block () =
+  run_lock_steps
+    [
+      Acq (1, 0, Lock.X, "granted", false);
+      Acq (2, 0, Lock.X, "would-block", false);
+      Acq (2, 0, Lock.X, "would-block", false);
+    ]
+
+(* T1's upgrade searches T2 (the other holder) only, and queues behind
+   T3, which waits for T1's S lock: a cycle no acquire has reported.
+   T3's retry reports it, and T3's release clears the flag again. *)
+let test_upgrade_cycle_through_waiter () =
+  run_lock_steps
+    [
+      Acq (1, 0, Lock.S, "granted", false);
+      Acq (2, 0, Lock.S, "granted", false);
+      Acq (3, 0, Lock.X, "would-block", false);
+      Acq (1, 0, Lock.X, "would-block", true);
+      Acq (3, 0, Lock.X, "deadlock", false);
+      Rel 3;
+      Acq (4, 0, Lock.X, "would-block", false);
+    ]
+
+(* T2 is granted page 0 while it still waits for T3 on page 1, and T3
+   waits on page 0 behind it: the grant closes the cycle, and T3's
+   repeat block must search to find it. *)
+let test_grant_to_waiting_txn () =
+  run_lock_steps
+    [
+      Acq (1, 0, Lock.X, "granted", false);
+      Acq (2, 0, Lock.S, "would-block", false);
+      Acq (3, 0, Lock.S, "would-block", false);
+      Acq (3, 1, Lock.X, "granted", false);
+      Acq (2, 1, Lock.X, "would-block", false);
+      Rel 1;
+      Acq (2, 0, Lock.X, "granted", false);
+      Acq (3, 0, Lock.S, "deadlock", false);
+    ]
+
 (* --- wakeup scheduler vs the polling reference ------------------------ *)
 
 let sched_n_keys = 8
@@ -138,7 +205,7 @@ let sched_equal_prop (module E : Kv.S) count =
   let module OS = Scheduler.Make (E) in
   QCheck.Test.make
     ~name:(E.engine_name ^ ": wakeup scheduler report equals polling reference")
-    ~count
+    ~count ~long_factor:40
     (QCheck.make ~print:script_print scripts_gen)
     (fun scripts ->
       let rn = NS.run (E.create ~n_keys:sched_n_keys ()) ~scripts in
@@ -296,6 +363,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_lock_mgr_matches_naive;
           Alcotest.test_case "release_all_pages names touched pages" `Quick
             test_release_all_pages;
+          Alcotest.test_case "cycle-free repeat block wakes nobody" `Quick test_cycle_free_block;
+          Alcotest.test_case "upgrade cycle through a waiter ahead" `Quick
+            test_upgrade_cycle_through_waiter;
+          Alcotest.test_case "grant to a transaction waiting elsewhere" `Quick
+            test_grant_to_waiting_txn;
         ] );
       ( "scheduler",
         [
