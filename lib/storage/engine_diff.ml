@@ -2,15 +2,12 @@
    fields, FNV-64 checksum trailer.  The differential files hold one
    record type, a key and its [version]: 'A' add/update (stamp, txn,
    key, value) in A, 'D' delete (stamp, txn, key) in D.  The commits
-   journal holds small records: 'C' commit (txn) and 'M' fuzzy
-   checkpoint marker.  Stamps are globally ordered so (B u A) - D
-   resolves by newest-wins. *)
+   journal holds one small record, 'C' commit (txn).  Stamps are
+   globally ordered so (B u A) - D resolves by newest-wins. *)
 
 (* One differential record as the reads see it: an A record carries
    [Some value], a D record [None]. *)
 type version = { stamp : int; writer : int; value : string option }
-
-type marker = { a_mark : int; d_mark : int; stamp_floor : int; txn_floor : int }
 
 type store = {
   keys : Key_space.t;
@@ -27,12 +24,6 @@ type store = {
   registry : Snapshots.t;
   mutable next_txn : int;
   mutable next_stamp : int;
-  (* Exact maxima over the currently retained A/D records (0 when the
-     files are empty): what a full scan of the files would find.  Fuzzy
-     checkpoint markers persist them so recovery can skip the scan of
-     everything before the marker. *)
-  mutable max_record_stamp : int;
-  mutable max_record_txn : int;
   (* Volatile per-key index of the retained A/D records, newest first:
      what a scan of both files finds for the key.  A crash or a merge
      only marks it stale; the next read rebuilds it in one pass. *)
@@ -42,7 +33,6 @@ type store = {
   mutable live : int;
   mutable recoveries : int;
   mutable merge_count : int;
-  mutable fuzzy_checkpoints : int;
 }
 
 type t = store
@@ -77,13 +67,9 @@ let decode_record r =
   if not (finished d) then corrupt "A/D";
   (key, { stamp; writer; value })
 
-(* The one decoder of the commits journal. *)
+(* The one decoder of the commits journal: a committed txn id. *)
 let decode_commits_record r =
-  match Wal_codec.decode_fields r with
-  | 'C', [ txn ] -> `Commit txn
-  | 'M', [ a_mark; d_mark; stamp_floor; txn_floor ] ->
-    `Marker { a_mark; d_mark; stamp_floor; txn_floor }
-  | _ -> corrupt "commits journal"
+  match Wal_codec.decode_fields r with 'C', [ txn ] -> txn | _ -> corrupt "commits journal"
 
 let create ?n_keys () =
   let keys = Key_space.create ~engine:"Engine_diff" ?n_keys () in
@@ -98,15 +84,12 @@ let create ?n_keys () =
     registry = Snapshots.create ();
     next_txn = 1;
     next_stamp = 1;
-    max_record_stamp = 0;
-    max_record_txn = 0;
     chains = Array.make keys.n_keys [];
     chains_stale = false;
     epoch = 0;
     live = 0;
     recoveries = 0;
     merge_count = 0;
-    fuzzy_checkpoints = 0;
   }
 
 let max_keys t = t.keys.Key_space.n_keys
@@ -157,8 +140,8 @@ let get h k =
   Key_space.check t.keys k;
   resolve t k (fun txn -> txn = h.id || Hashtbl.mem t.committed txn)
 
-let append_commits t ~tag fields =
-  ignore (Journal.append t.commits (Wal_codec.encode_fields t.enc ~tag fields))
+let append_commit t id =
+  ignore (Journal.append t.commits (Wal_codec.encode_fields t.enc ~tag:'C' [ id ]))
 
 let write h k value =
   check h;
@@ -168,9 +151,7 @@ let write h k value =
   t.next_stamp <- v.stamp + 1;
   let file = match value with Some _ -> t.a_file | None -> t.d_file in
   ignore (Journal.append file (encode_record t.enc ~key:k v));
-  push t k v;
-  if v.stamp > t.max_record_stamp then t.max_record_stamp <- v.stamp;
-  if h.id > t.max_record_txn then t.max_record_txn <- h.id
+  push t k v
 
 let put h k v = write h k (Some v)
 
@@ -180,35 +161,13 @@ let finish h =
   h.finished <- true;
   h.st.live <- h.st.live - 1
 
-(* Fuzzy checkpoint markers ride in the commits journal — tag 'M' with
-   varints (a_mark, d_mark, max_stamp, max_txn): the A/D sequence
-   numbers everything before which was durable at marker time, plus the
-   exact record-stamp/txn maxima of that durable prefix.  Recovery only
-   scans records at or after the newest marker's marks; the floors
-   stand in for the skipped prefix. *)
-let append_marker t =
-  append_commits t ~tag:'M'
-    [ Journal.synced t.a_file; Journal.synced t.d_file; t.max_record_stamp; t.max_record_txn ]
-
-let no_marker = { a_mark = 0; d_mark = 0; stamp_floor = 0; txn_floor = 0 }
-
-(* Max (stamp, txn) over the durable records past the marker's marks,
-   folded onto its floors: one pass over both files' suffixes.  With
-   [no_marker], every durable record. *)
-let scan_max t m =
-  let ms = ref m.stamp_floor and mt = ref m.txn_floor in
-  let scan journal from_seq =
-    let raw = Journal.to_array journal in
-    let lo = max 0 (from_seq - (Journal.synced journal - Journal.length journal)) in
-    for i = lo to Array.length raw - 1 do
-      let _, v = decode_record raw.(i) in
-      if v.stamp > !ms then ms := v.stamp;
-      if v.writer > !mt then mt := v.writer
-    done
-  in
-  scan t.a_file m.a_mark;
-  scan t.d_file m.d_mark;
-  (!ms, !mt)
+(* Records before commits: the A/D files are forced before the commits
+   journal so a durable commit id can never precede the records it
+   promises. *)
+let force_commits t =
+  Journal.sync t.a_file;
+  Journal.sync t.d_file;
+  Journal.sync t.commits
 
 (* Merge the committed differential records into the base file and
    truncate A and D — the periodic reorganization the paper notes must
@@ -216,16 +175,12 @@ let scan_max t m =
    uncommitted record is lost by the truncation. *)
 let checkpoint t =
   if t.live > 0 then failwith "Engine_diff.checkpoint: merge requires no live transactions";
-  (* Force the files first: the fold, the truncation and the recomputed
-     marker floors below all walk the durable window only, yet a record
-     still pending here (an aborted writer's, or a group-committed one
-     awaiting [force_commits]) would be synced below a *later* marker's
-     mark by the next fuzzy checkpoint — which would then publish this
-     merge's floors as if they covered it.  Recovery seeded from that
-     marker re-issues the record's stamp and newest-wins reads go wrong.
-     With the sync there is no pending tail and the floors are exact. *)
-  Journal.sync t.a_file;
-  Journal.sync t.d_file;
+  (* Everything durable first.  The fold and the truncation below walk
+     the durable records only, and the fold takes every committed
+     transaction, group-committed ones too: with their commit records
+     still pending, a crash after the base force would keep their
+     writes and lose their commits. *)
+  force_commits t;
   (* Snapshot fence: the merge may fold into the base — and drop — only
      records every live snapshot can already see.  Stamps are issued
      monotonically and records appended immediately, so each file is
@@ -283,15 +238,6 @@ let checkpoint t =
       done;
       Journal.truncate journal ~keep_from:(Journal.synced journal - n + !i))
     [ t.a_file; t.d_file ];
-  (* The record maxima a full durable scan would now find — zero after
-     a full truncation — and every older checkpoint marker's floors are
-     stale either way.  Record the new state durably so recovery never
-     trusts one. *)
-  let ms, mt = scan_max t no_marker in
-  t.max_record_stamp <- ms;
-  t.max_record_txn <- mt;
-  append_marker t;
-  Journal.sync t.commits;
   (* Reads through the old chains would still be right — a dropped
      record is invisible, folded into the base, or shadowed by one that
      is — but the chains would keep every version the files let go. *)
@@ -302,15 +248,15 @@ let commit h =
   check h;
   let t = h.st in
   (* The differential files ARE the recovery data: force them, then the
-     commit marker. *)
+     commit record. *)
   Journal.sync t.a_file;
   Journal.sync t.d_file;
-  append_commits t ~tag:'C' [ h.id ];
+  append_commit t h.id;
   Journal.sync t.commits;
   Hashtbl.replace t.committed h.id (Snapshots.commit t.registry);
   finish h
 
-(* Group commit: the commit marker is appended but not forced, and the
+(* Group commit: the commit record is appended but not forced, and the
    differential files are not forced either — the whole transaction
    becomes durable at the next [force_commits] (or any eager [commit],
    whose three syncs cover every pending record: the A/D/commits files
@@ -321,17 +267,9 @@ let commit h =
 let commit_group h =
   check h;
   let t = h.st in
-  append_commits t ~tag:'C' [ h.id ];
+  append_commit t h.id;
   Hashtbl.replace t.committed h.id (Snapshots.commit t.registry);
   finish h
-
-(* Records before markers: the A/D files are forced before the commits
-   journal so a durable commit id can never precede the records it
-   promises. *)
-let force_commits t =
-  Journal.sync t.a_file;
-  Journal.sync t.d_file;
-  Journal.sync t.commits
 
 let abort h =
   check h;
@@ -339,74 +277,33 @@ let abort h =
      nothing to undo. *)
   finish h
 
-(* Rebuild [committed] from the commit records; the newest durable
-   fuzzy-checkpoint marker (if any) rides back too. *)
-let read_commits t =
-  Hashtbl.reset t.committed;
-  let marker = ref no_marker in
-  Journal.iter_all
-    (fun r ->
-      match decode_commits_record r with
-      | `Marker m -> marker := m
-      | `Commit txn ->
-        (* Commit seqs rebuild from durable commit-record order — the
-           order they were assigned in (appends happen at commit). *)
-        Hashtbl.replace t.committed txn (Snapshots.commit t.registry))
-    t.commits;
-  !marker
-
-(* Shared recovery epilogue: re-seed the counters from the computed
-   record maxima plus the committed ids. *)
-let finish_recovery t (max_stamp, record_txn) =
-  t.max_record_stamp <- max_stamp;
-  t.max_record_txn <- record_txn;
-  let max_txn = Hashtbl.fold (fun id _ acc -> max acc id) t.committed record_txn in
-  t.next_txn <- max_txn + 1;
-  t.next_stamp <- max_stamp + 1;
-  t.live <- 0;
-  t.recoveries <- t.recoveries + 1
-
-let recover t = finish_recovery t (scan_max t (read_commits t))
-
-(* Lose everything volatile.  The read index is only marked stale: a
-   rebuild here would decode every retained record, the very prefix a
-   fuzzy checkpoint lets recovery skip, so the first read pays for it. *)
-let crash t =
+(* Lose everything volatile, then rebuild the committed set from the
+   commit records and restart the counters past every durable record
+   and every committed id: a new transaction must not take the id of a
+   loser whose records the files still hold.  The read index is only
+   marked stale; the first read rebuilds it. *)
+let crash_and_recover t =
   Vdisk.crash t.base;
   Journal.crash t.a_file;
   Journal.crash t.d_file;
   Journal.crash t.commits;
   Snapshots.crash t.registry;
   t.epoch <- t.epoch + 1;
-  t.chains_stale <- true
-
-let crash_and_recover t =
-  crash t;
-  recover t
-
-(* The pre-parallelization recovery, preserved: one thread, full scan
-   of both differential files, no marker shortcuts (markers are parsed
-   only to be skipped).  [crash_and_recover] must reach the same
-   fingerprint — the marker floors are defined as exactly what the full
-   scan finds in the skipped prefix. *)
-let crash_and_recover_reference t =
-  crash t;
-  ignore (read_commits t);
-  finish_recovery t (scan_max t no_marker)
-
-(* Fuzzy checkpoint: force the differential files (making every record
-   before the recorded marks durable), then append one marker carrying
-   the exact prefix maxima.  No quiescence, no base write, no
-   truncation — cost is two journal forces regardless of load.
-   [sync:false] leaves the marker volatile for the
-   crash-during-checkpoint tests: losing it falls back to the previous
-   marker or a full scan, never to a wrong state. *)
-let checkpoint_fuzzy ?(sync = true) t =
-  Journal.sync t.a_file;
-  Journal.sync t.d_file;
-  append_marker t;
-  if sync then Journal.sync t.commits;
-  t.fuzzy_checkpoints <- t.fuzzy_checkpoints + 1
+  t.chains_stale <- true;
+  Hashtbl.reset t.committed;
+  (* Commit seqs rebuild from durable commit-record order — the order
+     they were assigned in (appends happen at commit). *)
+  Journal.iter_all
+    (fun r -> Hashtbl.replace t.committed (decode_commits_record r) (Snapshots.commit t.registry))
+    t.commits;
+  let stamp = ref 0 and txn = ref (Hashtbl.fold (fun id _ acc -> max acc id) t.committed 0) in
+  iter_records t (fun (_, v) ->
+      if v.stamp > !stamp then stamp := v.stamp;
+      if v.writer > !txn then txn := v.writer);
+  t.next_stamp <- !stamp + 1;
+  t.next_txn <- !txn + 1;
+  t.live <- 0;
+  t.recoveries <- t.recoveries + 1
 
 (* Digest of everything recovery is responsible for: base pages,
    retained differential records, the committed set and the re-seeded
@@ -478,5 +375,4 @@ let stats t =
     ("live_txns", t.live);
     ("recoveries", t.recoveries);
     ("merges", t.merge_count);
-    ("fuzzy_checkpoints", t.fuzzy_checkpoints);
   ]

@@ -13,16 +13,18 @@
     A read walks its key's chain to the first visible record and stops.
     A crash or a merge only marks the chains stale; the next read
     rebuilds all of them in one pass over both files, so it alone pays
-    a scan.  Recovery does not rebuild them: it decodes only the records
-    after the newest fuzzy checkpoint marker, and a rebuild would decode
-    the whole files.
+    for the chains.
 
     Writes never touch the base, so the recovery data {e is} the data:
-    commit forces the A and D files and appends a commit marker;
+    commit forces the A and D files and appends a commit record;
     records of uncommitted transactions are simply never selected, so
-    crash recovery does no work.  {!checkpoint} runs the merge the
-    paper mentions (folding committed A/D records into the base and
-    truncating the differential files), which requires quiescence.
+    crash recovery undoes and redoes nothing.  It rebuilds the
+    committed set from the commits journal and decodes every durable
+    A and D record once, to restart the stamp and transaction counters
+    past them.  {!checkpoint} runs the merge the paper mentions
+    (folding committed A/D records into the base and truncating the
+    differential files), which requires quiescence and first forces
+    the A, D and commits journals.
 
     MVCC snapshot reads ({!Kv.SNAPSHOT}): the differential files
     retain every committed version until a merge folds it away, so a
@@ -37,7 +39,7 @@
 include Kv.SNAPSHOT
 
 val commit_group : txn -> unit
-(** Group commit: append the commit marker but force nothing.  The
+(** Group commit: append the commit record but force nothing.  The
     transaction is committed in memory (immediately visible to
     readers) and becomes durable at the next {!force_commits} — or any
     eager [commit], whose syncs of the shared A/D/commits journals
@@ -47,30 +49,13 @@ val commit_group : txn -> unit
 
 val force_commits : t -> unit
 (** Force the differential files and then the commit journal (records
-    before markers): every group-committed transaction becomes
+    before commits): every group-committed transaction becomes
     durable. *)
-
-val checkpoint_fuzzy : ?sync:bool -> t -> unit
-(** Fuzzy checkpoint: force the differential files, then append one
-    marker to the commit journal recording how far they were durable
-    and the exact stamp/txn maxima of that durable prefix.  Restart
-    recovery then scans only the records past the newest marker instead
-    of the whole files.  Needs no quiescence (unlike {!checkpoint}'s
-    merge), writes nothing to the base, truncates nothing.  [sync]
-    (default [true]) forces the marker; [sync:false] leaves it
-    volatile, so a crash simply loses it and recovery falls back to the
-    previous marker or a full scan — never to a wrong state. *)
 
 val state_fingerprint : t -> string
 (** 128-bit hex digest of base pages, retained differential records,
     the committed set and the stamp/txn counters — everything restart
-    recovery is responsible for.  The equivalence gate compares it
-    after [crash_and_recover] vs {!crash_and_recover_reference}. *)
-
-val crash_and_recover_reference : t -> unit
-(** Crash, then recover along the preserved pre-parallelization path:
-    single-threaded full scan of both differential files, checkpoint
-    markers ignored (parsed only to be skipped). *)
+    recovery is responsible for. *)
 
 val a_size : t -> int
 (** Records currently in the additions file. *)
@@ -90,9 +75,5 @@ type version = { stamp : int; writer : int; value : string option }
 val decode_record : string -> int * version
 (** The one decoder of both differential files: a key and its version. *)
 
-type marker = { a_mark : int; d_mark : int; stamp_floor : int; txn_floor : int }
-(** A fuzzy-checkpoint marker: the A/D sequence numbers recovery scans
-    from, and the stamp/txn maxima of the records before them. *)
-
-val decode_commits_record : string -> [ `Commit of int | `Marker of marker ]
-(** The one decoder of the commits journal. *)
+val decode_commits_record : string -> int
+(** The one decoder of the commits journal: a committed transaction id. *)

@@ -40,12 +40,6 @@ let info t txn =
     Hashtbl.replace t.txns txn i;
     i
 
-let prune_info t txn =
-  match Hashtbl.find_opt t.txns txn with
-  | Some i when Hashtbl.length i.held = 0 && Hashtbl.length i.waits = 0 ->
-    Hashtbl.remove t.txns txn
-  | _ -> ()
-
 let compatible held requested =
   match held, requested with
   | S, S -> true
@@ -199,14 +193,6 @@ let acquire_wait_info t ~txn ~page ~mode =
     else block t e ~page ~txn ~mode ~targets:(conflicting @ blocking_waiters) ~upgrade:false
 
 let acquire t ~txn ~page ~mode = fst (acquire_wait_info t ~txn ~page ~mode)
-
-let withdraw t ~txn ~page =
-  match Hashtbl.find_opt t.pages page with
-  | None -> ()
-  | Some e ->
-    remove_waiter t e ~page ~txn;
-    prune_info t txn;
-    settle t
 
 let release_all_pages t ~txn =
   match Hashtbl.find_opt t.txns txn with

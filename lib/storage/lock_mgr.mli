@@ -4,8 +4,8 @@
     that the caller would block behind the current holders, or reports
     that waiting would close a cycle in the waits-for graph (deadlock).
     On [Would_block] the requester is recorded as waiting; the waits-for
-    edges persist until the request is granted on a retry, withdrawn,
-    or the transaction releases its locks.  The caller (the back-end
+    edges persist until the request is granted on a retry or the
+    transaction releases its locks.  The caller (the back-end
     controller in the paper's design) chooses the victim and aborts
     it.
 
@@ -44,9 +44,6 @@ val acquire_wait_info : t -> txn:int -> page:int -> mode:mode -> outcome * bool
     [false] for a repeat block, and for a new waiter whose own search
     showed that the graph still holds no cycle: then no parked retry
     could find a deadlock. *)
-
-val withdraw : t -> txn:int -> page:int -> unit
-(** Forget a pending (blocked) request, removing its waits-for edges. *)
 
 val release_all : t -> txn:int -> unit
 (** Release every lock held by [txn] and any pending requests. *)

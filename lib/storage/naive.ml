@@ -133,11 +133,6 @@ module Locks = struct
           Would_block
       end
 
-  let withdraw t ~txn ~page =
-    match Hashtbl.find_opt t.pages page with
-    | None -> ()
-    | Some e -> remove_waiter e ~txn
-
   (* The pre-overhaul release: fold the entire table. *)
   let release_all t ~txn =
     let empty_pages = ref [] in

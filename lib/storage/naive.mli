@@ -16,8 +16,6 @@ module Locks : sig
 
   val acquire : t -> txn:int -> page:int -> mode:Lock_mgr.mode -> Lock_mgr.outcome
 
-  val withdraw : t -> txn:int -> page:int -> unit
-
   val release_all : t -> txn:int -> unit
 
   val holds : t -> txn:int -> page:int -> Lock_mgr.mode option

@@ -45,14 +45,6 @@ let exponential t ~mean =
   let u = 1.0 -. float t 1.0 in
   -.mean *. log u
 
-(* Box-Muller, one variate per call (the sine mate is discarded so the
-   draw count per call is fixed — two uniforms — keeping replay stable
-   if callers interleave distributions). *)
-let gaussian t ~mean ~stddev =
-  let u1 = 1.0 -. float t 1.0 in
-  let u2 = float t 1.0 in
-  mean +. (stddev *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
-
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do
     let j = int t (i + 1) in

@@ -41,10 +41,6 @@ val bool : t -> p:float -> bool
 val exponential : t -> mean:float -> float
 (** Exponentially distributed draw with the given mean. *)
 
-val gaussian : t -> mean:float -> stddev:float -> float
-(** Normally distributed draw (Box-Muller; exactly two uniforms are
-    consumed per call, so interleaved replay stays deterministic). *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
 

@@ -94,17 +94,12 @@ let zipf_draw rng cdf =
 type size_dist =
   | Uniform_size
   | Pareto_size of { alpha : float }
-  | Lognormal_size of { mu : float; sigma : float }
 
 let validate_size_dist = function
   | Uniform_size -> ()
   | Pareto_size { alpha } ->
     if alpha <= 0.0 || not (Float.is_finite alpha) then
       invalid_arg "Workload: pareto alpha must be positive and finite"
-  | Lognormal_size { mu; sigma } ->
-    if not (Float.is_finite mu) then invalid_arg "Workload: lognormal mu must be finite";
-    if sigma <= 0.0 || not (Float.is_finite sigma) then
-      invalid_arg "Workload: lognormal sigma must be positive and finite"
 
 let feed_size_dist d s =
   let module D = Dbm_util.Digest in
@@ -114,10 +109,6 @@ let feed_size_dist d s =
   | Pareto_size { alpha } ->
     D.tag d 1;
     D.float d alpha
-  | Lognormal_size { mu; sigma } ->
-    D.tag d 2;
-    D.float d mu;
-    D.float d sigma
 
 (* Draw a transaction size in [min_pages, max_pages].  The heavy-tailed
    draws are clamped into the configured range, so the tail mass piles
@@ -128,9 +119,6 @@ let draw_size rng c = function
     (* Classic Pareto with scale = min_pages: size = min * U^(-1/alpha). *)
     let u = 1.0 -. Dbm_util.Prng.float rng 1.0 in
     let x = float_of_int c.min_pages *. Float.pow u (-1.0 /. alpha) in
-    min c.max_pages (max c.min_pages (int_of_float (Float.round x)))
-  | Lognormal_size { mu; sigma } ->
-    let x = Float.exp (Dbm_util.Prng.gaussian rng ~mean:mu ~stddev:sigma) in
     min c.max_pages (max c.min_pages (int_of_float (Float.round x)))
 
 let gen_txn ?zipf ?(size_dist = Uniform_size) rng c id =

@@ -67,12 +67,9 @@ type size_dist =
       (** power-law sizes: [min_pages * U^(-1/alpha)] clamped to the
           range.  Smaller [alpha] = heavier tail; [alpha ~ 1.5] gives
           the classic mostly-small / occasionally-huge mix *)
-  | Lognormal_size of { mu : float; sigma : float }
-      (** [round (exp (Normal(mu, sigma)))] clamped to the range *)
 
 val validate_size_dist : size_dist -> unit
-(** @raise Invalid_argument on non-positive [alpha]/[sigma] or a
-    non-finite parameter. *)
+(** @raise Invalid_argument on a non-positive or non-finite [alpha]. *)
 
 val feed_size_dist : Dbm_util.Digest.t -> size_dist -> unit
 (** Canonical digest feed, tagged per constructor. *)

@@ -127,7 +127,7 @@ module Crash_harness (E : Kv.S) = struct
   let property =
     QCheck.Test.make
       ~name:(E.engine_name ^ " matches the model under crashes")
-      ~count:150 ops_arbitrary run_ops
+      ~count:150 ~long_factor:20 ops_arbitrary run_ops
 
   (* --- deterministic scenarios, one per core guarantee -------------- *)
 
@@ -691,37 +691,67 @@ let test_diff_read_allocation_bounded () =
   Engine_diff.snapshot_release s;
   Engine_diff.abort t
 
-(* Recovery leaves the read index to the first read: past a fuzzy
-   checkpoint, crash_and_recover allocates no more when the skipped
-   prefix holds 10,000 records than when it holds 200. *)
+(* Recovery leaves the read index to the first read: it decodes each
+   of 10,000 records once for the counters, and allocates less than the
+   first read after it, which decodes them again and builds and sorts
+   the chains. *)
 let test_diff_recovery_leaves_index_to_reads () =
-  let recover_words ~puts =
-    let e = Engine_diff.create ~n_keys:64 () in
-    let txn n =
-      let t = Engine_diff.begin_txn e in
-      for j = 0 to n - 1 do
-        Engine_diff.put t (j mod 64) (Printf.sprintf "v%d" j)
-      done;
-      Engine_diff.commit t
-    in
-    for _ = 1 to 20 do
-      txn puts
-    done;
-    Engine_diff.checkpoint_fuzzy e;
-    for _ = 1 to 5 do
-      txn 4
-    done;
-    let words = minor_words_of (fun () -> Engine_diff.crash_and_recover e) in
+  let e = Engine_diff.create ~n_keys:64 () in
+  for _ = 1 to 20 do
     let t = Engine_diff.begin_txn e in
-    check (Alcotest.option Alcotest.string) "first read sees the suffix" (Some "v3")
-      (Engine_diff.get t 3);
-    Engine_diff.abort t;
-    words
+    for j = 0 to 499 do
+      Engine_diff.put t (j mod 64) (Printf.sprintf "v%d" j)
+    done;
+    Engine_diff.commit t
+  done;
+  let recover = minor_words_of (fun () -> Engine_diff.crash_and_recover e) in
+  let t = Engine_diff.begin_txn e in
+  let read = minor_words_of (fun () -> Engine_diff.get t 3) in
+  check (Alcotest.option Alcotest.string) "first read sees the files" (Some "v451")
+    (Engine_diff.get t 3);
+  Engine_diff.abort t;
+  if recover >= read then
+    Alcotest.failf "recovery allocates %.0f words, the first read after it %.0f" recover read
+
+(* Recovery restarts the transaction ids past every durable record's
+   writer, not only past the committed ids: a loser's record made
+   durable by another commit's force must stay a loser's. *)
+let test_diff_txn_ids_not_reused () =
+  let e = Engine_diff.create ~n_keys () in
+  let w = Engine_diff.begin_txn e in
+  let l = Engine_diff.begin_txn e in
+  Engine_diff.put l 0 "loser";
+  Engine_diff.put w 1 "winner";
+  (* forces the shared A file, the loser's record with it *)
+  Engine_diff.commit w;
+  Engine_diff.crash_and_recover e;
+  let t = Engine_diff.begin_txn e in
+  check (Alcotest.option Alcotest.string) "loser invisible" None (Engine_diff.get t 0);
+  Engine_diff.put t 2 "fresh";
+  Engine_diff.commit t;
+  Engine_diff.crash_and_recover e;
+  let t = Engine_diff.begin_txn e in
+  check (Alcotest.option Alcotest.string) "loser invisible after a commit" None
+    (Engine_diff.get t 0);
+  Engine_diff.abort t
+
+(* The merge folds group-committed transactions into the base, so it
+   must make their commit records durable too: merging and crashing
+   recovers the state an eager commit would. *)
+let test_diff_merge_makes_group_commits_durable () =
+  let merged_then_crashed commit =
+    let e = Engine_diff.create ~n_keys () in
+    let t = Engine_diff.begin_txn e in
+    Engine_diff.put t 0 "zero";
+    Engine_diff.delete t 1;
+    commit t;
+    Engine_diff.checkpoint e;
+    Engine_diff.crash_and_recover e;
+    Engine_diff.state_fingerprint e
   in
-  let short = recover_words ~puts:10 and long = recover_words ~puts:500 in
-  if long > short +. 64.0 then
-    Alcotest.failf "recovery allocates %.0f words past a 10,000-record prefix, %.0f past 200" long
-      short
+  check Alcotest.string "grouped = eager after merge and crash"
+    (merged_then_crashed Engine_diff.commit)
+    (merged_then_crashed Engine_diff.commit_group)
 
 (* The merge bounds the read index as it bounds the files: once a read
    follows the last merge, the store holds about as much after 10,000
@@ -966,6 +996,9 @@ let specific =
     Alcotest.test_case "diff: recovery leaves the index to reads" `Quick
       test_diff_recovery_leaves_index_to_reads;
     Alcotest.test_case "diff: merge bounds the read index" `Quick test_diff_merge_bounds_index;
+    Alcotest.test_case "diff: txn ids not reused" `Quick test_diff_txn_ids_not_reused;
+    Alcotest.test_case "diff: merge makes group commits durable" `Quick
+      test_diff_merge_makes_group_commits_durable;
     Alcotest.test_case "delta: steal then crash matches physical" `Quick
       test_delta_steal_then_crash_matches_physical;
     Alcotest.test_case "delta: log diet >= 2x" `Quick test_delta_log_diet;

@@ -1,6 +1,6 @@
 (* Tests for the page-partitioned parallel recovery path (Replay), the
-   fuzzy checkpoints of Engine_log and Engine_diff, and the Journal
-   truncation boundary cases that feed it.
+   logging engines' fuzzy checkpoints, and the Journal truncation
+   boundary cases that feed it.
 
    The load-bearing property is a THREE-way equivalence over random
    histories: an engine recovering through the partitioned parallel
@@ -13,7 +13,6 @@
 
 module Kv = Dbm_storage.Kv
 module Engine_log = Dbm_storage.Engine_log
-module Engine_diff = Dbm_storage.Engine_diff
 module Engine_log_delta = Dbm_storage.Engine_log_delta
 module Engine_oplog = Dbm_storage.Engine_oplog
 module Journal = Dbm_storage.Journal
@@ -160,8 +159,7 @@ module Equiv_harness (E : CONVERTED) = struct
           (* No quiescence needed: fuzzy checkpoints run mid-transaction. *)
           List.iter (E.checkpoint_fuzzy ~sync) twins
         | Sharp ->
-          (* Sharp checkpoints/merges require quiescence in some engines;
-             exercise them only between transactions. *)
+          (* Sharp checkpoints run only between transactions. *)
           if !live = None then begin
             List.iter E.checkpoint twins;
             Kv.Model.checkpoint m
@@ -243,37 +241,9 @@ let durable_checkpoint_matches (module E : CONVERTED) () =
   check (Alcotest.option Alcotest.string) "post-checkpoint commit" (Some "two") (E.get t 2);
   E.abort t
 
-(* Engine_diff has no [flush] and no recovery pool in its extras beyond
-   Kv.S — adapt both engines through first-class modules with the
-   common signature. *)
-module Log_c : CONVERTED with type t = Engine_log.t = struct
-  include Engine_log
-end
-
-module Diff_c : CONVERTED with type t = Engine_diff.t = struct
-  include Engine_diff
-
-  (* Writes never touch the base outside the merge (which forces it),
-     and commit already forces the differential files: nothing volatile
-     to flush. *)
-  let flush _ = ()
-
-  (* Its recovery is one serial scan past the newest marker. *)
-  let set_recovery_pool _ _ = ()
-end
-
-module Oplog_c : CONVERTED with type t = Engine_oplog.t = struct
-  include Engine_oplog
-end
-
-module Delta_c : CONVERTED with type t = Engine_log_delta.t = struct
-  include Engine_log_delta
-end
-
-module Log_equiv = Equiv_harness (Log_c)
-module Diff_equiv = Equiv_harness (Diff_c)
-module Oplog_equiv = Equiv_harness (Oplog_c)
-module Delta_equiv = Equiv_harness (Delta_c)
+module Log_equiv = Equiv_harness (Engine_log)
+module Oplog_equiv = Equiv_harness (Engine_oplog)
+module Delta_equiv = Equiv_harness (Engine_log_delta)
 
 (* --- the checkpoint actually moves the replay start -------------------- *)
 
@@ -383,29 +353,24 @@ let () =
       ( "equivalence",
         [
           QCheck_alcotest.to_alcotest (Log_equiv.property 60);
-          QCheck_alcotest.to_alcotest (Diff_equiv.property 60);
           QCheck_alcotest.to_alcotest (Oplog_equiv.property 60);
           QCheck_alcotest.to_alcotest (Delta_equiv.property 60);
         ] );
       ( "fuzzy checkpoints",
         [
           Alcotest.test_case "log: crash during checkpoint" `Quick
-            (crash_during_checkpoint (module Log_c));
-          Alcotest.test_case "diff: crash during checkpoint" `Quick
-            (crash_during_checkpoint (module Diff_c));
+            (crash_during_checkpoint (module Engine_log));
           Alcotest.test_case "log: durable checkpoint matches" `Quick
-            (durable_checkpoint_matches (module Log_c));
-          Alcotest.test_case "diff: durable checkpoint matches" `Quick
-            (durable_checkpoint_matches (module Diff_c));
+            (durable_checkpoint_matches (module Engine_log));
           Alcotest.test_case "oplog: crash during checkpoint" `Quick
-            (crash_during_checkpoint (module Oplog_c));
+            (crash_during_checkpoint (module Engine_oplog));
           Alcotest.test_case "oplog: durable checkpoint matches" `Quick
-            (durable_checkpoint_matches (module Oplog_c));
+            (durable_checkpoint_matches (module Engine_oplog));
           Alcotest.test_case "log: replay start advances" `Quick test_replay_start_advances;
           Alcotest.test_case "delta: crash during checkpoint" `Quick
-            (crash_during_checkpoint (module Delta_c));
+            (crash_during_checkpoint (module Engine_log_delta));
           Alcotest.test_case "delta: durable checkpoint matches" `Quick
-            (durable_checkpoint_matches (module Delta_c));
+            (durable_checkpoint_matches (module Engine_log_delta));
         ] );
       ( "partitioning",
         [

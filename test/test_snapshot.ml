@@ -409,7 +409,6 @@ let test_size_dist_bounds () =
     [
       W.Uniform_size;
       W.Pareto_size { alpha = 1.5 };
-      W.Lognormal_size { mu = 1.5; sigma = 1.0 };
     ]
 
 let test_size_dist_heavy_tail () =
@@ -442,7 +441,6 @@ let test_size_dist_digest_tags () =
       hex W.Uniform_size;
       hex (W.Pareto_size { alpha = 1.5 });
       hex (W.Pareto_size { alpha = 2.0 });
-      hex (W.Lognormal_size { mu = 1.5; sigma = 1.0 });
     ]
   in
   check Alcotest.int "distinct digests" (List.length all)
@@ -457,7 +455,6 @@ let test_size_dist_validation () =
     [
       W.Pareto_size { alpha = 0.0 };
       W.Pareto_size { alpha = Float.nan };
-      W.Lognormal_size { mu = 0.0; sigma = -1.0 };
     ]
 
 (* --- apply_read_fraction ------------------------------------------ *)

@@ -470,7 +470,7 @@ let journals =
       map diff_record (quad field field field (option (string_size (int_range 0 40)))) );
     ( "diff commits",
       decoder S.Engine_diff.decode_commits_record,
-      small [ ('C', 1); ('M', 4) ] );
+      small [ ('C', 1) ] );
     ( "overwrite meta",
       decoder S.Engine_overwrite.decode_meta,
       small [ ('I', 3); ('C', 1); ('R', 1) ] );
@@ -693,13 +693,6 @@ let test_lock_fifo_fairness () =
   check Alcotest.bool "reader cannot overtake writer" true
     (Lock.acquire t ~txn:3 ~page:1 ~mode:Lock.S = Lock.Would_block)
 
-let test_lock_withdraw () =
-  let t = Lock.create () in
-  ignore (Lock.acquire t ~txn:1 ~page:1 ~mode:Lock.X);
-  ignore (Lock.acquire t ~txn:2 ~page:1 ~mode:Lock.X);
-  Lock.withdraw t ~txn:2 ~page:1;
-  check Alcotest.bool "no longer waiting" false (Lock.waiting t ~txn:2)
-
 let test_lock_locked_pages () =
   let t = Lock.create () in
   ignore (Lock.acquire t ~txn:1 ~page:1 ~mode:Lock.X);
@@ -799,7 +792,6 @@ let () =
           Alcotest.test_case "deadlock" `Quick test_lock_deadlock_detected;
           Alcotest.test_case "3-way deadlock" `Quick test_lock_three_way_deadlock;
           Alcotest.test_case "fifo fairness" `Quick test_lock_fifo_fairness;
-          Alcotest.test_case "withdraw" `Quick test_lock_withdraw;
           Alcotest.test_case "locked pages" `Quick test_lock_locked_pages;
         ] );
       ( "bench_args",

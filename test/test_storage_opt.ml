@@ -20,13 +20,11 @@ let check = Alcotest.check
 
 type lock_op =
   | Acquire of int * int * Lock.mode
-  | Withdraw of int * int
   | Release_all of int
 
 let lock_op_print = function
   | Acquire (t, p, Lock.S) -> Printf.sprintf "A%d:S%d" t p
   | Acquire (t, p, Lock.X) -> Printf.sprintf "A%d:X%d" t p
-  | Withdraw (t, p) -> Printf.sprintf "W%d:%d" t p
   | Release_all t -> Printf.sprintf "R%d" t
 
 let n_txns = 5
@@ -38,7 +36,6 @@ let lock_op_gen =
     frequency
       [
         (5, map3 (fun t p m -> Acquire (t, p, m)) txn page (oneofl [ Lock.S; Lock.X ]));
-        (1, map2 (fun t p -> Withdraw (t, p)) txn page);
         (2, map (fun t -> Release_all t) txn);
       ])
 
@@ -66,10 +63,6 @@ let prop_lock_mgr_matches_naive =
                 let a = Lock.acquire opt ~txn ~page ~mode in
                 let b = Naive.Locks.acquire ref_ ~txn ~page ~mode in
                 outcome_tag a = outcome_tag b
-            | Withdraw (txn, page) ->
-                Lock.withdraw opt ~txn ~page;
-                Naive.Locks.withdraw ref_ ~txn ~page;
-                true
             | Release_all txn ->
                 Lock.release_all opt ~txn;
                 Naive.Locks.release_all ref_ ~txn;
