@@ -70,8 +70,6 @@ module Make (E : GROUPED) = struct
     t.deadline <- Float.infinity;
     now
 
-  let flush t ~now = if t.n_pending = 0 then now else force t ~now
-
   let submit t ~now ~id txn =
     match t.mode with
     | Eager ->

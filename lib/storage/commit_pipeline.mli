@@ -12,7 +12,7 @@
     force, so no acknowledged transaction is ever lost.
 
     Time is simulated: the caller threads a clock (µs) through
-    [submit]/[poll]/[flush], and the pipeline charges [sync_cost_us]
+    [submit]/[poll], and the pipeline charges [sync_cost_us]
     per force.  Acknowledgements fire through [on_ack] at the
     post-force instant — the arrival-to-ack difference is the
     transaction latency the server histograms. *)
@@ -55,10 +55,6 @@ module Make (E : GROUPED) : sig
 
   val poll : t -> now:float -> float
   (** Force the pending batch iff its timeout deadline has passed. *)
-
-  val flush : t -> now:float -> float
-  (** Force the pending batch unconditionally (server shutdown, or an
-      idle server draining before sleeping). *)
 
   val deadline : t -> float option
   (** Clock instant at which the pending batch times out, if any. *)

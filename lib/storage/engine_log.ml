@@ -1,18 +1,18 @@
 type log_format = Physical | Delta | Logical
 
-(* Volatile state of a live transaction.  [firsts]: page -> (before
-   image, lsn) of the transaction's first update of the page — the undo
-   an abort performs, the committed image a snapshot reads while the
-   page is dirty, and the fuzzy checkpoint's replay floor.  [seqs.(d)]:
-   journal sequence number of the first record the transaction appended
-   on log disk [d], or -1 — the disks its commit must force, and where a
-   sharp checkpoint must stop truncating disk [d].  [prepared]: a
-   prepare forced every record the transaction has, so its decision
-   depends on no other disk. *)
+(* Volatile state of a live transaction.  [firsts]: page -> before
+   image of the transaction's first update of the page — the undo an
+   abort performs and the committed image a snapshot reads while the
+   page is dirty.  [first_lsn]: LSN of the transaction's first record
+   (its first update, or an update-less prepare), [max_int] before one,
+   and lowered to an aborted transaction's (see [abort]) — a
+   checkpoint's replay start never passes it.  [used.(d)]: log disk [d]
+   holds a record of the transaction that none of its own forces has
+   covered — the disks its decision must force. *)
 type live = {
-  firsts : (int, bytes * int) Hashtbl.t;
-  seqs : int array;
-  mutable prepared : bool;
+  firsts : (int, bytes) Hashtbl.t;
+  mutable first_lsn : int;
+  used : bool array;
 }
 
 type store = {
@@ -25,21 +25,19 @@ type store = {
   mutable cyclic : int;
   mutable epoch : int;
   active : (int, live) Hashtbl.t;
-  group_deps : (int, unit) Hashtbl.t array;
-      (* Per log disk [d]: the set of disks holding update records of
-         transactions whose {e pending} (appended, unforced) group-commit
-         record sits on [d].  Forcing [d] makes those commit records
-         durable, so the listed disks must be co-forced first — the
-         dependency closure that keeps partial (per-used-disk) commit
-         forcing sound in the presence of group commit.  Cleared
-         whenever a disk is forced (its pending commits are durable,
-         dependencies discharged) and on crash (its pending commits are
-         gone). *)
+  mutable group_pending : bool;
+      (* Some unforced group-commit record belongs to a transaction with
+         records on another log disk.  While it is set, an eager
+         decision forces every log disk, so that record becomes durable
+         only together with the whole transaction.  Cleared by any force
+         of every disk, and by a crash, which drops the record. *)
   dirty_rec : (int, int) Hashtbl.t;
       (* The dirty-page table: page -> recovery LSN, i.e. the LSN of the
-         earliest update the page's durable image is missing.  An entry
-         appears when a volatile write first moves a page ahead of its
-         durable image and disappears when the data disk is synced. *)
+         earliest record replay needs for the page: the first update its
+         durable image is missing, or an aborted loser's first record.
+         An entry appears when a volatile write first moves a page ahead
+         of its durable image and disappears when the data disk is
+         synced. *)
   log_format : log_format;
   (* Reusable scratch for record encoding: fields are blitted straight
      into it and the journal's string is the only per-append
@@ -83,7 +81,7 @@ let create_with ?n_keys ?(n_log_disks = 2) ?(log_format = Physical) () =
     cyclic = 0;
     epoch = 0;
     active = Hashtbl.create 8;
-    group_deps = Array.init n_log_disks (fun _ -> Hashtbl.create 4);
+    group_pending = false;
     dirty_rec = Hashtbl.create 32;
     log_format;
     enc = Wal_codec.Enc.create ~size:(2 * page_size + 64) ();
@@ -135,12 +133,12 @@ let append_log t ~disk record =
   ignore (Journal.append t.logs.(disk) (Wal.encode_with t.enc record));
   t.records_logged <- t.records_logged + 1
 
-(* A live transaction's own record: remember where it first touched the
-   disk. *)
+(* A live transaction's own record: remember its disk and, for the
+   first, its LSN. *)
 let append_for txn ~disk record =
-  let seq = Journal.appended txn.st.logs.(disk) in
   append_log txn.st ~disk record;
-  if txn.live.seqs.(disk) < 0 then txn.live.seqs.(disk) <- seq
+  txn.live.used.(disk) <- true;
+  if txn.live.first_lsn = max_int then txn.live.first_lsn <- Wal.lsn record
 
 let fresh_lsn t =
   let l = t.next_lsn in
@@ -150,9 +148,8 @@ let fresh_lsn t =
 let begin_txn t =
   let id = t.next_txn in
   t.next_txn <- id + 1;
-  let live =
-    { firsts = Hashtbl.create 4; seqs = Array.make (Array.length t.logs) (-1); prepared = false }
-  in
+  let used = Array.make (Array.length t.logs) false in
+  let live = { firsts = Hashtbl.create 4; first_lsn = max_int; used } in
   Hashtbl.replace t.active id live;
   { st = t; id; born = t.epoch; live; finished = false }
 
@@ -195,7 +192,7 @@ let update_key txn k value =
   in
   append_for txn ~disk record;
   if not (Hashtbl.mem txn.live.firsts p) then
-    Hashtbl.replace txn.live.firsts p (Bytes.copy before, lsn);
+    Hashtbl.replace txn.live.firsts p (Bytes.copy before);
   (* The page becomes dirty at the LSN of the first update its durable
      image misses. *)
   if was_clean then Hashtbl.replace t.dirty_rec p lsn;
@@ -235,7 +232,7 @@ let publish txn =
     let wm = Snapshots.watermark t.registry in
     let { Key_space.n_keys; keys_per_page; _ } = t.keys in
     Hashtbl.iter
-      (fun p (before, _) ->
+      (fun p before ->
         let now = Vdisk.read_ro t.data p in
         for k = p * keys_per_page to min n_keys ((p + 1) * keys_per_page) - 1 do
           let pre = Page.lookup before ~key:k and value = Page.lookup now ~key:k in
@@ -249,92 +246,29 @@ let publish txn =
 
 (* --- commit, group commit, 2PC vote, abort -------------------------- *)
 
-(* Force every log disk and discharge all group-commit dependencies:
-   everything appended anywhere is durable now. *)
+(* Force every log disk: everything appended anywhere is durable now,
+   pending group commits included. *)
 let sync_all_logs t =
   Array.iter Journal.sync t.logs;
-  Array.iter Hashtbl.reset t.group_deps
-
-(* Force [seeds] plus their transitive group-commit dependency closure.
-   Forcing a disk makes durable every {e pending} group-commit record
-   on it, and each of those transactions needs its update disks durable
-   too (WAL atomicity) — which may in turn carry pending commit records
-   of their own, hence the closure.  Dependency sets of forced disks
-   are cleared: their pending commits are durable, nothing depends on a
-   further force. *)
-let sync_closure t seeds =
-  let forced = Hashtbl.create 4 in
-  let rec visit d =
-    if not (Hashtbl.mem forced d) then begin
-      Hashtbl.replace forced d ();
-      Hashtbl.iter (fun dep () -> visit dep) t.group_deps.(d)
-    end
-  in
-  List.iter visit seeds;
-  Hashtbl.iter
-    (fun d () ->
-      Journal.sync t.logs.(d);
-      Hashtbl.reset t.group_deps.(d))
-    forced
-
-(* The disks other than [disk] that hold records of the transaction a
-   force may not yet have covered. *)
-let other_disks txn ~disk =
-  if txn.live.prepared then []
-  else begin
-    let ds = ref [] in
-    Array.iteri (fun d s -> if s >= 0 && d <> disk then ds := d :: !ds) txn.live.seqs;
-    !ds
-  end
+  t.group_pending <- false
 
 (* The WAL commit rule with one force of the decision disk: pick the
-   disk the decision record goes to, force the transaction's other
-   disks (plus closure), append the record and force the decision
-   disk's closure.  A journal force makes everything appended before it
-   durable, so the transaction's records on the decision disk become
-   durable with the decision record.  [sync_closure] closes the
-   partial-durability window group commit opens (a forced disk may hold
-   a pending group-commit record whose transaction's updates sit on
-   another disk) precisely, by co-forcing exactly the disks the pending
-   commits on a forced disk depend on. *)
+   disk the decision record goes to, force the other disks holding the
+   transaction's records, append the record and force the decision disk
+   last.  A journal force makes everything appended before it durable,
+   so the transaction's records on the decision disk become durable with
+   the decision record.  While a group commit is pending every other
+   disk is forced first: a partial force could make its commit record
+   durable without its records on a disk left unforced. *)
 let force_decision txn record =
   let t = txn.st in
   let disk = select_log t in
-  sync_closure t (other_disks txn ~disk);
+  Array.iteri
+    (fun d j -> if d <> disk && (t.group_pending || txn.live.used.(d)) then Journal.sync j)
+    t.logs;
   append_for txn ~disk (record (fresh_lsn t));
-  sync_closure t [ disk ]
-
-(* Sharp checkpoint: force logs and data, then truncate every log disk
-   up to the earliest record still needed by a live transaction.  Under
-   [Logical] a live transaction with uncommitted page writes blocks the
-   data force (no steal), and with it the truncation: the retained
-   operations are the only copy of committed work the durable image
-   lacks. *)
-let checkpoint t =
-  sync_all_logs t;
-  let forced = may_force_data t in
-  if forced then begin
-    Vdisk.sync t.data;
-    Hashtbl.reset t.dirty_rec
-  end;
-  let active = Hashtbl.fold (fun id _ acc -> id :: acc) t.active [] in
-  let disk = 0 in
-  append_log t ~disk (Wal.Checkpoint { lsn = fresh_lsn t; active });
   Journal.sync t.logs.(disk);
-  if forced then
-    Array.iteri
-      (fun d j ->
-        let keep_from =
-          Hashtbl.fold
-            (fun _ lt acc -> if lt.seqs.(d) >= 0 then min acc lt.seqs.(d) else acc)
-            t.active (Journal.synced j)
-        in
-        (* Never truncate the checkpoint record we just wrote on disk 0:
-           it documents the active set for auditing. *)
-        let keep_from = if d = 0 then min keep_from (Journal.synced j - 1) else keep_from in
-        Journal.truncate j ~keep_from)
-      t.logs;
-  t.checkpoints <- t.checkpoints + 1
+  t.group_pending <- false
 
 let commit txn =
   check txn;
@@ -344,16 +278,16 @@ let commit txn =
 
 (* Group commit: the commit record is appended but the force is left
    to a later [force_commits]; until then the transaction is committed
-   in memory but not durable.  The commit disk inherits a dependency on
-   the transaction's other disks so that any force reaching it (an
-   eager committer's [sync_closure], not just [force_commits]) makes
-   the whole transaction durable atomically. *)
+   in memory but not durable.  Its records on the commit disk become
+   durable with the commit record; one on another disk leaves the
+   record pending, so the next eager decision forces every disk. *)
 let commit_group txn =
   check txn;
   let t = txn.st in
   let disk = select_log t in
   append_log t ~disk (Wal.Commit { lsn = fresh_lsn t; txn = txn.id });
-  List.iter (fun d -> Hashtbl.replace t.group_deps.(disk) d ()) (other_disks txn ~disk);
+  txn.live.used.(disk) <- false;
+  if Array.mem true txn.live.used then t.group_pending <- true;
   publish txn;
   finish txn
 
@@ -364,11 +298,12 @@ let force_commits t = sync_all_logs t
    stays active — its undo state and locks survive — until the
    coordinator's decision arrives: [commit_group] (the decision record
    may stay unforced, recovery resolves in-doubt transactions from the
-   coordinator log) or [abort]. *)
+   coordinator log) or [abort].  The vote's force covered every record
+   the transaction has, so its decision forces no other disk. *)
 let prepare txn ~gid =
   check txn;
   force_decision txn (fun lsn -> Wal.Prepare { lsn; txn = txn.id; gid });
-  txn.live.prepared <- true
+  Array.fill txn.live.used 0 (Array.length txn.live.used) false
 
 (* Prepared-but-undecided transactions in the durable logs. *)
 let in_doubt t = Replay.in_doubt (Array.map Journal.to_array t.logs)
@@ -379,7 +314,7 @@ let abort txn =
   (* Undo in place from the saved before images; recovery would reach
      the same state from the log. *)
   Hashtbl.iter
-    (fun p (before, first_lsn) ->
+    (fun p before ->
       let lsn = fresh_lsn t in
       let restored = Bytes.copy before in
       Page.set_lsn restored lsn;
@@ -399,19 +334,23 @@ let abort txn =
           (Wal.delta_update ~threshold:t.delta_threshold ~lsn ~txn:txn.id ~page:p
              ~before:current ~after:restored));
       Vdisk.write t.data p restored;
-      (* Where the restore is not logged, a mid-log replay must still
-         scan back to the loser's first update on this page to reproduce
-         the undo — the dirty entry keeps (or regains) that LSN, never
-         the restore's fresh one.  ([Delta] logs the restore above, but
-         keeps the same conservative entry: replay wants the loser's
-         whole chain.) *)
+      (* A mid-log replay must still scan back to the loser's first
+         record to reproduce the undo — the dirty entry keeps (or
+         regains) that LSN, never the restore's fresh one. *)
       let rec_ =
         match Hashtbl.find_opt t.dirty_rec p with
-        | Some existing -> min existing first_lsn
-        | None -> first_lsn
+        | Some existing -> min existing txn.live.first_lsn
+        | None -> txn.live.first_lsn
       in
       Hashtbl.replace t.dirty_rec p rec_)
     txn.live.firsts;
+  (* The loser's later before images hold its earlier updates, so a
+     replay start between its records would reinstate them.  The dirty
+     entries above hold the start back until the next data force; after
+     it, every live transaction that has logged does, by its [first_lsn]. *)
+  Hashtbl.iter
+    (fun _ lt -> if lt.first_lsn < max_int then lt.first_lsn <- min lt.first_lsn txn.live.first_lsn)
+    t.active;
   let disk = select_log t in
   append_log t ~disk (Wal.Abort { lsn = fresh_lsn t; txn = txn.id });
   finish txn
@@ -423,6 +362,58 @@ let flush t =
     (* Every page image is durable now; nothing is dirty. *)
     Hashtbl.reset t.dirty_rec
   end
+
+(* --- checkpoints ------------------------------------------------------ *)
+
+(* Append a fuzzy checkpoint record to disk 0 and return its start, the
+   LSN a later replay may start from:
+
+     start_lsn = min( next_lsn,
+                      every live transaction's first record LSN,
+                      every dirty page's recovery LSN )
+
+   Every record below start_lsn belongs to a finished transaction, and
+   each of its updates sits on a page whose durable image already
+   includes it, so replay loses nothing by skipping it; DESIGN.md B.2
+   has the full argument. *)
+let write_checkpoint ~sync t =
+  let start = ref t.next_lsn in
+  Hashtbl.iter (fun _ lt -> if lt.first_lsn < !start then start := lt.first_lsn) t.active;
+  Hashtbl.iter (fun _ rec_ -> if rec_ < !start then start := rec_) t.dirty_rec;
+  let active = Hashtbl.fold (fun id _ acc -> id :: acc) t.active [] |> List.sort Int.compare in
+  let dirty =
+    Hashtbl.fold (fun p rec_ acc -> (p, rec_) :: acc) t.dirty_rec []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  in
+  append_log t ~disk:0
+    (Wal.Fuzzy_checkpoint { lsn = fresh_lsn t; start_lsn = !start; active; dirty });
+  if sync then Journal.sync t.logs.(0);
+  !start
+
+(* Sharp checkpoint: [flush], a forced fuzzy checkpoint record, then
+   every log disk truncated below the record's start — through the
+   suffix search recovery uses to skip records, so the log keeps
+   exactly what replay reads.  Under [Logical] a live writer blocks the
+   data force (no steal), and the dirty pages hold the start back to
+   the committed operations the durable image lacks. *)
+let checkpoint t =
+  flush t;
+  let start_lsn = write_checkpoint ~sync:true t in
+  let lo = Replay.suffix_starts (Replay.scan (Array.map Journal.to_array t.logs)) ~start_lsn in
+  Array.iteri
+    (fun d j -> Journal.truncate j ~keep_from:(Journal.synced j - Journal.length j + lo.(d)))
+    t.logs;
+  t.checkpoints <- t.checkpoints + 1
+
+(* Fuzzy checkpoint (the paper's low-interference flavor): no data-disk
+   force, no truncation, no quiescing — one log force and one record.
+   [sync:false] leaves the record volatile — the crash-during-checkpoint
+   tests use it to check that a lost checkpoint record merely falls back
+   to the previous start point. *)
+let checkpoint_fuzzy ?(sync = true) t =
+  sync_all_logs t;
+  ignore (write_checkpoint ~sync t);
+  t.fuzzy_checkpoints <- t.fuzzy_checkpoints + 1
 
 (* --- restart recovery --------------------------------------------- *)
 
@@ -453,9 +444,8 @@ let finish_recovery t (meta : Replay.meta) =
   t.next_txn <- !max_txn + 1;
   Hashtbl.reset t.active;
   Hashtbl.reset t.dirty_rec;
-  (* The crash dropped every pending (unforced) group-commit record, so
-     no force owes anyone a co-force anymore. *)
-  Array.iter Hashtbl.reset t.group_deps;
+  (* The crash dropped every pending (unforced) group-commit record. *)
+  t.group_pending <- false;
   t.recoveries <- t.recoveries + 1
 
 let recover_with ~resolve t =
@@ -528,38 +518,6 @@ let crash_and_recover_reference t =
     Naive.Log_replay.recover_logical ~records ~page_of:(Key_space.page_of t.keys) ~read ~write);
   finish_recovery t (Replay.scan (Array.map Journal.to_array t.logs))
 
-(* Fuzzy checkpoint (the paper's low-interference flavor): no data-disk
-   force, no truncation, no quiescing — one log force and one record.
-   The record names where a later replay may start:
-
-     start_lsn = min( next_lsn,
-                      every active transaction's earliest update LSN,
-                      every dirty page's recovery LSN )
-
-   Every update below start_lsn belongs to a finished transaction AND
-   sits on a page whose durable image already includes it, so replay
-   loses nothing by skipping it; DESIGN.md B.2 has the full argument.
-   [sync:false] leaves the record volatile — the crash-during-checkpoint
-   tests use it to check that a lost checkpoint record merely falls back
-   to the previous start point. *)
-let checkpoint_fuzzy ?(sync = true) t =
-  sync_all_logs t;
-  let start = ref t.next_lsn in
-  Hashtbl.iter
-    (fun _ lt -> Hashtbl.iter (fun _ (_, lsn) -> if lsn < !start then start := lsn) lt.firsts)
-    t.active;
-  Hashtbl.iter (fun _ rec_ -> if rec_ < !start then start := rec_) t.dirty_rec;
-  let active = Hashtbl.fold (fun id _ acc -> id :: acc) t.active [] |> List.sort Int.compare in
-  let dirty =
-    Hashtbl.fold (fun p rec_ acc -> (p, rec_) :: acc) t.dirty_rec []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  in
-  let disk = 0 in
-  append_log t ~disk
-    (Wal.Fuzzy_checkpoint { lsn = fresh_lsn t; start_lsn = !start; active; dirty });
-  if sync then Journal.sync t.logs.(disk);
-  t.fuzzy_checkpoints <- t.fuzzy_checkpoints + 1
-
 let set_recovery_pool t pool = t.recovery_pool <- pool
 
 (* Injective digest of everything restart recovery is responsible for:
@@ -604,7 +562,7 @@ let committed_page_image t p =
   let dirty = ref None in
   Hashtbl.iter
     (fun _ lt ->
-      match Hashtbl.find_opt lt.firsts p with Some (img, _) -> dirty := Some img | None -> ())
+      match Hashtbl.find_opt lt.firsts p with Some img -> dirty := Some img | None -> ())
     t.active;
   match !dirty with Some img -> img | None -> Vdisk.read_ro t.data p
 

@@ -13,9 +13,9 @@
     abort restore logs; whether a data-disk force may {e steal} (make
     uncommitted pages durable), which only the formats logging before
     images allow; and the replay routine.  Everything else — LSN issue,
-    commit and group commit with the per-disk force closure, the 2PC
-    vote and in-doubt resolution, checkpoints, the recovery epilogue,
-    the fingerprint and MVCC snapshots — is shared, so the formats issue
+    commit and group commit under one force rule, the 2PC vote and
+    in-doubt resolution, checkpoints, the recovery epilogue, the
+    fingerprint and MVCC snapshots — is shared, so the formats issue
     identical LSN streams and recover to identical fingerprints.
 
     MVCC snapshot reads ({!Kv.SNAPSHOT}) work under every format: old
@@ -52,12 +52,13 @@ type log_format =
       (** operation logging: a {!Wal.Op} record per update names the
           key and the value written, no images at all; abort restores
           are not logged.  No steal: {!flush} and the sharp
-          [checkpoint] force the data disk (and the checkpoint
-          truncates) only while no live transaction has uncommitted
-          page writes, so an uncommitted change never becomes durable
-          and restart recovery is REDO-only ({!Replay.recover_logical}):
-          committed operations re-execute in LSN order onto the durable
-          images behind the page-header LSN guard. *)
+          [checkpoint] force the data disk only while no live
+          transaction has uncommitted page writes (the checkpoint's
+          start then stays at the dirty pages' recovery LSNs), so an
+          uncommitted change never becomes durable and restart recovery
+          is REDO-only ({!Replay.recover_logical}): committed operations
+          re-execute in LSN order onto the durable images behind the
+          page-header LSN guard. *)
 
 val create_with : ?n_keys:int -> ?n_log_disks:int -> ?log_format:log_format -> unit -> t
 (** [create] is [create_with] with 2 log disks and [Physical] log
@@ -74,12 +75,12 @@ val log_bytes : t -> int
 val commit_group : txn -> unit
 (** Group commit: append the commit record but do {e not} force the
     log.  The transaction becomes durable at the next {!force_commits}
-    (or any other force reaching its commit disk — the engine tracks a
-    per-disk dependency set so any such force co-forces the disks
-    holding the transaction's update records, keeping the WAL
-    atomicity invariant); a crash before that loses it — exactly the
-    group-commit durability window.  Amortizes the per-commit log
-    force across a batch of transactions. *)
+    (or any other force of every log disk: while a commit record whose
+    transaction has records on another disk is pending, an eager commit
+    or prepare forces every disk, keeping the WAL atomicity invariant);
+    a crash before that loses it — exactly the group-commit durability
+    window.  Amortizes the per-commit log force across a batch of
+    transactions. *)
 
 val force_commits : t -> unit
 (** Force every log disk: all group-committed transactions become
@@ -98,10 +99,10 @@ val force_commits : t -> unit
 val prepare : txn -> gid:int -> unit
 (** Durable vote for global transaction [gid], forced exactly as an
     eager commit record: pick the vote's disk, force the transaction's
-    other disks (plus group-commit closure), append a {!Wal.Prepare}
-    record and force the vote disk's closure once.  The transaction
-    stays active — undo state and locks survive — until the decision,
-    and takes no further updates. *)
+    other disks (every other disk while a group commit is pending),
+    append a {!Wal.Prepare} record and force the vote disk last.  The
+    transaction stays active — undo state and locks survive — until the
+    decision, and takes no further updates. *)
 
 val in_doubt : t -> (int * int) list
 (** [(txn, gid)] for every durably prepared transaction with no durable
@@ -133,11 +134,12 @@ val set_recovery_pool : t -> Dbm_util.Pool.t option -> unit
 val checkpoint_fuzzy : ?sync:bool -> t -> unit
 (** Fuzzy checkpoint: force the log disks and append one
     {!Wal.Fuzzy_checkpoint} record naming the LSN a future replay may
-    start from (the minimum over every active transaction's earliest
-    update LSN and every dirty page's recovery LSN) plus the dirty-page
-    table.  Unlike {!checkpoint} it does not force the data disk, does
-    not truncate, and does not care who is running — its cost is one
-    log force regardless of the data state.  [sync] (default [true])
+    start from (the minimum over every live transaction's first record
+    LSN and every dirty page's recovery LSN) plus the dirty-page table.
+    The sharp {!checkpoint} is {!flush}, this record forced, and every
+    log disk truncated below its start; the fuzzy one forces no data,
+    truncates nothing and does not care who is running — its cost is
+    one log force regardless of the data state.  [sync] (default [true])
     forces the checkpoint record itself; [sync:false] leaves it in the
     volatile tail, where a crash simply loses it (recovery falls back
     to the previous checkpoint or to record 0 — never to a wrong

@@ -71,8 +71,6 @@ let read_all t =
 
 let to_array t = Array.sub t.buf t.start t.durable
 
-let appended t = t.base + t.durable + t.pending
-
 let synced t = t.base + t.durable
 
 let sync_count t = t.sync_count

@@ -48,9 +48,6 @@ val to_array : t -> string array
     the random-access view chunked (parallel) recovery scans need.
     Element [i] has sequence number [synced t - length t + i]. *)
 
-val appended : t -> int
-(** Records appended so far (including unsynced ones). *)
-
 val synced : t -> int
 (** Records currently durable. *)
 

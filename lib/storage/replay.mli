@@ -65,8 +65,8 @@ val replay_start_raw : string array array -> int
 
 val suffix_starts : meta -> start_lsn:int -> int array
 (** Per-journal index of the first retained record with
-    [lsn >= start_lsn] (journal LSNs strictly increase, so this is a
-    binary search).  Everything before it may skip decoding. *)
+    [lsn >= start_lsn] (journal LSNs strictly increase: a binary
+    search).  Recovery decodes from it; the sharp checkpoint cuts below it. *)
 
 val decode_from :
   ?pool:Dbm_util.Pool.t -> string array array -> lo:int array -> Wal.record array array

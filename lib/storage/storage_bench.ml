@@ -672,10 +672,10 @@ let server_bench_engine (type a) (module E : SERVER_ENGINE with type t = a) ~loa
       ~arrivals_us:(arrivals_us ~seed:(seed + int_of_float rate) (W.Poisson { rate }) ~n)
       ~scripts e
   in
+  let runs = List.map (fun rate -> (rate, point ~mode:grouped_mode rate)) loads in
   let sweep =
     List.map
-      (fun rate ->
-        let r = point ~mode:grouped_mode rate in
+      (fun (rate, r) ->
         let h = r.Server.latency_us in
         let p50 = Hist.p50 h and p99 = Hist.p99 h and p999 = Hist.p999 h in
         {
@@ -703,11 +703,12 @@ let server_bench_engine (type a) (module E : SERVER_ENGINE with type t = a) ~loa
                 ]);
           v = (positive [ p50; p99; p999 ], p50 <= p99 && p99 <= p999);
         })
-      loads
+      runs
   in
+  (* The head-to-head's grouped side is the sweep's top-load run. *)
   let top = List.fold_left Float.max 0.0 loads in
   let eager = point ~mode:Commit_pipeline.Eager top in
-  let grouped = point ~mode:grouped_mode top in
+  let grouped = List.assoc top runs in
   let eager_tps = eager.Server.sustained_tps and grouped_tps = grouped.Server.sustained_tps in
   let speedup = if eager_tps > 0. then grouped_tps /. eager_tps else infinity in
   let eager_p99 = Hist.p99 eager.Server.latency_us in
@@ -1132,10 +1133,12 @@ let shard_section ~scale ~shard_counts ~cross_fracs =
   let direct, direct_fingerprint, reference =
     shard_serial_reference ~arrivals_us ~scripts:scripts0
   in
+  let runs =
+    List.map (fun shards -> (shards, shard_run ~shards ~arrivals_us ~scripts:scripts0)) counts
+  in
   let points =
     List.map
-      (fun shards ->
-        let r, fingerprint, digest, in_doubt = shard_run ~shards ~arrivals_us ~scripts:scripts0 in
+      (fun (shards, (r, fingerprint, digest, in_doubt)) ->
         let p99 = Hist.p99 r.Shard.latency_us in
         (* vacuously true at counts other than 1 *)
         let serial_identical =
@@ -1175,7 +1178,7 @@ let shard_section ~scale ~shard_counts ~cross_fracs =
               r.Shard.sustained_tps,
               scan_equal && serial_identical && in_doubt = 0 );
         })
-      counts
+      runs
   in
   let tps_of c =
     List.fold_left (fun acc { v = s, _, tps, _; _ } -> if s = c then tps else acc) 0.0 points
@@ -1187,14 +1190,18 @@ let shard_section ~scale ~shard_counts ~cross_fracs =
     else Some (if tps_of 1 > 0.0 then tps_of top /. tps_of 1 else infinity)
   in
   (* cross-shard fraction sweep at the top shard count, each fraction
-     gated against its own serial reference; [v]: fraction, cross
-     txns, equivalent *)
+     gated against its own serial reference (at 0, the shard sweep's
+     reference and top run); [v]: fraction, cross txns, equivalent *)
   let cross =
     List.map
       (fun cf ->
-        let scripts = scripts cf in
-        let _, _, reference = shard_serial_reference ~arrivals_us ~scripts in
-        let r, _, digest, in_doubt = shard_run ~shards:top ~arrivals_us ~scripts in
+        let (r, _, digest, in_doubt), reference =
+          if cf = 0.0 then (List.assoc top runs, reference)
+          else
+            let scripts = scripts cf in
+            let _, _, reference = shard_serial_reference ~arrivals_us ~scripts in
+            (shard_run ~shards:top ~arrivals_us ~scripts, reference)
+        in
         let xh = r.Shard.cross_latency_us in
         let p99_cross = if Hist.count xh = 0 then 0.0 else Hist.p99 xh in
         let scan_equal = String.equal digest reference in

@@ -15,7 +15,6 @@ type record =
   | Commit of { lsn : int; txn : int }
   | Abort of { lsn : int; txn : int }
   | Prepare of { lsn : int; txn : int; gid : int }
-  | Checkpoint of { lsn : int; active : int list }
   | Fuzzy_checkpoint of {
       lsn : int;
       start_lsn : int;
@@ -25,15 +24,14 @@ type record =
 
 let lsn = function
   | Update { lsn; _ } | Delta { lsn; _ } | Op { lsn; _ } | Commit { lsn; _ }
-  | Abort { lsn; _ } | Prepare { lsn; _ } | Checkpoint { lsn; _ }
-  | Fuzzy_checkpoint { lsn; _ } ->
+  | Abort { lsn; _ } | Prepare { lsn; _ } | Fuzzy_checkpoint { lsn; _ } ->
     lsn
 
 let txn_of = function
   | Update { txn; _ } | Delta { txn; _ } | Op { txn; _ } | Commit { txn; _ } | Abort { txn; _ }
   | Prepare { txn; _ } ->
     Some txn
-  | Checkpoint _ | Fuzzy_checkpoint _ -> None
+  | Fuzzy_checkpoint _ -> None
 
 (* --- delta computation / application ------------------------------- *)
 
@@ -138,11 +136,6 @@ let encode_with enc r =
     int64 enc lsn;
     int64 enc txn;
     varint enc gid
-  | Checkpoint { lsn; active } ->
-    reset enc ~tag:'k';
-    int64 enc lsn;
-    varint enc (List.length active);
-    List.iter (varint enc) active
   | Fuzzy_checkpoint { lsn; start_lsn; active; dirty } ->
     reset enc ~tag:'f';
     int64 enc lsn;
@@ -232,11 +225,6 @@ let decode s =
       let txn = int64 c in
       let gid = varint c in
       Prepare { lsn; txn; gid }
-    | 'k' ->
-      let lsn = int64 c in
-      let n = varint c in
-      let active = List.init n (fun _ -> varint c) in
-      Checkpoint { lsn; active }
     | 'f' ->
       let lsn = int64 c in
       let start_lsn = varint c in
@@ -276,9 +264,6 @@ let pp ppf = function
   | Commit { lsn; txn } -> Format.fprintf ppf "Commit(lsn=%d txn=%d)" lsn txn
   | Abort { lsn; txn } -> Format.fprintf ppf "Abort(lsn=%d txn=%d)" lsn txn
   | Prepare { lsn; txn; gid } -> Format.fprintf ppf "Prepare(lsn=%d txn=%d gid=%d)" lsn txn gid
-  | Checkpoint { lsn; active } ->
-    Format.fprintf ppf "Checkpoint(lsn=%d active=[%s])" lsn
-      (String.concat ";" (List.map string_of_int active))
   | Fuzzy_checkpoint { lsn; start_lsn; active; dirty } ->
     Format.fprintf ppf "FuzzyCkpt(lsn=%d start=%d active=[%s] dirty=[%s])" lsn start_lsn
       (String.concat ";" (List.map string_of_int active))

@@ -15,7 +15,10 @@
     - {b logical}: {!Op} carries the operation itself
       ([insert(k,v)]/[delete(k)]); replay re-executes it instead of
       restoring images (logical recovery, as in Lomet et al.,
-      {i Implementing Performance Competitive Logical Recovery}). *)
+      {i Implementing Performance Competitive Logical Recovery}).
+
+    Beside them, {!Commit}, {!Abort} and {!Prepare} carry decisions and
+    two-phase-commit votes; {!Fuzzy_checkpoint} is the one checkpoint record. *)
 
 exception Corrupt of string
 
@@ -53,7 +56,6 @@ type record =
           {e in doubt} at restart: recovery resolves it from the
           coordinator log (presumed abort when the coordinator has no
           decision). *)
-  | Checkpoint of { lsn : int; active : int list }
   | Fuzzy_checkpoint of {
       lsn : int;
       start_lsn : int;
@@ -68,9 +70,11 @@ type record =
               page whose volatile image was ahead of its durable image,
               with the LSN of the earliest update it is missing *)
     }
-      (** A fuzzy checkpoint: nothing is forced to the data disk and no
-          log is truncated — the record only tells restart recovery how
-          far into the log it may skip. *)
+      (** The record both of {!Engine_log}'s checkpoints write: it tells
+          restart recovery how far into the log it may skip.  The fuzzy
+          checkpoint forces nothing to the data disk and truncates no
+          log; the sharp one flushes first and then truncates every log
+          disk below [start_lsn]. *)
 
 val lsn : record -> int
 

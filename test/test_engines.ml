@@ -411,6 +411,82 @@ let test_log_partial_force_keeps_loser_out () =
       ("reference", Engine_log.crash_and_recover_reference);
     ]
 
+let test_oplog_sharp_checkpoint_truncates_live () =
+  (* No steal under a live writer: the sharp checkpoint cannot force the
+     data disk, so its start is the first operation the durable image
+     lacks (the fifth commit's, after the flush), and the records below
+     it go. *)
+  let e = Engine_oplog.create () in
+  let commit k =
+    let t = Engine_oplog.begin_txn e in
+    Engine_oplog.put t k "committed";
+    Engine_oplog.commit t
+  in
+  List.iter commit [ 0; 1; 2; 3 ];
+  Engine_oplog.flush e;
+  List.iter commit [ 4; 5; 6; 7 ];
+  Engine_oplog.put (Engine_oplog.begin_txn e) 8 "loser";
+  let records () = List.assoc "durable_records" (Engine_oplog.stats e) in
+  let before = records () in
+  Engine_oplog.checkpoint e;
+  check Alcotest.bool "log shrank" true (records () < before);
+  Engine_oplog.crash_and_recover e;
+  let t = Engine_oplog.begin_txn e in
+  check
+    Alcotest.(list (option string))
+    "committed kept, writer dropped"
+    (List.init 8 (fun _ -> Some "committed") @ [ None ])
+    (List.map (Engine_oplog.get t) (List.init 9 Fun.id));
+  Engine_oplog.abort t
+
+let test_log_checkpoint_keeps_prepared_votes () =
+  (* gid 7 votes with no update, so its prepare is its first record: a
+     start taken from first updates alone would truncate the vote. *)
+  let e = Engine_log.create () in
+  Engine_log.prepare (Engine_log.begin_txn e) ~gid:7;
+  let t = Engine_log.begin_txn e in
+  Engine_log.put t 3 "prepared";
+  Engine_log.prepare t ~gid:8;
+  Engine_log.checkpoint e;
+  check Alcotest.(list int) "both in doubt" [ 7; 8 ] (List.map snd (Engine_log.in_doubt e));
+  Engine_log.crash_and_recover_resolved ~resolve:(fun ~gid:_ -> true) e;
+  check Alcotest.int "none in doubt" 0 (List.length (Engine_log.in_doubt e));
+  let t = Engine_log.begin_txn e in
+  check (Alcotest.option Alcotest.string) "update applied" (Some "prepared") (Engine_log.get t 3);
+  Engine_log.abort t
+
+let test_log_checkpoint_keeps_abort_whole () =
+  (* The loser's second update of page 0 logs a before image holding its
+     first, the writer's first record falls between the two, and the
+     flush forces the undone page.  Whether the writer is still live or
+     aborted after the flush, neither checkpoint may start between the
+     loser's records: replay would reinstate its first update. *)
+  let run fmt writer_aborts checkpoint =
+    let e = Engine_log.create_with ~log_format:fmt () in
+    let loser = Engine_log.begin_txn e and writer = Engine_log.begin_txn e in
+    Engine_log.put loser 0 "loser";
+    Engine_log.put writer 40 "writer";
+    Engine_log.put loser 1 "loser";
+    Engine_log.abort loser;
+    Engine_log.flush e;
+    if writer_aborts then Engine_log.abort writer;
+    checkpoint e;
+    Engine_log.crash_and_recover e;
+    let t = Engine_log.begin_txn e in
+    check
+      Alcotest.(list (option string))
+      "nothing survives" [ None; None; None ]
+      (List.map (Engine_log.get t) [ 0; 1; 40 ])
+  in
+  List.iter
+    (fun fmt ->
+      List.iter
+        (fun writer_aborts ->
+          run fmt writer_aborts Engine_log.checkpoint;
+          run fmt writer_aborts (fun e -> Engine_log.checkpoint_fuzzy e))
+        [ false; true ])
+    [ Engine_log.Physical; Engine_log.Delta ]
+
 let test_delta_sharp_checkpoint_rewinds_loser () =
   (* The committed puts leave page 0 dirty, so the loser's two updates
      of it log slices, not a full image.  The sharp checkpoint forces
@@ -1009,6 +1085,12 @@ let specific =
     QCheck_alcotest.to_alcotest prop_logical_fingerprint_parity;
     Alcotest.test_case "delta: sharp checkpoint rewinds a loser" `Quick
       test_delta_sharp_checkpoint_rewinds_loser;
+    Alcotest.test_case "oplog: sharp ckpt truncates under a live writer" `Quick
+      test_oplog_sharp_checkpoint_truncates_live;
+    Alcotest.test_case "log: ckpt keeps prepared votes" `Quick
+      test_log_checkpoint_keeps_prepared_votes;
+    Alcotest.test_case "log: ckpt keeps an abort whole" `Quick
+      test_log_checkpoint_keeps_abort_whole;
   ]
 
 let () =

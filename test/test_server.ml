@@ -106,7 +106,7 @@ let prop_equiv_log = Equiv_log.prop "grouped = eager reference after crash (engi
 
 let prop_equiv_diff = Equiv_diff.prop "grouped = eager reference after crash (engine_diff)"
 
-(* --- per-used-disk commit forcing (and its dependency closure) ----- *)
+(* --- per-used-disk commit forcing, every disk while a group commit is pending *)
 
 let log_syncs e = List.assoc "log_syncs" (Engine_log.stats e)
 
@@ -151,15 +151,15 @@ let test_partial_force_closure () =
   (* Cyclic selection on 2 disks: txn A's update goes to disk 0 and its
      group commit record to disk 1.  An empty group commit then takes
      disk 0, so the empty eager commit after it lands on disk 1 and has
-     no other disk to force.  Its force must drag disk 0 along (the
-     recorded dependency), otherwise A's commit record would be durable
-     without A's update — a torn transaction after the crash. *)
+     no record on another disk.  A's commit record is pending, so that
+     commit must force disk 0 too, otherwise A's commit record would be
+     durable without A's update — a torn transaction after the crash. *)
   let e = Engine_log.create_with ~n_keys:32 ~n_log_disks:2 () in
   let a = Engine_log.begin_txn e in
   Engine_log.put a 4 "atomic" (* disk 0 *);
   Engine_log.commit_group a (* disk 1 *);
   Engine_log.commit_group (Engine_log.begin_txn e) (* disk 0 *);
-  Engine_log.commit (Engine_log.begin_txn e) (* disk 1, and via A's dependency disk 0 *);
+  Engine_log.commit (Engine_log.begin_txn e) (* disk 1, and disk 0 while A is pending *);
   Engine_log.crash_and_recover e;
   let t = Engine_log.begin_txn e in
   check (Alcotest.option Alcotest.string) "group txn durable atomically" (Some "atomic")

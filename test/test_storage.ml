@@ -222,8 +222,6 @@ let sample_records =
     Wal.Update { lsn = 7; txn = 3; page = 9; before = Bytes.of_string "abc"; after = Bytes.of_string "xyz" };
     Wal.Commit { lsn = 8; txn = 3 };
     Wal.Abort { lsn = 9; txn = 4 };
-    Wal.Checkpoint { lsn = 10; active = [ 5; 6 ] };
-    Wal.Checkpoint { lsn = 11; active = [] };
     Wal.Delta
       { lsn = 12; txn = 5; page = 2; off = 17; prev_lsn = 4; before_slice = "old"; after_slice = "new" };
     Wal.Delta { lsn = 13; txn = 5; page = 0; off = 8; prev_lsn = 0; before_slice = ""; after_slice = "" };
@@ -257,7 +255,8 @@ let test_wal_truncated () =
 
 (* Tags are lowercase: a frame with an uppercase tag decodes as
    [Corrupt] even under a valid checksum, never as a record or another
-   exception. *)
+   exception.  So does the retired sharp-checkpoint tag ['k'], in its
+   old layout (an LSN and an empty active list). *)
 let test_wal_uppercase_tags_corrupt () =
   let module Enc = Dbm_storage.Wal_codec.Enc in
   let enc = Enc.create () in
@@ -270,7 +269,13 @@ let test_wal_uppercase_tags_corrupt () =
       | exception Wal.Corrupt _ -> ()
       | exception e -> Alcotest.failf "tag %C raised %s" tag (Printexc.to_string e)
       | _ -> Alcotest.failf "tag %C decoded to a record" tag)
-    [ 'U'; 'C'; 'A'; 'K'; 'F' ]
+    [ 'U'; 'C'; 'A'; 'K'; 'F' ];
+  Enc.reset enc ~tag:'k';
+  Enc.int64 enc 10;
+  Enc.varint enc 0;
+  match Wal.decode (Enc.finish enc) with
+  | exception Wal.Corrupt _ -> ()
+  | _ -> Alcotest.fail "a 'k' frame decoded"
 
 (* A length varint under a valid checksum may decode to a value with the
    sign bit set (eight 0xff then 0x7f) or to one near [max_int] (0x3f
@@ -386,7 +391,7 @@ let test_wal_accessors () =
   check Alcotest.int "lsn" 8 (Wal.lsn (Wal.Commit { lsn = 8; txn = 3 }));
   check (Alcotest.option Alcotest.int) "txn" (Some 3) (Wal.txn_of (Wal.Commit { lsn = 8; txn = 3 }));
   check (Alcotest.option Alcotest.int) "checkpoint has no txn" None
-    (Wal.txn_of (Wal.Checkpoint { lsn = 1; active = [] }))
+    (Wal.txn_of (Wal.Fuzzy_checkpoint { lsn = 1; start_lsn = 1; active = []; dirty = [] }))
 
 (* Generator over every record shape the codec frames. *)
 let wal_record_gen =
@@ -417,10 +422,6 @@ let wal_record_gen =
           (fun (lsn, txn, key, value) -> Wal.Op { lsn; txn; key; value })
           (tup4 (int_range 0 1000) (int_range 0 1000) (int_range 0 1000)
              (option (string_size (int_range 0 40))));
-        map2
-          (fun lsn active -> Wal.Checkpoint { lsn; active })
-          (int_range 0 1000)
-          (small_list (int_range 0 100));
         map
           (fun (lsn, start_lsn, active, dirty) ->
             Wal.Fuzzy_checkpoint { lsn; start_lsn; active; dirty })

@@ -313,7 +313,6 @@ let j_model_agrees m j =
       List.rev !live = m.m_durable @ m.m_pending)
   && Journal.length j = List.length m.m_durable
   && Journal.synced j = m.m_base + List.length m.m_durable
-  && Journal.appended j = m.m_base + List.length m.m_durable + List.length m.m_pending
   && Journal.sync_count j = m.m_syncs
 
 let prop_journal_matches_model =
