@@ -6,14 +6,8 @@ type log_format = Physical | Delta | Logical
    page is dirty.  [first_lsn]: LSN of the transaction's first record
    (its first update, or an update-less prepare), [max_int] before one,
    and lowered to an aborted transaction's (see [abort]) — a
-   checkpoint's replay start never passes it.  [used.(d)]: log disk [d]
-   holds a record of the transaction that none of its own forces has
-   covered — the disks its decision must force. *)
-type live = {
-  firsts : (int, bytes) Hashtbl.t;
-  mutable first_lsn : int;
-  used : bool array;
-}
+   checkpoint's replay start never passes it. *)
+type live = { firsts : (int, bytes) Hashtbl.t; mutable first_lsn : int }
 
 type store = {
   keys : Key_space.t;
@@ -25,12 +19,6 @@ type store = {
   mutable cyclic : int;
   mutable epoch : int;
   active : (int, live) Hashtbl.t;
-  mutable group_pending : bool;
-      (* Some unforced group-commit record belongs to a transaction with
-         records on another log disk.  While it is set, an eager
-         decision forces every log disk, so that record becomes durable
-         only together with the whole transaction.  Cleared by any force
-         of every disk, and by a crash, which drops the record. *)
   dirty_rec : (int, int) Hashtbl.t;
       (* The dirty-page table: page -> recovery LSN, i.e. the LSN of the
          earliest record replay needs for the page: the first update its
@@ -81,7 +69,6 @@ let create_with ?n_keys ?(n_log_disks = 2) ?(log_format = Physical) () =
     cyclic = 0;
     epoch = 0;
     active = Hashtbl.create 8;
-    group_pending = false;
     dirty_rec = Hashtbl.create 32;
     log_format;
     enc = Wal_codec.Enc.create ~size:(2 * page_size + 64) ();
@@ -104,8 +91,6 @@ let keys_per_page t = t.keys.Key_space.keys_per_page
 let log_disks t = Array.length t.logs
 
 let records_logged t = t.records_logged
-
-let log_format t = t.log_format
 
 (* Durable log volume in bytes — what the format head-to-head meters. *)
 let log_bytes t =
@@ -133,11 +118,9 @@ let append_log t ~disk record =
   ignore (Journal.append t.logs.(disk) (Wal.encode_with t.enc record));
   t.records_logged <- t.records_logged + 1
 
-(* A live transaction's own record: remember its disk and, for the
-   first, its LSN. *)
+(* A live transaction's own record: remember the first one's LSN. *)
 let append_for txn ~disk record =
   append_log txn.st ~disk record;
-  txn.live.used.(disk) <- true;
   if txn.live.first_lsn = max_int then txn.live.first_lsn <- Wal.lsn record
 
 let fresh_lsn t =
@@ -148,8 +131,7 @@ let fresh_lsn t =
 let begin_txn t =
   let id = t.next_txn in
   t.next_txn <- id + 1;
-  let used = Array.make (Array.length t.logs) false in
-  let live = { firsts = Hashtbl.create 4; first_lsn = max_int; used } in
+  let live = { firsts = Hashtbl.create 4; first_lsn = max_int } in
   Hashtbl.replace t.active id live;
   { st = t; id; born = t.epoch; live; finished = false }
 
@@ -248,27 +230,22 @@ let publish txn =
 
 (* Force every log disk: everything appended anywhere is durable now,
    pending group commits included. *)
-let sync_all_logs t =
-  Array.iter Journal.sync t.logs;
-  t.group_pending <- false
+let sync_all_logs t = Array.iter Journal.sync t.logs
 
-(* The WAL commit rule with one force of the decision disk: pick the
-   disk the decision record goes to, force the other disks holding the
-   transaction's records, append the record and force the decision disk
-   last.  A journal force makes everything appended before it durable,
-   so the transaction's records on the decision disk become durable with
-   the decision record.  While a group commit is pending every other
-   disk is forced first: a partial force could make its commit record
-   durable without its records on a disk left unforced. *)
+(* The WAL commit rule: pick the disk the decision record goes to,
+   force every other log disk, append the record and force its own disk
+   last, so every record appended before the decision is durable before
+   it.  Like every other force here, it leaves nothing appended
+   unforced: a crash loses exactly the records appended since the last
+   force, never an earlier record while keeping a later one (a
+   group-commit record without its updates, or a loser's later before
+   image without the record of the update it holds). *)
 let force_decision txn record =
   let t = txn.st in
   let disk = select_log t in
-  Array.iteri
-    (fun d j -> if d <> disk && (t.group_pending || txn.live.used.(d)) then Journal.sync j)
-    t.logs;
+  Array.iteri (fun d j -> if d <> disk then Journal.sync j) t.logs;
   append_for txn ~disk (record (fresh_lsn t));
-  Journal.sync t.logs.(disk);
-  t.group_pending <- false
+  Journal.sync t.logs.(disk)
 
 let commit txn =
   check txn;
@@ -277,17 +254,14 @@ let commit txn =
   finish txn
 
 (* Group commit: the commit record is appended but the force is left
-   to a later [force_commits]; until then the transaction is committed
-   in memory but not durable.  Its records on the commit disk become
-   durable with the commit record; one on another disk leaves the
-   record pending, so the next eager decision forces every disk. *)
+   to the next force of the log disks ([force_commits], an eager
+   decision, a flush or a checkpoint); until then the transaction is
+   committed in memory but not durable. *)
 let commit_group txn =
   check txn;
   let t = txn.st in
   let disk = select_log t in
   append_log t ~disk (Wal.Commit { lsn = fresh_lsn t; txn = txn.id });
-  txn.live.used.(disk) <- false;
-  if Array.mem true txn.live.used then t.group_pending <- true;
   publish txn;
   finish txn
 
@@ -298,12 +272,10 @@ let force_commits t = sync_all_logs t
    stays active — its undo state and locks survive — until the
    coordinator's decision arrives: [commit_group] (the decision record
    may stay unforced, recovery resolves in-doubt transactions from the
-   coordinator log) or [abort].  The vote's force covered every record
-   the transaction has, so its decision forces no other disk. *)
+   coordinator log) or [abort]. *)
 let prepare txn ~gid =
   check txn;
-  force_decision txn (fun lsn -> Wal.Prepare { lsn; txn = txn.id; gid });
-  Array.fill txn.live.used 0 (Array.length txn.live.used) false
+  force_decision txn (fun lsn -> Wal.Prepare { lsn; txn = txn.id; gid })
 
 (* Prepared-but-undecided transactions in the durable logs. *)
 let in_doubt t = Replay.in_doubt (Array.map Journal.to_array t.logs)
@@ -380,13 +352,7 @@ let write_checkpoint ~sync t =
   let start = ref t.next_lsn in
   Hashtbl.iter (fun _ lt -> if lt.first_lsn < !start then start := lt.first_lsn) t.active;
   Hashtbl.iter (fun _ rec_ -> if rec_ < !start then start := rec_) t.dirty_rec;
-  let active = Hashtbl.fold (fun id _ acc -> id :: acc) t.active [] |> List.sort Int.compare in
-  let dirty =
-    Hashtbl.fold (fun p rec_ acc -> (p, rec_) :: acc) t.dirty_rec []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  in
-  append_log t ~disk:0
-    (Wal.Fuzzy_checkpoint { lsn = fresh_lsn t; start_lsn = !start; active; dirty });
+  append_log t ~disk:0 (Wal.Fuzzy_checkpoint { lsn = fresh_lsn t; start_lsn = !start });
   if sync then Journal.sync t.logs.(0);
   !start
 
@@ -444,8 +410,6 @@ let finish_recovery t (meta : Replay.meta) =
   t.next_txn <- !max_txn + 1;
   Hashtbl.reset t.active;
   Hashtbl.reset t.dirty_rec;
-  (* The crash dropped every pending (unforced) group-commit record. *)
-  t.group_pending <- false;
   t.recoveries <- t.recoveries + 1
 
 let recover_with ~resolve t =

@@ -2,8 +2,8 @@
 
     An update-in-place page store: each update appends a log record to
     one of [N] log disks (write-ahead rule) and then changes the data
-    page in memory; a commit forces the log disks holding the
-    transaction's records; restart recovery rebuilds each page from the
+    page in memory; a commit forces every log disk, the one holding its
+    commit record last; restart recovery rebuilds each page from the
     distributed logs {e without merging them into one physical log} —
     global LSNs order every record, the property the paper's companion
     algorithm [13] exploits.
@@ -66,25 +66,22 @@ val create_with : ?n_keys:int -> ?n_log_disks:int -> ?log_format:log_format -> u
     (the paper's cyclic fragment selection); checkpoint records go to
     disk 0. *)
 
-val log_format : t -> log_format
-
 val log_bytes : t -> int
 (** Total durable log volume in bytes across all log disks — what the
     physical / delta / logical head-to-head meters. *)
 
 val commit_group : txn -> unit
 (** Group commit: append the commit record but do {e not} force the
-    log.  The transaction becomes durable at the next {!force_commits}
-    (or any other force of every log disk: while a commit record whose
-    transaction has records on another disk is pending, an eager commit
-    or prepare forces every disk, keeping the WAL atomicity invariant);
-    a crash before that loses it — exactly the group-commit durability
-    window.  Amortizes the per-commit log force across a batch of
-    transactions. *)
+    log.  The transaction becomes durable at the next force of the log
+    disks — {!force_commits}, an eager commit or prepare, {!flush} or a
+    checkpoint, each of which forces every disk; a crash before that
+    loses it — exactly the group-commit durability window.  Amortizes
+    the per-commit log force across a batch of transactions. *)
 
 val force_commits : t -> unit
 (** Force every log disk: all group-committed transactions become
-    durable. *)
+    durable.  Every force the engine makes covers every log disk, so a
+    crash loses exactly the records appended since the last one. *)
 
 (** {2 Two-phase commit (participant side)}
 
@@ -98,11 +95,10 @@ val force_commits : t -> unit
 
 val prepare : txn -> gid:int -> unit
 (** Durable vote for global transaction [gid], forced exactly as an
-    eager commit record: pick the vote's disk, force the transaction's
-    other disks (every other disk while a group commit is pending),
-    append a {!Wal.Prepare} record and force the vote disk last.  The
-    transaction stays active — undo state and locks survive — until the
-    decision, and takes no further updates. *)
+    eager commit record: pick the vote's disk, force every other log
+    disk, append a {!Wal.Prepare} record and force the vote disk last.
+    The transaction stays active — undo state and locks survive — until
+    the decision, and takes no further updates. *)
 
 val in_doubt : t -> (int * int) list
 (** [(txn, gid)] for every durably prepared transaction with no durable
@@ -135,7 +131,7 @@ val checkpoint_fuzzy : ?sync:bool -> t -> unit
 (** Fuzzy checkpoint: force the log disks and append one
     {!Wal.Fuzzy_checkpoint} record naming the LSN a future replay may
     start from (the minimum over every live transaction's first record
-    LSN and every dirty page's recovery LSN) plus the dirty-page table.
+    LSN and every dirty page's recovery LSN).
     The sharp {!checkpoint} is {!flush}, this record forced, and every
     log disk truncated below its start; the fuzzy one forces no data,
     truncates nothing and does not care who is running — its cost is

@@ -249,11 +249,14 @@ let rewind base changes =
    images, re-anchoring at every full image; the last committed after
    image wins, and a page touched only by losers reverts to the before
    image of its earliest retained change.  That restore is due only
-   when the durable base holds the change: a base that predates it
+   when the durable base holds the change.  A base that predates it
    holds no loser effect (every update a base holds was forced to the
-   log first, so its record is retained and would be the earliest),
-   while the before image may hold a loser update whose record a
-   partial force left volatile on another log disk. *)
+   log first, so its record is retained and would be the earliest), and
+   neither does the before image: every force covers every log disk, so
+   a crash loses only records appended after every record it keeps.
+   Base and before image then hold the same keys; the rule keeps the
+   base as it is, page-header LSN included, instead of writing the
+   before image. *)
 let fold_sorted committed ~base changes =
   (* Without a slice every state comes from a full image: no s_0. *)
   let cur = ref (match base with Some base -> rewind base changes | None -> Bytes.empty) in

@@ -108,11 +108,12 @@ val recover_sorted :
 
     [read] supplies durable base images.  A page touched only by losers
     reverts to the before image of its earliest retained update only
-    when its base holds that update: a base that predates it holds no
-    loser effect, while the before image may hold a loser update whose
-    record a partial force (an eager commit forcing only its own log
-    disks) left volatile on another disk.  Without [read] the restore
-    is always written.
+    when its base holds that update.  A base that predates it holds no
+    loser effect and the same keys as the before image, because every
+    engine force covers every log disk, so a crash loses only records
+    appended after every record it keeps; the rule leaves such a base,
+    page-header LSN included, as it is.  Without [read] the restore is
+    always written.
 
     When the log holds {!Wal.Delta} records, [read] is required: a page
     with a delta record rewinds its durable base image over the records

@@ -15,12 +15,7 @@ type record =
   | Commit of { lsn : int; txn : int }
   | Abort of { lsn : int; txn : int }
   | Prepare of { lsn : int; txn : int; gid : int }
-  | Fuzzy_checkpoint of {
-      lsn : int;
-      start_lsn : int;
-      active : int list;
-      dirty : (int * int) list;  (* (page, rec_lsn), ascending by page *)
-    }
+  | Fuzzy_checkpoint of { lsn : int; start_lsn : int }
 
 let lsn = function
   | Update { lsn; _ } | Delta { lsn; _ } | Op { lsn; _ } | Commit { lsn; _ }
@@ -136,18 +131,10 @@ let encode_with enc r =
     int64 enc lsn;
     int64 enc txn;
     varint enc gid
-  | Fuzzy_checkpoint { lsn; start_lsn; active; dirty } ->
+  | Fuzzy_checkpoint { lsn; start_lsn } ->
     reset enc ~tag:'f';
     int64 enc lsn;
-    varint enc start_lsn;
-    varint enc (List.length active);
-    List.iter (varint enc) active;
-    varint enc (List.length dirty);
-    List.iter
-      (fun (page, rec_lsn) ->
-        varint enc page;
-        varint enc rec_lsn)
-      dirty);
+    varint enc start_lsn);
   finish enc
 
 let encode r = encode_with (Wal_codec.Enc.create ()) r
@@ -228,16 +215,7 @@ let decode s =
     | 'f' ->
       let lsn = int64 c in
       let start_lsn = varint c in
-      let n = varint c in
-      let active = List.init n (fun _ -> varint c) in
-      let d = varint c in
-      let dirty =
-        List.init d (fun _ ->
-            let page = varint c in
-            let rec_lsn = varint c in
-            (page, rec_lsn))
-      in
-      Fuzzy_checkpoint { lsn; start_lsn; active; dirty }
+      Fuzzy_checkpoint { lsn; start_lsn }
     | tag -> raise (Corrupt (Printf.sprintf "unknown tag %C" tag))
   in
   if not (finished c) then raise (Corrupt "trailing bytes");
@@ -264,7 +242,5 @@ let pp ppf = function
   | Commit { lsn; txn } -> Format.fprintf ppf "Commit(lsn=%d txn=%d)" lsn txn
   | Abort { lsn; txn } -> Format.fprintf ppf "Abort(lsn=%d txn=%d)" lsn txn
   | Prepare { lsn; txn; gid } -> Format.fprintf ppf "Prepare(lsn=%d txn=%d gid=%d)" lsn txn gid
-  | Fuzzy_checkpoint { lsn; start_lsn; active; dirty } ->
-    Format.fprintf ppf "FuzzyCkpt(lsn=%d start=%d active=[%s] dirty=[%s])" lsn start_lsn
-      (String.concat ";" (List.map string_of_int active))
-      (String.concat ";" (List.map (fun (p, l) -> Printf.sprintf "%d@%d" p l) dirty))
+  | Fuzzy_checkpoint { lsn; start_lsn } ->
+    Format.fprintf ppf "FuzzyCkpt(lsn=%d start=%d)" lsn start_lsn

@@ -64,11 +64,6 @@ type record =
               in the durable data image or belongs to a transaction that
               had finished — and been undone where needed — before the
               checkpoint *)
-      active : int list;  (** transactions live at checkpoint time *)
-      dirty : (int * int) list;
-          (** the dirty-page table: [(page, rec_lsn)] for every data
-              page whose volatile image was ahead of its durable image,
-              with the LSN of the earliest update it is missing *)
     }
       (** The record both of {!Engine_log}'s checkpoints write: it tells
           restart recovery how far into the log it may skip.  The fuzzy

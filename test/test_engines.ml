@@ -382,34 +382,194 @@ let test_log_sharp_checkpoint_keeps_both_disks () =
     [ 0; 4; 8; 12 ];
   Engine_log.abort t
 
-let test_log_partial_force_keeps_loser_out () =
-  (* Cyclic selection puts a loser's three updates of page 0 on disks 0,
-     1 and 0.  An empty transaction's eager commit lands on disk 1 and
-     forces only it, so the crash keeps the loser's second record and
-     loses the first and third.  The durable page predates the loser:
-     restoring the second record's before image would resurrect the
-     first, uncommitted update. *)
+(* Two crashes around a steal.  The first recovery leaves a loser's
+   page alone, because its durable image predates every retained record
+   of the loser; the loser's records stay in the log.  A later writer's
+   steal moves the page past them, so the second recovery restores the
+   before image of the loser's earliest retained record.  That image
+   must predate the whole loser: a force that left its earlier records
+   volatile on another log disk would make it hold a lost update. *)
+let two_crashes_around_a_steal ~fmt ~loser ~writer ~keys =
   List.iter
     (fun (path, recover) ->
-      let e = Engine_log.create () in
-      let loser = Engine_log.begin_txn e in
-      Engine_log.put loser 1 "first";
-      Engine_log.put loser 2 "second";
-      Engine_log.put loser 3 "third";
+      let e = Engine_log.create_with ~log_format:fmt () in
+      loser e;
       Engine_log.commit (Engine_log.begin_txn e);
       recover e;
-      check Alcotest.(pair int int) (path ^ ": only disk 1 was forced") (0, 2)
-        (List.length (Engine_log.dump_log e ~disk:0), List.length (Engine_log.dump_log e ~disk:1));
+      writer (Engine_log.begin_txn e);
+      Engine_log.flush e;
+      recover e;
       let t = Engine_log.begin_txn e in
       check
         Alcotest.(list (option string))
-        (path ^ ": loser invisible") [ None; None; None ]
-        (List.map (Engine_log.get t) [ 1; 2; 3 ]);
+        (path ^ ": loser invisible") (List.map (fun _ -> None) keys)
+        (List.map (Engine_log.get t) keys);
       Engine_log.abort t)
     [
       ("parallel", Engine_log.crash_and_recover);
       ("reference", Engine_log.crash_and_recover_reference);
     ]
+
+let test_log_loser_out_after_two_crashes () =
+  (* The loser's three updates of page 0 go to disks 0, 1 and 0, and the
+     empty transaction's commit record to disk 1. *)
+  two_crashes_around_a_steal ~fmt:Engine_log.Physical ~keys:[ 0; 1; 2; 3 ]
+    ~loser:(fun e ->
+      let t = Engine_log.begin_txn e in
+      List.iter (fun k -> Engine_log.put t k "loser") [ 1; 2; 3 ])
+    ~writer:(fun t -> Engine_log.put t 0 "writer")
+
+let test_delta_abort_out_after_two_crashes () =
+  (* The aborted put of key 5 goes to disk 0, its logged restore of page
+     1 to disk 1, its abort record to disk 0 and the empty transaction's
+     commit record to disk 1. *)
+  two_crashes_around_a_steal ~fmt:Engine_log.Delta ~keys:[ 5; 6 ]
+    ~loser:(fun e ->
+      let t = Engine_log.begin_txn e in
+      Engine_log.put t 5 "aborted";
+      Engine_log.abort t)
+    ~writer:(fun t -> Engine_log.put t 6 "writer")
+
+(* Interleaved transactions with crashes around steals.  Up to three
+   transactions are live at once, one per slot; a slot owns the pages p
+   with p mod 3 = slot, so live writers never share a page
+   ([Engine_log] does not lock).  The model holds every key's durable
+   committed value.  A group commit joins it at the next force: an
+   eager decision, [force_commits], [flush] or either checkpoint, each
+   of which forces every log disk.  A crash drops pending group commits
+   and live transactions, and every key must then read the model's
+   value. *)
+type iop =
+  | I_put of int * string
+  | I_delete of int
+  | I_commit of int
+  | I_group of int
+  | I_abort of int
+  | I_force
+  | I_flush
+  | I_sharp
+  | I_fuzzy
+  | I_crash
+
+let i_keys = 24
+
+let iop_arbitrary =
+  let slot = QCheck.Gen.int_range 0 2 and key = QCheck.Gen.int_range 0 (i_keys - 1) in
+  let gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map2 (fun k v -> I_put (k, v)) key (string_size ~gen:printable (int_range 1 6)));
+          (2, map (fun k -> I_delete k) key);
+          (2, map (fun s -> I_commit s) slot);
+          (2, map (fun s -> I_group s) slot);
+          (2, map (fun s -> I_abort s) slot);
+          (1, return I_force);
+          (1, return I_flush);
+          (1, return I_sharp);
+          (1, return I_fuzzy);
+          (2, return I_crash);
+        ])
+  in
+  let print =
+    List.map (function
+      | I_put (k, v) -> Printf.sprintf "Put(%d,%S)" k v
+      | I_delete k -> Printf.sprintf "Del(%d)" k
+      | I_commit s -> Printf.sprintf "Commit%d" s
+      | I_group s -> Printf.sprintf "Group%d" s
+      | I_abort s -> Printf.sprintf "Abort%d" s
+      | I_force -> "Force"
+      | I_flush -> "Flush"
+      | I_sharp -> "Sharp"
+      | I_fuzzy -> "Fuzzy"
+      | I_crash -> "Crash")
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat ";" (print ops))
+    QCheck.Gen.(list_size (int_range 0 80) gen)
+
+(* The first key that reads other than the model after a crash, if any;
+   the history ends with a crash. *)
+let run_interleaved ~log_format ~n_log_disks ops =
+  let e = Engine_log.create_with ~n_keys:i_keys ~n_log_disks ~log_format () in
+  let slot k = k / Engine_log.keys_per_page e mod 3 in
+  let durable = Array.make i_keys None in
+  (* Writes newest first: the live transaction's per slot, and the
+     group-committed ones no force has covered yet. *)
+  let live = Array.make 3 None and pending = ref [] in
+  let apply writes = List.iter (fun (k, v) -> durable.(k) <- v) (List.rev writes) in
+  let forced () =
+    apply !pending;
+    pending := []
+  in
+  let txn s = match live.(s) with Some tw -> tw | None -> (Engine_log.begin_txn e, []) in
+  let write k v =
+    let t, ws = txn (slot k) in
+    (match v with Some v -> Engine_log.put t k v | None -> Engine_log.delete t k);
+    live.(slot k) <- Some (t, (k, v) :: ws)
+  in
+  let mismatch = ref None in
+  List.iter
+    (function
+      | I_put (k, v) -> write k (Some v)
+      | I_delete k -> write k None
+      | I_commit s ->
+        let t, ws = txn s in
+        Engine_log.commit t;
+        live.(s) <- None;
+        forced ();
+        apply ws
+      | I_group s ->
+        Option.iter
+          (fun (t, ws) ->
+            Engine_log.commit_group t;
+            live.(s) <- None;
+            pending := ws @ !pending)
+          live.(s)
+      | I_abort s ->
+        Option.iter
+          (fun (t, _) ->
+            Engine_log.abort t;
+            live.(s) <- None)
+          live.(s)
+      | I_force ->
+        Engine_log.force_commits e;
+        forced ()
+      | I_flush ->
+        Engine_log.flush e;
+        forced ()
+      | I_sharp ->
+        Engine_log.checkpoint e;
+        forced ()
+      | I_fuzzy ->
+        Engine_log.checkpoint_fuzzy e;
+        forced ()
+      | I_crash ->
+        Engine_log.crash_and_recover e;
+        Array.fill live 0 3 None;
+        pending := [];
+        let t = Engine_log.begin_txn e in
+        Array.iteri
+          (fun k v -> if !mismatch = None && Engine_log.get t k <> v then mismatch := Some k)
+          durable;
+        Engine_log.abort t)
+    (ops @ [ I_crash ]);
+  !mismatch
+
+let prop_log_interleaved =
+  QCheck.Test.make ~name:"log: interleaved txns match the model after crashes" ~count:75
+    ~long_factor:20 iop_arbitrary (fun ops ->
+      List.for_all
+        (fun (fmt, log_format) ->
+          List.for_all
+            (fun n_log_disks ->
+              match run_interleaved ~log_format ~n_log_disks ops with
+              | None -> true
+              | Some k ->
+                QCheck.Test.fail_reportf "%s on %d disks: key %d differs from the model" fmt
+                  n_log_disks k)
+            [ 2; 3 ])
+        [ ("physical", Engine_log.Physical); ("delta", Engine_log.Delta); ("logical", Engine_log.Logical) ])
 
 let test_oplog_sharp_checkpoint_truncates_live () =
   (* No steal under a live writer: the sharp checkpoint cannot force the
@@ -1047,8 +1207,11 @@ let specific =
     Alcotest.test_case "log: steal then crash rolls back" `Quick test_log_flush_steal_then_crash;
     Alcotest.test_case "log: sharp checkpoint keeps a live txn on both disks" `Quick
       test_log_sharp_checkpoint_keeps_both_disks;
-    Alcotest.test_case "log: partial force keeps a loser out" `Quick
-      test_log_partial_force_keeps_loser_out;
+    Alcotest.test_case "log: loser out after two crashes" `Quick
+      test_log_loser_out_after_two_crashes;
+    Alcotest.test_case "delta: abort out after two crashes" `Quick
+      test_delta_abort_out_after_two_crashes;
+    QCheck_alcotest.to_alcotest prop_log_interleaved;
     Alcotest.test_case "shadow: blocks move" `Quick test_shadow_blocks_move;
     Alcotest.test_case "shadow: free blocks conserved" `Quick test_shadow_free_blocks_conserved;
     Alcotest.test_case "shadow: crash keeps generation" `Quick test_shadow_crash_keeps_generation;

@@ -278,6 +278,7 @@ let gop_gen =
 
 let prop_group_commit_window =
   QCheck.Test.make ~name:"group-commit durability window matches the model" ~count:200
+    ~long_factor:20
     (QCheck.make
        ~print:(fun ops ->
          String.concat ";"

@@ -227,8 +227,8 @@ let sample_records =
     Wal.Delta { lsn = 13; txn = 5; page = 0; off = 8; prev_lsn = 0; before_slice = ""; after_slice = "" };
     Wal.Op { lsn = 14; txn = 6; key = 31; value = Some "payload" };
     Wal.Op { lsn = 15; txn = 6; key = 0; value = None };
-    Wal.Fuzzy_checkpoint { lsn = 16; start_lsn = 3; active = [ 1; 2 ]; dirty = [ (0, 3); (7, 9) ] };
-    Wal.Fuzzy_checkpoint { lsn = 17; start_lsn = 17; active = []; dirty = [] };
+    Wal.Fuzzy_checkpoint { lsn = 16; start_lsn = 3 };
+    Wal.Fuzzy_checkpoint { lsn = 17; start_lsn = 17 };
     Wal.Prepare { lsn = 18; txn = 7; gid = 42 };
   ]
 
@@ -255,8 +255,9 @@ let test_wal_truncated () =
 
 (* Tags are lowercase: a frame with an uppercase tag decodes as
    [Corrupt] even under a valid checksum, never as a record or another
-   exception.  So does the retired sharp-checkpoint tag ['k'], in its
-   old layout (an LSN and an empty active list). *)
+   exception.  So do the retired sharp-checkpoint tag ['k'], in its
+   old layout (an LSN and an empty active list), and a checkpoint frame
+   in its old layout (a start LSN, then empty active and dirty lists). *)
 let test_wal_uppercase_tags_corrupt () =
   let module Enc = Dbm_storage.Wal_codec.Enc in
   let enc = Enc.create () in
@@ -270,12 +271,15 @@ let test_wal_uppercase_tags_corrupt () =
       | exception e -> Alcotest.failf "tag %C raised %s" tag (Printexc.to_string e)
       | _ -> Alcotest.failf "tag %C decoded to a record" tag)
     [ 'U'; 'C'; 'A'; 'K'; 'F' ];
-  Enc.reset enc ~tag:'k';
-  Enc.int64 enc 10;
-  Enc.varint enc 0;
-  match Wal.decode (Enc.finish enc) with
-  | exception Wal.Corrupt _ -> ()
-  | _ -> Alcotest.fail "a 'k' frame decoded"
+  List.iter
+    (fun (tag, fields) ->
+      Enc.reset enc ~tag;
+      Enc.int64 enc 10;
+      List.iter (Enc.varint enc) fields;
+      match Wal.decode (Enc.finish enc) with
+      | exception Wal.Corrupt _ -> ()
+      | _ -> Alcotest.failf "an old-layout %C frame decoded" tag)
+    [ ('k', [ 0 ]); ('f', [ 3; 0; 0 ]) ]
 
 (* A length varint under a valid checksum may decode to a value with the
    sign bit set (eight 0xff then 0x7f) or to one near [max_int] (0x3f
@@ -391,7 +395,7 @@ let test_wal_accessors () =
   check Alcotest.int "lsn" 8 (Wal.lsn (Wal.Commit { lsn = 8; txn = 3 }));
   check (Alcotest.option Alcotest.int) "txn" (Some 3) (Wal.txn_of (Wal.Commit { lsn = 8; txn = 3 }));
   check (Alcotest.option Alcotest.int) "checkpoint has no txn" None
-    (Wal.txn_of (Wal.Fuzzy_checkpoint { lsn = 1; start_lsn = 1; active = []; dirty = [] }))
+    (Wal.txn_of (Wal.Fuzzy_checkpoint { lsn = 1; start_lsn = 1 }))
 
 (* Generator over every record shape the codec frames. *)
 let wal_record_gen =
@@ -422,12 +426,9 @@ let wal_record_gen =
           (fun (lsn, txn, key, value) -> Wal.Op { lsn; txn; key; value })
           (tup4 (int_range 0 1000) (int_range 0 1000) (int_range 0 1000)
              (option (string_size (int_range 0 40))));
-        map
-          (fun (lsn, start_lsn, active, dirty) ->
-            Wal.Fuzzy_checkpoint { lsn; start_lsn; active; dirty })
-          (tup4 (int_range 0 1000) (int_range 0 1000)
-             (small_list (int_range 0 100))
-             (small_list (pair (int_range 0 100) (int_range 0 1000))));
+        map2
+          (fun lsn start_lsn -> Wal.Fuzzy_checkpoint { lsn; start_lsn })
+          (int_range 0 1000) (int_range 0 1000);
       ])
 
 let wal_arbitrary =
