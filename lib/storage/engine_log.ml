@@ -31,6 +31,10 @@ type store = {
      into it and the journal's string is the only per-append
      allocation.  Engines are single-domain, so one scratch is safe. *)
   enc : Wal_codec.Enc.t;
+  (* Reusable scratch for the after image an update or an abort's
+     restore builds: the record is encoded from it and [Vdisk.write]
+     copies it into the page. *)
+  scratch : bytes;
   (* A delta record is emitted only when both slices together fit in
      this many bytes; past it a full image costs less bookkeeping. *)
   delta_threshold : int;
@@ -72,6 +76,7 @@ let create_with ?n_keys ?(n_log_disks = 2) ?(log_format = Physical) () =
     dirty_rec = Hashtbl.create 32;
     log_format;
     enc = Wal_codec.Enc.create ~size:(2 * page_size + 64) ();
+    scratch = Bytes.create page_size;
     delta_threshold = page_size;
     registry = Snapshots.create ();
     chains = Hashtbl.create 16;
@@ -154,10 +159,11 @@ let update_key txn k value =
      dirties the page: a delta-mode clean->dirty transition logs a full
      image, anchoring the page's record chain for replay. *)
   let was_clean = not (Hashtbl.mem t.dirty_rec p) in
-  (* A borrowed view: the record is encoded before the page is written,
-     and the undo state keeps a copy. *)
+  (* A borrowed view: the record is encoded and the undo state takes
+     its copy before the write overwrites the page's buffer in place. *)
   let before = Vdisk.read_ro t.data p in
-  let after = Bytes.copy before in
+  let after = t.scratch in
+  Bytes.blit before 0 after 0 t.page_size;
   Page.update after ~key:k ~value;
   let lsn = fresh_lsn t in
   Page.set_lsn after lsn;
@@ -288,7 +294,8 @@ let abort txn =
   Hashtbl.iter
     (fun p before ->
       let lsn = fresh_lsn t in
-      let restored = Bytes.copy before in
+      let restored = t.scratch in
+      Bytes.blit before 0 restored 0 t.page_size;
       Page.set_lsn restored lsn;
       (* Delta replay reconstructs page images by chaining slices, so
          every volatile page change must be logged — including this
@@ -300,7 +307,7 @@ let abort txn =
       (match t.log_format with
       | Physical | Logical -> ()
       | Delta ->
-        let current = Vdisk.read t.data p in
+        let current = Vdisk.read_ro t.data p in
         let disk = select_log t in
         append_log t ~disk
           (Wal.delta_update ~threshold:t.delta_threshold ~lsn ~txn:txn.id ~page:p

@@ -196,7 +196,8 @@ let commit txn =
     (* ...then atomically flip the master pointer to the new table. *)
     t.current_area <- inactive;
     t.generation <- t.generation + 1;
-    Vdisk.write_sync t.disk master_block (encode_master t);
+    Vdisk.write t.disk master_block (encode_master t);
+    Vdisk.sync t.disk;
     t.table <- new_table;
     List.iter (free_block t) !freed;
     t.flips <- t.flips + 1;

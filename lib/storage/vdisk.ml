@@ -1,7 +1,11 @@
+(* [current.(p)] is what a read of page [p] sees: [stable.(p)] itself
+   while the page is clean, else the private buffer of a page listed in
+   [dirty]. *)
 type t = {
   page_size : int;
   stable : bytes array;
-  cache : (int, bytes) Hashtbl.t;
+  current : bytes array;
+  mutable dirty : int list;
   mutable reads : int;
   mutable writes : int;
   mutable syncs : int;
@@ -9,34 +13,21 @@ type t = {
 
 let create ~pages ~page_size () =
   if pages <= 0 || page_size <= 0 then invalid_arg "Vdisk.create: non-positive size";
-  {
-    page_size;
-    stable = Array.init pages (fun _ -> Bytes.make page_size '\000');
-    cache = Hashtbl.create 64;
-    reads = 0;
-    writes = 0;
-    syncs = 0;
-  }
+  let stable = Array.init pages (fun _ -> Bytes.make page_size '\000') in
+  { page_size; stable; current = Array.copy stable; dirty = []; reads = 0; writes = 0; syncs = 0 }
 
 let pages t = Array.length t.stable
-
-let page_size t = t.page_size
 
 let check_page t p =
   if p < 0 || p >= Array.length t.stable then
     invalid_arg (Printf.sprintf "Vdisk: page %d out of range [0,%d)" p (Array.length t.stable))
 
-let read t p =
-  check_page t p;
-  t.reads <- t.reads + 1;
-  match Hashtbl.find_opt t.cache p with
-  | Some b -> Bytes.copy b
-  | None -> Bytes.copy t.stable.(p)
-
 let read_ro t p =
   check_page t p;
   t.reads <- t.reads + 1;
-  match Hashtbl.find_opt t.cache p with Some b -> b | None -> t.stable.(p)
+  t.current.(p)
+
+let read t p = Bytes.copy (read_ro t p)
 
 let write t p b =
   check_page t p;
@@ -45,20 +36,22 @@ let write t p b =
       (Printf.sprintf "Vdisk.write: buffer is %d bytes, page size is %d" (Bytes.length b)
          t.page_size);
   t.writes <- t.writes + 1;
-  Hashtbl.replace t.cache p (Bytes.copy b)
+  if t.current.(p) == t.stable.(p) then begin
+    t.current.(p) <- Bytes.copy b;
+    t.dirty <- p :: t.dirty
+  end
+  else Bytes.blit b 0 t.current.(p) 0 t.page_size
 
 let sync t =
   t.syncs <- t.syncs + 1;
-  Hashtbl.iter (fun p b -> Bytes.blit b 0 t.stable.(p) 0 t.page_size) t.cache;
-  Hashtbl.reset t.cache
+  List.iter (fun p -> t.stable.(p) <- t.current.(p)) t.dirty;
+  t.dirty <- []
 
-let write_sync t p b =
-  write t p b;
-  sync t
+let crash t =
+  List.iter (fun p -> t.current.(p) <- t.stable.(p)) t.dirty;
+  t.dirty <- []
 
-let crash t = Hashtbl.reset t.cache
-
-let unsynced_pages t = Hashtbl.length t.cache
+let unsynced_pages t = List.length t.dirty
 
 let reads t = t.reads
 let writes t = t.writes

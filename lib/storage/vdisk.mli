@@ -9,7 +9,15 @@
 
     Every storage engine in this library sits on one or more vdisks;
     the crash-recovery property tests drive {!crash} at arbitrary
-    points and then check atomicity and durability. *)
+    points and then check atomicity and durability.
+
+    Buffer lifecycle: a clean page is read straight from its durable
+    buffer.  The first {!write} after a {!sync} copies its input into a
+    private buffer for the page, and later writes copy into that same
+    buffer in place, so a page is allocated at most once per sync.
+    {!sync} makes the private buffers the durable ones without copying
+    and {!crash} drops them; neither writes a durable buffer in
+    place. *)
 
 type t
 
@@ -18,8 +26,6 @@ val create : pages:int -> page_size:int -> unit -> t
     non-positive sizes. *)
 
 val pages : t -> int
-
-val page_size : t -> int
 
 val read : t -> int -> bytes
 (** [read t p] returns a copy of page [p]'s current contents (cached
@@ -34,13 +40,12 @@ val read_ro : t -> int -> bytes
 
 val write : t -> int -> bytes -> unit
 (** Volatile until the next {!sync}.  The buffer must be exactly
-    [page_size] long.  @raise Invalid_argument otherwise. *)
+    [page_size] long.  @raise Invalid_argument otherwise.  The buffer is
+    copied, so the caller may reuse it, and it may be a {!read_ro} view
+    of any page, this one included. *)
 
 val sync : t -> unit
 (** Make all cached writes durable. *)
-
-val write_sync : t -> int -> bytes -> unit
-(** [write t p b] followed by {!sync}. *)
 
 val crash : t -> unit
 (** Drop every write since the last {!sync}. *)

@@ -46,15 +46,26 @@ let delta_update ~threshold ~lsn ~txn ~page ~before ~after =
     if Int64.to_int (Bytes.get_int64_le after 0) <> lsn then
       invalid_arg "Wal.delta_update: after image header is not at the record LSN";
     let prev_lsn = Int64.to_int (Bytes.get_int64_le before 0) in
-    (* Common-prefix/suffix diff over the body alone. *)
+    (* Common-prefix/suffix diff over the body alone, 8 bytes at a time
+       and then byte by byte.  A word holding the first differing byte
+       differs, so the suffix scan stops before it reaches [p]. *)
     let p = ref header_bytes in
+    while !p + 8 <= n && Bytes.get_int64_ne before !p = Bytes.get_int64_ne after !p do
+      p := !p + 8
+    done;
     while !p < n && Bytes.unsafe_get before !p = Bytes.unsafe_get after !p do incr p done;
     let off, len =
       if !p = n then (header_bytes, 0)
       else begin
-        let q = ref (n - 1) in
-        while Bytes.unsafe_get before !q = Bytes.unsafe_get after !q do decr q done;
-        (!p, !q + 1 - !p)
+        (* [q]: one past the last differing byte. *)
+        let q = ref n in
+        while
+          !q - 8 >= !p && Bytes.get_int64_ne before (!q - 8) = Bytes.get_int64_ne after (!q - 8)
+        do
+          q := !q - 8
+        done;
+        while Bytes.unsafe_get before (!q - 1) = Bytes.unsafe_get after (!q - 1) do decr q done;
+        (!p, !q - !p)
       end
     in
     if 2 * len <= threshold then

@@ -89,7 +89,8 @@ val delta_update :
     are too small to carry the 8-byte page header.  The diff skips the
     header: [prev_lsn] is read from the before image, and the after
     image's header must already hold [lsn] (the engine stamps it before
-    logging).
+    logging).  A full {!Update} holds [before] and [after] themselves,
+    not copies: encode it before either buffer changes.
     @raise Invalid_argument on images of different length, or when the
     after image's header is not at [lsn]. *)
 

@@ -261,7 +261,9 @@ let test_regular_commit_forces_group () =
    put / commit / commit_group / force / crash, mirrored against the
    model where a group-committed transaction reaches the model only
    when a force (or a regular commit, which forces the logs) makes it
-   durable before the next crash. *)
+   durable before the next crash.  Records rotate over three log disks,
+   so a commit's force must also cover disks that hold only other
+   transactions' group commits. *)
 
 type gop = GPut of int * string | GCommit | GCommitGroup | GForce | GCrash
 
@@ -292,7 +294,7 @@ let prop_group_commit_window =
               ops))
        (QCheck.Gen.list_size (QCheck.Gen.int_range 0 40) gop_gen))
     (fun ops ->
-      let e = Engine_log.create ~n_keys:16 () in
+      let e = Engine_log.create_with ~n_keys:16 ~n_log_disks:3 () in
       let m = Kv.Model.create ~n_keys:16 () in
       (* live engine txn + its mirrored model writes *)
       let live : (Engine_log.txn * (int * string) list ref) option ref = ref None in

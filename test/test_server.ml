@@ -104,7 +104,7 @@ end)
 
 let prop_equiv_log = Equiv_log.prop "grouped = eager reference after crash (engine_log)"
 
-let prop_equiv_diff = Equiv_diff.prop "grouped = eager reference after crash (engine_diff)"
+let prop_equiv_diff = Equiv_diff.prop "diff: grouped = eager reference after crash"
 
 (* --- commit forcing: every log disk, the decision's own last ------- *)
 

@@ -61,6 +61,95 @@ let test_vdisk_bounds () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "short buffer accepted"
 
+(* Random operation sequences against a two-map model: the durable
+   pages, and the cached writes since the last sync.  [Write_view (p, q)]
+   writes page [p] with a [read_ro] view of page [q] (its own when
+   [p = q]).  The buffers [write] takes and [read] returns are scribbled
+   on afterwards, which the disk must not see. *)
+type vop =
+  | Write of int * char
+  | Write_view of int * int
+  | Read of int
+  | Read_ro of int
+  | Sync
+  | Crash
+
+let prop_vdisk_model =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 4 >>= fun pages ->
+      let page = int_range 0 (pages - 1) in
+      triple (return pages) (int_range 1 24)
+        (list_size (int_range 0 60)
+           (frequency
+              [
+                (4, map2 (fun p c -> Write (p, c)) page printable);
+                (2, map2 (fun p q -> Write_view (p, q)) page page);
+                (2, map (fun p -> Read p) page);
+                (2, map (fun p -> Read_ro p) page);
+                (1, return Sync);
+                (1, return Crash);
+              ])))
+  in
+  let print (pages, size, ops) =
+    Printf.sprintf "%d pages of %d: %s" pages size
+      (String.concat ";"
+         (List.map
+            (function
+              | Write (p, c) -> Printf.sprintf "W%d=%c" p c
+              | Write_view (p, q) -> Printf.sprintf "W%d<-%d" p q
+              | Read p -> Printf.sprintf "R%d" p
+              | Read_ro p -> Printf.sprintf "V%d" p
+              | Sync -> "S"
+              | Crash -> "X")
+            ops))
+  in
+  QCheck.Test.make ~name:"matches a durable/cached model" ~count:300 ~long_factor:20
+    (QCheck.make ~print gen) (fun (pages, size, ops) ->
+      let d = Vdisk.create ~pages ~page_size:size () in
+      let durable = Array.make pages (String.make size '\000') in
+      let cached = Hashtbl.create 4 in
+      let model p = Option.value (Hashtbl.find_opt cached p) ~default:durable.(p) in
+      (* Fill a page image with [c], keeping a marker of the page it was
+         written to so equal fills of different pages differ. *)
+      let image p c = String.init size (fun i -> if i = 0 then Char.chr (48 + p) else c) in
+      let step = function
+        | Write (p, c) ->
+          let b = Bytes.of_string (image p c) in
+          Vdisk.write d p b;
+          Hashtbl.replace cached p (image p c);
+          Bytes.fill b 0 size '#'
+        | Write_view (p, q) ->
+          Vdisk.write d p (Vdisk.read_ro d q);
+          Hashtbl.replace cached p (model q)
+        | Read p ->
+          let b = Vdisk.read d p in
+          if Bytes.to_string b <> model p then QCheck.Test.fail_reportf "read %d" p;
+          Bytes.fill b 0 size '#'
+        | Read_ro p ->
+          if Bytes.to_string (Vdisk.read_ro d p) <> model p then
+            QCheck.Test.fail_reportf "read_ro %d" p
+        | Sync ->
+          Vdisk.sync d;
+          Hashtbl.iter (fun p img -> durable.(p) <- img) cached;
+          Hashtbl.reset cached
+        | Crash ->
+          Vdisk.crash d;
+          Hashtbl.reset cached
+      in
+      List.iter
+        (fun op ->
+          step op;
+          for p = 0 to pages - 1 do
+            if Bytes.to_string (Vdisk.read_ro d p) <> model p then
+              QCheck.Test.fail_reportf "page %d differs from the model" p
+          done;
+          if Vdisk.unsynced_pages d <> Hashtbl.length cached then
+            QCheck.Test.fail_reportf "%d unsynced pages, model has %d" (Vdisk.unsynced_pages d)
+              (Hashtbl.length cached))
+        ops;
+      true)
+
 (* --- Journal ------------------------------------------------------------ *)
 
 let test_journal_order () =
@@ -583,6 +672,68 @@ let prop_wal_delta_apply =
         Bytes.equal b' before && Bytes.equal a' after
       | _ -> false)
 
+let prop_wal_delta_exact =
+  (* delta_update compares the bodies a word at a time: the range it
+     returns must still be exactly the first to the last differing body
+     byte.  Pages of 9-300 bytes (most not a multiple of 8) get runs of
+     changed bytes starting at the first body byte, the last byte, next
+     to a word boundary or anywhere; no run leaves the bodies equal. *)
+  let lsn = 9 and prev = 4 in
+  let gen =
+    QCheck.Gen.(
+      int_range 9 300 >>= fun n ->
+      let start =
+        frequency
+          [
+            (1, return 8);
+            (1, return (n - 1));
+            ( 2,
+              map2
+                (fun w d -> max 8 (min (n - 1) ((8 * w) + d)))
+                (int_range 1 (n / 8)) (int_range (-1) 1) );
+            (2, int_range 8 (n - 1));
+          ]
+      in
+      triple (return n) (string_size (return (n - 8)))
+        (list_size (int_range 0 3) (triple start (int_range 1 20) (int_range 1 255))))
+  in
+  let print (n, body, runs) =
+    Printf.sprintf "n=%d body=%S runs=[%s]" n body
+      (String.concat ";" (List.map (fun (s, l, x) -> Printf.sprintf "%d+%d^%d" s l x) runs))
+  in
+  QCheck.Test.make ~name:"delta range is exactly the change" ~count:500 ~long_factor:20
+    (QCheck.make ~print gen) (fun (n, body, runs) ->
+      let before = Bytes.create n in
+      Bytes.set_int64_le before 0 (Int64.of_int prev);
+      Bytes.blit_string body 0 before 8 (n - 8);
+      let after = Bytes.copy before in
+      Bytes.set_int64_le after 0 (Int64.of_int lsn);
+      List.iter
+        (fun (s, l, x) ->
+          for i = s to min (n - 1) (s + l - 1) do
+            Bytes.set after i (Char.chr (Char.code (Bytes.get after i) lxor x))
+          done)
+        runs;
+      let same i = Bytes.get before i = Bytes.get after i in
+      match Wal.delta_update ~threshold:(2 * n) ~lsn ~txn:1 ~page:0 ~before ~after with
+      | Wal.Delta { off; prev_lsn; before_slice; after_slice; _ } ->
+        let len = String.length after_slice in
+        let outside_same = ref true in
+        for i = 8 to n - 1 do
+          if (i < off || i >= off + len) && not (same i) then outside_same := false
+        done;
+        let ends =
+          if Bytes.sub before 8 (n - 8) = Bytes.sub after 8 (n - 8) then off = 8 && len = 0
+          else len > 0 && (not (same off)) && not (same (off + len - 1))
+        in
+        let rebuilt = Bytes.copy before in
+        Wal.apply_slice rebuilt ~off after_slice;
+        Bytes.set_int64_le rebuilt 0 (Int64.of_int lsn);
+        !outside_same && ends && prev_lsn = prev
+        && before_slice = Bytes.sub_string before off len
+        && Bytes.equal rebuilt after
+      | _ -> false)
+
 (* --- Key_space and Snapshots: the engines' shared skeleton ------------- *)
 
 let test_key_space () =
@@ -734,6 +885,7 @@ let qsuite =
       prop_page_roundtrip; prop_page_lookup_matches_records; prop_page_update_equal_length;
       prop_wal_roundtrip; prop_wal_injective; prop_wal_truncation_corrupt;
       prop_wal_bitflip_corrupt; prop_wal_delta_apply; prop_decoders_total;
+      prop_wal_delta_exact;
     ]
 
 let () =
@@ -746,6 +898,7 @@ let () =
           Alcotest.test_case "sync persists" `Quick test_vdisk_sync_persists;
           Alcotest.test_case "defensive copies" `Quick test_vdisk_write_isolated;
           Alcotest.test_case "bounds" `Quick test_vdisk_bounds;
+          QCheck_alcotest.to_alcotest prop_vdisk_model;
         ] );
       ( "journal",
         [
