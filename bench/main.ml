@@ -505,8 +505,8 @@ let bench_wal_codec =
                lsn = 12;
                txn = 3;
                page = 9;
-               before = Bytes.make 1024 'b';
-               after = Bytes.make 1024 'a';
+               before = Dbm_storage.Wal_codec.View.of_string (String.make 1024 'b');
+               after = Dbm_storage.Wal_codec.View.of_string (String.make 1024 'a');
              }
          in
          ignore (Dbm_storage.Wal.decode (Dbm_storage.Wal.encode r))))

@@ -170,10 +170,11 @@ let update_key txn k value =
   let disk = select_log t in
   let record =
     match t.log_format with
-    | Physical -> Wal.Update { lsn; txn = txn.id; page = p; before; after }
-    | Delta when was_clean -> Wal.Update { lsn; txn = txn.id; page = p; before; after }
-    | Delta ->
+    | Delta when not was_clean ->
       Wal.delta_update ~threshold:t.delta_threshold ~lsn ~txn:txn.id ~page:p ~before ~after
+    | Physical | Delta ->
+      let borrow = Wal_codec.View.borrow in
+      Wal.Update { lsn; txn = txn.id; page = p; before = borrow before; after = borrow after }
     | Logical ->
       (* Which operation ran, under which LSN: replay re-executes it. *)
       Wal.Op { lsn; txn = txn.id; key = k; value }

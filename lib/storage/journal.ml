@@ -41,10 +41,14 @@ let append t r =
   t.pending <- t.pending + 1;
   seq
 
+(* A sync with nothing pending makes nothing durable: no force, not
+   counted. *)
 let sync t =
-  t.sync_count <- t.sync_count + 1;
-  t.durable <- t.durable + t.pending;
-  t.pending <- 0
+  if t.pending > 0 then begin
+    t.sync_count <- t.sync_count + 1;
+    t.durable <- t.durable + t.pending;
+    t.pending <- 0
+  end
 
 let crash t =
   Array.fill t.buf (t.start + t.durable) t.pending "";

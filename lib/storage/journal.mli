@@ -24,6 +24,8 @@ val append : t -> string -> int
     (0-based, counting every record ever appended). *)
 
 val sync : t -> unit
+(** Make every buffered record durable.  With none buffered it is a
+    no-op: no force, and {!sync_count} does not count it. *)
 
 val crash : t -> unit
 (** Drop the unsynced tail, record by record: every record appended
@@ -52,8 +54,9 @@ val synced : t -> int
 (** Records currently durable. *)
 
 val sync_count : t -> int
-(** Number of {!sync} calls over the journal's lifetime — the "disk
-    forces" a commit protocol pays (what group commit amortizes). *)
+(** Number of {!sync} calls that made a record durable, over the
+    journal's lifetime — the "disk forces" a commit protocol pays (what
+    group commit amortizes). *)
 
 val truncate : t -> keep_from:int -> unit
 (** Discard durable records with sequence number < [keep_from]

@@ -176,7 +176,9 @@ module Log_replay = struct
 
   let recover_sorted ~records ~read ~write =
     let committed = committed records in
-    let by_page : (int, (int * int * bytes * bytes) list) Hashtbl.t = Hashtbl.create 64 in
+    let by_page : (int, (int * int * Wal_codec.View.t * Wal_codec.View.t) list) Hashtbl.t =
+      Hashtbl.create 64
+    in
     List.iter
       (fun r ->
         match r with
@@ -200,7 +202,7 @@ module Log_replay = struct
            holds no loser effect. *)
         match state with
         | Some (image, guard) when guard = max_int || Page.get_lsn (read ~page) >= guard ->
-          write ~page image
+          write ~page (Wal_codec.View.to_bytes image)
         | Some _ | None -> ())
       by_page
 
@@ -231,14 +233,14 @@ module Log_replay = struct
         List.iter
           (fun r ->
             match r with
-            | Wal.Update { before; _ } -> Bytes.blit before 0 s0 0 (Bytes.length before)
+            | Wal.Update { before; _ } -> Wal_codec.View.blit before s0
             | Wal.Delta { off; before_slice; prev_lsn; _ } ->
               Wal.apply_slice s0 ~off before_slice;
               Page.set_lsn s0 prev_lsn
             | _ -> ())
           (List.rev (List.filter (fun r -> Wal.lsn r <= plsn) ordered));
         (* Forward: materialize each record's full before/after pair. *)
-        let cur = ref s0 in
+        let cur = ref (Wal_codec.View.borrow s0) in
         List.iter
           (fun r ->
             match r with
@@ -247,11 +249,11 @@ module Log_replay = struct
               expanded := Wal.Update { lsn; txn; page = p; before; after } :: !expanded
             | Wal.Delta { lsn; txn; page = p; off; after_slice; _ } ->
               let before = !cur in
-              let after = Bytes.copy before in
+              let after = Wal_codec.View.to_bytes before in
               Wal.apply_slice after ~off after_slice;
               Page.set_lsn after lsn;
-              cur := after;
-              expanded := Wal.Update { lsn; txn; page = p; before; after } :: !expanded
+              cur := Wal_codec.View.borrow after;
+              expanded := Wal.Update { lsn; txn; page = p; before; after = !cur } :: !expanded
             | _ -> ())
           ordered)
       by_page;

@@ -32,30 +32,27 @@ let chunk_ranges ~len ~pieces =
 (* Decode-phase work list: contiguous chunks of each disk's raw suffix
    [lo.(disk), len), oversplit 4x so a chunk of cheap records (commits)
    does not leave a domain idle behind a chunk of update records with
-   full page images. *)
+   full page images.  Each chunk decodes straight into its own slots of
+   the disk's output array: chunks never share a slot. *)
 let decode_from ?pool (raws : string array array) ~(lo : int array) : Wal.record array array =
   let pieces = 4 * pieces_of_pool pool in
-  let work =
-    List.concat
-      (List.init (Array.length raws) (fun disk ->
-           List.map
-             (fun (o, h) -> (disk, lo.(disk) + o, lo.(disk) + h))
-             (chunk_ranges ~len:(Array.length raws.(disk) - lo.(disk)) ~pieces)))
-  in
   let out =
     Array.mapi
       (fun disk raw ->
         Array.make (Array.length raw - lo.(disk)) (Wal.Commit { lsn = 0; txn = 0 }))
       raws
   in
-  let chunks =
-    map_list ?pool work ~f:(fun (disk, l, h) ->
-        let raw = raws.(disk) in
-        (disk, l, Array.init (h - l) (fun i -> Wal.decode raw.(l + i))))
+  let work =
+    List.concat
+      (List.init (Array.length raws) (fun disk ->
+           List.map (fun (l, h) -> (disk, l, h)) (chunk_ranges ~len:(Array.length out.(disk)) ~pieces)))
   in
-  List.iter
-    (fun (disk, l, decoded) -> Array.blit decoded 0 out.(disk) (l - lo.(disk)) (Array.length decoded))
-    chunks;
+  ignore
+    (map_list ?pool work ~f:(fun (disk, l, h) ->
+         let raw = raws.(disk) and dst = out.(disk) and lo = lo.(disk) in
+         for i = l to h - 1 do
+           dst.(i) <- Wal.decode raw.(lo + i)
+         done));
   out
 
 (* --- peeked metadata ------------------------------------------------ *)
@@ -144,21 +141,21 @@ let in_doubt (raws : string array array) : (int * int) list =
 
 (* Where a format's route sends one decoded record: to its page, to its
    page with a read of the page's durable base image, or nowhere. *)
-type 'a dest = Skip | To of int * 'a | To_based of int * 'a
+type dest = Skip | To of int | To_based of int
 
 (* The one pipeline every log format replays through.  The format
    supplies [route] and the per-page [fold]:
    1. each decoded record at or past [start_lsn] is routed to its page
-      and grouped with the page's other changes; pages are partitioned
+      and grouped with the page's other records; pages are partitioned
       by [page mod jobs], so partitions own disjoint pages;
    2. the base images routes ask for are read on the calling domain,
       before the fan-out, so workers never touch the disk (or its
       operation counters);
    3. partitions fan out across the pool;
-   4. [fold ~base changes] folds one page's changes, ascending by LSN
-      (LSNs are globally unique, a total order), into the image to
-      write and the base LSN that write needs ([None]: always due), or
-      nothing to write;
+   4. [fold ~base records] folds one page's records, newest first (LSNs
+      are globally unique, a total order), into the image to write and
+      the base LSN that write needs ([None]: always due), or nothing to
+      write.  [base] is the fold's own copy;
    5. each image is written at most once, in ascending page order: a
       page is read for its due check before it is written.
    Folds are per page and pages do not straddle partitions, so images,
@@ -166,21 +163,20 @@ type 'a dest = Skip | To of int * 'a | To_based of int * 'a
 let replay ~pool ~read ~records ~start_lsn ~route ~fold ~write =
   let nparts = pieces_of_pool pool in
   let parts = Array.init nparts (fun _ -> Hashtbl.create 64) and based = Hashtbl.create 16 in
-  let add page lsn x =
+  let add page r =
     let part = parts.(page mod nparts) in
     match Hashtbl.find_opt part page with
-    | Some changes -> changes := (lsn, x) :: !changes
-    | None -> Hashtbl.add part page (ref [ (lsn, x) ])
+    | Some changes -> changes := r :: !changes
+    | None -> Hashtbl.add part page (ref [ r ])
   in
   Array.iter
     (Array.iter (fun r ->
-         let lsn = Wal.lsn r in
-         if lsn >= start_lsn then
+         if Wal.lsn r >= start_lsn then
            match route r with
            | Skip -> ()
-           | To (page, x) -> add page lsn x
-           | To_based (page, x) ->
-             add page lsn x;
+           | To page -> add page r
+           | To_based page ->
+             add page r;
              Hashtbl.replace based page ()))
     records;
   let bases = Hashtbl.create (Hashtbl.length based) in
@@ -195,8 +191,8 @@ let replay ~pool ~read ~records ~start_lsn ~route ~fold ~write =
   map_list ?pool (Array.to_list parts) ~f:(fun part ->
       Hashtbl.fold
         (fun page changes acc ->
-          let changes = List.sort (fun (a, _) (b, _) -> Int.compare a b) !changes in
-          match fold ~base:(Hashtbl.find_opt bases page) changes with
+          let newest_first = List.sort (fun a b -> Int.compare (Wal.lsn b) (Wal.lsn a)) !changes in
+          match fold ~base:(Hashtbl.find_opt bases page) newest_first with
           | Some (image, due) -> (page, image, due) :: acc
           | None -> acc)
         part [])
@@ -209,72 +205,88 @@ let replay ~pool ~read ~records ~start_lsn ~route ~fold ~write =
 
 (* --- sorted (physical and delta) replay ------------------------------ *)
 
-(* One retained change to a page: full images ([Wal.Update]) or a
-   changed byte range ([Wal.Delta]). *)
-type change =
-  | Image of { txn : int; before : bytes; after : bytes }
-  | Slice of { txn : int; off : int; prev_lsn : int; before_slice : string; after_slice : string }
+module View = Wal_codec.View
 
-(* A slice chains off the page state before it, so a page with one asks
-   for its base image. *)
+(* A page's changes are its full images ([Wal.Update]) and changed byte
+   ranges ([Wal.Delta]).  A slice chains off the page state before it,
+   so a page with one asks for its base image. *)
 let route_sorted = function
-  | Wal.Update { txn; page; before; after; _ } -> To (page, Image { txn; before; after })
-  | Wal.Delta { txn; page; off; prev_lsn; before_slice; after_slice; _ } ->
-    To_based (page, Slice { txn; off; prev_lsn; before_slice; after_slice })
+  | Wal.Update { page; _ } -> To page
+  | Wal.Delta { page; _ } -> To_based page
   | _ -> Skip
 
 (* Delta-mode engines log {e every} volatile change to a page — updates
    and abort restores alike — so a page's retained changes form an
    unbroken chain of states s_0 -> s_1 -> ... -> s_n, and the durable
    base image is one of them (the one at its header LSN, written by the
-   last data sync).  Rewinding walks the changes at or below that LSN
-   {e backward} from the base to s_0.  Slices never cover the page-header
-   LSN: the change restores it — [prev_lsn] rewinding, its own LSN going
-   forward.  DESIGN.md B.3 carries the full argument. *)
+   last data sync).  Rewinding walks the changes at or below that LSN,
+   newest first, backward from the base to s_0, in place.  Slices never
+   cover the page-header LSN: the change restores it — [prev_lsn]
+   rewinding, its own LSN going forward.  DESIGN.md B.3 carries the
+   full argument. *)
 let rewind base changes =
-  let plsn = Page.get_lsn base and img = Bytes.copy base in
+  let plsn = Page.get_lsn base in
   List.iter
-    (fun (lsn, c) ->
-      if lsn <= plsn then
-        match c with
-        | Image { before; _ } -> Bytes.blit before 0 img 0 (Bytes.length before)
-        | Slice { off; before_slice; prev_lsn; _ } ->
-          Wal.apply_slice img ~off before_slice;
-          Page.set_lsn img prev_lsn)
-    (List.rev changes);
+    (function
+      | Wal.Update { lsn; before; _ } when lsn <= plsn -> View.blit before base
+      | Wal.Delta { lsn; off; before_slice; prev_lsn; _ } when lsn <= plsn ->
+        Wal.apply_slice base ~off before_slice;
+        Page.set_lsn base prev_lsn
+      | _ -> ())
+    changes;
+  base
+
+(* Patch [img] forward through [slices], oldest first. *)
+let patch img slices =
+  List.iter
+    (function
+      | Wal.Delta { lsn; off; after_slice; _ } ->
+        Wal.apply_slice img ~off after_slice;
+        Page.set_lsn img lsn
+      | _ -> ())
+    slices;
   img
 
+let rec oldest = function [ r ] -> Some r | _ :: older -> oldest older | [] -> None
+
 (* The sorted fold (the serial algorithm, preserved as Naive.Log_replay):
-   walking forward from s_0 rebuilds each change's before and after
-   images, re-anchoring at every full image; the last committed after
-   image wins, and a page touched only by losers reverts to the before
-   image of its earliest retained change.  That restore is due only
-   when the durable base holds the change.  A base that predates it
-   holds no loser effect (every update a base holds was forced to the
-   log first, so its record is retained and would be the earliest), and
-   neither does the before image: every force covers every log disk, so
-   a crash loses only records appended after every record it keeps.
-   Base and before image then hold the same keys; the rule keeps the
-   base as it is, page-header LSN included, instead of writing the
-   before image. *)
+   the newest committed change's after image wins, and a page touched
+   only by losers reverts to the before image of its oldest retained
+   change.  That restore is due only when the durable base holds the
+   change.  A base that predates it holds no loser effect (every update
+   a base holds was forced to the log first, so its record is retained
+   and would be the oldest), and neither does the before image: every
+   force covers every log disk, so a crash loses only records appended
+   after every record it keeps.  Base and before image then hold the
+   same keys; the rule keeps the base as it is, page-header LSN
+   included, instead of writing the before image.
+
+   The one image written is the only one copied: a winner's state is
+   the newest full after image at or before it (a view), or s_0 when
+   there is none, patched forward by the slices in between.  Without a
+   slice every state comes from a full image, and s_0 is never
+   needed. *)
 let fold_sorted committed ~base changes =
-  (* Without a slice every state comes from a full image: no s_0. *)
-  let cur = ref (match base with Some base -> rewind base changes | None -> Bytes.empty) in
-  List.fold_left
-    (fun acc (lsn, c) ->
-      let txn, before, after =
-        match c with
-        | Image { txn; before; after } -> (txn, before, after)
-        | Slice { txn; off; after_slice; _ } ->
-          let after = Bytes.copy !cur in
-          Wal.apply_slice after ~off after_slice;
-          Page.set_lsn after lsn;
-          (txn, !cur, after)
-      in
-      cur := after;
-      if Hashtbl.mem committed txn then Some (after, None)
-      else match acc with None -> Some (before, Some lsn) | Some _ -> acc)
-    None changes
+  let s0 () = rewind (Option.get base) changes in
+  let rec winner = function
+    | ((Wal.Update { txn; _ } | Wal.Delta { txn; _ }) :: _) as from when Hashtbl.mem committed txn ->
+      Some from
+    | _ :: older -> winner older
+    | [] -> None
+  in
+  let rec build slices = function
+    | Wal.Update { after; _ } :: _ -> patch (View.to_bytes after) slices
+    | (Wal.Delta _ as d) :: older -> build (d :: slices) older
+    | _ :: older -> build slices older
+    | [] -> patch (s0 ()) slices
+  in
+  match winner changes with
+  | Some from -> Some (build [] from, None)
+  | None -> (
+    match oldest changes with
+    | Some (Wal.Update { lsn; before; _ }) -> Some (View.to_bytes before, Some lsn)
+    | Some (Wal.Delta { lsn; _ }) -> Some (s0 (), Some lsn)
+    | _ -> None)
 
 let recover_sorted ?pool ?read ?(also_committed = []) ~(records : Wal.record array array)
     ~start_lsn ~write () =
@@ -294,25 +306,30 @@ let recover_logical ?pool ?(also_committed = []) ~(records : Wal.record array ar
     ~page_of ~read ~write () =
   let committed = committed ~also:also_committed ~start_lsn records in
   let route = function
-    | Wal.Op { txn; key; value; _ } when Hashtbl.mem committed txn ->
-      To_based (page_of key, (key, value))
+    | Wal.Op { txn; key; _ } when Hashtbl.mem committed txn -> To_based (page_of key)
     | _ -> Skip
   in
   let fold ~base ops =
     (* Every routed operation asks for its page's base. *)
     let img = Option.get base in
     let plsn = Page.get_lsn img in
-    (* [ops] ascends, so the operations past the header LSN are a
-       suffix: the first one is the first the durable image is
-       missing. *)
-    match List.filter (fun (lsn, _) -> lsn > plsn) ops with
+    (* [ops] is newest first, so the operations past the header LSN are
+       a prefix: gathered oldest first, they are what the durable image
+       is missing. *)
+    let rec missing acc = function
+      | (Wal.Op { lsn; _ } as op) :: older when lsn > plsn -> missing (op :: acc) older
+      | _ -> acc
+    in
+    match missing [] ops with
     | [] -> None
-    | missing ->
+    | ops ->
       List.iter
-        (fun (lsn, (key, value)) ->
-          Page.update img ~key ~value;
-          Page.set_lsn img lsn)
-        missing;
+        (function
+          | Wal.Op { lsn; key; value; _ } ->
+            Page.update img ~key ~value;
+            Page.set_lsn img lsn
+          | _ -> ())
+        ops;
       Some (img, None)
   in
   replay ~pool ~read:(Some read) ~records ~start_lsn ~route ~fold ~write

@@ -7,26 +7,26 @@
 
     {ol
     {- {b decode} — every durable record is length-checked, checksummed
-       and decoded.  Records are independent, so the per-disk record
-       arrays are cut into contiguous chunks and decoded across the
-       {!Dbm_util.Pool} domains; chunk results are reassembled in input
-       order, so the decoded arrays are identical to a serial decode.}
+       and decoded.  Decoding copies no page image: an update's images
+       are views into its own frame.  Records are independent, so the
+       per-disk record arrays are cut into contiguous chunks and decoded
+       across the {!Dbm_util.Pool} domains, each chunk into its own
+       slots, so the decoded arrays are identical to a serial decode.}
     {- {b partition} — the format's route sends each record at or after
        the replay start LSN to its page, or skips it, and pages are
        hash-partitioned ([page mod partitions]).  Every record of one
        page lands in exactly one partition, so partitions touch disjoint
        page sets.  The durable base images a route asks for are read
        serially on the calling domain before the fan-out.}
-    {- {b fold} — each partition independently groups its records per
-       page, sorts them by LSN (the global total order the engines
+    {- {b fold} — each partition independently sorts each page's
+       records newest first by LSN (the global total order the engines
        issue) and hands them to the format's per-page fold: after
        images and delta chains for {!recover_sorted}, operation
-       re-execution for {!recover_logical}.  The fold returns the
-       page's final image and, for a loser-only restore, the base LSN
-       that makes its write due (see {!recover_sorted}).  Because the
-       fold is per page and pages do not straddle partitions, the images
-       are independent of the partition count and of worker
-       interleaving.}}
+       re-execution for {!recover_logical}.  The fold returns the page's final image and,
+       for a loser-only restore, the base LSN that makes its write due
+       (see {!recover_sorted}).  Because the fold is per page and pages
+       do not straddle partitions, the images are independent of the
+       partition count and of worker interleaving.}}
 
     Final images are handed to the caller in ascending page order, at
     most once per page, so disk write counts and contents are identical
@@ -103,10 +103,13 @@ val recover_sorted :
   unit ->
   unit
 (** Physical and delta replay: the pipeline described above with the
-    after-image/delta-chain fold.  [write] receives each touched page's final image at most
-    once, in ascending page order, from the calling domain.
+    after-image/delta-chain fold.  [write] receives each touched page's
+    final image at most once, in ascending page order, from the calling
+    domain, as fresh bytes: the image written is the one image the fold
+    copies out of a frame.
 
-    [read] supplies durable base images.  A page touched only by losers
+    [read] supplies durable base images, each a copy replay may patch
+    in place.  A page touched only by losers
     reverts to the before image of its earliest retained update only
     when its base holds that update.  A base that predates it holds no
     loser effect and the same keys as the before image, because every

@@ -1,7 +1,9 @@
 exception Corrupt = Wal_codec.Corrupt
 
+module View = Wal_codec.View
+
 type record =
-  | Update of { lsn : int; txn : int; page : int; before : bytes; after : bytes }
+  | Update of { lsn : int; txn : int; page : int; before : View.t; after : View.t }
   | Delta of {
       lsn : int;
       txn : int;
@@ -22,6 +24,15 @@ let lsn = function
   | Abort { lsn; _ } | Prepare { lsn; _ } | Fuzzy_checkpoint { lsn; _ } ->
     lsn
 
+(* Images compare by content: two views of the same bytes may sit in
+   different frames. *)
+let equal a b =
+  match (a, b) with
+  | Update a, Update b ->
+    a.lsn = b.lsn && a.txn = b.txn && a.page = b.page && View.equal a.before b.before
+    && View.equal a.after b.after
+  | _ -> a = b
+
 let txn_of = function
   | Update { txn; _ } | Delta { txn; _ } | Op { txn; _ } | Commit { txn; _ } | Abort { txn; _ }
   | Prepare { txn; _ } ->
@@ -41,7 +52,8 @@ let header_bytes = 8
 let delta_update ~threshold ~lsn ~txn ~page ~before ~after =
   let n = Bytes.length before in
   if Bytes.length after <> n then invalid_arg "Wal.delta_update: length mismatch";
-  if n < header_bytes + 1 then Update { lsn; txn; page; before; after }
+  let update () = Update { lsn; txn; page; before = View.borrow before; after = View.borrow after } in
+  if n < header_bytes + 1 then update ()
   else begin
     if Int64.to_int (Bytes.get_int64_le after 0) <> lsn then
       invalid_arg "Wal.delta_update: after image header is not at the record LSN";
@@ -79,7 +91,7 @@ let delta_update ~threshold ~lsn ~txn ~page ~before ~after =
           before_slice = Bytes.sub_string before off len;
           after_slice = Bytes.sub_string after off len;
         }
-    else Update { lsn; txn; page; before; after }
+    else update ()
   end
 
 let apply_slice image ~off slice =
@@ -103,8 +115,8 @@ let encode_with enc r =
     int64 enc lsn;
     int64 enc txn;
     varint enc page;
-    bytes enc before;
-    bytes enc after
+    substring enc before.View.src ~pos:before.pos ~len:before.len;
+    substring enc after.View.src ~pos:after.pos ~len:after.len
   | Delta { lsn; txn; page; off; prev_lsn; before_slice; after_slice } ->
     if String.length before_slice <> String.length after_slice then
       invalid_arg "Wal.encode: delta slice length mismatch";
@@ -183,8 +195,8 @@ let decode s =
       let lsn = int64 c in
       let txn = int64 c in
       let page = varint c in
-      let before = bytes c in
-      let after = bytes c in
+      let before = view c in
+      let after = view c in
       Update { lsn; txn; page; before; after }
     | 'd' ->
       let lsn = int64 c in

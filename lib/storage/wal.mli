@@ -23,7 +23,20 @@
 exception Corrupt of string
 
 type record =
-  | Update of { lsn : int; txn : int; page : int; before : bytes; after : bytes }
+  | Update of {
+      lsn : int;
+      txn : int;
+      page : int;
+      before : Wal_codec.View.t;
+      after : Wal_codec.View.t;
+    }
+      (** The full before and after images of the page.  Neither is a
+          copy.  In a record {!decode} returned, each is a view into the
+          record's own frame, which the journal keeps unchanged, so the
+          record stays valid as long as it is held.  In a record an
+          engine builds to append, each borrows the engine's page
+          buffers ({!Wal_codec.View.borrow}): encode it before either
+          buffer changes. *)
   | Delta of {
       lsn : int;
       txn : int;
@@ -76,6 +89,10 @@ val lsn : record -> int
 val txn_of : record -> int option
 (** [None] for checkpoints. *)
 
+val equal : record -> record -> bool
+(** Same fields, images compared by content.  Polymorphic equality
+    would compare two {!Update}s' frames, not their images. *)
+
 (** {2 Delta computation}
 
     The diff that decides between {!Delta} and a full {!Update}. *)
@@ -89,8 +106,8 @@ val delta_update :
     are too small to carry the 8-byte page header.  The diff skips the
     header: [prev_lsn] is read from the before image, and the after
     image's header must already hold [lsn] (the engine stamps it before
-    logging).  A full {!Update} holds [before] and [after] themselves,
-    not copies: encode it before either buffer changes.
+    logging).  A full {!Update} borrows [before] and [after]
+    themselves, not copies: encode it before either buffer changes.
     @raise Invalid_argument on images of different length, or when the
     after image's header is not at [lsn]. *)
 
@@ -111,8 +128,10 @@ val encode_with : Wal_codec.Enc.t -> record -> string
     (the journal's copy of the record). *)
 
 val decode : string -> record
-(** Checked decode, one payload copy.  Every tag is a lowercase
-    {!Wal_codec} tag; anything else is [Corrupt].
+(** Checked decode.  An {!Update}'s images are views into [s], so
+    decoding one copies no image; a {!Delta}'s slices and an {!Op}'s
+    value are copied once.  Every tag is a lowercase {!Wal_codec} tag;
+    anything else is [Corrupt].
     @raise Corrupt on a damaged or truncated encoding (checksum
     mismatch, bad tag, short buffer, trailing bytes). *)
 

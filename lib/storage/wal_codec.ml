@@ -4,6 +4,29 @@ exception Corrupt of string
 
 let checksum s ~pos ~len = Dbm_util.Digest.fnv64_words s ~pos ~len
 
+(* --- views ---------------------------------------------------------- *)
+
+module View = struct
+  type t = { src : string; pos : int; len : int }
+
+  let of_string src = { src; pos = 0; len = String.length src }
+
+  let borrow b = of_string (Bytes.unsafe_to_string b)
+
+  let blit v dst = Bytes.blit_string v.src v.pos dst 0 v.len
+
+  let to_bytes v =
+    let b = Bytes.create v.len in
+    blit v b;
+    b
+
+  let equal a b =
+    a.len = b.len
+    &&
+    let rec same i = i = a.len || (a.src.[a.pos + i] = b.src.[b.pos + i] && same (i + 1)) in
+    same 0
+end
+
 (* --- encoder -------------------------------------------------------- *)
 
 module Enc = struct
@@ -57,17 +80,7 @@ module Enc = struct
     Bytes.blit_string s pos t.buf t.pos len;
     t.pos <- t.pos + len
 
-  let subbytes t b ~pos ~len =
-    if pos < 0 || len < 0 || pos + len > Bytes.length b then
-      invalid_arg "Wal_codec.Enc.subbytes: bad range";
-    varint t len;
-    ensure t len;
-    Bytes.blit b pos t.buf t.pos len;
-    t.pos <- t.pos + len
-
   let string t s = substring t s ~pos:0 ~len:(String.length s)
-
-  let bytes t b = subbytes t b ~pos:0 ~len:(Bytes.length b)
 
   let size t = t.pos
 
@@ -141,14 +154,11 @@ module Dec = struct
     t.pos <- t.pos + len;
     v
 
-  let bytes t =
+  let view t =
     let len = payload_len t in
-    (* The single copy: straight from the encoded string into fresh
-       bytes, no intermediate String.sub. *)
-    let b = Bytes.create len in
-    Bytes.blit_string t.s t.pos b 0 len;
+    let v = { View.src = t.s; pos = t.pos; len } in
     t.pos <- t.pos + len;
-    b
+    v
 
   let finished t = t.pos = t.limit
 end

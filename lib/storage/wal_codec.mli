@@ -1,9 +1,9 @@
 (** Shared zero-copy log-record framing.
 
     The one record format of every journal: {!Wal}'s log records, the
-    differential engine's A, D, commit and marker records, the
-    overwriting engines' intentions, version selection's commit list
-    and the 2PC coordinator's decisions.  A record is
+    differential engine's A, D and commit records, the overwriting
+    engines' intentions, version selection's commit list and the 2PC
+    coordinator's decisions.  A record is
 
     {v tag:1 | fixed fields | varint-framed payload | checksum:8 v}
 
@@ -14,21 +14,48 @@
       small integers, so a delta record's framing costs bytes
       proportional to what it carries, not 8 per field;
     - the trailing {b checksum} is {!Dbm_util.Digest.fnv64_words} over
-      everything before it — word-at-a-time, ~8x cheaper than the old
-      byte-loop on page-image payloads.
+      everything before it: four FNV lanes over 32-byte blocks, folded
+      into one value by the odd-prime FNV step.  Each lane step is a
+      bijection of the lane and of the word it takes, and the fold is a
+      bijection of each lane, so a single flipped bit anywhere in the
+      frame always changes the trailer.
 
     Encoding goes through a reusable growable scratch buffer
     ({!Enc.t}), one per engine: fields are blitted straight into it and
     {!Enc.finish} hands back the single final string the journal
     stores — no [Buffer], no per-integer 8-byte boxes, no
     body-then-checksum concat.  Decoding runs a cursor over the
-    original string ({!Dec}): one checksum pass, then each payload is
-    extracted with exactly one copy. *)
+    original string ({!Dec}): one checksum pass, then a payload is
+    either copied out once ({!Dec.string}) or returned as a {!View.t}
+    into the frame itself ({!Dec.view}), which copies nothing. *)
 
 exception Corrupt of string
 
 val checksum : string -> pos:int -> len:int -> int64
 (** The framing checksum over a range: {!Dbm_util.Digest.fnv64_words}. *)
+
+(** A read-only byte range of a string: [len] bytes of [src] from
+    [pos].  Nothing writes through a view; a reader blits from it. *)
+module View : sig
+  type t = private { src : string; pos : int; len : int }
+
+  val of_string : string -> t
+  (** The whole string. *)
+
+  val borrow : bytes -> t
+  (** The whole buffer, not copied: the view reads whatever the buffer
+      holds, so it is valid only until the buffer next changes. *)
+
+  val blit : t -> bytes -> unit
+  (** Copy the range to the start of [dst].
+      @raise Invalid_argument when [dst] is shorter than the view. *)
+
+  val to_bytes : t -> bytes
+  (** The range as fresh bytes: one copy. *)
+
+  val equal : t -> t -> bool
+  (** Same bytes, wherever they sit. *)
+end
 
 (** Scratch-buffer encoder.  One instance per engine (single-domain
     use); the buffer is reused across records and only grows. *)
@@ -48,9 +75,6 @@ module Enc : sig
   val varint : t -> int -> unit
   (** LEB128.  @raise Invalid_argument on a negative value. *)
 
-  val bytes : t -> Bytes.t -> unit
-  (** Varint length prefix, then the payload. *)
-
   val string : t -> string -> unit
   (** Varint length prefix, then the payload. *)
 
@@ -69,9 +93,9 @@ module Enc : sig
       encode. *)
 end
 
-(** Checked single-copy decoder: a cursor over the original encoded
-    string.  {!start} pays the one checksum pass; every accessor then
-    reads in place, and payload extraction copies exactly once. *)
+(** Checked decoder: a cursor over the original encoded string.
+    {!start} pays the one checksum pass; every accessor then reads in
+    place.  {!string} copies a payload once, {!view} not at all. *)
 module Dec : sig
   type t
 
@@ -88,10 +112,9 @@ module Dec : sig
   (** Always non-negative.  @raise Corrupt on a truncated varint or one
       whose value needs the sign bit. *)
 
-  val bytes : t -> Bytes.t
-  (** Varint-framed payload as fresh bytes — a single copy out of the
-      encoded string (the old path copied twice).  @raise Corrupt when
-      the length runs past the body. *)
+  val view : t -> View.t
+  (** Varint-framed payload as a view into the encoded string itself:
+      no copy.  @raise Corrupt when the length runs past the body. *)
 
   val string : t -> string
   (** Varint-framed payload as a fresh string, single copy.  @raise
@@ -105,7 +128,7 @@ module Dec : sig
 end
 
 (** {2 Small records} A tag and a few non-negative ints, one varint
-    each: an intention, a commit id, a decision, a marker. *)
+    each: an intention, a commit id, a decision. *)
 
 val encode_fields : Enc.t -> tag:char -> int list -> string
 (** @raise Invalid_argument on a negative field. *)

@@ -75,24 +75,51 @@ let fnv64 s =
 
 let fnv64_hex s = Printf.sprintf "%016Lx" (fnv64 s)
 
-(* Word-at-a-time FNV-1a lane: folds 8 bytes per multiply instead of 1,
-   so checksumming a page image costs ~1/8th of [fnv64].  A different
-   hash function than [fnv64] (the fold width changes the value), which
-   is fine for its users — it is a framing checksum, not a content
-   address.  The trailing partial word and the length are mixed in so
+(* Four-lane word-at-a-time FNV-1a: word [j] of every 32-byte block
+   folds into lane [j], so four multiply chains run side by side
+   instead of one long one, and the loads skip their bounds checks
+   after the one range check.  Then the lanes, the 0-3 whole words
+   after the last block, the trailing partial word and the length fold
+   into one value by the same step.  Each step [h <- (h xor w) * prime]
+   is a bijection of [h] for a fixed [w] and of [w] for a fixed [h]
+   (the prime is odd), so a value that differs in one word, one lane
+   or the partial word differs at the end: one flipped bit always
+   changes the checksum.  A different hash function than [fnv64] (the
+   fold width changes the value), which is fine for its users: it is a
+   framing checksum, not a content address.  The length is mixed in so
    "abc" / "abc\000" and prefixes of each other cannot collide
    trivially. *)
+external unsafe_get64 : string -> int -> int64 = "%caml_string_get64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] word s i =
+  let w = unsafe_get64 s i in
+  if Sys.big_endian then swap64 w else w
+
+let[@inline] step h w = Int64.mul (Int64.logxor h w) fnv_prime
+
 let fnv64_words s ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > String.length s then
+  if pos < 0 || len < 0 || pos > String.length s - len then
     invalid_arg "Digest.fnv64_words: bad range";
-  let h = ref basis_b in
-  let words = len / 8 in
-  for i = 0 to words - 1 do
-    h := Int64.mul (Int64.logxor !h (String.get_int64_le s (pos + (i * 8)))) fnv_prime
+  let h0 = ref basis_b and h1 = ref basis_a in
+  let h2 = ref 0x9e3779b97f4a7c15L and h3 = ref 0xc2b2ae3d27d4eb4fL in
+  let i = ref pos and blocks = pos + (len land lnot 31) in
+  while !i < blocks do
+    h0 := step !h0 (word s !i);
+    h1 := step !h1 (word s (!i + 8));
+    h2 := step !h2 (word s (!i + 16));
+    h3 := step !h3 (word s (!i + 24));
+    i := !i + 32
+  done;
+  let h = ref (step (step (step !h0 !h1) !h2) !h3) in
+  let words = pos + (len land lnot 7) in
+  while !i < words do
+    h := step !h (word s !i);
+    i := !i + 8
   done;
   let tail = ref 0L in
-  for i = pos + (words * 8) to pos + len - 1 do
-    tail := Int64.logor (Int64.shift_left !tail 8) (Int64.of_int (Char.code (String.unsafe_get s i)))
+  while !i < pos + len do
+    tail := Int64.logor (Int64.shift_left !tail 8) (Int64.of_int (Char.code (String.unsafe_get s !i)));
+    incr i
   done;
-  h := Int64.mul (Int64.logxor !h !tail) fnv_prime;
-  Int64.mul (Int64.logxor !h (Int64.of_int len)) fnv_prime
+  step (step !h !tail) (Int64.of_int len)

@@ -40,9 +40,11 @@ val fnv64_hex : string -> string
     lowercase hex characters. *)
 
 val fnv64_words : string -> pos:int -> len:int -> int64
-(** Word-at-a-time FNV-1a over [s.[pos .. pos+len)]: folds 8 bytes per
-    multiply, ~8x cheaper than the single-lane {!fnv64_hex} on
-    page-sized payloads.  A {e different} function (fold width changes
-    the value); mixes the trailing partial word and the length.  The
-    WAL codec's record checksum.  @raise Invalid_argument on a bad
+(** Word-at-a-time FNV-1a over [s.[pos .. pos+len)] in four lanes: the
+    four words of each 32-byte block fold into four independent lanes,
+    which then fold into one value with the trailing whole words, the
+    partial word and the length.  Every fold step multiplies by the odd
+    FNV prime, a bijection, so a single flipped bit always changes the
+    value.  A {e different} function from the single-lane {!fnv64_hex}.
+    The WAL codec's record checksum.  @raise Invalid_argument on a bad
     range. *)

@@ -344,6 +344,73 @@ let prop_truncate_chunk_boundary =
       in
       iter_ok && read_ok && parallel = serial)
 
+(* --- recovery reads the log and never writes it ------------------------ *)
+
+(* A decoded update's images are views into the journal's own frames,
+   so a replay that wrote through one would rewrite the durable log in
+   place.  Before every crash the durable records are dumped (their
+   images are views into those frames) and digested; after
+   [crash_and_recover], and again after [crash_and_recover_reference],
+   the same records must digest the same.  Both image-logging formats,
+   with no pool and with a 2-job one. *)
+let pool2 = lazy (Pool.create ~jobs:2 ~allow_oversubscribe:true ())
+
+let () = at_exit (fun () -> if Lazy.is_val pool2 then Pool.shutdown (Lazy.force pool2))
+
+let log_digest records = Dbm_util.Digest.of_string (String.concat "" (List.map Wal.encode records))
+
+let log_intact_after_recovery ~log_format ~pool ops =
+  let e = Engine_log.create_with ~n_keys ~log_format () in
+  Engine_log.set_recovery_pool e pool;
+  let live = ref None and ok = ref true in
+  let txn () =
+    match !live with
+    | Some t -> t
+    | None ->
+      let t = Engine_log.begin_txn e in
+      live := Some t;
+      t
+  in
+  let finish f =
+    Option.iter f !live;
+    live := None
+  in
+  let crash () =
+    live := None;
+    let records =
+      List.concat_map (fun d -> Engine_log.dump_log e ~disk:d) (List.init (Engine_log.log_disks e) Fun.id)
+    in
+    let digest = log_digest records in
+    Engine_log.crash_and_recover e;
+    if log_digest records <> digest then ok := false;
+    Engine_log.crash_and_recover_reference e;
+    if log_digest records <> digest then ok := false
+  in
+  List.iter
+    (function
+      | Put (k, v) -> Engine_log.put (txn ()) k v
+      | Delete k -> Engine_log.delete (txn ()) k
+      | Commit -> finish Engine_log.commit
+      | Abort -> finish Engine_log.abort
+      | Crash -> crash ()
+      | Fuzzy sync -> Engine_log.checkpoint_fuzzy ~sync e
+      | Sharp -> Engine_log.checkpoint e)
+    ops;
+  crash ();
+  !ok
+
+let prop_recovery_leaves_log_intact =
+  QCheck.Test.make ~name:"recovery never writes through a frame view" ~count:100 ~long_factor:5
+    ops_arbitrary (fun ops ->
+      List.for_all
+        (fun (log_format, pool) -> log_intact_after_recovery ~log_format ~pool ops)
+        [
+          (Engine_log.Physical, None);
+          (Engine_log.Physical, Some (Lazy.force pool2));
+          (Engine_log.Delta, None);
+          (Engine_log.Delta, Some (Lazy.force pool2));
+        ])
+
 (* --- run --------------------------------------------------------------- *)
 
 let () =
@@ -376,4 +443,5 @@ let () =
           QCheck_alcotest.to_alcotest prop_chunk_ranges_cover;
           QCheck_alcotest.to_alcotest prop_truncate_chunk_boundary;
         ] );
+      ("frame views", [ QCheck_alcotest.to_alcotest prop_recovery_leaves_log_intact ]);
     ]

@@ -112,16 +112,16 @@ let log_syncs e = List.assoc "log_syncs" (Engine_log.stats e)
 
 let test_commit_syncs_each_disk_once () =
   (* Cyclic selection on 4 disks puts the two updates on disks 0 and 1
-     and the commit record on disk 2: an eager commit forces each of the
-     four disks once, disk 3 too, though it holds none of the
-     transaction's records. *)
+     and the commit record on disk 2: an eager commit forces each of
+     those three disks once.  Disk 3 holds nothing to force, so its
+     sync is not counted. *)
   let e = Engine_log.create_with ~n_keys:32 ~n_log_disks:4 () in
   let before = log_syncs e in
   let t = Engine_log.begin_txn e in
   Engine_log.put t 0 "a";
   Engine_log.put t 5 "b";
   Engine_log.commit t;
-  check Alcotest.int "one sync per disk" 4 (log_syncs e - before);
+  check Alcotest.int "one sync per disk with a record" 3 (log_syncs e - before);
   (* and it really is durable *)
   Engine_log.crash_and_recover e;
   let t = Engine_log.begin_txn e in

@@ -7,6 +7,7 @@ module Journal = Dbm_storage.Journal
 module Page = Dbm_storage.Page
 module Wal = Dbm_storage.Wal
 module Wal_codec = Dbm_storage.Wal_codec
+module View = Wal_codec.View
 module Lock = Dbm_storage.Lock_mgr
 module Key_space = Dbm_storage.Key_space
 module Snapshots = Dbm_storage.Snapshots
@@ -308,7 +309,8 @@ let prop_page_roundtrip =
 
 let sample_records =
   [
-    Wal.Update { lsn = 7; txn = 3; page = 9; before = Bytes.of_string "abc"; after = Bytes.of_string "xyz" };
+    Wal.Update
+      { lsn = 7; txn = 3; page = 9; before = View.of_string "abc"; after = View.of_string "xyz" };
     Wal.Commit { lsn = 8; txn = 3 };
     Wal.Abort { lsn = 9; txn = 4 };
     Wal.Delta
@@ -325,7 +327,7 @@ let test_wal_roundtrip () =
   List.iter
     (fun r ->
       let r' = Wal.decode (Wal.encode r) in
-      if r <> r' then Alcotest.failf "roundtrip failed for %s" (Format.asprintf "%a" Wal.pp r))
+      if not (Wal.equal r r') then Alcotest.failf "roundtrip failed for %s" (Format.asprintf "%a" Wal.pp r))
     sample_records
 
 let test_wal_checksum_detects_corruption () =
@@ -397,8 +399,8 @@ let test_wal_bad_lengths_corrupt () =
       let bare = frame ~tag:'x' ~prefix:ignore last in
       expect_corrupt (Printf.sprintf "Dec.string, last byte %#x" last) (fun () ->
           Codec.Dec.string (Codec.Dec.start bare));
-      expect_corrupt (Printf.sprintf "Dec.bytes, last byte %#x" last) (fun () ->
-          Codec.Dec.bytes (Codec.Dec.start bare));
+      expect_corrupt (Printf.sprintf "Dec.view, last byte %#x" last) (fun () ->
+          Codec.Dec.view (Codec.Dec.start bare));
       (* an update's before image and an operation's value *)
       let update =
         frame ~tag:'u' last ~prefix:(fun () ->
@@ -446,7 +448,13 @@ let test_wal_encode_allocation_bounded () =
   let page = 1024 in
   let r =
     Wal.Update
-      { lsn = 123456; txn = 789; page = 42; before = Bytes.make page 'b'; after = Bytes.make page 'a' }
+      {
+        lsn = 123456;
+        txn = 789;
+        page = 42;
+        before = View.borrow (Bytes.make page 'b');
+        after = View.borrow (Bytes.make page 'a');
+      }
   in
   let enc = Dbm_storage.Wal_codec.Enc.create ~size:(2 * page + 64) () in
   ignore (Sys.opaque_identity (Wal.encode_with enc r));
@@ -461,13 +469,19 @@ let test_wal_encode_allocation_bounded () =
       words_per_call
 
 let test_wal_decode_allocation_bounded () =
-  (* decode extracts each image with exactly one copy; the old cursor
-     path copied every payload twice *)
+  (* decode returns each image as a view into the frame: no image is
+     copied *)
   let page = 1024 in
   let s =
     Wal.encode
       (Wal.Update
-         { lsn = 123456; txn = 789; page = 42; before = Bytes.make page 'b'; after = Bytes.make page 'a' })
+         {
+           lsn = 123456;
+           txn = 789;
+           page = 42;
+           before = View.of_string (String.make page 'b');
+           after = View.of_string (String.make page 'a');
+         })
   in
   ignore (Sys.opaque_identity (Wal.decode s));
   let before = Gc.minor_words () in
@@ -475,10 +489,31 @@ let test_wal_decode_allocation_bounded () =
     ignore (Sys.opaque_identity (Wal.decode s))
   done;
   let words_per_call = (Gc.minor_words () -. before) /. 1000.0 in
-  (* two 1024-byte images = ~258 words + the record block; double-copy
-     would be ~520+ *)
-  if words_per_call > 340.0 then
-    Alcotest.failf "decode allocates %.0f words/call (payloads copied twice?)" words_per_call
+  (* the record, two views, the cursor and the boxed checksums: a
+     copied 1024-byte image alone would be 129 words *)
+  if words_per_call > 40.0 then
+    Alcotest.failf "decode allocates %.0f words/call (an image copied?)" words_per_call
+
+(* Every single-bit flip of one full physical update frame decodes as
+   Corrupt: the frame checksum's one-flip guarantee, checked
+   exhaustively on the record shape restart recovery decodes most. *)
+let test_wal_every_bitflip_corrupt () =
+  let image k = View.of_string (String.init 1024 (fun i -> Char.chr ((i * k) land 0xff))) in
+  let s =
+    Wal.encode (Wal.Update { lsn = 123456; txn = 789; page = 42; before = image 7; after = image 13 })
+  in
+  check Alcotest.int "frame bytes" 2078 (String.length s);
+  let b = Bytes.of_string s in
+  let flip pos bit = Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl bit))) in
+  for pos = 0 to Bytes.length b - 1 do
+    for bit = 0 to 7 do
+      flip pos bit;
+      (match Wal.decode (Bytes.to_string b) with
+      | exception Wal.Corrupt _ -> ()
+      | _ -> Alcotest.failf "bit %d of byte %d flipped, yet the frame decoded" bit pos);
+      flip pos bit
+    done
+  done
 
 let test_wal_accessors () =
   check Alcotest.int "lsn" 8 (Wal.lsn (Wal.Commit { lsn = 8; txn = 3 }));
@@ -498,8 +533,7 @@ let wal_record_gen =
           (int_range 0 1000) (int_range 0 1000) (int_range 0 1000);
         map
           (fun (lsn, txn, page, b, a) ->
-            Wal.Update
-              { lsn; txn; page; before = Bytes.of_string b; after = Bytes.of_string a })
+            Wal.Update { lsn; txn; page; before = View.of_string b; after = View.of_string a })
           (tup5 (int_range 0 1000) (int_range 0 1000) (int_range 0 1000)
              (string_size (int_range 0 40))
              (string_size (int_range 0 40)));
@@ -528,12 +562,12 @@ let prop_wal_roundtrip =
      the buffer must not leak one record's bytes into the next *)
   let enc = Dbm_storage.Wal_codec.Enc.create () in
   QCheck.Test.make ~name:"wal encode/decode roundtrip (all shapes, shared scratch)" ~count:500
-    wal_arbitrary (fun r -> Wal.decode (Wal.encode_with enc r) = r)
+    wal_arbitrary (fun r -> Wal.equal (Wal.decode (Wal.encode_with enc r)) r)
 
 let prop_wal_injective =
   QCheck.Test.make ~name:"wal encoding is injective" ~count:500
     (QCheck.pair wal_arbitrary wal_arbitrary) (fun (r1, r2) ->
-      r1 = r2 || Wal.encode r1 <> Wal.encode r2)
+      Wal.equal r1 r2 || Wal.encode r1 <> Wal.encode r2)
 
 (* Every journal's one decoder, with a generator of its valid frames.
    The non-WAL frames are built here from their documented layouts, so
@@ -593,9 +627,12 @@ let prop_wal_truncation_corrupt =
       all_damage_corrupt frames (fun s -> String.sub s 0 (cut mod String.length s)))
 
 let prop_wal_bitflip_corrupt =
-  (* the checksum step [h <- (h xor word) * prime] is injective in [h]
-     for fixed input, so a single flipped bit always changes the
-     trailer: every one-bit corruption must be detected *)
+  (* a flipped bit changes one word of one of the checksum's four
+     lanes (or the partial word after them).  Each lane's step
+     [h <- (h xor word) * prime] is injective in the word and in [h],
+     so that lane ends different; the fold of the lanes by the same
+     odd-prime step is injective in each lane, so the trailer changes
+     too: every one-bit corruption must be detected *)
   QCheck.Test.make ~name:"any single bit-flip decodes as Corrupt" ~count:500
     (QCheck.pair journal_frames (QCheck.pair (QCheck.int_range 0 10_000) (QCheck.int_range 0 7)))
     (fun (frames, (pos, bit)) ->
@@ -669,7 +706,7 @@ let prop_wal_delta_apply =
         prev_lsn = prev && Bytes.equal fwd after && Bytes.equal bwd before
       | Wal.Update { before = b'; after = a'; _ } ->
         (* fallback path: full images, verbatim *)
-        Bytes.equal b' before && Bytes.equal a' after
+        View.equal b' (View.borrow before) && View.equal a' (View.borrow after)
       | _ -> false)
 
 let prop_wal_delta_exact =
@@ -926,6 +963,8 @@ let () =
           Alcotest.test_case "overflowing lengths are Corrupt" `Quick test_wal_bad_lengths_corrupt;
           Alcotest.test_case "peeks agree with decode" `Quick test_wal_peeks_agree_with_decode;
           Alcotest.test_case "checksum" `Quick test_wal_checksum_detects_corruption;
+          Alcotest.test_case "every bit-flip of an update is Corrupt" `Quick
+            test_wal_every_bitflip_corrupt;
           Alcotest.test_case "truncated" `Quick test_wal_truncated;
           Alcotest.test_case "accessors" `Quick test_wal_accessors;
           Alcotest.test_case "encode allocation bounded" `Quick

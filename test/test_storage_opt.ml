@@ -282,9 +282,10 @@ let j_model_step m j op =
       m.m_pending <- m.m_pending @ [ s ];
       seq = Journal.append j s
   | Sync ->
+      (* only a sync that makes a record durable is a force *)
+      if m.m_pending <> [] then m.m_syncs <- m.m_syncs + 1;
       m.m_durable <- m.m_durable @ m.m_pending;
       m.m_pending <- [];
-      m.m_syncs <- m.m_syncs + 1;
       Journal.sync j;
       true
   | Crash ->
