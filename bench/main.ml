@@ -24,13 +24,16 @@
    committed-txns/sec under the 2PL scheduler, recovery wall time vs
    log length, vs worker-domain count and vs fuzzy-checkpoint age, the
    physical/delta/operation log-format head-to-head, the open-loop
-   transaction server, the read-heavy MVCC snapshot sweep, sharded
-   execution with cross-shard two-phase commit, and a journal
-   microbenchmark.  Storage_bench owns the report, the
-   [storage] object of the record and the gate rows; the harness exits
-   non-zero when any row, check or floor, fails.
+   transaction server, the read-heavy MVCC snapshot sweep, and sharded
+   execution with cross-shard two-phase commit.  Storage_bench owns the
+   report, the [storage] object of the record and the gate rows; the
+   harness exits non-zero when any row, check or floor, fails.
 
-   Part 5 runs Bechamel micro-benchmarks of the substrate primitives.
+   Part 5 runs Bechamel micro-benchmarks of the primitives behind the
+   paper's tables, the page lookup and the differential-relation
+   select.  The engines' commit paths and the log codec are timed by
+   Part 4 (per-engine tps, per-format append and replay) and by
+   perfbench's traced runs, not here.
    [--fast] skips parts that exist for reporting (charts, ablations,
    Bechamel) and keeps the timed/validated parts — the CI smoke mode. *)
 
@@ -349,7 +352,7 @@ let run_cache () =
 (* ------------------------------------------------------------------ *)
 
 let run_storage_bench ~allow_oversubscribe () =
-  separator "Storage half (recovery engines, 2PL scheduler, substrate)";
+  separator "Storage half (recovery engines, 2PL scheduler, server)";
   let b =
     Dbm_storage.Storage_bench.run ~jobs:[ 1; 2; 4 ] ~allow_oversubscribe
       ~now:Unix.gettimeofday ()
@@ -466,17 +469,6 @@ let bench_mini_simulation =
               ~make_arch:(fun _ -> Dbm_machine.Arch.bare)
               ~workload)))
 
-(* Storage-engine commit paths (the functional counterparts). *)
-let bench_engine (module E : Dbm_storage.Kv.S) =
-  Test.make ~name:(Printf.sprintf "engine %s: 32-put txn commit" E.engine_name)
-    (Staged.stage (fun () ->
-         let e = E.create ~n_keys:64 () in
-         let t = E.begin_txn e in
-         for k = 0 to 31 do
-           E.put t k "benchmark-value"
-         done;
-         E.commit t))
-
 let bench_relation_select =
   Test.make ~name:"relation: optimal select over (B u A) - D (400 tuples)"
     (Staged.stage
@@ -496,21 +488,6 @@ let bench_relation_select =
             (Dbm_relation.Diff_relation.select r ~strategy:Dbm_relation.Diff_relation.Optimal
                (fun t -> t.Dbm_relation.Diff_relation.key mod 7 = 0))))
 
-let bench_wal_codec =
-  Test.make ~name:"wal encode+decode (full-page images)"
-    (Staged.stage (fun () ->
-         let r =
-           Dbm_storage.Wal.Update
-             {
-               lsn = 12;
-               txn = 3;
-               page = 9;
-               before = Dbm_storage.Wal_codec.View.of_string (String.make 1024 'b');
-               after = Dbm_storage.Wal_codec.View.of_string (String.make 1024 'a');
-             }
-         in
-         ignore (Dbm_storage.Wal.decode (Dbm_storage.Wal.encode r))))
-
 let benchmarks =
   [
     bench_event_engine;
@@ -522,13 +499,6 @@ let benchmarks =
     bench_page_lookup;
     bench_mini_simulation;
     bench_relation_select;
-    bench_wal_codec;
-    bench_engine (module Dbm_storage.Engine_log);
-    bench_engine (module Dbm_storage.Engine_shadow);
-    bench_engine (module Dbm_storage.Engine_versel);
-    bench_engine (module Dbm_storage.Engine_overwrite.No_undo);
-    bench_engine (module Dbm_storage.Engine_overwrite.No_redo);
-    bench_engine (module Dbm_storage.Engine_diff);
   ]
 
 let bench_cfg () = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:(Some 200) ()

@@ -485,9 +485,11 @@ let storage_bench_cmd =
           scheduler, scheduler and lock-manager hot paths against their pre-overhaul \
           versions, recovery wall time vs log length, vs worker-domain count and vs \
           fuzzy-checkpoint age, the physical-vs-delta-vs-oplog log-format head-to-head, \
-          the MVCC snapshot-read sweep ($(b,--read-frac)), the \
-          sharded-execution sweep ($(b,--shard-counts) / $(b,--cross-fracs)) and a \
-          journal microbenchmark.")
+          the open-loop server sweep, the MVCC snapshot-read sweep ($(b,--read-frac)) \
+          and the sharded-execution sweep ($(b,--shard-counts) / $(b,--cross-fracs)).  \
+          The server and snapshot-read sweeps run on one engine each (logging and \
+          differential-file): in simulated time their figures are the same on every \
+          engine.")
     Term.(
       const run $ scale_arg $ jobs_arg $ oversubscribe_arg $ read_fracs_arg $ shard_counts_arg
       $ cross_fracs_arg)

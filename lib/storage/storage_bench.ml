@@ -55,7 +55,8 @@ module W = Dbm_workload.Workload
 module Hist = Dbm_util.Stats.Histogram
 
 (* One key per referenced page, so lock conflicts stay at the paper's
-   page granule. *)
+   page granule: key [4p] for page [p], so every engine's lock page (1
+   or 4 keys) holds exactly one workload key. *)
 let scripts_of txns =
   Array.map
     (fun t ->
@@ -616,7 +617,7 @@ end
    forces between batches and a crash {e between append and force} on
    the middle batch — must recover to the same fingerprint as an eager
    run of exactly the surviving transactions. *)
-let grouped_equivalent (type a) (module E : SERVER_ENGINE with type t = a) =
+let grouped_equivalent (module E : SERVER_ENGINE) =
   let value_of i = Printf.sprintf "v%d" i in
   let run_grouped () =
     let e = E.create ~n_keys:64 () in
@@ -659,20 +660,30 @@ let grouped_equivalent (type a) (module E : SERVER_ENGINE with type t = a) =
   E.crash_and_recover r;
   String.equal fp_grouped (E.state_fingerprint r)
 
-(* [v]: the engine's grouped/eager speedup, its equivalence check, its
-   sweep length, and whether every sweep point's latency percentiles
+(* Offered loads spanning both pipelines' saturation points: eager
+   capacity is ~1/(sync + ops) ~ 9k tps, grouped ~1/(ops + sync/batch)
+   — the top points drive both pipelines well past saturation. *)
+let server_loads = [ 2_000.0; 10_000.0; 40_000.0; 160_000.0; 400_000.0 ]
+
+(* The server decides from the scripts, the arrivals, lock outcomes at
+   the page granule and its two cost constants, never from the engine
+   ([scripts_of]: one workload key per lock page on every engine).  So
+   one sweep, on the logging engine, stands for every engine; the
+   tests pin that equality, and the group-commit crash check still
+   runs on each engine.  [v] of a sweep point: its latency percentiles
    came back finite and positive, and monotone. *)
-let server_bench_engine (type a) (module E : SERVER_ENGINE with type t = a) ~loads ~n ~seed =
-  let module Srv = Server.Make (E) in
+let server_section ~scale =
+  let n = 800 * scale and seed = 20_250 in
+  let module Srv = Server.Make (Engine_log) in
   let scripts, _ = random_access_workload ~n ~seed () in
   let grouped_mode = Commit_pipeline.Grouped { batch = 32; timeout_us = 1000.0 } in
   let point ~mode rate =
-    let e = E.create ~n_keys:4096 () in
+    let e = Engine_log.create ~n_keys:4096 () in
     Srv.run ~mpl:64 ~op_cost_us:1.0 ~sync_cost_us:100.0 ~mode
       ~arrivals_us:(arrivals_us ~seed:(seed + int_of_float rate) (W.Poisson { rate }) ~n)
       ~scripts e
   in
-  let runs = List.map (fun rate -> (rate, point ~mode:grouped_mode rate)) loads in
+  let runs = List.map (fun rate -> (rate, point ~mode:grouped_mode rate)) server_loads in
   let sweep =
     List.map
       (fun (rate, r) ->
@@ -706,72 +717,52 @@ let server_bench_engine (type a) (module E : SERVER_ENGINE with type t = a) ~loa
       runs
   in
   (* The head-to-head's grouped side is the sweep's top-load run. *)
-  let top = List.fold_left Float.max 0.0 loads in
+  let top = List.fold_left Float.max 0.0 server_loads in
   let eager = point ~mode:Commit_pipeline.Eager top in
   let grouped = List.assoc top runs in
   let eager_tps = eager.Server.sustained_tps and grouped_tps = grouped.Server.sustained_tps in
   let speedup = if eager_tps > 0. then grouped_tps /. eager_tps else infinity in
   let eager_p99 = Hist.p99 eager.Server.latency_us in
   let grouped_p99 = Hist.p99 grouped.Server.latency_us in
-  let equivalent = grouped_equivalent (module E) in
+  let checks =
+    List.map
+      (fun (module E : SERVER_ENGINE) -> (E.engine_name, grouped_equivalent (module E)))
+      [ (module Engine_log); (module Engine_log_delta); (module Engine_diff) ]
+  in
+  let equivalent = List.for_all snd checks in
+  let count = List.length checks in
+  let verdict ok = if ok then "equivalent" else "DIVERGED" in
   {
-    text =
-      Printf.sprintf "  %s:\n" E.engine_name
+    report =
+      "open-loop server (simulated time, group commit, mpl 64; one sweep stands for every \
+       engine):\n"
+      ^ Printf.sprintf "  %s:\n" Engine_log.engine_name
       ^ texts sweep
       ^ Printf.sprintf
           "    top load head-to-head: eager %8.0f tps (p99 %9.1f us) -> grouped %8.0f tps \
            (p99 %9.1f us)  %.1fx, recovery %s\n"
-          eager_tps eager_p99 grouped_tps grouped_p99 speedup
-          (if equivalent then "equivalent" else "DIVERGED");
-    json =
-      Json.(
-        Obj
-          [
-            ("engine", String E.engine_name);
-            ("sweep", jsons sweep);
-            ("eager_tps", Float eager_tps);
-            ("grouped_tps", Float grouped_tps);
-            ("group_commit_speedup", Float speedup);
-            ("eager_p99_us", Float eager_p99);
-            ("grouped_p99_us", Float grouped_p99);
-            ("equivalent", Bool equivalent);
-          ]);
-    v =
-      ( speedup,
-        equivalent,
-        List.length sweep,
-        List.for_all (fun { v = ok, _; _ } -> ok) sweep,
-        List.for_all (fun { v = _, ok; _ } -> ok) sweep );
-  }
-
-(* Offered loads spanning both engines' saturation points: eager
-   capacity is ~1/(sync + ops) ~ 9k tps, grouped ~1/(ops + sync/batch)
-   — the top points drive both pipelines well past saturation. *)
-let server_loads = [ 2_000.0; 10_000.0; 40_000.0; 160_000.0; 400_000.0 ]
-
-let server_section ~scale =
-  let n = 800 * scale and seed = 20_250 in
-  let bench (module E : SERVER_ENGINE) =
-    server_bench_engine (module E) ~loads:server_loads ~n ~seed
-  in
-  let engines =
-    List.map bench
-      [ (module Engine_log : SERVER_ENGINE); (module Engine_log_delta); (module Engine_diff) ]
-  in
-  let speedup =
-    List.fold_left (fun acc { v = s, _, _, _, _; _ } -> Float.min acc s) infinity engines
-  in
-  let equivalent = List.for_all (fun { v = _, eq, _, _, _; _ } -> eq) engines in
-  let count = List.length engines in
-  {
-    report =
-      "open-loop server (simulated time, group commit, mpl 64):\n"
-      ^ texts engines
-      ^ Printf.sprintf "  worst grouped/eager speedup across engines: %.2fx\n" speedup;
+          eager_tps eager_p99 grouped_tps grouped_p99 speedup (verdict equivalent)
+      ^ Printf.sprintf "  grouped = eager recovery after a crash: %s\n"
+          (String.concat ", " (List.map (fun (name, ok) -> name ^ " " ^ verdict ok) checks));
     fields =
       Json.
         [
-          ("server", jsons engines);
+          ( "server",
+            Obj
+              [
+                ("engine", String Engine_log.engine_name);
+                ("sweep", jsons sweep);
+                ("eager_tps", Float eager_tps);
+                ("grouped_tps", Float grouped_tps);
+                ("group_commit_speedup", Float speedup);
+                ("eager_p99_us", Float eager_p99);
+                ("grouped_p99_us", Float grouped_p99);
+                ( "crash_check",
+                  List
+                    (List.map
+                       (fun (name, ok) -> Obj [ ("engine", String name); ("equivalent", Bool ok) ])
+                       checks) );
+              ] );
           ("server_group_commit_speedup", Float speedup);
           ("server_equivalent", Bool equivalent);
         ];
@@ -779,15 +770,16 @@ let server_section ~scale =
       [
         check "server.equivalent" equivalent
           "grouped-commit recovered state diverged from the eager reference";
-        check "server.engines" (count >= 2) "server sweep has %d engines, below 2" count;
+        check "server.engines" (count >= 2) "group-commit crash check ran on %d engines, below 2"
+          count;
         check "server.sweep"
-          (List.for_all (fun { v = _, _, loads, _, _; _ } -> loads >= 3) engines)
-          "an engine's server sweep has fewer than 3 points";
+          (List.length sweep >= 3)
+          "the server sweep has fewer than 3 points";
         check "server.percentiles_finite"
-          (List.for_all (fun { v = _, _, _, ok, _; _ } -> ok) engines)
+          (List.for_all (fun { v = ok, _; _ } -> ok) sweep)
           "a server sweep point's p50, p99 or p999 is not finite and positive";
         check "server.percentiles_monotone"
-          (List.for_all (fun { v = _, _, _, _, ok; _ } -> ok) engines)
+          (List.for_all (fun { v = _, ok; _ } -> ok) sweep)
           "a server sweep point's percentiles are not monotone (p50 <= p99 <= p999)";
         (* group commit is only worth its durability window if it buys
            real throughput *)
@@ -797,11 +789,6 @@ let server_section ~scale =
   }
 
 (* --- MVCC snapshot reads: read-heavy head-to-head ------------------- *)
-
-(* The logging engine pins snapshots under every log format; the
-   read-heavy sweep runs it as oplog. *)
-let snapshot_engines : (module Server.SNAPSHOT_ENGINE) list =
-  [ (module Engine_diff); (module Engine_versel); (module Engine_oplog) ]
 
 (* Zipfian-page transactions with a read-only class carved out: each
    transaction's whole write set is cleared with probability
@@ -826,15 +813,19 @@ let read_heavy_scripts ~n ~seed ~read_frac ~heavy =
   let txns = W.apply_read_fraction rng ~read_frac txns in
   (scripts_of txns, Array.map (fun t -> W.write_set_size t = 0) txns)
 
+(* Like the server sweep, the read-heavy sweep runs on one engine and
+   stands for every snapshot engine: the differential-file engine. *)
+module Diff_server = Server.Make (Engine_diff)
+
 (* Crash-recover, then scan through one fresh transaction: the three
-   lock modes must scan identically — unlike the engines'
-   [state_fingerprint]s, whose counters legitimately differ across
+   lock modes must scan identically — unlike the engine's
+   [state_fingerprint], whose counters legitimately differ across
    modes. *)
-let read_scan_digest (type a) (module E : Server.SNAPSHOT_ENGINE with type t = a) (e : a) =
-  E.crash_and_recover e;
-  let txn = E.begin_txn e in
-  let digest = scan_digest ~n_keys:(E.max_keys e) (E.get txn) in
-  E.abort txn;
+let read_scan_digest e =
+  Engine_diff.crash_and_recover e;
+  let txn = Engine_diff.begin_txn e in
+  let digest = scan_digest ~n_keys:(Engine_diff.max_keys e) (Engine_diff.get txn) in
+  Engine_diff.abort txn;
   digest
 
 let pctl h p = if Hist.count h = 0 then 0.0 else Hist.percentile h ~p
@@ -849,22 +840,21 @@ let read_modes = [ "xlock"; "slock"; "snapshot" ]
    lock waits is where its throughput headroom comes from.  [v]: the
    sustained tps, the read-only restarts, the post-crash scan digest
    and whether every snapshot view was closed by the end. *)
-let read_mode_run (type a) (module E : Server.SNAPSHOT_ENGINE with type t = a) ~mode_name
-    ~arrivals_us ~scripts ~read_only =
-  let module Srv = Server.Make (E) in
-  let e = E.create ~n_keys:1024 () in
+let read_mode_run ~mode_name ~arrivals_us ~scripts ~read_only =
+  let e = Engine_diff.create ~n_keys:1024 () in
   let snapshot =
-    if String.equal mode_name "snapshot" then Some (Scheduler.snapshot_view (module E) e)
+    if String.equal mode_name "snapshot" then
+      Some (Scheduler.snapshot_view (module Engine_diff) e)
     else None
   in
   let read_mode = if String.equal mode_name "xlock" then Some Lock_mgr.X else None in
   let r =
-    Srv.run ?snapshot ?read_mode ~read_only ~mpl:64 ~op_cost_us:1.0 ~sync_cost_us:100.0
+    Diff_server.run ?snapshot ?read_mode ~read_only ~mpl:64 ~op_cost_us:1.0 ~sync_cost_us:100.0
       ~mode:Commit_pipeline.Eager ~arrivals_us ~scripts e
   in
-  let leaked = E.live_snapshots e in
+  let leaked = Engine_diff.live_snapshots e in
   let ro = r.Server.ro_latency_us and rw = r.Server.rw_latency_us in
-  let digest = read_scan_digest (module E) e in
+  let digest = read_scan_digest e in
   {
     text =
       Printf.sprintf
@@ -900,7 +890,7 @@ type read_point = {
   modes : string list;
 }
 
-let read_frac_point (module E : Server.SNAPSHOT_ENGINE) ~n ~seed ~read_frac ~heavy =
+let read_frac_point ~n ~seed ~read_frac ~heavy =
   let scripts, read_only = read_heavy_scripts ~n ~seed ~read_frac ~heavy in
   (* Offered load well above the eager baseline's ~9.5k tps capacity
      (one 100 µs force per commit), so the locked modes are
@@ -915,7 +905,7 @@ let read_frac_point (module E : Server.SNAPSHOT_ENGINE) ~n ~seed ~read_frac ~hea
   let runs =
     List.map
       (fun mode_name ->
-        (mode_name, read_mode_run (module E) ~mode_name ~arrivals_us ~scripts ~read_only))
+        (mode_name, read_mode_run ~mode_name ~arrivals_us ~scripts ~read_only))
       read_modes
   in
   let points = List.map snd runs in
@@ -956,51 +946,42 @@ let read_frac_point (module E : Server.SNAPSHOT_ENGINE) ~n ~seed ~read_frac ~hea
       };
   }
 
-(* The gate point: among an engine's uniform-size points, the one
-   closest to read fraction 0.9 (exactly 0.9 on default sweeps). *)
+(* The gate point: among the uniform-size points, the one closest to
+   read fraction 0.9 (exactly 0.9 on default sweeps). *)
 let gate_speedup points =
   snd
     (List.fold_left
-       (fun (d, sp) { v = p; _ } ->
+       (fun (d, sp) p ->
          let d' = Float.abs (p.read_frac -. 0.9) in
          if (not p.heavy) && d' < d then (d', p.speedup) else (d, sp))
        (infinity, infinity) points)
 
 let read_heavy_section ~scale ~read_fracs =
   let n = 400 * scale and seed = 90_125 in
-  let engines =
-    List.map
-      (fun (module E : Server.SNAPSHOT_ENGINE) ->
-        let point = read_frac_point (module E) ~n ~seed in
-        ( E.engine_name,
-          List.map (fun rf -> point ~read_frac:rf ~heavy:false) read_fracs
-          @ [ point ~read_frac:0.9 ~heavy:true ] ))
-      snapshot_engines
+  let point = read_frac_point ~n ~seed in
+  let points =
+    List.map (fun rf -> point ~read_frac:rf ~heavy:false) read_fracs
+    @ [ point ~read_frac:0.9 ~heavy:true ]
   in
-  let all = List.concat_map (fun (_, ps) -> List.map (fun p -> p.v) ps) engines in
-  let speedup =
-    List.fold_left (fun acc (_, ps) -> Float.min acc (gate_speedup ps)) infinity engines
-  in
+  let all = List.map (fun p -> p.v) points in
+  let speedup = gate_speedup all in
   let ro_restarts = List.fold_left (fun acc p -> acc + p.snapshot_ro_restarts) 0 all in
   let equivalent = List.for_all (fun p -> p.equivalent) all in
-  let count = List.length engines in
   {
     report =
-      "read-heavy snapshot sweep (eager commits, Zipfian pages, simulated time):\n"
-      ^ String.concat ""
-          (List.map (fun (name, ps) -> Printf.sprintf "  %s:\n" name ^ texts ps) engines)
+      "read-heavy snapshot sweep (eager commits, Zipfian pages, simulated time; one sweep \
+       stands for every engine):\n"
+      ^ Printf.sprintf "  %s:\n" Engine_diff.engine_name
+      ^ texts points
       ^ Printf.sprintf
-          "  worst snapshot/xlock speedup near read fraction 0.9: %.2fx (%d ro restarts on the \
+          "  snapshot/xlock speedup near read fraction 0.9: %.2fx (%d ro restarts on the \
            snapshot path)\n"
           speedup ro_restarts;
     fields =
       Json.
         [
           ( "read_heavy",
-            List
-              (List.map
-                 (fun (name, ps) -> Obj [ ("engine", String name); ("points", jsons ps) ])
-                 engines) );
+            Obj [ ("engine", String Engine_diff.engine_name); ("points", jsons points) ] );
           ("read_snapshot_speedup", Float speedup);
           ("read_ro_restarts", Int ro_restarts);
           ("read_equivalent", Bool equivalent);
@@ -1011,10 +992,9 @@ let read_heavy_section ~scale ~read_fracs =
           "a read-lock regime recovered to different data than its peers";
         check "read.ro_restarts" (ro_restarts = 0)
           "%d read-only restarts on the snapshot path (must be 0)" ro_restarts;
-        check "read.engines" (count >= 3) "snapshot sweep has %d engines, below 3" count;
         check "read.heavy_tail"
-          (List.for_all (fun (_, ps) -> List.exists (fun p -> p.v.heavy) ps) engines)
-          "an engine's snapshot sweep lacks the Pareto-size point";
+          (List.exists (fun p -> p.heavy) all)
+          "the snapshot sweep lacks the Pareto-size point";
         check "read.modes"
           (List.for_all (fun p -> p.modes = read_modes) all)
           "a snapshot-sweep point lacks one of the xlock, slock and snapshot modes";
@@ -1022,8 +1002,8 @@ let read_heavy_section ~scale ~read_fracs =
           (List.for_all (fun p -> p.tps_positive) all)
           "a read mode's sustained tps is not finite and positive";
         floor "read.points"
-          (List.for_all (fun (_, ps) -> List.length ps >= 4) engines)
-          "an engine's snapshot sweep has fewer than 4 points";
+          (List.length points >= 4)
+          "the snapshot sweep has fewer than 4 points";
         (* the snapshot path must beat the lock-everything baseline on
            read-heavy load *)
         floor "read.snapshot_speedup" (speedup >= 2.0)
@@ -1272,48 +1252,6 @@ let shard_section ~scale ~shard_counts ~cross_fracs =
       ];
   }
 
-(* --- journal microbenchmark ---------------------------------------- *)
-
-let journal_throughput ~now ~iters =
-  let record = String.make 64 'r' in
-  let j1 = Journal.create () in
-  let (), append_s =
-    time now (fun () ->
-        for _ = 1 to iters do
-          ignore (Journal.append j1 record)
-        done;
-        Journal.sync j1)
-  in
-  let j2 = Journal.create () in
-  let (), append_sync_s =
-    time now (fun () ->
-        for i = 1 to iters do
-          ignore (Journal.append j2 record);
-          if i land 63 = 0 then Journal.sync j2
-        done;
-        Journal.sync j2)
-  in
-  ( float_of_int iters /. append_s,
-    float_of_int iters /. append_sync_s )
-
-let substrate_section ~now ~scale =
-  let append, append_sync = journal_throughput ~now ~iters:(200_000 * scale) in
-  {
-    report =
-      Printf.sprintf "journal: %.2fM appends/s, %.2fM appends/s with sync every 64\n"
-        (append /. 1e6) (append_sync /. 1e6);
-    fields =
-      Json.
-        [
-          ("journal_append_per_sec", Float append);
-          ("journal_append_sync_per_sec", Float append_sync);
-        ];
-    rows =
-      [
-        check "substrate.measured" (finite [ append; append_sync ]) "journal rates not finite";
-      ];
-  }
-
 (* --- entry point ---------------------------------------------------- *)
 
 let default_shard_counts = [ 1; 2; 4 ]
@@ -1344,11 +1282,7 @@ let run ?(scale = 1) ?(jobs = [ 1; 2; 4 ]) ?(allow_oversubscribe = false)
   let server = server_section ~scale in
   let read_heavy = read_heavy_section ~scale ~read_fracs in
   let shard = shard_section ~scale ~shard_counts ~cross_fracs in
-  let substrate = substrate_section ~now ~scale in
-  {
-    scale;
-    sections = (sched :: engines :: recovery) @ [ server; read_heavy; shard; substrate ];
-  }
+  { scale; sections = (sched :: engines :: recovery) @ [ server; read_heavy; shard ] }
 
 let print b = List.iter (fun s -> print_string s.report) b.sections
 

@@ -1,21 +1,29 @@
 (** Storage-half throughput benchmark.
 
-    Measures the recovery engines and their substrate the same way the
-    simulation half is measured by bench/main, in nine sections run in
-    this order: a head-to-head of the pre-overhaul polling scheduler
-    ({!Naive}) against the wakeup scheduler on a contended workload;
-    per-engine committed transactions per second under the 2PL
-    scheduler at low and high contention; logging-engine restart
-    recovery wall at two log lengths (linearity); restart recovery
-    against worker-domain count and against fuzzy checkpoint age (each
-    point fingerprint-checked against the serial reference replay); a
+    Measures the recovery engines the same way the simulation half is
+    measured by bench/main, in eight sections run in this order: a
+    head-to-head of the pre-overhaul polling scheduler ({!Naive})
+    against the wakeup scheduler on a contended workload; per-engine
+    committed transactions per second under the 2PL scheduler at low
+    and high contention; logging-engine restart recovery wall at two
+    log lengths (linearity); restart recovery against worker-domain
+    count and against fuzzy checkpoint age (each point
+    fingerprint-checked against the serial reference replay); a
     log-format head-to-head (physical full-image vs delta vs operation
     logging); the open-loop transaction server (an offered-load sweep
     and a grouped-vs-eager head-to-head, simulated time); the read-heavy
     MVCC snapshot sweep (exclusive-lock vs shared-lock vs snapshot
-    reads, simulated time); sharded execution (tps against shard count
-    and a cross-shard two-phase-commit sweep, simulated time); and a
-    journal microbenchmark.
+    reads, simulated time); and sharded execution (tps against shard
+    count and a cross-shard two-phase-commit sweep, simulated time).
+
+    The simulated server charges fixed costs per scheduler turn and per
+    force, and every workload key sits alone on its lock page whatever
+    the engine's page size, so its figures do not depend on the engine:
+    the server sweep runs once, on the logging engine, and the
+    read-heavy sweep once, on the differential-file engine, each
+    standing for every engine (test_server and test_snapshot pin the
+    equality).  The server section's group-commit crash check still
+    runs on the logging, logging-delta and differential-file engines.
 
     The three recovery sections read one measurement: six logs built
     once (physical, delta and oplog at L transactions, physical at 2L,
@@ -71,8 +79,8 @@ val random_access_workload :
   Scheduler.script array * bool array
 (** The open-loop workload of the server and sharded sections, and of
     [dbmsim serve-bench]: [n] transactions drawn from [seed], each
-    touching 2-8 uniformly random pages of 1024 (one key per page, 70%
-    of them written).  Each transaction is made read-only with
+    touching 2-8 uniformly random pages of 1024 (one key per page, key
+    [4p] for page [p]; 70% of them written).  Each transaction is made read-only with
     probability [read_frac] (default 0); [cross = (f, shards)] re-homes
     pages so that a fraction [f] of the transactions spans two of
     [shards] shards ({!Shard_router.shard_of_page}) and the rest stay on

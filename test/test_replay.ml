@@ -40,6 +40,7 @@ type op =
   | Crash
   | Fuzzy of bool  (* force the checkpoint record? [false] leaves it volatile *)
   | Sharp
+  | Flush  (* force every dirty data page *)
 
 let op_print = function
   | Put (k, v) -> Printf.sprintf "Put(%d,%S)" k v
@@ -50,21 +51,25 @@ let op_print = function
   | Fuzzy true -> "FuzzyCkpt"
   | Fuzzy false -> "FuzzyCkpt-nosync"
   | Sharp -> "SharpCkpt"
+  | Flush -> "Flush"
 
-let op_gen =
-  QCheck.Gen.(
-    frequency
-      [
-        (6, map2 (fun k v -> Put (k, v)) (int_range 0 (n_keys - 1)) (string_size (int_range 0 12)));
-        (2, map (fun k -> Delete k) (int_range 0 (n_keys - 1)));
-        (3, return Commit);
-        (1, return Abort);
-        (2, return Crash);
-        (2, map (fun b -> Fuzzy b) bool);
-        (1, return Sharp);
-      ])
-
-let ops_arbitrary =
+(* Histories over keys [0, keys), drawing a [Flush] with weight [flush]
+   against the other ops' 17 (none by default). *)
+let ops_arbitrary ?(keys = n_keys) ?(flush = 0) () =
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map2 (fun k v -> Put (k, v)) (int_range 0 (keys - 1)) (string_size (int_range 0 12)));
+          (2, map (fun k -> Delete k) (int_range 0 (keys - 1)));
+          (3, return Commit);
+          (1, return Abort);
+          (2, return Crash);
+          (2, map (fun b -> Fuzzy b) bool);
+          (1, return Sharp);
+          (flush, return Flush);
+        ])
+  in
   QCheck.make
     ~print:(fun ops -> String.concat ";" (List.map op_print ops))
     (QCheck.Gen.list_size (QCheck.Gen.int_range 0 80) op_gen)
@@ -162,16 +167,23 @@ module Equiv_harness (E : CONVERTED) = struct
           (* Mid-transaction too: the truncated log must still undo, or
              complete, the live transaction. *)
           List.iter E.checkpoint twins;
-          Kv.Model.checkpoint m)
+          Kv.Model.checkpoint m
+        | Flush -> List.iter E.flush twins)
       ops;
     finish E.commit Kv.Model.commit;
     crash ();
     !ok
 
+  (* No [Flush] here: after a committed put, a loser's put and abort, a
+     flush, a fuzzy checkpoint and a crash, the checkpoint-seeking
+     recovery keeps the durable page with its restored header LSN while
+     the from-zero reference rewrites the loser's before image with the
+     older one, so the fingerprints differ with every key equal (a known
+     divergence, CHANGES.md). *)
   let property count =
     QCheck.Test.make
       ~name:(E.engine_name ^ ": parallel recovery = serial reference = model")
-      ~count ~long_factor:5 ops_arbitrary run_ops
+      ~count ~long_factor:5 (ops_arbitrary ()) run_ops
 end
 
 
@@ -352,7 +364,9 @@ let prop_truncate_chunk_boundary =
    images are views into those frames) and digested; after
    [crash_and_recover], and again after [crash_and_recover_reference],
    the same records must digest the same.  Both image-logging formats,
-   with no pool and with a 2-job one. *)
+   with no pool and with a 2-job one.  The histories flush data pages
+   over 8 keys, so a loser's update often reaches its page before the
+   crash and recovery takes [Replay.rewind]'s full-image restore. *)
 let pool2 = lazy (Pool.create ~jobs:2 ~allow_oversubscribe:true ())
 
 let () = at_exit (fun () -> if Lazy.is_val pool2 then Pool.shutdown (Lazy.force pool2))
@@ -394,14 +408,15 @@ let log_intact_after_recovery ~log_format ~pool ops =
       | Abort -> finish Engine_log.abort
       | Crash -> crash ()
       | Fuzzy sync -> Engine_log.checkpoint_fuzzy ~sync e
-      | Sharp -> Engine_log.checkpoint e)
+      | Sharp -> Engine_log.checkpoint e
+      | Flush -> Engine_log.flush e)
     ops;
   crash ();
   !ok
 
 let prop_recovery_leaves_log_intact =
   QCheck.Test.make ~name:"recovery never writes through a frame view" ~count:100 ~long_factor:5
-    ops_arbitrary (fun ops ->
+    (ops_arbitrary ~keys:8 ~flush:3 ()) (fun ops ->
       List.for_all
         (fun (log_format, pool) -> log_intact_after_recovery ~log_format ~pool ops)
         [

@@ -8,8 +8,11 @@ module Scheduler = Dbm_storage.Scheduler
 module Server = Dbm_storage.Server
 module Commit_pipeline = Dbm_storage.Commit_pipeline
 module Engine_log = Dbm_storage.Engine_log
+module Engine_log_delta = Dbm_storage.Engine_log_delta
 module Engine_diff = Dbm_storage.Engine_diff
 module Engine_oplog = Dbm_storage.Engine_oplog
+module Engine_versel = Dbm_storage.Engine_versel
+module Storage_bench = Dbm_storage.Storage_bench
 
 let check = Alcotest.check
 
@@ -450,6 +453,52 @@ let test_server_validation () =
            ~mode:(Commit_pipeline.Grouped { batch = 0; timeout_us = 1.0 })
            ~arrivals_us:[| 0.0 |] ~scripts:[| [] |] e))
 
+(* Storage_bench's server sweep runs on the logging engine alone and
+   stands for every engine: the server decides from the scripts, the
+   arrivals, lock outcomes at the page granule and its cost constants.
+   On the sweep's random-access workload (one key per lock page on every
+   engine) at its top load, each pipeline must report the same figures
+   on every engine. *)
+let test_engines_agree () =
+  let n = 800 and seed = 20_250 and rate = 400_000.0 in
+  let scripts, _ = Storage_bench.random_access_workload ~n ~seed () in
+  let arrivals_us =
+    Storage_bench.arrivals_us ~seed:(seed + int_of_float rate)
+      (Dbm_workload.Workload.Poisson { rate }) ~n
+  in
+  let figures (r : Server.result) =
+    Printf.sprintf
+      "tps %.17g, makespan %.17g, restarts %d, %d lock acquires, %d forces, queue peak %d, p50 \
+       %.17g, p99 %.17g"
+      r.Server.sustained_tps r.Server.makespan_us r.Server.restarts r.Server.lock_acquires
+      r.Server.forces r.Server.max_queued
+      (Dbm_util.Stats.Histogram.p50 r.Server.latency_us)
+      (Dbm_util.Stats.Histogram.p99 r.Server.latency_us)
+  in
+  List.iter
+    (fun (mode_name, mode) ->
+      let run (module E : Server.ENGINE) =
+        let module Srv = Server.Make (E) in
+        figures (Srv.run ~mode ~arrivals_us ~scripts (E.create ~n_keys:4096 ()))
+      in
+      let reference = run (module Engine_log) in
+      List.iter
+        (fun (module E : Server.ENGINE) ->
+          check Alcotest.string
+            (Printf.sprintf "%s, %s: same figures as logging" E.engine_name mode_name)
+            reference
+            (run (module E)))
+        [
+          (module Engine_log_delta : Server.ENGINE);
+          (module Engine_oplog);
+          (module Engine_diff);
+          (module Engine_versel);
+        ])
+    [
+      ("eager", Commit_pipeline.Eager);
+      ("grouped", Commit_pipeline.Grouped { batch = 32; timeout_us = 1000.0 });
+    ]
+
 (* A participant whose gate never admits and which has no vote pending:
    nothing can run and no event is due, so every pass is idle until the
    server loop's livelock guard gives up. *)
@@ -507,5 +556,6 @@ let () =
           Alcotest.test_case "idle gaps and timeout floor" `Quick test_open_loop_idle_gaps;
           Alcotest.test_case "validation" `Quick test_server_validation;
           Alcotest.test_case "livelock guard raises" `Quick test_livelock_guard_raises;
+          Alcotest.test_case "every engine, same figures" `Quick test_engines_agree;
         ] );
     ]

@@ -185,7 +185,7 @@ module Snapshot_equiv (E : Kv.SNAPSHOT) = struct
     !ok
 
   let property name =
-    QCheck.Test.make ~name ~count:120 history_arb run
+    QCheck.Test.make ~name ~count:120 ~long_factor:20 history_arb run
 end
 
 module Diff_equiv = Snapshot_equiv (Engine_diff)
@@ -234,23 +234,29 @@ let handle_lifecycle (module E : Kv.SNAPSHOT) =
       E.snapshot_release s;
       check Alcotest.int "all released" 0 (E.live_snapshots e))
 
+(* Every snapshot-capable engine, with the commit hooks the server
+   drives. *)
+let engines : (module Server.SNAPSHOT_ENGINE) list =
+  [
+    (module Engine_log);
+    (module Engine_log_delta);
+    (module Engine_oplog);
+    (module Engine_diff);
+    (module Engine_versel);
+  ]
+
 let handle_tests =
-  List.map handle_lifecycle
-    [
-      (module Engine_log : Kv.SNAPSHOT);
-      (module Engine_log_delta);
-      (module Engine_oplog);
-      (module Engine_diff);
-      (module Engine_versel);
-    ]
+  List.map (fun (module E : Server.SNAPSHOT_ENGINE) -> handle_lifecycle (module E)) engines
 
 (* --- the read-only class is lock-free and restart-free ------------ *)
 
-(* Drive the open-loop server over Engine_diff with every transaction
+(* Drive the open-loop server over every engine with every transaction
    read-only on the snapshot path: the lock manager must never be
    consulted and nothing can restart.  Then a contended mixed run:
    writers may restart, the read-only class may not, and the per-class
-   histograms must partition the combined one. *)
+   histograms must partition the combined one.  Last, the three read
+   regimes on every engine: the server's figures must not depend on
+   the engine. *)
 
 let snapshot_factory = Scheduler.snapshot_view (module Engine_diff)
 
@@ -280,51 +286,109 @@ let mixed_workload ~n ~seed ~read_frac =
   in
   (scripts, read_only)
 
-let server_run ~read_frac =
-  let n = 120 in
-  let scripts, read_only = mixed_workload ~n ~seed:9125 ~read_frac in
-  let e = Engine_diff.create ~n_keys:256 () in
-  let module Srv = Server.Make (Engine_diff) in
-  let arrivals =
-    let rng = Dbm_util.Prng.create 9125 in
-    Array.map (fun s -> s *. 1e6) (W.gen_arrival_times rng (W.Poisson { rate = 20_000.0 }) ~n)
-  in
+let arrivals ~n ~seed =
+  let rng = Dbm_util.Prng.create seed in
+  Array.map (fun s -> s *. 1e6) (W.gen_arrival_times rng (W.Poisson { rate = 20_000.0 }) ~n)
+
+let scan_keys = 256
+
+(* Serve [scripts] on a fresh engine through the eager pipeline, the
+   read-only class on the snapshot path unless [snapshot] is false.
+   Returns the result, the engine's live snapshots at the end, and a
+   thunk that crash-recovers the engine and reads every key. *)
+let serve (module E : Server.SNAPSHOT_ENGINE) ?(snapshot = true) ?read_mode ~read_only
+    ~arrivals_us scripts =
+  let module Srv = Server.Make (E) in
+  let e = E.create ~n_keys:scan_keys () in
+  let snapshot = if snapshot then Some (Scheduler.snapshot_view (module E) e) else None in
   let r =
-    Srv.run ~snapshot:(snapshot_factory e) ~read_only ~mode:Commit_pipeline.Eager
-      ~arrivals_us:arrivals ~scripts e
+    Srv.run ?snapshot ?read_mode ~read_only ~mode:Commit_pipeline.Eager ~arrivals_us ~scripts e
   in
-  (r, read_only, e)
+  let recovered_scan () =
+    E.crash_and_recover e;
+    let t = E.begin_txn e in
+    let values = List.init scan_keys (E.get t) in
+    E.abort t;
+    values
+  in
+  (r, E.live_snapshots e, recovered_scan)
 
 let test_all_read_only_lock_free () =
   let n = 80 in
   let scripts, _ = mixed_workload ~n ~seed:77 ~read_frac:1.0 in
   let read_only = Array.make n true in
-  let e = Engine_diff.create ~n_keys:256 () in
-  let module Srv = Server.Make (Engine_diff) in
-  let arrivals =
-    let rng = Dbm_util.Prng.create 77 in
-    Array.map (fun s -> s *. 1e6) (W.gen_arrival_times rng (W.Poisson { rate = 20_000.0 }) ~n)
-  in
-  let r =
-    Srv.run ~snapshot:(snapshot_factory e) ~read_only ~mode:Commit_pipeline.Eager
-      ~arrivals_us:arrivals ~scripts e
-  in
-  check Alcotest.int "all transactions acknowledged" n r.Server.completed;
-  check Alcotest.int "zero lock acquisitions" 0 r.Server.lock_acquires;
-  check Alcotest.int "zero restarts" 0 r.Server.restarts;
-  check Alcotest.int "zero read-only restarts" 0 r.Server.ro_restarts;
-  check Alcotest.int "no leaked snapshot" 0 (Engine_diff.live_snapshots e)
+  List.iter
+    (fun (module E : Server.SNAPSHOT_ENGINE) ->
+      let r, live, _ = serve (module E) ~read_only ~arrivals_us:(arrivals ~n ~seed:77) scripts in
+      let check_int what = check Alcotest.int (E.engine_name ^ ": " ^ what) in
+      check_int "all transactions acknowledged" n r.Server.completed;
+      check_int "zero lock acquisitions" 0 r.Server.lock_acquires;
+      check_int "zero restarts" 0 r.Server.restarts;
+      check_int "zero read-only restarts" 0 r.Server.ro_restarts;
+      check_int "no leaked snapshot" 0 live)
+    engines
 
 let test_mixed_run_read_only_class () =
-  let r, read_only, e = server_run ~read_frac:0.5 in
-  let n = Array.length read_only in
+  let n = 120 in
+  let scripts, read_only = mixed_workload ~n ~seed:9125 ~read_frac:0.5 in
   let n_ro = Array.fold_left (fun a ro -> if ro then a + 1 else a) 0 read_only in
-  check Alcotest.int "all transactions acknowledged" n r.Server.completed;
-  check Alcotest.int "zero read-only restarts" 0 r.Server.ro_restarts;
-  check Alcotest.int "no leaked snapshot" 0 (Engine_diff.live_snapshots e);
-  check Alcotest.int "read-only class histogram" n_ro (Hist.count r.Server.ro_latency_us);
-  check Alcotest.int "read-write class histogram" (n - n_ro) (Hist.count r.Server.rw_latency_us);
-  check Alcotest.int "combined histogram is the merge" n (Hist.count r.Server.latency_us)
+  List.iter
+    (fun (module E : Server.SNAPSHOT_ENGINE) ->
+      let r, live, _ =
+        serve (module E) ~read_only ~arrivals_us:(arrivals ~n ~seed:9125) scripts
+      in
+      let check_int what = check Alcotest.int (E.engine_name ^ ": " ^ what) in
+      check_int "all transactions acknowledged" n r.Server.completed;
+      check_int "zero read-only restarts" 0 r.Server.ro_restarts;
+      check_int "no leaked snapshot" 0 live;
+      check_int "read-only class histogram" n_ro (Hist.count r.Server.ro_latency_us);
+      check_int "read-write class histogram" (n - n_ro) (Hist.count r.Server.rw_latency_us);
+      check_int "combined histogram is the merge" n (Hist.count r.Server.latency_us))
+    engines
+
+(* Storage_bench's read-heavy sweep runs on one engine and stands for
+   all of them.  A small read-heavy workload under exclusive-lock,
+   shared-lock and snapshot reads: in each regime every engine must
+   report the same figures, and every run must leak no snapshot and
+   recover to the same scan; the snapshot path restarts no read-only
+   transaction. *)
+let test_read_modes_agree () =
+  let n = 150 in
+  let scripts, read_only = mixed_workload ~n ~seed:4711 ~read_frac:0.9 in
+  let arrivals_us = arrivals ~n ~seed:4711 in
+  let figures (r : Server.result) =
+    Printf.sprintf
+      "tps %.17g, restarts %d (%d ro), %d lock acquires, %d forces, p50 %.17g, p99 %.17g"
+      r.Server.sustained_tps r.Server.restarts r.Server.ro_restarts r.Server.lock_acquires
+      r.Server.forces (Hist.p50 r.Server.latency_us) (Hist.p99 r.Server.latency_us)
+  in
+  (* the first value put in [first] is the one every later one must equal *)
+  let agree testable first what v =
+    match !first with None -> first := Some v | Some v0 -> check testable what v0 v
+  in
+  let scan = ref None in
+  List.iter
+    (fun (mode, snapshot, read_mode) ->
+      let mode_figures = ref None in
+      List.iter
+        (fun (module E : Server.SNAPSHOT_ENGINE) ->
+          let name = Printf.sprintf "%s, %s: " E.engine_name mode in
+          let r, live, recovered_scan =
+            serve (module E) ~snapshot ?read_mode ~read_only ~arrivals_us scripts
+          in
+          check Alcotest.int (name ^ "no leaked snapshot") 0 live;
+          if snapshot then
+            check Alcotest.int (name ^ "zero read-only restarts") 0 r.Server.ro_restarts;
+          agree Alcotest.string mode_figures (name ^ "same figures as every engine") (figures r);
+          agree
+            Alcotest.(list (option string))
+            scan (name ^ "same recovered scan") (recovered_scan ()))
+        engines)
+    [
+      ("xlock", false, Some Dbm_storage.Lock_mgr.X);
+      ("slock", false, None);
+      ("snapshot", true, None);
+    ]
 
 (* a read-only script containing a write must be rejected up front *)
 let test_read_only_script_validated () =
@@ -505,6 +569,7 @@ let () =
             test_mixed_run_read_only_class;
           Alcotest.test_case "read-only script with a write is rejected" `Quick
             test_read_only_script_validated;
+          Alcotest.test_case "read modes agree on every engine" `Quick test_read_modes_agree;
         ] );
       ( "histogram-merge",
         [
