@@ -367,6 +367,8 @@ let recovery_time_cmd =
   let engines : (string * (module Dbm_storage.Kv.S)) list =
     [
       ("logging", (module Dbm_storage.Engine_log));
+      ("logging-delta", (module Dbm_storage.Engine_log_delta));
+      ("oplog", (module Dbm_storage.Engine_oplog));
       ("shadow", (module Dbm_storage.Engine_shadow));
       ("version-selection", (module Dbm_storage.Engine_versel));
       ("overwrite-no-undo", (module Dbm_storage.Engine_overwrite.No_undo));
@@ -497,26 +499,18 @@ let storage_bench_cmd =
 (* -- serve-bench command -------------------------------------------- *)
 
 (* The open-loop transaction server, interactively: offered-load sweep
-   on a chosen engine through the group-commit pipeline (or per-txn
-   sync under --eager), printing sustained throughput and the latency
-   tail at each load.  Entirely simulated time — the numbers depend on
-   the cost knobs and the seed, never on the host.  The workload and
-   its arrivals are storage-bench's server and shard sections'. *)
+   through the group-commit pipeline (or per-txn sync under --eager),
+   printing sustained throughput and the latency tail at each load.
+   Entirely simulated time — the numbers depend on the cost knobs and
+   the seed, never on the host.  The simulated costs are fixed per turn
+   and per force, so no engine changes a figure: it serves the logging
+   engine, which has both snapshot reads and a durable prepare vote.
+   The workload and its arrivals are storage-bench's server and shard
+   sections'. *)
 let serve_bench_cmd =
   let open Cmdliner in
   let module S = Dbm_storage in
-  (* Each engine, with its sharded form when it casts a durable prepare
-     vote. *)
-  let engines :
-      (string * ((module S.Server.SNAPSHOT_ENGINE) * (module S.Shard.ENGINE) option)) list =
-    [
-      ("logging", ((module S.Engine_log), Some (module S.Engine_log)));
-      ("logging-delta", ((module S.Engine_log_delta), Some (module S.Engine_log_delta)));
-      ("oplog", ((module S.Engine_oplog), Some (module S.Engine_oplog)));
-      ("diff", ((module S.Engine_diff), None));
-      ("versel", ((module S.Engine_versel), None));
-    ]
-  in
+  let module E = S.Engine_log in
   let loads_arg =
     Arg.(
       value
@@ -537,15 +531,6 @@ let serve_bench_cmd =
           ~doc:
             "Group-commit timeout: a pending batch is forced at most $(docv) simulated \
              microseconds after its first commit, full or not.")
-  in
-  let engine_arg =
-    Arg.(
-      value
-      & opt (enum (List.map (fun (name, _) -> (name, name)) engines)) "logging"
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Storage engine: logging, logging-delta or oplog (the logging engine writing \
-             full page images, changed byte ranges or operation records), diff or versel.")
   in
   let mpl_arg =
     Arg.(
@@ -603,7 +588,7 @@ let serve_bench_cmd =
           ~doc:
             "Run read-only transactions lock-free over pinned MVCC snapshots instead of \
              the locked path; they bypass the commit pipeline and can never restart.  \
-             Every engine supports it, but not with $(b,--shards) > 1.")
+             Not supported with $(b,--shards) > 1.")
   in
   let shards_arg =
     Arg.(
@@ -612,8 +597,7 @@ let serve_bench_cmd =
           ~doc:
             "Partition the key space page-wise across $(docv) engine shards, each \
              served by its own domain; transactions spanning shards commit by \
-             two-phase commit through a coordinator decision log.  Needs an engine \
-             with a durable prepare vote: logging, logging-delta or oplog.")
+             two-phase commit through a coordinator decision log.")
   in
   let cross_frac_arg =
     Arg.(
@@ -624,19 +608,14 @@ let serve_bench_cmd =
              spans two shards and the rest stay confined to one.  Only meaningful \
              with $(b,--shards) > 1.")
   in
-  let run engine loads batch timeout_us mpl txns seed arrival eager op_cost sync_cost read_frac
+  let run loads batch timeout_us mpl txns seed arrival eager op_cost sync_cost read_frac
       use_snapshot shards cross_frac =
     let usage msg =
       prerr_endline ("serve-bench: " ^ msg);
       exit 2
     in
     if cross_frac > 0.0 && shards = 1 then usage "--cross-frac needs --shards > 1";
-    let (module E : S.Server.SNAPSHOT_ENGINE), sharded = List.assoc engine engines in
     if shards > 1 && use_snapshot then usage "--snapshot is not supported with --shards > 1";
-    if shards > 1 && sharded = None then
-      usage
-        "--shards > 1 needs an engine with a durable prepare vote (--engine logging, \
-         logging-delta or oplog)";
     let module Hist = Dbm_util.Stats.Histogram in
     let cross = if shards > 1 then Some (cross_frac, shards) else None in
     let scripts, read_only =
@@ -674,16 +653,15 @@ let serve_bench_cmd =
        else "")
       (match arrival with `Poisson -> "poisson" | `Bursty -> "bursty")
       op_cost sync_cost;
-    match sharded with
-    | Some (module Sh : S.Shard.ENGINE) when shards > 1 ->
+    if shards > 1 then begin
       (* one domain per shard, cross-shard commits through the 2PC
          coordinator *)
-      let module Shd = S.Shard.Make (Sh) in
+      let module Shd = S.Shard.Make (E) in
       Printf.printf "%12s %12s %10s %10s %12s %8s %8s %8s\n" "offered/s" "sustained/s" "p50 us"
         "p99 us" "cross p99" "forces" "restarts" "cross";
       List.iter
         (fun rate ->
-          let engines = Array.init shards (fun _ -> Sh.create ~n_keys:4096 ()) in
+          let engines = Array.init shards (fun _ -> E.create ~n_keys:4096 ()) in
           let coordinator = S.Coordinator_log.create () in
           let r =
             Shd.run ~mpl ~op_cost_us:op_cost ~sync_cost_us:sync_cost ~mode
@@ -696,7 +674,8 @@ let serve_bench_cmd =
             r.S.Shard.forces r.S.Shard.restarts r.S.Shard.cross_committed
             (if r.S.Shard.oversubscribed then "  (oversubscribed)" else ""))
         loads
-    | _ ->
+    end
+    else begin
       let module Srv = S.Server.Make (E) in
       Printf.printf "%12s %12s %10s %10s %10s %10s %8s %8s %8s\n" "offered/s" "sustained/s"
         "p50 us" "p99 us" "p999 us" "max us" "forces" "restarts" "queue";
@@ -715,24 +694,25 @@ let serve_bench_cmd =
             r.S.Server.sustained_tps (Hist.p50 h) (Hist.p99 h) (Hist.p999 h) (Hist.max h)
             r.S.Server.forces r.S.Server.restarts r.S.Server.max_queued)
         loads
+    end
   in
   Cmd.v
     (Cmd.info "serve-bench"
        ~doc:
-         "Drive the open-loop transaction server: Poisson or bursty arrivals at each \
+         "Drive the open-loop transaction server on the logging engine (the simulated \
+          costs are the same for every engine): Poisson or bursty arrivals at each \
           $(b,--load), admission control at $(b,--mpl), commits batched by the \
           group-commit pipeline ($(b,--batch) / $(b,--timeout-us)) or synced per \
-          transaction under $(b,--eager); $(b,--engine) picks the storage engine, the \
-          logging engine under any of its three log formats; a $(b,--read-frac) share of \
+          transaction under $(b,--eager); a $(b,--read-frac) share of \
           transactions runs read-only, lock-free over pinned MVCC snapshots under \
           $(b,--snapshot); $(b,--shards) partitions the key space across domain-parallel \
           engine shards with two-phase commit for the $(b,--cross-frac) share of \
           transactions that spans two of them; prints sustained throughput and the \
           arrival-to-durable-ack latency tail per load point.")
     Term.(
-      const run $ engine_arg $ loads_arg $ batch_arg $ timeout_arg $ mpl_arg $ txns_arg
-      $ seed_arg $ arrival_arg $ eager_arg $ op_cost_arg $ sync_cost_arg $ read_frac_arg
-      $ snapshot_arg $ shards_arg $ cross_frac_arg)
+      const run $ loads_arg $ batch_arg $ timeout_arg $ mpl_arg $ txns_arg $ seed_arg
+      $ arrival_arg $ eager_arg $ op_cost_arg $ sync_cost_arg $ read_frac_arg $ snapshot_arg
+      $ shards_arg $ cross_frac_arg)
 
 (* -- version-select command ---------------------------------------- *)
 

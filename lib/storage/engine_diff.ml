@@ -31,7 +31,6 @@ type store = {
   mutable chains_stale : bool;
   mutable epoch : int;
   mutable live : int;
-  mutable recoveries : int;
   mutable merge_count : int;
 }
 
@@ -88,7 +87,6 @@ let create ?n_keys () =
     chains_stale = false;
     epoch = 0;
     live = 0;
-    recoveries = 0;
     merge_count = 0;
   }
 
@@ -302,8 +300,7 @@ let crash_and_recover t =
       if v.writer > !txn then txn := v.writer);
   t.next_stamp <- !stamp + 1;
   t.next_txn <- !txn + 1;
-  t.live <- 0;
-  t.recoveries <- t.recoveries + 1
+  t.live <- 0
 
 (* Digest of everything recovery is responsible for: base pages,
    retained differential records, the committed set and the re-seeded
@@ -371,8 +368,5 @@ let stats t =
     ("disk_writes", Vdisk.writes t.base);
     ("a_records", a_size t);
     ("d_records", d_size t);
-    ("committed", Hashtbl.length t.committed);
-    ("live_txns", t.live);
-    ("recoveries", t.recoveries);
     ("merges", t.merge_count);
   ]

@@ -48,9 +48,6 @@ type store = {
   chains : (int, (int * string option) list) Hashtbl.t;
   mutable recovery_pool : Dbm_util.Pool.t option;
   mutable records_logged : int;
-  mutable recoveries : int;
-  mutable checkpoints : int;
-  mutable fuzzy_checkpoints : int;
 }
 
 type t = store
@@ -82,9 +79,6 @@ let create_with ?n_keys ?(n_log_disks = 2) ?(log_format = Physical) () =
     chains = Hashtbl.create 16;
     recovery_pool = None;
     records_logged = 0;
-    recoveries = 0;
-    checkpoints = 0;
-    fuzzy_checkpoints = 0;
   }
 
 let create ?n_keys () = create_with ?n_keys ()
@@ -376,8 +370,7 @@ let checkpoint t =
   let lo = Replay.suffix_starts (Replay.scan (Array.map Journal.to_array t.logs)) ~start_lsn in
   Array.iteri
     (fun d j -> Journal.truncate j ~keep_from:(Journal.synced j - Journal.length j + lo.(d)))
-    t.logs;
-  t.checkpoints <- t.checkpoints + 1
+    t.logs
 
 (* Fuzzy checkpoint (the paper's low-interference flavor): no data-disk
    force, no truncation, no quiescing — one log force and one record.
@@ -386,8 +379,7 @@ let checkpoint t =
    to the previous start point. *)
 let checkpoint_fuzzy ?(sync = true) t =
   sync_all_logs t;
-  ignore (write_checkpoint ~sync t);
-  t.fuzzy_checkpoints <- t.fuzzy_checkpoints + 1
+  ignore (write_checkpoint ~sync t)
 
 (* --- restart recovery --------------------------------------------- *)
 
@@ -417,8 +409,7 @@ let finish_recovery t (meta : Replay.meta) =
      back. *)
   t.next_txn <- !max_txn + 1;
   Hashtbl.reset t.active;
-  Hashtbl.reset t.dirty_rec;
-  t.recoveries <- t.recoveries + 1
+  Hashtbl.reset t.dirty_rec
 
 let recover_with ~resolve t =
   let pool = t.recovery_pool in
@@ -557,13 +548,6 @@ let stats t =
   [
     ("disk_reads", Vdisk.reads t.data);
     ("disk_writes", Vdisk.writes t.data);
-    ("log_disks", Array.length t.logs);
-    ("records_logged", t.records_logged);
-    ("live_txns", Hashtbl.length t.active);
-    ("recoveries", t.recoveries);
-    ("checkpoints", t.checkpoints);
-    ("fuzzy_checkpoints", t.fuzzy_checkpoints);
-    ("dirty_pages", Hashtbl.length t.dirty_rec);
     ("durable_records", Array.fold_left (fun acc j -> acc + Journal.length j) 0 t.logs);
     ("log_syncs", Array.fold_left (fun acc j -> acc + Journal.sync_count j) 0 t.logs);
   ]

@@ -24,9 +24,6 @@ type store = {
   staged : (int, (int * int) list) Hashtbl.t;  (* txn -> (page, slot), newest first *)
   mutable next_txn : int;
   mutable epoch : int;
-  mutable live : int;
-  mutable recoveries : int;
-  mutable installs : int;
 }
 
 type txn_h = { st : store; id : int; born : int; mutable finished : bool }
@@ -57,9 +54,6 @@ let make_store variant ?n_keys ?(scratch_slots = 64) () =
     staged = Hashtbl.create 8;
     next_txn = 1;
     epoch = 0;
-    live = 0;
-    recoveries = 0;
-    installs = 0;
   }
 
 let scratch_addr t slot = t.keys.pages + slot
@@ -91,15 +85,12 @@ let resolve t txn_id =
 let begin_txn t =
   let id = t.next_txn in
   t.next_txn <- id + 1;
-  t.live <- t.live + 1;
   Hashtbl.replace t.staged id [];
   { st = t; id; born = t.epoch; finished = false }
 
 let check h = if h.finished || h.born <> h.st.epoch then raise Kv.Txn_finished
 
-let finish h =
-  h.finished <- true;
-  h.st.live <- h.st.live - 1
+let finish h = h.finished <- true
 
 let staged_slot t txn_id p = List.assoc_opt p (staged_pairs t txn_id)
 
@@ -137,8 +128,7 @@ let recover t =
         (match t.variant, Hashtbl.mem committed id with
         | No_undo_v, true ->
           (* Committed but not installed: re-install (idempotent). *)
-          copy_home t l;
-          t.installs <- t.installs + List.length l
+          copy_home t l
         | No_undo_v, false ->
           (* Homes were never touched: nothing to do. *)
           ()
@@ -153,9 +143,7 @@ let recover t =
         Journal.sync t.meta
       end)
     intents;
-  t.next_txn <- !max_id + 1;
-  t.live <- 0;
-  t.recoveries <- t.recoveries + 1
+  t.next_txn <- !max_id + 1
 
 (* ---- the two variants --------------------------------------------- *)
 
@@ -181,11 +169,6 @@ module Common = struct
     [
       ("disk_reads", Vdisk.reads t.disk);
       ("disk_writes", Vdisk.writes t.disk);
-      ("scratch_in_use", scratch_in_use t);
-      ("scratch_slots", t.scratch_slots);
-      ("live_txns", t.live);
-      ("recoveries", t.recoveries);
-      ("installs", t.installs);
     ]
 end
 
@@ -239,9 +222,7 @@ module No_undo = struct
     log_commit t h.id;
     (* 3. Install: overwrite the shadows with the current copies.  The
        paper releases the page locks only after this pass. *)
-    let pairs = staged_pairs t h.id in
-    copy_home t pairs;
-    t.installs <- t.installs + List.length pairs;
+    copy_home t (staged_pairs t h.id);
     Vdisk.sync t.disk;
     resolve t h.id;
     finish h

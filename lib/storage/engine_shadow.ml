@@ -11,9 +11,7 @@ type store = {
   free : bool array;  (* indexed by data-block ordinal *)
   mutable free_count : int;
   mutable epoch : int;
-  mutable live : int;
   mutable flips : int;
-  mutable recoveries : int;
 }
 
 type t = store
@@ -92,9 +90,7 @@ let create_with ?n_keys ?(spare_factor = 2) () =
       free = Array.make n_blocks true;
       free_count = n_blocks;
       epoch = 0;
-      live = 0;
       flips = 0;
-      recoveries = 0;
     }
   in
   (* Initial identity mapping: logical page i -> data block i. *)
@@ -134,9 +130,7 @@ let free_block t b =
 
 (* --- transactions -------------------------------------------------- *)
 
-let begin_txn t =
-  t.live <- t.live + 1;
-  { st = t; born = t.epoch; delta = Hashtbl.create 4; finished = false }
+let begin_txn t = { st = t; born = t.epoch; delta = Hashtbl.create 4; finished = false }
 
 let check txn = if txn.finished || txn.born <> txn.st.epoch then raise Kv.Txn_finished
 
@@ -173,9 +167,7 @@ let put txn k v = update_key txn k (Some v)
 
 let delete txn k = update_key txn k None
 
-let finish txn =
-  txn.finished <- true;
-  txn.st.live <- txn.st.live - 1
+let finish txn = txn.finished <- true
 
 let commit txn =
   check txn;
@@ -220,9 +212,7 @@ let recover t =
      uncommitted shadow copies vanish without any undo. *)
   Array.fill t.free 0 t.n_blocks true;
   Array.iter (fun b -> t.free.(b) <- false) t.table;
-  t.free_count <- Array.fold_left (fun acc f -> if f then acc + 1 else acc) 0 t.free;
-  t.live <- 0;
-  t.recoveries <- t.recoveries + 1
+  t.free_count <- Array.fold_left (fun acc f -> if f then acc + 1 else acc) 0 t.free
 
 let crash_and_recover t =
   Vdisk.crash t.disk;
@@ -243,9 +233,4 @@ let stats t =
   [
     ("disk_reads", Vdisk.reads t.disk);
     ("disk_writes", Vdisk.writes t.disk);
-    ("table_flips", t.flips);
-    ("free_blocks", t.free_count);
-    ("live_txns", t.live);
-    ("recoveries", t.recoveries);
-    ("generation", t.generation);
   ]

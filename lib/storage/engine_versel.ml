@@ -31,8 +31,6 @@ type store = {
   retained : (int, retained_version list) Hashtbl.t;
   mutable next_txn : int;
   mutable epoch : int;
-  mutable live : int;
-  mutable recoveries : int;
 }
 
 type t = store
@@ -53,8 +51,6 @@ let create ?n_keys () =
     retained = Hashtbl.create 16;
     next_txn = 1;
     epoch = 0;
-    live = 0;
-    recoveries = 0;
   }
 
 let max_keys t = t.keys.Key_space.n_keys
@@ -85,7 +81,6 @@ let decode_commit r =
 let begin_txn t =
   let id = t.next_txn in
   t.next_txn <- id + 1;
-  t.live <- t.live + 1;
   { st = t; id; born = t.epoch; finished = false }
 
 let check txn = if txn.finished || txn.born <> txn.st.epoch then raise Kv.Txn_finished
@@ -172,9 +167,7 @@ let put txn k v = update_key txn k (Some v)
 
 let delete txn k = update_key txn k None
 
-let finish txn =
-  txn.finished <- true;
-  txn.st.live <- txn.st.live - 1
+let finish txn = txn.finished <- true
 
 let commit txn =
   check txn;
@@ -224,9 +217,7 @@ let recover t =
     max_tag := max !max_tag (slot_writer (Vdisk.read_ro t.disk s))
   done;
   Hashtbl.iter (fun id _ -> max_tag := max !max_tag id) t.committed;
-  t.next_txn <- !max_tag + 1;
-  t.live <- 0;
-  t.recoveries <- t.recoveries + 1
+  t.next_txn <- !max_tag + 1
 
 let crash_and_recover t =
   Vdisk.crash t.disk;
@@ -306,8 +297,4 @@ let stats t =
   [
     ("disk_reads", Vdisk.reads t.disk);
     ("disk_writes", Vdisk.writes t.disk);
-    ("committed", Hashtbl.length t.committed);
-    ("live_txns", t.live);
-    ("recoveries", t.recoveries);
-    ("slots", 2 * t.keys.pages);
   ]

@@ -37,7 +37,6 @@ module Model : S = struct
     keys : Key_space.t;
     committed : (int, string) Hashtbl.t;
     mutable epoch : int;
-    mutable live : int;
   }
 
   type txn = {
@@ -54,16 +53,13 @@ module Model : S = struct
       keys = Key_space.create ~engine:"Model" ?n_keys ~keys_per_page:1 ();
       committed = Hashtbl.create 64;
       epoch = 0;
-      live = 0;
     }
 
   let max_keys t = t.keys.Key_space.n_keys
 
   let keys_per_page _ = 1
 
-  let begin_txn t =
-    t.live <- t.live + 1;
-    { store = t; born = t.epoch; writes = Hashtbl.create 8; finished = false }
+  let begin_txn t = { store = t; born = t.epoch; writes = Hashtbl.create 8; finished = false }
 
   let check txn =
     if txn.finished || txn.born <> txn.store.epoch then raise Txn_finished
@@ -85,9 +81,7 @@ module Model : S = struct
     Key_space.check txn.store.keys k;
     Hashtbl.replace txn.writes k None
 
-  let finish txn =
-    txn.finished <- true;
-    txn.store.live <- txn.store.live - 1
+  let finish txn = txn.finished <- true
 
   let commit txn =
     check txn;
@@ -103,11 +97,9 @@ module Model : S = struct
     check txn;
     finish txn
 
-  let crash_and_recover t =
-    t.epoch <- t.epoch + 1;
-    t.live <- 0
+  let crash_and_recover t = t.epoch <- t.epoch + 1
 
   let checkpoint _ = ()
 
-  let stats t = [ ("committed_keys", Hashtbl.length t.committed); ("live_txns", t.live) ]
+  let stats _ = []
 end

@@ -59,8 +59,11 @@ module type S = sig
       (no live transactions); raises [Failure] otherwise where so. *)
 
   val stats : t -> (string * int) list
-  (** Engine-specific counters (log records, scratch slots in use,
-      table flips, ...). *)
+  (** Named counters, each one some caller looks up: every engine but
+      the model exports [disk_reads] and [disk_writes] (data-disk page
+      I/O); the logging engines add [durable_records] and [log_syncs],
+      the differential-file engine [a_records], [d_records] and
+      [merges].  The model exports none. *)
 end
 
 (** Engines that retain old committed versions can expose them as MVCC

@@ -211,8 +211,6 @@ module Make (E : ENGINE) = struct
         incr cross_committed;
         prepares := !prepares + cross.prepared.(gid);
         let dt = cross.decided.(gid) in
-        (* Every cross transaction decided before the loops exited. *)
-        assert (not (Float.is_nan dt));
         if dt > !max_decided then max_decided := dt;
         Histogram.add cross_hist (Float.max 0.0 (dt -. arrivals_us.(gid)))
       end

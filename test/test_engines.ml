@@ -1219,6 +1219,27 @@ let test_oplog_no_steal_gate () =
     (Engine_oplog.get t2 1);
   Engine_oplog.abort t2
 
+(* Every engine's [stats] holds exactly the keys some caller reads by
+   name.  perfbench reads a missing key as 0, so a renamed one would
+   otherwise pass every test. *)
+let test_stats_keys () =
+  let io = [ "disk_reads"; "disk_writes" ] in
+  let log = io @ [ "durable_records"; "log_syncs" ] in
+  List.iter
+    (fun ((module E : Kv.S), expected) ->
+      check Alcotest.(list string) E.engine_name expected (List.map fst (E.stats (E.create ()))))
+    [
+      ((module Engine_log), log);
+      ((module Engine_log_delta), log);
+      ((module Engine_oplog), log);
+      ((module Engine_diff), io @ [ "a_records"; "d_records"; "merges" ]);
+      ((module Engine_shadow), io);
+      ((module Engine_versel), io);
+      ((module Engine_overwrite.No_undo), io);
+      ((module Engine_overwrite.No_redo), io);
+      ((module Kv.Model), []);
+    ]
+
 let specific =
   [
     Alcotest.test_case "log: WAL order" `Quick test_log_wal_order;
@@ -1276,6 +1297,7 @@ let specific =
     Alcotest.test_case "log: ckpt keeps an abort whole" `Quick
       test_log_checkpoint_keeps_abort_whole;
     Alcotest.test_case "log: repeat put copies no page" `Quick test_log_repeat_put_allocation;
+    Alcotest.test_case "stats: keys" `Quick test_stats_keys;
   ]
 
 let () =
