@@ -13,11 +13,9 @@
    harness itself allocates nothing per event and the numbers measure
    the core, not the benchmark.
 
-   Part 3 exercises the content-addressed run cache: it counts how many
-   of the suite's runs collapse onto shared digests (the dedup ratio),
-   then times a cold regeneration that populates a fresh on-disk store
-   against a warm one that replays it, asserting the two renders are
-   byte-identical.
+   Part 3 counts how many of the suite's runs collapse onto shared
+   content digests (the dedup ratio): each unique digest is simulated
+   once per process.
 
    Part 4 measures the storage half (Storage_bench): the wakeup
    scheduler against its pre-overhaul polling version, per-engine
@@ -172,12 +170,12 @@ let run_tables ~jobs ~allow_oversubscribe () =
 let run_arena_alloc () =
   separator "Per-run major-heap allocation (arena recycling)";
   Dbm_core.Experiment.clear_cache ();
-  Dbm_core.Experiment.reset_counters ();
+  Dbm_core.Experiment.reset_computed ();
   Gc.full_major ();
   let s0 = Gc.quick_stat () in
   ignore (Dbm_core.Tables.all ());
   let s1 = Gc.quick_stat () in
-  let computed = (Dbm_core.Experiment.counters ()).Dbm_core.Experiment.computed in
+  let computed = Dbm_core.Experiment.computed () in
   let words = (s1.Gc.major_words -. s0.Gc.major_words) /. float_of_int (max 1 computed) in
   Printf.printf "arena reuse per run:  %10.0f major words\n" words;
   words
@@ -280,28 +278,16 @@ let run_event_core () =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Part 3: content-addressed run cache                                 *)
+(* Part 3: content-addressed run dedup                                 *)
 (* ------------------------------------------------------------------ *)
 
-type cache_report = {
+type dedup_report = {
   total_runs : int; (* each table's distinct runs, summed over all three suites *)
   unique_runs : int; (* distinct digests among them *)
-  cold_ms : float; (* tables regenerated into an empty disk cache *)
-  warm_ms : float; (* tables replayed from that disk cache *)
-  warm_disk_hits : int;
-  cache_byte_identical : bool;
 }
 
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    Unix.rmdir path
-  | _ -> Sys.remove path
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
-let run_cache () =
-  separator "Content-addressed run cache";
+let run_dedup () =
+  separator "Content-addressed run dedup";
   let reqs =
     List.concat_map Dbm_core.Experiment.runs
       Dbm_core.(Tables.declared @ Ablations.declared @ Extensions.declared)
@@ -311,41 +297,7 @@ let run_cache () =
   Printf.printf "suite work list: %d table runs, %d unique digests (%.1f%% deduped)\n"
     total_runs unique_runs
     (100.0 *. float_of_int (total_runs - unique_runs) /. float_of_int total_runs);
-  (* Cold vs warm regeneration through a scratch on-disk store.  Both
-     runs go through the same serial [Tables.all], so any wall-clock
-     difference is the cache, and the renders must match exactly. *)
-  let dir = Printf.sprintf "_bench_cache.%d.tmp" (Unix.getpid ()) in
-  rm_rf dir;
-  Dbm_core.Experiment.enable_disk_cache ~dir;
-  let timed_render () =
-    Dbm_core.Experiment.clear_cache ();
-    Dbm_core.Experiment.reset_counters ();
-    let t0 = Unix.gettimeofday () in
-    let tables = Dbm_core.Tables.all () in
-    let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-    (render_all tables, ms, Dbm_core.Experiment.counters ())
-  in
-  let cold_render, cold_ms, cold_counters = timed_render () in
-  let warm_render, warm_ms, warm_counters = timed_render () in
-  Dbm_core.Experiment.disable_disk_cache ();
-  Dbm_core.Experiment.clear_cache ();
-  rm_rf dir;
-  let cache_byte_identical = String.equal cold_render warm_render in
-  Printf.printf "cold regeneration (empty store): %.1f ms (%d computed)\n" cold_ms
-    cold_counters.Dbm_core.Experiment.computed;
-  Printf.printf "warm regeneration (full store):  %.1f ms (%d disk hits, %d computed)\n"
-    warm_ms warm_counters.Dbm_core.Experiment.disk_hits
-    warm_counters.Dbm_core.Experiment.computed;
-  Printf.printf "warm speedup: %.1fx; warm output byte-identical to cold: %b\n"
-    (cold_ms /. warm_ms) cache_byte_identical;
-  {
-    total_runs;
-    unique_runs;
-    cold_ms;
-    warm_ms;
-    warm_disk_hits = warm_counters.Dbm_core.Experiment.disk_hits;
-    cache_byte_identical;
-  }
+  { total_runs; unique_runs }
 
 (* ------------------------------------------------------------------ *)
 (* Part 4: storage-half throughput                                     *)
@@ -541,7 +493,7 @@ let run_benchmarks () =
 (* The benchmark record (BENCH_10.json by default)                     *)
 (* ------------------------------------------------------------------ *)
 
-let bench_record (tr : table_report) (core : event_core) (cr : cache_report)
+let bench_record (tr : table_report) (core : event_core) (dr : dedup_report)
     major_words_per_run storage (lookup_ns, lookup_minor) total_s =
   let open Dbm_util.Json in
   let opt = function None -> Null | Some v -> Float v in
@@ -576,15 +528,10 @@ let bench_record (tr : table_report) (core : event_core) (cr : cache_report)
       ("resource_events_per_sec", Float core.resource_events_per_sec);
       ("resource_minor_words_per_event", Float core.resource_minor_words_per_event);
       ("overall_shape_score", Float tr.overall_score);
-      ("suite_total_runs", Int cr.total_runs);
-      ("suite_unique_runs", Int cr.unique_runs);
+      ("suite_total_runs", Int dr.total_runs);
+      ("suite_unique_runs", Int dr.unique_runs);
       ( "suite_dedup_ratio",
-        Float (float_of_int cr.total_runs /. float_of_int cr.unique_runs) );
-      ("cache_cold_wall_ms", Float cr.cold_ms);
-      ("cache_warm_wall_ms", Float cr.warm_ms);
-      ("cache_warm_speedup", Float (cr.cold_ms /. cr.warm_ms));
-      ("cache_warm_disk_hits", Int cr.warm_disk_hits);
-      ("cache_output_byte_identical", Bool cr.cache_byte_identical);
+        Float (float_of_int dr.total_runs /. float_of_int dr.unique_runs) );
       ( "tables",
         List
           (List.map
@@ -624,7 +571,7 @@ let () =
   in
   let core = run_event_core () in
   let major_words_per_run = run_arena_alloc () in
-  let cache_report = run_cache () in
+  let dedup_report = run_dedup () in
   (* The storage half runs even under --fast: its rows gate the run. *)
   let storage_report = run_storage_bench ~allow_oversubscribe:!allow_oversubscribe () in
   let lookup_estimates =
@@ -640,21 +587,17 @@ let () =
   let oc = open_out !json_path in
   output_string oc
     (Dbm_util.Json.to_string
-       (bench_record table_report core cache_report major_words_per_run storage_report
+       (bench_record table_report core dedup_report major_words_per_run storage_report
           lookup_estimates total_s));
   output_char oc '\n';
   close_out oc;
   Printf.printf "wrote %s\n" !json_path;
   (* A parallel run that does not reproduce the serial bytes is a
-     correctness failure, not a perf datum; so is a warm cache replay
-     that renders different bytes than the cold computation.  The
-     storage half fails on every row, check or floor, that did not
-     hold. *)
+     correctness failure, not a perf datum.  The storage half fails on
+     every row, check or floor, that did not hold. *)
   let failures =
     (if table_report.byte_identical_j2 && table_report.byte_identical_j4 then []
      else [ "parallel table output differs from serial output" ])
-    @ (if cache_report.cache_byte_identical then []
-       else [ "warm-cache table output differs from cold output" ])
     @ List.map snd (Dbm_storage.Storage_bench.failed storage_report)
   in
   List.iter (fun m -> prerr_endline ("FAIL: " ^ m)) failures;

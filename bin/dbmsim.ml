@@ -15,8 +15,8 @@ let scenario_conv =
   Arg.conv (parse, print)
 
 (* Each architecture's name, its canonical descriptor (so a CLI run
-   shares its digest, and any cached result, with the corresponding
-   table/ablation runs) and its constructor. *)
+   shares its digest with the corresponding table/ablation runs) and
+   its constructor. *)
 let archs =
   let module L = Dbm_recovery.Logging in
   let module S = Dbm_recovery.Shadow in
@@ -90,27 +90,6 @@ let oversubscribe_arg =
 
 let with_jobs jobs allow_oversubscribe f = Dbm_util.Pool.with_pool ~jobs ~allow_oversubscribe f
 
-(* -- persistent run cache ------------------------------------------- *)
-
-let cache_dir_arg =
-  Arg.(
-    value & opt string "_cache"
-    & info [ "cache" ] ~docv:"DIR"
-        ~doc:
-          "Persistent run cache: simulation results are stored under $(docv) keyed by a \
-           content digest of their full input, so a rerun (warm start) reloads them \
-           instead of recomputing.  Output is byte-identical either way; stale or \
-           corrupt entries are recomputed and overwritten.")
-
-let no_cache_arg =
-  Arg.(value & flag & info [ "no-cache" ] ~doc:"Disable the persistent run cache.")
-
-let setup_cache dir no_cache =
-  if no_cache then Dbm_core.Experiment.disable_disk_cache ()
-  else Dbm_core.Experiment.enable_disk_cache ~dir
-
-let cache_term = Term.(const setup_cache $ cache_dir_arg $ no_cache_arg)
-
 (* -- table command ------------------------------------------------- *)
 
 let print_table ~csv t =
@@ -125,18 +104,14 @@ let print_table ~csv t =
 let print_profile () =
   let open Dbm_core.Experiment in
   let obs = profile () in
-  if obs = [] then
-    print_endline "\nprofile: no simulations executed (every run was served from a cache)"
-  else begin
-    let sorted = List.sort (fun a b -> Float.compare b.wall_ms a.wall_ms) obs in
-    let top = List.filteri (fun i _ -> i < 10) sorted in
-    Printf.printf "\ntop %d slowest of %d executed runs:\n" (List.length top) (List.length obs);
-    Printf.printf "%-13s %-44s %12s\n" "digest" "run" "wall ms";
-    List.iter
-      (fun o ->
-        Printf.printf "%-13s %-44s %12.3f\n" (String.sub o.obs_digest 0 12) o.obs_label o.wall_ms)
-      top
-  end
+  let sorted = List.sort (fun a b -> Float.compare b.wall_ms a.wall_ms) obs in
+  let top = List.filteri (fun i _ -> i < 10) sorted in
+  Printf.printf "\ntop %d slowest of %d executed runs:\n" (List.length top) (List.length obs);
+  Printf.printf "%-13s %-44s %12s\n" "digest" "run" "wall ms";
+  List.iter
+    (fun o ->
+      Printf.printf "%-13s %-44s %12.3f\n" (String.sub o.obs_digest 0 12) o.obs_label o.wall_ms)
+    top
 
 let table_cmd =
   let id =
@@ -152,9 +127,9 @@ let table_cmd =
       & info [ "profile" ]
           ~doc:
             "After the tables, print the top-10 slowest runs (digest prefix, run, observed \
-             wall ms).  Runs served from a cache executed no simulation and never appear.")
+             wall ms).  A run shared by several cells is simulated, and listed, once.")
   in
-  let run id csv profile jobs allow_oversubscribe () =
+  let run id csv profile jobs allow_oversubscribe =
     (match id with
     | Some n -> print_table ~csv (Dbm_core.Tables.by_id n)
     | None ->
@@ -164,7 +139,7 @@ let table_cmd =
   in
   Cmd.v
     (Cmd.info "table" ~doc:"Regenerate one or all of the paper's Tables 1-12.")
-    Term.(const run $ id $ csv $ profile $ jobs_arg $ oversubscribe_arg $ cache_term)
+    Term.(const run $ id $ csv $ profile $ jobs_arg $ oversubscribe_arg)
 
 (* -- run command --------------------------------------------------- *)
 
@@ -193,7 +168,7 @@ let run_cmd =
       value & opt non_negative_int 0
       & info [ "trace" ] ~docv:"N" ~doc:"Print the last N machine trace events (0 = off).")
   in
-  let run scenario arch txns seed trace_n () =
+  let run scenario arch txns seed trace_n =
     let descriptor, make_arch = List.assoc arch archs in
     let machine = Dbm_core.Scenario.machine_config scenario in
     let workload = Dbm_core.Scenario.workload_config ~n_transactions:txns ~seed scenario in
@@ -218,20 +193,20 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one architecture on one configuration and print the metrics.")
-    Term.(const run $ scenario $ arch $ txns $ seed $ trace_n $ cache_term)
+    Term.(const run $ scenario $ arch $ txns $ seed $ trace_n)
 
 (* -- ablation command ----------------------------------------------- *)
 
 let ablation_cmd =
   let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV instead of aligned text.") in
-  let run csv jobs allow_oversubscribe () =
+  let run csv jobs allow_oversubscribe =
     with_jobs jobs allow_oversubscribe (fun pool ->
         List.iter (print_table ~csv) (Dbm_core.Ablations.all ~pool ()))
   in
   Cmd.v
     (Cmd.info "ablation"
        ~doc:"Run the ablation experiments for the design choices listed in DESIGN.md.")
-    Term.(const run $ csv $ jobs_arg $ oversubscribe_arg $ cache_term)
+    Term.(const run $ csv $ jobs_arg $ oversubscribe_arg)
 
 (* -- workload command --------------------------------------------------- *)
 
@@ -277,7 +252,7 @@ let workload_cmd =
 (* -- validate command --------------------------------------------------- *)
 
 let validate_cmd =
-  let run () () =
+  let run () =
     let checks = Dbm_core.Shape_checks.all () in
     List.iter
       (fun c ->
@@ -294,7 +269,7 @@ let validate_cmd =
     (Cmd.info "validate"
        ~doc:"Check the paper's qualitative conclusions (orderings, crossovers) against the \
              regenerated tables; non-zero exit on any failure.")
-    Term.(const run $ const () $ cache_term)
+    Term.(const run $ const ())
 
 (* -- export command --------------------------------------------------- *)
 
@@ -305,7 +280,7 @@ let export_cmd =
       & info [ "d"; "dir" ] ~docv:"DIR" ~doc:"Output directory (created if missing).")
   in
   let slug s = String.map (fun c -> if c = ' ' then '_' else Char.lowercase_ascii c) s in
-  let run dir jobs allow_oversubscribe () =
+  let run dir jobs allow_oversubscribe =
     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
     let write t =
       let path = Filename.concat dir (slug t.Dbm_core.Report.id ^ ".csv") in
@@ -322,20 +297,20 @@ let export_cmd =
   Cmd.v
     (Cmd.info "export"
        ~doc:"Write every table (paper, ablation, extension) as CSV files to a directory.")
-    Term.(const run $ dir $ jobs_arg $ oversubscribe_arg $ cache_term)
+    Term.(const run $ dir $ jobs_arg $ oversubscribe_arg)
 
 (* -- extension command ----------------------------------------------- *)
 
 let extension_cmd =
   let csv = Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV instead of aligned text.") in
-  let run csv jobs allow_oversubscribe () =
+  let run csv jobs allow_oversubscribe =
     with_jobs jobs allow_oversubscribe (fun pool ->
         List.iter (print_table ~csv) (Dbm_core.Extensions.all ~pool ()))
   in
   Cmd.v
     (Cmd.info "extension"
        ~doc:"Run the extension experiments (hot-spot contention, mixed transaction sizes).")
-    Term.(const run $ csv $ jobs_arg $ oversubscribe_arg $ cache_term)
+    Term.(const run $ csv $ jobs_arg $ oversubscribe_arg)
 
 (* -- recovery-time command ------------------------------------------ *)
 

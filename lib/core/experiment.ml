@@ -7,20 +7,15 @@
    deterministic, so which domain computes a key never affects the
    result.
 
-   Since PR 3 the memo key is a content digest of the run's full input
+   The memo key is a content digest of the run's full input
    (architecture descriptor + machine config + workload config) rather
    than a caller-chosen label, so content-identical runs requested from
-   different tables collapse to one simulation; a second, persistent
-   level (Run_cache) survives process restarts. *)
+   different tables collapse to one simulation.  Results live only in
+   this process: the digest covers a run's inputs, not the simulator's
+   code. *)
 
 module Digest = Dbm_util.Digest
-module Run_cache = Dbm_util.Run_cache
 module Results = Dbm_machine.Results
-
-(* Bump whenever the marshalled shape of [Results.t] (or anything the
-   payload transitively contains) changes: the version string salts
-   every persistent entry, so stale formats read as misses. *)
-let schema_version = 1
 
 type slot = Done of Results.t | Running
 
@@ -74,18 +69,6 @@ let cached ~key compute =
       raise e)
 
 (* ------------------------------------------------------------------ *)
-(* Persistent store                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let disk : Run_cache.t option ref = ref None
-
-let enable_disk_cache ~dir =
-  disk :=
-    Some (Run_cache.create ~dir ~version:(Printf.sprintf "results-schema-%d" schema_version))
-
-let disable_disk_cache () = disk := None
-
-(* ------------------------------------------------------------------ *)
 (* Requests                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -125,25 +108,11 @@ let reset_profile () =
   profile_log := [];
   Mutex.unlock profile_mutex
 
-let requested_c = Atomic.make 0
-
 let computed_c = Atomic.make 0
 
-let disk_hits_c = Atomic.make 0
+let computed () = Atomic.get computed_c
 
-type counters = { requested : int; computed : int; disk_hits : int }
-
-let counters () =
-  {
-    requested = Atomic.get requested_c;
-    computed = Atomic.get computed_c;
-    disk_hits = Atomic.get disk_hits_c;
-  }
-
-let reset_counters () =
-  Atomic.set requested_c 0;
-  Atomic.set computed_c 0;
-  Atomic.set disk_hits_c 0
+let reset_computed () = Atomic.set computed_c 0
 
 (* Generated workloads are deterministic in their config and immutable
    once built (the machine only ever reads the page/write arrays), so
@@ -202,41 +171,15 @@ let custom_request ~tag ~machine compute =
   Dbm_machine.Config.feed_digest d machine;
   { digest = Digest.hex d; label = tag; compute }
 
-(* Disk lookups happen inside the memo's compute branch, so at most one
-   domain per digest touches the store, and a hit still lands in the
-   memo for later same-process requesters. *)
+(* Only a computation is observed: a memo hit runs no simulation. *)
 let force req =
-  Atomic.incr requested_c;
   cached ~key:req.digest (fun () ->
-      let from_disk =
-        match !disk with
-        | None -> None
-        | Some store -> (
-          match Run_cache.find store ~digest:req.digest with
-          | None -> None
-          | Some payload -> (
-            (* The checksummed header makes a bad unmarshal unlikely,
-               but the cache must never turn into an error source. *)
-            match (Marshal.from_string payload 0 : Results.t) with
-            | r ->
-              Atomic.incr disk_hits_c;
-              Some r
-            | exception _ -> None))
-      in
-      match from_disk with
-      (* A cache hit records no observation: its near-zero wall is load
-         time, not simulation cost. *)
-      | Some r -> r
-      | None ->
-        Atomic.incr computed_c;
-        let t0 = Unix.gettimeofday () in
-        let r = req.compute () in
-        let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-        record_observation ~digest:req.digest ~label:req.label ~wall_ms;
-        (match !disk with
-        | None -> ()
-        | Some store -> Run_cache.store store ~digest:req.digest (Marshal.to_string r []));
-        r)
+      Atomic.incr computed_c;
+      let t0 = Unix.gettimeofday () in
+      let r = req.compute () in
+      let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+      record_observation ~digest:req.digest ~label:req.label ~wall_ms;
+      r)
 
 let dedup reqs =
   let seen = Hashtbl.create 64 in
@@ -271,9 +214,8 @@ let render (t : table) =
    is every table's runs, deduplicated by digest and fanned out across
    the pool to fill the (mutex-protected, in-flight latched) memo cache,
    and the tables are then rendered serially from cache hits — so the
-   rendered output cannot depend on the pool size, the dedup, or the
-   state of any persistent cache, and no single slow table gates the
-   schedule.  The list is read off the tables' cells, so it covers
+   rendered output cannot depend on the pool size or the dedup, and no
+   single slow table gates the schedule.  The list is read off the tables' cells, so it covers
    exactly the runs rendering forces. *)
 let build_suite ?pool tables =
   (match pool with

@@ -7,17 +7,12 @@
     from different tables with content-identical inputs therefore share
     one digest and one simulation, whatever label the call sites used.
 
-    Two cache levels sit behind {!force}:
-
-    - an in-process memo (digest -> result) shared by all domains, with
-      an in-flight marker so concurrent requesters of the same digest
-      wait instead of recomputing;
-    - an optional persistent store ({!Dbm_util.Run_cache}) consulted on
-      memo misses and written after computation, enabling warm-start
-      regeneration across processes.
-
-    All runs are deterministic, so both levels are semantically
-    transparent: cached output is byte-identical to recomputation. *)
+    Behind {!force} sits an in-process memo (digest -> result) shared by
+    all domains, with an in-flight marker so concurrent requesters of
+    the same digest wait instead of recomputing.  All runs are
+    deterministic, so the memo is semantically transparent: its output
+    is byte-identical to recomputation.  Nothing outlives the process:
+    the digest covers a run's inputs, not the simulator's code. *)
 
 (** {1 Requests} *)
 
@@ -52,10 +47,9 @@ val bare_request : Scenario.t -> request
 val custom_request :
   tag:string -> machine:Dbm_machine.Config.t -> (unit -> Dbm_machine.Results.t) -> request
 (** Escape hatch for runs whose workload is built by hand.  [tag] must
-    uniquely determine the computation given the machine config, and
-    must be versioned (e.g. ["ext-mixed/v1"]) so changing the
-    construction logic invalidates old persistent entries.  [tag] is
-    also the request's {!label}. *)
+    uniquely determine the computation given the machine config: two
+    custom requests with one tag and one machine share a result.  [tag]
+    is also the request's {!label}. *)
 
 val digest : request -> string
 (** The request's content digest (32 hex characters). *)
@@ -65,9 +59,9 @@ val label : request -> string
     profiles; never part of the digest. *)
 
 val force : request -> Dbm_machine.Results.t
-(** Resolve a request: memo hit, else persistent-store hit, else
-    compute (exactly once across all domains) and populate both
-    levels. *)
+(** Resolve a request: memo hit, else compute (exactly once across all
+    domains; concurrent requesters wait on the in-flight marker) and
+    memoize. *)
 
 val dedup : request list -> request list
 (** Drop requests whose digest already appeared earlier in the list
@@ -99,43 +93,20 @@ val build_suite : ?pool:Dbm_util.Pool.t -> table list -> Report.cell Report.tabl
     [pool] (effective jobs > 1) it first forces the suite's work list,
     [dedup] of every table's {!runs}, one run at a time across the
     pool's domains, so rendering then reads memo hits only.  The result
-    is byte-identical to the serial build whatever the pool size or
-    cache state. *)
+    is byte-identical to the serial build whatever the pool size. *)
 
-(** {1 Cache control} *)
-
-val cached : key:string -> (unit -> Dbm_machine.Results.t) -> Dbm_machine.Results.t
-(** Raw memoization layer: [cached ~key compute] returns the memoized
-    result for [key], running [compute] (exactly once across all
-    domains; concurrent requesters wait on the in-flight marker) on a
-    miss.  [compute] must be deterministic. *)
+(** {1 Memo control} *)
 
 val clear_cache : unit -> unit
-(** Drop the in-process memo (persistent entries are untouched). *)
-
-val schema_version : int
-(** Version of the marshalled {!Dbm_machine.Results.t} payload; salts
-    every persistent entry so stale formats self-invalidate. *)
-
-val enable_disk_cache : dir:string -> unit
-(** Route {!force} through a persistent store rooted at [dir]
-    (created on demand). *)
-
-val disable_disk_cache : unit -> unit
+(** Drop the in-process memo's finished results. *)
 
 (** {1 Instrumentation} *)
 
-type counters = {
-  requested : int;  (** {!force} calls *)
-  computed : int;  (** simulations actually executed *)
-  disk_hits : int;  (** results loaded from the persistent store *)
-}
+val computed : unit -> int
+(** Simulations {!force} actually executed since process start or the
+    last {!reset_computed}; memo hits are not counted. *)
 
-val counters : unit -> counters
-(** Monotonic since process start or the last {!reset_counters};
-    memo hits are [requested - computed - disk_hits]. *)
-
-val reset_counters : unit -> unit
+val reset_computed : unit -> unit
 
 (** {1 Profile} *)
 
@@ -148,7 +119,6 @@ type observation = {
 val profile : unit -> observation list
 (** Every simulation actually executed since process start (or
     {!reset_profile}), in execution order.  Results served from the
-    memo or the persistent store never appear: their near-zero wall is
-    load time, not simulation cost. *)
+    memo never appear: they ran no simulation. *)
 
 val reset_profile : unit -> unit

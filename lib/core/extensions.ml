@@ -74,9 +74,8 @@ let hotspot_contention =
 
 (* 20 small transactions (1-10 pages) mixed with 5 very large ones
    (200-250 pages), interleaved in arrival order.  The workload array
-   is hand-built, so this run uses a custom request whose versioned tag
-   stands in for the construction below: bump the tag when changing
-   it, or stale persistent entries would be served. *)
+   is hand-built, so this run uses a custom request whose tag stands in
+   for the construction below in the run's digest. *)
 let e2_request =
   let machine = Scenario.machine_config Scenario.Conventional_random in
   Experiment.custom_request ~tag:"ext-mixed/v1" ~machine @@ fun () ->

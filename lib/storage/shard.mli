@@ -103,8 +103,8 @@ module Make (E : ENGINE) : sig
       when no transaction is cross-shard (each shard is then the serial
       loop on its own key subset); with cross-shard transactions the
       final engine states and the set of committed transactions are
-      deterministic, but simulated latencies may vary across runs with
-      the OS interleaving of decision waits.
+      deterministic, but simulated latencies and sustained throughput
+      vary across runs with the OS interleaving of decision waits.
       @raise Invalid_argument on bad parameters — {!Server.Make.drive}'s checks
       ([mpl], [op_cost_us], arrival times) included, at every shard
       count.

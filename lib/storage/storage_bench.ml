@@ -1070,7 +1070,13 @@ let shard_section ~scale ~shard_counts ~cross_fracs =
   let top = List.fold_left Stdlib.max 1 counts in
   (* Offered load far above a single serial server's capacity, so tps
      measures capacity and the shard sweep exposes the parallel
-     headroom.  Simulated time: the curve is machine-independent. *)
+     headroom.  Simulated time: the zero-cross curve is the same on
+     every run and machine.  The cross > 0 rows are not: a shard keeps
+     running passes, its clock moving on, until a peer's vote lands in
+     real time, so their tps and cross p99 follow the OS's interleaving
+     of decision waits and vary between runs at one seed (DESIGN B.5).
+     Their gate reads only the scan digests and in-doubt counts, which
+     do not vary. *)
   let arrivals_us = arrivals_us ~seed:(seed + 77) (W.Poisson { rate = 400_000.0 }) ~n in
   (* Workloads with an exact cross-shard fraction carved against the {e
      top} shard count's router.  The router's class at [top] refines its
@@ -1189,7 +1195,10 @@ let shard_section ~scale ~shard_counts ~cross_fracs =
       ^ texts points
       ^ Printf.sprintf "  scaling at the top shard count: %s\n"
           (verified "%.2fx over 1 shard" scaling)
-      ^ "cross-shard fraction sweep (two-phase commit at the top shard count):\n"
+      ^ "cross-shard fraction sweep (two-phase commit at the top shard count; the cross > 0 \
+         rows follow the OS's\n\
+        \  interleaving of decision waits, so their tps and cross p99 vary between runs at \
+         one seed):\n"
       ^ texts cross;
     fields =
       Json.

@@ -64,17 +64,6 @@ let of_string s =
   string t s;
   hex t
 
-(* Single-lane FNV-1a over raw bytes: the payload checksum of the
-   persistent run cache. *)
-let fnv64 s =
-  let h = ref basis_a in
-  String.iter
-    (fun ch -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code ch))) fnv_prime)
-    s;
-  !h
-
-let fnv64_hex s = Printf.sprintf "%016Lx" (fnv64 s)
-
 (* Four-lane word-at-a-time FNV-1a: word [j] of every 32-byte block
    folds into lane [j], so four multiply chains run side by side
    instead of one long one, and the loads skip their bounds checks
@@ -84,11 +73,9 @@ let fnv64_hex s = Printf.sprintf "%016Lx" (fnv64 s)
    is a bijection of [h] for a fixed [w] and of [w] for a fixed [h]
    (the prime is odd), so a value that differs in one word, one lane
    or the partial word differs at the end: one flipped bit always
-   changes the checksum.  A different hash function than [fnv64] (the
-   fold width changes the value), which is fine for its users: it is a
-   framing checksum, not a content address.  The length is mixed in so
-   "abc" / "abc\000" and prefixes of each other cannot collide
-   trivially. *)
+   changes the checksum.  It is a framing checksum, not a content
+   address.  The length is mixed in so "abc" / "abc\000" and prefixes
+   of each other cannot collide trivially. *)
 external unsafe_get64 : string -> int -> int64 = "%caml_string_get64u"
 external swap64 : int64 -> int64 = "%bswap_int64"
 

@@ -11,8 +11,9 @@
     configuration (e.g. [Dbm_machine.Config.feed_digest]) must feed
     {e every} field that affects the simulation result, in a fixed
     order, tagging variant constructors with {!tag}.  Adding a field or
-    reordering feeds changes digests — which is the desired behaviour,
-    as stale persisted results must not be served for new semantics. *)
+    reordering feeds changes digests.  A digest names a run's inputs,
+    not the simulator's code: memoized results live only in the
+    process that computed them. *)
 
 type t
 
@@ -35,16 +36,11 @@ val hex : t -> string
 val of_string : string -> string
 (** One-shot digest of a single string. *)
 
-val fnv64_hex : string -> string
-(** Single-lane FNV-1a over the raw bytes — a plain checksum — as 16
-    lowercase hex characters. *)
-
 val fnv64_words : string -> pos:int -> len:int -> int64
 (** Word-at-a-time FNV-1a over [s.[pos .. pos+len)] in four lanes: the
     four words of each 32-byte block fold into four independent lanes,
     which then fold into one value with the trailing whole words, the
     partial word and the length.  Every fold step multiplies by the odd
     FNV prime, a bijection, so a single flipped bit always changes the
-    value.  A {e different} function from the single-lane {!fnv64_hex}.
-    The WAL codec's record checksum.  @raise Invalid_argument on a bad
-    range. *)
+    value.  The WAL codec's record checksum.
+    @raise Invalid_argument on a bad range. *)
