@@ -27,13 +27,8 @@
    report, the [storage] object of the record and the gate rows; the
    harness exits non-zero when any row, check or floor, fails.
 
-   Part 5 runs Bechamel micro-benchmarks of the primitives behind the
-   paper's tables, the page lookup and the differential-relation
-   select.  The engines' commit paths and the log codec are timed by
-   Part 4 (per-engine tps, per-format append and replay) and by
-   perfbench's traced runs, not here.
-   [--fast] skips parts that exist for reporting (charts, ablations,
-   Bechamel) and keeps the timed/validated parts — the CI smoke mode. *)
+   Every part runs one fixed configuration; only the pool size and the
+   oversubscription switch vary. *)
 
 let separator title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -180,37 +175,6 @@ let run_arena_alloc () =
   Printf.printf "arena reuse per run:  %10.0f major words\n" words;
   words
 
-(* Sweep shapes, at a glance. *)
-let run_charts () =
-  separator "Sweep shapes";
-  let cell_of table ~row ~col =
-    let t = Dbm_core.Tables.by_id table in
-    let r = List.nth t.Dbm_core.Report.rows row in
-    (List.nth r.Dbm_core.Report.cells col).Dbm_core.Report.measured
-  in
-  Printf.printf "\nTable 3: execution time per page vs number of log disks (cyclic):\n";
-  print_string
-    (Dbm_core.Report.ascii_bars
-       (List.init 5 (fun i ->
-            (Printf.sprintf "%d log disk%s" (i + 1) (if i > 0 then "s" else ""),
-             cell_of 3 ~row:i ~col:0))
-       @ [ ("no logging", cell_of 3 ~row:5 ~col:0) ]));
-  Printf.printf "\nTable 11: execution time per page vs differential size (Conventional-Random):\n";
-  print_string
-    (Dbm_core.Report.ascii_bars
-       (List.mapi
-          (fun i label -> (label, cell_of 11 ~row:0 ~col:i))
-          [ "bare"; "10%"; "15%"; "20%" ]))
-
-let run_ablations ~jobs ~allow_oversubscribe () =
-  separator "Ablations (design-choice experiments beyond the paper)";
-  List.iter
-    (fun t ->
-      print_newline ();
-      print_string (Dbm_core.Report.to_string t))
-    (Dbm_util.Pool.with_pool ~jobs ~allow_oversubscribe (fun pool ->
-         Dbm_core.Ablations.all ~pool ()))
-
 (* ------------------------------------------------------------------ *)
 (* Part 2: event-core steady state                                     *)
 (* ------------------------------------------------------------------ *)
@@ -305,198 +269,17 @@ let run_dedup () =
 
 let run_storage_bench ~allow_oversubscribe () =
   separator "Storage half (recovery engines, 2PL scheduler, server)";
-  let b =
-    Dbm_storage.Storage_bench.run ~jobs:[ 1; 2; 4 ] ~allow_oversubscribe
-      ~now:Unix.gettimeofday ()
-  in
+  let b = Dbm_storage.Storage_bench.run ~allow_oversubscribe ~now:Unix.gettimeofday () in
   Dbm_storage.Storage_bench.print b;
   b
-
-(* ------------------------------------------------------------------ *)
-(* Part 5: Bechamel micro-benchmarks                                   *)
-(* ------------------------------------------------------------------ *)
-
-open Bechamel
-open Toolkit
-
-(* Table 1/2 dominant primitive: assembling and writing log pages ->
-   the event engine + drive service path. *)
-let bench_event_engine =
-  Test.make ~name:"table1-2: event engine schedule+run (1k events)"
-    (Staged.stage (fun () ->
-         let e = Dbm_sim.Engine.create () in
-         for i = 1 to 1000 do
-           ignore (Dbm_sim.Engine.schedule e ~delay:(float_of_int (i mod 17)) (fun () -> ()))
-         done;
-         Dbm_sim.Engine.run e))
-
-(* Table 3: log fragment distribution -> PRNG + selection. *)
-let bench_prng =
-  Test.make ~name:"table3: prng draws (10k)"
-    (Staged.stage (fun () ->
-         let rng = Dbm_util.Prng.create 1 in
-         let acc = ref 0 in
-         for _ = 1 to 10_000 do
-           acc := !acc + Dbm_util.Prng.int rng 5
-         done;
-         ignore !acc))
-
-(* Table 4/5: page-table indirection -> drive access-time model. *)
-let bench_drive_model =
-  Test.make ~name:"table4-5: conventional drive service (256 pages)"
-    (Staged.stage (fun () ->
-         let e = Dbm_sim.Engine.create () in
-         let d =
-           Dbm_disk.Drive.create e ~params:Dbm_disk.Params.ibm_3350
-             ~layout:Dbm_disk.Layout.Sequential ~name:"bench" ()
-         in
-         for p = 0 to 255 do
-           Dbm_disk.Drive.submit d Dbm_disk.Drive.Read ~pages:[ p * 31 mod 60000 ] (fun () -> ())
-         done;
-         Dbm_sim.Engine.run e))
-
-(* Table 6: page-table buffer -> LRU operations. *)
-let bench_lru =
-  Test.make ~name:"table6: lru find/add (10k ops, cap 50)"
-    (Staged.stage (fun () ->
-         let l = Dbm_util.Lru.create ~capacity:50 () in
-         for i = 0 to 9_999 do
-           let k = i * 7919 mod 200 in
-           match Dbm_util.Lru.find l k with
-           | Some _ -> ()
-           | None -> ignore (Dbm_util.Lru.add l k k)
-         done))
-
-(* Table 7/8: scrambled placement -> layout permutation. *)
-let bench_layout =
-  Test.make ~name:"table7-8: scrambled locate (10k pages)"
-    (Staged.stage (fun () ->
-         let layout = Dbm_disk.Layout.Scrambled 11 in
-         let acc = ref 0 in
-         for p = 0 to 9_999 do
-           acc :=
-             !acc + (Dbm_disk.Layout.locate Dbm_disk.Params.ibm_3350 layout ~page:p).Dbm_disk.Layout.cylinder
-         done;
-         ignore !acc))
-
-(* Table 9-11: differential files -> page record set operations. *)
-let bench_page_ops =
-  Test.make ~name:"table9-11: page update/lookup (1k ops)"
-    (Staged.stage (fun () ->
-         let p = Dbm_storage.Page.empty ~page_size:2048 in
-         for i = 0 to 999 do
-           Dbm_storage.Page.update p ~key:(i mod 16) ~value:(Some "value");
-           ignore (Dbm_storage.Page.lookup p ~key:(i mod 16))
-         done))
-
-(* A page holding 64 records, scanned without materializing the record
-   list: the minor-allocation estimate proves lookup allocates only the
-   result (a handful of words), not the whole record set. *)
-let lookup_page =
-  let p = Dbm_storage.Page.empty ~page_size:2048 in
-  Dbm_storage.Page.set_records p (List.init 64 (fun i -> (i, Printf.sprintf "value-%02d" i)));
-  p
-
-let bench_page_lookup =
-  Test.make ~name:"page lookup, 64-record page (alloc-free scan)"
-    (Staged.stage (fun () ->
-         ignore (Sys.opaque_identity (Dbm_storage.Page.lookup lookup_page ~key:48))))
-
-(* Table 12 (grand comparison): a whole miniature simulation run. *)
-let bench_mini_simulation =
-  Test.make ~name:"table12: full machine run (5 txns)"
-    (Staged.stage (fun () ->
-         let machine = { Dbm_machine.Config.paper_base with Dbm_machine.Config.db_pages = 16384 } in
-         let workload =
-           Dbm_workload.Workload.generate
-             {
-               Dbm_workload.Workload.default with
-               Dbm_workload.Workload.n_transactions = 5;
-               max_pages = 40;
-               db_pages = 16384;
-             }
-         in
-         ignore
-           (Dbm_machine.Machine.run ~config:machine
-              ~make_arch:(fun _ -> Dbm_machine.Arch.bare)
-              ~workload)))
-
-let bench_relation_select =
-  Test.make ~name:"relation: optimal select over (B u A) - D (400 tuples)"
-    (Staged.stage
-       (let r =
-          Dbm_relation.Diff_relation.create ~tuples_per_page:8
-            (List.init 400 (fun i -> { Dbm_relation.Diff_relation.key = i; value = "v" }))
-        in
-        List.iteri
-          (fun i () ->
-            if i mod 3 = 0 then Dbm_relation.Diff_relation.delete r ~key:(i * 7 mod 400)
-            else
-              Dbm_relation.Diff_relation.insert r
-                { Dbm_relation.Diff_relation.key = i * 11 mod 400; value = "u" })
-          (List.init 40 (fun _ -> ()));
-        fun () ->
-          ignore
-            (Dbm_relation.Diff_relation.select r ~strategy:Dbm_relation.Diff_relation.Optimal
-               (fun t -> t.Dbm_relation.Diff_relation.key mod 7 = 0))))
-
-let benchmarks =
-  [
-    bench_event_engine;
-    bench_prng;
-    bench_drive_model;
-    bench_lru;
-    bench_layout;
-    bench_page_ops;
-    bench_page_lookup;
-    bench_mini_simulation;
-    bench_relation_select;
-  ]
-
-let bench_cfg () = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:(Some 200) ()
-
-(* Per-run estimate of one instance (ns or minor words) for one test. *)
-let estimate instance test =
-  let results =
-    Benchmark.all (bench_cfg ()) [ instance ]
-      (Test.make_grouped ~name:"g" ~fmt:"%s %s" [ test ])
-  in
-  let ols =
-    Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |])
-      instance results
-  in
-  Hashtbl.fold
-    (fun _ result acc ->
-      match Analyze.OLS.estimates result with Some [ est ] -> Some est | _ -> acc)
-    ols None
-
-let run_benchmarks () =
-  separator "Micro-benchmarks (Bechamel)";
-  List.iter
-    (fun test ->
-      (* [estimate]'s one-test group names its element "g <test>" *)
-      let name = "g " ^ Test.name test in
-      match estimate Instance.monotonic_clock test with
-      | Some est -> Printf.printf "%-55s %12.1f ns/run\n" name est
-      | None -> Printf.printf "%-55s (no estimate)\n" name)
-    benchmarks;
-  let lookup_ns = estimate Instance.monotonic_clock bench_page_lookup in
-  let lookup_minor = estimate Instance.minor_allocated bench_page_lookup in
-  (match lookup_minor with
-  | Some words ->
-    Printf.printf "%-55s %12.1f minor words/run\n" "page lookup, 64-record page (allocation)"
-      words
-  | None -> ());
-  (lookup_ns, lookup_minor)
 
 (* ------------------------------------------------------------------ *)
 (* The benchmark record (BENCH_10.json by default)                     *)
 (* ------------------------------------------------------------------ *)
 
 let bench_record (tr : table_report) (core : event_core) (dr : dedup_report)
-    major_words_per_run storage (lookup_ns, lookup_minor) total_s =
+    major_words_per_run storage total_s =
   let open Dbm_util.Json in
-  let opt = function None -> Null | Some v -> Float v in
   Obj
     [
       ("bench", Int 10);
@@ -539,28 +322,24 @@ let bench_record (tr : table_report) (core : event_core) (dr : dedup_report)
                Obj [ ("id", String id); ("shape_score", Float score); ("wall_ms", Float wall_ms) ])
              tr.per_table) );
       ("storage", Dbm_storage.Storage_bench.to_json storage);
-      ("page_lookup_ns_per_run", opt lookup_ns);
-      ("page_lookup_minor_words_per_run", opt lookup_minor);
       ("total_wall_s", Float total_s);
     ]
 
 let () =
   let jobs = ref (max 2 (Dbm_util.Pool.default_jobs ())) in
   let json_path = ref "BENCH_10.json" in
-  let fast = ref false in
   let allow_oversubscribe = ref false in
   Arg.parse
     [
-      ("--jobs", Arg.Set_int jobs, "N worker domains for table/ablation regeneration");
+      ("--jobs", Arg.Set_int jobs, "N worker domains for table regeneration");
       ("-j", Arg.Set_int jobs, "N same as --jobs");
       ("--json", Arg.Set_string json_path, "PATH where to write the benchmark record");
-      ("--fast", Arg.Set fast, " tables + event core only (CI smoke mode)");
       ( "--allow-oversubscribe",
         Arg.Set allow_oversubscribe,
         " run more domains than cores instead of clamping" );
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "bench/main.exe [--jobs N] [--json PATH] [--fast] [--allow-oversubscribe]";
+    "bench/main.exe [--jobs N] [--json PATH] [--allow-oversubscribe]";
   if !jobs < 1 then begin
     prerr_endline "--jobs must be >= 1";
     exit 2
@@ -572,23 +351,13 @@ let () =
   let core = run_event_core () in
   let major_words_per_run = run_arena_alloc () in
   let dedup_report = run_dedup () in
-  (* The storage half runs even under --fast: its rows gate the run. *)
   let storage_report = run_storage_bench ~allow_oversubscribe:!allow_oversubscribe () in
-  let lookup_estimates =
-    if !fast then (None, None)
-    else begin
-      run_charts ();
-      run_ablations ~jobs:!jobs ~allow_oversubscribe:!allow_oversubscribe ();
-      run_benchmarks ()
-    end
-  in
   let total_s = Unix.gettimeofday () -. t0 in
   Printf.printf "\ntotal wall time: %.1f s\n" total_s;
   let oc = open_out !json_path in
   output_string oc
     (Dbm_util.Json.to_string
-       (bench_record table_report core dedup_report major_words_per_run storage_report
-          lookup_estimates total_s));
+       (bench_record table_report core dedup_report major_words_per_run storage_report total_s));
   output_char oc '\n';
   close_out oc;
   Printf.printf "wrote %s\n" !json_path;

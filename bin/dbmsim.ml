@@ -56,16 +56,6 @@ let positive_int = bounded Arg.int (fun n -> n >= 1) "must be >= 1"
 
 let non_negative_int = bounded Arg.int (fun n -> n >= 0) "must be >= 0"
 
-let positive_float =
-  bounded Arg.float (fun f -> Float.is_finite f && f > 0.0) "must be positive and finite"
-
-let non_negative_float =
-  bounded Arg.float (fun f -> Float.is_finite f && f >= 0.0) "must be non-negative and finite"
-
-let fraction = bounded Arg.float (fun f -> f >= 0.0 && f <= 1.0) "must be in [0,1]"
-
-let non_empty_list conv = bounded (Arg.list conv) (fun l -> l <> []) "must not be empty"
-
 (* -- parallel execution -------------------------------------------- *)
 
 let jobs_arg =
@@ -385,67 +375,27 @@ let recovery_time_cmd =
 
 (* -- storage-bench command ------------------------------------------ *)
 
-(* The storage-half suite (Storage_bench), every section at the
-   requested sweep.  Prints the same report bench/main does and exits 1
-   when a check row fails.  Floor rows are claims about the default
-   sweep or wall-clock ratios, so only bench/main gates them. *)
+(* The storage-half suite (Storage_bench), every section on its one
+   fixed sweep.  Prints the same report bench/main does and exits 1
+   when a check row fails.  Floor rows are thresholds that depend on
+   the host (wall-clock ratios, shard scaling), so only bench/main
+   gates them. *)
 let storage_bench_cmd =
-  let open Cmdliner in
   let scale_arg =
     Arg.(
       value & opt positive_int 1
       & info [ "scale" ] ~docv:"N" ~doc:"Workload multiplier (1 = the CI smoke size).")
   in
-  let jobs_arg =
-    Arg.(
-      value
-      & opt (list positive_int) [ 1; 2; 4 ]
-      & info [ "jobs"; "j" ] ~docv:"N,..."
-          ~doc:
-            "Worker-domain counts for the parallel-recovery curve (a jobs=1 serial \
-             baseline is always included).")
-  in
   let oversubscribe_arg =
     Arg.(
       value & flag
       & info [ "allow-oversubscribe" ]
-          ~doc:"Measure requested job counts beyond the host's cores instead of skipping them.")
-  in
-  let read_fracs_arg =
-    Arg.(
-      value
-      & opt (non_empty_list fraction) Dbm_storage.Storage_bench.default_read_fracs
-      & info [ "read-frac" ] ~docv:"F,..."
           ~doc:
-            "Read fractions (each in [0,1]) for the MVCC snapshot sweep; at each one the \
-             same Zipfian workload runs under exclusive-lock reads, S/X shared reads and \
-             the lock-free snapshot read-only class.  A Pareto-size heavy-tail point at \
-             read fraction 0.9 is always appended.")
+            "Measure the recovery curve's 2- and 4-domain points even where they exceed \
+             the host's cores, instead of skipping them.")
   in
-  let shard_counts_arg =
-    Arg.(
-      value
-      & opt (non_empty_list positive_int) Dbm_storage.Storage_bench.default_shard_counts
-      & info [ "shard-counts" ] ~docv:"N,..."
-          ~doc:
-            "Shard counts for the sharded-execution sweep (a 1-shard serial baseline is \
-             always included; the workload is generated against the largest count so \
-             every smaller count serves the identical transactions).")
-  in
-  let cross_fracs_arg =
-    Arg.(
-      value
-      & opt (list fraction) Dbm_storage.Storage_bench.default_cross_fracs
-      & info [ "cross-fracs" ] ~docv:"F,..."
-          ~doc:
-            "Cross-shard transaction fractions (each in [0,1]) for the two-phase-commit \
-             sweep at the largest shard count.")
-  in
-  let run scale jobs allow_oversubscribe read_fracs shard_counts cross_fracs =
-    let b =
-      Dbm_storage.Storage_bench.run ~scale ~jobs ~allow_oversubscribe ~read_fracs ~shard_counts
-        ~cross_fracs ~now:Unix.gettimeofday ()
-    in
+  let run scale allow_oversubscribe =
+    let b = Dbm_storage.Storage_bench.run ~scale ~allow_oversubscribe ~now:Unix.gettimeofday () in
     Dbm_storage.Storage_bench.print b;
     let failed_checks =
       List.filter_map
@@ -462,232 +412,11 @@ let storage_bench_cmd =
           scheduler, scheduler and lock-manager hot paths against their pre-overhaul \
           versions, recovery wall time vs log length, vs worker-domain count and vs \
           fuzzy-checkpoint age, the physical-vs-delta-vs-oplog log-format head-to-head, \
-          the open-loop server sweep, the MVCC snapshot-read sweep ($(b,--read-frac)) \
-          and the sharded-execution sweep ($(b,--shard-counts) / $(b,--cross-fracs)).  \
-          The server and snapshot-read sweeps run on one engine each (logging and \
-          differential-file): in simulated time their figures are the same on every \
-          engine.")
-    Term.(
-      const run $ scale_arg $ jobs_arg $ oversubscribe_arg $ read_fracs_arg $ shard_counts_arg
-      $ cross_fracs_arg)
-
-(* -- serve-bench command -------------------------------------------- *)
-
-(* The open-loop transaction server, interactively: offered-load sweep
-   through the group-commit pipeline (or per-txn sync under --eager),
-   printing sustained throughput and the latency tail at each load.
-   Entirely simulated time — the numbers depend on the cost knobs and
-   the seed, never on the host.  The simulated costs are fixed per turn
-   and per force, so no engine changes a figure: it serves the logging
-   engine, which has both snapshot reads and a durable prepare vote.
-   The workload and its arrivals are storage-bench's server and shard
-   sections'. *)
-let serve_bench_cmd =
-  let open Cmdliner in
-  let module S = Dbm_storage in
-  let module E = S.Engine_log in
-  let loads_arg =
-    Arg.(
-      value
-      & opt (list positive_float) [ 2_000.0; 10_000.0; 40_000.0; 160_000.0; 400_000.0 ]
-      & info [ "load" ] ~docv:"TPS,..."
-          ~doc:"Offered arrival rates (transactions per second) to sweep, in order.")
-  in
-  let batch_arg =
-    Arg.(
-      value & opt positive_int 32
-      & info [ "batch" ] ~docv:"N"
-          ~doc:"Group-commit batch size: force the log once every $(docv) commits.")
-  in
-  let timeout_arg =
-    Arg.(
-      value & opt positive_float 1000.0
-      & info [ "timeout-us" ] ~docv:"US"
-          ~doc:
-            "Group-commit timeout: a pending batch is forced at most $(docv) simulated \
-             microseconds after its first commit, full or not.")
-  in
-  let mpl_arg =
-    Arg.(
-      value & opt positive_int 64
-      & info [ "mpl" ] ~docv:"N"
-          ~doc:"Multiprogramming limit: admission control holds arrivals beyond $(docv) \
-                in-flight transactions in a FIFO queue.")
-  in
-  let txns_arg =
-    Arg.(
-      value & opt positive_int 800
-      & info [ "n"; "transactions" ] ~docv:"N" ~doc:"Transactions per load point.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 20_250 & info [ "seed" ] ~docv:"SEED" ~doc:"Workload/arrival seed.")
-  in
-  let arrival_arg =
-    Arg.(
-      value
-      & opt (enum [ ("poisson", `Poisson); ("bursty", `Bursty) ]) `Poisson
-      & info [ "arrival" ] ~docv:"PROCESS"
-          ~doc:
-            "Arrival process: poisson | bursty (on/off phases of 10 ms mean at double \
-             rate / silence, same long-run offered load).")
-  in
-  let eager_arg =
-    Arg.(
-      value & flag
-      & info [ "eager" ]
-          ~doc:"Sync the log on every commit instead of group-committing (the baseline \
-                the group-commit pipeline is measured against).")
-  in
-  let op_cost_arg =
-    Arg.(
-      value & opt non_negative_float 1.0
-      & info [ "op-cost-us" ] ~docv:"US" ~doc:"Simulated cost of one scheduler turn.")
-  in
-  let sync_cost_arg =
-    Arg.(
-      value & opt non_negative_float 100.0
-      & info [ "sync-cost-us" ] ~docv:"US" ~doc:"Simulated cost of one log force.")
-  in
-  let read_frac_arg =
-    Arg.(
-      value & opt fraction 0.0
-      & info [ "read-frac" ] ~docv:"F"
-          ~doc:
-            "Make each transaction read-only (its whole write set cleared) with \
-             probability $(docv) in [0,1].")
-  in
-  let snapshot_arg =
-    Arg.(
-      value & flag
-      & info [ "snapshot" ]
-          ~doc:
-            "Run read-only transactions lock-free over pinned MVCC snapshots instead of \
-             the locked path; they bypass the commit pipeline and can never restart.  \
-             Not supported with $(b,--shards) > 1.")
-  in
-  let shards_arg =
-    Arg.(
-      value & opt positive_int 1
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Partition the key space page-wise across $(docv) engine shards, each \
-             served by its own domain; transactions spanning shards commit by \
-             two-phase commit through a coordinator decision log.")
-  in
-  let cross_frac_arg =
-    Arg.(
-      value & opt fraction 0.0
-      & info [ "cross-frac" ] ~docv:"F"
-          ~doc:
-            "Re-home workload pages so a $(docv) fraction of transactions in [0,1] \
-             spans two shards and the rest stay confined to one.  Only meaningful \
-             with $(b,--shards) > 1.")
-  in
-  let run loads batch timeout_us mpl txns seed arrival eager op_cost sync_cost read_frac
-      use_snapshot shards cross_frac =
-    let usage msg =
-      prerr_endline ("serve-bench: " ^ msg);
-      exit 2
-    in
-    if cross_frac > 0.0 && shards = 1 then usage "--cross-frac needs --shards > 1";
-    if shards > 1 && use_snapshot then usage "--snapshot is not supported with --shards > 1";
-    let module Hist = Dbm_util.Stats.Histogram in
-    let cross = if shards > 1 then Some (cross_frac, shards) else None in
-    let scripts, read_only =
-      S.Storage_bench.random_access_workload ~read_frac ?cross ~n:txns ~seed ()
-    in
-    let n_ro = Array.fold_left (fun a ro -> if ro then a + 1 else a) 0 read_only in
-    let arrivals rate =
-      let process =
-        match arrival with
-        | `Poisson -> Dbm_workload.Workload.Poisson { rate }
-        | `Bursty ->
-          Dbm_workload.Workload.Bursty
-            { on_rate = 2.0 *. rate; off_rate = 0.0; mean_on = 0.01; mean_off = 0.01 }
-      in
-      S.Storage_bench.arrivals_us ~seed:(seed + int_of_float rate) process ~n:txns
-    in
-    let mode =
-      if eager then S.Commit_pipeline.Eager else S.Commit_pipeline.Grouped { batch; timeout_us }
-    in
-    Printf.printf
-      "%s server: engine %s, %s%s commits%s, mpl %d%s, %d txns/point%s, %s arrivals\n\
-       (simulated time: %.1f us/turn, %.1f us/force)\n\n"
-      (if shards > 1 then "sharded" else "open-loop")
-      E.engine_name
-      (if shards > 1 then Printf.sprintf "%d shards, cross fraction %.2f, " shards cross_frac
-       else "")
-      (if eager then "eager" else "grouped")
-      (if eager then "" else Printf.sprintf " (batch %d, timeout %.0f us)" batch timeout_us)
-      mpl
-      (if shards > 1 then " per shard" else "")
-      txns
-      (if read_frac > 0.0 then
-         Printf.sprintf " (%d read-only%s)" n_ro
-           (if use_snapshot then ", lock-free snapshot reads" else "")
-       else "")
-      (match arrival with `Poisson -> "poisson" | `Bursty -> "bursty")
-      op_cost sync_cost;
-    if shards > 1 then begin
-      (* one domain per shard, cross-shard commits through the 2PC
-         coordinator *)
-      let module Shd = S.Shard.Make (E) in
-      Printf.printf "%12s %12s %10s %10s %12s %8s %8s %8s\n" "offered/s" "sustained/s" "p50 us"
-        "p99 us" "cross p99" "forces" "restarts" "cross";
-      List.iter
-        (fun rate ->
-          let engines = Array.init shards (fun _ -> E.create ~n_keys:4096 ()) in
-          let coordinator = S.Coordinator_log.create () in
-          let r =
-            Shd.run ~mpl ~op_cost_us:op_cost ~sync_cost_us:sync_cost ~mode
-              ~arrivals_us:(arrivals rate) ~scripts ~coordinator engines
-          in
-          let h = r.S.Shard.latency_us and xh = r.S.Shard.cross_latency_us in
-          Printf.printf "%12.0f %12.0f %10.1f %10.1f %12.1f %8d %8d %8d%s\n" rate
-            r.S.Shard.sustained_tps (Hist.p50 h) (Hist.p99 h)
-            (if Hist.count xh = 0 then 0.0 else Hist.p99 xh)
-            r.S.Shard.forces r.S.Shard.restarts r.S.Shard.cross_committed
-            (if r.S.Shard.oversubscribed then "  (oversubscribed)" else ""))
-        loads
-    end
-    else begin
-      let module Srv = S.Server.Make (E) in
-      Printf.printf "%12s %12s %10s %10s %10s %10s %8s %8s %8s\n" "offered/s" "sustained/s"
-        "p50 us" "p99 us" "p999 us" "max us" "forces" "restarts" "queue";
-      List.iter
-        (fun rate ->
-          let e = E.create ~n_keys:4096 () in
-          let snapshot =
-            if use_snapshot then Some (S.Scheduler.snapshot_view (module E) e) else None
-          in
-          let r =
-            Srv.run ?snapshot ~read_only ~mpl ~op_cost_us:op_cost ~sync_cost_us:sync_cost ~mode
-              ~arrivals_us:(arrivals rate) ~scripts e
-          in
-          let h = r.S.Server.latency_us in
-          Printf.printf "%12.0f %12.0f %10.1f %10.1f %10.1f %10.1f %8d %8d %8d\n" rate
-            r.S.Server.sustained_tps (Hist.p50 h) (Hist.p99 h) (Hist.p999 h) (Hist.max h)
-            r.S.Server.forces r.S.Server.restarts r.S.Server.max_queued)
-        loads
-    end
-  in
-  Cmd.v
-    (Cmd.info "serve-bench"
-       ~doc:
-         "Drive the open-loop transaction server on the logging engine (the simulated \
-          costs are the same for every engine): Poisson or bursty arrivals at each \
-          $(b,--load), admission control at $(b,--mpl), commits batched by the \
-          group-commit pipeline ($(b,--batch) / $(b,--timeout-us)) or synced per \
-          transaction under $(b,--eager); a $(b,--read-frac) share of \
-          transactions runs read-only, lock-free over pinned MVCC snapshots under \
-          $(b,--snapshot); $(b,--shards) partitions the key space across domain-parallel \
-          engine shards with two-phase commit for the $(b,--cross-frac) share of \
-          transactions that spans two of them; prints sustained throughput and the \
-          arrival-to-durable-ack latency tail per load point.")
-    Term.(
-      const run $ loads_arg $ batch_arg $ timeout_arg $ mpl_arg $ txns_arg $ seed_arg
-      $ arrival_arg $ eager_arg $ op_cost_arg $ sync_cost_arg $ read_frac_arg $ snapshot_arg
-      $ shards_arg $ cross_frac_arg)
+          the open-loop server sweep, the MVCC snapshot-read sweep and the \
+          sharded-execution sweep.  The server and snapshot-read sweeps run on one engine \
+          each (logging and differential-file): in simulated time their figures are the \
+          same on every engine.")
+    Term.(const run $ scale_arg $ oversubscribe_arg)
 
 (* -- version-select command ---------------------------------------- *)
 
@@ -712,5 +441,4 @@ let () =
   let info = Cmd.info "dbmsim" ~version:"1.0.0" ~doc in
   exit (Cmd.eval (Cmd.group info
        [ table_cmd; run_cmd; workload_cmd; ablation_cmd; extension_cmd; export_cmd;
-         validate_cmd; recovery_time_cmd; storage_bench_cmd; serve_bench_cmd;
-         version_select_cmd ]))
+         validate_cmd; recovery_time_cmd; storage_bench_cmd; version_select_cmd ]))

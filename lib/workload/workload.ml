@@ -101,15 +101,6 @@ let validate_size_dist = function
     if alpha <= 0.0 || not (Float.is_finite alpha) then
       invalid_arg "Workload: pareto alpha must be positive and finite"
 
-let feed_size_dist d s =
-  let module D = Dbm_util.Digest in
-  D.string d "workload-size-dist";
-  match s with
-  | Uniform_size -> D.tag d 0
-  | Pareto_size { alpha } ->
-    D.tag d 1;
-    D.float d alpha
-
 (* Draw a transaction size in [min_pages, max_pages].  The heavy-tailed
    draws are clamped into the configured range, so the tail mass piles
    up at max_pages instead of escaping the database. *)
@@ -281,80 +272,21 @@ let apply_cross_fraction rng ~cross_frac ~classes ~class_of ~db_pages txns =
 
 (* --- open-loop arrival processes ----------------------------------- *)
 
-type arrival =
-  | Poisson of { rate : float }
-  | Bursty of { on_rate : float; off_rate : float; mean_on : float; mean_off : float }
+type arrival = Poisson of { rate : float }
 
-let validate_arrival = function
-  | Poisson { rate } ->
-    if rate <= 0.0 || not (Float.is_finite rate) then
-      invalid_arg "Workload: poisson rate must be positive and finite"
-  | Bursty { on_rate; off_rate; mean_on; mean_off } ->
-    if on_rate <= 0.0 || not (Float.is_finite on_rate) then
-      invalid_arg "Workload: bursty on_rate must be positive and finite";
-    if off_rate < 0.0 || not (Float.is_finite off_rate) then
-      invalid_arg "Workload: bursty off_rate must be non-negative and finite";
-    if mean_on <= 0.0 || mean_off <= 0.0 then
-      invalid_arg "Workload: bursty phase lengths must be positive"
+let validate_arrival (Poisson { rate }) =
+  if rate <= 0.0 || not (Float.is_finite rate) then
+    invalid_arg "Workload: poisson rate must be positive and finite"
 
-let feed_arrival d a =
-  let module D = Dbm_util.Digest in
-  D.string d "workload-arrival";
-  match a with
-  | Poisson { rate } ->
-    D.tag d 0;
-    D.float d rate
-  | Bursty { on_rate; off_rate; mean_on; mean_off } ->
-    D.tag d 1;
-    D.float d on_rate;
-    D.float d off_rate;
-    D.float d mean_on;
-    D.float d mean_off
-
-let mean_rate = function
-  | Poisson { rate } -> rate
-  | Bursty { on_rate; off_rate; mean_on; mean_off } ->
-    ((on_rate *. mean_on) +. (off_rate *. mean_off)) /. (mean_on +. mean_off)
-
-let gen_arrival_times rng a ~n =
+let gen_arrival_times rng (Poisson { rate } as a) ~n =
   validate_arrival a;
   if n < 0 then invalid_arg "Workload.gen_arrival_times: negative count";
   let out = Array.make n 0.0 in
-  (match a with
-  | Poisson { rate } ->
-    let t = ref 0.0 in
-    for i = 0 to n - 1 do
-      t := !t +. Dbm_util.Prng.exponential rng ~mean:(1.0 /. rate);
-      out.(i) <- !t
-    done
-  | Bursty { on_rate; off_rate; mean_on; mean_off } ->
-    (* Alternating exponential on/off phases.  At a phase boundary the
-       partial interarrival draw is discarded and redrawn at the new
-       phase's rate — exactly right for exponential interarrivals
-       (memorylessness), not an approximation. *)
-    let t = ref 0.0 in
-    let on = ref true in
-    let phase_end = ref (Dbm_util.Prng.exponential rng ~mean:mean_on) in
-    let switch () =
-      t := !phase_end;
-      on := not !on;
-      phase_end :=
-        !phase_end +. Dbm_util.Prng.exponential rng ~mean:(if !on then mean_on else mean_off)
-    in
-    let i = ref 0 in
-    while !i < n do
-      let rate = if !on then on_rate else off_rate in
-      if rate <= 0.0 then switch () (* silent phase: skip to its end *)
-      else begin
-        let dt = Dbm_util.Prng.exponential rng ~mean:(1.0 /. rate) in
-        if !t +. dt > !phase_end then switch ()
-        else begin
-          t := !t +. dt;
-          out.(!i) <- !t;
-          incr i
-        end
-      end
-    done);
+  let t = ref 0.0 in
+  for i = 0 to n - 1 do
+    t := !t +. Dbm_util.Prng.exponential rng ~mean:(1.0 /. rate);
+    out.(i) <- !t
+  done;
   out
 
 let read_set_size t = Array.length t.pages

@@ -71,9 +71,6 @@ type size_dist =
 val validate_size_dist : size_dist -> unit
 (** @raise Invalid_argument on a non-positive or non-finite [alpha]. *)
 
-val feed_size_dist : Dbm_util.Digest.t -> size_dist -> unit
-(** Canonical digest feed, tagged per constructor. *)
-
 val generate_with : ?size_dist:size_dist -> config -> txn array
 (** {!generate} with the uniform size draw replaced by [size_dist]
     (default {!Uniform_size}, which makes [generate_with] and
@@ -134,7 +131,7 @@ val of_string : string -> txn array
 (** Inverse of {!to_string}.  @raise Invalid_argument on malformed
     input. *)
 
-(** {2 Open-loop arrival processes}
+(** {2 Open-loop arrivals}
 
     Closed-loop scripts (the scheduler's world) admit the next
     transaction when the previous one finishes; an {e open-loop} server
@@ -142,27 +139,15 @@ val of_string : string -> txn array
     server is — the regime where queueing delay and tail latency
     appear.  Times are in seconds; all randomness flows through
     {!Dbm_util.Prng}, so an arrival trace is exactly reproducible from
-    its seed and digest-able for the run cache. *)
+    its seed. *)
 
 type arrival =
   | Poisson of { rate : float }
       (** memoryless arrivals at [rate] per second (exponential
           interarrivals with mean [1/rate]) *)
-  | Bursty of { on_rate : float; off_rate : float; mean_on : float; mean_off : float }
-      (** an on/off (interrupted-Poisson) process: alternating
-          exponentially-long phases of mean [mean_on] / [mean_off]
-          seconds, arriving at [on_rate] during on-phases and
-          [off_rate] (may be 0) during off-phases *)
 
 val validate_arrival : arrival -> unit
-(** @raise Invalid_argument on non-positive rates or phase lengths
-    ([off_rate] alone may be 0). *)
-
-val feed_arrival : Dbm_util.Digest.t -> arrival -> unit
-(** Canonical digest feed, tagged per constructor. *)
-
-val mean_rate : arrival -> float
-(** Long-run average arrivals per second (the offered load). *)
+(** @raise Invalid_argument on a non-positive or non-finite rate. *)
 
 val gen_arrival_times : Dbm_util.Prng.t -> arrival -> n:int -> float array
 (** The first [n] arrival instants, in seconds, strictly increasing

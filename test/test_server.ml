@@ -461,7 +461,7 @@ let test_server_validation () =
    on every engine. *)
 let test_engines_agree () =
   let n = 800 and seed = 20_250 and rate = 400_000.0 in
-  let scripts, _ = Storage_bench.random_access_workload ~n ~seed () in
+  let scripts = Storage_bench.random_access_workload ~n ~seed () in
   let arrivals_us =
     Storage_bench.arrivals_us ~seed:(seed + int_of_float rate)
       (Dbm_workload.Workload.Poisson { rate }) ~n

@@ -494,22 +494,6 @@ let test_size_dist_deterministic_and_uniform_identity () =
     (W.to_string (W.generate size_cfg))
     (W.to_string (W.generate_with ~size_dist:W.Uniform_size size_cfg))
 
-let test_size_dist_digest_tags () =
-  let hex dist =
-    let d = Dbm_util.Digest.create () in
-    W.feed_size_dist d dist;
-    Dbm_util.Digest.hex d
-  in
-  let all =
-    [
-      hex W.Uniform_size;
-      hex (W.Pareto_size { alpha = 1.5 });
-      hex (W.Pareto_size { alpha = 2.0 });
-    ]
-  in
-  check Alcotest.int "distinct digests" (List.length all)
-    (List.length (List.sort_uniq compare all))
-
 let test_size_dist_validation () =
   List.iter
     (fun dist ->
@@ -583,7 +567,6 @@ let () =
             test_size_dist_heavy_tail;
           Alcotest.test_case "deterministic; Uniform_size = generate" `Quick
             test_size_dist_deterministic_and_uniform_identity;
-          Alcotest.test_case "digest tags distinct" `Quick test_size_dist_digest_tags;
           Alcotest.test_case "bad parameters rejected" `Quick test_size_dist_validation;
         ] );
       ( "read-fraction",

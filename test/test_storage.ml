@@ -910,11 +910,7 @@ let test_storage_bench_rejects_early () =
     check Alcotest.int (name ^ ": clock reads") 0 !reads
   in
   rejects "scale 0" (fun () -> SB.run ~scale:0 ~now ());
-  rejects "jobs [0]" (fun () -> SB.run ~jobs:[ 0 ] ~now ());
-  rejects "read fraction 1.5" (fun () -> SB.run ~read_fracs:[ 1.5 ] ~now ());
-  rejects "no read fractions" (fun () -> SB.run ~read_fracs:[] ~now ());
-  rejects "shard count 0" (fun () -> SB.run ~shard_counts:[ 0 ] ~now ());
-  rejects "cross fraction -0.1" (fun () -> SB.run ~cross_fracs:[ -0.1 ] ~now ())
+  rejects "scale -1" (fun () -> SB.run ~scale:(-1) ~now ())
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest

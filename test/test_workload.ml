@@ -216,7 +216,7 @@ let test_zipfian_digest_distinct () =
   in
   check Alcotest.int "patterns digest distinctly" 4 (List.length (List.sort_uniq compare all))
 
-(* --- open-loop arrival processes ----------------------------------- *)
+(* --- open-loop arrivals ---------------------------------------------- *)
 
 let test_arrival_deterministic () =
   let gen seed a = W.gen_arrival_times (Dbm_util.Prng.create seed) a ~n:50 in
@@ -234,11 +234,7 @@ let test_arrival_increasing () =
           if t <= 0.0 then Alcotest.failf "arrival %d not positive" i;
           if i > 0 && t <= ts.(i - 1) then Alcotest.failf "arrival %d not increasing" i)
         ts)
-    [
-      W.Poisson { rate = 500.0 };
-      W.Bursty { on_rate = 900.0; off_rate = 0.0; mean_on = 0.01; mean_off = 0.02 };
-      W.Bursty { on_rate = 800.0; off_rate = 50.0; mean_on = 0.05; mean_off = 0.01 };
-    ]
+    [ W.Poisson { rate = 500.0 }; W.Poisson { rate = 20_000.0 } ]
 
 let test_poisson_mean_rate () =
   let rate = 1000.0 in
@@ -246,40 +242,7 @@ let test_poisson_mean_rate () =
   let ts = W.gen_arrival_times (Dbm_util.Prng.create 21) (W.Poisson { rate }) ~n in
   let observed = float_of_int n /. ts.(n - 1) in
   if Float.abs (observed -. rate) /. rate > 0.05 then
-    Alcotest.failf "poisson rate off: asked %.0f observed %.1f" rate observed;
-  check (Alcotest.float 1e-9) "mean_rate is the rate" rate (W.mean_rate (W.Poisson { rate }))
-
-let test_bursty_mean_rate () =
-  let a = W.Bursty { on_rate = 2000.0; off_rate = 0.0; mean_on = 0.02; mean_off = 0.02 } in
-  check (Alcotest.float 1e-9) "duty-cycle weighted" 1000.0 (W.mean_rate a);
-  let n = 20_000 in
-  let ts = W.gen_arrival_times (Dbm_util.Prng.create 22) a ~n in
-  let observed = float_of_int n /. ts.(n - 1) in
-  if Float.abs (observed -. 1000.0) /. 1000.0 > 0.10 then
-    Alcotest.failf "bursty long-run rate off: observed %.1f" observed
-
-let test_bursty_is_bursty () =
-  (* interarrival variance of an on/off process must exceed Poisson's at
-     the same mean rate (coefficient of variation > 1) *)
-  let n = 10_000 in
-  let gaps a seed =
-    let ts = W.gen_arrival_times (Dbm_util.Prng.create seed) a ~n in
-    Array.init (n - 1) (fun i -> ts.(i + 1) -. ts.(i))
-  in
-  let cv g =
-    let m = Array.fold_left ( +. ) 0.0 g /. float_of_int (Array.length g) in
-    let v =
-      Array.fold_left (fun acc x -> acc +. (((x -. m) /. m) ** 2.0)) 0.0 g
-      /. float_of_int (Array.length g)
-    in
-    sqrt v
-  in
-  let bursty =
-    cv (gaps (W.Bursty { on_rate = 5000.0; off_rate = 0.0; mean_on = 0.01; mean_off = 0.04 }) 31)
-  in
-  let poisson = cv (gaps (W.Poisson { rate = 1000.0 }) 31) in
-  if bursty <= poisson *. 1.3 then
-    Alcotest.failf "bursty cv %.2f not above poisson cv %.2f" bursty poisson
+    Alcotest.failf "poisson rate off: asked %.0f observed %.1f" rate observed
 
 let test_arrival_validation () =
   List.iter
@@ -291,30 +254,11 @@ let test_arrival_validation () =
       W.Poisson { rate = 0.0 };
       W.Poisson { rate = -5.0 };
       W.Poisson { rate = Float.nan };
-      W.Bursty { on_rate = 0.0; off_rate = 0.0; mean_on = 0.1; mean_off = 0.1 };
-      W.Bursty { on_rate = 100.0; off_rate = -1.0; mean_on = 0.1; mean_off = 0.1 };
-      W.Bursty { on_rate = 100.0; off_rate = 0.0; mean_on = 0.0; mean_off = 0.1 };
+      W.Poisson { rate = Float.infinity };
     ];
   match W.gen_arrival_times (Dbm_util.Prng.create 1) (W.Poisson { rate = 1.0 }) ~n:(-1) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "negative n accepted"
-
-let test_arrival_digest_distinct () =
-  let dg a =
-    let d = Dbm_util.Digest.create () in
-    W.feed_arrival d a;
-    Dbm_util.Digest.hex d
-  in
-  let all =
-    [
-      dg (W.Poisson { rate = 100.0 });
-      dg (W.Poisson { rate = 200.0 });
-      dg (W.Bursty { on_rate = 100.0; off_rate = 0.0; mean_on = 0.1; mean_off = 0.1 });
-      dg (W.Bursty { on_rate = 100.0; off_rate = 0.0; mean_on = 0.1; mean_off = 0.2 });
-    ]
-  in
-  check Alcotest.int "arrival processes digest distinctly" 4
-    (List.length (List.sort_uniq compare all))
 
 let () =
   Alcotest.run "dbm_workload"
@@ -350,9 +294,6 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_arrival_deterministic;
           Alcotest.test_case "strictly increasing" `Quick test_arrival_increasing;
           Alcotest.test_case "poisson mean rate" `Quick test_poisson_mean_rate;
-          Alcotest.test_case "bursty mean rate" `Quick test_bursty_mean_rate;
-          Alcotest.test_case "bursty is bursty" `Quick test_bursty_is_bursty;
           Alcotest.test_case "validation" `Quick test_arrival_validation;
-          Alcotest.test_case "digests distinctly" `Quick test_arrival_digest_distinct;
         ] );
     ]
