@@ -64,25 +64,6 @@ let to_csv t =
     t.rows;
   Buffer.contents buf
 
-let ascii_bars ?(width = 50) rows =
-  let label_w = List.fold_left (fun acc (l, _) -> max acc (String.length l)) 0 rows in
-  let mx =
-    List.fold_left
-      (fun acc (_, v) -> if Float.is_finite v && v > acc then v else acc)
-      0.0 rows
-  in
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun (label, v) ->
-      let n =
-        if mx <= 0.0 || (not (Float.is_finite v)) || v <= 0.0 then 0
-        else int_of_float (Float.round (v /. mx *. float_of_int width))
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "%-*s  %s %s\n" label_w label (String.make n '#') (format_value v)))
-    rows;
-  Buffer.contents buf
-
 let mean_abs_log_ratio t =
   let total = ref 0.0 and n = ref 0 in
   List.iter

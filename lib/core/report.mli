@@ -27,12 +27,6 @@ val to_string : cell table -> string
 val to_csv : cell table -> string
 (** Machine-readable dump: [row,column,measured,paper]. *)
 
-val ascii_bars : ?width:int -> (string * float) list -> string
-(** Render labelled values as a horizontal ASCII bar chart (longest bar
-    = [width], default 50 columns).  Used by the bench harness to show
-    sweep shapes (log-disk scaling, buffer sweeps) at a glance.
-    Non-positive and non-finite values render as empty bars. *)
-
 val mean_abs_log_ratio : cell table -> float
 (** Shape metric: mean over cells (with paper values > 0) of
     [|log (measured / paper)|].  0 = perfect reproduction; 0.7 ~ a 2x

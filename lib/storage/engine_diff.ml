@@ -216,7 +216,7 @@ let checkpoint t =
       match Hashtbl.find_opt winners k with
       | None -> ()
       | Some v ->
-        Page.update page ~key:k ~value:v.value;
+        ignore (Page.update page ~key:k ~value:v.value);
         changed := true
     done;
     if !changed then Vdisk.write t.base p page

@@ -158,14 +158,17 @@ let update_key txn k value =
   let before = Vdisk.read_ro t.data p in
   let after = t.scratch in
   Bytes.blit before 0 after 0 t.page_size;
-  Page.update after ~key:k ~value;
+  (* [lo, hi): the only body bytes this update rewrote, so the only
+     ones the delta diff needs to scan. *)
+  let lo, hi = Page.update after ~key:k ~value in
   let lsn = fresh_lsn t in
   Page.set_lsn after lsn;
   let disk = select_log t in
   let record =
     match t.log_format with
     | Delta when not was_clean ->
-      Wal.delta_update ~threshold:t.delta_threshold ~lsn ~txn:txn.id ~page:p ~before ~after
+      Wal.delta_update ~threshold:t.delta_threshold ~lsn ~txn:txn.id ~page:p ~before ~after ~lo
+        ~hi
     | Physical | Delta ->
       let borrow = Wal_codec.View.borrow in
       Wal.Update { lsn; txn = txn.id; page = p; before = borrow before; after = borrow after }
@@ -306,7 +309,7 @@ let abort txn =
         let disk = select_log t in
         append_log t ~disk
           (Wal.delta_update ~threshold:t.delta_threshold ~lsn ~txn:txn.id ~page:p
-             ~before:current ~after:restored));
+             ~before:current ~after:restored ~lo:Page.header_bytes ~hi:t.page_size));
       Vdisk.write t.data p restored;
       (* A mid-log replay must still scan back to the loser's first
          record to reproduce the undo — the dirty entry keeps (or

@@ -208,7 +208,7 @@ module No_undo = struct
         append_meta t ~tag:'I' [ h.id; p; slot ];
         (slot, Vdisk.read t.disk p)
     in
-    Page.update image ~key:k ~value;
+    ignore (Page.update image ~key:k ~value);
     Vdisk.write t.disk (scratch_addr t slot) image
 
   let put h k v = update_key h k (Some v)
@@ -272,7 +272,7 @@ module No_redo = struct
       append_meta t ~tag:'I' [ h.id; p; slot ];
       Journal.sync t.meta);
     let image = Vdisk.read t.disk p in
-    Page.update image ~key:k ~value;
+    ignore (Page.update image ~key:k ~value);
     Vdisk.write t.disk p image
 
   let put h k v = update_key h k (Some v)

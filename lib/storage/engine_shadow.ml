@@ -152,7 +152,7 @@ let update_key txn k value =
   Key_space.check t.keys k;
   let p = Key_space.page_of t.keys k in
   let image = current_image txn p in
-  Page.update image ~key:k ~value;
+  ignore (Page.update image ~key:k ~value);
   let target =
     match Hashtbl.find_opt txn.delta p with
     | Some b -> b  (* the txn's own fresh block: overwrite in place *)

@@ -147,7 +147,7 @@ let update_key txn k value =
   let p = Key_space.page_of t.keys k in
   let current_idx, current, _ = select t ~own:txn.id p in
   let payload = slot_payload current in
-  Page.update payload ~key:k ~value;
+  ignore (Page.update payload ~key:k ~value);
   let next_version =
     1
     + max

@@ -14,7 +14,13 @@
     queued in the same mode) returns [Would_block] without searching
     the graph: its edges already exist, so they close no cycle.  Every
     outcome is the one a search on every call would give
-    ({!Naive.Locks}). *)
+    ({!Naive.Locks}).
+
+    Page entries sit in an array sized at {!create} and stay in place
+    while their page is free; each transaction's held and waited-on
+    pages are short lists.  A grant allocates only the list cells that
+    record it; a release returns the transaction's own held list, with
+    any page it only waited on added. *)
 
 type t
 
@@ -25,7 +31,10 @@ type outcome =
   | Would_block
   | Deadlock of int list  (** the cycle of transaction ids, requester first *)
 
-val create : unit -> t
+val create : pages:int -> t
+(** A lock table for pages [0 .. pages - 1].  It does not grow: every
+    call that names a page outside it raises [Invalid_argument].
+    @raise Invalid_argument when [pages] is negative. *)
 
 val acquire : t -> txn:int -> page:int -> mode:mode -> outcome
 (** Re-acquiring a held lock is granted; an upgrade (S held, X
@@ -52,7 +61,8 @@ val release_all_pages : t -> txn:int -> int list
 (** Like {!release_all}, but returns the pages whose lock entries were
     touched — i.e. every page another transaction could now make
     progress on.  Lets a scheduler wake exactly the scripts parked on
-    those pages instead of polling everyone. *)
+    those pages instead of polling everyone.  Each page is named once,
+    also one the transaction both holds and waits on (an upgrade). *)
 
 val holds : t -> txn:int -> page:int -> mode option
 

@@ -294,7 +294,7 @@ module Log_replay = struct
             img
         in
         if lsn > Page.get_lsn img then begin
-          Page.update img ~key ~value;
+          ignore (Page.update img ~key ~value);
           Page.set_lsn img lsn;
           Hashtbl.replace dirty page ()
         end)

@@ -80,12 +80,14 @@ let update page ~key ~value =
   | Some v, Some (pos, vlen) when String.length v = vlen ->
     (* Equal-length overwrite: splice the value in place instead of the
        decode/Hashtbl/sort/re-encode round trip. *)
-    Bytes.blit_string v 0 page (pos + 12) vlen
+    Bytes.blit_string v 0 page (pos + 12) vlen;
+    (pos + 12, pos + 12 + vlen)
   | _ ->
     let kvs = records page in
     let without = List.filter (fun (k, _) -> k <> key) kvs in
     let kvs' = match value with None -> without | Some v -> (key, v) :: without in
-    set_records page kvs'
+    set_records page kvs';
+    (header_bytes, Bytes.length page)
 
 let lookup page ~key =
   match find_record page ~key with

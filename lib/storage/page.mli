@@ -26,8 +26,12 @@ val set_records : bytes -> (int * string) list -> unit
     Records are stored key-sorted; duplicate keys keep the last value.
     @raise Page_full when they do not fit. *)
 
-val update : bytes -> key:int -> value:string option -> unit
-(** Set or delete ([None]) one key in place.
+val update : bytes -> key:int -> value:string option -> int * int
+(** Set or delete ([None]) one key in place, and return the byte range
+    [(lo, hi)] it rewrote: every byte outside [lo, hi) is unchanged.
+    An equal-length overwrite rewrites only the value's bytes; any
+    other update re-encodes the whole record area,
+    [(header_bytes, length page)].
     @raise Page_full when the result does not fit. *)
 
 val lookup : bytes -> key:int -> string option

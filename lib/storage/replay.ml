@@ -326,7 +326,7 @@ let recover_logical ?pool ?(also_committed = []) ~(records : Wal.record array ar
       List.iter
         (function
           | Wal.Op { lsn; key; value; _ } ->
-            Page.update img ~key ~value;
+            ignore (Page.update img ~key ~value);
             Page.set_lsn img lsn
           | _ -> ())
         ops;

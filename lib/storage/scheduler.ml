@@ -16,6 +16,8 @@ let mode_of read_mode = function
   | Get _ -> read_mode
   | Put _ | Delete _ -> Lock_mgr.X
 
+module Itbl = Hashtbl.Make (Int)
+
 module Make (E : Kv.S) = struct
   (* The execution core, shared by the closed-loop [run] below and the
      open-loop {!Server}: one lock manager, a set of script tasks, and a
@@ -47,7 +49,7 @@ module Make (E : Kv.S) = struct
       snapshot : (unit -> view) option;
       read_mode : Lock_mgr.mode;
       locks : Lock_mgr.t;
-      parked : (int, task list ref) Hashtbl.t;
+      parked : task list ref Itbl.t;
       mutable commit_order : int list;  (* reversed *)
       mutable restarts : int;
       mutable steps : int;
@@ -64,14 +66,17 @@ module Make (E : Kv.S) = struct
     let create ?commit ?hold ?snapshot ?(read_mode = Lock_mgr.S) engine =
       let commit = match commit with Some f -> f | None -> fun ~id:_ t -> E.commit t in
       let hold = match hold with Some f -> f | None -> fun ~id:_ -> false in
+      (* The lock table covers the engine's key space, rounded up to
+         whole pages; an acquire on a page outside it raises. *)
+      let keys_per_page = E.keys_per_page engine in
       {
         engine;
         commit;
         hold;
         snapshot;
         read_mode;
-        locks = Lock_mgr.create ();
-        parked = Hashtbl.create 32;
+        locks = Lock_mgr.create ~pages:((E.max_keys engine + keys_per_page - 1) / keys_per_page);
+        parked = Itbl.create 32;
         commit_order = [];
         restarts = 0;
         steps = 0;
@@ -102,8 +107,6 @@ module Make (E : Kv.S) = struct
 
     let finished st = st.done_
 
-    let task_restarts st = st.restart_count
-
     let commit_order t = List.rev t.commit_order
 
     let restarts t = t.restarts
@@ -115,9 +118,9 @@ module Make (E : Kv.S) = struct
     let park t st page =
       st.parked_on <- Some page;
       st.woken <- false;
-      match Hashtbl.find_opt t.parked page with
+      match Itbl.find_opt t.parked page with
       | Some l -> l := st :: !l
-      | None -> Hashtbl.replace t.parked page (ref [ st ])
+      | None -> Itbl.replace t.parked page (ref [ st ])
 
     let unpark t st =
       match st.parked_on with
@@ -125,19 +128,19 @@ module Make (E : Kv.S) = struct
       | Some page ->
         st.parked_on <- None;
         st.woken <- false;
-        (match Hashtbl.find_opt t.parked page with
+        (match Itbl.find_opt t.parked page with
         | Some l ->
           l := List.filter (fun s -> s != st) !l;
-          if !l = [] then Hashtbl.remove t.parked page
+          if !l = [] then Itbl.remove t.parked page
         | None -> ())
 
     let wake_page t page =
-      match Hashtbl.find_opt t.parked page with
+      match Itbl.find_opt t.parked page with
       | Some l -> List.iter (fun s -> s.woken <- true) !l
       | None -> ()
 
     let wake_all t =
-      Hashtbl.iter (fun _ l -> List.iter (fun s -> s.woken <- true) !l) t.parked
+      Itbl.iter (fun _ l -> List.iter (fun s -> s.woken <- true) !l) t.parked
 
     let release_and_wake t txn =
       List.iter (wake_page t) (Lock_mgr.release_all_pages t.locks ~txn)

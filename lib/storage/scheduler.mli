@@ -98,7 +98,13 @@ module Make (E : Kv.S) : sig
         exclusive-only baseline — every read serializes against every
         other access to its page — which is what the snapshot bench
         compares against.  Defaults reproduce the pre-MVCC scheduler
-        bit-identically. *)
+        bit-identically.
+
+        The lock table covers the engine's key space: [max_keys]
+        rounded up to whole pages of [keys_per_page] keys.  An
+        operation on a key outside it raises [Invalid_argument] when it
+        runs, from the lock table or from the engine's own key
+        check. *)
 
     val spawn : t -> ?read_only:bool -> index:int -> id:int -> script -> task
     (** Register a task.  [id] must be unique among live tasks (it keys
@@ -116,9 +122,6 @@ module Make (E : Kv.S) : sig
         operation. *)
 
     val finished : task -> bool
-
-    val task_restarts : task -> int
-    (** Deadlock-victim restarts suffered by this task alone. *)
 
     val commit_order : t -> int list
 
@@ -143,6 +146,8 @@ module Make (E : Kv.S) : sig
       [commit_order], [restarts]) to the pre-split scheduler and to
       {!Naive.Sched} (the storage bench's [sched.equivalent] check
       holds this on a contended workload).
+      @raise Invalid_argument on duplicate ids, or on a script key
+      outside the engine's key space.
       @raise Failure if the scripts have not all committed within
       [max_steps] scheduler steps (default 100,000). *)
 end

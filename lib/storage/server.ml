@@ -113,7 +113,7 @@ module Make (E : ENGINE) = struct
     (* [waitq] holds positions into [ids]/[scripts]. *)
     let waitq : int Queue.t = Queue.create () in
     let runq : (Sch.Exec.task * int) Queue.t = Queue.create () in
-    let ro_tasks : Sch.Exec.task list ref = ref [] in
+    let ro_restarts = ref 0 in
     let next = ref 0 in
     let spawned = ref 0 in
     let max_inflight = ref 0 in
@@ -143,7 +143,6 @@ module Make (E : ENGINE) = struct
           let task =
             Sch.Exec.spawn ex ~read_only:(is_ro id) ~index:(!spawned mod mpl) ~id scripts.(j)
           in
-          if is_ro id then ro_tasks := task :: !ro_tasks;
           Queue.push (task, id) runq;
           incr spawned;
           if in_flight () > !max_inflight then max_inflight := in_flight ()
@@ -180,7 +179,7 @@ module Make (E : ENGINE) = struct
          sink charges sync latency inside [step] when it forces. *)
       let progressed = ref false in
       for _ = 1 to Queue.length runq do
-        let task, id = Queue.pop runq in
+        let ((task, id) as turn) = Queue.pop runq in
         (match Sch.Exec.step ex task with
         | Sch.Exec.Committed ->
           now := !now +. op_cost_us;
@@ -189,11 +188,15 @@ module Make (E : ENGINE) = struct
             Histogram.add ro_hist (Float.max 0.0 (!now -. arrivals_us.(id)));
             incr acked
           end
-        | Sch.Exec.Advanced | Sch.Exec.Restarted ->
+        | Sch.Exec.Advanced ->
           now := !now +. op_cost_us;
           progressed := true
+        | Sch.Exec.Restarted ->
+          now := !now +. op_cost_us;
+          progressed := true;
+          if is_ro id then incr ro_restarts
         | Sch.Exec.Blocked | Sch.Exec.Skipped -> ());
-        if not (Sch.Exec.finished task) then Queue.push (task, id) runq
+        if not (Sch.Exec.finished task) then Queue.push turn runq
       done;
       if !progressed then idle_passes := 0
       else begin
@@ -224,7 +227,7 @@ module Make (E : ENGINE) = struct
       makespan_us;
       sustained_tps = (if makespan_us > 0.0 then float_of_int n /. makespan_us *. 1e6 else Float.infinity);
       restarts = Sch.Exec.restarts ex;
-      ro_restarts = List.fold_left (fun acc t -> acc + Sch.Exec.task_restarts t) 0 !ro_tasks;
+      ro_restarts = !ro_restarts;
       forces = Pipe.forces pipe;
       max_inflight = !max_inflight;
       max_queued = !max_queued;

@@ -100,7 +100,8 @@ module Make (E : ENGINE) : sig
       commit through the pipeline.  [read_mode] sets the lock mode of
       Gets on the locked path ({!Lock_mgr.X} = the exclusive-only
       baseline the snapshot bench compares against).
-      @raise Invalid_argument on bad parameters.
+      @raise Invalid_argument on bad parameters, and on a script key
+      outside the engine's key space when its operation runs.
       @raise Failure on livelock (no progress for a bounded number of
       scheduler passes). *)
 

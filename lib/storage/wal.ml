@@ -49,28 +49,31 @@ let txn_of = function
    going forward, [prev_lsn] going backward. *)
 let header_bytes = 8
 
-let delta_update ~threshold ~lsn ~txn ~page ~before ~after =
+let delta_update ~threshold ~lsn ~txn ~page ~before ~after ~lo ~hi =
   let n = Bytes.length before in
   if Bytes.length after <> n then invalid_arg "Wal.delta_update: length mismatch";
   let update () = Update { lsn; txn; page; before = View.borrow before; after = View.borrow after } in
   if n < header_bytes + 1 then update ()
   else begin
+    if lo < header_bytes || lo > hi || hi > n then
+      invalid_arg "Wal.delta_update: range outside the page body";
     if Int64.to_int (Bytes.get_int64_le after 0) <> lsn then
       invalid_arg "Wal.delta_update: after image header is not at the record LSN";
     let prev_lsn = Int64.to_int (Bytes.get_int64_le before 0) in
-    (* Common-prefix/suffix diff over the body alone, 8 bytes at a time
-       and then byte by byte.  A word holding the first differing byte
-       differs, so the suffix scan stops before it reaches [p]. *)
-    let p = ref header_bytes in
-    while !p + 8 <= n && Bytes.get_int64_ne before !p = Bytes.get_int64_ne after !p do
+    (* Common-prefix/suffix diff over [lo, hi) alone, 8 bytes at a time
+       and then byte by byte; the images agree outside it.  A word
+       holding the first differing byte differs, so the suffix scan
+       stops before it reaches [p]. *)
+    let p = ref lo in
+    while !p + 8 <= hi && Bytes.get_int64_ne before !p = Bytes.get_int64_ne after !p do
       p := !p + 8
     done;
-    while !p < n && Bytes.unsafe_get before !p = Bytes.unsafe_get after !p do incr p done;
+    while !p < hi && Bytes.unsafe_get before !p = Bytes.unsafe_get after !p do incr p done;
     let off, len =
-      if !p = n then (header_bytes, 0)
+      if !p = hi then (header_bytes, 0)
       else begin
         (* [q]: one past the last differing byte. *)
-        let q = ref n in
+        let q = ref hi in
         while
           !q - 8 >= !p && Bytes.get_int64_ne before (!q - 8) = Bytes.get_int64_ne after (!q - 8)
         do

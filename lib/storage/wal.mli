@@ -98,7 +98,15 @@ val equal : record -> record -> bool
     The diff that decides between {!Delta} and a full {!Update}. *)
 
 val delta_update :
-  threshold:int -> lsn:int -> txn:int -> page:int -> before:bytes -> after:bytes -> record
+  threshold:int ->
+  lsn:int ->
+  txn:int ->
+  page:int ->
+  before:bytes ->
+  after:bytes ->
+  lo:int ->
+  hi:int ->
+  record
 (** A {!Delta} when the changed {e body} range is small enough that
     both slices together fit in [threshold] bytes
     ([2 * len <= threshold]); a full {!Update} past the threshold (a
@@ -106,10 +114,16 @@ val delta_update :
     are too small to carry the 8-byte page header.  The diff skips the
     header: [prev_lsn] is read from the before image, and the after
     image's header must already hold [lsn] (the engine stamps it before
-    logging).  A full {!Update} borrows [before] and [after]
-    themselves, not copies: encode it before either buffer changes.
-    @raise Invalid_argument on images of different length, or when the
-    after image's header is not at [lsn]. *)
+    logging).  It scans only the body bytes [lo, hi): the caller
+    vouches that the images agree everywhere else past the header
+    (the range {!Page.update} reports), and a caller that knows no
+    range passes the whole body, [lo = 8] and [hi = length before].
+    Given such a range, the record equals the whole-body scan's.  A
+    full {!Update} borrows [before] and [after] themselves, not copies:
+    encode it before either buffer changes.
+    @raise Invalid_argument on images of different length, or, for
+    images longer than the header, on a range outside the body or when
+    the after image's header is not at [lsn]. *)
 
 val apply_slice : bytes -> off:int -> string -> unit
 (** Patch [slice] into the image at [off] — how replay applies one side

@@ -179,6 +179,27 @@ let test_duplicate_ids_rejected () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "duplicate script ids accepted"
 
+(* A key outside the engine's key space fails the run loudly, whether
+   its page lies outside the lock table (a negative page, the page past
+   the last, max_int's) or inside it (on the logging engine's 4-key
+   pages key -1 rounds to page 0, and the engine's key check rejects
+   it). *)
+let test_keys_outside_key_space () =
+  let module S = Scheduler.Make (Kv.Model) in
+  let module L = Scheduler.Make (Engine_log) in
+  let raises run = match run () with exception Invalid_argument _ -> true | _ -> false in
+  List.iter
+    (fun k ->
+      List.iter
+        (fun op ->
+          let scripts = [ (1, [ Scheduler.Put (0, "ok") ]); (2, [ op ]) ] in
+          check Alcotest.bool (Printf.sprintf "model, key %d" k) true
+            (raises (fun () -> S.run (Kv.Model.create ~n_keys ()) ~scripts));
+          check Alcotest.bool (Printf.sprintf "logging, key %d" k) true
+            (raises (fun () -> L.run (Engine_log.create ~n_keys ()) ~scripts)))
+        [ Scheduler.Get k; Scheduler.Put (k, "x"); Scheduler.Delete k ])
+    [ -5; -1; n_keys; n_keys + 3; max_int ]
+
 (* --- group commit ------------------------------------------------------ *)
 
 let test_group_commit_lost_without_force () =
@@ -373,7 +394,10 @@ let () =
       H_no_redo.suite;
       H_diff.suite;
       ( "scheduler validation",
-        [ Alcotest.test_case "duplicate ids" `Quick test_duplicate_ids_rejected ] );
+        [
+          Alcotest.test_case "duplicate ids" `Quick test_duplicate_ids_rejected;
+          Alcotest.test_case "keys outside the key space" `Quick test_keys_outside_key_space;
+        ] );
       ( "group commit",
         [
           Alcotest.test_case "lost without force" `Quick test_group_commit_lost_without_force;

@@ -453,6 +453,32 @@ let test_server_validation () =
            ~mode:(Commit_pipeline.Grouped { batch = 0; timeout_us = 1.0 })
            ~arrivals_us:[| 0.0 |] ~scripts:[| [] |] e))
 
+(* A script key outside the engine's key space raises.  On the locked
+   path key -1 rounds to page 0 and fails the engine's key check, and
+   the others lie past the lock table; the snapshot path takes no lock,
+   and the engine's read rejects every one. *)
+let test_server_keys_outside_key_space () =
+  let raises f = match f () with exception Invalid_argument _ -> true | _ -> false in
+  List.iter
+    (fun k ->
+      let arrivals_us = [| 0.0; 1.0 |] in
+      List.iter
+        (fun op ->
+          check Alcotest.bool (Printf.sprintf "logging, key %d" k) true
+            (raises (fun () ->
+                 Log_server.run ~mode:Commit_pipeline.Eager ~arrivals_us
+                   ~scripts:[| [ Scheduler.Put (0, "ok") ]; [ op ] |]
+                   (Engine_log.create_with ~n_keys:8 ()))))
+        [ Scheduler.Get k; Scheduler.Put (k, "x") ];
+      let e = Engine_diff.create ~n_keys:8 () in
+      check Alcotest.bool (Printf.sprintf "snapshot read, key %d" k) true
+        (raises (fun () ->
+             Diff_server.run ~snapshot:(Scheduler.snapshot_view (module Engine_diff) e)
+               ~read_only:[| false; true |] ~mode:Commit_pipeline.Eager ~arrivals_us
+               ~scripts:[| [ Scheduler.Put (0, "ok") ]; [ Scheduler.Get k ] |]
+               e)))
+    [ -1; 8; max_int ]
+
 (* Storage_bench's server sweep runs on the logging engine alone and
    stands for every engine: the server decides from the scripts, the
    arrivals, lock outcomes at the page granule and its cost constants.
@@ -555,6 +581,8 @@ let () =
           Alcotest.test_case "differential engine" `Quick test_server_diff_engine;
           Alcotest.test_case "idle gaps and timeout floor" `Quick test_open_loop_idle_gaps;
           Alcotest.test_case "validation" `Quick test_server_validation;
+          Alcotest.test_case "keys outside the key space" `Quick
+            test_server_keys_outside_key_space;
           Alcotest.test_case "livelock guard raises" `Quick test_livelock_guard_raises;
           Alcotest.test_case "every engine, same figures" `Quick test_engines_agree;
         ] );

@@ -216,11 +216,15 @@ let test_page_lsn () =
 
 let test_page_update_lookup () =
   let p = Page.empty ~page_size:256 in
-  Page.update p ~key:5 ~value:(Some "five");
+  let range = Alcotest.(pair int int) in
+  (* An insert or a delete re-encodes the record area; an equal-length
+     overwrite rewrites the value's bytes only (the first record's
+     value starts past the header, the count and its own 12 bytes). *)
+  check range "insert rewrites the record area" (8, 256) (Page.update p ~key:5 ~value:(Some "five"));
   check (Alcotest.option Alcotest.string) "lookup" (Some "five") (Page.lookup p ~key:5);
-  Page.update p ~key:5 ~value:(Some "FIVE");
+  check range "overwrite rewrites the value" (24, 28) (Page.update p ~key:5 ~value:(Some "FIVE"));
   check (Alcotest.option Alcotest.string) "overwrite" (Some "FIVE") (Page.lookup p ~key:5);
-  Page.update p ~key:5 ~value:None;
+  check range "delete rewrites the record area" (8, 256) (Page.update p ~key:5 ~value:None);
   check (Alcotest.option Alcotest.string) "delete" None (Page.lookup p ~key:5)
 
 let test_page_full () =
@@ -241,7 +245,7 @@ let test_page_update_in_place () =
   Page.set_records p [ (1, "one"); (2, "two"); (3, "three") ];
   Page.set_lsn p 9;
   let free_before = Page.free_bytes p in
-  Page.update p ~key:2 ~value:(Some "TWO");
+  ignore (Page.update p ~key:2 ~value:(Some "TWO"));
   check
     (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string))
     "splice in place"
@@ -288,7 +292,7 @@ let prop_page_update_equal_length =
       (* canonical form: unique keys, last duplicate won *)
       let canonical = Page.records fast in
       QCheck.assume (List.mem_assoc key canonical);
-      Page.update fast ~key ~value:(Some "NEWV");
+      ignore (Page.update fast ~key ~value:(Some "NEWV"));
       Page.set_records slow ((key, "NEWV") :: List.remove_assoc key canonical);
       Page.records fast = Page.records slow)
 
@@ -695,7 +699,10 @@ let prop_wal_delta_apply =
     (QCheck.make ~print:(fun (p, b, a) -> Printf.sprintf "hdr=%d %S -> %S" p b a) gen)
     (fun (prev, b, a) ->
       let before = page_of ~hdr:prev b and after = page_of ~hdr:lsn a in
-      match Wal.delta_update ~threshold:32 ~lsn ~txn:1 ~page:0 ~before ~after with
+      match
+        Wal.delta_update ~threshold:32 ~lsn ~txn:1 ~page:0 ~before ~after ~lo:8
+          ~hi:(Bytes.length before)
+      with
       | Wal.Delta { off; prev_lsn; before_slice; after_slice; _ } ->
         let fwd = Bytes.copy before in
         Wal.apply_slice fwd ~off after_slice;
@@ -752,7 +759,7 @@ let prop_wal_delta_exact =
           done)
         runs;
       let same i = Bytes.get before i = Bytes.get after i in
-      match Wal.delta_update ~threshold:(2 * n) ~lsn ~txn:1 ~page:0 ~before ~after with
+      match Wal.delta_update ~threshold:(2 * n) ~lsn ~txn:1 ~page:0 ~before ~after ~lo:8 ~hi:n with
       | Wal.Delta { off; prev_lsn; before_slice; after_slice; _ } ->
         let len = String.length after_slice in
         let outside_same = ref true in
@@ -770,6 +777,66 @@ let prop_wal_delta_exact =
         && before_slice = Bytes.sub_string before off len
         && Bytes.equal rebuilt after
       | _ -> false)
+
+let prop_page_update_range =
+  (* Page.update reports the byte range it rewrote: every byte it
+     changed must lie inside it, so Wal.delta_update scanning only that
+     range must return the record the whole-body scan returns, as a
+     Delta or, past the threshold, as a full Update.  Updates insert,
+     delete, resize, or overwrite with an equal length (a zero mask
+     leaves the value as it was).  Each page has room for any update:
+     its size is the records' encoding plus 24 to 88 spare bytes. *)
+  let value = QCheck.Gen.(string_size ~gen:printable (int_range 0 12)) in
+  let gen =
+    QCheck.Gen.(
+      quad
+        (list_size (int_range 0 8) (pair (int_range 0 15) value))
+        (int_range 24 88)
+        (pair (int_range 0 15)
+           (oneof
+              [
+                return `Delete;
+                map (fun v -> `Put v) value;
+                map (fun x -> `Flip x) (int_range 0 255);
+              ]))
+        (oneofl [ 0; 24; 4096 ]))
+  in
+  let print (kvs, spare, (key, op), threshold) =
+    Printf.sprintf "records=[%s] spare=%d key=%d %s threshold=%d"
+      (String.concat ";" (List.map (fun (k, v) -> Printf.sprintf "%d=%S" k v) kvs))
+      spare key
+      (match op with
+      | `Delete -> "delete"
+      | `Put v -> Printf.sprintf "put %S" v
+      | `Flip x -> Printf.sprintf "flip ^%d" x)
+      threshold
+  in
+  QCheck.Test.make ~name:"Page.update range bounds the delta diff" ~count:500 ~long_factor:20
+    (QCheck.make ~print gen) (fun (kvs, spare, (key, op), threshold) ->
+      let n =
+        Page.header_bytes + 4 + List.fold_left (fun acc (_, v) -> acc + 12 + String.length v) 0 kvs
+        + spare
+      in
+      let before = Page.empty ~page_size:n in
+      Page.set_records before kvs;
+      Page.set_lsn before 3;
+      let value =
+        match op with
+        | `Delete -> None
+        | `Put v -> Some v
+        | `Flip x ->
+          let old = Option.value (Page.lookup before ~key) ~default:"" in
+          Some (String.map (fun c -> Char.chr (Char.code c lxor x)) old)
+      in
+      let after = Bytes.copy before in
+      let lo, hi = Page.update after ~key ~value in
+      Page.set_lsn after 4;
+      let covered = ref (Page.header_bytes <= lo && lo <= hi && hi <= n) in
+      for i = Page.header_bytes to n - 1 do
+        if (i < lo || i >= hi) && Bytes.get before i <> Bytes.get after i then covered := false
+      done;
+      let diff ~lo ~hi = Wal.delta_update ~threshold ~lsn:4 ~txn:1 ~page:0 ~before ~after ~lo ~hi in
+      !covered && Wal.equal (diff ~lo ~hi) (diff ~lo:Page.header_bytes ~hi:n))
 
 (* --- Key_space and Snapshots: the engines' shared skeleton ------------- *)
 
@@ -823,14 +890,14 @@ let test_snapshot_registry () =
 (* --- Lock_mgr --------------------------------------------------------------- *)
 
 let test_lock_grant_and_conflict () =
-  let t = Lock.create () in
+  let t = Lock.create ~pages:4 in
   check Alcotest.bool "S granted" true (Lock.acquire t ~txn:1 ~page:1 ~mode:Lock.S = Lock.Granted);
   check Alcotest.bool "S shared" true (Lock.acquire t ~txn:2 ~page:1 ~mode:Lock.S = Lock.Granted);
   check Alcotest.bool "X blocks" true (Lock.acquire t ~txn:3 ~page:1 ~mode:Lock.X = Lock.Would_block);
   check Alcotest.bool "t3 recorded waiting" true (Lock.waiting t ~txn:3)
 
 let test_lock_release_then_grant () =
-  let t = Lock.create () in
+  let t = Lock.create ~pages:4 in
   ignore (Lock.acquire t ~txn:1 ~page:1 ~mode:Lock.X);
   check Alcotest.bool "blocked" true (Lock.acquire t ~txn:2 ~page:1 ~mode:Lock.X = Lock.Would_block);
   Lock.release_all t ~txn:1;
@@ -838,21 +905,21 @@ let test_lock_release_then_grant () =
     (Lock.acquire t ~txn:2 ~page:1 ~mode:Lock.X = Lock.Granted)
 
 let test_lock_upgrade () =
-  let t = Lock.create () in
+  let t = Lock.create ~pages:4 in
   ignore (Lock.acquire t ~txn:1 ~page:1 ~mode:Lock.S);
   check Alcotest.bool "sole holder upgrades" true
     (Lock.acquire t ~txn:1 ~page:1 ~mode:Lock.X = Lock.Granted);
   check Alcotest.bool "holds X" true (Lock.holds t ~txn:1 ~page:1 = Some Lock.X)
 
 let test_lock_upgrade_blocked_by_other_reader () =
-  let t = Lock.create () in
+  let t = Lock.create ~pages:4 in
   ignore (Lock.acquire t ~txn:1 ~page:1 ~mode:Lock.S);
   ignore (Lock.acquire t ~txn:2 ~page:1 ~mode:Lock.S);
   check Alcotest.bool "upgrade must wait" true
     (Lock.acquire t ~txn:1 ~page:1 ~mode:Lock.X = Lock.Would_block)
 
 let test_lock_deadlock_detected () =
-  let t = Lock.create () in
+  let t = Lock.create ~pages:4 in
   ignore (Lock.acquire t ~txn:1 ~page:1 ~mode:Lock.X);
   ignore (Lock.acquire t ~txn:2 ~page:2 ~mode:Lock.X);
   check Alcotest.bool "t1 waits for p2" true
@@ -863,7 +930,7 @@ let test_lock_deadlock_detected () =
   | _ -> Alcotest.fail "deadlock not detected"
 
 let test_lock_three_way_deadlock () =
-  let t = Lock.create () in
+  let t = Lock.create ~pages:4 in
   ignore (Lock.acquire t ~txn:1 ~page:1 ~mode:Lock.X);
   ignore (Lock.acquire t ~txn:2 ~page:2 ~mode:Lock.X);
   ignore (Lock.acquire t ~txn:3 ~page:3 ~mode:Lock.X);
@@ -874,7 +941,7 @@ let test_lock_three_way_deadlock () =
   | _ -> Alcotest.fail "3-way deadlock not detected"
 
 let test_lock_fifo_fairness () =
-  let t = Lock.create () in
+  let t = Lock.create ~pages:4 in
   ignore (Lock.acquire t ~txn:1 ~page:1 ~mode:Lock.S);
   (* writer queues behind the reader *)
   check Alcotest.bool "writer waits" true
@@ -884,7 +951,7 @@ let test_lock_fifo_fairness () =
     (Lock.acquire t ~txn:3 ~page:1 ~mode:Lock.S = Lock.Would_block)
 
 let test_lock_locked_pages () =
-  let t = Lock.create () in
+  let t = Lock.create ~pages:4 in
   ignore (Lock.acquire t ~txn:1 ~page:1 ~mode:Lock.X);
   ignore (Lock.acquire t ~txn:1 ~page:2 ~mode:Lock.S);
   check Alcotest.int "two pages" 2 (Lock.locked_pages t);
@@ -918,7 +985,7 @@ let qsuite =
       prop_page_roundtrip; prop_page_lookup_matches_records; prop_page_update_equal_length;
       prop_wal_roundtrip; prop_wal_injective; prop_wal_truncation_corrupt;
       prop_wal_bitflip_corrupt; prop_wal_delta_apply; prop_decoders_total;
-      prop_wal_delta_exact;
+      prop_wal_delta_exact; prop_page_update_range;
     ]
 
 let () =

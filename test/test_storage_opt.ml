@@ -1,6 +1,6 @@
 (* Equivalence tests for the storage-half data-structure overhaul.
 
-   The optimized lock manager (per-transaction page sets) and scheduler
+   The optimized lock manager (per-transaction page lists) and scheduler
    (wakeup parking) must make decisions indistinguishable from the
    pre-overhaul algorithms, which are preserved verbatim in
    Dbm_storage.Naive.  The journal's growable
@@ -54,7 +54,7 @@ let prop_lock_mgr_matches_naive =
        ~print:(fun ops -> String.concat " " (List.map lock_op_print ops))
        QCheck.Gen.(list_size (int_range 0 40) lock_op_gen))
     (fun ops ->
-      let opt = Lock.create () and ref_ = Naive.Locks.create () in
+      let opt = Lock.create ~pages:n_pages and ref_ = Naive.Locks.create () in
       List.for_all
         (fun op ->
           let step_ok =
@@ -83,7 +83,7 @@ let prop_lock_mgr_matches_naive =
 (* release_all_pages must name every page whose entry the release
    touched, so a scheduler waking exactly those pages misses nobody. *)
 let test_release_all_pages () =
-  let l = Lock.create () in
+  let l = Lock.create ~pages:2 in
   check (Alcotest.of_pp Fmt.nop) "t1 holds 0" Lock.Granted (Lock.acquire l ~txn:1 ~page:0 ~mode:Lock.X);
   check (Alcotest.of_pp Fmt.nop) "t1 holds 1" Lock.Granted (Lock.acquire l ~txn:1 ~page:1 ~mode:Lock.S);
   check (Alcotest.of_pp Fmt.nop) "t2 blocks on 0" Lock.Would_block
@@ -91,7 +91,44 @@ let test_release_all_pages () =
   let pages = List.sort compare (Lock.release_all_pages l ~txn:1) in
   check (Alcotest.list Alcotest.int) "released pages" [ 0; 1 ] pages;
   check (Alcotest.of_pp Fmt.nop) "t2 now granted" Lock.Granted
-    (Lock.acquire l ~txn:2 ~page:0 ~mode:Lock.S)
+    (Lock.acquire l ~txn:2 ~page:0 ~mode:Lock.S);
+  (* t3 both holds page 0 and waits on it for an upgrade: named once. *)
+  check (Alcotest.of_pp Fmt.nop) "t3 shares 0" Lock.Granted
+    (Lock.acquire l ~txn:3 ~page:0 ~mode:Lock.S);
+  check (Alcotest.of_pp Fmt.nop) "t3 upgrade blocks" Lock.Would_block
+    (Lock.acquire l ~txn:3 ~page:0 ~mode:Lock.X);
+  check (Alcotest.list Alcotest.int) "upgrade page named once" [ 0 ]
+    (Lock.release_all_pages l ~txn:3)
+
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+(* A grant allocates only the cells that record it, and a release
+   hardly anything.  Steady state: the table has seen its pages and
+   the transaction holds a page already.  The uncontended grant then
+   allocates a holders cell with its (txn, mode) pair and a cell of the
+   transaction's held list, 9 words; bound 12.  Releasing 5 held pages
+   returns the held list itself and allocates 5 words; bound 16.  A
+   hashtable per page and two per transaction, with a [seen] table per
+   release, allocated 40 and 146. *)
+let test_lock_allocation () =
+  let l = Lock.create ~pages:8 in
+  for txn = 1 to 3 do
+    for page = 0 to 5 do
+      ignore (Lock.acquire l ~txn ~page ~mode:Lock.X)
+    done;
+    Lock.release_all l ~txn
+  done;
+  ignore (Lock.acquire l ~txn:7 ~page:0 ~mode:Lock.X);
+  let grant = minor_words_of (fun () -> Lock.acquire l ~txn:7 ~page:1 ~mode:Lock.X) in
+  for page = 2 to 4 do
+    ignore (Lock.acquire l ~txn:7 ~page ~mode:Lock.S)
+  done;
+  let release = minor_words_of (fun () -> Lock.release_all_pages l ~txn:7) in
+  if grant > 12.0 then Alcotest.failf "an uncontended grant allocates %.0f minor words" grant;
+  if release > 16.0 then Alcotest.failf "a 5-page release allocates %.0f minor words" release
 
 (* Deterministic traces through the lock manager's acyclicity flag.
    Each acquire's outcome tag must equal the reference's and the
@@ -101,7 +138,7 @@ let test_release_all_pages () =
 type lock_step = Acq of int * int * Lock.mode * string * bool | Rel of int
 
 let run_lock_steps steps =
-  let l = Lock.create () and r = Naive.Locks.create () in
+  let l = Lock.create ~pages:n_pages and r = Naive.Locks.create () in
   List.iteri
     (fun i step ->
       match step with
@@ -361,6 +398,7 @@ let () =
             test_upgrade_cycle_through_waiter;
           Alcotest.test_case "grant to a transaction waiting elsewhere" `Quick
             test_grant_to_waiting_txn;
+          Alcotest.test_case "grant and release allocation bounded" `Quick test_lock_allocation;
         ] );
       ( "scheduler",
         [

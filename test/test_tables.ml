@@ -44,15 +44,6 @@ let test_report_csv () =
   check Alcotest.int "header + 4 cells" 5 (List.length lines);
   check Alcotest.string "header" "row,column,measured,paper" (List.hd lines)
 
-let test_ascii_bars () =
-  let out = Report.ascii_bars ~width:10 [ ("a", 10.0); ("b", 5.0); ("zero", 0.0) ] in
-  let lines = String.split_on_char '\n' (String.trim out) in
-  check Alcotest.int "three rows" 3 (List.length lines);
-  let count_hashes s = String.fold_left (fun acc c -> if c = '#' then acc + 1 else acc) 0 s in
-  check Alcotest.int "longest bar = width" 10 (count_hashes (List.nth lines 0));
-  check Alcotest.int "half bar" 5 (count_hashes (List.nth lines 1));
-  check Alcotest.int "zero bar" 0 (count_hashes (List.nth lines 2))
-
 let test_shape_score () =
   (* cells: exact match (log ratio 0) and a 2x miss (log 2); cells
      without paper values are ignored *)
@@ -206,7 +197,6 @@ let () =
         [
           Alcotest.test_case "render" `Quick test_report_render;
           Alcotest.test_case "csv" `Quick test_report_csv;
-          Alcotest.test_case "ascii bars" `Quick test_ascii_bars;
           Alcotest.test_case "shape score" `Quick test_shape_score;
           Alcotest.test_case "shape score empty" `Quick test_shape_score_empty;
         ] );
