@@ -65,9 +65,9 @@ let make config (ctx : Arch.ctx) =
   (* Set-union / set-difference CPU: the number of differential pages a
      transaction references scales with its read set.  Under the optimal
      strategy the short-circuit scan saves the set-difference for pages
-     with no qualifying tuple; the bigger the differential files, the
-     more pages find one, so the qualification probability grows
-     (sub-linearly) with the relative size of A and D. *)
+     with no qualifying tuple.  The qualification probability grows
+     sub-linearly with the relative size of A and D; that growth is a
+     calibration to Table 11 (see [qualify_prob]'s doc). *)
   let qualify =
     Float.min 1.0 (config.qualify_prob *. ((config.size_fraction /. 0.10) ** 0.8))
   in

@@ -72,17 +72,16 @@ let evict_tail t =
     Hashtbl.remove t.table node.key;
     Some { key = node.key; value = node.value; dirty = node.dirty }
 
-let add t ?(dirty = false) k v =
+let add t k v =
   match Hashtbl.find_opt t.table k with
   | Some node ->
     node.value <- v;
-    node.dirty <- dirty || node.dirty;
     unlink t node;
     push_front t node;
     None
   | None ->
     let victim = if Hashtbl.length t.table >= t.capacity then evict_tail t else None in
-    let node = { key = k; value = v; dirty; prev = None; next = None } in
+    let node = { key = k; value = v; dirty = false; prev = None; next = None } in
     Hashtbl.replace t.table k node;
     push_front t node;
     victim
@@ -105,10 +104,6 @@ let fold_nodes t f init =
     | Some node -> go (f acc node) node.next
   in
   go init t.head
-
-let dirty_entries t =
-  List.rev
-    (fold_nodes t (fun acc node -> if node.dirty then (node.key, node.value) :: acc else acc) [])
 
 let iter t f = ignore (fold_nodes t (fun () node -> f node.key node.value) ())
 

@@ -26,17 +26,15 @@ val find : ('k, 'v) t -> 'k -> 'v option
 val peek : ('k, 'v) t -> 'k -> 'v option
 (** Like {!find} but affects neither recency nor the counters. *)
 
-val add : ('k, 'v) t -> ?dirty:bool -> 'k -> 'v -> ('k, 'v) evicted option
+val add : ('k, 'v) t -> 'k -> 'v -> ('k, 'v) evicted option
 (** [add t k v] inserts or overwrites the binding (promoting it), and
-    returns the entry evicted to make room, if any. *)
+    returns the entry evicted to make room, if any.  A new entry starts
+    clean; an overwrite keeps the entry's dirty flag. *)
 
 val set_dirty : ('k, 'v) t -> 'k -> bool -> unit
 (** Mark an existing entry dirty or clean.  No-op when absent. *)
 
 val remove : ('k, 'v) t -> 'k -> unit
-
-val dirty_entries : ('k, 'v) t -> ('k * 'v) list
-(** All dirty entries, most recently used first. *)
 
 val iter : ('k, 'v) t -> ('k -> 'v -> unit) -> unit
 (** Iterate over all entries, most recently used first. *)

@@ -1,5 +1,4 @@
 type t = {
-  requested : int;
   jobs : int; (* effective: clamped to host cores unless oversubscribed *)
   queue : (unit -> unit) Queue.t;
   mutex : Mutex.t;
@@ -33,7 +32,6 @@ let create ?jobs ?(allow_oversubscribe = false) () =
   let jobs = if allow_oversubscribe then requested else min requested (default_jobs ()) in
   let t =
     {
-      requested;
       jobs;
       queue = Queue.create ();
       mutex = Mutex.create ();
@@ -48,8 +46,6 @@ let create ?jobs ?(allow_oversubscribe = false) () =
   t
 
 let jobs t = t.jobs
-
-let requested_jobs t = t.requested
 
 (* Explicit left-to-right application: this is the serial path that
    [--jobs 1] promises to reproduce bit-for-bit, so the evaluation order

@@ -33,9 +33,6 @@ val create : ?jobs:int -> ?allow_oversubscribe:bool -> unit -> t
 val jobs : t -> int
 (** Effective worker count after clamping. *)
 
-val requested_jobs : t -> int
-(** The size the caller asked for, before clamping. *)
-
 val map_ordered : t -> 'a list -> f:('a -> 'b) -> 'b list
 (** [map_ordered t xs ~f] applies [f] to every element of [xs], fanning
     the applications out across the pool's domains, and returns the

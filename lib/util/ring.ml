@@ -25,8 +25,6 @@ let push t x =
     true
   end
 
-let push_exn t x = if not (push t x) then failwith "Ring.push_exn: buffer full"
-
 let pop t =
   if t.length = 0 then None
   else begin

@@ -17,10 +17,6 @@ val is_full : 'a t -> bool
 val push : 'a t -> 'a -> bool
 (** [push t x] appends [x]; returns [false] (and drops [x]) when full. *)
 
-val push_exn : 'a t -> 'a -> unit
-(** @raise Failure when the buffer is full (the paper's "overflow"
-    condition that overwriting architectures must special-case). *)
-
 val pop : 'a t -> 'a option
 (** Remove and return the oldest element. *)
 

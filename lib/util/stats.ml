@@ -1,58 +1,19 @@
 module Acc = struct
-  type t = {
-    mutable count : int;
-    mutable mean : float;
-    mutable m2 : float;
-    mutable total : float;
-    mutable min : float;
-    mutable max : float;
-  }
+  type t = { mutable count : int; mutable mean : float; mutable max : float }
 
-  let create () = { count = 0; mean = 0.0; m2 = 0.0; total = 0.0; min = infinity; max = neg_infinity }
+  let create () = { count = 0; mean = 0.0; max = neg_infinity }
 
   let add t x =
     t.count <- t.count + 1;
-    t.total <- t.total +. x;
     let delta = x -. t.mean in
     t.mean <- t.mean +. (delta /. float_of_int t.count);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-    if x < t.min then t.min <- x;
     if x > t.max then t.max <- x
 
-  let count t = t.count
-  let total t = t.total
   let mean t = if t.count = 0 then 0.0 else t.mean
-  let variance t = if t.count < 2 then 0.0 else t.m2 /. float_of_int t.count
-  let stddev t = sqrt (variance t)
-
-  let min t =
-    if t.count = 0 then invalid_arg "Stats.Acc.min: empty accumulator";
-    t.min
 
   let max t =
     if t.count = 0 then invalid_arg "Stats.Acc.max: empty accumulator";
     t.max
-
-  let merge a b =
-    if a.count = 0 then { b with count = b.count }
-    else if b.count = 0 then { a with count = a.count }
-    else begin
-      let n = a.count + b.count in
-      let delta = b.mean -. a.mean in
-      let mean = a.mean +. (delta *. float_of_int b.count /. float_of_int n) in
-      let m2 =
-        a.m2 +. b.m2
-        +. (delta *. delta *. float_of_int a.count *. float_of_int b.count /. float_of_int n)
-      in
-      {
-        count = n;
-        mean;
-        m2;
-        total = a.total +. b.total;
-        min = Float.min a.min b.min;
-        max = Float.max a.max b.max;
-      }
-    end
 end
 
 module Timeweighted = struct

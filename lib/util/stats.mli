@@ -1,33 +1,21 @@
 (** Online statistics used by the simulator's metric collection.
 
-    {!Acc} is a Welford accumulator for sample statistics (transaction
-    completion times, access times).  {!Timeweighted} tracks the
-    time-weighted average of a step function (queue lengths, number of
-    cache frames blocked on the log).  {!Busy} accumulates server busy
-    time for utilization reports. *)
+    {!Acc} keeps the running mean and maximum of a sample (transaction
+    completion times).  {!Timeweighted} tracks the time-weighted
+    average of a step function (queue lengths, number of cache frames
+    blocked on the log).  {!Busy} accumulates server busy time for
+    utilization reports. *)
 
 module Acc : sig
   type t
 
   val create : unit -> t
   val add : t -> float -> unit
-  val count : t -> int
-  val total : t -> float
   val mean : t -> float
   (** 0 when empty. *)
 
-  val variance : t -> float
-  (** Population variance; 0 when fewer than two samples. *)
-
-  val stddev : t -> float
-  val min : t -> float
-  (** @raise Invalid_argument when empty. *)
-
   val max : t -> float
   (** @raise Invalid_argument when empty. *)
-
-  val merge : t -> t -> t
-  (** Combine two accumulators as if all samples were added to one. *)
 end
 
 module Timeweighted : sig

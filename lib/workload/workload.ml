@@ -318,34 +318,3 @@ let to_string txns =
       Buffer.add_char buf '\n')
     txns;
   Buffer.contents buf
-
-let of_string s =
-  let parse_line line =
-    match String.split_on_char ' ' (String.trim line) with
-    | [] | [ "" ] -> None
-    | id :: tokens ->
-      let id =
-        try int_of_string id
-        with _ -> invalid_arg (Printf.sprintf "Workload.of_string: bad id %S" id)
-      in
-      let parse_token tok =
-        let n = String.length tok in
-        if n = 0 then invalid_arg "Workload.of_string: empty page token"
-        else if tok.[n - 1] = '!' then
-          ( (try int_of_string (String.sub tok 0 (n - 1))
-             with _ -> invalid_arg (Printf.sprintf "Workload.of_string: bad page %S" tok)),
-            true )
-        else
-          ( (try int_of_string tok
-             with _ -> invalid_arg (Printf.sprintf "Workload.of_string: bad page %S" tok)),
-            false )
-      in
-      let parsed = List.map parse_token tokens in
-      Some
-        {
-          id;
-          pages = Array.of_list (List.map fst parsed);
-          writes = Array.of_list (List.map snd parsed);
-        }
-  in
-  s |> String.split_on_char '\n' |> List.filter_map parse_line |> Array.of_list

@@ -125,11 +125,7 @@ val total_writes : txn array -> int
 val to_string : txn array -> string
 (** Text serialization (one transaction per line: id, then
     [page] / [page!] tokens, [!] marking the write set).  Lets a
-    workload be saved, inspected, diffed, and replayed exactly. *)
-
-val of_string : string -> txn array
-(** Inverse of {!to_string}.  @raise Invalid_argument on malformed
-    input. *)
+    workload be saved, inspected and diffed. *)
 
 (** {2 Open-loop arrivals}
 
