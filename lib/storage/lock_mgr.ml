@@ -15,10 +15,12 @@ type entry = {
    waits-for traversal touch only the pages a transaction is actually
    involved with instead of folding the whole lock table.  Neither list
    repeats a page; an upgrade waits on a page it holds, so a page may
-   sit in both. *)
+   sit in both.  [mark] is the number of the last deadlock search that
+   visited the transaction. *)
 type txn_info = {
   mutable held : int list;
   mutable waits : int list;
+  mutable mark : int;
 }
 
 module Itbl = Hashtbl.Make (Int)
@@ -27,6 +29,7 @@ type t = {
   pages : entry array;
   txns : txn_info Itbl.t;
   mutable maybe_cyclic : bool;  (* false only while the waits-for graph holds no cycle *)
+  mutable search : int;  (* number of the current deadlock search *)
 }
 
 let create ~pages =
@@ -35,6 +38,7 @@ let create ~pages =
     pages = Array.init pages (fun _ -> { holders = []; waiters = [] });
     txns = Itbl.create 16;
     maybe_cyclic = false;
+    search = 0;
   }
 
 let entry t page =
@@ -45,7 +49,7 @@ let info t txn =
   match Itbl.find t.txns txn with
   | i -> i
   | exception Not_found ->
-    let i = { held = []; waits = [] } in
+    let i = { held = []; waits = []; mark = 0 } in
     Itbl.replace t.txns txn i;
     i
 
@@ -55,24 +59,21 @@ let compatible held requested =
   | _ -> false
 
 (* The helpers below are top-level recursions rather than closures
-   over [txn] and [mode], so the grant path allocates nothing of its
-   own.  [without] returns its argument itself when nothing is
-   dropped. *)
+   over [txn] and [mode], so neither a grant nor a block allocates
+   anything of its own.  [without] returns its argument itself when
+   nothing is dropped. *)
 
-(* Holders other than [txn] whose lock is incompatible with [mode]. *)
-let rec conflicting ~txn ~mode = function
-  | [] -> []
-  | (o, held) :: rest ->
-    if o <> txn && not (compatible held mode) then o :: conflicting ~txn ~mode rest
-    else conflicting ~txn ~mode rest
+(* Does a holder other than [txn] hold a lock incompatible with [mode]? *)
+let rec conflicts ~txn ~mode = function
+  | [] -> false
+  | (o, held) :: rest -> (o <> txn && not (compatible held mode)) || conflicts ~txn ~mode rest
 
-(* Waiters at positions strictly before [txn] in the FIFO queue whose
-   requests are incompatible with [mode], nearest first, onto [acc]. *)
-let rec waiters_ahead ~txn ~mode acc = function
-  | [] -> acc  (* txn not queued yet: everyone ahead *)
-  | (w, _) :: _ when w = txn -> acc
-  | (w, wmode) :: rest ->
-    waiters_ahead ~txn ~mode (if compatible wmode mode then acc else w :: acc) rest
+(* Is a waiter incompatible with [mode] queued ahead of [txn] (FIFO
+   fairness: it prevents writer starvation behind a reader stream)?
+   Everyone is ahead of a transaction that is not queued yet. *)
+let rec blocked_ahead ~txn ~mode = function
+  | [] -> false
+  | (w, wmode) :: rest -> w <> txn && ((not (compatible wmode mode)) || blocked_ahead ~txn ~mode rest)
 
 let rec without txn l =
   match l with
@@ -91,58 +92,61 @@ let rec queued ~txn ~mode = function
   | [] -> false
   | (w, m) :: rest -> (w = txn && m = mode) || queued ~txn ~mode rest
 
-(* Waits-for edges implied by the recorded waiters: a waiter waits for
-   every incompatible holder of its page and for every incompatible
-   waiter queued ahead of it (FIFO fairness).  Only the pages in the
-   transaction's own waits list can contribute edges. *)
-let blockers t i txn =
-  List.fold_left
-    (fun acc page ->
-      let e = t.pages.(page) in
-      List.fold_left
-        (fun acc (w, mode) ->
-          if w = txn then
-            let from_holders =
-              List.fold_left
-                (fun acc (o, held) ->
-                  if o <> txn && not (compatible held mode) then o :: acc else acc)
-                acc e.holders
-            in
-            waiters_ahead ~txn ~mode from_holders e.waiters
-          else acc)
-        acc e.waiters)
-    [] i.waits
+(* The deadlock search: a depth-first walk of the waits-for graph that
+   visits each transaction once per search (its [mark]) and returns the
+   path to [goal], or [] when [goal] is unreachable; only a found path
+   allocates.  A waiter waits for every incompatible holder of its page
+   and for every incompatible waiter queued ahead of it; only the pages
+   in its own waits list carry its edges.  [reaches] enters a
+   transaction; the others walk one transaction's edges. *)
+let rec reaches t ~goal txn =
+  if txn = goal then [ goal ]
+  else
+    match Itbl.find t.txns txn with
+    | exception Not_found -> []
+    | i when i.mark = t.search -> []
+    | i -> (
+      i.mark <- t.search;
+      match from_pages t ~goal txn i.waits with [] -> [] | path -> txn :: path)
 
-(* Would adding edge [txn -> targets] close a cycle?  DFS over the
-   waits-for graph from each target looking for [txn]; the path is
-   built on the way back out, once a cycle is found. *)
-let find_cycle t ~txn ~targets =
-  let visited = Itbl.create 16 in
-  let rec first = function
-    | [] -> None
-    | n :: rest -> ( match dfs n with Some _ as found -> found | None -> first rest)
-  and dfs node =
-    if node = txn then Some [ node ]
-    else if Itbl.mem visited node then None
-    else begin
-      Itbl.replace visited node ();
-      match Itbl.find t.txns node with
-      | exception Not_found -> None
-      | i -> ( match first (blockers t i node) with Some path -> Some (node :: path) | None -> None)
-    end
-  in
-  first targets
+and from_pages t ~goal txn = function
+  | [] -> []
+  | page :: rest -> (
+    let e = t.pages.(page) in
+    match from_queue t ~goal txn e e.waiters with [] -> from_pages t ~goal txn rest | path -> path)
+
+(* [txn]'s requests in a page's queue, one per mode it waits in. *)
+and from_queue t ~goal txn e = function
+  | [] -> []
+  | (w, mode) :: rest -> (
+    match if w = txn then from_request t ~goal txn mode e else [] with
+    | [] -> from_queue t ~goal txn e rest
+    | path -> path)
+
+and from_request t ~goal txn mode e =
+  match from_holders t ~goal txn mode e.holders with
+  | [] -> from_ahead t ~goal txn mode e.waiters
+  | path -> path
+
+and from_holders t ~goal txn mode = function
+  | [] -> []
+  | (o, held) :: rest -> (
+    match if o <> txn && not (compatible held mode) then reaches t ~goal o else [] with
+    | [] -> from_holders t ~goal txn mode rest
+    | path -> path)
+
+and from_ahead t ~goal txn mode = function
+  | [] -> []
+  | (w, _) :: _ when w = txn -> []
+  | (w, wmode) :: rest -> (
+    match if compatible wmode mode then [] else reaches t ~goal w with
+    | [] -> from_ahead t ~goal txn mode rest
+    | path -> path)
+
+let new_search t = t.search <- t.search + 1
 
 let waiting t ~txn =
   match Itbl.find t.txns txn with i -> i.waits <> [] | exception Not_found -> false
-
-(* Returns whether the waiter was newly queued, i.e. added edges. *)
-let record_waiter t e ~page ~txn ~mode =
-  let fresh = not (queued ~txn ~mode e.waiters) in
-  if fresh then e.waiters <- e.waiters @ [ (txn, mode) ];
-  let i = info t txn in
-  if not (List.mem page i.waits) then i.waits <- page :: i.waits;
-  fresh
 
 let remove_waiter t e ~page ~txn =
   e.waiters <- without txn e.waiters;
@@ -151,13 +155,19 @@ let remove_waiter t e ~page ~txn =
   | exception Not_found -> ()
 
 (* Edges appear only in [grant] and [block]; removals never close a
-   cycle, and [settle] clears the flag after them once none is left. *)
+   cycle, and [settle] clears the flag after them once no waiting
+   transaction reaches itself. *)
 let settle t =
   if t.maybe_cyclic then
     t.maybe_cyclic <-
       Itbl.fold
         (fun txn i found ->
-          found || (i.waits <> [] && find_cycle t ~txn ~targets:(blockers t i txn) <> None))
+          found
+          || i.waits <> []
+             && begin
+                  new_search t;
+                  from_pages t ~goal:txn txn i.waits <> []
+                end)
         t.txns false
 
 (* A grant's new edges all point at [txn]: they can close a cycle only
@@ -171,17 +181,26 @@ let grant t e ~page ~txn =
    edges close no cycle, so it needs no search; and a new waiter's
    search covers exactly its new edges, except an upgrade's, which
    covers the holders only: search once more from the waiters ahead. *)
-let block t e ~page ~txn ~mode ~targets ~upgrade =
-  if (not t.maybe_cyclic) && queued ~txn ~mode e.waiters then (Would_block, false)
-  else
-    match find_cycle t ~txn ~targets with
-    | Some cycle -> (Deadlock (txn :: cycle), false)
-    | None ->
-      let fresh = record_waiter t e ~page ~txn ~mode in
-      if upgrade && fresh && (not t.maybe_cyclic)
-         && find_cycle t ~txn ~targets:(waiters_ahead ~txn ~mode [] e.waiters) <> None
-      then t.maybe_cyclic <- true;
-      (Would_block, fresh && t.maybe_cyclic)
+let block t e ~page ~txn ~mode ~upgrade =
+  let repeat = queued ~txn ~mode e.waiters in
+  if repeat && not t.maybe_cyclic then (Would_block, false)
+  else begin
+    new_search t;
+    match
+      if upgrade then from_holders t ~goal:txn txn mode e.holders
+      else from_request t ~goal:txn txn mode e
+    with
+    | _ :: _ as cycle -> (Deadlock (txn :: cycle), false)
+    | [] ->
+      if not repeat then e.waiters <- e.waiters @ [ (txn, mode) ];
+      let i = info t txn in
+      if not (List.mem page i.waits) then i.waits <- page :: i.waits;
+      if upgrade && (not repeat) && not t.maybe_cyclic then begin
+        new_search t;
+        if from_ahead t ~goal:txn txn mode e.waiters <> [] then t.maybe_cyclic <- true
+      end;
+      (Would_block, (not repeat) && t.maybe_cyclic)
+  end
 
 let acquire_wait_info t ~txn ~page ~mode =
   let e = entry t page in
@@ -192,25 +211,20 @@ let acquire_wait_info t ~txn ~page ~mode =
     (Granted, false)
   | Some _ ->
     (* Upgrade S -> X: allowed when we are the only holder. *)
-    if List.for_all (fun (o, _) -> o = txn) e.holders then begin
+    if conflicts ~txn ~mode e.holders then block t e ~page ~txn ~mode ~upgrade:true
+    else begin
       e.holders <- [ (txn, X) ];
       grant t e ~page ~txn
     end
-    else
-      let others = List.filter_map (fun (o, _) -> if o <> txn then Some o else None) e.holders in
-      block t e ~page ~txn ~mode ~targets:others ~upgrade:true
   | None ->
-    let conflicting = conflicting ~txn ~mode e.holders in
-    (* FIFO fairness: an incompatible waiter queued ahead of us also
-       blocks us (prevents writer starvation behind a reader stream). *)
-    let blocking_waiters = waiters_ahead ~txn ~mode [] e.waiters in
-    if conflicting = [] && blocking_waiters = [] then begin
+    if conflicts ~txn ~mode e.holders || blocked_ahead ~txn ~mode e.waiters then
+      block t e ~page ~txn ~mode ~upgrade:false
+    else begin
       e.holders <- (txn, mode) :: e.holders;
       let i = info t txn in
       i.held <- page :: i.held;
       grant t e ~page ~txn
     end
-    else block t e ~page ~txn ~mode ~targets:(conflicting @ blocking_waiters) ~upgrade:false
 
 let acquire t ~txn ~page ~mode = fst (acquire_wait_info t ~txn ~page ~mode)
 

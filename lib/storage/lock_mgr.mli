@@ -20,7 +20,11 @@
     while their page is free; each transaction's held and waited-on
     pages are short lists.  A grant allocates only the list cells that
     record it; a release returns the transaction's own held list, with
-    any page it only waited on added. *)
+    any page it only waited on added.  A blocked acquire allocates only
+    what it changes: a new waiter its queue append, a repeat block
+    nothing.  The deadlock search walks the queues in place, marking
+    each transaction it visits, and builds a cycle's path only once it
+    finds one. *)
 
 type t
 

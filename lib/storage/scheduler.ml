@@ -38,8 +38,8 @@ module Make (E : Kv.S) = struct
       mutable done_ : bool;
       mutable restart_count : int;
       mutable backoff : int;  (* scheduler turns to sit out after a restart *)
-      mutable parked_on : int option;  (* page this script is blocked on *)
-      mutable woken : bool;  (* a lock release touched that page *)
+      mutable parked_on : int;  (* page this script is blocked on, or -1 *)
+      mutable woken : bool;  (* a wake reached it on that page *)
     }
 
     type t = {
@@ -49,7 +49,7 @@ module Make (E : Kv.S) = struct
       snapshot : (unit -> view) option;
       read_mode : Lock_mgr.mode;
       locks : Lock_mgr.t;
-      parked : task list ref Itbl.t;
+      parked : task list ref Itbl.t;  (* per page, the tasks parked there since its last wake *)
       mutable commit_order : int list;  (* reversed *)
       mutable restarts : int;
       mutable steps : int;
@@ -101,7 +101,7 @@ module Make (E : Kv.S) = struct
         done_ = false;
         restart_count = 0;
         backoff = 0;
-        parked_on = None;
+        parked_on = -1;
         woken = false;
       }
 
@@ -116,31 +116,32 @@ module Make (E : Kv.S) = struct
     let lock_acquires t = t.lock_acquires
 
     let park t st page =
-      st.parked_on <- Some page;
+      st.parked_on <- page;
       st.woken <- false;
-      match Itbl.find_opt t.parked page with
-      | Some l -> l := st :: !l
-      | None -> Itbl.replace t.parked page (ref [ st ])
+      match Itbl.find t.parked page with
+      | l -> l := st :: !l
+      | exception Not_found -> Itbl.replace t.parked page (ref [ st ])
 
-    let unpark t st =
-      match st.parked_on with
-      | None -> ()
-      | Some page ->
-        st.parked_on <- None;
-        st.woken <- false;
-        (match Itbl.find_opt t.parked page with
-        | Some l ->
-          l := List.filter (fun s -> s != st) !l;
-          if !l = [] then Itbl.remove t.parked page
-        | None -> ())
+    let unpark st =
+      st.parked_on <- -1;
+      st.woken <- false
+
+    let rec wake page = function
+      | [] -> ()
+      | s :: rest ->
+        if s.parked_on = page then s.woken <- true;
+        wake page rest
 
     let wake_page t page =
-      match Itbl.find_opt t.parked page with
-      | Some l -> List.iter (fun s -> s.woken <- true) !l
-      | None -> ()
+      match Itbl.find t.parked page with
+      | l ->
+        Itbl.remove t.parked page;
+        wake page !l
+      | exception Not_found -> ()
 
     let wake_all t =
-      Itbl.iter (fun _ l -> List.iter (fun s -> s.woken <- true) !l) t.parked
+      Itbl.iter (fun page l -> wake page !l) t.parked;
+      Itbl.clear t.parked
 
     let release_and_wake t txn =
       List.iter (wake_page t) (Lock_mgr.release_all_pages t.locks ~txn)
@@ -206,7 +207,7 @@ module Make (E : Kv.S) = struct
     let advance t st =
       if st.read_only && t.snapshot <> None then advance_snapshot t st
       else begin
-      unpark t st;
+      unpark st;
       match st.remaining with
       | [] ->
         (match st.txn with
@@ -256,7 +257,7 @@ module Make (E : Kv.S) = struct
         st.backoff <- st.backoff - 1;
         Skipped
       end
-      else if st.parked_on <> None && not st.woken then Skipped
+      else if st.parked_on >= 0 && not st.woken then Skipped
       else advance t st
   end
 
@@ -279,6 +280,13 @@ module Make (E : Kv.S) = struct
        a new waiter wakes nobody: no parked retry could find a
        deadlock, so a contended steady state parks quietly instead of
        cascading wakes.
+
+     Parking pushes the script onto its page's list.  A wake sets
+     [woken] on the listed scripts still parked on that page and drops
+     the list ([wake_all] drops every list), and an unpark only clears
+     the script's own flags: it runs only once woken, and a woken
+     script is on no list, so each script sits on at most one list, at
+     most once, and neither a wake nor a retry copies a list.
 
      A parked script still counts a scheduler step each turn, and a
      woken retry runs the identical acquire a poll would have run, so

@@ -110,9 +110,17 @@ module Make (E : ENGINE) = struct
           ~hold:(fun ~id -> p.votes id)
           ?snapshot ?read_mode engine
     in
-    (* [waitq] holds positions into [ids]/[scripts]. *)
+    (* [waitq] holds positions into [ids]/[scripts].  [runq] is a ring
+       of turns, [runq_len] of them from [runq_head]: at most [mpl]
+       tasks are in flight (admitted, not yet acked), so [mpl] slots
+       hold every unfinished task's turn, and a turn goes back in its
+       own option cell. *)
     let waitq : int Queue.t = Queue.create () in
-    let runq : (Sch.Exec.task * int) Queue.t = Queue.create () in
+    let runq = Array.make mpl None and runq_head = ref 0 and runq_len = ref 0 in
+    let push_turn turn =
+      runq.((!runq_head + !runq_len) mod mpl) <- turn;
+      incr runq_len
+    in
     let ro_restarts = ref 0 in
     let next = ref 0 in
     let spawned = ref 0 in
@@ -143,7 +151,7 @@ module Make (E : ENGINE) = struct
           let task =
             Sch.Exec.spawn ex ~read_only:(is_ro id) ~index:(!spawned mod mpl) ~id scripts.(j)
           in
-          Queue.push (task, id) runq;
+          push_turn (Some (task, id));
           incr spawned;
           if in_flight () > !max_inflight then max_inflight := in_flight ()
         end
@@ -178,8 +186,11 @@ module Make (E : ENGINE) = struct
          restart's rollback, a commit append) costs [op_cost_us]; the
          sink charges sync latency inside [step] when it forces. *)
       let progressed = ref false in
-      for _ = 1 to Queue.length runq do
-        let ((task, id) as turn) = Queue.pop runq in
+      for _ = 1 to !runq_len do
+        let turn = runq.(!runq_head) in
+        runq_head := (!runq_head + 1) mod mpl;
+        decr runq_len;
+        let task, id = Option.get turn in
         (match Sch.Exec.step ex task with
         | Sch.Exec.Committed ->
           now := !now +. op_cost_us;
@@ -196,7 +207,7 @@ module Make (E : ENGINE) = struct
           progressed := true;
           if is_ro id then incr ro_restarts
         | Sch.Exec.Blocked | Sch.Exec.Skipped -> ());
-        if not (Sch.Exec.finished task) then Queue.push turn runq
+        if not (Sch.Exec.finished task) then push_turn turn
       done;
       if !progressed then idle_passes := 0
       else begin

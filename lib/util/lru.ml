@@ -14,19 +14,13 @@ type ('k, 'v) t = {
   table : ('k, ('k, 'v) node) Hashtbl.t;
   mutable head : ('k, 'v) node option;
   mutable tail : ('k, 'v) node option;
-  mutable hits : int;
-  mutable misses : int;
 }
 
 type ('k, 'v) evicted = { key : 'k; value : 'v; dirty : bool }
 
 let create ~capacity () =
   if capacity <= 0 then invalid_arg "Lru.create: capacity must be positive";
-  { capacity; table = Hashtbl.create capacity; head = None; tail = None; hits = 0; misses = 0 }
-
-let capacity t = t.capacity
-
-let length t = Hashtbl.length t.table
+  { capacity; table = Hashtbl.create capacity; head = None; tail = None }
 
 let unlink t node =
   (match node.prev with
@@ -50,19 +44,11 @@ let mem t k = Hashtbl.mem t.table k
 
 let find t k =
   match Hashtbl.find_opt t.table k with
-  | None ->
-    t.misses <- t.misses + 1;
-    None
+  | None -> None
   | Some node ->
-    t.hits <- t.hits + 1;
     unlink t node;
     push_front t node;
     Some node.value
-
-let peek t k =
-  match Hashtbl.find_opt t.table k with
-  | None -> None
-  | Some node -> Some node.value
 
 let evict_tail t =
   match t.tail with
@@ -90,28 +76,3 @@ let set_dirty t k d =
   match Hashtbl.find_opt t.table k with
   | Some node -> node.dirty <- d
   | None -> ()
-
-let remove t k =
-  match Hashtbl.find_opt t.table k with
-  | Some node ->
-    unlink t node;
-    Hashtbl.remove t.table k
-  | None -> ()
-
-let fold_nodes t f init =
-  let rec go acc = function
-    | None -> acc
-    | Some node -> go (f acc node) node.next
-  in
-  go init t.head
-
-let iter t f = ignore (fold_nodes t (fun () node -> f node.key node.value) ())
-
-let hits t = t.hits
-
-let misses t = t.misses
-
-let clear t =
-  Hashtbl.reset t.table;
-  t.head <- None;
-  t.tail <- None

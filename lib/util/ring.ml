@@ -8,12 +8,6 @@ let create ~capacity () =
   if capacity <= 0 then invalid_arg "Ring.create: capacity must be positive";
   { data = Array.make capacity None; first = 0; length = 0 }
 
-let capacity t = Array.length t.data
-
-let length t = t.length
-
-let is_empty t = t.length = 0
-
 let is_full t = t.length = Array.length t.data
 
 let push t x =
@@ -34,8 +28,6 @@ let pop t =
     t.length <- t.length - 1;
     x
   end
-
-let peek t = if t.length = 0 then None else t.data.(t.first)
 
 let to_list t =
   let rec go i acc =

@@ -30,13 +30,13 @@ let lock_op_print = function
 let n_txns = 5
 let n_pages = 4
 
-let lock_op_gen =
+let lock_op_gen ~txns ~pages ~release =
   QCheck.Gen.(
-    let txn = int_range 1 n_txns and page = int_range 0 (n_pages - 1) in
+    let txn = int_range 1 txns and page = int_range 0 (pages - 1) in
     frequency
       [
         (5, map3 (fun t p m -> Acquire (t, p, m)) txn page (oneofl [ Lock.S; Lock.X ]));
-        (2, map (fun t -> Release_all t) txn);
+        (release, map (fun t -> Release_all t) txn);
       ])
 
 let outcome_tag = function
@@ -46,13 +46,14 @@ let outcome_tag = function
 
 (* Replays a trace on both managers and demands identical observables at
    every step: the outcome constructor of each acquire (cycle payloads
-   may legitimately list the same cycle from a different starting
+   may name another cycle, or the same one from another starting
    point), then every (txn, page) hold and every waiting flag. *)
-let prop_lock_mgr_matches_naive =
-  QCheck.Test.make ~name:"lock manager matches whole-table reference" ~count:500 ~long_factor:40
+let lock_mgr_prop ~name ~txns:n_txns ~pages:n_pages ~used ~length ~release =
+  QCheck.Test.make ~name ~count:500 ~long_factor:40
     (QCheck.make
        ~print:(fun ops -> String.concat " " (List.map lock_op_print ops))
-       QCheck.Gen.(list_size (int_range 0 40) lock_op_gen))
+       QCheck.Gen.(
+         used >>= fun pages -> list_size (int_range 0 length) (lock_op_gen ~txns:n_txns ~pages ~release)))
     (fun ops ->
       let opt = Lock.create ~pages:n_pages and ref_ = Naive.Locks.create () in
       List.for_all
@@ -79,6 +80,17 @@ let prop_lock_mgr_matches_naive =
                       (List.init n_pages Fun.id))
                (List.init n_txns (fun i -> i + 1)))
         ops)
+
+let prop_lock_mgr_matches_naive =
+  lock_mgr_prop ~name:"lock manager matches whole-table reference" ~txns:n_txns ~pages:n_pages
+    ~used:(QCheck.Gen.return n_pages) ~length:40 ~release:2
+
+(* Twelve transactions on one or two pages, released rarely: queues
+   grow far past the four waiters the trace above allows, so searches
+   walk long queues and long chains of waiters. *)
+let prop_lock_mgr_hot_pages =
+  lock_mgr_prop ~name:"hot-page lock traces match reference" ~txns:12 ~pages:2
+    ~used:(QCheck.Gen.int_range 1 2) ~length:80 ~release:1
 
 (* release_all_pages must name every page whose entry the release
    touched, so a scheduler waking exactly those pages misses nobody. *)
@@ -129,6 +141,24 @@ let test_lock_allocation () =
   let release = minor_words_of (fun () -> Lock.release_all_pages l ~txn:7) in
   if grant > 12.0 then Alcotest.failf "an uncontended grant allocates %.0f minor words" grant;
   if release > 16.0 then Alcotest.failf "a 5-page release allocates %.0f minor words" release
+
+(* A blocked acquire allocates only what it changes.  Behind a holder
+   and 20 queued X waiters, a new waiter's cycle-free deadlock search
+   walks all 21 in place, so the waiter allocates only its queue append
+   (the copied queue with its own cell and pair), its transaction
+   record and the outcome pair, 80 words; bound 96.  Its repeat block allocates nothing.
+   Searches that built a visited table and target lists allocated 1,256
+   and 66. *)
+let test_wait_allocation () =
+  let l = Lock.create ~pages:1 in
+  for txn = 1 to 21 do
+    ignore (Lock.acquire l ~txn ~page:0 ~mode:Lock.X)
+  done;
+  let fresh = minor_words_of (fun () -> Lock.acquire_wait_info l ~txn:22 ~page:0 ~mode:Lock.X) in
+  let repeat = minor_words_of (fun () -> Lock.acquire_wait_info l ~txn:22 ~page:0 ~mode:Lock.X) in
+  check Alcotest.bool "waiter queued" true (Lock.waiting l ~txn:22);
+  if fresh > 96.0 then Alcotest.failf "a new waiter behind 20 allocates %.0f minor words" fresh;
+  if repeat > 0.0 then Alcotest.failf "a repeat block behind 20 allocates %.0f minor words" repeat
 
 (* Deterministic traces through the lock manager's acyclicity flag.
    Each acquire's outcome tag must equal the reference's and the
@@ -230,13 +260,40 @@ let scripts_gen =
       (fun opss -> List.mapi (fun i ops -> (i + 1, ops)) opss)
       (list_size (int_range 1 6) (list_size (int_range 0 8) op)))
 
-let sched_equal_prop (module E : Kv.S) count =
+(* Up to twelve scripts on the keys of one or two lock pages, many of
+   them reading a key and then writing it (an S -> X upgrade): long
+   queues of parked scripts, upgrade deadlocks and the wakes that
+   settle them. *)
+let hot_scripts_gen ~keys_per_page =
+  QCheck.Gen.(
+    int_range 1 2 >>= fun pages ->
+    let key = int_range 0 ((pages * keys_per_page) - 1) and value = string_size (int_range 1 3) in
+    let step =
+      frequency
+        [
+          (3, map2 (fun k v -> [ Scheduler.Get k; Scheduler.Put (k, v) ]) key value);
+          (2, map (fun k -> [ Scheduler.Get k ]) key);
+          (2, map2 (fun k v -> [ Scheduler.Put (k, v) ]) key value);
+          (1, map (fun k -> [ Scheduler.Delete k ]) key);
+        ]
+    in
+    map
+      (fun opss -> List.mapi (fun i ops -> (i + 1, List.concat ops)) opss)
+      (list_size (int_range 1 12) (list_size (int_range 0 4) step)))
+
+let sched_equal_prop ?(hot = false) (module E : Kv.S) count =
   let module NS = Naive.Sched (E) in
   let module OS = Scheduler.Make (E) in
+  let gen =
+    if hot then hot_scripts_gen ~keys_per_page:(E.keys_per_page (E.create ~n_keys:sched_n_keys ()))
+    else scripts_gen
+  in
   QCheck.Test.make
-    ~name:(E.engine_name ^ ": wakeup scheduler report equals polling reference")
+    ~name:
+      (E.engine_name
+      ^ if hot then ": hot-page wakeup = polling" else ": wakeup scheduler report equals polling reference")
     ~count ~long_factor:40
-    (QCheck.make ~print:script_print scripts_gen)
+    (QCheck.make ~print:script_print gen)
     (fun scripts ->
       let rn = NS.run (E.create ~n_keys:sched_n_keys ()) ~scripts in
       let ro = OS.run (E.create ~n_keys:sched_n_keys ()) ~scripts in
@@ -391,6 +448,7 @@ let () =
       ( "lock manager",
         [
           QCheck_alcotest.to_alcotest prop_lock_mgr_matches_naive;
+          QCheck_alcotest.to_alcotest prop_lock_mgr_hot_pages;
           Alcotest.test_case "release_all_pages names touched pages" `Quick
             test_release_all_pages;
           Alcotest.test_case "cycle-free repeat block wakes nobody" `Quick test_cycle_free_block;
@@ -399,11 +457,14 @@ let () =
           Alcotest.test_case "grant to a transaction waiting elsewhere" `Quick
             test_grant_to_waiting_txn;
           Alcotest.test_case "grant and release allocation bounded" `Quick test_lock_allocation;
+          Alcotest.test_case "blocked acquire allocation bounded" `Quick test_wait_allocation;
         ] );
       ( "scheduler",
         [
           QCheck_alcotest.to_alcotest (sched_equal_prop (module Kv.Model) 200);
           QCheck_alcotest.to_alcotest (sched_equal_prop (module Dbm_storage.Engine_log) 40);
+          QCheck_alcotest.to_alcotest (sched_equal_prop ~hot:true (module Kv.Model) 200);
+          QCheck_alcotest.to_alcotest (sched_equal_prop ~hot:true (module Dbm_storage.Engine_log) 40);
           Alcotest.test_case "contended shape across engines" `Quick test_sched_contended_shape;
           Alcotest.test_case "livelock guard raises" `Quick test_sched_livelock_guard;
         ] );
