@@ -414,8 +414,9 @@ let storage_bench_cmd =
           fuzzy-checkpoint age, the physical-vs-delta-vs-oplog log-format head-to-head, \
           the open-loop server sweep, the MVCC snapshot-read sweep and the \
           sharded-execution sweep.  The server and snapshot-read sweeps run on one engine \
-          each (logging and differential-file): in simulated time their figures are the \
-          same on every engine.")
+          each (logging and differential-file): in simulated time their locked-mode \
+          figures are the same on every engine, and only the differential-file engine has \
+          snapshot reads.")
     Term.(const run $ scale_arg $ oversubscribe_arg)
 
 (* -- version-select command ---------------------------------------- *)

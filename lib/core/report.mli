@@ -20,8 +20,6 @@ type 'c table = {
 
 val cell : ?paper:float -> float -> cell
 
-val pp : Format.formatter -> cell table -> unit
-
 val to_string : cell table -> string
 
 val to_csv : cell table -> string

@@ -29,7 +29,6 @@ type t = {
   mutable busy : bool;
   mutable head_cylinder : int;
   busy_acc : Dbm_util.Stats.Busy.t;
-  qlen : Dbm_util.Stats.Timeweighted.t;
   mutable accesses : int;
   mutable pages : int;
 }
@@ -51,24 +50,15 @@ let create engine ~params ~layout ~name ?(coalesce = true) () =
     busy = false;
     head_cylinder = 0;
     busy_acc = Dbm_util.Stats.Busy.create ();
-    qlen =
-      Dbm_util.Stats.Timeweighted.with_clock
-        ~clock:(Dbm_sim.Engine.clock_cell engine)
-        ~t0:(Dbm_sim.Engine.now engine) ();
     accesses = 0;
     pages = 0;
   }
 
 let name t = t.name
-let params t = t.params
-let queue_length t = t.q_len
-let busy t = t.busy
 let access_count t = t.accesses
 let pages_transferred t = t.pages
 let utilization t =
   Dbm_util.Stats.Busy.utilization t.busy_acc ~elapsed:(Dbm_sim.Engine.now t.engine) ~servers:1
-
-let mean_queue_length t = Dbm_util.Stats.Timeweighted.mean t.qlen ~now:(Dbm_sim.Engine.now t.engine)
 
 let q_get t i = t.q.((t.q_first + i) land (Array.length t.q - 1))
 let q_set t i r = t.q.((t.q_first + i) land (Array.length t.q - 1)) <- r
@@ -85,8 +75,6 @@ let q_push t r =
   end;
   q_set t t.q_len r;
   t.q_len <- t.q_len + 1
-
-let note_queue t = Dbm_util.Stats.Timeweighted.tick t.qlen ~level:t.q_len
 
 (* One conventional access per page; arm position carried along.
    Serves (and consumes) the head request's whole page train. *)
@@ -139,7 +127,6 @@ let finish_completed t =
     q_set t i dummy_request
   done;
   t.q_len <- !w;
-  note_queue t;
   List.iter (fun r -> r.on_complete ()) (List.rev !done_rev)
 
 let rec serve t =
@@ -194,6 +181,5 @@ let submit t ?(extra_transfers = 0) kind ~pages on_complete =
     let remaining = Array.of_list pages in
     q_push t
       { kind; remaining; n_remaining = Array.length remaining; extra_transfers; on_complete };
-    note_queue t;
     serve t
   end

@@ -34,8 +34,6 @@ val create :
 
 val name : t -> string
 
-val params : t -> Params.t
-
 val submit : t -> ?extra_transfers:int -> kind -> pages:int list -> (unit -> unit) -> unit
 (** Enqueue a request; the callback fires when {e all} its pages have
     been transferred.  An empty page list completes immediately (but
@@ -48,11 +46,6 @@ val submit : t -> ?extra_transfers:int -> kind -> pages:int list -> (unit -> uni
     When a parallel-access drive absorbs other requests into an access,
     the absorbed pages are charged at the head request's rate. *)
 
-val queue_length : t -> int
-(** Requests not yet fully served (including the one in progress). *)
-
-val busy : t -> bool
-
 val access_count : t -> int
 (** Number of physical disk accesses performed. *)
 
@@ -60,5 +53,3 @@ val pages_transferred : t -> int
 
 val utilization : t -> float
 (** Busy time over elapsed simulation time. *)
-
-val mean_queue_length : t -> float

@@ -18,13 +18,6 @@ val clear : t -> unit
     per-domain arena can recycle one lock table across runs.  After
     [clear] the table is observationally [create ()]. *)
 
-val compatible : mode -> mode -> bool
-(** [compatible held requested]: only [Shared]/[Shared] is compatible. *)
-
-val can_acquire_all : t -> owner:int -> locks:(int * mode) list -> bool
-(** Would the whole set be grantable right now?  Locks already held by
-    [owner] never conflict with its own request. *)
-
 val acquire_all : t -> owner:int -> locks:(int * mode) list -> bool
 (** All-or-nothing: acquire every lock or none.  Returns whether the
     acquisition succeeded.  Requesting the same page twice upgrades to

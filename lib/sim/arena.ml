@@ -37,8 +37,6 @@ let begin_run t =
   Engine.reset t.engine;
   t.engine
 
-let engine t = t.engine
-
 let resource t ~name ~servers =
   if t.cursor < t.n_resources then begin
     let r = t.resources.(t.cursor) in

@@ -31,9 +31,6 @@ val begin_run : t -> Engine.t
     handles stale) and rewinds the resource cursor.  Must be called
     before {!resource}. *)
 
-val engine : t -> Engine.t
-(** The arena's engine, as last reset by {!begin_run}. *)
-
 val resource : t -> name:string -> servers:int -> Resource.t
 (** Hand out the next recycled resource pool (in first-request order),
     reset to [name]/[servers]; creates and caches one the first time a

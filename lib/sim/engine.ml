@@ -92,8 +92,6 @@ let reset t =
 
 let now t = t.clock.(0)
 
-let clock_cell t = t.clock
-
 let pending t = t.live
 
 (* ---- record pool ------------------------------------------------- *)

@@ -32,12 +32,6 @@ val reset : t -> unit
 val now : t -> float
 (** Current simulation time (ms).  Starts at [0.0]. *)
 
-val clock_cell : t -> float array
-(** The engine's one-cell clock; [ (clock_cell t).(0) = now t ] at all
-    times.  Read-only for callers: it exists so hot-path statistics
-    (e.g. {!Dbm_util.Stats.Timeweighted.with_clock}) can read the time
-    without a boxing function call.  Writing to it is undefined. *)
-
 val schedule : t -> delay:float -> (unit -> unit) -> event_id
 (** [schedule t ~delay f] fires [f] at [now t +. delay].
     @raise Invalid_argument if [delay] is negative or not finite. *)

@@ -7,9 +7,7 @@
 
    The waiting queue is a circular buffer split by field: service times
    in a [float array] (unboxed stores and reads), continuations in a
-   parallel closure array.  Together with [Timeweighted.tick] (which
-   reads the engine clock from its unboxed cell instead of receiving a
-   boxed [now] argument) this keeps the submit/finish cycle at a few
+   parallel closure array.  This keeps the submit/finish cycle at a few
    words per event where the record-and-ring design cost ~17. *)
 
 type t = {
@@ -27,17 +25,12 @@ type t = {
   mutable finishers : (unit -> unit) array; (* per-server completion events, allocated once *)
   mutable busy : int;
   busy_acc : Dbm_util.Stats.Busy.t;
-  qlen : Dbm_util.Stats.Timeweighted.t;
   mutable completed : int;
 }
 
-let name t = t.name
-let servers t = t.servers
 let busy_servers t = t.busy
 let queue_length t = t.q_len
 let completed t = t.completed
-
-let note_queue t = Dbm_util.Stats.Timeweighted.tick t.qlen ~level:t.q_len
 
 (* Double the queue, unrolling the circular order so head restarts at
    zero.  Amortized over the growth that filled the old buffer. *)
@@ -74,7 +67,6 @@ let rec start_next t =
     t.q_k.(h) <- ignore (* unpin the closure while it runs *);
     t.q_head <- (h + 1) land mask;
     t.q_len <- t.q_len - 1;
-    note_queue t;
     start t ~service k;
     start_next t
   end
@@ -109,9 +101,6 @@ let create engine ~name ~servers () =
       finishers = Array.make servers ignore;
       busy = 0;
       busy_acc = Dbm_util.Stats.Busy.create ();
-      qlen =
-        Dbm_util.Stats.Timeweighted.with_clock ~clock:(Engine.clock_cell engine)
-          ~t0:(Engine.now engine) ();
       completed = 0;
     }
   in
@@ -149,17 +138,14 @@ let reset t ~name ~servers =
   t.q_len <- 0;
   t.busy <- 0;
   t.completed <- 0;
-  Dbm_util.Stats.Busy.reset t.busy_acc;
-  Dbm_util.Stats.Timeweighted.reset ~t0:(Engine.now t.engine) t.qlen
+  Dbm_util.Stats.Busy.reset t.busy_acc
 
 let submit t ~service k =
   if not (Float.is_finite service) || service < 0.0 then
     invalid_arg "Resource.submit: negative or non-finite service time";
   if t.n_free > 0 && t.q_len = 0 then begin
     (* Fast path: a server is idle and nobody is waiting, so the job
-       never touches the queue.  The single stats update is equivalent
-       to the slow path's push-then-pop pair (both are zero-width). *)
-    note_queue t;
+       never touches the queue. *)
     start t ~service k
   end
   else begin
@@ -169,11 +155,8 @@ let submit t ~service k =
     Array.unsafe_set t.q_service i service;
     t.q_k.(i) <- k;
     t.q_len <- t.q_len + 1;
-    note_queue t;
     start_next t
   end
 
 let utilization t =
   Dbm_util.Stats.Busy.utilization t.busy_acc ~elapsed:(Engine.now t.engine) ~servers:t.servers
-
-let mean_queue_length t = Dbm_util.Stats.Timeweighted.mean t.qlen ~now:(Engine.now t.engine)

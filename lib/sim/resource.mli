@@ -2,9 +2,9 @@
 
     Jobs carry a service time and a completion callback.  When a server
     is free the oldest queued job is started; its callback fires when the
-    service time elapses.  The pool records busy time (for utilization)
-    and the time-weighted queue length, which is how the paper reports
-    processor and disk statistics (Tables 2 and 5).
+    service time elapses.  The pool records busy time for utilization,
+    which is how the paper reports processor and disk statistics
+    (Tables 2 and 5).
 
     The completion path is shared across jobs (one pre-allocated finish
     closure per server) and the waiting line is a growable ring buffer,
@@ -24,10 +24,6 @@ val reset : t -> name:string -> servers:int -> unit
     {e first} so the time origin is the new run's zero.
     @raise Invalid_argument if [servers <= 0]. *)
 
-val name : t -> string
-
-val servers : t -> int
-
 val submit : t -> service:float -> (unit -> unit) -> unit
 (** [submit t ~service k] enqueues a job that will occupy one server for
     [service] ms and then call [k].
@@ -43,6 +39,3 @@ val completed : t -> int
 val utilization : t -> float
 (** Busy time divided by [servers * now], as of the engine's current
     time. *)
-
-val mean_queue_length : t -> float
-(** Time-weighted mean number of waiting jobs, as of now. *)

@@ -23,10 +23,6 @@ let with_tag t tag = List.filter (fun e -> e.tag = tag) (events t)
 
 let total t = t.total
 
-let clear t =
-  Dbm_util.Ring.clear t.ring;
-  t.total <- 0
-
 let pp_event ppf e =
   Format.fprintf ppf "%10.2f  %-12s %-10s %s" e.time e.source e.tag e.detail
 

@@ -29,9 +29,5 @@ val with_tag : t -> string -> event list
 val total : t -> int
 (** Events emitted over the sink's lifetime (retained or dropped). *)
 
-val clear : t -> unit
-
-val pp_event : Format.formatter -> event -> unit
-
 val dump : Format.formatter -> t -> unit
 (** Print the retained timeline, one event per line. *)

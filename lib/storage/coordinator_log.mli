@@ -22,12 +22,10 @@ val decide : t -> gid:int -> commit:bool -> unit
     commit point.  @raise Invalid_argument on a negative gid, or on a
     second decision for the same gid (decisions are immutable). *)
 
-val decision : t -> gid:int -> bool option
-(** The durable decision for [gid]; [None] when never decided. *)
-
 val resolve : t -> gid:int -> bool
-(** {!decision} with presumed abort: [false] when never decided.  The
-    resolver shape the engines' [crash_and_recover_resolved] takes. *)
+(** The durable decision for [gid], with presumed abort: [false] when
+    never decided.  The resolver shape the engines'
+    [crash_and_recover_resolved] takes. *)
 
 val decisions : t -> int
 (** Decisions recorded (and, after a crash, recovered). *)

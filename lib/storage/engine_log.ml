@@ -2,8 +2,7 @@ type log_format = Physical | Delta | Logical
 
 (* Volatile state of a live transaction.  [firsts]: page -> before
    image of the transaction's first update of the page — the undo an
-   abort performs and the committed image a snapshot reads while the
-   page is dirty.  [first_lsn]: LSN of the transaction's first record
+   abort performs.  [first_lsn]: LSN of the transaction's first record
    (its first update, or an update-less prepare), [max_int] before one,
    and lowered to an aborted transaction's (see [abort]) — a
    checkpoint's replay start never passes it. *)
@@ -38,14 +37,6 @@ type store = {
   (* A delta record is emitted only when both slices together fit in
      this many bytes; past it a full image costs less bookkeeping. *)
   delta_threshold : int;
-  registry : Snapshots.t;
-  (* key -> newest-first [(commit seq, value)] version chain.  Pages are
-     updated in place, so old versions survive only in these bounded
-     in-memory chains: a chain exists for a key only while snapshots are
-     live and some commit has since changed the key; it is trimmed past
-     the snapshot watermark at every push and the whole table is dropped
-     when the last snapshot releases (and on crash). *)
-  chains : (int, (int * string option) list) Hashtbl.t;
   mutable recovery_pool : Dbm_util.Pool.t option;
   mutable records_logged : int;
 }
@@ -75,8 +66,6 @@ let create_with ?n_keys ?(n_log_disks = 2) ?(log_format = Physical) () =
     enc = Wal_codec.Enc.create ~size:(2 * page_size + 64) ();
     scratch = Bytes.create page_size;
     delta_threshold = page_size;
-    registry = Snapshots.create ();
-    chains = Hashtbl.create 16;
     recovery_pool = None;
     records_logged = 0;
   }
@@ -192,44 +181,6 @@ let finish txn =
   txn.finished <- true;
   Hashtbl.remove txn.st.active txn.id
 
-(* --- MVCC version chains -------------------------------------------- *)
-
-(* Drop the chain suffix no live snapshot can reach: everything
-   strictly older than the newest entry at or below the watermark. *)
-let trim_chain wm chain =
-  let rec cut = function
-    | ((seq, _) as keep) :: rest -> keep :: (if seq <= wm then [] else cut rest)
-    | [] -> []
-  in
-  cut chain
-
-(* Commit-time snapshot bookkeeping: take the next commit sequence
-   number and, while snapshots are live, push (seq, value) for every key
-   whose value the transaction changed — found by comparing each touched
-   page's before image with its final one.  A key's chain is seeded on
-   its first such commit with the pre-transaction value from the before
-   image, tagged seq 0: that value was committed at or before every
-   horizon still live, since any later commit to the key would itself
-   have seeded or extended the chain.  No snapshots live = no work. *)
-let publish txn =
-  let t = txn.st in
-  let seq = Snapshots.commit t.registry in
-  if Snapshots.live t.registry > 0 then begin
-    let wm = Snapshots.watermark t.registry in
-    let { Key_space.n_keys; keys_per_page; _ } = t.keys in
-    Hashtbl.iter
-      (fun p before ->
-        let now = Vdisk.read_ro t.data p in
-        for k = p * keys_per_page to min n_keys ((p + 1) * keys_per_page) - 1 do
-          let pre = Page.lookup before ~key:k and value = Page.lookup now ~key:k in
-          if value <> pre then begin
-            let chain = Option.value (Hashtbl.find_opt t.chains k) ~default:[ (0, pre) ] in
-            Hashtbl.replace t.chains k (trim_chain wm ((seq, value) :: chain))
-          end
-        done)
-      txn.live.firsts
-  end
-
 (* --- commit, group commit, 2PC vote, abort -------------------------- *)
 
 (* Force every log disk: everything appended anywhere is durable now,
@@ -254,7 +205,6 @@ let force_decision txn record =
 let commit txn =
   check txn;
   force_decision txn (fun lsn -> Wal.Commit { lsn; txn = txn.id });
-  publish txn;
   finish txn
 
 (* Group commit: the commit record is appended but the force is left
@@ -266,7 +216,6 @@ let commit_group txn =
   let t = txn.st in
   let disk = select_log t in
   append_log t ~disk (Wal.Commit { lsn = fresh_lsn t; txn = txn.id });
-  publish txn;
   finish txn
 
 let force_commits t = sync_all_logs t
@@ -386,13 +335,11 @@ let checkpoint_fuzzy ?(sync = true) t =
 
 (* --- restart recovery --------------------------------------------- *)
 
-(* The crash itself: unforced log tails, volatile pages, live
-   transaction handles and snapshots are lost. *)
+(* The crash itself: unforced log tails, volatile pages and live
+   transaction handles are lost. *)
 let crash t =
   Vdisk.crash t.data;
   Array.iter Journal.crash t.logs;
-  Snapshots.crash t.registry;
-  Hashtbl.reset t.chains;
   t.epoch <- t.epoch + 1
 
 (* Shared epilogue of every recovery path: force the rebuilt data disk,
@@ -501,51 +448,6 @@ let state_fingerprint t =
   Dbm_util.Digest.hex d
 
 let dump_log t ~disk = List.map Wal.decode (Journal.read_all t.logs.(disk))
-
-(* --- MVCC snapshots ------------------------------------------------- *)
-
-type snapshot = store Snapshots.handle
-
-let snapshot t = Snapshots.pin t.registry t
-
-(* A release advanced the watermark: re-trim every chain against it, or
-   drop them all with the last snapshot. *)
-let trim_chains t =
-  if Snapshots.live t.registry = 0 then Hashtbl.reset t.chains
-  else
-    let wm = Snapshots.watermark t.registry in
-    Hashtbl.filter_map_inplace (fun _ chain -> Some (trim_chain wm chain)) t.chains
-
-let snapshot_release s = Snapshots.release s ~reclaim:trim_chains
-
-let live_snapshots t = Snapshots.live t.registry
-
-(* The committed image of a page: pages are updated in place, so if a
-   live transaction has dirtied the page its before image is the
-   committed copy (page access is serialized by the caller, so at most
-   one live writer holds it). *)
-let committed_page_image t p =
-  let dirty = ref None in
-  Hashtbl.iter
-    (fun _ lt ->
-      match Hashtbl.find_opt lt.firsts p with Some img -> dirty := Some img | None -> ())
-    t.active;
-  match !dirty with Some img -> img | None -> Vdisk.read_ro t.data p
-
-(* A key with no chain has not been committed-to since the snapshot was
-   pinned (chains exist exactly for keys changed under live snapshots),
-   so its current committed value is the pinned value; otherwise the
-   newest chain entry at or below the horizon is — trimming always keeps
-   one, since live horizons are at or above the watermark. *)
-let snapshot_get s k =
-  let t = Snapshots.owner s in
-  Key_space.check t.keys k;
-  let horizon = Snapshots.horizon s in
-  match
-    Option.bind (Hashtbl.find_opt t.chains k) (List.find_opt (fun (seq, _) -> seq <= horizon))
-  with
-  | Some (_, v) -> v
-  | None -> Page.lookup (committed_page_image t (Key_space.page_of t.keys k)) ~key:k
 
 let stats t =
   [

@@ -14,26 +14,16 @@
     uncommitted pages durable), which only the formats logging before
     images allow; and the replay routine.  Everything else — LSN issue,
     commit and group commit under one force rule, the 2PC vote and
-    in-doubt resolution, checkpoints, the recovery epilogue, the
-    fingerprint and MVCC snapshots — is shared, so the formats issue
-    identical LSN streams and recover to identical fingerprints.
+    in-doubt resolution, checkpoints, the recovery epilogue and the
+    fingerprint — is shared, so the formats issue identical LSN streams
+    and recover to identical fingerprints.
 
-    MVCC snapshot reads ({!Kv.SNAPSHOT}) work under every format: old
-    versions survive only in bounded in-memory per-key version chains,
-    kept {e only while snapshots are live}.  A commit pushes
-    [(commit seq, value)] for every key it changed, found by comparing
-    each touched page's before image (kept for abort anyway) with its
-    final image, and seeds an absent chain with the pre-transaction
-    value.  A snapshot pinned at horizon [h] reads the newest entry at
-    or below [h], else the committed page image (the before image while
-    a live writer has the page dirty).  Chains are trimmed past the
-    snapshot watermark at every push and release, and dropped when the
-    last snapshot closes or on crash — with no snapshots the write path
-    does no version work.
+    Pages are updated in place and no old version is kept, so there are
+    no snapshot reads: {!Engine_diff} is the one {!Kv.SNAPSHOT} engine.
 
-    Satisfies {!Kv.SNAPSHOT}; extras below. *)
+    Satisfies {!Kv.S}; extras below. *)
 
-include Kv.SNAPSHOT
+include Kv.S
 
 type log_format =
   | Physical

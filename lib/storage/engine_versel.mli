@@ -17,18 +17,12 @@
     read transfers two blocks, disk space doubles) is visible here as
     the two-slot layout and the double read in [select].
 
-    MVCC snapshot reads ({!Kv.SNAPSHOT}): the two slots of a page are
-    two versions, so a snapshot pinned to a commit point (commit-list
-    order) selects per page the highest version whose writer committed
-    at or before the pin.  When an overwrite would destroy a committed
-    slot image some live snapshot can still select, that single slot is
-    copied into a retained side-table first; entries are pruned as
-    snapshots release (and the table emptied when none remain), so with
-    no live snapshots the engine runs exactly as before — zero copies.
+    A page written twice loses its older committed slot, so there are
+    no snapshot reads: {!Engine_diff} is the one {!Kv.SNAPSHOT} engine.
 
-    Satisfies {!Kv.SNAPSHOT}; extras below. *)
+    Satisfies {!Kv.S}; extras below. *)
 
-include Kv.SNAPSHOT
+include Kv.S
 
 val commit_group : txn -> unit
 (** Group commit: append the commit id but force nothing.  The

@@ -8,14 +8,6 @@ module type ENGINE = sig
   val force_commits : t -> unit
 end
 
-module type SNAPSHOT_ENGINE = sig
-  include Kv.SNAPSHOT
-
-  val commit_group : txn -> unit
-
-  val force_commits : t -> unit
-end
-
 type result = {
   completed : int;
   makespan_us : float;

@@ -35,16 +35,6 @@ module type ENGINE = sig
   val force_commits : t -> unit
 end
 
-(** An {!ENGINE} that can also pin MVCC snapshots, for runs whose
-    read-only class reads through them. *)
-module type SNAPSHOT_ENGINE = sig
-  include Kv.SNAPSHOT
-
-  val commit_group : txn -> unit
-
-  val force_commits : t -> unit
-end
-
 type result = {
   completed : int;  (** transactions acknowledged (= arrivals) *)
   makespan_us : float;  (** clock instant of the last ack *)

@@ -1,10 +1,12 @@
-(** The snapshot registry the MVCC engines share ({!Kv.SNAPSHOT}).
+(** The snapshot registry behind the MVCC snapshots ({!Kv.SNAPSHOT}) of
+    {!Engine_diff}, the one snapshot engine.
 
-    It owns what is the same in every such engine: the commit-sequence
-    counter that orders commits, the live snapshots and the horizon each
-    is pinned to, the watermark, the validity of a handle, and the crash
-    reset.  An engine keeps only its visibility rule (which versions a
-    horizon sees) and the reclaim step a release may unlock.
+    It owns the part that does not depend on how versions are stored:
+    the commit-sequence counter that orders commits, the live snapshots
+    and the horizon each is pinned to, the watermark, the validity of a
+    handle, and the crash reset.  The engine keeps only its visibility
+    rule (which versions a horizon sees) and the reclaim step a release
+    may unlock.
 
     Sequences and pins are volatile.  A crash drops every pin and
     restarts the sequence at 1; an engine whose visibility rule reads

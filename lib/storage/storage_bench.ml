@@ -792,8 +792,9 @@ let read_heavy_scripts ~n ~seed ~read_frac ~heavy =
   let txns = W.apply_read_fraction rng ~read_frac txns in
   (scripts_of txns, Array.map (fun t -> W.write_set_size t = 0) txns)
 
-(* Like the server sweep, the read-heavy sweep runs on one engine and
-   stands for every snapshot engine: the differential-file engine. *)
+(* The read-heavy sweep runs on the differential-file engine, the one
+   snapshot engine.  Like the server sweep, its xlock and slock rows
+   stand for every engine. *)
 module Diff_server = Server.Make (Engine_diff)
 
 (* Crash-recover, then scan through one fresh transaction: the three
@@ -932,8 +933,9 @@ let read_heavy_section ~scale =
   let equivalent = List.for_all (fun p -> p.equivalent) all in
   {
     report =
-      "read-heavy snapshot sweep (eager commits, Zipfian pages, simulated time; one sweep \
-       stands for every engine):\n"
+      "read-heavy snapshot sweep (eager commits, Zipfian pages, simulated time; the xlock \
+       and slock rows stand for every engine, the snapshot rows are the differential-file \
+       engine's own):\n"
       ^ Printf.sprintf "  %s:\n" Engine_diff.engine_name
       ^ texts points
       ^ Printf.sprintf

@@ -22,8 +22,10 @@
     the server sweep runs once, on the logging engine, and the
     read-heavy sweep once, on the differential-file engine, each
     standing for every engine (test_server and test_snapshot pin the
-    equality).  The server section's group-commit crash check still
-    runs on the logging, logging-delta and differential-file engines.
+    equality) — except the read-heavy snapshot rows, which are the
+    differential-file engine's own: it is the one snapshot engine.
+    The server section's group-commit crash check still runs on the
+    logging, logging-delta and differential-file engines.
 
     The three recovery sections read one measurement: six logs built
     once (physical, delta and oplog at L transactions, physical at 2L,

@@ -8,13 +8,12 @@ type t = {
   mutable dirty : int list;
   mutable reads : int;
   mutable writes : int;
-  mutable syncs : int;
 }
 
 let create ~pages ~page_size () =
   if pages <= 0 || page_size <= 0 then invalid_arg "Vdisk.create: non-positive size";
   let stable = Array.init pages (fun _ -> Bytes.make page_size '\000') in
-  { page_size; stable; current = Array.copy stable; dirty = []; reads = 0; writes = 0; syncs = 0 }
+  { page_size; stable; current = Array.copy stable; dirty = []; reads = 0; writes = 0 }
 
 let pages t = Array.length t.stable
 
@@ -43,7 +42,6 @@ let write t p b =
   else Bytes.blit b 0 t.current.(p) 0 t.page_size
 
 let sync t =
-  t.syncs <- t.syncs + 1;
   List.iter (fun p -> t.stable.(p) <- t.current.(p)) t.dirty;
   t.dirty <- []
 
@@ -55,4 +53,3 @@ let unsynced_pages t = List.length t.dirty
 
 let reads t = t.reads
 let writes t = t.writes
-let syncs t = t.syncs

@@ -55,4 +55,3 @@ val unsynced_pages : t -> int
 
 val reads : t -> int
 val writes : t -> int
-val syncs : t -> int

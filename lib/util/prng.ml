@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 let bits64 t =
   t.state <- Int64.add t.state golden_gamma;
   let z = t.state in
@@ -79,7 +77,3 @@ let sample_distinct t ~n ~lo ~hi =
     done;
     out
   end
-
-let pick t arr =
-  if Array.length arr = 0 then invalid_arg "Prng.pick: empty array";
-  arr.(int t (Array.length arr))

@@ -13,10 +13,6 @@ val create : int -> t
 (** [create seed] returns a fresh generator.  Equal seeds yield equal
     streams. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator positioned at the same point of
-    the stream as [t]. *)
-
 val split : t -> t
 (** [split t] draws from [t] and returns a new generator seeded with the
     draw, statistically independent of the remainder of [t]'s stream. *)
@@ -48,7 +44,3 @@ val sample_distinct : t -> n:int -> lo:int -> hi:int -> int array
 (** [sample_distinct t ~n ~lo ~hi] draws [n] distinct integers uniformly
     from the inclusive range [\[lo, hi\]], in random order.
     @raise Invalid_argument if the range holds fewer than [n] values. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniform draw from a non-empty array.  @raise Invalid_argument on an
-    empty array. *)

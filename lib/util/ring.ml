@@ -38,8 +38,3 @@ let to_list t =
       | None -> assert false
   in
   go 0 []
-
-let clear t =
-  Array.fill t.data 0 (Array.length t.data) None;
-  t.first <- 0;
-  t.length <- 0

@@ -14,5 +14,3 @@ val pop : 'a t -> 'a option
 
 val to_list : 'a t -> 'a list
 (** Oldest first.  Non-destructive. *)
-
-val clear : 'a t -> unit

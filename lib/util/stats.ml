@@ -17,63 +17,24 @@ module Acc = struct
 end
 
 module Timeweighted = struct
-  (* The accumulator is its own all-float record so its mutable fields
-     get flat (unboxed) stores; folding it into the mixed record below
-     would box every store of [last_time]/[level]/[area]. *)
-  type acc = {
-    mutable t0 : float;
-    mutable last_time : float;
-    mutable level : float;
-    mutable area : float;
-  }
+  (* An all-float record, so its mutable fields get flat (unboxed)
+     stores. *)
+  type t = { t0 : float; mutable last_time : float; mutable level : float; mutable area : float }
 
-  type t = { acc : acc; clock : float array }
-
-  (* Placeholder for integrators created without [with_clock]; [tick]
-     on such an integrator would advance time to nan, which the assert
-     in [update]-style debugging would catch, but callers simply must
-     not mix the two styles. *)
-  let no_clock = [| Float.nan |]
-
-  let create ?(t0 = 0.0) () =
-    { acc = { t0; last_time = t0; level = 0.0; area = 0.0 }; clock = no_clock }
-
-  let with_clock ~clock ?(t0 = 0.0) () =
-    { acc = { t0; last_time = t0; level = 0.0; area = 0.0 }; clock }
+  let create ?(t0 = 0.0) () = { t0; last_time = t0; level = 0.0; area = 0.0 }
 
   let update t ~now ~level =
-    let a = t.acc in
-    assert (now >= a.last_time);
-    a.area <- a.area +. (a.level *. (now -. a.last_time));
-    a.last_time <- now;
-    a.level <- level
+    assert (now >= t.last_time);
+    t.area <- t.area +. (t.level *. (now -. t.last_time));
+    t.last_time <- now;
+    t.level <- level
 
-  (* Allocation-free variant of [update] for hot paths: the time is
-     read (unboxed) from the clock cell bound at creation and the level
-     arrives as an int, so no float crosses a (boxing) function call.
-     The body is written out rather than shared with [update] because a
-     local helper taking float arguments would reintroduce the boxes. *)
-  let tick t ~level =
-    let a = t.acc in
-    let now = Array.unsafe_get t.clock 0 in
-    a.area <- a.area +. (a.level *. (now -. a.last_time));
-    a.last_time <- now;
-    a.level <- float_of_int level
-
-  let reset ?(t0 = 0.0) t =
-    let a = t.acc in
-    a.t0 <- t0;
-    a.last_time <- t0;
-    a.level <- 0.0;
-    a.area <- 0.0
-
-  let level t = t.acc.level
+  let level t = t.level
 
   let mean t ~now =
-    let a = t.acc in
-    let span = now -. a.t0 in
+    let span = now -. t.t0 in
     if span <= 0.0 then 0.0
-    else (a.area +. (a.level *. (now -. a.last_time))) /. span
+    else (t.area +. (t.level *. (now -. t.last_time))) /. span
 end
 
 module Histogram = struct

@@ -2,9 +2,9 @@
 
     {!Acc} keeps the running mean and maximum of a sample (transaction
     completion times).  {!Timeweighted} tracks the time-weighted
-    average of a step function (queue lengths, number of cache frames
-    blocked on the log).  {!Busy} accumulates server busy time for
-    utilization reports. *)
+    average of a step function (free cache frames, frames blocked on
+    the log, active transactions).  {!Busy} accumulates server busy
+    time for utilization reports. *)
 
 module Acc : sig
   type t
@@ -23,25 +23,9 @@ module Timeweighted : sig
 
   val create : ?t0:float -> unit -> t
 
-  val with_clock : clock:float array -> ?t0:float -> unit -> t
-  (** An integrator bound to a one-cell clock (e.g. the simulation
-      engine's), enabling the allocation-free {!tick}.  [clock.(0)]
-      must be monotonically non-decreasing. *)
-
   val update : t -> now:float -> level:float -> unit
   (** Record that the tracked quantity has value [level] from [now]
       onwards.  [now] must be monotonically non-decreasing. *)
-
-  val tick : t -> level:int -> unit
-  (** [update] at the bound clock's current time, for integer levels
-      (queue lengths, counts).  Allocation-free: no float crosses a
-      function boundary.  Only valid on integrators built with
-      {!with_clock}. *)
-
-  val reset : ?t0:float -> t -> unit
-  (** Forget all history: level 0, empty area, interval restarting at
-      [t0] (default 0) — as freshly created, but reusing the storage.
-      Used by the per-domain arenas that recycle simulator state. *)
 
   val level : t -> float
   (** Current level. *)

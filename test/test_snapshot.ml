@@ -1,10 +1,10 @@
 (* Tests for MVCC snapshot reads: a pinned snapshot must observe
    exactly the committed state at its pin point — never a later commit,
    never uncommitted work — under random histories of transactions,
-   crashes and engine housekeeping, for every snapshot-capable engine;
-   the scheduler's snapshot read-only class must run lock-free and
-   restart-free; and the per-class latency histograms must merge into
-   the combined one exactly. *)
+   crashes and engine housekeeping, on the differential-file engine
+   (the one snapshot engine); the scheduler's snapshot read-only class
+   must run lock-free and restart-free; and the per-class latency
+   histograms must merge into the combined one exactly. *)
 
 module Kv = Dbm_storage.Kv
 module Scheduler = Dbm_storage.Scheduler
@@ -189,10 +189,6 @@ module Snapshot_equiv (E : Kv.SNAPSHOT) = struct
 end
 
 module Diff_equiv = Snapshot_equiv (Engine_diff)
-module Versel_equiv = Snapshot_equiv (Engine_versel)
-module Oplog_equiv = Snapshot_equiv (Engine_oplog)
-module Physical_equiv = Snapshot_equiv (Engine_log)
-module Delta_equiv = Snapshot_equiv (Engine_log_delta)
 
 (* --- the handle lifecycle ------------------------------------------ *)
 
@@ -234,29 +230,15 @@ let handle_lifecycle (module E : Kv.SNAPSHOT) =
       E.snapshot_release s;
       check Alcotest.int "all released" 0 (E.live_snapshots e))
 
-(* Every snapshot-capable engine, with the commit hooks the server
-   drives. *)
-let engines : (module Server.SNAPSHOT_ENGINE) list =
-  [
-    (module Engine_log);
-    (module Engine_log_delta);
-    (module Engine_oplog);
-    (module Engine_diff);
-    (module Engine_versel);
-  ]
-
-let handle_tests =
-  List.map (fun (module E : Server.SNAPSHOT_ENGINE) -> handle_lifecycle (module E)) engines
-
 (* --- the read-only class is lock-free and restart-free ------------ *)
 
-(* Drive the open-loop server over every engine with every transaction
-   read-only on the snapshot path: the lock manager must never be
-   consulted and nothing can restart.  Then a contended mixed run:
-   writers may restart, the read-only class may not, and the per-class
-   histograms must partition the combined one.  Last, the three read
-   regimes on every engine: the server's figures must not depend on
-   the engine. *)
+(* Drive the open-loop server over the differential-file engine with
+   every transaction read-only on the snapshot path: the lock manager
+   must never be consulted and nothing can restart.  Then a contended
+   mixed run: writers may restart, the read-only class may not, and the
+   per-class histograms must partition the combined one.  Last, the
+   three read regimes: in the locked ones the server's figures must not
+   depend on the engine. *)
 
 let snapshot_factory = Scheduler.snapshot_view (module Engine_diff)
 
@@ -292,15 +274,23 @@ let arrivals ~n ~seed =
 
 let scan_keys = 256
 
-(* Serve [scripts] on a fresh engine through the eager pipeline, the
-   read-only class on the snapshot path unless [snapshot] is false.
-   Returns the result, the engine's live snapshots at the end, and a
-   thunk that crash-recovers the engine and reads every key. *)
-let serve (module E : Server.SNAPSHOT_ENGINE) ?(snapshot = true) ?read_mode ~read_only
-    ~arrivals_us scripts =
+(* Every engine the server drives. *)
+let engines : (module Server.ENGINE) list =
+  [
+    (module Engine_log);
+    (module Engine_log_delta);
+    (module Engine_oplog);
+    (module Engine_diff);
+    (module Engine_versel);
+  ]
+
+(* Serve [scripts] on engine [e] through the eager pipeline, the
+   read-only class on the snapshot path when [snapshot] is given.
+   Returns the result and a thunk that crash-recovers the engine and
+   reads every key. *)
+let serve (type e) (module E : Server.ENGINE with type t = e) ?snapshot ?read_mode ~read_only
+    ~arrivals_us scripts (e : e) =
   let module Srv = Server.Make (E) in
-  let e = E.create ~n_keys:scan_keys () in
-  let snapshot = if snapshot then Some (Scheduler.snapshot_view (module E) e) else None in
   let r =
     Srv.run ?snapshot ?read_mode ~read_only ~mode:Commit_pipeline.Eager ~arrivals_us ~scripts e
   in
@@ -311,47 +301,46 @@ let serve (module E : Server.SNAPSHOT_ENGINE) ?(snapshot = true) ?read_mode ~rea
     E.abort t;
     values
   in
-  (r, E.live_snapshots e, recovered_scan)
+  (r, recovered_scan)
+
+(* [serve] on a fresh differential-file engine with the read-only class
+   on the snapshot path; also returns the live snapshots at the end. *)
+let serve_snapshot ~read_only ~arrivals_us scripts =
+  let e = Engine_diff.create ~n_keys:scan_keys () in
+  let r, recovered_scan =
+    serve (module Engine_diff) ~snapshot:(snapshot_factory e) ~read_only ~arrivals_us scripts e
+  in
+  (r, Engine_diff.live_snapshots e, recovered_scan)
 
 let test_all_read_only_lock_free () =
   let n = 80 in
   let scripts, _ = mixed_workload ~n ~seed:77 ~read_frac:1.0 in
   let read_only = Array.make n true in
-  List.iter
-    (fun (module E : Server.SNAPSHOT_ENGINE) ->
-      let r, live, _ = serve (module E) ~read_only ~arrivals_us:(arrivals ~n ~seed:77) scripts in
-      let check_int what = check Alcotest.int (E.engine_name ^ ": " ^ what) in
-      check_int "all transactions acknowledged" n r.Server.completed;
-      check_int "zero lock acquisitions" 0 r.Server.lock_acquires;
-      check_int "zero restarts" 0 r.Server.restarts;
-      check_int "zero read-only restarts" 0 r.Server.ro_restarts;
-      check_int "no leaked snapshot" 0 live)
-    engines
+  let r, live, _ = serve_snapshot ~read_only ~arrivals_us:(arrivals ~n ~seed:77) scripts in
+  check Alcotest.int "all transactions acknowledged" n r.Server.completed;
+  check Alcotest.int "zero lock acquisitions" 0 r.Server.lock_acquires;
+  check Alcotest.int "zero restarts" 0 r.Server.restarts;
+  check Alcotest.int "zero read-only restarts" 0 r.Server.ro_restarts;
+  check Alcotest.int "no leaked snapshot" 0 live
 
 let test_mixed_run_read_only_class () =
   let n = 120 in
   let scripts, read_only = mixed_workload ~n ~seed:9125 ~read_frac:0.5 in
   let n_ro = Array.fold_left (fun a ro -> if ro then a + 1 else a) 0 read_only in
-  List.iter
-    (fun (module E : Server.SNAPSHOT_ENGINE) ->
-      let r, live, _ =
-        serve (module E) ~read_only ~arrivals_us:(arrivals ~n ~seed:9125) scripts
-      in
-      let check_int what = check Alcotest.int (E.engine_name ^ ": " ^ what) in
-      check_int "all transactions acknowledged" n r.Server.completed;
-      check_int "zero read-only restarts" 0 r.Server.ro_restarts;
-      check_int "no leaked snapshot" 0 live;
-      check_int "read-only class histogram" n_ro (Hist.count r.Server.ro_latency_us);
-      check_int "read-write class histogram" (n - n_ro) (Hist.count r.Server.rw_latency_us);
-      check_int "combined histogram is the merge" n (Hist.count r.Server.latency_us))
-    engines
+  let r, live, _ = serve_snapshot ~read_only ~arrivals_us:(arrivals ~n ~seed:9125) scripts in
+  check Alcotest.int "all transactions acknowledged" n r.Server.completed;
+  check Alcotest.int "zero read-only restarts" 0 r.Server.ro_restarts;
+  check Alcotest.int "no leaked snapshot" 0 live;
+  check Alcotest.int "read-only class histogram" n_ro (Hist.count r.Server.ro_latency_us);
+  check Alcotest.int "read-write class histogram" (n - n_ro) (Hist.count r.Server.rw_latency_us);
+  check Alcotest.int "combined histogram is the merge" n (Hist.count r.Server.latency_us)
 
-(* Storage_bench's read-heavy sweep runs on one engine and stands for
-   all of them.  A small read-heavy workload under exclusive-lock,
-   shared-lock and snapshot reads: in each regime every engine must
-   report the same figures, and every run must leak no snapshot and
-   recover to the same scan; the snapshot path restarts no read-only
-   transaction. *)
+(* Storage_bench's read-heavy sweep runs on one engine, and its locked
+   rows stand for every engine.  A small read-heavy workload under
+   exclusive-lock and shared-lock reads: in each regime every engine
+   must report the same figures.  Then snapshot reads on the
+   differential-file engine: no leaked snapshot and no read-only
+   restart.  Every run must recover to the same scan. *)
 let test_read_modes_agree () =
   let n = 150 in
   let scripts, read_only = mixed_workload ~n ~seed:4711 ~read_frac:0.9 in
@@ -367,28 +356,28 @@ let test_read_modes_agree () =
     match !first with None -> first := Some v | Some v0 -> check testable what v0 v
   in
   let scan = ref None in
+  let same_scan name recovered_scan =
+    agree Alcotest.(list (option string)) scan (name ^ "same recovered scan") (recovered_scan ())
+  in
   List.iter
-    (fun (mode, snapshot, read_mode) ->
+    (fun (mode, read_mode) ->
       let mode_figures = ref None in
       List.iter
-        (fun (module E : Server.SNAPSHOT_ENGINE) ->
+        (fun (module E : Server.ENGINE) ->
           let name = Printf.sprintf "%s, %s: " E.engine_name mode in
-          let r, live, recovered_scan =
-            serve (module E) ~snapshot ?read_mode ~read_only ~arrivals_us scripts
+          let r, recovered_scan =
+            serve (module E) ?read_mode ~read_only ~arrivals_us scripts
+              (E.create ~n_keys:scan_keys ())
           in
-          check Alcotest.int (name ^ "no leaked snapshot") 0 live;
-          if snapshot then
-            check Alcotest.int (name ^ "zero read-only restarts") 0 r.Server.ro_restarts;
           agree Alcotest.string mode_figures (name ^ "same figures as every engine") (figures r);
-          agree
-            Alcotest.(list (option string))
-            scan (name ^ "same recovered scan") (recovered_scan ()))
+          same_scan name recovered_scan)
         engines)
-    [
-      ("xlock", false, Some Dbm_storage.Lock_mgr.X);
-      ("slock", false, None);
-      ("snapshot", true, None);
-    ]
+    [ ("xlock", Some Dbm_storage.Lock_mgr.X); ("slock", None) ];
+  let name = Engine_diff.engine_name ^ ", snapshot: " in
+  let r, live, recovered_scan = serve_snapshot ~read_only ~arrivals_us scripts in
+  check Alcotest.int (name ^ "no leaked snapshot") 0 live;
+  check Alcotest.int (name ^ "zero read-only restarts") 0 r.Server.ro_restarts;
+  same_scan name recovered_scan
 
 (* a read-only script containing a write must be rejected up front *)
 let test_read_only_script_validated () =
@@ -535,16 +524,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest
             (Diff_equiv.property "diff snapshot sees exactly the pinned committed state");
-          QCheck_alcotest.to_alcotest
-            (Versel_equiv.property "versel snapshot sees exactly the pinned committed state");
-          QCheck_alcotest.to_alcotest
-            (Oplog_equiv.property "oplog snapshot sees exactly the pinned committed state");
-          QCheck_alcotest.to_alcotest
-            (Physical_equiv.property "physical log snapshot sees exactly the pinned state");
-          QCheck_alcotest.to_alcotest
-            (Delta_equiv.property "delta log snapshot sees exactly the pinned state");
         ] );
-      ("snapshot-handle", handle_tests);
+      ("snapshot-handle", [ handle_lifecycle (module Engine_diff) ]);
       ( "read-only-class",
         [
           Alcotest.test_case "all-read-only run is lock-free" `Quick
