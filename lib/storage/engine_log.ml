@@ -347,17 +347,14 @@ let crash t =
    clear the volatile transaction state. *)
 let finish_recovery t (meta : Replay.meta) =
   Vdisk.sync t.data;
-  let max_lsn = ref 0 and max_txn = ref 0 in
-  Array.iter (Array.iter (fun l -> if l > !max_lsn then max_lsn := l)) meta.Replay.lsns;
-  Array.iter (Array.iter (fun x -> if x > !max_txn then max_txn := x)) meta.Replay.txns;
-  t.next_lsn <- !max_lsn + 1;
+  t.next_lsn <- meta.max_lsn + 1;
   (* From the log alone, not [max ... t.next_txn]: ids the volatile
      counter handed to transactions that never logged a record are dead
      after a crash and safe to reuse, and deriving both counters purely
      from durable state makes repeated recovery idempotent — which is
      what lets the bench fingerprint-compare recoveries run back to
      back. *)
-  t.next_txn <- !max_txn + 1;
+  t.next_txn <- meta.max_txn + 1;
   Hashtbl.reset t.active;
   Hashtbl.reset t.dirty_rec
 
@@ -372,7 +369,8 @@ let recover_with ~resolve t =
   let doubt = Replay.in_doubt raws in
   let decide ~gid = match resolve with Some f -> f ~gid | None -> false in
   let also_committed = List.filter_map (fun (txn, gid) -> if decide ~gid then Some txn else None) doubt in
-  let read ~page = Vdisk.read t.data page in
+  (* Borrowed bases: replay copies one before changing it, and uses none past its first write. *)
+  let read ~page = Vdisk.read_ro t.data page in
   let write ~page image = Vdisk.write t.data page image in
   (* The partitioned parallel path.  The newest durable fuzzy
      checkpoint is located by tag peek, each journal is binary-searched

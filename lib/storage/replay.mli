@@ -13,25 +13,26 @@
        across the {!Dbm_util.Pool} domains, each chunk into its own
        slots, so the decoded arrays are identical to a serial decode.}
     {- {b partition} — the format's route sends each record at or after
-       the replay start LSN to its page, or skips it, and pages are
-       hash-partitioned ([page mod partitions]).  Every record of one
-       page lands in exactly one partition, so partitions touch disjoint
-       page sets.  The durable base images a route asks for are read
-       serially on the calling domain before the fan-out.}
-    {- {b fold} — each partition independently sorts each page's
-       records newest first by LSN (the global total order the engines
-       issue) and hands them to the format's per-page fold: after
-       images and delta chains for {!recover_sorted}, operation
-       re-execution for {!recover_logical}.  The fold returns the page's final image and,
-       for a loser-only restore, the base LSN that makes its write due
-       (see {!recover_sorted}).  Because the fold is per page and pages
-       do not straddle partitions, the images are independent of the
-       partition count and of worker interleaving.}}
+       the replay start LSN to an int code (its page, with or without a
+       read of the page's durable base image) or skips it.  Records are
+       counted per page and placed into one slot array by a k-way LSN
+       merge across the log disks, so each page's slice is oldest first
+       (LSNs are globally issued, a total order).  The base images
+       routes ask for are read on the calling domain, in ascending page
+       order, before the fan-out; pages are partitioned by
+       [page mod jobs], so partitions touch disjoint page sets.}
+    {- {b fold} — each partition hands its pages' slices to the
+       format's per-page fold: after images and delta chains for
+       {!recover_sorted}, operation re-execution for {!recover_logical}.
+       The fold decides the page's final image and, for a loser-only
+       restore, the base LSN that makes its write due, at the page's
+       index of one page-indexed array, independent of the partition
+       count and of worker interleaving.}}
 
     Final images are handed to the caller in ascending page order, at
-    most once per page, so disk write counts and contents are identical
-    for any job count — [pool = None] (or a 1-job pool) reproduces the
-    serial path exactly. *)
+    most once per page, so disk reads, write counts and contents are
+    identical for any job count — [pool = None] (or a 1-job pool)
+    reproduces the serial path exactly. *)
 
 val chunk_ranges : len:int -> pieces:int -> (int * int) list
 (** Contiguous [(lo, hi)] ranges covering [0, len), at most [pieces] of
@@ -48,13 +49,15 @@ val chunk_ranges : len:int -> pieces:int -> (int * int) list
     and take the epilogue's counter maxima from peeked metadata. *)
 
 type meta = {
-  lsns : int array array;  (** peeked LSN of every retained record *)
-  txns : int array array;  (** peeked txn id, [-1] for checkpoint records *)
+  raws : string array array;  (** the raw journals {!scan} was given *)
+  max_lsn : int;  (** the newest retained LSN, [0] for empty logs *)
+  max_txn : int;  (** the largest retained txn id, [0] when none *)
 }
 
 val scan : string array array -> meta
-(** Peek LSN and txn id of every retained record — two fixed-offset
-    loads per record, no checksum pass. *)
+(** The LSN and txn maxima of the retained records: one fixed-offset
+    load per record for the txn id, and each journal's last LSN (journal
+    LSNs strictly increase); no checksum pass, no per-record array. *)
 
 val replay_start_raw : string array array -> int
 (** The replay start LSN announced by the newest durable
@@ -65,8 +68,9 @@ val replay_start_raw : string array array -> int
 
 val suffix_starts : meta -> start_lsn:int -> int array
 (** Per-journal index of the first retained record with
-    [lsn >= start_lsn] (journal LSNs strictly increase: a binary
-    search).  Recovery decodes from it; the sharp checkpoint cuts below it. *)
+    [lsn >= start_lsn]: journal LSNs strictly increase, so a binary
+    search peeks O(log n) LSNs per journal.  Recovery decodes from it;
+    the sharp checkpoint cuts below it. *)
 
 val decode_from :
   ?pool:Dbm_util.Pool.t -> string array array -> lo:int array -> Wal.record array array
@@ -91,7 +95,8 @@ val in_doubt : string array array -> (int * int) list
     ([Journal.to_array]): [(txn, gid)] for every {!Wal.Prepare} record
     whose transaction has no Commit/Abort record anywhere, ascending by
     txn id.  Records are classified by {!Wal.peek_vote}, so only
-    prepare records pay for a checked decode. *)
+    prepare records pay for a checked decode, and decisions are read
+    (in a second pass) only when some prepare exists. *)
 
 val recover_sorted :
   ?pool:Dbm_util.Pool.t ->
@@ -106,12 +111,15 @@ val recover_sorted :
     after-image/delta-chain fold.  [write] receives each touched page's
     final image at most once, in ascending page order, from the calling
     domain, as fresh bytes: the image written is the one image the fold
-    copies out of a frame.
+    copies out of a frame or a base.
 
-    [read] supplies durable base images, each a copy replay may patch
-    in place.  A page touched only by losers
-    reverts to the before image of its earliest retained update only
-    when its base holds that update.  A base that predates it holds no
+    [read] supplies durable base images, borrowed: replay never writes
+    a buffer [read] returns and copies a base only where a delta chain
+    rewinds it.  It is done with every base before it writes a page,
+    and reads a restore's page again for its due check just before
+    writing it, so a {!Vdisk.read_ro} view is a valid [read].  A page
+    touched only by losers reverts to the before image of its earliest
+    retained update only when its base holds that update.  A base that predates it holds no
     loser effect and the same keys as the before image, because every
     engine force covers every log disk, so a crash loses only records
     appended after every record it keeps; the rule leaves such a base,
@@ -119,11 +127,12 @@ val recover_sorted :
     always written.
 
     When the log holds {!Wal.Delta} records, [read] is required: a page
-    with a delta record rewinds its durable base image over the records
-    the base already holds to the chain's first state, then rebuilds
-    every record's full images forward from it, re-anchoring at each
-    full {!Wal.Update}, before the winner/loser fold runs.
-    @raise Wal.Corrupt on delta records without a [read]. *)
+    whose winner has no full {!Wal.Update} at or before it, or whose
+    loser-only restore starts at a delta, rewinds a copy of its base
+    over the records the base already holds to the chain's first state
+    and patches forward from there.
+    @raise Wal.Corrupt on delta records without a [read], or when a
+    journal's LSNs do not ascend. *)
 
 val recover_logical :
   ?pool:Dbm_util.Pool.t ->
@@ -137,10 +146,11 @@ val recover_logical :
   unit
 (** REDO-only re-execution for the no-steal operation-logging engine,
     the same pipeline with the re-executing fold: committed {!Wal.Op}
-    records are partitioned by page ([page_of] is
-    the engine's static key layout), each page's operations re-execute
-    in LSN order onto its durable base image, and the page-header LSN
-    guard skips operations the image already holds (idempotence).
-    Loser operations are ignored — no-steal means they never reached
-    the durable image.  [write] semantics as in {!recover_sorted};
-    pages whose image was already current are not rewritten. *)
+    records are partitioned by page ([page_of] is the engine's static
+    key layout), each page's operations re-execute in LSN order onto a
+    copy of its durable base image, and the page-header LSN guard skips
+    operations the image already holds (idempotence).  Loser operations
+    are ignored — no-steal means they never reached the durable image.
+    [read] and [write] as in {!recover_sorted}: a base is copied only
+    when an operation re-executes, and pages whose image was already
+    current are not rewritten. *)

@@ -2,8 +2,6 @@
 
 exception Corrupt of string
 
-let checksum s ~pos ~len = Dbm_util.Digest.fnv64_words s ~pos ~len
-
 (* --- views ---------------------------------------------------------- *)
 
 module View = struct
@@ -108,8 +106,7 @@ module Dec = struct
   let start s =
     let len = String.length s in
     if len < 9 then raise (Corrupt "record too short");
-    let stored = String.get_int64_le s (len - 8) in
-    if not (Int64.equal (checksum s ~pos:0 ~len:(len - 8)) stored) then
+    if not (Dbm_util.Digest.fnv64_words_match s ~pos:0 ~len:(len - 8)) then
       raise (Corrupt "checksum mismatch");
     { s; pos = 1; limit = len - 8 }
 

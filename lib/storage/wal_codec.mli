@@ -31,9 +31,6 @@
 
 exception Corrupt of string
 
-val checksum : string -> pos:int -> len:int -> int64
-(** The framing checksum over a range: {!Dbm_util.Digest.fnv64_words}. *)
-
 (** A read-only byte range of a string: [len] bytes of [src] from
     [pos].  Nothing writes through a view; a reader blits from it. *)
 module View : sig

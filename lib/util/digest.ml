@@ -85,9 +85,10 @@ let[@inline] word s i =
 
 let[@inline] step h w = Int64.mul (Int64.logxor h w) fnv_prime
 
-let fnv64_words s ~pos ~len =
-  if pos < 0 || len < 0 || pos > String.length s - len then
-    invalid_arg "Digest.fnv64_words: bad range";
+(* Inlined into both callers, so [fnv64_words_match] compares the value
+   unboxed: the library builds with [-opaque] in the dev profile, and an
+   [int64] returned across a call is boxed. *)
+let[@inline] fnv64_core s ~pos ~len =
   let h0 = ref basis_b and h1 = ref basis_a in
   let h2 = ref 0x9e3779b97f4a7c15L and h3 = ref 0xc2b2ae3d27d4eb4fL in
   let i = ref pos and blocks = pos + (len land lnot 31) in
@@ -110,3 +111,14 @@ let fnv64_words s ~pos ~len =
     incr i
   done;
   step (step !h !tail) (Int64.of_int len)
+
+let fnv64_words s ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Digest.fnv64_words: bad range";
+  fnv64_core s ~pos ~len
+
+let fnv64_words_match s ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length s - 8 || len > String.length s - 8 - pos then
+    invalid_arg "Digest.fnv64_words_match: bad range";
+  let stored = String.get_int64_le s (pos + len) in
+  Int64.equal (fnv64_core s ~pos ~len) stored

@@ -44,3 +44,10 @@ val fnv64_words : string -> pos:int -> len:int -> int64
     FNV prime, a bijection, so a single flipped bit always changes the
     value.  The WAL codec's record checksum.
     @raise Invalid_argument on a bad range. *)
+
+val fnv64_words_match : string -> pos:int -> len:int -> bool
+(** Whether the 8 bytes at [pos + len], read little-endian, hold
+    {!fnv64_words} of [s.[pos .. pos+len)]: a frame's checksum trailer,
+    checked without boxing the checksum.
+    @raise Invalid_argument when the range and its trailer do not fit
+    in [s]. *)

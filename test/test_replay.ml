@@ -426,6 +426,204 @@ let prop_recovery_leaves_log_intact =
           (Engine_log.Delta, Some (Lazy.force pool2));
         ])
 
+(* --- borrowed bases ------------------------------------------------------ *)
+
+module Page = Dbm_storage.Page
+module View = Dbm_storage.Wal_codec.View
+
+(* A [read] that lends one buffer per page, as [Vdisk.read_ro] does, and
+   keeps each with a copy of what it held when first lent. *)
+let lending bases =
+  let lent = ref [] in
+  let read ~page =
+    let b = List.assoc page bases in
+    if not (List.mem_assq b !lent) then lent := (b, Bytes.copy b) :: !lent;
+    b
+  in
+  let intact () = !lent <> [] && List.for_all (fun (b, copy) -> Bytes.equal b copy) !lent in
+  (read, intact)
+
+(* Written images by page; at most one write per page. *)
+let collect () =
+  let written = ref [] in
+  let write ~page image =
+    if List.mem_assoc page !written then Alcotest.failf "page %d written twice" page;
+    written := (page, Bytes.copy image) :: !written
+  in
+  (write, fun page -> List.assoc_opt page !written)
+
+let page_size = 256
+
+(* [prev] with [key] set to [value] and its header at [lsn]. *)
+let next_state prev ~lsn ~key ~value =
+  let s = Bytes.copy prev in
+  ignore (Page.update s ~key ~value);
+  Page.set_lsn s lsn;
+  s
+
+let delta ~lsn ~txn ~page before after =
+  Wal.delta_update ~threshold:page_size ~lsn ~txn ~page ~before ~after ~lo:Page.header_bytes
+    ~hi:page_size
+
+let page_image = Alcotest.option Alcotest.bytes
+
+(* Page 3's chain starts with a full image (lsn 1) that the replay start
+   (lsn 2) skips, and its durable base holds a loser's delta (lsn 7)
+   past the winner (lsn 5): the fold rewinds the base to the chain's
+   first retained state and patches forward to the winner.  Page 5 holds
+   only a loser's delta that reached its base, so its restore rewinds
+   the base too.  Both need a copy of the base; neither base may
+   change. *)
+let test_sorted_rewind_leaves_bases () =
+  let s0 = Page.empty ~page_size in
+  let s1 = next_state s0 ~lsn:1 ~key:1 ~value:(Some "a") in
+  let s2 = next_state s1 ~lsn:2 ~key:2 ~value:(Some "b") in
+  let s4 = next_state s2 ~lsn:4 ~key:1 ~value:(Some "c") in
+  let s5 = next_state s4 ~lsn:5 ~key:3 ~value:(Some "d") in
+  let s7 = next_state s5 ~lsn:7 ~key:2 ~value:(Some "loser") in
+  let e8 = next_state s0 ~lsn:8 ~key:21 ~value:(Some "x") in
+  let view b = View.of_string (Bytes.to_string b) in
+  let records =
+    [|
+      [|
+        Wal.Update { lsn = 1; txn = 1; page = 3; before = view s0; after = view s1 };
+        delta ~lsn:2 ~txn:1 ~page:3 s1 s2;
+        Wal.Commit { lsn = 3; txn = 1 };
+        delta ~lsn:5 ~txn:2 ~page:3 s4 s5;
+      |];
+      [|
+        delta ~lsn:4 ~txn:2 ~page:3 s2 s4;
+        Wal.Commit { lsn = 6; txn = 2 };
+        delta ~lsn:7 ~txn:3 ~page:3 s5 s7;
+        delta ~lsn:8 ~txn:3 ~page:5 s0 e8;
+      |];
+    |]
+  in
+  let read, intact = lending [ (3, Bytes.copy s7); (5, Bytes.copy e8) ] in
+  let write, written = collect () in
+  Replay.recover_sorted ~read ~records ~start_lsn:2 ~write ();
+  check Alcotest.bool "every lent base unchanged" true (intact ());
+  check page_image "page 3: the winner's state" (Some s5) (written 3);
+  check page_image "page 5: the loser's before state" (Some s0) (written 5)
+
+(* Page 0's base holds the operations up to lsn 2; the committed ones
+   past it re-execute on a copy, and the loser's is ignored. *)
+let test_logical_reexecution_leaves_base () =
+  let op ~lsn ~txn ~key value = Wal.Op { lsn; txn; key; value } in
+  let s1 = next_state (Page.empty ~page_size) ~lsn:1 ~key:1 ~value:(Some "a") in
+  let base = next_state s1 ~lsn:2 ~key:2 ~value:(Some "b") in
+  let records =
+    [|
+      [|
+        op ~lsn:1 ~txn:1 ~key:1 (Some "a");
+        Wal.Commit { lsn = 3; txn = 1 };
+        op ~lsn:5 ~txn:2 ~key:3 (Some "c");
+        Wal.Commit { lsn = 6; txn = 2 };
+      |];
+      [|
+        op ~lsn:2 ~txn:1 ~key:2 (Some "b");
+        op ~lsn:4 ~txn:2 ~key:1 None;
+        op ~lsn:7 ~txn:3 ~key:0 (Some "loser");
+      |];
+    |]
+  in
+  let read, intact = lending [ (0, Bytes.copy base) ] in
+  let write, written = collect () in
+  Replay.recover_logical ~records ~start_lsn:0 ~page_of:(fun _ -> 0) ~read ~write ();
+  check Alcotest.bool "the lent base unchanged" true (intact ());
+  let s4 = next_state base ~lsn:4 ~key:1 ~value:None in
+  check page_image "page 0: committed operations re-executed"
+    (Some (next_state s4 ~lsn:5 ~key:3 ~value:(Some "c")))
+    (written 0)
+
+(* --- replay's allocation ------------------------------------------------ *)
+
+(* A fixed history on two log disks, in the given format: 60
+   transactions of three puts over 64 keys, every fifth one a loser.
+   Nothing forces a data page, so every durable base is a zero page. *)
+let fixed_log log_format =
+  let e = Engine_log.create_with ~n_keys ~n_log_disks:2 ~log_format () in
+  let rng = Random.State.make [| 41 |] in
+  for i = 1 to 60 do
+    let t = Engine_log.begin_txn e in
+    for _ = 1 to 3 do
+      Engine_log.put t (Random.State.int rng n_keys) (Printf.sprintf "v%03d" i)
+    done;
+    if i mod 5 = 0 then Engine_log.abort t else Engine_log.commit t
+  done;
+  Array.init (Engine_log.log_disks e) (fun d -> Array.of_list (Engine_log.dump_log e ~disk:d))
+
+(* Beyond one image per written page, replay allocates at most 8 words
+   per routed record (an update or a delta), with a borrowed [read]. *)
+let test_replay_allocation () =
+  let physical = fixed_log Engine_log.Physical in
+  let size =
+    Array.fold_left
+      (Array.fold_left (fun n r -> match r with Wal.Update { after; _ } -> after.View.len | _ -> n))
+      0 physical
+  in
+  let zero = Bytes.make size '\000' in
+  List.iter
+    (fun (name, records) ->
+      let routed =
+        Array.fold_left
+          (Array.fold_left (fun n r -> match r with Wal.Update _ | Wal.Delta _ -> n + 1 | _ -> n))
+          0 records
+      in
+      let pages = ref 0 and image_words = ref 0 in
+      let write ~page:_ image =
+        incr pages;
+        image_words := !image_words + (Bytes.length image / 8) + 2
+      in
+      let replay () =
+        Replay.recover_sorted ~read:(fun ~page:_ -> zero) ~records ~start_lsn:0 ~write ()
+      in
+      replay ();
+      pages := 0;
+      image_words := 0;
+      let before = Gc.minor_words () in
+      replay ();
+      let words = Gc.minor_words () -. before in
+      let per_record = (words -. float_of_int !image_words) /. float_of_int routed in
+      if !pages = 0 || routed < 100 then
+        Alcotest.failf "%s: %d pages, %d routed records" name !pages routed;
+      if per_record > 8.0 then
+        Alcotest.failf "%s: %.1f words per routed record beyond %d page images (%.0f words)" name
+          per_record !pages words)
+    [ ("physical", physical); ("delta", fixed_log Engine_log.Delta) ]
+
+(* --- in-doubt detection ------------------------------------------------- *)
+
+(* Txn 1's prepare is on disk 0 and its commit on disk 1; txn 2's
+   prepare has no decision anywhere. *)
+let test_in_doubt_mixed_log () =
+  let enc = Array.map (Array.map Wal.encode) in
+  let mixed =
+    enc
+      [|
+        [|
+          Wal.Op { lsn = 1; txn = 1; key = 0; value = Some "a" };
+          Wal.Prepare { lsn = 3; txn = 1; gid = 11 };
+          Wal.Commit { lsn = 6; txn = 3 };
+        |];
+        [|
+          Wal.Prepare { lsn = 2; txn = 2; gid = 22 };
+          Wal.Commit { lsn = 4; txn = 1 };
+          Wal.Abort { lsn = 5; txn = 4 };
+        |];
+      |]
+  in
+  let doubt = Alcotest.(list (pair int int)) in
+  check doubt "only the undecided prepare" [ (2, 22) ] (Replay.in_doubt mixed);
+  let plain =
+    enc
+      [|
+        [| Wal.Commit { lsn = 1; txn = 1 } |];
+        [| Wal.Abort { lsn = 2; txn = 2 }; Wal.Commit { lsn = 3; txn = 3 } |];
+      |]
+  in
+  check doubt "no prepare, nothing in doubt" [] (Replay.in_doubt plain)
+
 (* --- run --------------------------------------------------------------- *)
 
 let () =
@@ -459,4 +657,16 @@ let () =
           QCheck_alcotest.to_alcotest prop_truncate_chunk_boundary;
         ] );
       ("frame views", [ QCheck_alcotest.to_alcotest prop_recovery_leaves_log_intact ]);
+      ( "borrowed bases",
+        [
+          Alcotest.test_case "sorted rewind leaves every base intact" `Quick
+            test_sorted_rewind_leaves_bases;
+          Alcotest.test_case "logical re-execution leaves the base intact" `Quick
+            test_logical_reexecution_leaves_base;
+        ] );
+      ( "pipeline",
+        [
+          Alcotest.test_case "allocation per routed record bounded" `Quick test_replay_allocation;
+          Alcotest.test_case "in_doubt: decisions on either disk" `Quick test_in_doubt_mixed_log;
+        ] );
     ]
